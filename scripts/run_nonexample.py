@@ -41,10 +41,10 @@ def main() -> None:
           f"(norm deviation {vanishing.max_norm_deviation:.1e})")
 
     steps = givens_factorization(seq)
-    carried = seq.vector(1).copy()
+    carried = seq.vector(1)
     recon = 0.0
     for step in steps:
-        carried = step.matrix @ carried
+        carried = step.apply(carried)
         recon = max(recon, float(np.linalg.norm(
             carried - seq.vector(step.m + 1))))
     print(f"Givens reconstruction error over {len(steps)} steps: {recon:.3e}")

@@ -366,10 +366,10 @@ def rate_bound_check(
     """
     if epsilon < 0.0:
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
-    if certificate.scope == "empirical" and certificate.horizon > chain.horizon:
-        raise PreconditionError(
-            "empirical certificate extends beyond this chain's horizon"
-        )
+    last = chain.horizon
+    if certificate.scope == "empirical":
+        # checked only up to its horizon, so the table must stop there too
+        last = min(last, certificate.horizon)
     from .products import limit_operator  # local: avoids import cycle
 
     info = limit_operator(chain)
@@ -389,7 +389,7 @@ def rate_bound_check(
 
     if n0 is None:
         n0 = certificate.n_start
-        for n in range(1, chain.horizon + 1):
+        for n in range(1, last + 1):
             step_proj = fixed_point_projection(
                 chain.operator_at(n), tol_eig=tol_eig, tol_psd=tol_psd
             )
@@ -398,17 +398,17 @@ def rate_bound_check(
                 break
         else:
             raise PreconditionError(
-                f"no step within the horizon brings the probe within "
+                f"no step up to n={last} brings the probe within "
                 f"{epsilon} of the gap regime; raise epsilon"
             )
     elif n0 < 1:
         raise PreconditionError(f"n0 must be >= 1, got {n0}")
 
-    limit_j = chain.horizon - n0
+    limit_j = last - n0
     jm = limit_j if j_max is None else min(j_max, limit_j)
     if jm < 0:
         raise PreconditionError(
-            f"n0 {n0} leaves no materialized steps before the horizon"
+            f"n0 {n0} lies beyond the last checkable step {last}"
         )
 
     proj_n0 = fixed_point_projection(

@@ -47,6 +47,7 @@ __all__ = [
 _DIST_TOL = 1e-10
 _SUPPORT_TOL = 1e-12
 _NORM_TOL = 1e-12
+_RANK_TOL = 1e-9  # singular values of U - I at or below this count as 0
 
 
 def flat_index(n: int, j: int) -> int:
@@ -352,16 +353,82 @@ def verify_not_totally_bounded(
 class GivensStep:
     """Plane rotation carrying orbit point ``m`` to ``m + 1``.
 
-    ``matrix`` acts as a rotation by ``angle`` on ``span(plane)`` and as
-    the identity on its complement, so ``matrix - I`` has rank 2 (rank 0
-    for flagged identity steps).
+    The rotation acts by ``angle`` on ``span(u, v)`` and as the identity
+    on its complement, so ``matrix - I`` has rank 2 (rank 0 for flagged
+    identity steps).  Only the coordinates where ``x_m`` or ``x_{m+1}``
+    is nonzero can move, so the step keeps that ``support`` (0-based
+    indices, at most two for the built orbit) with ``u`` and ``v``
+    restricted to it; ``plane`` and ``matrix`` are dense views built on
+    demand.
     """
 
     m: int
-    matrix: np.ndarray
-    plane: tuple[np.ndarray, np.ndarray] | None
+    dim: int
+    support: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    c: float
+    s: float
     angle: float
     identity: bool
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=values.dtype)
+        out[self.support] = values
+        return out
+
+    @property
+    def plane(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.identity:
+            return None
+        return self._dense(self.u), self._dense(self.v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        eye = np.eye(self.dim)
+        if self.identity:
+            return eye
+        u, v = self.plane
+        return (
+            eye
+            + (self.c - 1.0) * (np.outer(u, u) + np.outer(v, v))
+            + self.s * (np.outer(v, u) - np.outer(u, v))
+        )
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``matrix @ x`` with arithmetic only on the support."""
+        out = np.array(x, dtype=float)
+        if self.identity:
+            return out
+        xs = out[self.support]
+        a = self.u @ xs
+        b = self.v @ xs
+        out[self.support] = (
+            xs
+            + (self.c - 1.0) * (self.u * a + self.v * b)
+            + self.s * (self.v * a - self.u * b)
+        )
+        return out
+
+    @property
+    def rank_ok(self) -> bool:
+        """``rank(matrix - I)`` is 2 (0 for identity steps), read off the
+        structure instead of a dense SVD.
+
+        With ``u, v`` orthonormal, ``matrix - I`` acts on their span as
+        ``[[c - 1, -s], [s, c - 1]]`` and vanishes elsewhere, so its two
+        nonzero singular values both equal ``hypot(c - 1, s)``, which is
+        ``2 sin(angle / 2)`` for unit vectors.
+        """
+        if self.identity:
+            return True
+        u, v = self.u, self.v
+        gram = np.array([[u @ u, u @ v], [v @ u, v @ v]])
+        return bool(
+            np.abs(gram - np.eye(2)).max() <= _NORM_TOL
+            and 0.0 < self.angle < math.pi
+            and math.hypot(self.c - 1.0, self.s) > _RANK_TOL
+        )
 
 
 def givens_factorization(seq_or_vectors) -> list[GivensStep]:
@@ -377,18 +444,20 @@ def givens_factorization(seq_or_vectors) -> list[GivensStep]:
     )
     count, dim = vectors.shape
     steps: list[GivensStep] = []
-    eye = np.eye(dim)
     for m in range(1, count):
         x = vectors[m - 1]
         y = vectors[m]
         if np.linalg.norm(y - x) <= 1e-14:
             steps.append(
                 GivensStep(
-                    m=m, matrix=eye.copy(), plane=None, angle=0.0,
+                    m=m, dim=dim, support=np.empty(0, dtype=np.intp),
+                    u=np.empty(0), v=np.empty(0), c=1.0, s=0.0, angle=0.0,
                     identity=True,
                 )
             )
             continue
+        # c, s and v come from the dense vectors so that the angle and
+        # plane keep the same rounding however sparse the pair is
         c = float(x @ y)
         v = y - c * x
         s = float(np.linalg.norm(v))
@@ -398,17 +467,11 @@ def givens_factorization(seq_or_vectors) -> list[GivensStep]:
                 "is underdetermined"
             )
         v = v / s
-        angle = math.atan2(s, c)
-        u = x
-        matrix = (
-            eye
-            + (c - 1.0) * (np.outer(u, u) + np.outer(v, v))
-            + s * (np.outer(v, u) - np.outer(u, v))
-        )
+        support = np.flatnonzero((x != 0.0) | (y != 0.0))
         steps.append(
             GivensStep(
-                m=m, matrix=matrix, plane=(u.copy(), v), angle=angle,
-                identity=False,
+                m=m, dim=dim, support=support, u=x[support], v=v[support],
+                c=c, s=s, angle=math.atan2(s, c), identity=False,
             )
         )
     return steps
@@ -437,11 +500,12 @@ def givens_to_json(steps: list[GivensStep]) -> list[dict]:
             "angle": step.angle,
             "identity": step.identity,
             "plane": None
-            if step.plane is None
-            else [
-                [float(x) for x in step.plane[0]],
-                [float(x) for x in step.plane[1]],
-            ],
+            if step.identity
+            else {
+                "support": [int(i) + 1 for i in step.support],
+                "u": [float(x) for x in step.u],
+                "v": [float(x) for x in step.v],
+            },
         }
         out.append(entry)
     return out

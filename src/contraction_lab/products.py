@@ -152,7 +152,8 @@ class ConvergenceTrace:
 
     Arrays are indexed ``[n - 1, probe]`` for ``n = 1..horizon``; the
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
-    look one step ahead.
+    look one step ahead.  ``tol_psd`` is the slack the engine allowed on
+    ``||S_n|| <= 1``; the summary verdict reuses it.
     """
 
     chain_kind: str
@@ -170,6 +171,7 @@ class ConvergenceTrace:
     product_norm: np.ndarray
     limit: LimitInfo
     projection: Projection
+    tol_psd: float
 
     @property
     def probe_count(self) -> int:
@@ -291,6 +293,7 @@ def iterate_products(
         product_norm=snorm,
         limit=info,
         projection=proj,
+        tol_psd=tol,
     )
 
 
@@ -438,20 +441,25 @@ def orbit_epsilon_net(points: np.ndarray, epsilon: float) -> EpsilonNet:
 
     A point joins the net iff its distance to every current member
     exceeds ``epsilon``.  A net that keeps growing as more of an orbit is
-    scanned is direct evidence against total boundedness.
+    scanned is direct evidence against total boundedness.  Accepted
+    members are copied into a preallocated array, so each point is tested
+    against all of them in one vectorized distance computation.
     """
     if epsilon <= 0.0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
     pts = np.asarray(points)
     if pts.ndim != 2:
         raise PreconditionError("points must be a (count, dim) array")
-    members: list[int] = []
-    for i in range(pts.shape[0]):
-        if all(
-            np.linalg.norm(pts[i] - pts[j]) > epsilon for j in members
+    members = np.empty_like(pts)
+    indices: list[int] = []
+    for i, point in enumerate(pts):
+        k = len(indices)
+        if k == 0 or np.all(
+            np.linalg.norm(members[:k] - point, axis=1) > epsilon
         ):
-            members.append(i)
-    return EpsilonNet(epsilon=epsilon, member_indices=tuple(members))
+            members[k] = point
+            indices.append(i)
+    return EpsilonNet(epsilon=epsilon, member_indices=tuple(indices))
 
 
 def _fmt(x: float) -> str:
@@ -513,7 +521,7 @@ def trace_summary(
 
     verdicts = {
         "product_norm_bounded": bool(
-            trace.product_norm.max() <= 1.0 + DEFAULT.psd(trace.dim)
+            trace.product_norm.max() <= 1.0 + trace.tol_psd
         ),
         "ab_chain": ab_report.all_ok,
         "consec_identity": ab_report.identity_ok,

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from contraction_lab import build_chain, parse_chain_spec
-from contraction_lab.cli import main
+from contraction_lab.cli import NMAX_CEILING, main
 from contraction_lab.config import SEED_ENV_VAR
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -99,6 +99,19 @@ def test_simulate_usage_errors(tmp_path):
     assert run_cli(["frobnicate"]) == 64
 
 
+def test_generator_error_is_a_usage_error(tmp_path, capsys):
+    # valid spec keys, but the generator cannot stage 7 peels in 50 steps
+    spec = write_spec(
+        tmp_path,
+        {"kind": "near_one_accumulating", "dim": 8, "horizon": 50, "seed": 1},
+    )
+    assert run_cli(["simulate", "--spec", spec]) == 64
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "too small to stage 7 peels" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gap
 
@@ -132,6 +145,30 @@ def test_gap_exhaustion_reports_failure(tmp_path):
     assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "horizon, expected", [("30", 2), ("60", 2), ("400", 3)]
+)
+def test_gap_rate_table_stays_within_certified_horizon(
+    tmp_path, capsys, horizon, expected
+):
+    # near_one certifies delta 0.5 empirically at short horizons, but the
+    # probe only reaches the gap regime near n=360: no rate table can be
+    # claimed inside the certified range, so the run is inconclusive
+    out = tmp_path / "out"
+    spec = str(REPO_SPECS / "near_one.json")
+    argv = ["gap", "--spec", spec, "--horizon", horizon, "--out", str(out)]
+    assert run_cli(argv) == expected
+    assert not (out / "rate_table.csv").exists()
+    if expected == 2:
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["scope"] == "empirical"
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"n={horizon}" in err
+    else:
+        assert (out / "failure.json").exists()
+
+
 def test_gap_custom_grid(tmp_path):
     spec = write_spec(tmp_path, GAP_ENGINEERED)
     out = tmp_path / "out"
@@ -146,6 +183,7 @@ def test_gap_custom_grid(tmp_path):
 
 def test_gap_grid_usage_errors(tmp_path):
     spec = write_spec(tmp_path, GAP_ENGINEERED)
+    assert run_cli(["gap", "--spec", spec, "--epsilon", "-1"]) == 64
     assert run_cli(["gap", "--spec", spec, "--grid", "abc"]) == 64
     assert run_cli(["gap", "--spec", spec, "--grid", "0.1,0.2"]) == 64
 
@@ -183,10 +221,17 @@ def test_nonexample_net_dominates(tmp_path):
     assert len(dist_rows) == 1 + (12 * 13 // 2 - 1)
 
 
-def test_nonexample_usage_errors(tmp_path):
+def test_nonexample_usage_errors(tmp_path, capsys):
     assert run_cli(["nonexample", "--nmax", "1"]) == 64
     assert run_cli(["nonexample", "--epsilon", "0"]) == 64
     assert run_cli(["nonexample", "--epsilon", "-2"]) == 64
+    capsys.readouterr()
+    assert run_cli(["nonexample", "--nmax", str(NMAX_CEILING + 1)]) == 64
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"contraction-lab: error: --nmax must lie in 2..{NMAX_CEILING}, "
+        f"got {NMAX_CEILING + 1}"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,27 @@ def test_rate_bound_default_n0_and_validation():
         rate_bound_check(chain, cert, probe, n0=0)
 
 
+def test_rate_bound_stops_at_empirical_certificate_horizon():
+    chain = geometric_tail_chain(60)
+    cert = certificate_search(chain, horizon=20)
+    assert cert.scope == "empirical" and cert.horizon == 20
+    probe = np.array([0.0, 1.0])
+    report = rate_bound_check(chain, cert, probe, epsilon=0.0)
+    assert report.n0 == 1
+    assert report.n0 + int(report.j[-1]) == 20
+    clipped = rate_bound_check(chain, cert, probe, epsilon=0.0, j_max=50)
+    assert int(clipped.j[-1]) == 19
+    with pytest.raises(PreconditionError, match="beyond"):
+        rate_bound_check(chain, cert, probe, n0=25)
+    # an analytic certificate is not bounded by the search horizon
+    engineered = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    analytic = certificate_search(engineered, horizon=20)
+    assert analytic.scope == "analytic"
+    probe = np.random.default_rng(0).standard_normal(6)
+    report = rate_bound_check(engineered, analytic, probe, n0=1)
+    assert int(report.j[-1]) == 79
+
+
 def test_write_rate_csv_layout(tmp_path):
     chain = geometric_tail_chain(30)
     cert = certificate_search(chain)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -276,3 +277,78 @@ def test_write_net_csv_layout(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
     assert all(r[1] == "0.5" for r in rows[1:])
     assert [int(r[2]) for r in rows[1:]] == list(table.sizes)
+
+
+# ---------------------------------------------------------------------------
+# Sparse Givens steps
+
+
+def test_givens_apply_matches_dense_matrix():
+    seq = build_nonexample(8)
+    steps = givens_factorization(seq)
+    steps += givens_factorization(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    rng = np.random.default_rng(3)
+    for step in steps:
+        for _ in range(3):
+            x = rng.standard_normal(step.dim)
+            x /= np.linalg.norm(x)
+            assert np.abs(step.apply(x) - step.matrix @ x).max() <= 1e-15
+
+
+def test_givens_supports_are_small():
+    steps = givens_factorization(build_nonexample(30))
+    for step in steps:
+        assert len(step.support) <= 3
+        assert step.u.shape == step.v.shape == step.support.shape
+        for dense in step.plane:
+            assert np.all(np.delete(dense, step.support) == 0.0)
+
+
+def test_givens_json_planes_decode_to_dense_plane():
+    seq = build_nonexample(12)
+    steps = givens_factorization(seq)
+    docs = json.loads(json.dumps(givens_to_json(steps)))
+    for step, doc in zip(steps, docs):
+        assert doc["angle"] == step.angle
+        plane = doc["plane"]
+        assert set(plane) == {"support", "u", "v"}
+        u = np.zeros(seq.ambient_dim)
+        v = np.zeros(seq.ambient_dim)
+        index = np.asarray(plane["support"]) - 1
+        u[index] = plane["u"]
+        v[index] = plane["v"]
+        assert np.array_equal(u, step.plane[0])
+        assert np.array_equal(v, step.plane[1])
+
+
+def _svd_rank_ok(step):
+    singular = np.linalg.svd(step.matrix - np.eye(step.dim), compute_uv=False)
+    return int((singular > 1e-9).sum()) == (0 if step.identity else 2)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2_000),
+    dim=st.integers(min_value=2, max_value=6),
+)
+def test_givens_rank_check_agrees_with_svd(seed, dim):
+    rng = np.random.default_rng(seed)
+    pair = rng.standard_normal((2, dim))
+    pair /= np.linalg.norm(pair, axis=1, keepdims=True)
+    (step,) = givens_factorization(pair)
+    assert step.rank_ok
+    assert _svd_rank_ok(step)
+
+
+def test_givens_rank_check_rejects_vanishing_rotation():
+    # distinct enough to get a plane, too close for rank(U - I) = 2
+    y = np.array([1.0, 1e-12])
+    pair = np.array([[1.0, 0.0], y / np.linalg.norm(y)])
+    (step,) = givens_factorization(pair)
+    assert not step.identity
+    assert not step.rank_ok
+    assert not _svd_rank_ok(step)
+
+
+def test_givens_rank_check_passes_on_orbit():
+    for step in givens_factorization(build_nonexample(8)):
+        assert step.rank_ok and _svd_rank_ok(step)

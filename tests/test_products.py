@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contraction_lab import (
     ContractionChain,
+    build_nonexample,
     InvariantError,
     Operator,
     PreconditionError,
@@ -135,6 +136,24 @@ def test_untrusted_limit_yields_inconclusive_summary():
     assert summary["status"] == "inconclusive"
 
 
+def test_summary_norm_verdict_uses_engine_tolerance():
+    # ||S_n|| = 1 + 1e-7: inside a 1e-6 slack, outside the default 2e-10
+    def factory(n):
+        return Operator(np.diag([1.0 + 1e-7 if n == 1 else 1.0, 0.5]))
+
+    chain = ContractionChain(
+        2, "slightly_expanding", 5, factory,
+        analytic_limit=diagonal([1.0, 0.0]),
+    )
+    trace = iterate_products(chain, probes=np.eye(2), tol_psd=1e-6)
+    assert trace.tol_psd == 1e-6
+    assert trace.product_norm.max() == pytest.approx(1.0 + 1e-7, abs=1e-12)
+    summary = trace_summary(trace)
+    assert summary["verdicts"]["product_norm_bounded"] is True
+    with pytest.raises(InvariantError, match="norm"):
+        iterate_products(chain, probes=np.eye(2))
+
+
 def test_tiny_threshold_fails_summary():
     trace = iterate_products(telescoping_chain(30), probes=np.eye(2))
     summary = trace_summary(trace, threshold=1e-30)
@@ -249,6 +268,48 @@ def test_orbit_epsilon_net_properties(seed, count, epsilon):
     # coverage
     dists = np.linalg.norm(points[:, None, :] - members[None, :, :], axis=2)
     assert np.all(dists.min(axis=1) <= epsilon)
+
+
+def scalar_greedy_net(points, epsilon):
+    """Reference greedy scan: one distance per (point, member) pair."""
+    members = []
+    for i in range(points.shape[0]):
+        if all(
+            np.linalg.norm(points[i] - points[j]) > epsilon for j in members
+        ):
+            members.append(i)
+    return tuple(members)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2_000),
+    count=st.integers(min_value=1, max_value=60),
+    dim=st.integers(min_value=1, max_value=6),
+    epsilon=st.one_of(
+        st.sampled_from([0.5, 1.0, 1.5]),  # ties with grid distances
+        st.floats(min_value=0.05, max_value=2.0),
+    ),
+    on_grid=st.booleans(),
+)
+def test_orbit_epsilon_net_matches_scalar_scan(
+    seed, count, dim, epsilon, on_grid
+):
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        # coarse grid: repeated points and distances exactly at epsilon
+        points = rng.integers(-2, 3, size=(count, dim)) * 0.5
+    else:
+        points = rng.standard_normal((count, dim))
+    net = orbit_epsilon_net(points, epsilon)
+    assert net.member_indices == scalar_greedy_net(points, epsilon)
+
+
+@pytest.mark.parametrize("n_max", [5, 12, 30])
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9, 1.5])
+def test_orbit_epsilon_net_matches_scalar_scan_on_orbit(n_max, epsilon):
+    points = build_nonexample(n_max).vectors
+    net = orbit_epsilon_net(points, epsilon)
+    assert net.member_indices == scalar_greedy_net(points, epsilon)
 
 
 # ---------------------------------------------------------------------------
