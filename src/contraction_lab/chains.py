@@ -12,16 +12,15 @@ be rebuilt bit-for-bit from a JSON document.
 from __future__ import annotations
 
 import json
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT, DEFAULT_HORIZON
 from .errors import ChainGenerationError, ChainSpecError, PreconditionError
-from .operators import Operator, diagonal, is_positive_contraction
+from .operators import Operator, is_positive_contraction
 
 __all__ = [
     "Curve",
@@ -207,7 +206,13 @@ class ContractionChain:
 
     ``operator_at(n)`` is 1-based and defined for ``1 <= n <= horizon``.
     Materialization is cached behind a lock so recursively defined chains
-    (Schur decrements) stay consistent under concurrent access.
+    (Schur decrements) stay consistent under concurrent access.  Every
+    curve-built kind materializes ``F diag(values_n) F^T`` for a fixed
+    orthogonal frame ``F`` (the identity for diagonal chains).
+
+    The cache holds the operators only, not their eigenvectors: a
+    spectral query diagonalizes afresh, because keeping eigenvectors
+    would store another ``dim x dim`` matrix for every cached step.
     """
 
     def __init__(
@@ -303,32 +308,31 @@ def diagonal_chain(
 
     Curves are sampled up to the horizon at build time; a curve that
     leaves ``[0, 1]`` or increases anywhere is rejected with the
-    offending coordinate and step in the message.
+    offending coordinate and step in the message.  The chain is the
+    conjugated one with the identity frame: multiplying by ``I`` is
+    exact in float64, so every operator is exactly ``diag`` of its
+    sampled values.
     """
     curves = list(curves)
-    if dim is None:
-        dim = len(curves)
-    if len(curves) != dim:
-        raise ChainGenerationError(
-            f"{len(curves)} curves for dimension {dim}"
-        )
-    table = _curve_table(curves, horizon)
-    limits = _limits_of(curves)
-    analytic = diagonal(limits) if limits is not None else None
-
-    def factory(n: int) -> Operator:
-        return diagonal(table[:, n - 1])
-
-    return ContractionChain(
+    dim = _curve_dim(curves, dim)
+    return _conjugated_chain(
+        curves,
         dim,
-        kind,
         horizon,
-        factory,
-        analytic_limit=analytic,
+        np.eye(dim),
+        kind=kind,
         seed=seed,
         gap_guarantee=gap_guarantee,
         spec=spec,
     )
+
+
+def _curve_dim(curves: Sequence[Curve], dim: int | None) -> int:
+    if dim is None:
+        dim = len(curves)
+    if len(curves) != dim:
+        raise ChainGenerationError(f"{len(curves)} curves for dimension {dim}")
+    return dim
 
 
 def _conjugated_chain(
@@ -378,10 +382,7 @@ def conjugated_diagonal_chain(
     matrices downstream.
     """
     curves = list(curves)
-    if dim is None:
-        dim = len(curves)
-    if len(curves) != dim:
-        raise ChainGenerationError(f"{len(curves)} curves for dimension {dim}")
+    dim = _curve_dim(curves, dim)
     frame = random_orthogonal(dim, stream_rng(seed, _STREAM_CONJUGATION))
     return _conjugated_chain(
         curves,
@@ -654,7 +655,6 @@ class ChainSpec:
     delta: float | None = None
     fixed_rank: int = 0
     top: float = 0.9
-    extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "dim": self.dim, "horizon": self.horizon}

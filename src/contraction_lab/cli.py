@@ -154,9 +154,7 @@ def cmd_simulate(args, parser) -> int:
     trace = iterate_products(
         chain, horizon=horizon, tol_eig=tol_eig, tol_psd=args.tol_psd
     )
-    proj_trace = check_projection_convergence(
-        chain, horizon, tol_eig=tol_eig, tol_psd=args.tol_psd
-    )
+    proj_trace = check_projection_convergence(chain, trace)
     ab = consecutive_difference_report(trace)
     summary = trace_summary(trace, projection_trace=proj_trace, ab_report=ab)
     out = _out_dir(args)
@@ -190,12 +188,10 @@ def cmd_gap(args, parser) -> int:
     out = _out_dir(args)
     if isinstance(result, GapCertificate):
         _json_dump(result.to_json_dict(), out / "certificate.json")
-        probe = _perp_probe(chain, tol_eig, args.tol_psd)
         try:
             report = rate_bound_check(
                 chain,
                 result,
-                probe,
                 epsilon=args.epsilon,
                 tol_eig=tol_eig,
                 tol_psd=args.tol_psd,
@@ -207,25 +203,6 @@ def cmd_gap(args, parser) -> int:
         return EXIT_PASS if report.bound_holds else EXIT_FAIL
     _json_dump(result.to_json_dict(), out / "failure.json")
     return EXIT_NO_CERTIFICATE
-
-
-def _perp_probe(chain, tol_eig, tol_psd) -> np.ndarray:
-    """Seeded unit probe pushed off the limit fixed space when
-    possible."""
-    from .chains import stream_rng
-    from .operators import fixed_point_projection
-    from .products import limit_operator
-
-    info = limit_operator(chain)
-    proj = fixed_point_projection(
-        info.operator, tol_eig=tol_eig, tol_psd=tol_psd
-    )
-    rng = stream_rng(chain.seed if chain.seed is not None else 0, 17)
-    draw = rng.standard_normal(chain.dim)
-    if proj.rank < chain.dim:
-        draw = draw - proj.matrix @ draw
-    norm = np.linalg.norm(draw)
-    return draw / norm if norm > 0 else np.eye(chain.dim)[:, 0]
 
 
 def cmd_nonexample(args, parser) -> int:

@@ -22,8 +22,6 @@ class Tolerances:
     chain_per_dim: float = 1e-12
     # slack when comparing against the geometric rate bound
     rate: float = 1e-10
-    # spectral reconstruction slack, scaled by dimension
-    recon_per_dim: float = 1e-12
     # empirical limits are trusted only below this Cauchy gap
     cauchy_gap_max: float = 1e-8
     # end-of-run convergence threshold for error curves
@@ -35,15 +33,8 @@ class Tolerances:
     def chain(self, dim: int) -> float:
         return self.chain_per_dim * dim
 
-    def recon(self, dim: int) -> float:
-        return self.recon_per_dim * dim
-
 
 DEFAULT = Tolerances()
-
-# Residuals inside [fix/10, fix*10] are reported as ambiguous rather than
-# silently rounded to a verdict.
-AMBIGUITY_BAND = (DEFAULT.fix / 10.0, DEFAULT.fix * 10.0)
 
 # Default search grid for spectral-gap certificates, strictly descending.
 DELTA_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)

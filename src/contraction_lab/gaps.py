@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ContractionChain
+from .chains import ContractionChain, stream_rng
 from .config import DEFAULT, DELTA_GRID
 from .errors import PreconditionError, RankDescentError
 from .operators import (
     Operator,
+    Projection,
     fixed_point_projection,
     hermitian_eigenvalues,
     is_positive_contraction,
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 RATE_CSV_HEADER = ("j", "lhs", "rhs", "slack")
+
+# spawn-key namespace of the default rate-bound probe
+_STREAM_RATE_PROBE = 17
 
 
 @dataclass(frozen=True)
@@ -347,7 +351,7 @@ class RateBoundReport:
 def rate_bound_check(
     chain: ContractionChain,
     certificate: GapCertificate,
-    probe: np.ndarray,
+    probe: np.ndarray | None = None,
     epsilon: float = 1e-8,
     n0: int | None = None,
     *,
@@ -360,9 +364,11 @@ def rate_bound_check(
 
     The probe is split against the limit fixed space; the bound is run
     on the orthogonal part (the fixed part is carried unchanged by every
-    step, so it contributes nothing to the decay).  ``n0`` defaults to
-    the certificate's starting step joined with the first step whose
-    fixed projection nearly kills the probe (``<= epsilon``).
+    step, so it contributes nothing to the decay).  Without a probe, a
+    seeded unit vector orthogonal to the limit fixed space is used (the
+    chain's seed, or 0).  ``n0`` defaults to the certificate's starting
+    step joined with the first step whose fixed projection nearly kills
+    the probe (``<= epsilon``).
     """
     if epsilon < 0.0:
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
@@ -376,6 +382,8 @@ def rate_bound_check(
     proj = fixed_point_projection(
         info.operator, tol_eig=tol_eig, tol_psd=tol_psd
     )
+    if probe is None:
+        probe = _seeded_perp_probe(chain, proj)
     xi = np.asarray(probe).reshape(-1)
     if xi.shape[0] != chain.dim:
         raise PreconditionError(
@@ -449,6 +457,17 @@ def rate_bound_check(
         tol_rate=tol_rate,
         fitted_slope=slope,
     )
+
+
+def _seeded_perp_probe(chain: ContractionChain, proj: Projection) -> np.ndarray:
+    """Seeded unit probe pushed off the limit fixed space when
+    possible."""
+    seed = 0 if chain.seed is None else chain.seed
+    draw = stream_rng(seed, _STREAM_RATE_PROBE).standard_normal(chain.dim)
+    if proj.rank < chain.dim:
+        draw = draw - proj.matrix @ draw
+    norm = np.linalg.norm(draw)
+    return draw / norm if norm > 0 else np.eye(chain.dim)[:, 0]
 
 
 def write_rate_csv(report: RateBoundReport, path) -> None:

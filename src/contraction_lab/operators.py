@@ -235,16 +235,31 @@ def spectral_projection(
     An empty intersection with the spectrum yields the rank-0 projection,
     not an error.
     """
-    decomp = spectral_decompose(op)
+    return _cluster_projection(spectral_decompose(op), interval, tol_eig)
+
+
+def _cluster_projection(
+    decomp: SpectralDecomposition, interval: Interval, tol_eig: float
+) -> Projection:
     mask = np.array(
         [interval.contains(float(w), tol_eig) for w in decomp.eigenvalues]
     )
     rank = int(mask.sum())
     if rank == 0:
-        zero = np.zeros((op.dim, op.dim), dtype=op.entries.dtype)
+        dim = decomp.dim
+        zero = np.zeros((dim, dim), dtype=decomp.eigenvectors.dtype)
         return Projection(Operator(zero), 0)
     cols = decomp.eigenvectors[:, mask]
     return Projection(Operator(cols @ cols.conj().T), rank)
+
+
+def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    if low < -tol:
+        return Witnessed(False, low)
+    if high > 1.0 + tol:
+        return Witnessed(False, high)
+    return Witnessed(True, None)
 
 
 def is_positive_contraction(
@@ -255,13 +270,7 @@ def is_positive_contraction(
     On failure the witness is the offending eigenvalue.
     """
     tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
-    w = _eigvalsh(op.entries)
-    low, high = float(w[0]), float(w[-1])
-    if low < -tol:
-        return Witnessed(False, low)
-    if high > 1.0 + tol:
-        return Witnessed(False, high)
-    return Witnessed(True, None)
+    return _contraction_witness(_eigvalsh(op.entries), tol)
 
 
 def fixed_point_projection(
@@ -273,14 +282,17 @@ def fixed_point_projection(
     """Projection onto the fixed-point space of a positive contraction.
 
     Equivalent to ``spectral_projection(T, [1, 1])`` under the clustering
-    rule.  Rejects operators that are not positive contractions.
+    rule.  Rejects operators that are not positive contractions.  One
+    ``eigh`` serves both the positivity check and the projection.
     """
-    check = is_positive_contraction(op, tol_psd=tol_psd)
+    decomp = spectral_decompose(op)
+    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    check = _contraction_witness(decomp.eigenvalues, tol)
     if not check:
         raise PreconditionError(
             f"not a positive contraction: offending eigenvalue {check.witness}"
         )
-    return spectral_projection(op, point_interval(1.0), tol_eig=tol_eig)
+    return _cluster_projection(decomp, point_interval(1.0), tol_eig)
 
 
 def loewner_leq(

@@ -34,7 +34,6 @@ from .operators import (
 
 __all__ = [
     "LimitInfo",
-    "ProductState",
     "ConvergenceTrace",
     "ABChainReport",
     "ProjectionTrace",
@@ -103,18 +102,6 @@ def limit_operator(chain: ContractionChain, horizon: int | None = None) -> Limit
     return LimitInfo(last, "empirical", gap)
 
 
-@dataclass(frozen=True, eq=False)
-class ProductState:
-    """One step of the running product."""
-
-    n: int
-    product: np.ndarray
-
-    @property
-    def adjoint(self) -> np.ndarray:
-        return self.product.conj().T
-
-
 def default_probes(
     dim: int, projection: Projection, seed: int
 ) -> tuple[list[str], np.ndarray]:
@@ -153,7 +140,9 @@ class ConvergenceTrace:
     Arrays are indexed ``[n - 1, probe]`` for ``n = 1..horizon``; the
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
     look one step ahead.  ``tol_psd`` is the slack the engine allowed on
-    ``||S_n|| <= 1``; the summary verdict reuses it.
+    ``||S_n|| <= 1``; the summary verdict reuses it.  ``tol_eig`` is the
+    clustering tolerance that picked out ``projection``; the per-step
+    fixed spaces of :func:`check_projection_convergence` reuse both.
     """
 
     chain_kind: str
@@ -171,6 +160,7 @@ class ConvergenceTrace:
     product_norm: np.ndarray
     limit: LimitInfo
     projection: Projection
+    tol_eig: float
     tol_psd: float
 
     @property
@@ -293,6 +283,7 @@ def iterate_products(
         product_norm=snorm,
         limit=info,
         projection=proj,
+        tol_eig=tol_eig,
         tol_psd=tol,
     )
 
@@ -376,47 +367,38 @@ class ProjectionTrace:
 
 
 def check_projection_convergence(
-    chain: ContractionChain,
-    horizon: int | None = None,
-    probes: np.ndarray | None = None,
-    *,
-    probe_ids: list[str] | None = None,
-    tol_eig: float = DEFAULT.eig,
-    tol_psd: float | None = None,
+    chain: ContractionChain, trace: ConvergenceTrace
 ) -> ProjectionTrace:
     """Track ``||(P_n - P) xi||`` per probe and the rank staircase.
 
-    For a decreasing chain the ranks can only step down and can never end
-    below the limit's rank; both facts are reported as verdicts.
+    ``trace`` is what :func:`iterate_products` returned for ``chain``:
+    its horizon, its validated probes and ids, its limit projection and
+    its tolerances are used as they are, so both records of a run
+    describe the same probes against the same limit.  For a decreasing
+    chain the ranks can only step down and can never end below the
+    limit's rank; both facts are reported as verdicts.
     """
-    h = chain.horizon if horizon is None else horizon
-    if not 1 <= h <= chain.horizon:
+    if (trace.chain_kind, trace.dim) != (chain.kind, chain.dim):
         raise PreconditionError(
-            f"horizon {h} outside materialized range 1..{chain.horizon}"
+            f"trace of a {trace.chain_kind} chain in dimension {trace.dim} "
+            f"does not match a {chain.kind} chain in dimension {chain.dim}"
         )
-    info = limit_operator(chain)
-    proj = fixed_point_projection(info.operator, tol_eig=tol_eig, tol_psd=tol_psd)
-    if probes is None:
-        ids, mat = default_probes(chain.dim, proj, chain.seed or 0)
-    else:
-        mat = np.asarray(probes)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-        ids = probe_ids or [f"p{k}" for k in range(mat.shape[1])]
-
+    h = trace.horizon
+    mat = trace.probes
+    proj = trace.projection
     ranks = np.empty(h, dtype=int)
-    errors = np.empty((h, mat.shape[1]))
+    errors = np.empty((h, trace.probe_count))
     p_probes = proj.matrix @ mat
     for n in range(1, h + 1):
         step = fixed_point_projection(
-            chain.operator_at(n), tol_eig=tol_eig, tol_psd=tol_psd
+            chain.operator_at(n), tol_eig=trace.tol_eig, tol_psd=trace.tol_psd
         )
         ranks[n - 1] = step.rank
         errors[n - 1] = np.linalg.norm(step.matrix @ mat - p_probes, axis=0)
     return ProjectionTrace(
         ranks=ranks,
         probe_errors=errors,
-        probe_ids=tuple(ids),
+        probe_ids=trace.probe_ids,
         limit_rank=proj.rank,
         ranks_nonincreasing=bool(np.all(np.diff(ranks) <= 0)),
         final_rank_dominates=bool(ranks[-1] >= proj.rank),

@@ -130,6 +130,19 @@ def test_diagonal_chain_matches_curves():
     )
 
 
+def test_diagonal_chain_is_exactly_diagonal():
+    curves = [const(1.0), harmonic_to(0.3), geometric(0.7), peel(4, 0.6, 0.9)]
+    horizon = 12
+    chain = diagonal_chain(curves, horizon=horizon)
+    for n in range(1, horizon + 1):
+        values = [c.value(n) for c in curves]
+        assert np.array_equal(chain.operator_at(n).entries, np.diag(values))
+    limits = [c.limit for c in curves]
+    assert np.array_equal(
+        chain.analytic_limit.entries, diagonal(limits).entries
+    )
+
+
 def test_diagonal_chain_range_checks():
     chain = diagonal_chain([const(1.0)], horizon=5)
     with pytest.raises(PreconditionError):

@@ -16,16 +16,18 @@ from contraction_lab import (
     const,
     diagonal,
     diagonal_chain,
+    fixed_point_projection,
     gap_engineered_chain,
     geometric,
     has_gap_at,
     identity,
+    limit_operator,
     near_one_accumulating_chain,
     peel,
     rank_strict_descent_check,
     rate_bound_check,
 )
-from contraction_lab.chains import ContractionChain, custom_curve
+from contraction_lab.chains import ContractionChain, custom_curve, stream_rng
 from contraction_lab.corpus import descent_triple_corpus
 from contraction_lab.gaps import RATE_CSV_HEADER, write_rate_csv
 
@@ -263,6 +265,25 @@ def test_rate_bound_default_n0_and_validation():
         rate_bound_check(chain, cert, np.ones(4))
     with pytest.raises(PreconditionError, match="n0"):
         rate_bound_check(chain, cert, probe, n0=0)
+
+
+def test_rate_bound_default_probe_is_seeded_and_orthogonal():
+    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    cert = certificate_search(chain)
+    proj = fixed_point_projection(limit_operator(chain).operator)
+    # reference probe: stream 17 of the chain's seed, off the fixed space
+    draw = stream_rng(5, 17).standard_normal(6)
+    draw = draw - proj.matrix @ draw
+    probe = draw / np.linalg.norm(draw)
+    assert np.linalg.norm(probe) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(proj.matrix @ probe) < 1e-12
+    built = rate_bound_check(chain, cert)
+    given_probe = rate_bound_check(chain, cert, probe)
+    assert built.n0 == given_probe.n0
+    assert np.array_equal(built.lhs, given_probe.lhs)
+    assert np.array_equal(built.rhs, given_probe.rhs)
+    assert built.fixed_component_norm < 1e-12
+    assert built.bound_holds
 
 
 def test_rate_bound_stops_at_empirical_certificate_horizon():

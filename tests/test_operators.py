@@ -159,6 +159,29 @@ def test_fixed_point_projection():
         fixed_point_projection(diagonal([1.5, 0.0]))
 
 
+def test_fixed_point_projection_runs_one_eigh(monkeypatch):
+    op, _, _ = random_contraction(6, stream_rng(3, 0), fixed_weight=0.5)
+    w, v = np.linalg.eigh(op.entries)
+    cols = v[:, w >= 1.0 - DEFAULT.eig]
+    expected = Operator(cols @ cols.T).entries
+    below = Operator(np.diag([0.5, 0.25]).astype(np.complex128))
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("fixed_point_projection called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    p = fixed_point_projection(op)
+    assert p.rank == cols.shape[1] > 0
+    assert np.array_equal(p.matrix, expected)
+    zero = fixed_point_projection(below)
+    assert zero.rank == 0 and zero.matrix.dtype == np.complex128
+    with pytest.raises(
+        PreconditionError,
+        match=r"^not a positive contraction: offending eigenvalue 1\.5$",
+    ):
+        fixed_point_projection(diagonal([1.5, 0.5]))
+
+
 # ---------------------------------------------------------------------------
 # Fixed-vector equivalence
 

@@ -220,7 +220,7 @@ def test_wot_bounded_by_sot():
 
 def test_projection_convergence_staircase():
     chain = telescoping_chain(10)
-    ptrace = check_projection_convergence(chain)
+    ptrace = check_projection_convergence(chain, iterate_products(chain))
     assert list(ptrace.ranks) == [2] + [1] * 9
     assert ptrace.limit_rank == 1
     assert ptrace.ranks_nonincreasing
@@ -229,7 +229,37 @@ def test_projection_convergence_staircase():
     assert ptrace.probe_errors[0, e2] == pytest.approx(1.0)
     assert ptrace.probe_errors[-1, e2] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(PreconditionError):
-        check_projection_convergence(chain, horizon=11)
+        iterate_products(chain, horizon=11)
+
+
+def test_projection_convergence_uses_the_trace_probes():
+    # the chain is seeded 0; the trace's probes come from seed 7
+    chain = conjugated_diagonal_chain(
+        [const(1.0), harmonic_to(0.3), geometric(0.8)], horizon=12, seed=0
+    )
+    trace = iterate_products(chain, seed=7, horizon=9)
+    _, seed0 = default_probes(3, trace.projection, seed=0)
+    assert not np.array_equal(trace.probes, seed0)
+    ptrace = check_projection_convergence(chain, trace)
+    assert ptrace.probe_ids == trace.probe_ids
+    assert ptrace.ranks.shape == (9,)
+    p_probes = trace.projection.matrix @ trace.probes
+    for n in range(1, 10):
+        step = fixed_point_projection(chain.operator_at(n))
+        expected = np.linalg.norm(step.matrix @ trace.probes - p_probes, axis=0)
+        assert np.array_equal(ptrace.probe_errors[n - 1], expected)
+
+    custom = iterate_products(
+        chain, probes=np.eye(3)[:, :2], probe_ids=["x", "y"]
+    )
+    assert check_projection_convergence(chain, custom).probe_ids == ("x", "y")
+    # bad probes are rejected before any projection trace can use them
+    with pytest.raises(PreconditionError, match="zero probe"):
+        iterate_products(chain, probes=np.zeros((3, 1)))
+    with pytest.raises(PreconditionError, match="dimension"):
+        iterate_products(chain, probes=np.eye(2))
+    with pytest.raises(PreconditionError, match="does not match"):
+        check_projection_convergence(telescoping_chain(10), trace)
 
 
 # ---------------------------------------------------------------------------
