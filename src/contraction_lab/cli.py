@@ -63,11 +63,11 @@ from .operators import (
     check_fixed_vector_equivalence,
     check_projection_monotone,
     diagonal,
-    loewner_leq,
 )
 from .products import (
     check_projection_convergence,
     consecutive_difference_report,
+    is_decreasing,
     iterate_products,
     trace_summary,
     write_trace_csv,
@@ -317,17 +317,7 @@ def cmd_verify(args, parser) -> int:
     adj_ok = adj_bad = adj_inc = 0
     opnorm_ok = opnorm_bad = opnorm_inc = 0
     for chain in chains:
-        stride = max(1, chain.horizon // 50)
-        ordered = True
-        for n in range(1, chain.horizon, stride):
-            step = min(n + stride, chain.horizon)
-            if not loewner_leq(
-                chain.operator_at(step),
-                chain.operator_at(n),
-                tol_psd=args.tol_psd,
-            ):
-                ordered = False
-                break
+        ordered = is_decreasing(chain, tol_psd=args.tol_psd)
         ordering_ok += ordered
         ordering_bad += not ordered
 

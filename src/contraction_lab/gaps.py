@@ -29,9 +29,10 @@ from .errors import PreconditionError, RankDescentError
 from .operators import (
     Operator,
     Projection,
+    contraction_decompose,
     fixed_point_projection,
+    fixed_space_rank,
     hermitian_eigenvalues,
-    is_positive_contraction,
     loewner_leq,
     open_interval,
 )
@@ -138,14 +139,18 @@ class GapSearchFailure:
 
 
 def _violating_eigenvalue(
-    op: Operator, delta: float, tol_eig: float
+    eigenvalues: np.ndarray, delta: float, tol_eig: float
 ) -> float | None:
     """Largest eigenvalue strictly inside ``(1 - delta, 1)``, eigenvalues
     within ``tol_eig`` of either endpoint counted as outside."""
     window = open_interval(1.0 - delta, 1.0)
-    eigs = hermitian_eigenvalues(op)
-    inside = [x for x in eigs if window.contains(x, tol=tol_eig)]
+    inside = [x for x in eigenvalues if window.contains(x, tol=tol_eig)]
     return max(inside) if inside else None
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
 
 
 def has_gap_at(
@@ -153,9 +158,9 @@ def has_gap_at(
 ) -> bool:
     """True iff no eigenvalue of ``op`` lies in the open interval
     ``(1 - delta + tol_eig, 1 - tol_eig)``."""
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    return _violating_eigenvalue(op, delta, tol_eig) is None
+    _check_delta(delta)
+    eigenvalues = hermitian_eigenvalues(op)
+    return _violating_eigenvalue(eigenvalues, delta, tol_eig) is None
 
 
 def _validate_grid(delta_grid) -> tuple[float, ...]:
@@ -217,7 +222,9 @@ def certificate_search(
             delta_cur = d
             break
     if delta_cur is None:
-        offender = _violating_eigenvalue(first, grid[-1], tol_eig)
+        offender = _violating_eigenvalue(
+            hermitian_eigenvalues(first), grid[-1], tol_eig
+        )
         violations.append(GapViolation(1, grid[-1], float(offender)))
         return GapSearchFailure(grid, (), tuple(violations), h)
 
@@ -227,9 +234,8 @@ def certificate_search(
     while True:
         hit = None
         for n in range(n_cur + 1, h + 1):
-            offender = _violating_eigenvalue(
-                chain.operator_at(n), delta_cur, tol_eig
-            )
+            eigenvalues = hermitian_eigenvalues(chain.operator_at(n))
+            offender = _violating_eigenvalue(eigenvalues, delta_cur, tol_eig)
             if offender is not None:
                 hit = (n, float(offender))
                 break
@@ -281,33 +287,34 @@ def rank_strict_descent_check(
     """Under ``t_lower <= t_upper``, gap at the upper operator and gap
     violated at the lower one, the lower fixed-space rank must be
     strictly smaller.  Returns that comparison; ``False`` means the
-    numerics contradict a theorem."""
+    numerics contradict a theorem.  One ``eigh`` per operator serves its
+    positivity check, its gap test and its fixed-space rank."""
+    decomps = []
     for name, op in (("upper", t_upper), ("lower", t_lower)):
-        ok = is_positive_contraction(op, tol_psd=tol_psd)
+        decomp, ok = contraction_decompose(op, tol_psd=tol_psd)
         if not ok:
             raise PreconditionError(
                 f"{name} operator is not a positive contraction "
                 f"(witness eigenvalue {ok.witness})"
             )
+        decomps.append(decomp)
+    upper, lower = decomps
     if not loewner_leq(t_lower, t_upper, tol_psd=tol_psd):
         raise PreconditionError(
             "operators are not ordered: lower <= upper fails"
         )
-    if not has_gap_at(t_upper, delta, tol_eig=tol_eig):
+    _check_delta(delta)
+    if _violating_eigenvalue(upper.eigenvalues, delta, tol_eig) is not None:
         raise PreconditionError(
             f"upper operator has no spectral gap at delta {delta}"
         )
-    if has_gap_at(t_lower, delta, tol_eig=tol_eig):
+    if _violating_eigenvalue(lower.eigenvalues, delta, tol_eig) is None:
         raise PreconditionError(
             f"lower operator violates no gap at delta {delta}: "
             "the descent lemma does not apply"
         )
-    rank_upper = fixed_point_projection(
-        t_upper, tol_eig=tol_eig, tol_psd=tol_psd
-    ).rank
-    rank_lower = fixed_point_projection(
-        t_lower, tol_eig=tol_eig, tol_psd=tol_psd
-    ).rank
+    rank_upper = fixed_space_rank(upper, tol_eig=tol_eig)
+    rank_lower = fixed_space_rank(lower, tol_eig=tol_eig)
     return rank_lower < rank_upper
 
 

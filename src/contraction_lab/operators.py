@@ -48,7 +48,10 @@ __all__ = [
     "spectral_projection",
     "fixed_point_projection",
     "is_positive_contraction",
+    "contraction_decompose",
+    "fixed_space_rank",
     "loewner_leq",
+    "loewner_margin",
     "check_fixed_vector_equivalence",
     "check_projection_monotone",
     "operator_to_dict",
@@ -238,12 +241,16 @@ def spectral_projection(
     return _cluster_projection(spectral_decompose(op), interval, tol_eig)
 
 
+def _cluster_mask(
+    eigenvalues: np.ndarray, interval: Interval, tol_eig: float
+) -> np.ndarray:
+    return np.array([interval.contains(float(w), tol_eig) for w in eigenvalues])
+
+
 def _cluster_projection(
     decomp: SpectralDecomposition, interval: Interval, tol_eig: float
 ) -> Projection:
-    mask = np.array(
-        [interval.contains(float(w), tol_eig) for w in decomp.eigenvalues]
-    )
+    mask = _cluster_mask(decomp.eigenvalues, interval, tol_eig)
     rank = int(mask.sum())
     if rank == 0:
         dim = decomp.dim
@@ -273,6 +280,29 @@ def is_positive_contraction(
     return _contraction_witness(_eigvalsh(op.entries), tol)
 
 
+def contraction_decompose(
+    op: Operator, *, tol_psd: float | None = None
+) -> tuple[SpectralDecomposition, Witnessed]:
+    """One ``eigh`` of ``op`` and the ``0 <= T <= I`` verdict read off its
+    eigenvalues, witnessed as in :func:`is_positive_contraction`.
+
+    Callers that need the positivity check and a spectral answer about
+    the same operator (fixed space, gap) take both from this one solve.
+    """
+    decomp = spectral_decompose(op)
+    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    return decomp, _contraction_witness(decomp.eigenvalues, tol)
+
+
+def fixed_space_rank(
+    decomp: SpectralDecomposition, *, tol_eig: float = DEFAULT.eig
+) -> int:
+    """Rank of the fixed-point space under the clustering rule: the rank
+    of :func:`fixed_point_projection` for the decomposed operator."""
+    mask = _cluster_mask(decomp.eigenvalues, point_interval(1.0), tol_eig)
+    return int(mask.sum())
+
+
 def fixed_point_projection(
     op: Operator,
     *,
@@ -285,9 +315,7 @@ def fixed_point_projection(
     rule.  Rejects operators that are not positive contractions.  One
     ``eigh`` serves both the positivity check and the projection.
     """
-    decomp = spectral_decompose(op)
-    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
-    check = _contraction_witness(decomp.eigenvalues, tol)
+    decomp, check = contraction_decompose(op, tol_psd=tol_psd)
     if not check:
         raise PreconditionError(
             f"not a positive contraction: offending eigenvalue {check.witness}"
@@ -307,8 +335,15 @@ def loewner_leq(
             f"cannot compare operators of dims {a.dim} and {b.dim}"
         )
     tol = DEFAULT.psd(a.dim) if tol_psd is None else tol_psd
-    smallest = float(_eigvalsh(b.entries - a.entries)[0])
+    smallest = float(loewner_margin(b.entries, a.entries))
     return Witnessed(smallest >= -tol, smallest)
+
+
+def loewner_margin(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``upper - lower`` for Hermitian matrices, or
+    for each pair of two stacks of them; ``lower <= upper`` iff it is
+    ``>= 0``."""
+    return _eigvalsh(upper - lower)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -409,20 +444,24 @@ def check_projection_monotone(
     ordering holds) are enforced; this function answers the projection
     comparison only.
     """
+    decomps = []
     for name, op in (("lower", t_lower), ("upper", t_upper)):
-        check = is_positive_contraction(op, tol_psd=tol_psd)
+        decomp, check = contraction_decompose(op, tol_psd=tol_psd)
         if not check:
             raise PreconditionError(
                 f"{name} operand is not a positive contraction: "
                 f"offending eigenvalue {check.witness}"
             )
+        decomps.append(decomp)
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
         raise PreconditionError(
             f"operands are not ordered: min eig of difference {ordering.witness}"
         )
-    p_lower = fixed_point_projection(t_lower, tol_eig=tol_eig, tol_psd=tol_psd)
-    p_upper = fixed_point_projection(t_upper, tol_eig=tol_eig, tol_psd=tol_psd)
+    p_lower, p_upper = (
+        _cluster_projection(decomp, point_interval(1.0), tol_eig)
+        for decomp in decomps
+    )
     return bool(loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd))
 
 

@@ -2,9 +2,16 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from contraction_lab import build_chain, parse_chain_spec
+from contraction_lab import (
+    ContractionChain,
+    Operator,
+    build_chain,
+    cli,
+    parse_chain_spec,
+)
 from contraction_lab.cli import NMAX_CEILING, main
 from contraction_lab.config import SEED_ENV_VAR
 
@@ -272,6 +279,31 @@ def test_verify_catches_faulty_fixture(tmp_path):
     assert verdicts["status"] == "fail"
     assert verdicts["corpus"]["faulty_fixture"] is True
     assert verdicts["properties"]["chain_ordering"]["fail"] >= 1
+
+
+def test_verify_ordering_checks_every_step(tmp_path, monkeypatch):
+    # the fixture rises at n = 2 -> 3 and is back below T_1 by n = 5, so
+    # only a check of every consecutive pair sees that it is not ordered
+    def factory(n):
+        bump = 0.01 if n == 3 else 0.0
+        return Operator(np.diag([1.0, 0.9 - 0.001 * n + bump]))
+
+    monkeypatch.setattr(
+        cli,
+        "_faulty_chain",
+        lambda: ContractionChain(2, "rise_and_recover", 200, factory, seed=0),
+    )
+    out = tmp_path / "out"
+    code = run_cli(
+        ["verify", "--seeds", "1", "--dims", "2", "--include-faulty-fixture",
+         "--out", str(out)]
+    )
+    assert code == 1
+    ordering = json.loads((out / "verdicts.json").read_text())["properties"][
+        "chain_ordering"
+    ]
+    assert ordering["fail"] == 1
+    assert ordering["pass"] == ordering["total"] - 1
 
 
 def test_verify_usage_errors(tmp_path):

@@ -208,6 +208,35 @@ def test_rank_strict_descent_check_preconditions():
         rank_strict_descent_check(diagonal([1.5, 0.5]), diagonal([1.0, 0.5]), 0.1)
 
 
+def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
+    assert rank_strict_descent_check(
+        diagonal([1.0, 1.0, 0.8]), diagonal([1.0, 0.95, 0.8]), 0.1
+    )
+    # positivity, gap test and rank from one eigh per operator, plus the
+    # one eigvalsh of the Loewner comparison
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 1}
+
+    # each failing input also fails every later precondition, so the
+    # message shows which check runs first
+    cases = [
+        (diagonal([1.5, 0.5]), diagonal([1.2, 0.95]), 1.5,
+         r"^upper operator is not a positive contraction "
+         r"\(witness eigenvalue 1\.5\)$"),
+        (diagonal([1.0, 0.5]), diagonal([-0.5, 0.95]), 1.5,
+         r"^lower operator is not a positive contraction "
+         r"\(witness eigenvalue -0\.5\)$"),
+        (diagonal([0.5, 0.5]), diagonal([0.95, 0.95]), 1.5,
+         r"^operators are not ordered: lower <= upper fails$"),
+        (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]), 1.5,
+         r"^delta must lie in \(0, 1\), got 1\.5$"),
+        (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]), 0.1,
+         r"^upper operator has no spectral gap at delta 0\.1$"),
+    ]
+    for upper, lower, delta, message in cases:
+        with pytest.raises(PreconditionError, match=message):
+            rank_strict_descent_check(upper, lower, delta)
+
+
 def test_rank_strict_descent_on_seeded_triples():
     for upper, lower, delta in descent_triple_corpus(count=24):
         assert rank_strict_descent_check(upper, lower, delta)

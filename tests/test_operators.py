@@ -262,6 +262,31 @@ def test_projection_monotone_preconditions():
         check_projection_monotone(diagonal([0.5, 0.5]), diagonal([1.5, 1.5]))
 
 
+def test_projection_monotone_one_eigh_per_operand(eigensolve_counts):
+    upper = diagonal([1.0, 1.0, 0.6])
+    assert check_projection_monotone(diagonal([1.0, 0.5, 0.3]), upper)
+    # one eigh per operand, one eigvalsh per Loewner comparison
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2}
+    # precondition order: lower operand, upper operand, then the ordering
+    with pytest.raises(
+        PreconditionError,
+        match=r"^lower operand is not a positive contraction: "
+        r"offending eigenvalue 1\.5$",
+    ):
+        check_projection_monotone(diagonal([1.5, 0.5]), diagonal([-0.5, 2.0]))
+    with pytest.raises(
+        PreconditionError,
+        match=r"^upper operand is not a positive contraction: "
+        r"offending eigenvalue -0\.5$",
+    ):
+        check_projection_monotone(diagonal([1.0, 0.5]), diagonal([-0.5, 1.0]))
+    with pytest.raises(
+        PreconditionError,
+        match=r"^operands are not ordered: min eig of difference -0\.5$",
+    ):
+        check_projection_monotone(identity(2), diagonal([0.5, 0.5]))
+
+
 @given(seed=seeds(), dim=small_dims())
 def test_projection_monotone_random_shrink(seed, dim):
     rng = stream_rng(seed, 42)

@@ -20,6 +20,7 @@ from contraction_lab import (
     fixed_point_projection,
     geometric,
     harmonic_to,
+    is_decreasing,
     iterate_products,
     limit_operator,
     orbit_epsilon_net,
@@ -27,6 +28,8 @@ from contraction_lab import (
     trace_summary,
     write_trace_csv,
 )
+from contraction_lab import products
+from contraction_lab.chains import stream_rng
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
 
 
@@ -108,6 +111,192 @@ def test_iterate_products_rejects_expanding_factory():
     )
     with pytest.raises(InvariantError, match="norm"):
         iterate_products(chain, probes=np.eye(2))
+
+
+def blocks_of(monkeypatch, steps, dim):
+    """Make the engine stack ``steps`` steps per block in dimension ``dim``."""
+    monkeypatch.setattr(products, "_BLOCK_BYTES", steps * 16 * dim * dim)
+    assert products._block_steps(dim) == steps
+
+
+def test_block_length_follows_dimension():
+    assert [products._block_steps(d) for d in (2, 4, 16, 64, 128)] == [
+        1024, 256, 16, 1, 1,
+    ]
+
+
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_norm_invariant_trips_inside_a_block(monkeypatch, steps):
+    # ||S_n|| first exceeds 1 at n = 5: inside the one default block, the
+    # middle of the second block of 3
+    def factory(n):
+        return Operator(np.diag([1.1 if n >= 5 else 1.0, 0.5]))
+
+    chain = ContractionChain(
+        2, "expanding_late", 8, factory, analytic_limit=diagonal([1.0, 0.5])
+    )
+    if steps is not None:
+        blocks_of(monkeypatch, steps, 2)
+    with pytest.raises(InvariantError, match="norm"):
+        iterate_products(chain, probes=np.eye(2))
+    assert iterate_products(chain, probes=np.eye(2), horizon=4).horizon == 4
+
+
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_b_growth_trips_inside_a_block(monkeypatch, steps):
+    # T_5 stretches e2 by 1.5 but ||S_5|| stays 1: only b_n can catch it
+    def factory(n):
+        return Operator(np.diag([1.0, 1.5 if n == 5 else 0.5]))
+
+    chain = ContractionChain(
+        2, "stretch_once", 8, factory, analytic_limit=diagonal([1.0, 0.0])
+    )
+    if steps is not None:
+        blocks_of(monkeypatch, steps, 2)
+    with pytest.raises(InvariantError, match="b_n increased"):
+        iterate_products(chain, probes=np.eye(2))
+    assert iterate_products(chain, probes=np.eye(2), horizon=4).horizon == 4
+
+
+# ---------------------------------------------------------------------------
+# Blocked engine against the per-step loop
+
+
+def per_step_trace(chain, trace):
+    """The one-step-at-a-time loop the blocked engine replaced: every
+    per-step quantity from its own 2-D call."""
+    mat, p_mat, h = trace.probes, trace.projection.matrix, trace.horizon
+    count = mat.shape[1]
+    p_probes = p_mat @ mat
+    partners = np.roll(mat, -1, axis=1)
+    fields = {
+        name: np.empty((h, count))
+        for name in ("sot_err", "adj_err", "wot_err", "b")
+    }
+    fields["a"] = np.empty((max(h - 1, 0), count))
+    fields["consec_diff"] = np.empty((max(h - 1, 0), count))
+    fields["opnorm_err"] = np.empty(h)
+    fields["product_norm"] = np.empty(h)
+    product = np.eye(chain.dim, dtype=p_mat.dtype)
+    prev_applied = None
+    for n in range(1, h + 1):
+        product = chain.operator_at(n).entries @ product
+        applied = product @ mat
+        deviation = applied - p_probes
+        fields["sot_err"][n - 1] = np.linalg.norm(deviation, axis=0)
+        fields["adj_err"][n - 1] = np.linalg.norm(
+            product.conj().T @ mat - p_probes, axis=0
+        )
+        fields["wot_err"][n - 1] = np.abs(
+            np.sum(partners.conj() * deviation, axis=0)
+        )
+        fields["b"][n - 1] = np.real(np.sum(applied.conj() * applied, axis=0))
+        if prev_applied is not None:
+            fields["a"][n - 2] = np.real(
+                np.sum(applied.conj() * prev_applied, axis=0)
+            )
+            fields["consec_diff"][n - 2] = np.linalg.norm(
+                applied - prev_applied, axis=0
+            )
+        fields["opnorm_err"][n - 1] = np.linalg.norm(product - p_mat, 2)
+        fields["product_norm"][n - 1] = np.linalg.norm(product, 2)
+        prev_applied = applied
+    return fields
+
+
+def complex_chain(horizon, real_steps=0):
+    """Hermitian contractions in a seeded complex frame, decreasing to
+    the projection onto its first column; the first ``real_steps``
+    operators are real diagonal instead, and the analytic limit is then
+    the real one, so the product turns complex mid-run."""
+    rng = stream_rng(5, 0)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    frame, _ = np.linalg.qr(z)
+    limit_values = np.array([1.0, 0.0, 0.0])
+
+    def factory(n):
+        values = np.array([1.0, 0.5 + 0.4 / n, 0.8**n])
+        if n <= real_steps:
+            return Operator(np.diag(values))
+        return Operator((frame * values) @ frame.conj().T)
+
+    if real_steps:
+        limit = diagonal(limit_values)
+    else:
+        limit = Operator((frame * limit_values) @ frame.conj().T)
+    return ContractionChain(3, "complex_frame", horizon, factory,
+                            analytic_limit=limit)
+
+
+ORACLE_CHAINS = {
+    "schur": lambda h: random_schur_chain(4, seed=2, horizon=h),
+    "conjugated": lambda h: conjugated_diagonal_chain(
+        [const(1.0), harmonic_to(0.2), geometric(0.85)], horizon=h, seed=6
+    ),
+    "complex": complex_chain,
+    "real_then_complex": lambda h: complex_chain(h, real_steps=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CHAINS))
+@pytest.mark.parametrize("horizon", [1, 2, 6, 7, 11])
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_blocked_engine_matches_per_step_loop(
+    monkeypatch, kind, horizon, steps
+):
+    # blocks of 3 end mid-horizon (6 is a multiple, 7 and 11 are not),
+    # which carries a and consec_diff across block boundaries
+    chain = ORACLE_CHAINS[kind](horizon)
+    if steps is not None:
+        blocks_of(monkeypatch, steps, chain.dim)
+    for probes in (None, np.eye(chain.dim)[:, 1]):
+        trace = iterate_products(chain, probes=probes)
+        expected = per_step_trace(chain, trace)
+        for name, values in expected.items():
+            got = getattr(trace, name)
+            assert got.dtype == values.dtype, name
+            assert np.array_equal(got, values), (name, kind, horizon, steps)
+
+
+# ---------------------------------------------------------------------------
+# Chain ordering
+
+
+def rise_and_recover_chain(rise_at=3, horizon=200):
+    # T_{rise_at} rises above T_{rise_at - 1} and T_{rise_at + 2} is back
+    # below T_{rise_at - 2}: a check every 4 steps misses the rise
+    def factory(n):
+        value = 0.9 - 0.001 * n
+        if n == rise_at:
+            value += 0.01
+        return Operator(np.diag([1.0, value]))
+
+    return ContractionChain(2, "rise_and_recover", horizon, factory, seed=0)
+
+
+def test_is_decreasing_checks_every_step():
+    assert is_decreasing(telescoping_chain(200))
+    assert is_decreasing(diagonal_chain([const(1.0)], horizon=1))
+    chain = rise_and_recover_chain()
+    second = [chain.operator_at(n).entries[1, 1] for n in range(1, 6)]
+    assert second[2] > second[1] and second[4] < second[0]
+    assert not is_decreasing(chain)
+
+
+def test_is_decreasing_sees_a_rise_at_every_block_position(monkeypatch):
+    blocks_of(monkeypatch, 3, 2)
+    for rise_at in range(2, 13):
+        assert not is_decreasing(rise_and_recover_chain(rise_at, horizon=12))
+    assert is_decreasing(telescoping_chain(12))
+
+
+def test_is_decreasing_honours_psd_slack():
+    def factory(n):
+        return Operator(np.diag([1.0, 0.5 + (1e-8 if n == 2 else 0.0)]))
+
+    chain = ContractionChain(2, "flat_with_bump", 4, factory)
+    assert not is_decreasing(chain)
+    assert is_decreasing(chain, tol_psd=1e-6)
 
 
 # ---------------------------------------------------------------------------
