@@ -225,7 +225,6 @@ class ContractionChain:
         analytic_limit: Operator | None = None,
         seed: int | None = None,
         gap_guarantee: float | None = None,
-        spec: "ChainSpec | None" = None,
     ):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -235,7 +234,6 @@ class ContractionChain:
         self.seed = seed
         self.analytic_limit = analytic_limit
         self.gap_guarantee = gap_guarantee
-        self.spec = spec
         self._factory = factory
         self._cache: dict[int, Operator] = {}
         self._lock = threading.RLock()
@@ -302,7 +300,6 @@ def diagonal_chain(
     kind: str = "diagonal",
     seed: int | None = None,
     gap_guarantee: float | None = None,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Chain of diagonal contractions, one eigenvalue curve per coordinate.
 
@@ -323,7 +320,6 @@ def diagonal_chain(
         kind=kind,
         seed=seed,
         gap_guarantee=gap_guarantee,
-        spec=spec,
     )
 
 
@@ -344,7 +340,6 @@ def _conjugated_chain(
     kind: str,
     seed: int | None,
     gap_guarantee: float | None = None,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     table = _curve_table(curves, horizon)
     limits = _limits_of(curves)
@@ -363,7 +358,6 @@ def _conjugated_chain(
         analytic_limit=analytic,
         seed=seed,
         gap_guarantee=gap_guarantee,
-        spec=spec,
     )
 
 
@@ -373,7 +367,6 @@ def conjugated_diagonal_chain(
     horizon: int = DEFAULT_HORIZON,
     *,
     seed: int,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Diagonal curves conjugated by one seeded orthogonal frame.
 
@@ -391,7 +384,6 @@ def conjugated_diagonal_chain(
         frame,
         kind="conjugated_diagonal",
         seed=seed,
-        spec=spec,
     )
 
 
@@ -413,7 +405,6 @@ def schur_decrement_chain(
     horizon: int = DEFAULT_HORIZON,
     *,
     seed: int | None = None,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Chain built by ``T_{n+1} = T_n^{1/2} (I - D_n) T_n^{1/2}``.
 
@@ -462,7 +453,6 @@ def schur_decrement_chain(
         factory,
         analytic_limit=None,
         seed=seed,
-        spec=spec,
     )
 
 
@@ -504,7 +494,6 @@ def random_schur_chain(
     *,
     fixed_rank: int = 0,
     top: float = 0.9,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Seeded Schur-decrement chain with a clean convergence profile.
 
@@ -528,9 +517,7 @@ def random_schur_chain(
     sampler = halving_decrement_sampler(
         dim, seed, fixed_rank=fixed_rank, frame=frame
     )
-    return schur_decrement_chain(
-        first, sampler, horizon, seed=seed, spec=spec
-    )
+    return schur_decrement_chain(first, sampler, horizon, seed=seed)
 
 
 def gap_engineered_chain(
@@ -539,8 +526,6 @@ def gap_engineered_chain(
     fixed_rank: int,
     seed: int,
     horizon: int = DEFAULT_HORIZON,
-    *,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Chain whose every member has the same gap below the 1-cluster.
 
@@ -570,7 +555,6 @@ def gap_engineered_chain(
         kind="gap_engineered",
         seed=seed,
         gap_guarantee=delta,
-        spec=spec,
     )
 
 
@@ -583,8 +567,6 @@ def near_one_accumulating_chain(
     dim: int,
     seed: int,
     horizon: int = DEFAULT_HORIZON,
-    *,
-    spec: "ChainSpec | None" = None,
 ) -> ContractionChain:
     """Stress chain whose spectra keep re-entering every band below 1.
 
@@ -639,7 +621,6 @@ def near_one_accumulating_chain(
         horizon,
         kind="near_one_accumulating",
         seed=seed,
-        spec=spec,
     )
 
 
@@ -810,11 +791,11 @@ def build_chain(spec: ChainSpec) -> ContractionChain:
     """Materialize the chain a spec describes."""
     if spec.kind == "diagonal":
         return diagonal_chain(
-            spec.curves, spec.dim, spec.horizon, seed=spec.seed, spec=spec
+            spec.curves, spec.dim, spec.horizon, seed=spec.seed
         )
     if spec.kind == "conjugated_diagonal":
         return conjugated_diagonal_chain(
-            spec.curves, spec.dim, spec.horizon, seed=spec.seed, spec=spec
+            spec.curves, spec.dim, spec.horizon, seed=spec.seed
         )
     if spec.kind == "schur_decrement":
         return random_schur_chain(
@@ -823,7 +804,6 @@ def build_chain(spec: ChainSpec) -> ContractionChain:
             spec.horizon,
             fixed_rank=spec.fixed_rank,
             top=spec.top,
-            spec=spec,
         )
     if spec.kind == "gap_engineered":
         return gap_engineered_chain(
@@ -832,12 +812,9 @@ def build_chain(spec: ChainSpec) -> ContractionChain:
             spec.fixed_rank,
             spec.seed,
             spec.horizon,
-            spec=spec,
         )
     if spec.kind == "near_one_accumulating":
-        return near_one_accumulating_chain(
-            spec.dim, spec.seed, spec.horizon, spec=spec
-        )
+        return near_one_accumulating_chain(spec.dim, spec.seed, spec.horizon)
     raise ChainSpecError([f"unknown kind {spec.kind!r}"])
 
 

@@ -150,9 +150,8 @@ def _status_exit(status: str) -> int:
 def cmd_simulate(args, parser) -> int:
     chain = _load_chain(args, parser)
     horizon = _run_horizon(args, chain, parser)
-    tol_eig = args.tol_eig if args.tol_eig is not None else DEFAULT.eig
     trace = iterate_products(
-        chain, horizon=horizon, tol_eig=tol_eig, tol_psd=args.tol_psd
+        chain, horizon=horizon, tol_eig=args.tol_eig, tol_psd=args.tol_psd
     )
     proj_trace = check_projection_convergence(chain, trace)
     ab = consecutive_difference_report(trace)
@@ -166,7 +165,6 @@ def cmd_simulate(args, parser) -> int:
 def cmd_gap(args, parser) -> int:
     chain = _load_chain(args, parser)
     horizon = _run_horizon(args, chain, parser)
-    tol_eig = args.tol_eig if args.tol_eig is not None else DEFAULT.eig
     if args.epsilon < 0.0:
         parser.error(f"--epsilon must be >= 0, got {args.epsilon}")
     if args.grid is None:
@@ -178,7 +176,7 @@ def cmd_gap(args, parser) -> int:
             parser.error(f"--grid must be a comma list of floats: {args.grid!r}")
     try:
         result = certificate_search(
-            chain, horizon, grid, tol_eig=tol_eig, tol_psd=args.tol_psd
+            chain, horizon, grid, tol_eig=args.tol_eig, tol_psd=args.tol_psd
         )
     except ContractionLabError as exc:
         if isinstance(exc, InvariantError):
@@ -193,7 +191,7 @@ def cmd_gap(args, parser) -> int:
                 chain,
                 result,
                 epsilon=args.epsilon,
-                tol_eig=tol_eig,
+                tol_eig=args.tol_eig,
                 tol_psd=args.tol_psd,
             )
         except PreconditionError as exc:
@@ -284,6 +282,19 @@ def _faulty_chain() -> ContractionChain:
     )
 
 
+def _tally(verdicts) -> dict:
+    """Pass/fail/inconclusive counts of per-item verdicts: true, false,
+    or None for inconclusive."""
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+    for verdict in verdicts:
+        if verdict is None:
+            counts["inconclusive"] += 1
+        else:
+            counts["pass" if verdict else "fail"] += 1
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def cmd_verify(args, parser) -> int:
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
@@ -296,81 +307,58 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"--dims must be a comma list of integers: {args.dims!r}")
         if not dims or any(d < 2 for d in dims):
             parser.error("--dims values must all be >= 2")
-    tol_eig = args.tol_eig if args.tol_eig is not None else DEFAULT.eig
 
     chains = corpus_chains(dims, args.seeds)
     if args.include_faulty_fixture:
         chains.append(_faulty_chain())
 
-    properties: dict[str, dict] = {}
-
-    def record(name: str, ok: int, bad: int, inconclusive: int = 0):
-        properties[name] = {
-            "pass": ok,
-            "fail": bad,
-            "inconclusive": inconclusive,
-            "total": ok + bad + inconclusive,
-        }
-
-    ordering_ok = ordering_bad = 0
-    ab_ok = ab_bad = 0
-    adj_ok = adj_bad = adj_inc = 0
-    opnorm_ok = opnorm_bad = opnorm_inc = 0
+    chain_verdicts: dict[str, list] = {
+        "chain_ordering": [],
+        "ab_interleaving": [],
+        "adjoint_convergence": [],
+        "operator_norm_convergence": [],
+    }
     for chain in chains:
-        ordered = is_decreasing(chain, tol_psd=args.tol_psd)
-        ordering_ok += ordered
-        ordering_bad += not ordered
-
+        chain_verdicts["chain_ordering"].append(
+            is_decreasing(chain, tol_psd=args.tol_psd)
+        )
         trace = iterate_products(
-            chain, tol_eig=tol_eig, tol_psd=args.tol_psd
+            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
         )
         report = consecutive_difference_report(trace)
-        ab_ok += report.all_ok
-        ab_bad += not report.all_ok
-
-        if not trace.limit.trustworthy:
-            adj_inc += 1
-            opnorm_inc += 1
-        else:
-            adj_pass = float(trace.adj_err[-1].max()) < DEFAULT.convergence
-            opn_pass = float(trace.opnorm_err[-1]) < DEFAULT.convergence
-            adj_ok += adj_pass
-            adj_bad += not adj_pass
-            opnorm_ok += opn_pass
-            opnorm_bad += not opn_pass
-    record("chain_ordering", ordering_ok, ordering_bad)
-    record("ab_interleaving", ab_ok, ab_bad)
-    record("adjoint_convergence", adj_ok, adj_bad, adj_inc)
-    record("operator_norm_convergence", opnorm_ok, opnorm_bad, opnorm_inc)
-
-    eq_ok = eq_bad = eq_amb = 0
-    for op, xi in equivalence_corpus(200 * args.seeds):
-        report = check_fixed_vector_equivalence(op, xi, tol_psd=args.tol_psd)
-        if report.ambiguous:
-            eq_amb += 1
-        elif report.agree:
-            eq_ok += 1
-        else:
-            eq_bad += 1
-    record("fixed_vector_equivalence", eq_ok, eq_bad, eq_amb)
-
-    mono_ok = mono_bad = 0
-    for upper, lower in monotone_pair_corpus(100 * args.seeds):
-        good = check_projection_monotone(
-            lower, upper, tol_eig=tol_eig, tol_psd=args.tol_psd
+        chain_verdicts["ab_interleaving"].append(report.all_ok)
+        trusted = trace.limit.trustworthy
+        chain_verdicts["adjoint_convergence"].append(
+            float(trace.adj_err[-1].max()) < DEFAULT.convergence
+            if trusted
+            else None
         )
-        mono_ok += good
-        mono_bad += not good
-    record("projection_monotonicity", mono_ok, mono_bad)
-
-    desc_ok = desc_bad = 0
-    for upper, lower, delta in descent_triple_corpus(12 * args.seeds):
-        good = rank_strict_descent_check(
-            upper, lower, delta, tol_eig=tol_eig, tol_psd=args.tol_psd
+        chain_verdicts["operator_norm_convergence"].append(
+            float(trace.opnorm_err[-1]) < DEFAULT.convergence
+            if trusted
+            else None
         )
-        desc_ok += good
-        desc_bad += not good
-    record("rank_strict_descent", desc_ok, desc_bad)
+    properties = {name: _tally(v) for name, v in chain_verdicts.items()}
+
+    equivalence = (
+        check_fixed_vector_equivalence(op, xi, tol_psd=args.tol_psd)
+        for op, xi in equivalence_corpus(200 * args.seeds)
+    )
+    properties["fixed_vector_equivalence"] = _tally(
+        None if r.ambiguous else r.agree for r in equivalence
+    )
+    properties["projection_monotonicity"] = _tally(
+        check_projection_monotone(
+            lower, upper, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        )
+        for upper, lower in monotone_pair_corpus(100 * args.seeds)
+    )
+    properties["rank_strict_descent"] = _tally(
+        rank_strict_descent_check(
+            upper, lower, delta, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        )
+        for upper, lower, delta in descent_triple_corpus(12 * args.seeds)
+    )
 
     failed = any(p["fail"] > 0 for p in properties.values())
     inconclusive = any(p["inconclusive"] > 0 for p in properties.values())
@@ -410,7 +398,7 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--tol-eig",
             type=float,
-            default=None,
+            default=DEFAULT.eig,
             help=f"eigenvalue clustering tolerance (default {DEFAULT.eig})",
         )
         p.add_argument(

@@ -34,7 +34,6 @@ from .operators import (
     fixed_space_rank,
     hermitian_eigenvalues,
     loewner_leq,
-    open_interval,
 )
 
 __all__ = [
@@ -142,10 +141,11 @@ def _violating_eigenvalue(
     eigenvalues: np.ndarray, delta: float, tol_eig: float
 ) -> float | None:
     """Largest eigenvalue strictly inside ``(1 - delta, 1)``, eigenvalues
-    within ``tol_eig`` of either endpoint counted as outside."""
-    window = open_interval(1.0 - delta, 1.0)
-    inside = [x for x in eigenvalues if window.contains(x, tol=tol_eig)]
-    return max(inside) if inside else None
+    within ``tol_eig`` of either endpoint counted as outside: the gap
+    window is ``1 - delta + tol_eig < lambda < 1 - tol_eig``."""
+    low, high = 1.0 - delta + tol_eig, 1.0 - tol_eig
+    inside = (eigenvalues > low) & (eigenvalues < high)
+    return eigenvalues[inside].max() if inside.any() else None
 
 
 def _check_delta(delta: float) -> None:

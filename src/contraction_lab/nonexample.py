@@ -81,10 +81,6 @@ class NonexampleSequence:
     def angle_of(n: int) -> float:
         return math.pi / (2 * n)
 
-    @staticmethod
-    def index_of(n: int, j: int) -> int:
-        return flat_index(n, j)
-
     def vector(self, m: int) -> np.ndarray:
         if not 1 <= m <= self.count:
             raise PreconditionError(

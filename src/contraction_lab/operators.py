@@ -1,7 +1,7 @@
 """Finite-dimensional Hermitian operators and their spectral calculus.
 
 The objects here are the vocabulary for everything else in the package:
-positive contractions ``0 <= T <= I``, their spectral projections, and
+positive contractions ``0 <= T <= I``, their fixed-space projections, and
 the handful of order-theoretic checks the product experiments rely on.
 
 Numerical conventions
@@ -9,10 +9,13 @@ Numerical conventions
 * Matrices are hermitized on construction: ``(M + M*) / 2``.  This makes
   the Hermitian property exact in floating point, so ``eigh`` semantics
   are unambiguous.
-* An eigenvalue ``lambda`` counts as 1 iff ``lambda >= 1 - tol_eig``.
-  The same clustering rule drives interval membership in
-  :func:`spectral_projection`, so "rank of the fixed space" always means
-  the same thing everywhere.
+* An eigenvalue ``lambda`` counts as 1 iff
+  ``1 - tol_eig <= lambda <= 1 + tol_eig``.  This one rule picks out the
+  fixed space in :func:`fixed_point_projection`,
+  :func:`fixed_space_rank` and :func:`check_projection_monotone`, so
+  "rank of the fixed space" always means the same thing everywhere.
+  The gap window of :mod:`contraction_lab.gaps` is the other rule: it
+  holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
 * Real symmetric input stays real (``float64``); anything with an
   imaginary part is handled as ``complex128``.
 """
@@ -35,17 +38,12 @@ __all__ = [
     "Operator",
     "SpectralDecomposition",
     "Projection",
-    "Interval",
     "Witnessed",
     "FixedVectorReport",
     "identity",
     "diagonal",
-    "closed_interval",
-    "open_interval",
-    "point_interval",
     "spectral_decompose",
     "hermitian_eigenvalues",
-    "spectral_projection",
     "fixed_point_projection",
     "is_positive_contraction",
     "contraction_decompose",
@@ -146,53 +144,6 @@ class Projection:
     def matrix(self) -> np.ndarray:
         return self.operator.entries
 
-    def complement(self) -> "Projection":
-        eye = np.eye(self.dim, dtype=self.matrix.dtype)
-        return Projection(Operator(eye - self.matrix), self.dim - self.rank)
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return self.operator.apply(vector)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A real interval with independently open or closed endpoints.
-
-    Membership is tolerance-aware: closed endpoints admit values within
-    ``tol`` outside the interval, open endpoints demand clearance by more
-    than ``tol``.  This is the clustering rule that makes ``[1, 1]``
-    capture eigenvalues within ``tol_eig`` of 1 and makes the open gap
-    interval ``(1 - delta, 1)`` exclude the 1-cluster.
-    """
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-
-    def contains(self, x: float, tol: float) -> bool:
-        above = x >= self.lo - tol if self.lo_closed else x > self.lo + tol
-        below = x <= self.hi + tol if self.hi_closed else x < self.hi - tol
-        return bool(above and below)
-
-
-def closed_interval(lo: float, hi: float) -> Interval:
-    return Interval(lo, hi, True, True)
-
-
-def open_interval(lo: float, hi: float) -> Interval:
-    return Interval(lo, hi, False, False)
-
-
-def point_interval(value: float) -> Interval:
-    return Interval(value, value, True, True)
-
 
 @dataclass(frozen=True)
 class Witnessed:
@@ -230,27 +181,17 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     return _eigvalsh(op.entries)
 
 
-def spectral_projection(
-    op: Operator, interval: Interval, *, tol_eig: float = DEFAULT.eig
-) -> Projection:
-    """Projection onto the eigenspaces with eigenvalue in ``interval``.
-
-    An empty intersection with the spectrum yields the rank-0 projection,
-    not an error.
-    """
-    return _cluster_projection(spectral_decompose(op), interval, tol_eig)
-
-
-def _cluster_mask(
-    eigenvalues: np.ndarray, interval: Interval, tol_eig: float
-) -> np.ndarray:
-    return np.array([interval.contains(float(w), tol_eig) for w in eigenvalues])
+def _fixed_mask(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
+    """Eigenvalues that count as 1: within ``tol_eig`` of 1, both ends
+    inclusive."""
+    return (eigenvalues >= 1.0 - tol_eig) & (eigenvalues <= 1.0 + tol_eig)
 
 
 def _cluster_projection(
-    decomp: SpectralDecomposition, interval: Interval, tol_eig: float
+    decomp: SpectralDecomposition, tol_eig: float
 ) -> Projection:
-    mask = _cluster_mask(decomp.eigenvalues, interval, tol_eig)
+    """Projection onto the eigenvectors whose eigenvalues count as 1."""
+    mask = _fixed_mask(decomp.eigenvalues, tol_eig)
     rank = int(mask.sum())
     if rank == 0:
         dim = decomp.dim
@@ -299,8 +240,7 @@ def fixed_space_rank(
 ) -> int:
     """Rank of the fixed-point space under the clustering rule: the rank
     of :func:`fixed_point_projection` for the decomposed operator."""
-    mask = _cluster_mask(decomp.eigenvalues, point_interval(1.0), tol_eig)
-    return int(mask.sum())
+    return int(_fixed_mask(decomp.eigenvalues, tol_eig).sum())
 
 
 def fixed_point_projection(
@@ -311,16 +251,17 @@ def fixed_point_projection(
 ) -> Projection:
     """Projection onto the fixed-point space of a positive contraction.
 
-    Equivalent to ``spectral_projection(T, [1, 1])`` under the clustering
-    rule.  Rejects operators that are not positive contractions.  One
-    ``eigh`` serves both the positivity check and the projection.
+    The eigenvectors kept are those whose eigenvalues count as 1 under
+    the clustering rule.  Rejects operators that are not positive
+    contractions.  One ``eigh`` serves both the positivity check and the
+    projection.
     """
     decomp, check = contraction_decompose(op, tol_psd=tol_psd)
     if not check:
         raise PreconditionError(
             f"not a positive contraction: offending eigenvalue {check.witness}"
         )
-    return _cluster_projection(decomp, point_interval(1.0), tol_eig)
+    return _cluster_projection(decomp, tol_eig)
 
 
 def loewner_leq(
@@ -459,8 +400,7 @@ def check_projection_monotone(
             f"operands are not ordered: min eig of difference {ordering.witness}"
         )
     p_lower, p_upper = (
-        _cluster_projection(decomp, point_interval(1.0), tol_eig)
-        for decomp in decomps
+        _cluster_projection(decomp, tol_eig) for decomp in decomps
     )
     return bool(loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd))
 

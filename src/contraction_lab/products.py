@@ -97,15 +97,11 @@ class LimitInfo:
         )
 
 
-def limit_operator(chain: ContractionChain, horizon: int | None = None) -> LimitInfo:
+def limit_operator(chain: ContractionChain) -> LimitInfo:
     """Analytic limit when the generator provides one, else empirical."""
     if chain.analytic_limit is not None:
         return LimitInfo(chain.analytic_limit, "analytic", None)
-    h = chain.horizon if horizon is None else horizon
-    if not 1 <= h <= chain.horizon:
-        raise PreconditionError(
-            f"horizon {h} outside materialized range 1..{chain.horizon}"
-        )
+    h = chain.horizon
     last = chain.operator_at(h)
     mid = chain.operator_at(max(1, h // 2))
     gap = float(np.linalg.norm(last.entries - mid.entries, 2))
@@ -260,6 +256,11 @@ def iterate_products(
         """Fill steps ``done + 1 ..`` from a stack of consecutive products;
         ``behind`` holds the probes applied at step ``done`` (None at the
         start).  Returns the probes applied at the block's last step."""
+        finite = np.isfinite(products).all(axis=(1, 2))
+        if not finite.all():
+            # before the spectral norms, whose SVD fails on inf or nan
+            n = done + 1 + int(np.argmin(finite))
+            raise InvariantError(f"non-finite values in the product S_{n}")
         steps = slice(done, done + len(products))
         applied = products @ mat
         deviation = applied - p_probes

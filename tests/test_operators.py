@@ -2,31 +2,32 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contraction_lab import (
     DEFAULT,
+    ContractionChain,
     DimensionMismatchError,
+    GapSearchFailure,
     Operator,
     PreconditionError,
+    certificate_search,
     check_fixed_vector_equivalence,
     check_projection_monotone,
-    closed_interval,
     diagonal,
     fixed_point_projection,
+    has_gap_at,
     identity,
     is_positive_contraction,
     loewner_leq,
-    open_interval,
     operator_from_dict,
     operator_to_dict,
-    point_interval,
     spectral_decompose,
-    spectral_projection,
 )
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import random_contraction
+from contraction_lab.operators import fixed_space_rank
 
 SQRT2 = 1.4142135623730951
 
@@ -96,33 +97,6 @@ def test_spectral_decompose_reconstructs():
     dec = spectral_decompose(op)
     assert np.allclose(dec.reconstruct(), op.entries, atol=1e-10)
     assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-
-def test_spectral_projection_point_and_empty():
-    op = diagonal([1.0, 0.5])
-    p1 = spectral_projection(op, point_interval(1.0))
-    assert p1.rank == 1
-    assert np.allclose(p1.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    p0 = spectral_projection(op, closed_interval(2.0, 3.0))
-    assert p0.rank == 0
-    assert np.allclose(p0.matrix, 0.0)
-    assert np.allclose(p0.complement().matrix, np.eye(2))
-
-
-def test_spectral_projection_clusters_near_one():
-    # eigenvalue within tol_eig of 1 counts as fixed
-    op = diagonal([1.0, 1.0 - 1e-12, 0.5])
-    p = spectral_projection(op, point_interval(1.0))
-    assert p.rank == 2
-
-
-def test_projection_apply_and_complement():
-    op = diagonal([1.0, 0.25])
-    p = spectral_projection(op, point_interval(1.0))
-    v = np.array([3.0, 4.0])
-    assert np.allclose(p.apply(v), [3.0, 0.0])
-    assert np.allclose(p.complement().apply(v), [0.0, 4.0])
-    assert p.complement().rank == 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +273,80 @@ def test_projection_monotone_random_shrink(seed, dim):
 
 
 # ---------------------------------------------------------------------------
-# Intervals
+# The two clustering rules: the fixed space and the gap window
+
+TOL = DEFAULT.eig
+DELTA = 0.1
+
+# (eigenvalue, counts as 1, inside the gap window of DELTA)
+BOUNDARY_TABLE = [
+    (1.0 + 2 * TOL, False, False),
+    (1.0 + TOL, True, False),
+    (1.0, True, False),
+    (1.0 - 1e-12, True, False),
+    (1.0 - TOL, True, False),
+    (1.0 - 2 * TOL, False, True),
+    (1.0 - DELTA / 2, False, True),
+    (1.0 - DELTA + 2 * TOL, False, True),
+    (1.0 - DELTA + TOL, False, False),
+    (1.0 - DELTA, False, False),
+    (0.5, False, False),
+]
+
+# 1 + 2 tol_eig passes the positivity check only with this much slack
+WIDE_PSD = 1e-8
 
 
-def test_interval_tolerance_semantics():
-    open_iv = open_interval(0.9, 1.0)
-    assert open_iv.contains(0.95, DEFAULT.eig)
-    assert not open_iv.contains(0.9, DEFAULT.eig)  # boundary pulled inward
-    assert not open_iv.contains(1.0, DEFAULT.eig)
-    closed_iv = closed_interval(0.9, 1.0)
-    assert closed_iv.contains(0.9 - 1e-12, DEFAULT.eig)  # boundary pushed out
-    with pytest.raises(ValueError):
-        closed_interval(1.0, 0.5)
+@pytest.mark.parametrize("value, fixed, in_window", BOUNDARY_TABLE)
+def test_clustering_rules_boundary_table(value, fixed, in_window):
+    op = diagonal([value, 0.25])
+    decomp = spectral_decompose(op)
+    # eigh of a diagonal matrix returns its entries exactly, so the rules
+    # see the boundary values unrounded
+    assert np.array_equal(decomp.eigenvalues, [0.25, value])
+    proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
+    assert proj.rank == fixed_space_rank(decomp) == int(fixed)
+    expected = np.diag([1.0, 0.0]) if fixed else np.zeros((2, 2))
+    assert np.allclose(proj.matrix, expected, atol=1e-12)
+    assert has_gap_at(op, DELTA) == (not in_window)
+
+
+@example(values=[value for value, _, _ in BOUNDARY_TABLE])
+@given(
+    values=st.lists(
+        st.sampled_from([value for value, _, _ in BOUNDARY_TABLE])
+        | st.floats(min_value=0.0, max_value=1.0),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_clustering_rules_match_scalar_loop(values):
+    # the rules on whole spectra against a scalar loop over eigenvalues
+    op = diagonal(values)
+    decomp = spectral_decompose(op)
+    fixed = [w for w in decomp.eigenvalues if 1.0 - TOL <= w <= 1.0 + TOL]
+    inside = [
+        w for w in decomp.eigenvalues if 1.0 - DELTA + TOL < w < 1.0 - TOL
+    ]
+    proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
+    assert proj.rank == fixed_space_rank(decomp) == len(fixed)
+    assert has_gap_at(op, DELTA) == (not inside)
+    if inside:
+        # the reported violation is the largest eigenvalue in the window
+        chain = ContractionChain(op.dim, "table", 1, lambda n: op)
+        failure = certificate_search(chain, delta_grid=(DELTA,))
+        assert isinstance(failure, GapSearchFailure)
+        assert failure.violations[0].eigenvalue == max(inside)
+
+
+def test_clustering_rules_empty_fixed_space():
+    real = diagonal([0.5, 0.25])
+    proj = fixed_point_projection(real)
+    assert proj.rank == fixed_space_rank(spectral_decompose(real)) == 0
+    assert proj.matrix.dtype == np.float64
+    assert np.array_equal(proj.matrix, np.zeros((2, 2)))
+    cplx = Operator(np.array([[0.5, 0.1j], [-0.1j, 0.25]]))
+    proj = fixed_point_projection(cplx)
+    assert proj.rank == fixed_space_rank(spectral_decompose(cplx)) == 0
+    assert proj.matrix.dtype == np.complex128
+    assert np.array_equal(proj.matrix, np.zeros((2, 2)))

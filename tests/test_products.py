@@ -158,6 +158,27 @@ def test_b_growth_trips_inside_a_block(monkeypatch, steps):
     assert iterate_products(chain, probes=np.eye(2), horizon=4).horizon == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("steps", [None, 1, 3])
+def test_overflowing_product_is_an_invariant_error(monkeypatch, steps):
+    # S_n = diag(1, 1e200^n) is inf from n = 2 on; the engine must say so
+    # itself instead of letting the spectral norm's SVD fail to converge
+    chain = ContractionChain(
+        2,
+        "overflowing",
+        6,
+        lambda n: Operator(np.diag([1.0, 1e200])),
+        analytic_limit=diagonal([1.0, 0.0]),
+    )
+    if steps is not None:
+        blocks_of(monkeypatch, steps, 2)
+    with pytest.raises(
+        InvariantError, match=r"^non-finite values in the product S_2$"
+    ):
+        iterate_products(chain)
+
+
 # ---------------------------------------------------------------------------
 # Blocked engine against the per-step loop
 
