@@ -20,7 +20,12 @@ import numpy as np
 
 from .config import DEFAULT, DEFAULT_HORIZON
 from .errors import ChainGenerationError, ChainSpecError, PreconditionError
-from .operators import Operator, is_positive_contraction
+from .operators import (
+    Operator,
+    SpectralDecomposition,
+    is_positive_contraction,
+    spectral_decompose,
+)
 
 __all__ = [
     "Curve",
@@ -210,9 +215,13 @@ class ContractionChain:
     curve-built kind materializes ``F diag(values_n) F^T`` for a fixed
     orthogonal frame ``F`` (the identity for diagonal chains).
 
-    The cache holds the operators only, not their eigenvectors: a
-    spectral query diagonalizes afresh, because keeping eigenvectors
+    The cache holds the operators only, not their eigenvectors, which
     would store another ``dim x dim`` matrix for every cached step.
+    ``decomposition_at(n)`` keeps the one ``eigh`` it computed last in a
+    one-slot handover under the same lock, so two consumers of the same
+    step share one solve when they ask in turn: the Schur generator
+    needs ``T_n``'s decomposition for ``T_n^{1/2}``, and a walk over the
+    chain in step order asks for it again for ``T_n``'s fixed space.
     """
 
     def __init__(
@@ -236,6 +245,7 @@ class ContractionChain:
         self.gap_guarantee = gap_guarantee
         self._factory = factory
         self._cache: dict[int, Operator] = {}
+        self._handover: tuple[int, SpectralDecomposition] | None = None
         self._lock = threading.RLock()
 
     def operator_at(self, n: int) -> Operator:
@@ -249,6 +259,22 @@ class ContractionChain:
                 op = self._factory(n)
                 self._cache[n] = op
             return op
+
+    def decomposition_at(self, n: int) -> SpectralDecomposition:
+        """``eigh`` of ``T_n``, taken from the handover slot when the last
+        decomposition computed was this step's, else computed and left
+        there.  Its arrays are read-only, since every taker shares them."""
+        with self._lock:
+            # materializing T_n may itself decompose T_{n-1} (Schur)
+            op = self.operator_at(n)
+            held = self._handover
+            if held is not None and held[0] == n:
+                return held[1]
+            decomp = spectral_decompose(op)
+            decomp.eigenvalues.setflags(write=False)
+            decomp.eigenvectors.setflags(write=False)
+            self._handover = (n, decomp)
+            return decomp
 
     def __repr__(self):
         return (
@@ -387,10 +413,10 @@ def conjugated_diagonal_chain(
     )
 
 
-def _psd_sqrt(op: Operator) -> np.ndarray:
-    w, v = np.linalg.eigh(op.entries)
+def _psd_sqrt(decomp: SpectralDecomposition) -> np.ndarray:
+    w, v = decomp.eigenvalues, decomp.eigenvectors
     # eigenvalues inside -tol_psd are noise; clip before the square root
-    tol = DEFAULT.psd(op.dim)
+    tol = DEFAULT.psd(decomp.dim)
     if w[0] < -tol:
         raise ChainGenerationError(
             f"cannot take PSD square root: eigenvalue {w[0]}"
@@ -412,7 +438,9 @@ def schur_decrement_chain(
     any ``0 <= D_n <= I``, so the ordering holds by construction.  The
     sampler must be a pure function of the step index; samplers that
     emit anything but a positive contraction are rejected at the step
-    where it happens.  No analytic limit is attached.
+    where it happens.  No analytic limit is attached.  ``T_n^{1/2}``
+    comes from the chain's ``decomposition_at(n)``, so a caller that
+    decomposes ``T_n`` in step order shares that solve.
     """
     check = is_positive_contraction(first)
     if not check:
@@ -440,13 +468,14 @@ def schur_decrement_chain(
                         f"decrement at step {step} is not a positive "
                         f"contraction: eigenvalue {dec_ok.witness}"
                     )
-                root = _psd_sqrt(materialized[-1])
+                # ``chain`` is bound below, before any step is built
+                root = _psd_sqrt(chain.decomposition_at(step))
                 eye = np.eye(dim, dtype=root.dtype)
                 nxt = Operator(root @ (eye - dec.entries) @ root)
                 materialized.append(nxt)
             return materialized[n - 1]
 
-    return ContractionChain(
+    chain = ContractionChain(
         dim,
         "schur_decrement",
         horizon,
@@ -454,6 +483,7 @@ def schur_decrement_chain(
         analytic_limit=None,
         seed=seed,
     )
+    return chain
 
 
 def halving_decrement_sampler(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -93,6 +94,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option: a finite float ``>= 0``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def _env_seed() -> int | None:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None or raw == "":
@@ -151,7 +165,11 @@ def cmd_simulate(args, parser) -> int:
     chain = _load_chain(args, parser)
     horizon = _run_horizon(args, chain, parser)
     trace = iterate_products(
-        chain, horizon=horizon, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        chain,
+        horizon=horizon,
+        tol_eig=args.tol_eig,
+        tol_psd=args.tol_psd,
+        fixed_spaces=True,
     )
     proj_trace = check_projection_convergence(chain, trace)
     ab = consecutive_difference_report(trace)
@@ -387,8 +405,11 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def out_option(p):
         p.add_argument("--out", default=".", help="output directory")
+
+    def chain_options(p):
+        out_option(p)
         p.add_argument(
             "--seed",
             type=int,
@@ -397,13 +418,13 @@ def build_parser() -> _Parser:
         )
         p.add_argument(
             "--tol-eig",
-            type=float,
+            type=_tolerance,
             default=DEFAULT.eig,
             help=f"eigenvalue clustering tolerance (default {DEFAULT.eig})",
         )
         p.add_argument(
             "--tol-psd",
-            type=float,
+            type=_tolerance,
             default=None,
             help="PSD slack tolerance (default 1e-10 per dimension)",
         )
@@ -411,7 +432,7 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="run the product engine on a chain")
     sim.add_argument("--spec", required=True, help="chain spec JSON path")
     sim.add_argument("--horizon", type=int, default=None)
-    common(sim)
+    chain_options(sim)
 
     gap = sub.add_parser("gap", help="search for a spectral gap certificate")
     gap.add_argument("--spec", required=True, help="chain spec JSON path")
@@ -422,7 +443,7 @@ def build_parser() -> _Parser:
     gap.add_argument(
         "--epsilon", type=float, default=1e-8, help="rate bound epsilon"
     )
-    common(gap)
+    chain_options(gap)
 
     non = sub.add_parser("nonexample", help="build and verify the unitary orbit")
     non.add_argument(
@@ -434,7 +455,7 @@ def build_parser() -> _Parser:
     non.add_argument(
         "--epsilon", type=float, default=0.5, help="greedy net epsilon"
     )
-    common(non)
+    out_option(non)
 
     ver = sub.add_parser("verify", help="run the property suite on the corpus")
     ver.add_argument("--seeds", type=int, default=CORPUS_SEED_COUNT)
@@ -446,7 +467,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="inject a deliberately non-decreasing chain (negative test)",
     )
-    common(ver)
+    chain_options(ver)
 
     return parser
 

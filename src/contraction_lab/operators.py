@@ -57,16 +57,6 @@ __all__ = [
 ]
 
 
-def _coerce_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("empty matrices are not supported")
-    dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-    return m.astype(dtype, copy=True)
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """A Hermitian matrix, hermitized and validated on construction."""
@@ -74,12 +64,25 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _coerce_square(self.entries)
-        if not np.all(np.isfinite(m)):
+        m = np.asarray(self.entries)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] == 0:
+            raise ValueError("empty matrices are not supported")
+        dtype = np.complex128 if np.iscomplexobj(m) else np.float64
+        # One new array: M* cast to the operator dtype, then M added and
+        # the sum halved in place.  This is ``(M + M*) / 2`` computed in
+        # that dtype, bit for bit: ``* 0.5`` rounds as ``/ 2.0`` does.
+        h = np.empty(m.shape, dtype=dtype)
+        np.copyto(h, m.T, casting="unsafe")
+        if not np.isfinite(h).all():
             raise ValueError("operator entries must be finite")
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        if dtype is np.complex128:
+            np.conjugate(h, out=h)
+        np.add(m, h, out=h, dtype=dtype, casting="unsafe")
+        h *= 0.5
+        h.setflags(write=False)
+        object.__setattr__(self, "entries", h)
 
     @property
     def dim(self) -> int:
@@ -187,18 +190,37 @@ def _fixed_mask(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
     return (eigenvalues >= 1.0 - tol_eig) & (eigenvalues <= 1.0 + tol_eig)
 
 
+def _projection_onto(space: np.ndarray | Witnessed) -> Projection:
+    """Projection onto orthonormal columns, such as a basis from
+    :func:`_fixed_space`; the failed check :func:`_fixed_space` returns
+    for a non-contraction raises the error of
+    :func:`fixed_point_projection`."""
+    if isinstance(space, Witnessed):
+        raise PreconditionError(
+            f"not a positive contraction: offending eigenvalue {space.witness}"
+        )
+    # with no columns the product is the zero matrix of the basis dtype
+    return Projection(Operator(space @ space.conj().T), space.shape[1])
+
+
 def _cluster_projection(
     decomp: SpectralDecomposition, tol_eig: float
 ) -> Projection:
     """Projection onto the eigenvectors whose eigenvalues count as 1."""
     mask = _fixed_mask(decomp.eigenvalues, tol_eig)
-    rank = int(mask.sum())
-    if rank == 0:
-        dim = decomp.dim
-        zero = np.zeros((dim, dim), dtype=decomp.eigenvectors.dtype)
-        return Projection(Operator(zero), 0)
-    cols = decomp.eigenvectors[:, mask]
-    return Projection(Operator(cols @ cols.conj().T), rank)
+    return _projection_onto(decomp.eigenvectors[:, mask])
+
+
+def _fixed_space(
+    decomp: SpectralDecomposition, tol_eig: float, tol_psd: float
+) -> np.ndarray | Witnessed:
+    """The fixed space of a decomposed operator as the columns of a new
+    ``dim x rank`` array, or the failed check when the operator is not
+    a positive contraction."""
+    check = _contraction_witness(decomp.eigenvalues, tol_psd)
+    if not check:
+        return check
+    return decomp.eigenvectors[:, _fixed_mask(decomp.eigenvalues, tol_eig)]
 
 
 def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
@@ -256,12 +278,8 @@ def fixed_point_projection(
     contractions.  One ``eigh`` serves both the positivity check and the
     projection.
     """
-    decomp, check = contraction_decompose(op, tol_psd=tol_psd)
-    if not check:
-        raise PreconditionError(
-            f"not a positive contraction: offending eigenvalue {check.witness}"
-        )
-    return _cluster_projection(decomp, tol_eig)
+    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    return _projection_onto(_fixed_space(spectral_decompose(op), tol_eig, tol))
 
 
 def loewner_leq(

@@ -19,6 +19,7 @@ is checked against the directly measured step difference.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ from .errors import InvariantError, PreconditionError
 from .operators import (
     Operator,
     Projection,
-    fixed_point_projection,
+    Witnessed,
+    _fixed_space,
+    _projection_onto,
     loewner_margin,
+    spectral_decompose,
 )
 
 __all__ = [
@@ -59,6 +63,10 @@ _STREAM_PROBES = 11
 # 1 MiB budget was no faster on ``verify`` and cost 3 MB of resident
 # memory.
 _BLOCK_BYTES = 64 * 1024
+
+# trace.csv is formatted and written in blocks of steps of about this
+# many rows, so the text in memory stays bounded at any horizon.
+_CSV_BLOCK_ROWS = 256
 
 TRACE_CSV_HEADER = (
     "n",
@@ -148,8 +156,13 @@ class ConvergenceTrace:
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
     look one step ahead.  ``tol_psd`` is the slack the engine allowed on
     ``||S_n|| <= 1``; the summary verdict reuses it.  ``tol_eig`` is the
-    clustering tolerance that picked out ``projection``; the per-step
-    fixed spaces of :func:`check_projection_convergence` reuse both.
+    clustering tolerance that picked out ``projection``.
+
+    ``fixed_spaces`` is None unless the run was asked for the per-step
+    fixed spaces.  Then it holds, for ``n = 1..horizon``, the orthonormal
+    ``dim x rank_n`` basis of ``T_n``'s fixed space under the same two
+    tolerances; if some ``T_n`` is not a positive contraction, its failed
+    check ends the tuple instead.
     """
 
     chain_kind: str
@@ -169,6 +182,7 @@ class ConvergenceTrace:
     projection: Projection
     tol_eig: float
     tol_psd: float
+    fixed_spaces: tuple[np.ndarray | Witnessed, ...] | None = None
 
     @property
     def probe_count(self) -> int:
@@ -180,6 +194,28 @@ def _block_steps(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * dim * dim))
 
 
+def _fixed_space_walk(
+    chain: ContractionChain, horizon: int, tol_eig: float, tol_psd: float
+) -> tuple[np.ndarray | Witnessed, ...]:
+    """Fixed-space bases of ``T_1 .. T_horizon``, each read off the
+    chain's one ``eigh`` of that step.
+
+    Asked in step order, ``decomposition_at(n)`` hands a Schur chain's
+    ``eigh`` of ``T_n`` from its generator to this walk.  A step that is
+    not a positive contraction ends the walk with its failed check; the
+    error is raised by :func:`check_projection_convergence`, where a
+    per-step :func:`~contraction_lab.operators.fixed_point_projection`
+    would raise it.
+    """
+    spaces: list[np.ndarray | Witnessed] = []
+    for n in range(1, horizon + 1):
+        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
+        spaces.append(space)
+        if isinstance(space, Witnessed):
+            break
+    return tuple(spaces)
+
+
 def iterate_products(
     chain: ContractionChain,
     probes: np.ndarray | None = None,
@@ -189,6 +225,7 @@ def iterate_products(
     tol_eig: float = DEFAULT.eig,
     tol_psd: float | None = None,
     seed: int | None = None,
+    fixed_spaces: bool = False,
 ) -> ConvergenceTrace:
     """Run the product ``S_n = T_n S_{n-1}`` and record the trace.
 
@@ -201,6 +238,12 @@ def iterate_products(
     taken over stacked blocks of steps (see ``_BLOCK_BYTES``); stacked
     ``matmul``, axis reductions and spectral norms give the same bits as
     one call per step.
+
+    With ``fixed_spaces`` the trace also records each step's fixed space
+    for :func:`check_projection_convergence`.  They are taken before the
+    limit, in the walk that materializes the chain, so each ``T_n`` is
+    diagonalized once; an empirical limit (``T_horizon``) reuses the
+    last step's ``eigh`` when the run goes to the chain's horizon.
     """
     h = chain.horizon if horizon is None else horizon
     if h > chain.horizon:
@@ -212,8 +255,16 @@ def iterate_products(
     dim = chain.dim
     tol = DEFAULT.psd(dim) if tol_psd is None else tol_psd
 
+    spaces = None
+    if fixed_spaces:
+        spaces = _fixed_space_walk(chain, h, tol_eig, tol)
     info = limit_operator(chain)
-    proj = fixed_point_projection(info.operator, tol_eig=tol_eig, tol_psd=tol)
+    if info.provenance == "empirical":
+        # the empirical limit is T_horizon, the chain's own step
+        limit_decomp = chain.decomposition_at(chain.horizon)
+    else:
+        limit_decomp = spectral_decompose(info.operator)
+    proj = _projection_onto(_fixed_space(limit_decomp, tol_eig, tol))
 
     if probes is None:
         effective_seed = seed if seed is not None else chain.seed
@@ -335,6 +386,7 @@ def iterate_products(
         projection=proj,
         tol_eig=tol_eig,
         tol_psd=tol,
+        fixed_spaces=spaces,
     )
 
 
@@ -443,17 +495,25 @@ def check_projection_convergence(
 ) -> ProjectionTrace:
     """Track ``||(P_n - P) xi||`` per probe and the rank staircase.
 
-    ``trace`` is what :func:`iterate_products` returned for ``chain``:
-    its horizon, its validated probes and ids, its limit projection and
-    its tolerances are used as they are, so both records of a run
-    describe the same probes against the same limit.  For a decreasing
-    chain the ranks can only step down and can never end below the
-    limit's rank; both facts are reported as verdicts.
+    ``trace`` is what :func:`iterate_products` returned for ``chain``
+    with ``fixed_spaces=True``: its per-step fixed spaces, its validated
+    probes and ids and its limit projection are used as they are, so
+    both records of a run describe the same probes against the same
+    limit, and no step is diagonalized again.  ``P_n`` is built from
+    the recorded basis exactly as ``fixed_point_projection(T_n)`` builds
+    it.  For a decreasing chain the ranks can only step down and can
+    never end below the limit's rank; both facts are reported as
+    verdicts.
     """
     if (trace.chain_kind, trace.dim) != (chain.kind, chain.dim):
         raise PreconditionError(
             f"trace of a {trace.chain_kind} chain in dimension {trace.dim} "
             f"does not match a {chain.kind} chain in dimension {chain.dim}"
+        )
+    if trace.fixed_spaces is None:
+        raise PreconditionError(
+            "trace has no per-step fixed spaces: run iterate_products "
+            "with fixed_spaces=True"
         )
     h = trace.horizon
     mat = trace.probes
@@ -461,10 +521,8 @@ def check_projection_convergence(
     ranks = np.empty(h, dtype=int)
     errors = np.empty((h, trace.probe_count))
     p_probes = proj.matrix @ mat
-    for n in range(1, h + 1):
-        step = fixed_point_projection(
-            chain.operator_at(n), tol_eig=trace.tol_eig, tol_psd=trace.tol_psd
-        )
+    for n, space in enumerate(trace.fixed_spaces, 1):
+        step = _projection_onto(space)  # raises at a failed check
         ranks[n - 1] = step.rank
         errors[n - 1] = np.linalg.norm(step.matrix @ mat - p_probes, axis=0)
     return ProjectionTrace(
@@ -516,32 +574,60 @@ def orbit_epsilon_net(points: np.ndarray, epsilon: float) -> EpsilonNet:
     return EpsilonNet(epsilon=epsilon, member_indices=tuple(indices))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_field(text) -> str:
+    """``text`` as ``csv.writer`` writes it between two other fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def _trace_rows(
+    trace: ConvergenceTrace,
+    steps: range,
+    middles: list[str],
+    fields: tuple[np.ndarray, ...],
+) -> str:
+    """The rows of consecutive ``steps``, each a ``%``-format: the step
+    index, ``middles[p]`` filled with the ``fields`` of probe ``p``, and
+    the step's ``opnorm_err``."""
+    rows = slice(steps.start - 1, steps.stop - 1)
+    opnorm = ["%.17g" % x for x in trace.opnorm_err[rows].tolist()]
+    template = "".join(
+        f"{n}{middle}{op}\r\n"
+        for n, op in zip(steps, opnorm)
+        for middle in middles
+    )
+    cells = np.stack([field[rows] for field in fields], axis=-1)
+    return template % tuple(cells.ravel().tolist())
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """One row per (step, probe); fields that look one step ahead are
-    blank on the final step."""
+    blank on the final step.
+
+    The bytes are those of ``csv.writer`` with each float formatted by
+    ``format(x, ".17g")``: CRLF line ends, probe ids quoted where csv
+    quotes them.  Each block of steps (about ``_CSV_BLOCK_ROWS``
+    rows) is one ``%``-format of all its floats, and ``"%.17g" % x`` is
+    ``format(x, ".17g")``.
+    """
+    h, count = trace.horizon, trace.probe_count
+    ids = [_csv_field(i).replace("%", "%%") for i in trace.probe_ids]
+    block = max(1, _CSV_BLOCK_ROWS // max(count, 1))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_CSV_HEADER)
-        for n in range(1, trace.horizon + 1):
-            for p, probe_id in enumerate(trace.probe_ids):
-                ahead = n <= trace.horizon - 1
-                writer.writerow(
-                    [
-                        n,
-                        probe_id,
-                        _fmt(trace.sot_err[n - 1, p]),
-                        _fmt(trace.adj_err[n - 1, p]),
-                        _fmt(trace.consec_diff[n - 1, p]) if ahead else "",
-                        _fmt(trace.a[n - 1, p]) if ahead else "",
-                        _fmt(trace.b[n - 1, p]),
-                        _fmt(trace.wot_err[n - 1, p]),
-                        _fmt(trace.opnorm_err[n - 1]),
-                    ]
-                )
+        csv.writer(handle).writerow(TRACE_CSV_HEADER)
+        fields = (
+            trace.sot_err, trace.adj_err, trace.consec_diff, trace.a,
+            trace.b, trace.wot_err,
+        )
+        middles = [f",{i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," for i in ids]
+        for first in range(1, h, block):
+            steps = range(first, min(first + block, h))
+            handle.write(_trace_rows(trace, steps, middles, fields))
+        # a_n and consec_diff look one step ahead: blank on the final step
+        fields = (trace.sot_err, trace.adj_err, trace.b, trace.wot_err)
+        middles = [f",{i},%.17g,%.17g,,,%.17g,%.17g," for i in ids]
+        handle.write(_trace_rows(trace, range(h, h + 1), middles, fields))
 
 
 def trace_summary(

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from contraction_lab import (
     random_orthogonal,
     random_schur_chain,
     schur_decrement_chain,
+    spectral_decompose,
     stream_rng,
 )
 
@@ -227,6 +230,47 @@ def test_random_schur_chain_keeps_fixed_subspace():
         random_schur_chain(4, seed=0, fixed_rank=5)
     with pytest.raises(ChainGenerationError):
         random_schur_chain(4, seed=0, top=1.0)
+
+
+def test_decomposition_handover_under_concurrent_walks():
+    # threads walking one Schur chain in different orders must each get
+    # the eigh of the step they asked for, and the chain must come out
+    # as a single-threaded build makes it
+    horizon = 24
+    reference = random_schur_chain(5, seed=3, horizon=horizon, fixed_rank=2)
+    steps = range(1, horizon + 1)
+    expected = {n: spectral_decompose(reference.operator_at(n)) for n in steps}
+    chain = random_schur_chain(5, seed=3, horizon=horizon, fixed_rank=2)
+    rng = np.random.default_rng(0)
+    orders = [list(steps), list(steps)[::-1]]
+    orders += [list(rng.permutation(horizon) + 1) for _ in range(4)]
+    wrong = []
+
+    def walk(order):
+        for n in order:
+            got = chain.decomposition_at(n)
+            if not (
+                np.array_equal(got.eigenvalues, expected[n].eigenvalues)
+                and np.array_equal(got.eigenvectors, expected[n].eigenvectors)
+            ):
+                wrong.append(n)
+
+    threads = [threading.Thread(target=walk, args=(o,)) for o in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    for n in steps:
+        assert np.array_equal(
+            chain.operator_at(n).entries, reference.operator_at(n).entries
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,25 @@ def test_simulate_telescoping_chain(tmp_path):
     assert len(rows) == 1 + 50 * len(summary["probe_ids"])
 
 
-def test_simulate_usage_errors(tmp_path):
+def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
+    h = 12
+    spec = write_spec(
+        tmp_path,
+        {"kind": "schur_decrement", "dim": 6, "horizon": h, "seed": 4,
+         "fixed_rank": 2},
+    )
+    out = tmp_path / "out"
+    # inconclusive: after 12 steps the empirical limit is not yet trusted
+    assert run_cli(["simulate", "--spec", spec, "--out", str(out)]) == 2
+    # h - 1 sampler bases plus one eigh of each T_n, shared by the
+    # generator's square root, the step's fixed space and the empirical
+    # limit; one eigvalsh for T_1 and one for each decrement
+    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rank_trajectory"] == [2] * h
+
+
+def test_simulate_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, TELESCOPING)
     assert run_cli(["simulate", "--spec", spec, "--horizon", "99"]) == 64
     assert run_cli(["simulate", "--spec", str(tmp_path / "missing.json")]) == 64
@@ -104,6 +122,38 @@ def test_simulate_usage_errors(tmp_path):
     assert run_cli(["simulate", "--spec", bad_kind]) == 64
     assert run_cli(["simulate"]) == 64  # --spec is required
     assert run_cli(["frobnicate"]) == 64
+    argv = ["simulate", "--spec", spec, "--out", str(tmp_path)]
+    assert_rejects_bad_tolerances(argv, capsys)
+    assert not (tmp_path / "summary.json").exists()
+
+
+BAD_TOLERANCES = [
+    (flag, value)
+    for flag in ("--tol-eig", "--tol-psd")
+    for value in ("-1", "nan", "inf")
+]
+
+
+def assert_one_line_usage_error(argv, capsys):
+    capsys.readouterr()
+    assert run_cli(argv) == 64
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def assert_rejects_bad_tolerances(argv, capsys):
+    for flag, value in BAD_TOLERANCES:
+        err = assert_one_line_usage_error(argv + [flag, value], capsys)
+        assert f"argument {flag}: must be a finite number >= 0" in err
+
+
+def test_simulate_accepts_zero_tolerances(tmp_path):
+    spec = write_spec(tmp_path, TELESCOPING)
+    out = str(tmp_path / "out")
+    argv = ["simulate", "--spec", spec, "--out", out]
+    assert run_cli(argv + ["--tol-eig", "0", "--tol-psd", "0"]) == 0
 
 
 def test_generator_error_is_a_usage_error(tmp_path, capsys):
@@ -188,11 +238,14 @@ def test_gap_custom_grid(tmp_path):
     assert all(s["delta_k"] in (0.3, 0.05) for s in cert["rank_trajectory"])
 
 
-def test_gap_grid_usage_errors(tmp_path):
+def test_gap_grid_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, GAP_ENGINEERED)
     assert run_cli(["gap", "--spec", spec, "--epsilon", "-1"]) == 64
     assert run_cli(["gap", "--spec", spec, "--grid", "abc"]) == 64
     assert run_cli(["gap", "--spec", spec, "--grid", "0.1,0.2"]) == 64
+    argv = ["gap", "--spec", spec, "--out", str(tmp_path)]
+    assert_rejects_bad_tolerances(argv, capsys)
+    assert not (tmp_path / "certificate.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +292,14 @@ def test_nonexample_usage_errors(tmp_path, capsys):
         f"contraction-lab: error: --nmax must lie in 2..{NMAX_CEILING}, "
         f"got {NMAX_CEILING + 1}"
     ]
+    # seed and tolerances mean nothing to the orbit: the command refuses them
+    argv = ["nonexample", "--nmax", "5", "--out", str(tmp_path)]
+    ignored = ["--tol-eig", "7", "--tol-psd", "-3", "--seed", "9"]
+    err = assert_one_line_usage_error(argv + ignored, capsys)
+    assert "unrecognized arguments: --tol-eig 7 --tol-psd -3 --seed 9" in err
+    for option in ignored[::2]:
+        assert_one_line_usage_error(argv + [option, "1"], capsys)
+    assert not (tmp_path / "summary.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +367,13 @@ def test_verify_ordering_checks_every_step(tmp_path, monkeypatch):
     assert ordering["pass"] == ordering["total"] - 1
 
 
-def test_verify_usage_errors(tmp_path):
+def test_verify_usage_errors(tmp_path, capsys):
     assert run_cli(["verify", "--seeds", "0"]) == 64
     assert run_cli(["verify", "--dims", "2,x"]) == 64
     assert run_cli(["verify", "--dims", "1,2"]) == 64
+    argv = ["verify", "--seeds", "1", "--dims", "2", "--out", str(tmp_path)]
+    assert_rejects_bad_tolerances(argv, capsys)
+    assert not (tmp_path / "verdicts.json").exists()
 
 
 # ---------------------------------------------------------------------------

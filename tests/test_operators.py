@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contraction_lab import (
     DEFAULT,
@@ -51,6 +52,69 @@ def test_operator_hermitizes_and_is_readonly():
     assert op.entries[0, 1] == pytest.approx(0.1)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
+
+
+def old_hermitized(raw):
+    """``Operator``'s former three-step construction: a cast copy, the
+    hermitizing sum, then the division."""
+    m = np.asarray(raw)
+    dtype = np.complex128 if np.iscomplexobj(m) else np.float64
+    m = m.astype(dtype, copy=True)
+    return (m + m.conj().T) / 2.0
+
+
+def raw_matrices():
+    """Square matrices of real, complex and integer dtypes, some of them
+    non-contiguous views (transposed, strided or Fortran-ordered)."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    elements = {
+        np.float64: st.floats(-1e300, 1e300, **finite),
+        np.float32: st.floats(-(2.0**100), 2.0**100, width=32, **finite),
+        np.complex128: st.complex_numbers(max_magnitude=1e300, **finite),
+        np.int64: st.integers(-(2**62), 2**62),
+        np.int8: st.integers(-128, 127),
+    }
+
+    @st.composite
+    def build(draw):
+        dtype = draw(st.sampled_from(sorted(elements, key=str)))
+        dim = draw(st.integers(1, 5))
+        layouts = ["c", "transposed", "strided", "fortran"]
+        layout = draw(st.sampled_from(layouts))
+        rows = 2 * dim if layout == "strided" else dim
+        base = draw(hnp.arrays(dtype, (rows, rows), elements=elements[dtype]))
+        if layout == "transposed":
+            return base.T
+        if layout == "strided":
+            return base[::2, ::2]
+        if layout == "fortran":
+            return np.asfortranarray(base)
+        return base
+
+    return build()
+
+
+@given(raw=raw_matrices())
+def test_operator_matches_three_step_hermitization(raw):
+    before = raw.copy()
+    expected = old_hermitized(raw)
+    op = Operator(raw)
+    assert op.entries.dtype == expected.dtype
+    assert op.entries.tobytes() == expected.tobytes()
+    assert op.entries.flags.c_contiguous
+    assert not op.entries.flags.writeable
+    assert not np.shares_memory(op.entries, raw)
+    assert np.array_equal(raw, before)
+
+
+@given(raw=raw_matrices(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_operator_rejects_non_finite_entries(raw, bad):
+    if not np.issubdtype(raw.dtype, np.inexact):
+        raw = raw.astype(np.float64)
+    raw = raw.copy()
+    raw[-1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Operator(raw)
 
 
 def test_operator_rejects_bad_input():

@@ -25,6 +25,7 @@ from contraction_lab import (
     limit_operator,
     orbit_epsilon_net,
     random_schur_chain,
+    spectral_decompose,
     trace_summary,
     write_trace_csv,
 )
@@ -430,7 +431,9 @@ def test_wot_bounded_by_sot():
 
 def test_projection_convergence_staircase():
     chain = telescoping_chain(10)
-    ptrace = check_projection_convergence(chain, iterate_products(chain))
+    ptrace = check_projection_convergence(
+        chain, iterate_products(chain, fixed_spaces=True)
+    )
     assert list(ptrace.ranks) == [2] + [1] * 9
     assert ptrace.limit_rank == 1
     assert ptrace.ranks_nonincreasing
@@ -447,7 +450,7 @@ def test_projection_convergence_uses_the_trace_probes():
     chain = conjugated_diagonal_chain(
         [const(1.0), harmonic_to(0.3), geometric(0.8)], horizon=12, seed=0
     )
-    trace = iterate_products(chain, seed=7, horizon=9)
+    trace = iterate_products(chain, seed=7, horizon=9, fixed_spaces=True)
     _, seed0 = default_probes(3, trace.projection, seed=0)
     assert not np.array_equal(trace.probes, seed0)
     ptrace = check_projection_convergence(chain, trace)
@@ -460,7 +463,7 @@ def test_projection_convergence_uses_the_trace_probes():
         assert np.array_equal(ptrace.probe_errors[n - 1], expected)
 
     custom = iterate_products(
-        chain, probes=np.eye(3)[:, :2], probe_ids=["x", "y"]
+        chain, probes=np.eye(3)[:, :2], probe_ids=["x", "y"], fixed_spaces=True
     )
     assert check_projection_convergence(chain, custom).probe_ids == ("x", "y")
     # bad probes are rejected before any projection trace can use them
@@ -470,6 +473,113 @@ def test_projection_convergence_uses_the_trace_probes():
         iterate_products(chain, probes=np.eye(2))
     with pytest.raises(PreconditionError, match="does not match"):
         check_projection_convergence(telescoping_chain(10), trace)
+
+
+def complex_drift_chain(horizon=15):
+    """A chain of complex Hermitian contractions with no analytic limit:
+    decaying curves conjugated by one seeded unitary."""
+    rng = stream_rng(4, 99)
+    gauss = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    unitary, _ = np.linalg.qr(gauss)
+
+    def factory(n):
+        values = np.array([1.0, 0.5 + 0.5 / n, 0.9**n])
+        return Operator((unitary * values) @ unitary.conj().T)
+
+    return ContractionChain(3, "complex_curves", horizon, factory, seed=4)
+
+
+def schur_chain():
+    return random_schur_chain(6, seed=5, horizon=14, fixed_rank=2)
+
+
+@pytest.mark.parametrize(
+    "make_chain, horizon",
+    [
+        (schur_chain, None),
+        (schur_chain, 9),
+        (complex_drift_chain, None),
+        (complex_drift_chain, 6),
+        (lambda: complex_chain(10), None),
+        (lambda: telescoping_chain(12), 1),
+    ],
+)
+def test_projection_trace_matches_per_step_projections(make_chain, horizon):
+    trace = iterate_products(make_chain(), horizon=horizon, fixed_spaces=True)
+    # a fresh chain, so no step's decomposition is shared with the run
+    fresh = make_chain()
+    ptrace = check_projection_convergence(fresh, trace)
+    p_probes = trace.projection.matrix @ trace.probes
+    ranks, errors = [], []
+    for n in range(1, trace.horizon + 1):
+        step = fixed_point_projection(fresh.operator_at(n))
+        ranks.append(step.rank)
+        errors.append(
+            np.linalg.norm(step.matrix @ trace.probes - p_probes, axis=0)
+        )
+    assert np.array_equal(ptrace.ranks, ranks)
+    assert np.array_equal(ptrace.probe_errors, np.array(errors))
+    limit = fixed_point_projection(limit_operator(fresh).operator)
+    assert np.array_equal(trace.projection.matrix, limit.matrix)
+    assert trace.projection.rank == limit.rank == ptrace.limit_rank
+    if trace.probes.dtype == complex:
+        assert trace.fixed_spaces[0].dtype == complex
+
+
+def test_projection_trace_needs_the_fixed_spaces():
+    chain = telescoping_chain(10)
+    with pytest.raises(PreconditionError, match="fixed_spaces=True"):
+        check_projection_convergence(chain, iterate_products(chain))
+
+
+def test_non_contraction_step_fails_where_its_projection_would():
+    # step 3 has eigenvalue -0.5: the products stay bounded, so the run
+    # records its trace and the projection check rejects the step
+    def factory(n):
+        return diagonal([1.0, -0.5 if n == 3 else 0.5])
+
+    chain = ContractionChain(
+        2, "negative_step", 6, factory, analytic_limit=diagonal([1.0, 0.5])
+    )
+    with pytest.raises(PreconditionError) as expected:
+        fixed_point_projection(chain.operator_at(3))
+    trace = iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
+    assert len(trace.fixed_spaces) == 3
+    with pytest.raises(PreconditionError) as raised:
+        check_projection_convergence(chain, trace)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == (
+        "not a positive contraction: offending eigenvalue -0.5"
+    )
+
+
+def test_decomposition_handover_keeps_one_step():
+    chain = telescoping_chain(10)
+    first = chain.decomposition_at(4)
+    assert chain.decomposition_at(4) is first
+    assert not first.eigenvalues.flags.writeable
+    assert not first.eigenvectors.flags.writeable
+    reference = spectral_decompose(chain.operator_at(4))
+    assert np.array_equal(first.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(first.eigenvectors, reference.eigenvectors)
+    chain.decomposition_at(5)
+    assert chain.decomposition_at(4) is not first
+
+
+@pytest.mark.parametrize("fixed_spaces", [False, True])
+def test_schur_run_diagonalizes_each_step_once(
+    eigensolve_counts, fixed_spaces
+):
+    h = 12
+    chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
+    eigensolve_counts.update(eigh=0, eigvalsh=0)
+    trace = iterate_products(chain, fixed_spaces=fixed_spaces)
+    if fixed_spaces:
+        check_projection_convergence(chain, trace)
+    # h - 1 sampler bases and one eigh per step T_1 .. T_h, which serves
+    # the square root, the step's fixed space and the empirical limit; the
+    # trace-only run decomposes the same steps
+    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -575,3 +685,69 @@ def test_write_trace_csv_layout(tmp_path):
     n3_e2 = next(r for r in rows[1:] if r[0] == "3" and r[1] == "e2")
     assert float(n3_e2[2]) == trace.sot_err[2, 1]
     assert float(n3_e2[6]) == trace.b[2, 1]
+
+
+def reference_trace_csv(trace, path):
+    """The row-at-a-time ``csv.writer`` export, formatting each float
+    with ``format(x, ".17g")``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_CSV_HEADER)
+        for n in range(1, trace.horizon + 1):
+            ahead = n < trace.horizon
+            for p, probe_id in enumerate(trace.probe_ids):
+                cell = lambda arr: format(float(arr[n - 1, p]), ".17g")
+                writer.writerow(
+                    [
+                        n,
+                        probe_id,
+                        cell(trace.sot_err),
+                        cell(trace.adj_err),
+                        cell(trace.consec_diff) if ahead else "",
+                        cell(trace.a) if ahead else "",
+                        cell(trace.b),
+                        cell(trace.wot_err),
+                        format(float(trace.opnorm_err[n - 1]), ".17g"),
+                    ]
+                )
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 4, 7])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 12])
+def test_write_trace_csv_matches_csv_writer(
+    tmp_path, monkeypatch, horizon, block_rows
+):
+    if block_rows is not None:
+        monkeypatch.setattr(products, "_CSV_BLOCK_ROWS", block_rows)
+    ids = ["a,b", 'say "hi"', "", "line\nbreak", "plain"]
+    probes = np.array(
+        [[1.0, 0.0, 0.6, 0.3, -1.0], [0.0, 1.0, 0.8, -2.0, 1e-300]]
+    )
+    trace = iterate_products(
+        telescoping_chain(12), probes=probes, probe_ids=ids, horizon=horizon
+    )
+    write_trace_csv(trace, tmp_path / "fast.csv")
+    reference_trace_csv(trace, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    with open(tmp_path / "fast.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[1] for row in rows[1:]] == ids * horizon
+
+
+def test_write_trace_csv_without_probes_writes_the_header(tmp_path):
+    trace = iterate_products(telescoping_chain(5), probes=np.zeros((2, 0)))
+    write_trace_csv(trace, tmp_path / "fast.csv")
+    reference_trace_csv(trace, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    assert fast == (",".join(TRACE_CSV_HEADER) + "\r\n").encode()
+
+
+def test_write_trace_csv_matches_csv_writer_on_a_dense_run(tmp_path):
+    chain = random_schur_chain(9, seed=8, horizon=30, fixed_rank=3)
+    trace = iterate_products(chain)
+    write_trace_csv(trace, tmp_path / "fast.csv")
+    reference_trace_csv(trace, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()

@@ -1,6 +1,7 @@
 """The exploratory scripts run end to end on small arguments."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,32 @@ def test_script_exits_zero(argv, expected):
     )
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+
+
+def test_artifact_digests_one_line_per_command():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "artifact_digests.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    expected_exits = {
+        "simulate telescoping": 0,
+        "simulate schur_random": 0,
+        "simulate near_one": 0,
+        "simulate gap_engineered": 0,
+        "gap gap_engineered": 0,
+        "gap near_one": 3,
+        "verify": 0,
+        "verify faulty": 1,
+        "nonexample": 0,
+    }
+    assert len(lines) == len(expected_exits)
+    for line, (label, code) in zip(lines, expected_exits.items()):
+        assert re.fullmatch(
+            rf"{label}: exit {code} sha256:[0-9a-f]{{64}}", line
+        ), line
+    # distinct outputs, so no command wrote into another's directory
+    assert len({line.split("sha256:")[1] for line in lines}) == len(lines)
