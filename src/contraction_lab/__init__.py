@@ -5,173 +5,29 @@ Build chains ``T_1 >= T_2 >= ... >= 0``, run the ordered products
 projection in several topologies, search for uniform spectral gap
 certificates by rank descent, and exercise the classic unitary-orbit
 counterexample to total boundedness.
+
+The package exports exactly the names each module lists in its own
+``__all__``; ``corpus`` and ``cli`` are imported as modules.
 """
 
-from .chains import (
-    ChainSpec,
-    ContractionChain,
-    Curve,
-    affine_harmonic,
-    build_chain,
-    chain_to_json_dict,
-    conjugated_diagonal_chain,
-    const,
-    custom_curve,
-    diagonal_chain,
-    gap_engineered_chain,
-    geometric,
-    halving_decrement_sampler,
-    harmonic_to,
-    near_one_accumulating_chain,
-    parse_chain_spec,
-    peel,
-    random_orthogonal,
-    random_schur_chain,
-    schur_decrement_chain,
-    stream_rng,
-)
-from .config import DEFAULT, DELTA_GRID, Tolerances
-from .errors import (
-    ChainGenerationError,
-    ChainSpecError,
-    ContractionLabError,
-    DimensionMismatchError,
-    EigensolverError,
-    InvariantError,
-    PreconditionError,
-    RankDescentError,
-)
-from .gaps import (
-    GapCertificate,
-    GapSearchFailure,
-    RateBoundReport,
-    certificate_search,
-    has_gap_at,
-    rank_strict_descent_check,
-    rate_bound_check,
-)
-from .nonexample import (
-    GivensStep,
-    NonexampleSequence,
-    build_nonexample,
-    givens_factorization,
-    verify_not_totally_bounded,
-    verify_step_distances,
-    verify_vanishing_conditions,
-)
-from .operators import (
-    FixedVectorReport,
-    Operator,
-    Projection,
-    SpectralDecomposition,
-    Witnessed,
-    check_fixed_vector_equivalence,
-    check_projection_monotone,
-    diagonal,
-    fixed_point_projection,
-    hermitian_eigenvalues,
-    identity,
-    is_positive_contraction,
-    loewner_leq,
-    operator_from_dict,
-    operator_to_dict,
-    spectral_decompose,
-)
-from .products import (
-    ConvergenceTrace,
-    EpsilonNet,
-    LimitInfo,
-    check_projection_convergence,
-    consecutive_difference_report,
-    is_decreasing,
-    iterate_products,
-    limit_operator,
-    orbit_epsilon_net,
-    trace_summary,
-    write_trace_csv,
-)
+from . import chains, config, errors, gaps, nonexample, operators, products
+from .chains import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .gaps import *  # noqa: F401,F403
+from .nonexample import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .products import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # operators
-    "Operator",
-    "SpectralDecomposition",
-    "Projection",
-    "Witnessed",
-    "FixedVectorReport",
-    "identity",
-    "diagonal",
-    "hermitian_eigenvalues",
-    "spectral_decompose",
-    "fixed_point_projection",
-    "is_positive_contraction",
-    "loewner_leq",
-    "check_fixed_vector_equivalence",
-    "check_projection_monotone",
-    "operator_to_dict",
-    "operator_from_dict",
-    # chains
-    "Curve",
-    "const",
-    "harmonic_to",
-    "affine_harmonic",
-    "geometric",
-    "peel",
-    "custom_curve",
-    "ContractionChain",
-    "ChainSpec",
-    "diagonal_chain",
-    "conjugated_diagonal_chain",
-    "schur_decrement_chain",
-    "random_schur_chain",
-    "gap_engineered_chain",
-    "near_one_accumulating_chain",
-    "halving_decrement_sampler",
-    "parse_chain_spec",
-    "build_chain",
-    "chain_to_json_dict",
-    "random_orthogonal",
-    "stream_rng",
-    # products
-    "LimitInfo",
-    "ConvergenceTrace",
-    "EpsilonNet",
-    "limit_operator",
-    "iterate_products",
-    "is_decreasing",
-    "consecutive_difference_report",
-    "check_projection_convergence",
-    "orbit_epsilon_net",
-    "trace_summary",
-    "write_trace_csv",
-    # gaps
-    "GapCertificate",
-    "GapSearchFailure",
-    "RateBoundReport",
-    "has_gap_at",
-    "certificate_search",
-    "rank_strict_descent_check",
-    "rate_bound_check",
-    # nonexample
-    "NonexampleSequence",
-    "GivensStep",
-    "build_nonexample",
-    "verify_step_distances",
-    "verify_vanishing_conditions",
-    "verify_not_totally_bounded",
-    "givens_factorization",
-    # config & errors
-    "Tolerances",
-    "DEFAULT",
-    "DELTA_GRID",
-    "ContractionLabError",
-    "EigensolverError",
-    "DimensionMismatchError",
-    "PreconditionError",
-    "InvariantError",
-    "RankDescentError",
-    "ChainGenerationError",
-    "ChainSpecError",
+    *operators.__all__,
+    *chains.__all__,
+    *products.__all__,
+    *gaps.__all__,
+    *nonexample.__all__,
+    *config.__all__,
+    *errors.__all__,
 ]

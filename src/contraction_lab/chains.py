@@ -11,7 +11,6 @@ be rebuilt bit-for-bit from a JSON document.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +33,6 @@ __all__ = [
     "affine_harmonic",
     "geometric",
     "peel",
-    "custom_curve",
     "ContractionChain",
     "ChainSpec",
     "diagonal_chain",
@@ -43,9 +41,11 @@ __all__ = [
     "gap_engineered_chain",
     "near_one_accumulating_chain",
     "halving_decrement_sampler",
+    "random_schur_chain",
+    "random_orthogonal",
+    "stream_rng",
     "parse_chain_spec",
     "build_chain",
-    "chain_to_json_dict",
 ]
 
 CHAIN_KINDS = (
@@ -95,15 +95,12 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 class Curve:
     """One eigenvalue as a function of the step index ``n >= 1``.
 
-    Built-in tags have closed-form limits, which is what lets diagonal
-    chains carry an analytic limit operator.  ``custom`` curves wrap an
-    arbitrary callable and may leave the limit unknown.
+    Every tag has a closed-form limit, so every curve-built chain
+    carries its analytic limit operator.
     """
 
     tag: str
     params: tuple[float, ...] = ()
-    fn: Callable[[int], float] | None = None
-    limit_value: float | None = None
 
     def value(self, n: int) -> float:
         if self.tag == "const":
@@ -121,12 +118,10 @@ class Curve:
             if n < stage:
                 return 1.0
             return level * decay ** (n - stage)
-        if self.tag == "custom":
-            return float(self.fn(n))
         raise ValueError(f"unknown curve tag {self.tag!r}")
 
     @property
-    def limit(self) -> float | None:
+    def limit(self) -> float:
         if self.tag == "const":
             return self.params[0]
         if self.tag == "harmonic_to":
@@ -138,11 +133,9 @@ class Curve:
         if self.tag == "peel":
             _, level, decay = self.params
             return level if decay == 1.0 else 0.0
-        return self.limit_value
+        raise ValueError(f"unknown curve tag {self.tag!r}")
 
     def to_spec(self) -> list:
-        if self.tag == "custom":
-            raise ValueError("custom curves cannot be serialized")
         return [self.tag, *self.params]
 
 
@@ -191,10 +184,6 @@ def peel(stage: int, level: float, decay: float) -> Curve:
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"peel decay must lie in (0, 1], got {decay}")
     return Curve("peel", (float(stage), level, decay))
-
-
-def custom_curve(fn: Callable[[int], float], limit: float | None = None) -> Curve:
-    return Curve("custom", (), fn=fn, limit_value=limit)
 
 
 _CURVE_BUILDERS = {
@@ -311,13 +300,6 @@ def _curve_table(
     return np.clip(table, 0.0, 1.0)
 
 
-def _limits_of(curves: Sequence[Curve]) -> list[float] | None:
-    limits = [c.limit for c in curves]
-    if any(v is None for v in limits):
-        return None
-    return [float(v) for v in limits]
-
-
 def diagonal_chain(
     curves: Sequence[Curve],
     dim: int | None = None,
@@ -325,7 +307,6 @@ def diagonal_chain(
     *,
     kind: str = "diagonal",
     seed: int | None = None,
-    gap_guarantee: float | None = None,
 ) -> ContractionChain:
     """Chain of diagonal contractions, one eigenvalue curve per coordinate.
 
@@ -345,7 +326,6 @@ def diagonal_chain(
         np.eye(dim),
         kind=kind,
         seed=seed,
-        gap_guarantee=gap_guarantee,
     )
 
 
@@ -368,10 +348,8 @@ def _conjugated_chain(
     gap_guarantee: float | None = None,
 ) -> ContractionChain:
     table = _curve_table(curves, horizon)
-    limits = _limits_of(curves)
-    analytic = None
-    if limits is not None:
-        analytic = Operator(frame @ np.diag(limits) @ frame.T)
+    limits = [float(c.limit) for c in curves]
+    analytic = Operator(frame @ np.diag(limits) @ frame.T)
 
     def factory(n: int) -> Operator:
         return Operator(frame @ np.diag(table[:, n - 1]) @ frame.T)
@@ -656,7 +634,10 @@ def near_one_accumulating_chain(
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Declarative chain description, round-trippable through JSON."""
+    """Declarative chain description: what :func:`parse_chain_spec`
+    returns for a decoded JSON document, and what :func:`build_chain`
+    builds.  ``to_json_dict`` gives back a document that parses to an
+    equal spec."""
 
     kind: str
     dim: int
@@ -710,16 +691,10 @@ _KNOWN_KEYS = {
 }
 
 
-def parse_chain_spec(document: str | dict) -> ChainSpec:
-    """Validate a chain spec document, collecting every violation."""
+def parse_chain_spec(data: dict) -> ChainSpec:
+    """Validate a decoded chain spec document, collecting every
+    violation."""
     violations: list[str] = []
-    if isinstance(document, str):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ChainSpecError([f"invalid JSON: {exc}"]) from exc
-    else:
-        data = document
     if not isinstance(data, dict):
         raise ChainSpecError(["spec must be a JSON object"])
 
@@ -847,18 +822,3 @@ def build_chain(spec: ChainSpec) -> ContractionChain:
         return near_one_accumulating_chain(spec.dim, spec.seed, spec.horizon)
     raise ChainSpecError([f"unknown kind {spec.kind!r}"])
 
-
-def chain_to_json_dict(chain: ContractionChain, up_to: int | None = None) -> dict:
-    """Serialize the materialized prefix of a chain."""
-    from .operators import operator_to_dict
-
-    stop = chain.horizon if up_to is None else min(up_to, chain.horizon)
-    return {
-        "kind": chain.kind,
-        "dim": chain.dim,
-        "horizon": chain.horizon,
-        "seed": chain.seed,
-        "operators": [
-            operator_to_dict(chain.operator_at(n)) for n in range(1, stop + 1)
-        ],
-    }

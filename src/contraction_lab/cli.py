@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -408,14 +409,7 @@ def build_parser() -> _Parser:
     def out_option(p):
         p.add_argument("--out", default=".", help="output directory")
 
-    def chain_options(p):
-        out_option(p)
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"seed (default: ${SEED_ENV_VAR} if set)",
-        )
+    def tolerance_options(p):
         p.add_argument(
             "--tol-eig",
             type=_tolerance,
@@ -428,6 +422,16 @@ def build_parser() -> _Parser:
             default=None,
             help="PSD slack tolerance (default 1e-10 per dimension)",
         )
+
+    def chain_options(p):
+        out_option(p)
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help=f"seed (default: ${SEED_ENV_VAR} if set)",
+        )
+        tolerance_options(p)
 
     sim = sub.add_parser("simulate", help="run the product engine on a chain")
     sim.add_argument("--spec", required=True, help="chain spec JSON path")
@@ -457,7 +461,12 @@ def build_parser() -> _Parser:
     )
     out_option(non)
 
-    ver = sub.add_parser("verify", help="run the property suite on the corpus")
+    # no abbreviations: ``--seed`` would otherwise be read as ``--seeds``
+    ver = sub.add_parser(
+        "verify",
+        help="run the property suite on the corpus",
+        allow_abbrev=False,
+    )
     ver.add_argument("--seeds", type=int, default=CORPUS_SEED_COUNT)
     ver.add_argument(
         "--dims", default=None, help="comma list of dimensions (default 2,4,8,16)"
@@ -467,12 +476,15 @@ def build_parser() -> _Parser:
         action="store_true",
         help="inject a deliberately non-decreasing chain (negative test)",
     )
-    chain_options(ver)
+    out_option(ver)
+    tolerance_options(ver)
 
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> NoReturn:
+    """Run one command; every outcome, a failed invariant included,
+    leaves as ``SystemExit`` with its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -490,7 +502,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        code = EXIT_FAIL
     sys.exit(code)
 
 

@@ -1,13 +1,18 @@
 """Numerical tolerances and shared defaults.
 
-All comparisons in the package go through the knobs collected here so a
-single override propagates consistently.  Entries suffixed ``_per_dim``
-scale linearly with the matrix dimension.
+Every tolerance the package compares against is collected here.  The
+clustering tolerance ``eig`` and the PSD slack are defaults: functions
+take them as ``tol_eig`` and ``tol_psd``, which the CLI sets from
+``--tol-eig`` and ``--tol-psd``.  The other entries are fixed constants
+of the checks that read them.  Entries suffixed ``_per_dim`` scale
+linearly with the matrix dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+__all__ = ["Tolerances", "DEFAULT", "DELTA_GRID"]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,17 @@ class; plain ``ValueError`` is reserved for malformed raw input (bad
 shapes, NaN entries, nonsense parameters).
 """
 
+__all__ = [
+    "ContractionLabError",
+    "EigensolverError",
+    "DimensionMismatchError",
+    "PreconditionError",
+    "InvariantError",
+    "RankDescentError",
+    "ChainGenerationError",
+    "ChainSpecError",
+]
+
 
 class ContractionLabError(Exception):
     """Base class for package-specific errors."""

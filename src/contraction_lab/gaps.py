@@ -35,6 +35,7 @@ from .operators import (
     hermitian_eigenvalues,
     loewner_leq,
 )
+from .products import limit_operator
 
 __all__ = [
     "RankStep",
@@ -325,10 +326,10 @@ class RateBoundReport:
 
     ``lhs[j] = ||S_{n0+j} xi_perp||`` and
     ``rhs[j] = eps + (1 - delta)^j * ||eta'||``; ``slack = rhs - lhs``
-    should stay above ``-tol_rate`` everywhere.  ``fitted_slope`` is the
-    least-squares slope of ``log lhs`` against ``j`` over the decades
-    before numerical leakage flattens the decay (None when there is too
-    little clean signal to fit).
+    should stay above ``-tol_rate`` (``DEFAULT.rate``) everywhere.
+    ``fitted_slope`` is the least-squares slope of ``log lhs`` against
+    ``j`` over the decades before numerical leakage flattens the decay
+    (None when there is too little clean signal to fit).
     """
 
     delta: float
@@ -365,7 +366,6 @@ def rate_bound_check(
     j_max: int | None = None,
     tol_eig: float = DEFAULT.eig,
     tol_psd: float | None = None,
-    tol_rate: float = DEFAULT.rate,
 ) -> RateBoundReport:
     """Tabulate the geometric decay bound along a certified chain.
 
@@ -383,8 +383,6 @@ def rate_bound_check(
     if certificate.scope == "empirical":
         # checked only up to its horizon, so the table must stop there too
         last = min(last, certificate.horizon)
-    from .products import limit_operator  # local: avoids import cycle
-
     info = limit_operator(chain)
     proj = fixed_point_projection(
         info.operator, tol_eig=tol_eig, tol_psd=tol_psd
@@ -461,7 +459,7 @@ def rate_bound_check(
         rhs=rhs,
         eta_prime_norm=eta_norm,
         fixed_component_norm=float(np.linalg.norm(fixed_part)),
-        tol_rate=tol_rate,
+        tol_rate=DEFAULT.rate,
         fitted_slope=slope,
     )
 

@@ -25,6 +25,8 @@ from .errors import PreconditionError
 from .products import EpsilonNet, orbit_epsilon_net
 
 __all__ = [
+    "flat_index",
+    "row_col",
     "NonexampleSequence",
     "StepDistance",
     "StepDistanceReport",
@@ -307,19 +309,12 @@ class NetGrowthTable:
     net: EpsilonNet
 
     @property
-    def final_size(self) -> int:
-        return self.rows[-1].net_size
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(r.net_size for r in self.rows)
 
     @property
     def dominates_row_count(self) -> bool:
         return all(r.net_size >= r.rows_completed for r in self.rows)
-
-    def size_after_rows(self, rows_completed: int) -> int:
-        return self.rows[rows_completed - 1].net_size
 
 
 def verify_not_totally_bounded(

@@ -52,8 +52,6 @@ __all__ = [
     "loewner_margin",
     "check_fixed_vector_equivalence",
     "check_projection_monotone",
-    "operator_to_dict",
-    "operator_from_dict",
 ]
 
 
@@ -87,10 +85,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.entries)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vec = np.asarray(vector)
@@ -126,10 +120,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +341,10 @@ def check_fixed_vector_equivalence(
     op: Operator,
     vector: np.ndarray,
     *,
-    tol_fix: float = DEFAULT.fix,
     tol_psd: float | None = None,
 ) -> FixedVectorReport:
-    """Evaluate the three fixed-vector conditions with relative residuals.
+    """Evaluate the three fixed-vector conditions with relative residuals,
+    each thresholded at ``DEFAULT.fix``.
 
     The zero vector satisfies all three trivially.  Rejects operators
     that are not positive contractions, since the equivalence is only a
@@ -370,6 +360,7 @@ def check_fixed_vector_equivalence(
         raise DimensionMismatchError(
             f"vector of shape {xi.shape} does not match dim {op.dim}"
         )
+    tol_fix = DEFAULT.fix
     norm_xi = float(np.linalg.norm(xi))
     if norm_xi == 0.0:
         return FixedVectorReport(True, True, True, 0.0, 0.0, 0.0, tol_fix)
@@ -422,31 +413,3 @@ def check_projection_monotone(
     )
     return bool(loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd))
 
-
-def operator_to_dict(op: Operator) -> dict:
-    """JSON-ready dict: ``dim`` plus row-major ``[re, im]`` entry pairs."""
-    entries = [
-        [[float(np.real(x)), float(np.imag(x))] for x in row]
-        for row in op.entries
-    ]
-    return {"dim": op.dim, "entries": entries}
-
-
-def operator_from_dict(data: dict) -> Operator:
-    if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
-        raise ValueError("operator document needs 'dim' and 'entries'")
-    dim = data["dim"]
-    rows = data["entries"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"bad dim: {dim!r}")
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ValueError("entries must form a dim x dim grid")
-    matrix = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, pair in enumerate(row):
-            if len(pair) != 2:
-                raise ValueError(f"entry ({i},{j}) is not a [re, im] pair")
-            matrix[i, j] = complex(pair[0], pair[1])
-    if np.all(matrix.imag == 0.0):
-        return Operator(matrix.real)
-    return Operator(matrix)

@@ -224,15 +224,15 @@ def iterate_products(
     probe_ids: list[str] | None = None,
     tol_eig: float = DEFAULT.eig,
     tol_psd: float | None = None,
-    seed: int | None = None,
     fixed_spaces: bool = False,
 ) -> ConvergenceTrace:
     """Run the product ``S_n = T_n S_{n-1}`` and record the trace.
 
-    Probes default to :func:`default_probes`.  Structural facts that hold
-    by theorem (``||S_n|| <= 1``, ``b`` nonincreasing, finiteness) are
-    enforced here and raise :class:`InvariantError`; convergence
-    quality is recorded, not judged.
+    Probes default to :func:`default_probes`, seeded by the chain's seed
+    (or 0).  Structural facts that hold by theorem (``||S_n|| <= 1``,
+    ``b`` nonincreasing, finiteness) are enforced here and raise
+    :class:`InvariantError`; convergence quality is recorded, not
+    judged.
 
     The product advances one step at a time, and the per-step metrics are
     taken over stacked blocks of steps (see ``_BLOCK_BYTES``); stacked
@@ -267,9 +267,8 @@ def iterate_products(
     proj = _projection_onto(_fixed_space(limit_decomp, tol_eig, tol))
 
     if probes is None:
-        effective_seed = seed if seed is not None else chain.seed
         ids, mat = default_probes(
-            dim, proj, 0 if effective_seed is None else effective_seed
+            dim, proj, 0 if chain.seed is None else chain.seed
         )
     else:
         mat = np.asarray(probes)
@@ -441,15 +440,12 @@ class ABChainReport:
         )
 
 
-def consecutive_difference_report(
-    trace: ConvergenceTrace,
-    *,
-    tol_chain: float | None = None,
-    tol_identity: float = 1e-10,
-) -> ABChainReport:
+def consecutive_difference_report(trace: ConvergenceTrace) -> ABChainReport:
     """Check ``0 <= a_n <= b_n``, ``b_{n+1} <= a_n`` and the step-difference
-    identity on every step and probe of a trace."""
-    tol = DEFAULT.chain(trace.dim) if tol_chain is None else tol_chain
+    identity on every step and probe of a trace: the inequalities up to
+    ``DEFAULT.chain(dim)``, the identity up to ``1e-10``."""
+    tol = DEFAULT.chain(trace.dim)
+    tol_identity = 1e-10
     if trace.horizon < 2:
         return ABChainReport(
             tol, tol_identity, 0.0, 0.0, 0.0, 0.0, True, True, True, True
@@ -633,14 +629,15 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 def trace_summary(
     trace: ConvergenceTrace,
     *,
-    threshold: float = DEFAULT.convergence,
     projection_trace: ProjectionTrace | None = None,
     ab_report: ABChainReport | None = None,
 ) -> dict:
     """Final values plus verdicts, ready for JSON.
 
-    Convergence verdicts become ``"inconclusive"`` rather than booleans
-    when the limit is empirical and its Cauchy gap is too large to trust.
+    An error has converged when its final value is below
+    ``DEFAULT.convergence``.  Convergence verdicts become
+    ``"inconclusive"`` rather than booleans when the limit is empirical
+    and its Cauchy gap is too large to trust.
     """
     if ab_report is None:
         ab_report = consecutive_difference_report(trace)
@@ -654,6 +651,8 @@ def trace_summary(
         ),
     }
     conclusive = trace.limit.trustworthy
+    threshold = DEFAULT.convergence
+
     def convergence_verdict(value: float):
         if not conclusive:
             return "inconclusive"

@@ -100,9 +100,8 @@ def test_criterion_04_scalar_interleaving(corpus_traces):
     worst_slack = 0.0
     worst_identity = 0.0
     for chain, trace in corpus_traces:
-        rep = consecutive_difference_report(
-            trace, tol_chain=1e-12 * chain.dim, tol_identity=1e-10
-        )
+        rep = consecutive_difference_report(trace)
+        assert (rep.tol_chain, rep.tol_identity) == (1e-12 * chain.dim, 1e-10)
         ok = ok and rep.all_ok
         worst_slack = max(
             worst_slack,
@@ -244,7 +243,7 @@ def test_criterion_09_nonexample_contracts():
     givens_ok = recon_err <= 1e-9 and rank_ok
 
     table = verify_not_totally_bounded(seq, 0.5)
-    sizes = [table.size_after_rows(r) for r in (5, 10, 20, 30)]
+    sizes = [table.sizes[r - 1] for r in (5, 10, 20, 30)]
     net_ok = all(s >= r for s, r in zip(sizes, (5, 10, 20, 30))) and all(
         a < b for a, b in zip(sizes, sizes[1:])
     )

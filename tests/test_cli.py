@@ -1,5 +1,7 @@
 import csv
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from contraction_lab import (
     ContractionChain,
+    InvariantError,
     Operator,
     build_chain,
     cli,
@@ -373,7 +376,32 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert run_cli(["verify", "--dims", "1,2"]) == 64
     argv = ["verify", "--seeds", "1", "--dims", "2", "--out", str(tmp_path)]
     assert_rejects_bad_tolerances(argv, capsys)
+    # the corpus is seeded by --seeds alone: the command refuses --seed
+    err = assert_one_line_usage_error(argv + ["--seed", "5"], capsys)
+    assert "unrecognized arguments: --seed 5" in err
     assert not (tmp_path / "verdicts.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# python -m contraction_lab
+
+
+def test_module_run_exits_1_on_invariant_violation(
+    tmp_path, monkeypatch, capsys
+):
+    def broken(args, parser):
+        raise InvariantError("product norm exceeded 1")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    spec = write_spec(tmp_path, TELESCOPING)
+    monkeypatch.setattr(
+        sys, "argv", ["contraction-lab", "simulate", "--spec", spec]
+    )
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("contraction_lab", run_name="__main__")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "invariant violated: product norm exceeded 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -437,5 +465,5 @@ def test_bundled_specs_build():
     paths = sorted(REPO_SPECS.glob("*.json"))
     assert paths, "bundled spec directory is empty"
     for path in paths:
-        chain = build_chain(parse_chain_spec(path.read_text()))
+        chain = build_chain(parse_chain_spec(json.loads(path.read_text())))
         assert chain.horizon >= 1

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contraction_lab import (
+    DEFAULT,
     GapCertificate,
     GapSearchFailure,
     Operator,
@@ -27,7 +28,7 @@ from contraction_lab import (
     rank_strict_descent_check,
     rate_bound_check,
 )
-from contraction_lab.chains import ContractionChain, custom_curve, stream_rng
+from contraction_lab.chains import ContractionChain, stream_rng
 from contraction_lab.corpus import descent_triple_corpus
 from contraction_lab.gaps import RATE_CSV_HEADER, write_rate_csv
 
@@ -261,6 +262,7 @@ def test_rate_bound_geometric_tail_closed_form():
         assert report.rhs[j] == pytest.approx(0.9 ** (j + 1), rel=1e-12)
     assert report.bound_holds
     assert report.worst_slack >= 0.0
+    assert report.tol_rate == DEFAULT.rate
     # true decay accelerates, so the fit must be at least as steep as the
     # certified envelope
     assert report.fitted_slope is not None

@@ -157,16 +157,16 @@ def test_net_growth_half_epsilon():
     table = verify_not_totally_bounded(build_nonexample(6), 0.5)
     # rows 1..5 checked by hand against the greedy scan; row 6 frozen
     assert table.sizes == (1, 3, 6, 8, 11, 13)
-    assert table.size_after_rows(5) == 11
+    assert [row.rows_completed for row in table.rows] == [1, 2, 3, 4, 5, 6]
     assert table.dominates_row_count
-    assert table.final_size == 13
+    assert table.net.size == 13
 
 
 def test_net_growth_monotone_and_dominating():
     table = verify_not_totally_bounded(build_nonexample(10), 0.5)
     sizes = table.sizes
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    assert table.final_size >= 10
+    assert sizes[-1] >= 10
     assert table.dominates_row_count
 
 
@@ -174,7 +174,7 @@ def test_net_collapses_for_huge_epsilon():
     # every orbit vector has nonnegative coordinates, so all sit within
     # sqrt(2) of e1 and the greedy net never grows past the first point
     table = verify_not_totally_bounded(build_nonexample(10), 1.5)
-    assert table.final_size == 1
+    assert table.sizes[-1] == table.net.size == 1
 
 
 # ---------------------------------------------------------------------------

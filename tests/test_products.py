@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contraction_lab import (
+    DEFAULT,
     ContractionChain,
     build_nonexample,
     InvariantError,
@@ -366,8 +367,11 @@ def test_summary_norm_verdict_uses_engine_tolerance():
 
 
 def test_tiny_threshold_fails_summary():
-    trace = iterate_products(telescoping_chain(30), probes=np.eye(2))
-    summary = trace_summary(trace, threshold=1e-30)
+    # after 5 steps sot_err is 0.19, far above the 1e-6 threshold
+    trace = iterate_products(telescoping_chain(5), probes=np.eye(2))
+    summary = trace_summary(trace)
+    assert summary["threshold"] == DEFAULT.convergence
+    assert summary["final"]["sot_err_max"] == pytest.approx(0.1875)
     assert summary["verdicts"]["sot_converged"] is False
     assert summary["status"] == "fail"
 
@@ -446,12 +450,14 @@ def test_projection_convergence_staircase():
 
 
 def test_projection_convergence_uses_the_trace_probes():
-    # the chain is seeded 0; the trace's probes come from seed 7
+    # default probes come from the chain's seed 7, not from seed 0
     chain = conjugated_diagonal_chain(
-        [const(1.0), harmonic_to(0.3), geometric(0.8)], horizon=12, seed=0
+        [const(1.0), harmonic_to(0.3), geometric(0.8)], horizon=12, seed=7
     )
-    trace = iterate_products(chain, seed=7, horizon=9, fixed_spaces=True)
+    trace = iterate_products(chain, horizon=9, fixed_spaces=True)
+    _, seed7 = default_probes(3, trace.projection, seed=7)
     _, seed0 = default_probes(3, trace.projection, seed=0)
+    assert np.array_equal(trace.probes, seed7)
     assert not np.array_equal(trace.probes, seed0)
     ptrace = check_projection_convergence(chain, trace)
     assert ptrace.probe_ids == trace.probe_ids
