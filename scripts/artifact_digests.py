@@ -16,7 +16,12 @@ check that a change keeps every artifact byte-identical::
 
 Expected exit codes: 3 for ``gap near_one`` (the stress chain exhausts
 the grid), 1 for ``verify faulty`` (the injected chain is not
-decreasing), 0 for every other command.
+decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
+covers the whole orbit, so the net cannot dominate the row count), 0
+for every other command.  ``nonexample ties`` runs at epsilon 1.0,
+where chords of rows divisible by 3 lie exactly epsilon apart, and
+``nonexample wide`` above ``sqrt(2)``, where the net measures every
+member.
 """
 
 from __future__ import annotations
@@ -44,6 +49,14 @@ COMMANDS = (
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),
+    (
+        "nonexample ties",
+        ["nonexample", "--nmax", "120", "--epsilon", "1.0"],
+    ),
+    (
+        "nonexample wide",
+        ["nonexample", "--nmax", "120", "--epsilon", "1.5"],
+    ),
 )
 
 

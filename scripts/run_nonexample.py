@@ -10,11 +10,10 @@ norm-convergent subsequence arrangement into a totally bounded set.
 
 import argparse
 
-import numpy as np
-
 from contraction_lab import (
     build_nonexample,
     givens_factorization,
+    reconstruction_error,
     verify_not_totally_bounded,
     verify_step_distances,
     verify_vanishing_conditions,
@@ -41,12 +40,7 @@ def main() -> None:
           f"(norm deviation {vanishing.max_norm_deviation:.1e})")
 
     steps = givens_factorization(seq)
-    carried = seq.vector(1)
-    recon = 0.0
-    for step in steps:
-        carried = step.apply(carried)
-        recon = max(recon, float(np.linalg.norm(
-            carried - seq.vector(step.m + 1))))
+    recon = reconstruction_error(seq, steps)
     print(f"Givens reconstruction error over {len(steps)} steps: {recon:.3e}")
 
     table = verify_not_totally_bounded(seq, args.epsilon)

@@ -17,15 +17,12 @@ timestamp- or path-dependent is written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from pathlib import Path
 from typing import NoReturn
-
-import numpy as np
 
 from .chains import ContractionChain, build_chain, parse_chain_spec
 from .config import DEFAULT, DELTA_GRID, SEED_ENV_VAR
@@ -54,12 +51,14 @@ from .gaps import (
 from .nonexample import (
     build_nonexample,
     givens_factorization,
-    givens_to_json,
-    sequence_to_json,
+    reconstruction_error,
     verify_not_totally_bounded,
     verify_step_distances,
     verify_vanishing_conditions,
+    write_givens_json,
     write_net_csv,
+    write_sequence_json,
+    write_step_distances_csv,
 )
 from .operators import (
     check_fixed_vector_equivalence,
@@ -81,10 +80,14 @@ EXIT_INCONCLUSIVE = 2
 EXIT_NO_CERTIFICATE = 3
 EXIT_USAGE = 64
 
-# The orbit is stored densely: nmax(nmax+1)/2 vectors of dimension nmax+1,
-# so memory grows as nmax^3 and the greedy net's time as nmax^4 (about
-# 40 s and 230 MB at 250 on a 2-core x86-64 machine, one BLAS thread).
-NMAX_CEILING = 250
+# The orbit is stored sparsely, nmax(nmax+1)/2 points of two coordinates
+# each, and the greedy net measures each row against the previous one, so
+# memory grows as nmax^2 and time about as nmax^2 at moderate epsilon (as
+# nmax^3 when epsilon is so small that every point joins the net).  On a
+# 2-core x86-64 machine with one BLAS thread, 1000 took about 10 s and
+# 151 MB at epsilon 0.5 and 36 s and 170 MB at 1e-6, inside the 40 s and
+# 230 MB that the dense orbit needed at 250; 1200 took 59 s at 1e-6.
+NMAX_CEILING = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,17 +98,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance option: a finite float ``>= 0``."""
+def _finite(text: str, positive: bool) -> float:
+    """``text`` as a finite float, ``> 0`` if ``positive`` else ``>= 0``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
+    in_range = value > 0.0 if positive else value >= 0.0
+    if not (math.isfinite(value) and in_range):
+        bound = "> 0" if positive else ">= 0"
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
+            f"must be a finite number {bound}, got {text!r}"
         )
     return value
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance or bound option: a finite float ``>= 0``."""
+    return _finite(text, positive=False)
+
+
+def _positive(text: str) -> float:
+    """A finite float ``> 0``."""
+    return _finite(text, positive=True)
 
 
 def _env_seed() -> int | None:
@@ -184,8 +199,6 @@ def cmd_simulate(args, parser) -> int:
 def cmd_gap(args, parser) -> int:
     chain = _load_chain(args, parser)
     horizon = _run_horizon(args, chain, parser)
-    if args.epsilon < 0.0:
-        parser.error(f"--epsilon must be >= 0, got {args.epsilon}")
     if args.grid is None:
         grid = DELTA_GRID
     else:
@@ -227,23 +240,13 @@ def cmd_nonexample(args, parser) -> int:
         parser.error(
             f"--nmax must lie in 2..{NMAX_CEILING}, got {args.nmax}"
         )
-    if args.epsilon <= 0.0:
-        parser.error(f"--epsilon must be positive, got {args.epsilon}")
     seq = build_nonexample(args.nmax)
     distances = verify_step_distances(seq)
     vanishing = verify_vanishing_conditions(seq, k_max=3)
     net = verify_not_totally_bounded(seq, args.epsilon)
     steps = givens_factorization(seq)
-
-    recon_err = 0.0
-    carried = seq.vector(1)
-    for step in steps:
-        carried = step.apply(carried)
-        recon_err = max(
-            recon_err,
-            float(np.linalg.norm(carried - seq.vector(step.m + 1))),
-        )
-    rank_ok = all(step.rank_ok for step in steps)
+    recon_err = reconstruction_error(seq, steps)
+    rank_ok = bool(steps.rank_ok.all())
 
     verdicts = {
         "within_row_distances": distances.within_row_ok,
@@ -267,23 +270,10 @@ def cmd_nonexample(args, parser) -> int:
     }
 
     out = _out_dir(args)
-    _json_dump(sequence_to_json(seq), out / "sequence.json")
-    _json_dump(givens_to_json(steps), out / "givens.json")
+    write_sequence_json(seq, out / "sequence.json")
+    write_givens_json(steps, out / "givens.json")
     write_net_csv(net, out / "net_growth.csv")
-    with open(out / "step_distances.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("m", "row", "kind", "measured", "expected", "deviation"))
-        for s in distances.steps:
-            writer.writerow(
-                [
-                    s.m,
-                    s.row,
-                    s.kind,
-                    format(s.measured, ".17g"),
-                    format(s.expected, ".17g"),
-                    format(s.deviation, ".17g"),
-                ]
-            )
+    write_step_distances_csv(distances, out / "step_distances.csv")
     _json_dump(summary, out / "summary.json")
     return EXIT_PASS if summary["status"] == "pass" else EXIT_FAIL
 
@@ -445,7 +435,10 @@ def build_parser() -> _Parser:
         "--grid", default=None, help="descending comma list of candidate deltas"
     )
     gap.add_argument(
-        "--epsilon", type=float, default=1e-8, help="rate bound epsilon"
+        "--epsilon",
+        type=_tolerance,
+        default=1e-8,
+        help="rate bound epsilon, a finite number >= 0",
     )
     chain_options(gap)
 
@@ -454,10 +447,13 @@ def build_parser() -> _Parser:
         "--nmax",
         type=int,
         default=10,
-        help=f"number of rows, 2..{NMAX_CEILING}",
+        help=f"number of rows, 2..{NMAX_CEILING} (nmax(nmax+1)/2 points)",
     )
     non.add_argument(
-        "--epsilon", type=float, default=0.5, help="greedy net epsilon"
+        "--epsilon",
+        type=_positive,
+        default=0.5,
+        help="greedy net epsilon, a finite number > 0",
     )
     out_option(non)
 

@@ -11,11 +11,16 @@ every coordinate eventually vanishes, yet the orbit revisits a fresh
 basis vector at the start of every row, so no finite epsilon-net can
 cover it.  Each step is realized by a plane rotation, giving a product
 of rank-2-perturbation unitaries that walks the whole orbit from e_1.
+
+Every point has at most two nonzero coordinates, so the orbit, its
+checks, its Givens steps and its artifacts are all computed on arrays of
+those coordinates, in O(n_max^2) memory; no dense orbit is built.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,20 +41,27 @@ __all__ = [
     "NetGrowthRow",
     "NetGrowthTable",
     "GivensStep",
+    "GivensFactorization",
     "build_nonexample",
     "verify_step_distances",
     "verify_vanishing_conditions",
     "verify_not_totally_bounded",
     "givens_factorization",
+    "reconstruction_error",
     "sequence_to_json",
     "givens_to_json",
+    "write_sequence_json",
+    "write_givens_json",
     "write_net_csv",
+    "write_step_distances_csv",
 ]
 
 _DIST_TOL = 1e-10
 _SUPPORT_TOL = 1e-12
 _NORM_TOL = 1e-12
 _RANK_TOL = 1e-9  # singular values of U - I at or below this count as 0
+_BLAS_DOT_BLOCK = 16  # see _pair_dot
+_WRITE_BLOCK = 1024  # entries per %-format in the artifact writers
 
 
 def flat_index(n: int, j: int) -> int:
@@ -66,14 +78,23 @@ def row_col(m: int) -> tuple[int, int]:
 class NonexampleSequence:
     """Finite truncation of the orbit: all rows up to ``n_max``,
     living in dimension ``n_max + 1`` (row ``n_max`` touches the last
-    coordinate)."""
+    coordinate).
+
+    Point ``m`` is held sparsely, in O(n_max^2) memory for the whole
+    orbit: ``rows[m - 1]`` is its row ``n``, and ``cos[m - 1]`` and
+    ``sin[m - 1]`` are its coordinates ``n`` and ``n + 1`` (1-based).
+    Every other coordinate is 0.  ``vector(m)`` builds one dense vector
+    on demand.
+    """
 
     n_max: int
-    vectors: np.ndarray
+    rows: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.rows.size
 
     @property
     def ambient_dim(self) -> int:
@@ -83,27 +104,84 @@ class NonexampleSequence:
     def angle_of(n: int) -> float:
         return math.pi / (2 * n)
 
+    @property
+    def points(self) -> np.ndarray:
+        """``(count, 2)`` support windows: point ``m``'s coordinates
+        ``rows[m - 1]`` and ``rows[m - 1] + 1``."""
+        return np.stack((self.cos, self.sin), axis=1)
+
     def vector(self, m: int) -> np.ndarray:
         if not 1 <= m <= self.count:
             raise PreconditionError(
                 f"index {m} outside 1..{self.count}"
             )
-        return self.vectors[m - 1]
+        out = np.zeros(self.ambient_dim)
+        n = self.rows[m - 1]
+        out[n - 1] = self.cos[m - 1]
+        out[n] = self.sin[m - 1]
+        return out
 
 
 def build_nonexample(n_max: int) -> NonexampleSequence:
     if n_max < 2:
         raise PreconditionError(f"need at least two rows, got n_max={n_max}")
-    count = n_max * (n_max + 1) // 2
-    dim = n_max + 1
-    vectors = np.zeros((count, dim))
-    for n in range(1, n_max + 1):
-        theta = math.pi / (2 * n)
-        for j in range(1, n + 1):
-            m = flat_index(n, j)
-            vectors[m - 1, n - 1] = math.cos((j - 1) * theta)
-            vectors[m - 1, n] = math.sin((j - 1) * theta)
-    return NonexampleSequence(n_max=n_max, vectors=vectors)
+    lengths = np.arange(1, n_max + 1)
+    rows = np.repeat(lengths, lengths)
+    # (j - 1) theta_n with theta_n = pi / (2n), rounded as scalar code
+    # rounds it; math's cos and sin, not numpy's vector ones, so the bits
+    # do not depend on how numpy was built
+    steps = np.arange(rows.size) - flat_index(rows, 1) + 1
+    angles = (steps * (math.pi / (2 * rows))).tolist()
+    return NonexampleSequence(
+        n_max=n_max,
+        rows=rows,
+        cos=np.fromiter(map(math.cos, angles), float, len(angles)),
+        sin=np.fromiter(map(math.sin, angles), float, len(angles)),
+    )
+
+
+def _step_pairs(
+    seq: NonexampleSequence,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Consecutive points ``m`` and ``m + 1`` as ``(count - 1, 2)``
+    arrays ``x`` and ``y`` on the window of ``x``, coordinates ``n`` and
+    ``n + 1`` of its row ``n``, plus the steps whose inner products
+    :func:`_pair_dot` fuses.
+
+    Point ``m + 1`` fits that window: in the same row it has the same
+    support, and a row head is the basis vector ``e_{n+1}``.
+    """
+    cross = seq.rows[1:] != seq.rows[:-1]
+    x = seq.points[:-1]
+    y = np.stack(
+        (
+            np.where(cross, 0.0, seq.cos[1:]),
+            np.where(cross, seq.cos[1:], seq.sin[1:]),
+        ),
+        axis=1,
+    )
+    dim = seq.ambient_dim
+    fused = seq.rows[:-1] >= dim - dim % _BLAS_DOT_BLOCK
+    return x, y, fused
+
+
+def _pair_dot(a: np.ndarray, b: np.ndarray, fused: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of ``(steps, 2)`` arrays, rounded as
+    ``np.dot`` rounds them on the dense vectors.
+
+    OpenBLAS's x86-64 ``ddot``, which ``np.dot`` calls, sums the leading
+    ``dim - dim % 16`` entries of a length-``dim`` vector in SIMD lanes:
+    one nonzero product per lane here, so the dot is the rounded sum of
+    the two rounded products.  It sums the remaining entries in a scalar
+    loop that fuses each multiply-add, and a dot of the two support
+    entries alone runs that same loop.  The ``fused`` steps, whose
+    second coordinate lies in that remainder, take the latter.  A BLAS
+    that fuses nothing gives the plain sum either way.
+    """
+    out = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+    for k in np.flatnonzero(fused).tolist():
+        out[k] = np.dot(a[k], b[k])
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,34 +209,69 @@ class StepDistance:
         return self.deviation <= _DIST_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDistanceReport:
-    steps: tuple[StepDistance, ...]
+    """Every step ``m -> m + 1`` (``m = 1 .. count - 1``) as arrays: the
+    row being left, whether the step stays inside it, and the measured
+    and expected distances.  ``steps`` and its filters give per-step
+    :class:`StepDistance` views."""
+
+    rows: np.ndarray
+    within: np.ndarray
+    measured: np.ndarray
+    expected: np.ndarray
     tol: float
 
     @property
+    def deviations(self) -> np.ndarray:
+        return np.abs(self.measured - self.expected)
+
+    def _views(self, keep: np.ndarray) -> tuple[StepDistance, ...]:
+        index = np.flatnonzero(keep)
+        return tuple(
+            StepDistance(
+                m=k + 1,
+                row=n,
+                kind="within" if inside else "cross",
+                measured=measured,
+                expected=expected,
+            )
+            for k, n, inside, measured, expected in zip(
+                index.tolist(),
+                self.rows[index].tolist(),
+                self.within[index].tolist(),
+                self.measured[index].tolist(),
+                self.expected[index].tolist(),
+            )
+        )
+
+    @property
+    def steps(self) -> tuple[StepDistance, ...]:
+        return self._views(np.ones_like(self.within))
+
+    @property
     def within_row(self) -> tuple[StepDistance, ...]:
-        return tuple(s for s in self.steps if s.kind == "within")
+        return self._views(self.within)
 
     @property
     def cross_row(self) -> tuple[StepDistance, ...]:
-        return tuple(s for s in self.steps if s.kind == "cross")
+        return self._views(~self.within)
 
     @property
     def within_row_ok(self) -> bool:
-        return all(s.ok for s in self.within_row)
+        return bool(np.all(self.deviations[self.within] <= self.tol))
 
     @property
     def cross_row_ok(self) -> bool:
-        return all(s.ok for s in self.cross_row)
+        return bool(np.all(self.deviations[~self.within] <= self.tol))
 
     @property
     def max_within_deviation(self) -> float:
-        return max((s.deviation for s in self.within_row), default=0.0)
+        return float(self.deviations[self.within].max(initial=0.0))
 
     @property
     def max_cross_deviation(self) -> float:
-        return max((s.deviation for s in self.cross_row), default=0.0)
+        return float(self.deviations[~self.within].max(initial=0.0))
 
 
 def verify_step_distances(seq: NonexampleSequence) -> StepDistanceReport:
@@ -167,20 +280,19 @@ def verify_step_distances(seq: NonexampleSequence) -> StepDistanceReport:
     Deviations are reported, never raised; callers decide what to
     assert.
     """
-    steps = []
-    for m in range(1, seq.count):
-        n, j = row_col(m)
-        kind = "within" if j < n else "cross"
-        measured = float(
-            np.linalg.norm(seq.vectors[m] - seq.vectors[m - 1])
-        )
-        expected = 2.0 * math.sin(seq.angle_of(n) / 2.0)
-        steps.append(
-            StepDistance(
-                m=m, row=n, kind=kind, measured=measured, expected=expected
-            )
-        )
-    return StepDistanceReport(steps=tuple(steps), tol=_DIST_TOL)
+    x, y, fused = _step_pairs(seq)
+    diff = y - x
+    expected = [
+        2.0 * math.sin(seq.angle_of(n) / 2.0) for n in range(1, seq.n_max + 1)
+    ]
+    rows = seq.rows[:-1]
+    return StepDistanceReport(
+        rows=rows,
+        within=seq.rows[1:] == rows,
+        measured=np.sqrt(_pair_dot(diff, diff, fused)),
+        expected=np.asarray(expected)[rows - 1],
+        tol=_DIST_TOL,
+    )
 
 
 @dataclass(frozen=True)
@@ -245,44 +357,46 @@ def verify_vanishing_conditions(
     if k_max < 1:
         raise PreconditionError(f"k_max must be >= 1, got {k_max}")
 
-    decays = []
-    for c in range(1, seq.n_max):
-        start = flat_index(c + 1, 1)
-        tail = seq.vectors[start - 1 :, c - 1]
-        decays.append(
-            CoordinateDecay(
-                coordinate=c,
-                first_clear_index=start,
-                max_abs_after=float(np.abs(tail).max()),
-            )
+    # every stored coordinate (1-based c) of every point m, and whether
+    # m lies at or past flat_index(c + 1, 1), where c must read 0
+    m = np.arange(1, seq.count + 1)
+    coords = np.concatenate((seq.rows, seq.rows + 1))
+    values = np.abs(np.concatenate((seq.cos, seq.sin)))
+    late = np.concatenate((m, m)) >= flat_index(coords + 1, 1)
+    max_after = np.zeros(seq.n_max + 2)
+    np.maximum.at(max_after, coords[late], values[late])
+    decays = tuple(
+        CoordinateDecay(
+            coordinate=c,
+            first_clear_index=flat_index(c + 1, 1),
+            max_abs_after=float(max_after[c]),
         )
+        for c in range(1, seq.n_max)
+    )
 
-    norms = np.linalg.norm(seq.vectors, axis=1)
+    norms = np.linalg.norm(seq.points, axis=1)
     max_dev = float(np.abs(norms - 1.0).max())
     nonincreasing = bool(np.all(np.diff(norms) <= _NORM_TOL))
 
     last = seq.n_max
-    row_start = flat_index(last, 1)
+    row = seq.points[flat_index(last, 1) - 1 :]
     step = 2.0 * math.sin(seq.angle_of(last) / 2.0)
-    tails = []
-    for k in range(1, k_max + 1):
-        diffs = [
-            float(np.linalg.norm(seq.vectors[m + k - 1] - seq.vectors[m - 1]))
-            for m in range(row_start, seq.count - k + 1)
-        ]
-        tails.append(
-            TailBound(
-                k=k,
-                tail_max=max(diffs, default=0.0),
-                bound=k * step + _DIST_TOL,
-            )
+    tails = tuple(
+        TailBound(
+            k=k,
+            tail_max=float(
+                np.linalg.norm(row[k:] - row[:-k], axis=1).max(initial=0.0)
+            ),
+            bound=k * step + _DIST_TOL,
         )
+        for k in range(1, k_max + 1)
+    )
 
     return VanishingReport(
-        coordinate_decays=tuple(decays),
+        coordinate_decays=decays,
         max_norm_deviation=max_dev,
         norms_nonincreasing=nonincreasing,
-        tail_bounds=tuple(tails),
+        tail_bounds=tails,
     )
 
 
@@ -301,7 +415,10 @@ class NetGrowthTable:
     shadow of failing total boundedness; for ``epsilon < sqrt(2)/2``
     the size after row ``r`` is at least ``r``, because the ``r`` basis
     vectors seen so far are pairwise ``sqrt(2)`` apart and no single
-    net member can cover two of them.
+    net member can cover two of them.  The same fact keeps the net
+    local: points two or more rows apart have disjoint supports and lie
+    exactly ``sqrt(2)`` apart, so below that (less a rounding margin)
+    only rows ``n - 1`` and ``n`` are measured for a point of row ``n``.
     """
 
     epsilon: float
@@ -323,21 +440,20 @@ def verify_not_totally_bounded(
     """Greedy epsilon-net sizes over row-aligned prefixes of the orbit.
 
     Greedy membership is decided in scan order, so the net over a
-    prefix is a prefix of the full net; one pass suffices.
+    prefix is a prefix of the full net; one pass suffices.  The points
+    go to :func:`orbit_epsilon_net` as their support windows.
     """
-    net = orbit_epsilon_net(seq.vectors, epsilon)
-    members = np.asarray(net.member_indices)
-    rows = []
-    for r in range(1, seq.n_max + 1):
-        prefix = flat_index(r, r)
-        rows.append(
-            NetGrowthRow(
-                rows_completed=r,
-                prefix_count=prefix,
-                net_size=int((members < prefix).sum()),
-            )
+    net = orbit_epsilon_net(seq.points, epsilon, starts=seq.rows - 1)
+    completed = np.arange(1, seq.n_max + 1)
+    prefixes = flat_index(completed, completed)
+    sizes = np.searchsorted(np.asarray(net.member_indices), prefixes)
+    rows = tuple(
+        NetGrowthRow(rows_completed=r, prefix_count=prefix, net_size=size)
+        for r, prefix, size in zip(
+            completed.tolist(), prefixes.tolist(), sizes.tolist()
         )
-    return NetGrowthTable(epsilon=epsilon, rows=tuple(rows), net=net)
+    )
+    return NetGrowthTable(epsilon=epsilon, rows=rows, net=net)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,86 +520,219 @@ class GivensStep:
     @property
     def rank_ok(self) -> bool:
         """``rank(matrix - I)`` is 2 (0 for identity steps), read off the
-        structure instead of a dense SVD.
-
-        With ``u, v`` orthonormal, ``matrix - I`` acts on their span as
-        ``[[c - 1, -s], [s, c - 1]]`` and vanishes elsewhere, so its two
-        nonzero singular values both equal ``hypot(c - 1, s)``, which is
-        ``2 sin(angle / 2)`` for unit vectors.
-        """
-        if self.identity:
-            return True
-        u, v = self.u, self.v
-        gram = np.array([[u @ u, u @ v], [v @ u, v @ v]])
+        structure instead of a dense SVD; see :func:`_rank_ok`."""
         return bool(
-            np.abs(gram - np.eye(2)).max() <= _NORM_TOL
-            and 0.0 < self.angle < math.pi
-            and math.hypot(self.c - 1.0, self.s) > _RANK_TOL
+            _rank_ok(
+                self.u[None], self.v[None], np.array([self.c]),
+                np.array([self.s]), np.array([self.angle]),
+                np.array([self.identity]),
+            )[0]
         )
 
 
-def givens_factorization(seq_or_vectors) -> list[GivensStep]:
+def _rank_ok(u, v, c, s, angle, identity) -> np.ndarray:
+    """Per step: ``rank(U - I)`` is 2, or 0 for identity steps.
+
+    With ``u, v`` orthonormal, ``U - I`` acts on their span as
+    ``[[c - 1, -s], [s, c - 1]]`` and vanishes elsewhere, so its two
+    nonzero singular values both equal ``hypot(c - 1, s)``, which is
+    ``2 sin(angle / 2)`` for unit vectors.  ``u`` and ``v`` are
+    ``(steps, k)`` arrays, zero off each step's support.
+    """
+    gram = np.stack(
+        (
+            np.einsum("ij,ij->i", u, u) - 1.0,
+            np.einsum("ij,ij->i", u, v),
+            np.einsum("ij,ij->i", v, v) - 1.0,
+        )
+    )
+    return identity | (
+        (np.abs(gram).max(axis=0) <= _NORM_TOL)
+        & (0.0 < angle)
+        & (angle < math.pi)
+        & (np.hypot(c - 1.0, s) > _RANK_TOL)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class GivensFactorization:
+    """The rotations carrying each point to the next, as arrays with
+    one row per step ``m = 1 .. len``.
+
+    Step ``m`` acts on a window of coordinates starting at ``frame[m-1]``
+    (0-based); ``mask[m-1]`` marks its support in that window, where
+    ``u`` and ``v`` hold the plane and are zero elsewhere.  Indexing
+    yields the :class:`GivensStep` of one step; ``rank_ok`` checks every
+    step at once.
+    """
+
+    dim: int
+    frame: np.ndarray
+    mask: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    angle: np.ndarray
+    identity: np.ndarray
+
+    def __len__(self) -> int:
+        return self.c.size
+
+    def __getitem__(self, index: int) -> GivensStep:
+        k = range(len(self))[index]
+        keep = self.mask[k]
+        return GivensStep(
+            m=k + 1,
+            dim=self.dim,
+            support=self.frame[k] + np.flatnonzero(keep),
+            u=self.u[k, keep],
+            v=self.v[k, keep],
+            c=float(self.c[k]),
+            s=float(self.s[k]),
+            angle=float(self.angle[k]),
+            identity=bool(self.identity[k]),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def rank_ok(self) -> np.ndarray:
+        return _rank_ok(
+            self.u, self.v, self.c, self.s, self.angle, self.identity
+        )
+
+
+def givens_factorization(seq_or_vectors) -> GivensFactorization:
     """One rotation per consecutive pair; coincident pairs yield a
     flagged identity step so the factorization stays aligned with the
     orbit indices.  Antipodal pairs leave the rotation plane
     underdetermined and are rejected (cannot occur for the built
-    orbit, whose step angles stay below pi/2)."""
-    vectors = (
-        seq_or_vectors.vectors
-        if isinstance(seq_or_vectors, NonexampleSequence)
-        else np.asarray(seq_or_vectors)
-    )
-    count, dim = vectors.shape
-    steps: list[GivensStep] = []
-    for m in range(1, count):
-        x = vectors[m - 1]
-        y = vectors[m]
-        if np.linalg.norm(y - x) <= 1e-14:
-            steps.append(
-                GivensStep(
-                    m=m, dim=dim, support=np.empty(0, dtype=np.intp),
-                    u=np.empty(0), v=np.empty(0), c=1.0, s=0.0, angle=0.0,
-                    identity=True,
-                )
-            )
-            continue
-        # c, s and v come from the dense vectors so that the angle and
-        # plane keep the same rounding however sparse the pair is
-        c = float(x @ y)
-        v = y - c * x
-        s = float(np.linalg.norm(v))
-        if s <= 1e-14:
-            raise PreconditionError(
-                f"vectors {m} and {m + 1} are antipodal: rotation plane "
-                "is underdetermined"
-            )
-        v = v / s
-        support = np.flatnonzero((x != 0.0) | (y != 0.0))
-        steps.append(
-            GivensStep(
-                m=m, dim=dim, support=support, u=x[support], v=v[support],
-                c=c, s=s, angle=math.atan2(s, c), identity=False,
-            )
+    orbit, whose step angles stay below pi/2).
+
+    A :class:`NonexampleSequence` is factored on the two-coordinate
+    window of each step, with the inner products rounded as on the dense
+    vectors (:func:`_pair_dot`); a ``(count, dim)`` array of vectors is
+    its own full-width window.
+    """
+    if isinstance(seq_or_vectors, NonexampleSequence):
+        x, y, fused = _step_pairs(seq_or_vectors)
+        frame = seq_or_vectors.rows[:-1] - 1
+        dim = seq_or_vectors.ambient_dim
+
+        def dot(a, b):
+            return _pair_dot(a, b, fused)
+
+    else:
+        vectors = np.asarray(seq_or_vectors, dtype=float)
+        x, y = vectors[:-1], vectors[1:]
+        frame = np.zeros(len(x), dtype=np.intp)
+        dim = vectors.shape[1]
+
+        def dot(a, b):
+            return np.einsum("ij,ij->i", a, b)
+
+    diff = y - x
+    identity = np.sqrt(dot(diff, diff)) <= 1e-14
+    c = dot(x, y)
+    v = y - c[:, None] * x
+    s = np.sqrt(dot(v, v))
+    antipodal = np.flatnonzero(~identity & (s <= 1e-14))
+    if antipodal.size:
+        m = int(antipodal[0]) + 1
+        raise PreconditionError(
+            f"vectors {m} and {m + 1} are antipodal: rotation plane "
+            "is underdetermined"
         )
-    return steps
+    c[identity] = 1.0
+    s[identity] = 0.0
+    mask = ((x != 0.0) | (y != 0.0)) & ~identity[:, None]
+    v = np.where(mask, v / np.where(identity, 1.0, s)[:, None], 0.0)
+    return GivensFactorization(
+        dim=dim,
+        frame=frame,
+        mask=mask,
+        u=np.where(mask, x, 0.0),
+        v=v,
+        c=c,
+        s=s,
+        angle=np.fromiter(
+            map(math.atan2, s.tolist(), c.tolist()), float, c.size
+        ),
+        identity=identity,
+    )
+
+
+def reconstruction_error(
+    seq: NonexampleSequence, steps: GivensFactorization
+) -> float:
+    """Largest distance between ``e_1`` carried through steps ``1..m``
+    and orbit point ``m + 1``, over all ``m``.
+
+    A sequential walk of the rotations of ``givens_factorization(seq)``
+    on the two scalars of each step's window, which starts at the row of
+    point ``m``; ``u`` and ``v`` are zero off the support, so both
+    scalars can be rotated.  Point ``m + 1`` lies in the three
+    coordinates from there, and the third is not yet carried, so the
+    coordinates below the window never change again: their squared
+    errors are summed once, as the window passes them.
+    """
+    if len(steps) != seq.count - 1 or steps.mask.shape[1] != 2:
+        raise PreconditionError("steps must be the factorization of seq")
+    carried = [0.0] * (seq.ambient_dim + 1)
+    carried[0] = 1.0
+    frozen = 0.0
+    passed = 0  # coordinates below this one are summed into frozen
+    worst = 0.0
+    for first in range(0, len(steps), _WRITE_BLOCK):
+        block = slice(first, first + _WRITE_BLOCK)
+        after = slice(first + 1, first + 1 + _WRITE_BLOCK)
+        columns = (
+            steps.frame[block], steps.u[block, 0], steps.u[block, 1],
+            steps.v[block, 0], steps.v[block, 1], steps.c[block] - 1.0,
+            steps.s[block], seq.rows[after] - 1 - steps.frame[block],
+            seq.cos[after], seq.sin[after],
+        )
+        for f, u0, u1, v0, v1, c1, s, shift, cos, sin in zip(
+            *(column.tolist() for column in columns)
+        ):
+            while passed < f:
+                frozen += carried[passed] ** 2
+                passed += 1
+            x0 = carried[f]
+            x1 = carried[f + 1]
+            a = u0 * x0 + u1 * x1
+            b = v0 * x0 + v1 * x1
+            x0 = x0 + c1 * (u0 * a + v0 * b) + s * (v0 * a - u0 * b)
+            x1 = x1 + c1 * (u1 * a + v1 * b) + s * (v1 * a - u1 * b)
+            carried[f] = x0
+            carried[f + 1] = x1
+            if shift:  # point m + 1 heads the next row
+                error = x0 * x0 + (x1 - cos) ** 2 + sin * sin
+            else:
+                error = (x0 - cos) ** 2 + (x1 - sin) ** 2
+            worst = max(worst, frozen + error)
+    return math.sqrt(worst)
 
 
 def sequence_to_json(seq: NonexampleSequence) -> list[dict]:
     """Sparse export: only the (at most two) nonzero coordinates per
-    vector, keyed by 1-based index."""
+    vector, keyed by 1-based index.  :func:`write_sequence_json` writes
+    the same document."""
     out = []
-    for m in range(1, seq.count + 1):
-        n, j = row_col(m)
-        vec = seq.vectors[m - 1]
-        coords = {
-            str(i + 1): float(vec[i])
-            for i in np.flatnonzero(vec != 0.0)
-        }
+    for m, (n, c, s) in enumerate(
+        zip(seq.rows.tolist(), seq.cos.tolist(), seq.sin.tolist()), start=1
+    ):
+        coords = {str(i): x for i, x in ((n, c), (n + 1, s)) if x != 0.0}
+        j = m - flat_index(n, 1) + 1
         out.append({"m": m, "n": n, "j": j, "coords": coords})
     return out
 
 
-def givens_to_json(steps: list[GivensStep]) -> list[dict]:
+def givens_to_json(steps: GivensFactorization) -> list[dict]:
+    """One entry per step; :func:`write_givens_json` writes the same
+    document."""
     out = []
     for step in steps:
         entry = {
@@ -502,6 +751,135 @@ def givens_to_json(steps: list[GivensStep]) -> list[dict]:
     return out
 
 
+def _row_major(columns, keep: np.ndarray) -> list:
+    """The items of ``columns`` (one sequence per field, one item per
+    entry) entry by entry, where ``keep`` (entries x fields) holds."""
+    table = np.empty((len(columns), keep.shape[0]), dtype=object)
+    for i, column in enumerate(columns):
+        table[i] = column
+    return table.T[keep].tolist()
+
+
+def _dump_entries(path, count: int, block_text) -> None:
+    """Write a JSON list of ``count`` entries as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out, plus a final newline;
+    ``block_text(first, last)`` gives entries ``first..last-1``."""
+    with open(path, "w") as handle:
+        handle.write("[\n")
+        for first in range(0, count, _WRITE_BLOCK):
+            if first:
+                handle.write(",\n")
+            handle.write(block_text(first, min(first + _WRITE_BLOCK, count)))
+        handle.write("\n]\n")
+
+
+_SEQUENCE_ENTRY = (
+    '  {\n    "coords": {%s},\n'
+    '    "j": %%d,\n    "m": %%d,\n    "n": %%d\n  }'
+)
+_COORD = '      "%d": %r'
+
+
+def write_sequence_json(seq: NonexampleSequence, path) -> None:
+    """``sequence.json``: the bytes of ``json.dumps(sequence_to_json(seq),
+    indent=2, sort_keys=True)`` plus a newline, written a block of
+    entries per ``%``-format.
+
+    Keys sort as strings, so coordinate ``"10"`` comes before ``"9"``;
+    floats print as ``repr``, as ``json`` prints them.
+    """
+    # template by (coordinate n nonzero, n + 1 nonzero, n + 1 sorts first)
+    templates = {}
+    for first, second, swap in np.ndindex(2, 2, 2):
+        coords = ",\n".join([_COORD] * (first + second))
+        templates[first, second, swap] = _SEQUENCE_ENTRY % (
+            f"\n{coords}\n    " if coords else ""
+        )
+    # n and n + 1 have the same number of digits unless n + 1 is a power
+    # of ten, and then "n + 1" < "n"
+    swapped = np.array([str(n + 1) < str(n) for n in range(seq.n_max + 1)])
+    n = seq.rows
+    m = np.arange(1, seq.count + 1)
+    j = m - flat_index(n, 1) + 1
+    has_cos = seq.cos != 0.0
+    has_sin = seq.sin != 0.0
+    swap = swapped[n] & has_cos & has_sin
+    fields = (
+        np.where(swap, n + 1, n), np.where(swap, seq.sin, seq.cos),
+        np.where(swap, n, n + 1), np.where(swap, seq.cos, seq.sin),
+        j, m, n,
+    )
+    keep = np.ones((seq.count, len(fields)), dtype=bool)
+    keep[:, 0] = keep[:, 1] = np.where(swap, has_sin, has_cos)
+    keep[:, 2] = keep[:, 3] = np.where(swap, has_cos, has_sin)
+
+    def block_text(first: int, last: int) -> str:
+        kinds = zip(
+            has_cos[first:last].tolist(),
+            has_sin[first:last].tolist(),
+            swap[first:last].tolist(),
+        )
+        entries = [templates[kind] for kind in kinds]
+        cells = [field[first:last].tolist() for field in fields]
+        return ",\n".join(entries) % tuple(
+            _row_major(cells, keep[first:last])
+        )
+
+    _dump_entries(path, seq.count, block_text)
+
+
+_GIVENS_ENTRY = (
+    '  {\n    "angle": %%r,\n    "identity": false,\n    "m": %%d,\n'
+    '    "plane": {\n      "support": [\n%s\n      ],\n'
+    '      "u": [\n%s\n      ],\n      "v": [\n%s\n      ]\n    }\n  }'
+)
+_GIVENS_IDENTITY = (
+    '  {\n    "angle": %r,\n    "identity": true,\n    "m": %d,\n'
+    '    "plane": null\n  }'
+)
+
+
+def write_givens_json(steps: GivensFactorization, path) -> None:
+    """``givens.json``: the bytes of ``json.dumps(givens_to_json(steps),
+    indent=2, sort_keys=True)`` plus a newline, written a block of
+    entries per ``%``-format."""
+    width = steps.mask.shape[1]
+    templates = {}
+
+    def template(size: int) -> str:
+        if size not in templates:
+            items = ",\n".join(["        %s"] * size)
+            templates[size] = _GIVENS_ENTRY % (
+                items.replace("%s", "%d"),
+                items.replace("%s", "%r"),
+                items.replace("%s", "%r"),
+            )
+        return templates[size]
+
+    sizes = steps.mask.sum(axis=1)
+    support = steps.frame[:, None] + np.arange(1, width + 1)
+    fields = (
+        steps.angle, np.arange(1, len(steps) + 1),
+        *support.T, *steps.u.T, *steps.v.T,
+    )
+    keep = np.concatenate(
+        (np.ones((len(steps), 2), dtype=bool), *[steps.mask] * 3), axis=1
+    )
+    kinds = np.where(steps.identity, -1, sizes)
+
+    def block_text(first: int, last: int) -> str:
+        entries = [
+            _GIVENS_IDENTITY if size < 0 else template(size)
+            for size in kinds[first:last].tolist()
+        ]
+        cells = [field[first:last].tolist() for field in fields]
+        return ",\n".join(entries) % tuple(
+            _row_major(cells, keep[first:last])
+        )
+
+    _dump_entries(path, len(steps), block_text)
+
+
 def write_net_csv(table: NetGrowthTable, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -513,4 +891,29 @@ def write_net_csv(table: NetGrowthTable, path) -> None:
                     format(float(table.epsilon), ".17g"),
                     row.net_size,
                 ]
+            )
+
+
+def write_step_distances_csv(report: StepDistanceReport, path) -> None:
+    """One row per step, with the bytes of ``csv.writer`` and each float
+    formatted by ``format(x, ".17g")``, which ``"%.17g" % x`` is."""
+    columns = (
+        np.arange(1, report.rows.size + 1),
+        report.rows,
+        np.where(report.within, "within", "cross"),
+        report.measured,
+        report.expected,
+        report.deviations,
+    )
+    with open(path, "w", newline="") as handle:
+        handle.write("m,row,kind,measured,expected,deviation\r\n")
+        for first in range(0, report.rows.size, _WRITE_BLOCK):
+            cells = [
+                column[first : first + _WRITE_BLOCK].tolist()
+                for column in columns
+            ]
+            lines = len(cells[0])
+            handle.write(
+                "%d,%d,%s,%.17g,%.17g,%.17g\r\n" * lines
+                % tuple(itertools.chain.from_iterable(zip(*cells)))
             )

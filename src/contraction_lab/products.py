@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,19 @@ _BLOCK_BYTES = 64 * 1024
 # trace.csv is formatted and written in blocks of steps of about this
 # many rows, so the text in memory stays bounded at any horizon.
 _CSV_BLOCK_ROWS = 256
+
+# The greedy net measures a block of points against its candidate members
+# (the overlapping ones and the block's own points) in one distance array
+# of at most this many entries.  A block costs its size times the
+# candidates, so smaller blocks do less work on long rows; this size
+# still takes every row of up to 255 points in one block.
+_NET_BLOCK_ENTRIES = 1 << 16
+
+# A member whose support window is disjoint from a point's is left
+# unmeasured only when their exact distance ``sqrt(|m|^2 + |p|^2)``
+# exceeds epsilon by this relative margin, far above the rounding of a
+# measured distance.
+_NET_MARGIN = 1e-12
 
 TRACE_CSV_HEADER = (
     "n",
@@ -544,30 +558,99 @@ class EpsilonNet:
         return len(self.member_indices)
 
 
-def orbit_epsilon_net(points: np.ndarray, epsilon: float) -> EpsilonNet:
+def orbit_epsilon_net(
+    points: np.ndarray, epsilon: float, starts: np.ndarray | None = None
+) -> EpsilonNet:
     """Greedy epsilon-net in scan order.
 
     A point joins the net iff its distance to every current member
     exceeds ``epsilon``.  A net that keeps growing as more of an orbit is
-    scanned is direct evidence against total boundedness.  Accepted
-    members are copied into a preallocated array, so each point is tested
-    against all of them in one vectorized distance computation.
+    scanned is direct evidence against total boundedness.
+
+    Points come in support-window form: row ``i`` of ``points`` holds
+    coordinates ``starts[i] .. starts[i] + width - 1`` (0-based) of point
+    ``i``, and every other coordinate is 0.  ``starts`` must be
+    nondecreasing; it defaults to all zeros, so a dense ``(count, dim)``
+    cloud is its own full-width window.
+
+    Support rule: a member whose window is disjoint from a point's lies
+    exactly ``sqrt(|m|^2 + |p|^2)`` away.  The points are scanned in
+    blocks of one window start.  When that distance exceeds ``epsilon``
+    by the relative margin ``_NET_MARGIN`` for every disjoint member and
+    every point of the block, those members are not measured; otherwise
+    they are, from the two norms.  So for the unit orbit points of
+    ``nonexample``, whose windows ``n, n + 1`` overlap only in adjacent
+    rows, a point of row ``n`` is measured against the members of rows
+    ``n - 1`` and ``n`` alone for any ``epsilon`` below ``sqrt(2)``
+    minus the margin.  The rest of the block's distances, to the members
+    whose windows overlap and to the block's own points, come from one
+    ``norm`` call; the greedy choice then walks the block's points in
+    order.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
-    pts = np.asarray(points)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise PreconditionError("points must be a (count, dim) array")
-    members = np.empty_like(pts)
-    indices: list[int] = []
-    for i, point in enumerate(pts):
-        k = len(indices)
-        if k == 0 or np.all(
-            np.linalg.norm(members[:k] - point, axis=1) > epsilon
-        ):
-            members[k] = point
-            indices.append(i)
-    return EpsilonNet(epsilon=epsilon, member_indices=tuple(indices))
+    count, width = pts.shape
+    if starts is None:
+        starts = np.zeros(count, dtype=np.intp)
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        if starts.shape != (count,) or np.any(np.diff(starts) < 0):
+            raise PreconditionError(
+                "starts must be a nondecreasing (count,) array"
+            )
+    sq = np.einsum("ij,ij->i", pts, pts)
+    reach = (epsilon * (1.0 + _NET_MARGIN)) ** 2
+    members = np.empty(count, dtype=np.intp)
+    member_starts = np.empty(count, dtype=np.intp)
+    least_sq = np.empty(count)  # least squared norm among members[: k + 1]
+    k = 0
+    edges = (np.flatnonzero(np.diff(starts)) + 1).tolist()
+    for lo, hi in zip([0, *edges], [*edges, count]):
+        while lo < hi:
+            start = int(starts[lo])
+            # members[near:k] overlap this window; members[:near] do not
+            near = int(np.searchsorted(member_starts[:k], start - width + 1))
+            q = k - near
+            base = int(member_starts[near]) if q else start
+            frame_width = start + width - base
+            b = math.isqrt(q * q + 4 * _NET_BLOCK_ENTRIES // frame_width)
+            b = min(hi - lo, max(1, (b - q) // 2))
+            block = slice(lo, lo + b)
+            frame = np.zeros((q + b, frame_width))
+            cols = (member_starts[near:k] - base)[:, None] + np.arange(width)
+            frame[np.arange(q)[:, None], cols] = pts[members[near:k]]
+            frame[q:, start - base :] = pts[block]
+            # coordinates first: the norm sums whole planes, not short rows
+            diff = frame[q:].T[:, :, None] - frame.T[:, None, :]
+            close = ~(np.linalg.norm(diff, axis=0) > epsilon)
+            covered = close[:, :q].any(axis=1)
+            if near and least_sq[near - 1] + sq[block].min() <= reach:
+                far = np.sqrt(sq[block, None] + sq[members[:near]])
+                covered |= ~(far > epsilon).all(axis=1)
+            inner = close[:, q:]
+            accepted = []
+            i = 0
+            while i < b:
+                i += int(covered[i:].argmin())  # the next uncovered point
+                if covered[i]:
+                    break
+                accepted.append(i)
+                covered |= inner[i]
+                i += 1
+            added = slice(k, k + len(accepted))
+            members[added] = lo + np.asarray(accepted, dtype=np.intp)
+            member_starts[added] = start
+            least_sq[added] = np.minimum.accumulate(
+                np.append(least_sq[k - 1] if k else np.inf, sq[members[added]])
+            )[1:]
+            k += len(accepted)
+            lo += b
+    return EpsilonNet(
+        epsilon=epsilon, member_indices=tuple(members[:k].tolist())
+    )
 
 
 def _csv_field(text) -> str:

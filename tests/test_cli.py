@@ -244,6 +244,14 @@ def test_gap_custom_grid(tmp_path):
 def test_gap_grid_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, GAP_ENGINEERED)
     assert run_cli(["gap", "--spec", spec, "--epsilon", "-1"]) == 64
+    capsys.readouterr()
+    for bad in ("nan", "inf", "-inf"):
+        # no vacuous bound for inf, no "within nan" verdict for nan
+        err = assert_one_line_usage_error(
+            ["gap", "--spec", spec, f"--epsilon={bad}", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert f"must be a finite number >= 0, got '{bad}'" in err
     assert run_cli(["gap", "--spec", spec, "--grid", "abc"]) == 64
     assert run_cli(["gap", "--spec", spec, "--grid", "0.1,0.2"]) == 64
     argv = ["gap", "--spec", spec, "--out", str(tmp_path)]
@@ -288,6 +296,13 @@ def test_nonexample_usage_errors(tmp_path, capsys):
     assert run_cli(["nonexample", "--nmax", "1"]) == 64
     assert run_cli(["nonexample", "--epsilon", "0"]) == 64
     assert run_cli(["nonexample", "--epsilon", "-2"]) == 64
+    capsys.readouterr()
+    for bad in ("nan", "inf", "-inf"):
+        err = assert_one_line_usage_error(
+            ["nonexample", "--nmax", "5", f"--epsilon={bad}", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert f"must be a finite number > 0, got '{bad}'" in err
     capsys.readouterr()
     assert run_cli(["nonexample", "--nmax", str(NMAX_CEILING + 1)]) == 64
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,25 @@ from contraction_lab import (
     verify_vanishing_conditions,
 )
 from contraction_lab.nonexample import (
+    NonexampleSequence,
     flat_index,
     givens_to_json,
+    reconstruction_error,
     row_col,
     sequence_to_json,
+    write_givens_json,
     write_net_csv,
+    write_sequence_json,
+    write_step_distances_csv,
+)
+from contraction_lab.products import _NET_MARGIN
+from orbit_oracle import (
+    dense_givens,
+    dense_greedy_net,
+    dense_orbit,
+    dense_step_distances,
+    scalar_greedy_net,
+    ulps,
 )
 
 COS_PI_8 = 0.9238795325112867
@@ -60,7 +75,9 @@ def test_build_shape_and_support():
     seq = build_nonexample(10)
     assert seq.count == 55
     assert seq.ambient_dim == 11
-    norms = np.linalg.norm(seq.vectors, axis=1)
+    vectors = np.array([seq.vector(m) for m in range(1, seq.count + 1)])
+    assert np.array_equal(vectors, dense_orbit(10))
+    norms = np.linalg.norm(vectors, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
     for m in range(1, seq.count + 1):
         n, _ = row_col(m)
@@ -285,8 +302,10 @@ def test_write_net_csv_layout(tmp_path):
 
 def test_givens_apply_matches_dense_matrix():
     seq = build_nonexample(8)
-    steps = givens_factorization(seq)
-    steps += givens_factorization(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    steps = [
+        *givens_factorization(seq),
+        *givens_factorization(np.array([[1.0, 0.0], [1.0, 0.0]])),
+    ]
     rng = np.random.default_rng(3)
     for step in steps:
         for _ in range(3):
@@ -352,3 +371,232 @@ def test_givens_rank_check_rejects_vanishing_rotation():
 def test_givens_rank_check_passes_on_orbit():
     for step in givens_factorization(build_nonexample(8)):
         assert step.rank_ok and _svd_rank_ok(step)
+
+
+# ---------------------------------------------------------------------------
+# Sparse orbit against the dense oracle
+
+
+@pytest.mark.parametrize("n_max", [5, 12, 30, 60])
+def test_sparse_orbit_matches_dense_oracle(n_max):
+    seq = build_nonexample(n_max)
+    dense = dense_orbit(n_max)
+    for m in range(1, seq.count + 1):
+        assert np.array_equal(seq.vector(m), dense[m - 1])
+    measured = verify_step_distances(seq).measured
+    assert ulps(measured, dense_step_distances(dense)).max() <= 2
+    steps = givens_factorization(seq)
+    reference = dense_givens(dense)
+    for column, values in enumerate((steps.c, steps.s, steps.angle)):
+        assert ulps(values, reference[:, column]).max() <= 2
+
+
+@pytest.mark.parametrize("n_max", [5, 12, 15, 16, 30, 60, 120])
+def test_sparse_inner_products_keep_dense_bits(n_max):
+    # the cosines and plane norms feed y - c x, which cancels: a cosine
+    # one ulp off moves the plane by thousands of ulps at n_max 250
+    seq = build_nonexample(n_max)
+    steps = givens_factorization(seq)
+    reference = dense_givens(dense_orbit(n_max))
+    assert np.array_equal(steps.c, reference[:, 0])
+    assert np.array_equal(steps.s, reference[:, 1])
+    assert np.array_equal(steps.angle, reference[:, 2])
+
+
+@pytest.mark.parametrize("n_max", [5, 12, 30, 60])
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9, 1.0, 1.41, 1.5])
+def test_net_matches_dense_oracle(n_max, epsilon):
+    net = verify_not_totally_bounded(build_nonexample(n_max), epsilon).net
+    dense = dense_orbit(n_max)
+    assert net.member_indices == dense_greedy_net(dense, epsilon)
+    if n_max <= 12:
+        assert net.member_indices == scalar_greedy_net(dense, epsilon)
+
+
+def test_net_exact_chord_ties():
+    # the chord 2 sin(k pi / (4n)) is 1 at k = 2n/3, and a row head lies
+    # 1 from the point at angle pi/6 of the row before, so at epsilon 1.0
+    # pairs in one row and across rows sit exactly on the boundary
+    dense = dense_orbit(18)
+    dist = np.linalg.norm(dense[:, None] - dense[None], axis=-1)
+    ties = [
+        (row_col(a + 1)[0], row_col(b + 1)[0])
+        for a, b in np.argwhere(np.triu(dist == 1.0))
+    ]
+    assert any(r == s for r, s in ties) and any(r != s for r, s in ties)
+    net = verify_not_totally_bounded(build_nonexample(18), 1.0).net
+    assert net.member_indices == dense_greedy_net(dense, 1.0)
+
+
+@pytest.mark.parametrize("n_max", [12, 30])
+def test_net_support_rule_boundary(n_max):
+    # below sqrt(2) / (1 + margin) only rows n - 1 and n are measured;
+    # from there on every member is, and the net must agree either way
+    edge = math.sqrt(2.0) / (1.0 + _NET_MARGIN)
+    seq = build_nonexample(n_max)
+    dense = dense_orbit(n_max)
+    for epsilon in (
+        edge * (1.0 - 1e-12),
+        np.nextafter(edge, 0.0),
+        edge,
+        np.nextafter(edge, 2.0),
+        edge * (1.0 + 1e-12),
+        math.sqrt(2.0),
+    ):
+        net = verify_not_totally_bounded(seq, float(epsilon)).net
+        assert net.member_indices == dense_greedy_net(dense, epsilon)
+
+
+def test_net_skips_disjoint_rows_below_the_margin(monkeypatch):
+    # one norm call per row of the orbit, each on rows n - 1 and n only
+    calls = []
+    norm = np.linalg.norm
+
+    def recording(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    verify_not_totally_bounded(build_nonexample(20), 0.5)
+    assert len(calls) == 20
+    assert all(shape[0] <= 3 for shape in calls)  # coordinates first
+
+
+def test_orbit_memory_stays_sparse():
+    tracemalloc.start()
+    try:
+        seq = build_nonexample(400)
+        verify_not_totally_bounded(seq, 0.5)
+        givens_factorization(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense orbit alone is 80200 x 401 float64, 257 MB
+    assert peak < 64e6
+
+
+# ---------------------------------------------------------------------------
+# Array-backed reports and factorization
+
+
+def test_step_distance_views_match_arrays():
+    report = verify_step_distances(build_nonexample(7))
+    assert len(report.steps) == report.measured.size == 27
+    assert [s.m for s in report.steps] == list(range(1, 28))
+    assert len(report.within_row) + len(report.cross_row) == 27
+    assert all(s.kind == "cross" for s in report.cross_row)
+    assert [s.m for s in report.cross_row] == [
+        flat_index(n, n) for n in range(1, 7)
+    ]
+    for s in report.steps:
+        assert s.measured == report.measured[s.m - 1]
+        assert s.deviation == report.deviations[s.m - 1]
+
+
+def test_givens_factorization_indexing():
+    steps = givens_factorization(build_nonexample(5))
+    assert len(steps) == 14
+    assert steps[-1].m == 14
+    assert [step.m for step in steps] == list(range(1, 15))
+    with pytest.raises(IndexError):
+        steps[14]
+    assert steps.rank_ok.all()
+    assert [step.rank_ok for step in steps] == steps.rank_ok.tolist()
+
+
+def test_reconstruction_error_matches_dense_walk():
+    # the same rotation arithmetic on dense vectors, with every
+    # coordinate's error summed at every step
+    seq = build_nonexample(30)
+    steps = givens_factorization(seq)
+    carried = seq.vector(1).tolist()
+    worst = 0.0
+    for step in steps:
+        plane = list(
+            zip(step.support.tolist(), step.u.tolist(), step.v.tolist())
+        )
+        a = sum(u * carried[i] for i, u, _ in plane)
+        b = sum(v * carried[i] for i, _, v in plane)
+        for i, u, v in plane:
+            carried[i] = (
+                carried[i]
+                + (step.c - 1.0) * (u * a + v * b)
+                + step.s * (v * a - u * b)
+            )
+        target = seq.vector(step.m + 1).tolist()
+        worst = max(
+            worst, math.fsum((x - t) ** 2 for x, t in zip(carried, target))
+        )
+    error = reconstruction_error(seq, steps)
+    assert 0.0 < error <= 1e-13
+    assert error == pytest.approx(math.sqrt(worst), rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Writers
+
+
+@pytest.mark.parametrize("n_max", [2, 12, 30])
+def test_json_writers_match_json_dumps(tmp_path, n_max):
+    # rows 9 and 10 exercise string key order: "10" sorts before "9"
+    seq = build_nonexample(n_max)
+    steps = givens_factorization(seq)
+    write_sequence_json(seq, tmp_path / "sequence.json")
+    write_givens_json(steps, tmp_path / "givens.json")
+    for name, doc in (
+        ("sequence.json", sequence_to_json(seq)),
+        ("givens.json", givens_to_json(steps)),
+    ):
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / name).read_text() == expected
+
+
+def test_sequence_writer_handles_zero_coordinates(tmp_path):
+    # the built orbit always has cos > 0; a hand-made sequence may not
+    seq = NonexampleSequence(
+        n_max=2,
+        rows=np.array([1, 2, 2]),
+        cos=np.array([0.0, 0.0, 0.6]),
+        sin=np.array([0.8, 0.0, 0.8]),
+    )
+    write_sequence_json(seq, tmp_path / "sequence.json")
+    expected = json.dumps(sequence_to_json(seq), indent=2, sort_keys=True)
+    assert (tmp_path / "sequence.json").read_text() == expected + "\n"
+
+
+def test_givens_writer_handles_identity_and_dense_steps(tmp_path):
+    rng = np.random.default_rng(4)
+    vectors = rng.standard_normal((6, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[3] = vectors[2]  # an identity step
+    vectors[4] = [0.0, 1.0, 0.0]
+    vectors[5] = [0.0, 0.0, 1.0]  # a step on a support of two
+    steps = givens_factorization(vectors)
+    assert steps[2].identity
+    assert len(steps[4].support) == 2
+    write_givens_json(steps, tmp_path / "givens.json")
+    expected = json.dumps(givens_to_json(steps), indent=2, sort_keys=True)
+    assert (tmp_path / "givens.json").read_text() == expected + "\n"
+
+
+def test_step_distances_writer_matches_csv_writer(tmp_path):
+    report = verify_step_distances(build_nonexample(12))
+    write_step_distances_csv(report, tmp_path / "fast.csv")
+    with open(tmp_path / "slow.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ("m", "row", "kind", "measured", "expected", "deviation")
+        )
+        for s in report.steps:
+            writer.writerow(
+                [
+                    s.m,
+                    s.row,
+                    s.kind,
+                    format(s.measured, ".17g"),
+                    format(s.expected, ".17g"),
+                    format(s.deviation, ".17g"),
+                ]
+            )
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "slow.csv").read_bytes()

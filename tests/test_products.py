@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from contraction_lab import (
     DEFAULT,
     ContractionChain,
-    build_nonexample,
     InvariantError,
     Operator,
     PreconditionError,
@@ -33,6 +32,7 @@ from contraction_lab import (
 from contraction_lab import products
 from contraction_lab.chains import stream_rng
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
+from orbit_oracle import dense_orbit, scalar_greedy_net
 
 
 def telescoping_chain(horizon=50):
@@ -626,17 +626,6 @@ def test_orbit_epsilon_net_properties(seed, count, epsilon):
     assert np.all(dists.min(axis=1) <= epsilon)
 
 
-def scalar_greedy_net(points, epsilon):
-    """Reference greedy scan: one distance per (point, member) pair."""
-    members = []
-    for i in range(points.shape[0]):
-        if all(
-            np.linalg.norm(points[i] - points[j]) > epsilon for j in members
-        ):
-            members.append(i)
-    return tuple(members)
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2_000),
     count=st.integers(min_value=1, max_value=60),
@@ -663,9 +652,66 @@ def test_orbit_epsilon_net_matches_scalar_scan(
 @pytest.mark.parametrize("n_max", [5, 12, 30])
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9, 1.5])
 def test_orbit_epsilon_net_matches_scalar_scan_on_orbit(n_max, epsilon):
-    points = build_nonexample(n_max).vectors
+    points = dense_orbit(n_max)
     net = orbit_epsilon_net(points, epsilon)
     assert net.member_indices == scalar_greedy_net(points, epsilon)
+
+
+def _dense_from_windows(points, starts):
+    dense = np.zeros((len(points), int(starts.max(initial=0)) + points.shape[1]))
+    for row, (window, start) in enumerate(zip(points, starts)):
+        dense[row, start : start + len(window)] = window
+    return dense
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2_000),
+    count=st.integers(min_value=1, max_value=50),
+    width=st.integers(min_value=1, max_value=3),
+    scale=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    epsilon=st.one_of(
+        st.sampled_from([0.5, 1.0, 1.5]),
+        st.floats(min_value=0.05, max_value=2.0),
+    ),
+    on_grid=st.booleans(),
+)
+def test_orbit_epsilon_net_windows_match_scalar_scan(
+    seed, count, width, scale, epsilon, on_grid
+):
+    # short vectors put disjoint members within epsilon, so the support
+    # rule must fall back to measuring them; long ones let it skip them
+    rng = np.random.default_rng(seed)
+    starts = np.sort(rng.integers(0, 6, size=count))
+    if on_grid:
+        points = rng.integers(-2, 3, size=(count, width)) * 0.5
+    else:
+        points = rng.standard_normal((count, width)) * scale
+    net = orbit_epsilon_net(points, epsilon, starts=starts)
+    dense = _dense_from_windows(points, starts)
+    assert net.member_indices == scalar_greedy_net(dense, epsilon)
+
+
+def test_orbit_epsilon_net_rejects_bad_starts():
+    with pytest.raises(PreconditionError, match="starts"):
+        orbit_epsilon_net(np.eye(3), 0.5, starts=[0, 2, 1])
+    with pytest.raises(PreconditionError, match="starts"):
+        orbit_epsilon_net(np.eye(3), 0.5, starts=[0, 1])
+    with pytest.raises(PreconditionError, match="epsilon"):
+        orbit_epsilon_net(np.eye(3), float("nan"))
+
+
+def test_orbit_epsilon_net_blocks_split_long_rows(monkeypatch):
+    # a block budget far below one row's distances splits every row into
+    # many blocks; the net must not change
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((300, 2))
+    starts = np.repeat([0, 1, 3], 100)
+    whole = orbit_epsilon_net(points, 0.4, starts=starts)
+    monkeypatch.setattr(products, "_NET_BLOCK_ENTRIES", 64)
+    split = orbit_epsilon_net(points, 0.4, starts=starts)
+    assert split.member_indices == whole.member_indices
+    dense = _dense_from_windows(points, starts)
+    assert whole.member_indices == scalar_greedy_net(dense, 0.4)
 
 
 # ---------------------------------------------------------------------------

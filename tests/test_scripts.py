@@ -55,6 +55,8 @@ def test_artifact_digests_one_line_per_command():
         "verify": 0,
         "verify faulty": 1,
         "nonexample": 0,
+        "nonexample ties": 0,
+        "nonexample wide": 1,
     }
     assert len(lines) == len(expected_exits)
     for line, (label, code) in zip(lines, expected_exits.items()):
