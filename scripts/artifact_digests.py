@@ -18,10 +18,13 @@ Expected exit codes: 3 for ``gap near_one`` (the stress chain exhausts
 the grid), 1 for ``verify faulty`` (the injected chain is not
 decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
 covers the whole orbit, so the net cannot dominate the row count), 0
-for every other command.  ``nonexample ties`` runs at epsilon 1.0,
-where chords of rows divisible by 3 lie exactly epsilon apart, and
-``nonexample wide`` above ``sqrt(2)``, where the net measures every
-member.
+for every other command.  The two ``dim16`` specs are the only ones
+above dim 10, where the default ``tol_psd = 1e-10 * dim`` exceeds
+``tol_eig``, so the band ``(1 + tol_eig, 1 + tol_psd]`` that the
+fixed-space rule must cover is not empty.  ``nonexample ties`` runs at
+epsilon 1.0, where chords of rows divisible by 3 lie exactly epsilon
+apart, and ``nonexample wide`` above ``sqrt(2)``, where the net measures
+every member.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ COMMANDS = (
     ("simulate gap_engineered", ["simulate", "--spec", "gap_engineered.json"]),
     ("gap gap_engineered", ["gap", "--spec", "gap_engineered.json"]),
     ("gap near_one", ["gap", "--spec", "near_one.json"]),
+    ("simulate schur_dim16", ["simulate", "--spec", "schur_dim16.json"]),
+    ("gap gap_dim16", ["gap", "--spec", "gap_dim16.json"]),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),

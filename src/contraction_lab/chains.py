@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,22 +47,6 @@ __all__ = [
     "parse_chain_spec",
     "build_chain",
 ]
-
-CHAIN_KINDS = (
-    "diagonal",
-    "schur_decrement",
-    "conjugated_diagonal",
-    "gap_engineered",
-    "near_one_accumulating",
-)
-
-# kinds that cannot be built without a seed
-SEEDED_KINDS = (
-    "schur_decrement",
-    "conjugated_diagonal",
-    "gap_engineered",
-    "near_one_accumulating",
-)
 
 # spawn-key namespaces so independent draws never share a stream
 _STREAM_CONJUGATION = 1
@@ -156,9 +140,10 @@ def harmonic_to(target: float) -> Curve:
 
 
 def affine_harmonic(offset: float, slope: float) -> Curve:
-    """``offset + slope/n`` with both parts nonnegative and peak <= 1."""
+    """``offset + slope/n`` with both parts nonnegative and peak <= 1
+    (a NaN part fails the test)."""
     offset, slope = float(offset), float(slope)
-    if offset < 0.0 or slope < 0.0 or offset + slope > 1.0 + 1e-12:
+    if not (offset >= 0.0 and slope >= 0.0 and offset + slope <= 1.0 + 1e-12):
         raise ValueError(
             f"affine_harmonic needs offset, slope >= 0 and peak <= 1, "
             f"got {offset} + {slope}"
@@ -176,6 +161,8 @@ def peel(stage: int, level: float, decay: float) -> Curve:
     The one-step drop followed by a geometric slide is what lets a
     coordinate leave the 1-cluster *into* a prescribed band below 1.
     """
+    if not float(stage).is_integer():
+        raise ValueError(f"peel stage must be a whole number, got {stage}")
     stage = int(stage)
     if stage < 1:
         raise ValueError(f"peel stage must be >= 1, got {stage}")
@@ -632,35 +619,17 @@ def near_one_accumulating_chain(
     )
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Declarative chain description: what :func:`parse_chain_spec`
-    returns for a decoded JSON document, and what :func:`build_chain`
-    builds.  ``to_json_dict`` gives back a document that parses to an
-    equal spec."""
+def _is_int(value) -> bool:
+    """The one integer rule: a JSON ``true`` or ``false`` is not one."""
+    return type(value) is int
 
-    kind: str
-    dim: int
-    horizon: int = DEFAULT_HORIZON
-    seed: int | None = None
-    curves: tuple[Curve, ...] | None = None
-    delta: float | None = None
-    fixed_rank: int = 0
-    top: float = 0.9
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind, "dim": self.dim, "horizon": self.horizon}
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        if self.curves is not None:
-            doc["curves"] = [c.to_spec() for c in self.curves]
-        if self.delta is not None:
-            doc["delta"] = self.delta
-        if self.kind in ("gap_engineered", "schur_decrement"):
-            doc["fixed_rank"] = self.fixed_rank
-        if self.kind == "schur_decrement":
-            doc["top"] = self.top
-        return doc
+def _positive_int(value, dim: int) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _in_open_unit(value, dim: int) -> bool:
+    return isinstance(value, (int, float)) and 0.0 < value < 1.0
 
 
 def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
@@ -668,7 +637,7 @@ def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
         violations.append(f"curve {index}: expected [tag, params...]")
         return None
     tag, *params = entry
-    builder = _CURVE_BUILDERS.get(tag)
+    builder = _CURVE_BUILDERS.get(tag) if isinstance(tag, str) else None
     if builder is None:
         violations.append(f"curve {index}: unknown tag {tag!r}")
         return None
@@ -679,146 +648,173 @@ def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
             f"got {len(params)}"
         )
         return None
+    for p in params:
+        if not (_is_int(p) or type(p) is float and np.isfinite(p)):
+            violations.append(f"curve {index}: {p!r} is not a finite number")
+            return None
     try:
         return fn(*params)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         violations.append(f"curve {index}: {exc}")
         return None
 
 
-_KNOWN_KEYS = {
-    "kind", "dim", "horizon", "seed", "curves", "delta", "fixed_rank", "top",
+class _Key(NamedTuple):
+    # default when absent; rule on (value, dim); violation message, which
+    # formats the value; taken by every kind
+    default: object
+    rule: Callable[[object, int], bool]
+    message: str
+    shared: bool = False
+
+
+_KEYS = {
+    "dim": _Key(
+        None, _positive_int, "dim must be a positive integer, got {!r}", True
+    ),
+    "horizon": _Key(
+        DEFAULT_HORIZON,
+        _positive_int,
+        "horizon must be a positive integer, got {!r}",
+        True,
+    ),
+    "seed": _Key(
+        None,
+        lambda v, dim: v is None or (_is_int(v) and v >= 0),
+        "seed must be a nonnegative integer, got {!r}",
+        True,
+    ),
+    "curves": _Key(
+        None,
+        lambda v, dim: isinstance(v, list) and len(v) > 0,
+        "diagonal kinds need a nonempty 'curves' list",
+    ),
+    "delta": _Key(None, _in_open_unit, "delta must lie in (0, 1), got {!r}"),
+    "fixed_rank": _Key(
+        0,
+        lambda v, dim: _is_int(v) and 0 <= v <= dim,
+        "fixed_rank must be an integer in [0, dim], got {!r}",
+    ),
+    "top": _Key(0.9, _in_open_unit, "top must lie in (0, 1), got {!r}"),
+}
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """Declarative chain description: what :func:`parse_chain_spec`
+    returns for a decoded JSON document, and what :func:`build_chain`
+    builds.  ``to_json_dict`` gives back a document that parses to an
+    equal spec."""
+
+    kind: str
+    dim: int
+    horizon: int = _KEYS["horizon"].default
+    seed: int | None = _KEYS["seed"].default
+    curves: tuple[Curve, ...] | None = _KEYS["curves"].default
+    delta: float | None = _KEYS["delta"].default
+    fixed_rank: int = _KEYS["fixed_rank"].default
+    top: float = _KEYS["top"].default
+
+    def to_json_dict(self) -> dict:
+        taken = _KINDS[self.kind].keys
+        doc: dict = {"kind": self.kind}
+        for key, entry in _KEYS.items():
+            value = getattr(self, key)
+            if (entry.shared or key in taken) and value is not None:
+                if key == "curves":
+                    value = [c.to_spec() for c in value]
+                doc[key] = value
+        return doc
+
+
+class _Kind(NamedTuple):
+    # builder, keys taken besides the shared ones, seed needed, least dim
+    build: Callable[[ChainSpec], ContractionChain]
+    keys: tuple[str, ...] = ()
+    seeded: bool = True
+    min_dim: int = 1
+
+
+_KINDS = {
+    "diagonal": _Kind(
+        lambda s: diagonal_chain(s.curves, s.dim, s.horizon, seed=s.seed),
+        ("curves",),
+        seeded=False,
+    ),
+    "schur_decrement": _Kind(
+        lambda s: random_schur_chain(
+            s.dim, s.seed, s.horizon, fixed_rank=s.fixed_rank, top=s.top
+        ),
+        ("fixed_rank", "top"),
+    ),
+    "conjugated_diagonal": _Kind(
+        lambda s: conjugated_diagonal_chain(
+            s.curves, s.dim, s.horizon, seed=s.seed
+        ),
+        ("curves",),
+    ),
+    "gap_engineered": _Kind(
+        lambda s: gap_engineered_chain(
+            s.dim, s.delta, s.fixed_rank, s.seed, s.horizon
+        ),
+        ("delta", "fixed_rank"),
+    ),
+    "near_one_accumulating": _Kind(
+        lambda s: near_one_accumulating_chain(s.dim, s.seed, s.horizon),
+        min_dim=2,
+    ),
 }
 
 
 def parse_chain_spec(data: dict) -> ChainSpec:
     """Validate a decoded chain spec document, collecting every
     violation."""
-    violations: list[str] = []
     if not isinstance(data, dict):
         raise ChainSpecError(["spec must be a JSON object"])
-
-    for key in sorted(set(data) - _KNOWN_KEYS):
-        violations.append(f"unknown key {key!r}")
-
+    violations = [
+        f"unknown key {key!r}"
+        for key in sorted(set(data) - set(_KEYS) - {"kind"})
+    ]
     kind = data.get("kind")
-    if kind not in CHAIN_KINDS:
+    spec_kind = _KINDS.get(kind) if isinstance(kind, str) else None
+    if spec_kind is None:
         violations.append(
-            f"unknown kind {kind!r}; expected one of {', '.join(CHAIN_KINDS)}"
+            f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}"
         )
+    taken = spec_kind.keys if spec_kind is not None else ()
 
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        violations.append(f"dim must be a positive integer, got {dim!r}")
-        dim = 0
-    if kind == "near_one_accumulating" and isinstance(dim, int) and dim < 2:
-        violations.append("near_one_accumulating needs dim >= 2")
-
-    horizon = data.get("horizon", DEFAULT_HORIZON)
-    if not isinstance(horizon, int) or horizon < 1:
-        violations.append(f"horizon must be a positive integer, got {horizon!r}")
-        horizon = DEFAULT_HORIZON
-
-    seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        violations.append(f"seed must be an integer, got {seed!r}")
-        seed = None
-    if kind in SEEDED_KINDS and seed is None:
-        violations.append(f"kind {kind!r} requires a seed")
-
-    curves = None
-    if kind in ("diagonal", "conjugated_diagonal"):
-        raw = data.get("curves")
-        if not isinstance(raw, list) or not raw:
-            violations.append("diagonal kinds need a nonempty 'curves' list")
+    fields: dict = {}
+    for key, entry in _KEYS.items():
+        if not (entry.shared or key in taken):
+            if key in data:
+                violations.append(f"kind {kind!r} does not take {key!r}")
+            continue
+        value = data.get(key, entry.default)
+        if entry.rule(value, fields.get("dim", 0)):
+            fields[key] = value
         else:
-            parsed = [
-                _parse_curve(entry, i, violations) for i, entry in enumerate(raw)
-            ]
-            if dim and len(parsed) != dim:
-                violations.append(
-                    f"{len(parsed)} curves for dimension {dim}"
-                )
-            if all(c is not None for c in parsed):
-                curves = tuple(parsed)
-    elif "curves" in data:
-        violations.append(f"kind {kind!r} does not take 'curves'")
+            violations.append(entry.message.format(value))
+    if fields.get("curves") is not None:
+        raw, dim = fields["curves"], fields.get("dim")
+        fields["curves"] = tuple(
+            _parse_curve(entry, i, violations) for i, entry in enumerate(raw)
+        )
+        if dim and len(raw) != dim:
+            violations.append(f"{len(raw)} curves for dimension {dim}")
 
-    delta = data.get("delta")
-    if kind == "gap_engineered":
-        if not isinstance(delta, (int, float)) or not 0.0 < float(delta) < 1.0:
-            violations.append(f"delta must lie in (0, 1), got {delta!r}")
-            delta = None
-        else:
-            delta = float(delta)
-    elif delta is not None:
-        violations.append(f"kind {kind!r} does not take 'delta'")
-        delta = None
-
-    fixed_rank = data.get("fixed_rank", 0)
-    if kind in ("gap_engineered", "schur_decrement"):
-        if (
-            not isinstance(fixed_rank, int)
-            or not 0 <= fixed_rank <= (dim or 0)
-        ):
-            violations.append(
-                f"fixed_rank must be an integer in [0, dim], got {fixed_rank!r}"
-            )
-            fixed_rank = 0
-    elif "fixed_rank" in data:
-        violations.append(f"kind {kind!r} does not take 'fixed_rank'")
-
-    top = data.get("top", 0.9)
-    if kind == "schur_decrement":
-        if not isinstance(top, (int, float)) or not 0.0 < float(top) < 1.0:
-            violations.append(f"top must lie in (0, 1), got {top!r}")
-            top = 0.9
-        else:
-            top = float(top)
-    elif "top" in data:
-        violations.append(f"kind {kind!r} does not take 'top'")
-
+    if spec_kind is not None:
+        if fields.get("dim", spec_kind.min_dim) < spec_kind.min_dim:
+            violations.append(f"{kind} needs dim >= {spec_kind.min_dim}")
+        if spec_kind.seeded and data.get("seed") is None:
+            violations.append(f"kind {kind!r} requires a seed")
     if violations:
         raise ChainSpecError(violations)
-    return ChainSpec(
-        kind=kind,
-        dim=dim,
-        horizon=horizon,
-        seed=seed,
-        curves=curves,
-        delta=delta,
-        fixed_rank=fixed_rank,
-        top=top,
-    )
+    return ChainSpec(kind=kind, **fields)
 
 
 def build_chain(spec: ChainSpec) -> ContractionChain:
     """Materialize the chain a spec describes."""
-    if spec.kind == "diagonal":
-        return diagonal_chain(
-            spec.curves, spec.dim, spec.horizon, seed=spec.seed
-        )
-    if spec.kind == "conjugated_diagonal":
-        return conjugated_diagonal_chain(
-            spec.curves, spec.dim, spec.horizon, seed=spec.seed
-        )
-    if spec.kind == "schur_decrement":
-        return random_schur_chain(
-            spec.dim,
-            spec.seed,
-            spec.horizon,
-            fixed_rank=spec.fixed_rank,
-            top=spec.top,
-        )
-    if spec.kind == "gap_engineered":
-        return gap_engineered_chain(
-            spec.dim,
-            spec.delta,
-            spec.fixed_rank,
-            spec.seed,
-            spec.horizon,
-        )
-    if spec.kind == "near_one_accumulating":
-        return near_one_accumulating_chain(spec.dim, spec.seed, spec.horizon)
-    raise ChainSpecError([f"unknown kind {spec.kind!r}"])
-
+    spec_kind = _KINDS.get(spec.kind)
+    if spec_kind is None:
+        raise ChainSpecError([f"unknown kind {spec.kind!r}"])
+    return spec_kind.build(spec)

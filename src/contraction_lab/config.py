@@ -17,8 +17,8 @@ __all__ = ["Tolerances", "DEFAULT", "DELTA_GRID"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    # an eigenvalue lambda counts as 1 iff 1 - eig <= lambda <= 1 + eig;
-    # the gap window below 1 is 1 - delta + eig < lambda < 1 - eig
+    # an eigenvalue of a positive contraction counts as 1 iff it is
+    # >= 1 - eig; the gap window below 1 is 1 - delta + eig < lambda < 1 - eig
     eig: float = 1e-9
     # PSD / Loewner slack, scaled by dimension
     psd_per_dim: float = 1e-10

@@ -9,11 +9,12 @@ Numerical conventions
 * Matrices are hermitized on construction: ``(M + M*) / 2``.  This makes
   the Hermitian property exact in floating point, so ``eigh`` semantics
   are unambiguous.
-* An eigenvalue ``lambda`` counts as 1 iff
-  ``1 - tol_eig <= lambda <= 1 + tol_eig``.  This one rule picks out the
-  fixed space in :func:`fixed_point_projection`,
-  :func:`fixed_space_rank` and :func:`check_projection_monotone`, so
-  "rank of the fixed space" always means the same thing everywhere.
+* An eigenvalue ``lambda`` of a positive contraction counts as 1 iff
+  ``lambda >= 1 - tol_eig``; the positivity check already bounds it by
+  ``1 + tol_psd``.  This one rule picks out the fixed space in
+  :func:`fixed_point_projection`, :func:`fixed_space_rank` and
+  :func:`check_projection_monotone`, so "rank of the fixed space" always
+  means the same thing everywhere.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
 * Real symmetric input stays real (``float64``); anything with an
@@ -175,9 +176,9 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
 
 
 def _fixed_mask(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
-    """Eigenvalues that count as 1: within ``tol_eig`` of 1, both ends
-    inclusive."""
-    return (eigenvalues >= 1.0 - tol_eig) & (eigenvalues <= 1.0 + tol_eig)
+    """Eigenvalues that count as 1: at least ``1 - tol_eig``; the
+    positivity check every caller passed bounds them by ``1 + tol_psd``."""
+    return eigenvalues >= 1.0 - tol_eig
 
 
 def _projection_onto(space: np.ndarray | Witnessed) -> Projection:
@@ -250,8 +251,8 @@ def contraction_decompose(
 def fixed_space_rank(
     decomp: SpectralDecomposition, *, tol_eig: float = DEFAULT.eig
 ) -> int:
-    """Rank of the fixed-point space under the clustering rule: the rank
-    of :func:`fixed_point_projection` for the decomposed operator."""
+    """Fixed-space rank of a decomposed positive contraction under the
+    clustering rule: the rank of :func:`fixed_point_projection`."""
     return int(_fixed_mask(decomp.eigenvalues, tol_eig).sum())
 
 

@@ -1,5 +1,8 @@
+import math
+import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from contraction_lab import (
     spectral_decompose,
     stream_rng,
 )
+from contraction_lab import chains
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +468,37 @@ def test_parse_chain_spec_kind_specific_rules():
     ids=lambda d: d["kind"],
 )
 def test_build_chain_all_kinds(doc):
-    chain = build_chain(parse_chain_spec(doc))
+    spec = parse_chain_spec(doc)
+    # the document writes the keys the kind takes, defaults included
+    assert parse_chain_spec(spec.to_json_dict()) == spec
+    chain = build_chain(spec)
     assert chain.kind == doc["kind"]
     assert chain.dim == doc["dim"]
     assert is_positive_contraction(chain.operator_at(chain.horizon))
+
+
+def test_readme_kind_table_matches_kinds():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(
+        r"^\| `(\w+)` \| ([^|]*) \|", readme.read_text(), re.MULTILINE
+    )
+    documented = {
+        kind: set(re.findall(r"`(\w+)`", keys)) for kind, keys in rows
+    }
+    assert documented == {
+        kind: set(entry.keys) | ({"seed"} if entry.seeded else set())
+        for kind, entry in chains._KINDS.items()
+    }
+
+
+def test_curve_constructors_refuse_nan_and_fractional_stage():
+    with pytest.raises(ValueError, match="affine_harmonic"):
+        affine_harmonic(math.nan, 0.5)
+    with pytest.raises(ValueError, match="affine_harmonic"):
+        affine_harmonic(0.5, math.nan)
+    with pytest.raises(ValueError, match="whole number"):
+        peel(2.7, 0.5, 0.9)
+    assert peel(5.0, 0.5, 0.9) == peel(5, 0.5, 0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -461,6 +462,76 @@ def test_spec_seed_wins_over_flag(tmp_path):
     assert (out1 / "rate_table.csv").read_bytes() == (
         out2 / "rate_table.csv"
     ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# spec edge: malformed values exit 64 with one line and write nothing
+
+UNSEEDED_SCHUR = {"kind": "schur_decrement", "dim": 4, "horizon": 10}
+SCHUR = dict(UNSEEDED_SCHUR, seed=1)
+
+
+def one_curve(*curve):
+    return {
+        "kind": "diagonal", "dim": 1, "horizon": 10, "curves": [list(curve)]
+    }
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, env_seed, message",
+    [
+        ("simulate", dict(SCHUR, dim=True), [], None,
+         "dim must be a positive integer, got True"),
+        ("simulate", dict(SCHUR, horizon=True), [], None,
+         "horizon must be a positive integer, got True"),
+        ("gap", dict(SCHUR, fixed_rank=True), [], None,
+         "fixed_rank must be an integer in [0, dim], got True"),
+        ("simulate", dict(SCHUR, seed=True), [], None,
+         "seed must be a nonnegative integer, got True"),
+        ("simulate", dict(SCHUR, seed=-1), [], None,
+         "seed must be a nonnegative integer, got -1"),
+        ("gap", UNSEEDED_SCHUR, ["--seed", "-5"], None,
+         "seed must be a nonnegative integer, got -5"),
+        ("simulate", UNSEEDED_SCHUR, [], "-2",
+         "seed must be a nonnegative integer, got -2"),
+        ("simulate", one_curve("affine_harmonic", math.nan, 0.5), [], None,
+         "curve 0: nan is not a finite number"),
+        ("simulate", one_curve("const", True), [], None,
+         "curve 0: True is not a finite number"),
+        ("simulate", one_curve("peel", 2.7, 0.5, 0.9), [], None,
+         "curve 0: peel stage must be a whole number, got 2.7"),
+        ("simulate", one_curve(["const"], 0.5), [], None,
+         "curve 0: unknown tag ['const']"),
+    ],
+    ids=[
+        "dim-true", "horizon-true", "fixed_rank-true", "seed-true",
+        "seed-negative", "seed-flag-negative", "seed-env-negative",
+        "curve-nan", "curve-bool", "peel-fractional-stage",
+        "curve-unhashable-tag",
+    ],
+)
+def test_spec_edge_usage_errors(
+    tmp_path, monkeypatch, capsys, command, doc, extra, env_seed, message
+):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+    spec = write_spec(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = [command, "--spec", spec, "--out", str(out), *extra]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert message in err
+    assert not out.exists()
+
+
+def test_whole_float_peel_stage_is_accepted(tmp_path):
+    # ``Curve.to_spec`` writes stages as floats, so 5.0 must parse
+    doc = dict(one_curve("peel", 5.0, 0.5, 0.9), horizon=40)
+    curve = parse_chain_spec(doc).curves[0]
+    assert curve.value(4) == 1.0 and curve.value(5) == 0.5
+    assert parse_chain_spec(doc).to_json_dict() == doc
+    spec = write_spec(tmp_path, doc)
+    assert run_cli(["simulate", "--spec", spec, "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,17 @@ def test_projection_monotone_random_shrink(seed, dim):
 TOL = DEFAULT.eig
 DELTA = 0.1
 
-# (eigenvalue, counts as 1, inside the gap window of DELTA)
+# positivity slack of the table's operators; up to 1 + WIDE_PSD an
+# eigenvalue passes the positivity check, which bounds the fixed-space
+# rule from above
+WIDE_PSD = 1e-8
+
+# (eigenvalue, counts as 1 or None where the positivity check refuses
+# the operator, inside the gap window of DELTA)
 BOUNDARY_TABLE = [
-    (1.0 + 2 * TOL, False, False),
+    (1.0 + 2 * WIDE_PSD, None, False),
+    (1.0 + WIDE_PSD, True, False),
+    (1.0 + 2 * TOL, True, False),
     (1.0 + TOL, True, False),
     (1.0, True, False),
     (1.0 - 1e-12, True, False),
@@ -341,8 +349,8 @@ BOUNDARY_TABLE = [
     (0.5, False, False),
 ]
 
-# 1 + 2 tol_eig passes the positivity check only with this much slack
-WIDE_PSD = 1e-8
+# the table's values that pass the positivity check
+CONTRACTION_VALUES = [v for v, fixed, _ in BOUNDARY_TABLE if fixed is not None]
 
 
 @pytest.mark.parametrize("value, fixed, in_window", BOUNDARY_TABLE)
@@ -352,17 +360,32 @@ def test_clustering_rules_boundary_table(value, fixed, in_window):
     # eigh of a diagonal matrix returns its entries exactly, so the rules
     # see the boundary values unrounded
     assert np.array_equal(decomp.eigenvalues, [0.25, value])
+    assert has_gap_at(op, DELTA) == (not in_window)
+    if fixed is None:
+        with pytest.raises(PreconditionError, match="not a positive"):
+            fixed_point_projection(op, tol_psd=WIDE_PSD)
+        return
     proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
     assert proj.rank == fixed_space_rank(decomp) == int(fixed)
     expected = np.diag([1.0, 0.0]) if fixed else np.zeros((2, 2))
     assert np.allclose(proj.matrix, expected, atol=1e-12)
-    assert has_gap_at(op, DELTA) == (not in_window)
 
 
-@example(values=[value for value, _, _ in BOUNDARY_TABLE])
+def test_eigenvalue_between_tolerances_is_fixed():
+    # at dim 16 the default tol_psd (1.6e-9) exceeds tol_eig (1e-9):
+    # 1 + 1.5e-9 passes the positivity check and lies in no gap window,
+    # so it must count as 1
+    op = diagonal([1.0 + 1.5e-9] + [0.5] * 15)
+    assert is_positive_contraction(op)
+    assert fixed_point_projection(op).rank == 1
+    assert fixed_space_rank(spectral_decompose(op)) == 1
+    assert has_gap_at(op, DELTA)
+
+
+@example(values=CONTRACTION_VALUES)
 @given(
     values=st.lists(
-        st.sampled_from([value for value, _, _ in BOUNDARY_TABLE])
+        st.sampled_from(CONTRACTION_VALUES)
         | st.floats(min_value=0.0, max_value=1.0),
         min_size=1,
         max_size=8,
@@ -372,7 +395,7 @@ def test_clustering_rules_match_scalar_loop(values):
     # the rules on whole spectra against a scalar loop over eigenvalues
     op = diagonal(values)
     decomp = spectral_decompose(op)
-    fixed = [w for w in decomp.eigenvalues if 1.0 - TOL <= w <= 1.0 + TOL]
+    fixed = [w for w in decomp.eigenvalues if w >= 1.0 - TOL]
     inside = [
         w for w in decomp.eigenvalues if 1.0 - DELTA + TOL < w < 1.0 - TOL
     ]

@@ -52,6 +52,8 @@ def test_artifact_digests_one_line_per_command():
         "simulate gap_engineered": 0,
         "gap gap_engineered": 0,
         "gap near_one": 3,
+        "simulate schur_dim16": 0,
+        "gap gap_dim16": 0,
         "verify": 0,
         "verify faulty": 1,
         "nonexample": 0,
