@@ -48,6 +48,10 @@ __all__ = [
     "build_chain",
 ]
 
+# A chain caches up to dim * dim * horizon operator entries; a spec above
+# this many (1 GiB of float64) is refused before anything is allocated.
+CACHE_CEILING = 2**27
+
 # spawn-key namespaces so independent draws never share a stream
 _STREAM_CONJUGATION = 1
 _STREAM_SCHUR_INIT = 2
@@ -802,6 +806,13 @@ def parse_chain_spec(data: dict) -> ChainSpec:
         if dim and len(raw) != dim:
             violations.append(f"{len(raw)} curves for dimension {dim}")
 
+    if "dim" in fields and "horizon" in fields:
+        entries = fields["dim"] ** 2 * fields["horizon"]
+        if entries > CACHE_CEILING:
+            violations.append(
+                f"dim * dim * horizon = {entries} exceeds the ceiling of "
+                f"{CACHE_CEILING} cached operator entries"
+            )
     if spec_kind is not None:
         if fields.get("dim", spec_kind.min_dim) < spec_kind.min_dim:
             violations.append(f"{kind} needs dim >= {spec_kind.min_dim}")

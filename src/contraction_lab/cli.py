@@ -24,11 +24,17 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .chains import ContractionChain, build_chain, parse_chain_spec
+from .chains import (
+    CACHE_CEILING,
+    ContractionChain,
+    build_chain,
+    parse_chain_spec,
+)
 from .config import DEFAULT, DELTA_GRID, SEED_ENV_VAR
 from .corpus import (
     CORPUS_DIMS,
     CORPUS_SEED_COUNT,
+    KIND_HORIZONS,
     corpus_chains,
     descent_triple_corpus,
     equivalence_corpus,
@@ -153,7 +159,7 @@ def _load_chain(args, parser: argparse.ArgumentParser) -> ContractionChain:
     except json.JSONDecodeError as exc:
         parser.error(f"spec is not valid JSON: {exc}")
     seed = args.seed if args.seed is not None else _env_seed()
-    if isinstance(raw, dict) and "seed" not in raw and seed is not None:
+    if isinstance(raw, dict) and raw.get("seed") is None and seed is not None:
         raw["seed"] = seed
     return build_chain(parse_chain_spec(raw))
 
@@ -316,6 +322,13 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"--dims must be a comma list of integers: {args.dims!r}")
         if not dims or any(d < 2 for d in dims):
             parser.error("--dims values must all be >= 2")
+        horizon = max(KIND_HORIZONS.values())
+        too_big = [d for d in dims if d * d * horizon > CACHE_CEILING]
+        if too_big:
+            parser.error(
+                f"--dims value {too_big[0]} exceeds the ceiling of "
+                f"{CACHE_CEILING} cached operator entries at horizon {horizon}"
+            )
 
     chains = corpus_chains(dims, args.seeds)
     if args.include_faulty_fixture:

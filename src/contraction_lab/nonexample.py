@@ -33,14 +33,12 @@ __all__ = [
     "flat_index",
     "row_col",
     "NonexampleSequence",
-    "StepDistance",
     "StepDistanceReport",
     "CoordinateDecay",
     "TailBound",
     "VanishingReport",
     "NetGrowthRow",
     "NetGrowthTable",
-    "GivensStep",
     "GivensFactorization",
     "build_nonexample",
     "verify_step_distances",
@@ -48,8 +46,6 @@ __all__ = [
     "verify_not_totally_bounded",
     "givens_factorization",
     "reconstruction_error",
-    "sequence_to_json",
-    "givens_to_json",
     "write_sequence_json",
     "write_givens_json",
     "write_net_csv",
@@ -184,37 +180,11 @@ def _pair_dot(a: np.ndarray, b: np.ndarray, fused: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StepDistance:
-    """Distance between consecutive orbit points ``m -> m + 1``.
-
-    ``kind`` is ``"within"`` inside a row and ``"cross"`` at a row
-    boundary; ``expected`` is ``2 sin(theta_n / 2)`` for the row being
-    left.  Within-row agreement is exact by construction and treated as
-    a verdict; cross-row values are measured and reported.
-    """
-
-    m: int
-    row: int
-    kind: str
-    measured: float
-    expected: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.measured - self.expected)
-
-    @property
-    def ok(self) -> bool:
-        return self.deviation <= _DIST_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class StepDistanceReport:
     """Every step ``m -> m + 1`` (``m = 1 .. count - 1``) as arrays: the
     row being left, whether the step stays inside it, and the measured
-    and expected distances.  ``steps`` and its filters give per-step
-    :class:`StepDistance` views."""
+    and expected distances."""
 
     rows: np.ndarray
     within: np.ndarray
@@ -225,37 +195,6 @@ class StepDistanceReport:
     @property
     def deviations(self) -> np.ndarray:
         return np.abs(self.measured - self.expected)
-
-    def _views(self, keep: np.ndarray) -> tuple[StepDistance, ...]:
-        index = np.flatnonzero(keep)
-        return tuple(
-            StepDistance(
-                m=k + 1,
-                row=n,
-                kind="within" if inside else "cross",
-                measured=measured,
-                expected=expected,
-            )
-            for k, n, inside, measured, expected in zip(
-                index.tolist(),
-                self.rows[index].tolist(),
-                self.within[index].tolist(),
-                self.measured[index].tolist(),
-                self.expected[index].tolist(),
-            )
-        )
-
-    @property
-    def steps(self) -> tuple[StepDistance, ...]:
-        return self._views(np.ones_like(self.within))
-
-    @property
-    def within_row(self) -> tuple[StepDistance, ...]:
-        return self._views(self.within)
-
-    @property
-    def cross_row(self) -> tuple[StepDistance, ...]:
-        return self._views(~self.within)
 
     @property
     def within_row_ok(self) -> bool:
@@ -456,88 +395,14 @@ def verify_not_totally_bounded(
     return NetGrowthTable(epsilon=epsilon, rows=rows, net=net)
 
 
-@dataclass(frozen=True, eq=False)
-class GivensStep:
-    """Plane rotation carrying orbit point ``m`` to ``m + 1``.
-
-    The rotation acts by ``angle`` on ``span(u, v)`` and as the identity
-    on its complement, so ``matrix - I`` has rank 2 (rank 0 for flagged
-    identity steps).  Only the coordinates where ``x_m`` or ``x_{m+1}``
-    is nonzero can move, so the step keeps that ``support`` (0-based
-    indices, at most two for the built orbit) with ``u`` and ``v``
-    restricted to it; ``plane`` and ``matrix`` are dense views built on
-    demand.
-    """
-
-    m: int
-    dim: int
-    support: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    c: float
-    s: float
-    angle: float
-    identity: bool
-
-    def _dense(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=values.dtype)
-        out[self.support] = values
-        return out
-
-    @property
-    def plane(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.identity:
-            return None
-        return self._dense(self.u), self._dense(self.v)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        if self.identity:
-            return eye
-        u, v = self.plane
-        return (
-            eye
-            + (self.c - 1.0) * (np.outer(u, u) + np.outer(v, v))
-            + self.s * (np.outer(v, u) - np.outer(u, v))
-        )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` with arithmetic only on the support."""
-        out = np.array(x, dtype=float)
-        if self.identity:
-            return out
-        xs = out[self.support]
-        a = self.u @ xs
-        b = self.v @ xs
-        out[self.support] = (
-            xs
-            + (self.c - 1.0) * (self.u * a + self.v * b)
-            + self.s * (self.v * a - self.u * b)
-        )
-        return out
-
-    @property
-    def rank_ok(self) -> bool:
-        """``rank(matrix - I)`` is 2 (0 for identity steps), read off the
-        structure instead of a dense SVD; see :func:`_rank_ok`."""
-        return bool(
-            _rank_ok(
-                self.u[None], self.v[None], np.array([self.c]),
-                np.array([self.s]), np.array([self.angle]),
-                np.array([self.identity]),
-            )[0]
-        )
-
-
-def _rank_ok(u, v, c, s, angle, identity) -> np.ndarray:
-    """Per step: ``rank(U - I)`` is 2, or 0 for identity steps.
+def _rank_ok(u, v, c, s, angle) -> np.ndarray:
+    """Per step: ``rank(U - I)`` is 2.
 
     With ``u, v`` orthonormal, ``U - I`` acts on their span as
     ``[[c - 1, -s], [s, c - 1]]`` and vanishes elsewhere, so its two
     nonzero singular values both equal ``hypot(c - 1, s)``, which is
     ``2 sin(angle / 2)`` for unit vectors.  ``u`` and ``v`` are
-    ``(steps, k)`` arrays, zero off each step's support.
+    ``(steps, k)`` arrays, one plane per row.
     """
     gram = np.stack(
         (
@@ -546,7 +411,7 @@ def _rank_ok(u, v, c, s, angle, identity) -> np.ndarray:
             np.einsum("ij,ij->i", v, v) - 1.0,
         )
     )
-    return identity | (
+    return (
         (np.abs(gram).max(axis=0) <= _NORM_TOL)
         & (0.0 < angle)
         & (angle < math.pi)
@@ -559,108 +424,49 @@ class GivensFactorization:
     """The rotations carrying each point to the next, as arrays with
     one row per step ``m = 1 .. len``.
 
-    Step ``m`` acts on a window of coordinates starting at ``frame[m-1]``
-    (0-based); ``mask[m-1]`` marks its support in that window, where
-    ``u`` and ``v`` hold the plane and are zero elsewhere.  Indexing
-    yields the :class:`GivensStep` of one step; ``rank_ok`` checks every
-    step at once.
+    Step ``m`` acts on coordinates ``frame[m-1]`` and ``frame[m-1] + 1``
+    (0-based), where ``u`` and ``v`` hold its plane; the rotation by
+    ``angle`` on that plane has cosine ``c`` and sine ``s``.
+    ``rank_ok`` checks every step at once.
     """
 
-    dim: int
     frame: np.ndarray
-    mask: np.ndarray
     u: np.ndarray
     v: np.ndarray
     c: np.ndarray
     s: np.ndarray
     angle: np.ndarray
-    identity: np.ndarray
 
     def __len__(self) -> int:
         return self.c.size
 
-    def __getitem__(self, index: int) -> GivensStep:
-        k = range(len(self))[index]
-        keep = self.mask[k]
-        return GivensStep(
-            m=k + 1,
-            dim=self.dim,
-            support=self.frame[k] + np.flatnonzero(keep),
-            u=self.u[k, keep],
-            v=self.v[k, keep],
-            c=float(self.c[k]),
-            s=float(self.s[k]),
-            angle=float(self.angle[k]),
-            identity=bool(self.identity[k]),
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
     @property
     def rank_ok(self) -> np.ndarray:
-        return _rank_ok(
-            self.u, self.v, self.c, self.s, self.angle, self.identity
-        )
+        return _rank_ok(self.u, self.v, self.c, self.s, self.angle)
 
 
-def givens_factorization(seq_or_vectors) -> GivensFactorization:
-    """One rotation per consecutive pair; coincident pairs yield a
-    flagged identity step so the factorization stays aligned with the
-    orbit indices.  Antipodal pairs leave the rotation plane
-    underdetermined and are rejected (cannot occur for the built
-    orbit, whose step angles stay below pi/2).
+def givens_factorization(seq: NonexampleSequence) -> GivensFactorization:
+    """One rotation per consecutive pair, on the two-coordinate window
+    of the step, with the inner products rounded as on the dense vectors
+    (:func:`_pair_dot`).
 
-    A :class:`NonexampleSequence` is factored on the two-coordinate
-    window of each step, with the inner products rounded as on the dense
-    vectors (:func:`_pair_dot`); a ``(count, dim)`` array of vectors is
-    its own full-width window.
+    Every step of the orbit turns by at most a quarter circle and by at
+    least ``theta_{n_max}``, so ``c >= 0`` and ``s > 0``: no step is an
+    identity or an antipodal one, and each plane fills its window.
     """
-    if isinstance(seq_or_vectors, NonexampleSequence):
-        x, y, fused = _step_pairs(seq_or_vectors)
-        frame = seq_or_vectors.rows[:-1] - 1
-        dim = seq_or_vectors.ambient_dim
-
-        def dot(a, b):
-            return _pair_dot(a, b, fused)
-
-    else:
-        vectors = np.asarray(seq_or_vectors, dtype=float)
-        x, y = vectors[:-1], vectors[1:]
-        frame = np.zeros(len(x), dtype=np.intp)
-        dim = vectors.shape[1]
-
-        def dot(a, b):
-            return np.einsum("ij,ij->i", a, b)
-
-    diff = y - x
-    identity = np.sqrt(dot(diff, diff)) <= 1e-14
-    c = dot(x, y)
+    x, y, fused = _step_pairs(seq)
+    c = _pair_dot(x, y, fused)
     v = y - c[:, None] * x
-    s = np.sqrt(dot(v, v))
-    antipodal = np.flatnonzero(~identity & (s <= 1e-14))
-    if antipodal.size:
-        m = int(antipodal[0]) + 1
-        raise PreconditionError(
-            f"vectors {m} and {m + 1} are antipodal: rotation plane "
-            "is underdetermined"
-        )
-    c[identity] = 1.0
-    s[identity] = 0.0
-    mask = ((x != 0.0) | (y != 0.0)) & ~identity[:, None]
-    v = np.where(mask, v / np.where(identity, 1.0, s)[:, None], 0.0)
+    s = np.sqrt(_pair_dot(v, v, fused))
     return GivensFactorization(
-        dim=dim,
-        frame=frame,
-        mask=mask,
-        u=np.where(mask, x, 0.0),
-        v=v,
+        frame=seq.rows[:-1] - 1,
+        u=x,
+        v=v / s[:, None],
         c=c,
         s=s,
         angle=np.fromiter(
             map(math.atan2, s.tolist(), c.tolist()), float, c.size
         ),
-        identity=identity,
     )
 
 
@@ -672,13 +478,12 @@ def reconstruction_error(
 
     A sequential walk of the rotations of ``givens_factorization(seq)``
     on the two scalars of each step's window, which starts at the row of
-    point ``m``; ``u`` and ``v`` are zero off the support, so both
-    scalars can be rotated.  Point ``m + 1`` lies in the three
+    point ``m``.  Point ``m + 1`` lies in the three
     coordinates from there, and the third is not yet carried, so the
     coordinates below the window never change again: their squared
     errors are summed once, as the window passes them.
     """
-    if len(steps) != seq.count - 1 or steps.mask.shape[1] != 2:
+    if len(steps) != seq.count - 1:
         raise PreconditionError("steps must be the factorization of seq")
     carried = [0.0] * (seq.ambient_dim + 1)
     carried[0] = 1.0
@@ -716,41 +521,6 @@ def reconstruction_error(
     return math.sqrt(worst)
 
 
-def sequence_to_json(seq: NonexampleSequence) -> list[dict]:
-    """Sparse export: only the (at most two) nonzero coordinates per
-    vector, keyed by 1-based index.  :func:`write_sequence_json` writes
-    the same document."""
-    out = []
-    for m, (n, c, s) in enumerate(
-        zip(seq.rows.tolist(), seq.cos.tolist(), seq.sin.tolist()), start=1
-    ):
-        coords = {str(i): x for i, x in ((n, c), (n + 1, s)) if x != 0.0}
-        j = m - flat_index(n, 1) + 1
-        out.append({"m": m, "n": n, "j": j, "coords": coords})
-    return out
-
-
-def givens_to_json(steps: GivensFactorization) -> list[dict]:
-    """One entry per step; :func:`write_givens_json` writes the same
-    document."""
-    out = []
-    for step in steps:
-        entry = {
-            "m": step.m,
-            "angle": step.angle,
-            "identity": step.identity,
-            "plane": None
-            if step.identity
-            else {
-                "support": [int(i) + 1 for i in step.support],
-                "u": [float(x) for x in step.u],
-                "v": [float(x) for x in step.v],
-            },
-        }
-        out.append(entry)
-    return out
-
-
 def _row_major(columns, keep: np.ndarray) -> list:
     """The items of ``columns`` (one sequence per field, one item per
     entry) entry by entry, where ``keep`` (entries x fields) holds."""
@@ -781,7 +551,9 @@ _COORD = '      "%d": %r'
 
 
 def write_sequence_json(seq: NonexampleSequence, path) -> None:
-    """``sequence.json``: the bytes of ``json.dumps(sequence_to_json(seq),
+    """``sequence.json``: one entry ``{"coords", "j", "m", "n"}`` per
+    point, ``coords`` mapping the 1-based index of each nonzero
+    coordinate to its value.  The bytes are those of ``json.dumps(...,
     indent=2, sort_keys=True)`` plus a newline, written a block of
     entries per ``%``-format.
 
@@ -829,52 +601,28 @@ def write_sequence_json(seq: NonexampleSequence, path) -> None:
 
 
 _GIVENS_ENTRY = (
-    '  {\n    "angle": %%r,\n    "identity": false,\n    "m": %%d,\n'
-    '    "plane": {\n      "support": [\n%s\n      ],\n'
-    '      "u": [\n%s\n      ],\n      "v": [\n%s\n      ]\n    }\n  }'
-)
-_GIVENS_IDENTITY = (
-    '  {\n    "angle": %r,\n    "identity": true,\n    "m": %d,\n'
-    '    "plane": null\n  }'
+    '  {\n    "angle": %r,\n    "identity": false,\n    "m": %d,\n'
+    '    "plane": {\n      "support": [\n        %d,\n        %d\n      ],\n'
+    '      "u": [\n        %r,\n        %r\n      ],\n'
+    '      "v": [\n        %r,\n        %r\n      ]\n    }\n  }'
 )
 
 
 def write_givens_json(steps: GivensFactorization, path) -> None:
-    """``givens.json``: the bytes of ``json.dumps(givens_to_json(steps),
+    """``givens.json``: one entry ``{"angle", "identity": false, "m",
+    "plane": {"support", "u", "v"}}`` per step, ``support`` holding the
+    1-based window.  The bytes are those of ``json.dumps(...,
     indent=2, sort_keys=True)`` plus a newline, written a block of
     entries per ``%``-format."""
-    width = steps.mask.shape[1]
-    templates = {}
-
-    def template(size: int) -> str:
-        if size not in templates:
-            items = ",\n".join(["        %s"] * size)
-            templates[size] = _GIVENS_ENTRY % (
-                items.replace("%s", "%d"),
-                items.replace("%s", "%r"),
-                items.replace("%s", "%r"),
-            )
-        return templates[size]
-
-    sizes = steps.mask.sum(axis=1)
-    support = steps.frame[:, None] + np.arange(1, width + 1)
     fields = (
         steps.angle, np.arange(1, len(steps) + 1),
-        *support.T, *steps.u.T, *steps.v.T,
+        steps.frame + 1, steps.frame + 2, *steps.u.T, *steps.v.T,
     )
-    keep = np.concatenate(
-        (np.ones((len(steps), 2), dtype=bool), *[steps.mask] * 3), axis=1
-    )
-    kinds = np.where(steps.identity, -1, sizes)
 
     def block_text(first: int, last: int) -> str:
-        entries = [
-            _GIVENS_IDENTITY if size < 0 else template(size)
-            for size in kinds[first:last].tolist()
-        ]
         cells = [field[first:last].tolist() for field in fields]
-        return ",\n".join(entries) % tuple(
-            _row_major(cells, keep[first:last])
+        return ",\n".join([_GIVENS_ENTRY] * (last - first)) % tuple(
+            itertools.chain.from_iterable(zip(*cells))
         )
 
     _dump_entries(path, len(steps), block_text)

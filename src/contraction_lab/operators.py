@@ -87,18 +87,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vector)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"vector of shape {vec.shape} does not match dim {self.dim}"
-            )
-        return self.entries @ vec
-
-    def norm(self) -> float:
-        """Operator (spectral) norm."""
-        return float(np.linalg.norm(self.entries, 2))
-
 
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim))

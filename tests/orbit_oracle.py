@@ -2,7 +2,9 @@
 
 The orbit, its Givens arithmetic and its greedy net as they were first
 written, on dense ``(count, n_max + 1)`` vectors: slow and O(n_max^3) in
-memory, but with nothing to get wrong about supports.
+memory, but with nothing to get wrong about supports.  Also the
+documents the artifact writers must reproduce byte for byte, built entry
+by entry for ``json.dumps``.
 """
 
 import math
@@ -38,6 +40,82 @@ def dense_givens(vectors):
         s = float(np.linalg.norm(y - c * x))
         out.append((c, s, math.atan2(s, c)))
     return np.array(out)
+
+
+def rotation(u, v, c, s):
+    """``I + (c - 1)(u u^T + v v^T) + s (v u^T - u v^T)``: the rotation
+    with cosine ``c`` and sine ``s`` on ``span(u, v)``, the identity on
+    its complement."""
+    return (
+        np.eye(u.size)
+        + (c - 1.0) * (np.outer(u, u) + np.outer(v, v))
+        + s * (np.outer(v, u) - np.outer(u, v))
+    )
+
+
+def step_plane(steps, k, dim):
+    """Dense ``(u, v)`` of step ``k`` (0-based) of a factorization whose
+    orbit lives in dimension ``dim``."""
+    u = np.zeros(dim)
+    v = np.zeros(dim)
+    window = slice(steps.frame[k], steps.frame[k] + 2)
+    u[window] = steps.u[k]
+    v[window] = steps.v[k]
+    return u, v
+
+
+def step_rotation(steps, k, dim):
+    """Dense rotation matrix of step ``k`` (0-based)."""
+    u, v = step_plane(steps, k, dim)
+    return rotation(u, v, steps.c[k], steps.s[k])
+
+
+def unit_pair_plane(x, y):
+    """``(u, v, c, s, angle)`` of the rotation carrying unit ``x`` to
+    unit ``y``: ``c = x @ y``, ``v`` the unit part of ``y`` orthogonal
+    to ``x``."""
+    c = float(x @ y)
+    v = y - c * x
+    s = float(np.linalg.norm(v))
+    return x, v / s, c, s, math.atan2(s, c)
+
+
+def sequence_to_json(seq):
+    """The ``sequence.json`` document: per point its ``m``, row ``n``,
+    column ``j`` and nonzero coordinates keyed by 1-based index."""
+    out = []
+    for m, (n, c, s) in enumerate(
+        zip(seq.rows.tolist(), seq.cos.tolist(), seq.sin.tolist()), start=1
+    ):
+        coords = {str(i): x for i, x in ((n, c), (n + 1, s)) if x != 0.0}
+        j = m - (n - 1) * n // 2
+        out.append({"m": m, "n": n, "j": j, "coords": coords})
+    return out
+
+
+def givens_to_json(steps):
+    """The ``givens.json`` document: per step its ``m``, angle and
+    plane on the 1-based two-coordinate window."""
+    return [
+        {
+            "m": k + 1,
+            "angle": angle,
+            "identity": False,
+            "plane": {
+                "support": [frame + 1, frame + 2],
+                "u": u,
+                "v": v,
+            },
+        }
+        for k, (frame, u, v, angle) in enumerate(
+            zip(
+                steps.frame.tolist(),
+                steps.u.tolist(),
+                steps.v.tolist(),
+                steps.angle.tolist(),
+            )
+        )
+    ]
 
 
 def scalar_greedy_net(points, epsilon):

