@@ -562,6 +562,18 @@ def gap_engineered_chain(
 _NEAR_ONE_LADDER = (0.3, 0.15, 0.07, 0.03, 0.015, 0.007, 0.003)
 
 
+def _peel_window(horizon: int) -> tuple[int, int]:
+    """First and last step at which :func:`near_one_accumulating_chain`
+    stages a peel; its stages lie at least 2 steps apart."""
+    return max(4, horizon // 10), horizon - max(40, horizon // 10)
+
+
+def _near_one_max_dim(horizon: int) -> int:
+    """Largest ``dim`` whose ``dim - 1`` peels fit the window."""
+    lo, hi = _peel_window(horizon)
+    return (hi - lo) // 2 + 1
+
+
 def near_one_accumulating_chain(
     dim: int,
     seed: int,
@@ -586,9 +598,8 @@ def near_one_accumulating_chain(
             f"need dim >= 2 to accumulate near 1, got {dim}"
         )
     peel_count = dim - 1
-    lo = max(4, horizon // 10)
-    hi = horizon - max(40, horizon // 10)
-    if hi - lo < 2 * peel_count:
+    lo, hi = _peel_window(horizon)
+    if dim > _near_one_max_dim(horizon):
         raise ChainGenerationError(
             f"horizon {horizon} too small to stage {peel_count} peels"
         )

@@ -3,11 +3,13 @@
 Exit codes are a stable contract:
 
     0   all verdicts pass
-    1   a verdict failed
-    2   inconclusive (empirical limit not trusted, or no rate table
-        within an empirical certificate's horizon)
+    1   a verdict failed (for ``simulate``, a theorem-backed one)
+    2   inconclusive (empirical limit not trusted, products not yet
+        converged by the horizon, or no rate table within an empirical
+        certificate's horizon)
     3   no gap certificate at this grid resolution
-    64  usage error
+    64  usage error (a bad option or spec, or a chain whose limit is not
+        a positive contraction under the given tolerances)
 
 All outputs are byte-stable for a fixed (config, seed): floats print
 with 17 significant digits, JSON keys are sorted, and nothing
@@ -27,6 +29,7 @@ from typing import NoReturn
 from .chains import (
     CACHE_CEILING,
     ContractionChain,
+    _near_one_max_dim,
     build_chain,
     parse_chain_spec,
 )
@@ -61,9 +64,9 @@ from .nonexample import (
     verify_not_totally_bounded,
     verify_step_distances,
     verify_vanishing_conditions,
-    write_givens_json,
+    write_givens_csv,
     write_net_csv,
-    write_sequence_json,
+    write_sequence_csv,
     write_step_distances_csv,
 )
 from .operators import (
@@ -90,9 +93,10 @@ EXIT_USAGE = 64
 # each, and the greedy net measures each row against the previous one, so
 # memory grows as nmax^2 and time about as nmax^2 at moderate epsilon (as
 # nmax^3 when epsilon is so small that every point joins the net).  On a
-# 2-core x86-64 machine with one BLAS thread, 1000 took about 10 s and
-# 151 MB at epsilon 0.5 and 36 s and 170 MB at 1e-6, inside the 40 s and
-# 230 MB that the dense orbit needed at 250; 1200 took 59 s at 1e-6.
+# 2-core x86-64 machine with one BLAS thread, 1000 took 7.3-8.4 s and
+# 145 MB peak RSS at epsilon 0.5, writing 128 MB of artifacts, and 28 s
+# and 165 MB at 1e-6 (wall and RSS of the child process from os.wait4),
+# inside the 40 s and 230 MB that the dense orbit needed at 250.
 NMAX_CEILING = 1000
 
 
@@ -276,8 +280,8 @@ def cmd_nonexample(args, parser) -> int:
     }
 
     out = _out_dir(args)
-    write_sequence_json(seq, out / "sequence.json")
-    write_givens_json(steps, out / "givens.json")
+    write_sequence_csv(seq, out / "sequence.csv")
+    write_givens_csv(steps, out / "givens.csv")
     write_net_csv(net, out / "net_growth.csv")
     write_step_distances_csv(distances, out / "step_distances.csv")
     _json_dump(summary, out / "summary.json")
@@ -328,6 +332,14 @@ def cmd_verify(args, parser) -> int:
             parser.error(
                 f"--dims value {too_big[0]} exceeds the ceiling of "
                 f"{CACHE_CEILING} cached operator entries at horizon {horizon}"
+            )
+        largest = _near_one_max_dim(KIND_HORIZONS["near_one_accumulating"])
+        unbuildable = [d for d in dims if d > largest]
+        if unbuildable:
+            parser.error(
+                f"--dims value {unbuildable[0]} exceeds {largest}, the "
+                "largest dimension the corpus's near_one_accumulating "
+                "chains can be built in"
             )
 
     chains = corpus_chains(dims, args.seeds)
@@ -507,7 +519,7 @@ def main(argv=None) -> NoReturn:
             code = cmd_verify(args, parser)
     except ChainSpecError as exc:
         parser.error("; ".join(exc.violations))
-    except ChainGenerationError as exc:
+    except (ChainGenerationError, PreconditionError) as exc:
         parser.error(str(exc))
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

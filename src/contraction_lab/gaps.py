@@ -18,7 +18,6 @@ both sides per ``j``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .operators import (
     hermitian_eigenvalues,
     loewner_leq,
 )
-from .products import limit_operator
+from .products import _write_rows, limit_operator
 
 __all__ = [
     "RankStep",
@@ -477,15 +476,9 @@ def _seeded_perp_probe(chain: ContractionChain, proj: Projection) -> np.ndarray:
 
 def write_rate_csv(report: RateBoundReport, path) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RATE_CSV_HEADER)
-        slack = report.slack
-        for j in range(report.j.shape[0]):
-            writer.writerow(
-                [
-                    int(report.j[j]),
-                    format(float(report.lhs[j]), ".17g"),
-                    format(float(report.rhs[j]), ".17g"),
-                    format(float(slack[j]), ".17g"),
-                ]
-            )
+        handle.write(",".join(RATE_CSV_HEADER) + "\r\n")
+        _write_rows(
+            handle,
+            "%d,%.17g,%.17g,%.17g\r\n",
+            (report.j, report.lhs, report.rhs, report.slack),
+        )

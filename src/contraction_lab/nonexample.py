@@ -19,15 +19,18 @@ those coordinates, in O(n_max^2) memory; no dense orbit is built.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .products import EpsilonNet, orbit_epsilon_net
+from .products import (
+    _ROW_BLOCK,
+    EpsilonNet,
+    _write_rows,
+    orbit_epsilon_net,
+)
 
 __all__ = [
     "flat_index",
@@ -46,8 +49,8 @@ __all__ = [
     "verify_not_totally_bounded",
     "givens_factorization",
     "reconstruction_error",
-    "write_sequence_json",
-    "write_givens_json",
+    "write_sequence_csv",
+    "write_givens_csv",
     "write_net_csv",
     "write_step_distances_csv",
 ]
@@ -57,7 +60,6 @@ _SUPPORT_TOL = 1e-12
 _NORM_TOL = 1e-12
 _RANK_TOL = 1e-9  # singular values of U - I at or below this count as 0
 _BLAS_DOT_BLOCK = 16  # see _pair_dot
-_WRITE_BLOCK = 1024  # entries per %-format in the artifact writers
 
 
 def flat_index(n: int, j: int) -> int:
@@ -490,9 +492,9 @@ def reconstruction_error(
     frozen = 0.0
     passed = 0  # coordinates below this one are summed into frozen
     worst = 0.0
-    for first in range(0, len(steps), _WRITE_BLOCK):
-        block = slice(first, first + _WRITE_BLOCK)
-        after = slice(first + 1, first + 1 + _WRITE_BLOCK)
+    for first in range(0, len(steps), _ROW_BLOCK):
+        block = slice(first, first + _ROW_BLOCK)
+        after = slice(first + 1, first + 1 + _ROW_BLOCK)
         columns = (
             steps.frame[block], steps.u[block, 0], steps.u[block, 1],
             steps.v[block, 0], steps.v[block, 1], steps.c[block] - 1.0,
@@ -521,147 +523,62 @@ def reconstruction_error(
     return math.sqrt(worst)
 
 
-def _row_major(columns, keep: np.ndarray) -> list:
-    """The items of ``columns`` (one sequence per field, one item per
-    entry) entry by entry, where ``keep`` (entries x fields) holds."""
-    table = np.empty((len(columns), keep.shape[0]), dtype=object)
-    for i, column in enumerate(columns):
-        table[i] = column
-    return table.T[keep].tolist()
-
-
-def _dump_entries(path, count: int, block_text) -> None:
-    """Write a JSON list of ``count`` entries as ``json.dumps(indent=2,
-    sort_keys=True)`` lays it out, plus a final newline;
-    ``block_text(first, last)`` gives entries ``first..last-1``."""
-    with open(path, "w") as handle:
-        handle.write("[\n")
-        for first in range(0, count, _WRITE_BLOCK):
-            if first:
-                handle.write(",\n")
-            handle.write(block_text(first, min(first + _WRITE_BLOCK, count)))
-        handle.write("\n]\n")
-
-
-_SEQUENCE_ENTRY = (
-    '  {\n    "coords": {%s},\n'
-    '    "j": %%d,\n    "m": %%d,\n    "n": %%d\n  }'
-)
-_COORD = '      "%d": %r'
-
-
-def write_sequence_json(seq: NonexampleSequence, path) -> None:
-    """``sequence.json``: one entry ``{"coords", "j", "m", "n"}`` per
-    point, ``coords`` mapping the 1-based index of each nonzero
-    coordinate to its value.  The bytes are those of ``json.dumps(...,
-    indent=2, sort_keys=True)`` plus a newline, written a block of
-    entries per ``%``-format.
-
-    Keys sort as strings, so coordinate ``"10"`` comes before ``"9"``;
-    floats print as ``repr``, as ``json`` prints them.
-    """
-    # template by (coordinate n nonzero, n + 1 nonzero, n + 1 sorts first)
-    templates = {}
-    for first, second, swap in np.ndindex(2, 2, 2):
-        coords = ",\n".join([_COORD] * (first + second))
-        templates[first, second, swap] = _SEQUENCE_ENTRY % (
-            f"\n{coords}\n    " if coords else ""
-        )
-    # n and n + 1 have the same number of digits unless n + 1 is a power
-    # of ten, and then "n + 1" < "n"
-    swapped = np.array([str(n + 1) < str(n) for n in range(seq.n_max + 1)])
-    n = seq.rows
+def write_sequence_csv(seq: NonexampleSequence, path) -> None:
+    """``sequence.csv``: one row ``m,n,j,cos,sin`` per point, ``cos``
+    and ``sin`` being its coordinates ``n`` and ``n + 1`` (1-based)."""
     m = np.arange(1, seq.count + 1)
-    j = m - flat_index(n, 1) + 1
-    has_cos = seq.cos != 0.0
-    has_sin = seq.sin != 0.0
-    swap = swapped[n] & has_cos & has_sin
-    fields = (
-        np.where(swap, n + 1, n), np.where(swap, seq.sin, seq.cos),
-        np.where(swap, n, n + 1), np.where(swap, seq.cos, seq.sin),
-        j, m, n,
-    )
-    keep = np.ones((seq.count, len(fields)), dtype=bool)
-    keep[:, 0] = keep[:, 1] = np.where(swap, has_sin, has_cos)
-    keep[:, 2] = keep[:, 3] = np.where(swap, has_cos, has_sin)
-
-    def block_text(first: int, last: int) -> str:
-        kinds = zip(
-            has_cos[first:last].tolist(),
-            has_sin[first:last].tolist(),
-            swap[first:last].tolist(),
-        )
-        entries = [templates[kind] for kind in kinds]
-        cells = [field[first:last].tolist() for field in fields]
-        return ",\n".join(entries) % tuple(
-            _row_major(cells, keep[first:last])
+    with open(path, "w", newline="") as handle:
+        handle.write("m,n,j,cos,sin\r\n")
+        _write_rows(
+            handle,
+            "%d,%d,%d,%.17g,%.17g\r\n",
+            (m, seq.rows, m - flat_index(seq.rows, 1) + 1, seq.cos, seq.sin),
         )
 
-    _dump_entries(path, seq.count, block_text)
 
-
-_GIVENS_ENTRY = (
-    '  {\n    "angle": %r,\n    "identity": false,\n    "m": %d,\n'
-    '    "plane": {\n      "support": [\n        %d,\n        %d\n      ],\n'
-    '      "u": [\n        %r,\n        %r\n      ],\n'
-    '      "v": [\n        %r,\n        %r\n      ]\n    }\n  }'
-)
-
-
-def write_givens_json(steps: GivensFactorization, path) -> None:
-    """``givens.json``: one entry ``{"angle", "identity": false, "m",
-    "plane": {"support", "u", "v"}}`` per step, ``support`` holding the
-    1-based window.  The bytes are those of ``json.dumps(...,
-    indent=2, sort_keys=True)`` plus a newline, written a block of
-    entries per ``%``-format."""
-    fields = (
-        steps.angle, np.arange(1, len(steps) + 1),
-        steps.frame + 1, steps.frame + 2, *steps.u.T, *steps.v.T,
-    )
-
-    def block_text(first: int, last: int) -> str:
-        cells = [field[first:last].tolist() for field in fields]
-        return ",\n".join([_GIVENS_ENTRY] * (last - first)) % tuple(
-            itertools.chain.from_iterable(zip(*cells))
+def write_givens_csv(steps: GivensFactorization, path) -> None:
+    """``givens.csv``: one row ``m,window,angle,u1,u2,v1,v2`` per step,
+    ``u1,u2`` and ``v1,v2`` being its plane on the 1-based coordinates
+    ``window`` and ``window + 1``."""
+    with open(path, "w", newline="") as handle:
+        handle.write("m,window,angle,u1,u2,v1,v2\r\n")
+        _write_rows(
+            handle,
+            "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+            (
+                np.arange(1, len(steps) + 1), steps.frame + 1, steps.angle,
+                *steps.u.T, *steps.v.T,
+            ),
         )
-
-    _dump_entries(path, len(steps), block_text)
 
 
 def write_net_csv(table: NetGrowthTable, path) -> None:
+    completed = np.array([row.rows_completed for row in table.rows])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("N_max", "epsilon", "net_size"))
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.rows_completed,
-                    format(float(table.epsilon), ".17g"),
-                    row.net_size,
-                ]
-            )
+        handle.write("N_max,epsilon,net_size\r\n")
+        _write_rows(
+            handle,
+            "%d,%.17g,%d\r\n",
+            (
+                completed,
+                np.full(completed.size, float(table.epsilon)),
+                np.array(table.sizes),
+            ),
+        )
 
 
 def write_step_distances_csv(report: StepDistanceReport, path) -> None:
-    """One row per step, with the bytes of ``csv.writer`` and each float
-    formatted by ``format(x, ".17g")``, which ``"%.17g" % x`` is."""
-    columns = (
-        np.arange(1, report.rows.size + 1),
-        report.rows,
-        np.where(report.within, "within", "cross"),
-        report.measured,
-        report.expected,
-        report.deviations,
-    )
     with open(path, "w", newline="") as handle:
         handle.write("m,row,kind,measured,expected,deviation\r\n")
-        for first in range(0, report.rows.size, _WRITE_BLOCK):
-            cells = [
-                column[first : first + _WRITE_BLOCK].tolist()
-                for column in columns
-            ]
-            lines = len(cells[0])
-            handle.write(
-                "%d,%d,%s,%.17g,%.17g,%.17g\r\n" * lines
-                % tuple(itertools.chain.from_iterable(zip(*cells)))
-            )
+        _write_rows(
+            handle,
+            "%d,%d,%s,%.17g,%.17g,%.17g\r\n",
+            (
+                np.arange(1, report.rows.size + 1),
+                report.rows,
+                np.where(report.within, "within", "cross"),
+                report.measured,
+                report.expected,
+                report.deviations,
+            ),
+        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,9 +66,11 @@ _STREAM_PROBES = 11
 # memory.
 _BLOCK_BYTES = 64 * 1024
 
-# trace.csv is formatted and written in blocks of steps of about this
-# many rows, so the text in memory stays bounded at any horizon.
-_CSV_BLOCK_ROWS = 256
+# Row-at-a-time Python work over long arrays (every CSV artifact, and
+# the orbit's reconstruction walk) goes a block of this many rows at a
+# time, so the Python objects and text in memory stay bounded at any
+# size.
+_ROW_BLOCK = 1024
 
 # The greedy net measures a block of points against its candidate members
 # (the overlapping ones and the block's own points) in one distance array
@@ -81,6 +84,16 @@ _NET_BLOCK_ENTRIES = 1 << 16
 # exceeds epsilon by this relative margin, far above the rounding of a
 # measured distance.
 _NET_MARGIN = 1e-12
+
+# trace_summary verdicts that hold for every decreasing chain of positive
+# contractions at every horizon; the others are convergence verdicts.
+_THEOREM_VERDICTS = (
+    "product_norm_bounded",
+    "ab_chain",
+    "consec_identity",
+    "ranks_nonincreasing",
+    "final_rank_dominates",
+)
 
 TRACE_CSV_HEADER = (
     "n",
@@ -660,24 +673,23 @@ def _csv_field(text) -> str:
     return buffer.getvalue()[: -len(",\r\n")]
 
 
-def _trace_rows(
-    trace: ConvergenceTrace,
-    steps: range,
-    middles: list[str],
-    fields: tuple[np.ndarray, ...],
-) -> str:
-    """The rows of consecutive ``steps``, each a ``%``-format: the step
-    index, ``middles[p]`` filled with the ``fields`` of probe ``p``, and
-    the step's ``opnorm_err``."""
-    rows = slice(steps.start - 1, steps.stop - 1)
-    opnorm = ["%.17g" % x for x in trace.opnorm_err[rows].tolist()]
-    template = "".join(
-        f"{n}{middle}{op}\r\n"
-        for n, op in zip(steps, opnorm)
-        for middle in middles
-    )
-    cells = np.stack([field[rows] for field in fields], axis=-1)
-    return template % tuple(cells.ravel().tolist())
+def _write_rows(handle, row_format: str, columns) -> None:
+    """Write ``row_format % (column[i] for column in columns)`` for each
+    index ``i`` of the equal-length arrays ``columns``, one
+    ``%``-format per block of ``_ROW_BLOCK`` rows.
+
+    ``"%.17g" % x`` is ``format(x, ".17g")``, so the bytes are those of
+    ``csv.writer`` given the formatted floats when ``row_format`` ends in
+    CRLF and every string column is already quoted as csv quotes it.
+    """
+    for first in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = [
+            column[first : first + _ROW_BLOCK].tolist() for column in columns
+        ]
+        handle.write(
+            row_format * len(cells[0])
+            % tuple(itertools.chain.from_iterable(zip(*cells)))
+        )
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
@@ -686,27 +698,37 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 
     The bytes are those of ``csv.writer`` with each float formatted by
     ``format(x, ".17g")``: CRLF line ends, probe ids quoted where csv
-    quotes them.  Each block of steps (about ``_CSV_BLOCK_ROWS``
-    rows) is one ``%``-format of all its floats, and ``"%.17g" % x`` is
-    ``format(x, ".17g")``.
+    quotes them.
     """
     h, count = trace.horizon, trace.probe_count
-    ids = [_csv_field(i).replace("%", "%%") for i in trace.probe_ids]
-    block = max(1, _CSV_BLOCK_ROWS // max(count, 1))
+    ids = np.array([_csv_field(i) for i in trace.probe_ids], dtype=object)
+
+    def columns(steps: slice, fields) -> tuple[np.ndarray, ...]:
+        return (
+            np.repeat(np.arange(steps.start + 1, steps.stop + 1), count),
+            np.tile(ids, steps.stop - steps.start),
+            *(field[steps].ravel() for field in fields),
+            np.repeat(trace.opnorm_err[steps], count),
+        )
+
     with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(TRACE_CSV_HEADER)
+        handle.write(",".join(TRACE_CSV_HEADER) + "\r\n")
         fields = (
             trace.sot_err, trace.adj_err, trace.consec_diff, trace.a,
             trace.b, trace.wot_err,
         )
-        middles = [f",{i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," for i in ids]
-        for first in range(1, h, block):
-            steps = range(first, min(first + block, h))
-            handle.write(_trace_rows(trace, steps, middles, fields))
+        _write_rows(
+            handle,
+            "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+            columns(slice(0, h - 1), fields),
+        )
         # a_n and consec_diff look one step ahead: blank on the final step
         fields = (trace.sot_err, trace.adj_err, trace.b, trace.wot_err)
-        middles = [f",{i},%.17g,%.17g,,,%.17g,%.17g," for i in ids]
-        handle.write(_trace_rows(trace, range(h, h + 1), middles, fields))
+        _write_rows(
+            handle,
+            "%d,%s,%.17g,%.17g,,,%.17g,%.17g,%.17g\r\n",
+            columns(slice(h - 1, h), fields),
+        )
 
 
 def trace_summary(
@@ -720,7 +742,10 @@ def trace_summary(
     An error has converged when its final value is below
     ``DEFAULT.convergence``.  Convergence verdicts become
     ``"inconclusive"`` rather than booleans when the limit is empirical
-    and its Cauchy gap is too large to trust.
+    and its Cauchy gap is too large to trust.  ``status`` is ``"fail"``
+    only when a theorem-backed verdict (``_THEOREM_VERDICTS``) is false;
+    a false or inconclusive convergence verdict makes it
+    ``"inconclusive"``.
     """
     if ab_report is None:
         ab_report = consecutive_difference_report(trace)
@@ -756,8 +781,10 @@ def trace_summary(
         verdicts["ranks_nonincreasing"] = projection_trace.ranks_nonincreasing
         verdicts["final_rank_dominates"] = projection_trace.final_rank_dominates
 
-    failed = any(v is False for v in verdicts.values())
-    inconclusive = any(v == "inconclusive" for v in verdicts.values())
+    # a product that has not converged by the horizon may only need more
+    # steps, so only a theorem-backed verdict can fail the run
+    failed = any(verdicts.get(name) is False for name in _THEOREM_VERDICTS)
+    inconclusive = any(v is not True for v in verdicts.values())
     status = "fail" if failed else ("inconclusive" if inconclusive else "pass")
 
     summary = {

@@ -3,10 +3,11 @@
 The orbit, its Givens arithmetic and its greedy net as they were first
 written, on dense ``(count, n_max + 1)`` vectors: slow and O(n_max^3) in
 memory, but with nothing to get wrong about supports.  Also the
-documents the artifact writers must reproduce byte for byte, built entry
-by entry for ``json.dumps``.
+CSV files the artifact writers must reproduce byte for byte, written a
+row at a time by ``csv.writer``.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -80,42 +81,44 @@ def unit_pair_plane(x, y):
     return x, v / s, c, s, math.atan2(s, c)
 
 
-def sequence_to_json(seq):
-    """The ``sequence.json`` document: per point its ``m``, row ``n``,
-    column ``j`` and nonzero coordinates keyed by 1-based index."""
-    out = []
+def _write_csv(path, header, rows):
+    """``rows`` through ``csv.writer``, each float formatted by
+    ``format(x, ".17g")``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [format(x, ".17g") if isinstance(x, float) else x for x in row]
+            )
+
+
+def reference_sequence_csv(seq, path):
+    """``sequence.csv``: per point its ``m``, row ``n``, column ``j`` and
+    coordinates ``n`` and ``n + 1``."""
+    rows = []
     for m, (n, c, s) in enumerate(
         zip(seq.rows.tolist(), seq.cos.tolist(), seq.sin.tolist()), start=1
     ):
-        coords = {str(i): x for i, x in ((n, c), (n + 1, s)) if x != 0.0}
-        j = m - (n - 1) * n // 2
-        out.append({"m": m, "n": n, "j": j, "coords": coords})
-    return out
+        rows.append((m, n, m - (n - 1) * n // 2, c, s))
+    _write_csv(path, ("m", "n", "j", "cos", "sin"), rows)
 
 
-def givens_to_json(steps):
-    """The ``givens.json`` document: per step its ``m``, angle and
-    plane on the 1-based two-coordinate window."""
-    return [
-        {
-            "m": k + 1,
-            "angle": angle,
-            "identity": False,
-            "plane": {
-                "support": [frame + 1, frame + 2],
-                "u": u,
-                "v": v,
-            },
-        }
-        for k, (frame, u, v, angle) in enumerate(
+def reference_givens_csv(steps, path):
+    """``givens.csv``: per step its ``m``, 1-based window, angle and
+    plane on the window."""
+    rows = [
+        (k + 1, frame + 1, angle, *u, *v)
+        for k, (frame, angle, u, v) in enumerate(
             zip(
                 steps.frame.tolist(),
+                steps.angle.tolist(),
                 steps.u.tolist(),
                 steps.v.tolist(),
-                steps.angle.tolist(),
             )
         )
     ]
+    _write_csv(path, ("m", "window", "angle", "u1", "u2", "v1", "v2"), rows)
 
 
 def scalar_greedy_net(points, epsilon):

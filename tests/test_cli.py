@@ -16,7 +16,7 @@ from contraction_lab import (
     cli,
     parse_chain_spec,
 )
-from contraction_lab.chains import CACHE_CEILING
+from contraction_lab.chains import CACHE_CEILING, _near_one_max_dim
 from contraction_lab.cli import NMAX_CEILING, main
 from contraction_lab.corpus import KIND_HORIZONS
 from contraction_lab.config import SEED_ENV_VAR
@@ -131,6 +131,38 @@ def test_simulate_usage_errors(tmp_path, capsys):
     argv = ["simulate", "--spec", spec, "--out", str(tmp_path)]
     assert_rejects_bad_tolerances(argv, capsys)
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_simulate_short_horizon_is_inconclusive(tmp_path):
+    # the products have not reached the convergence threshold by step
+    # 10 (sot_err 3.2e-3), which no theorem forbids: exit 2, not 1
+    doc = {"kind": "diagonal", "dim": 1, "curves": [["peel", 5.0, 0.5, 0.9]]}
+    for horizon, code, status in ((10, 2, "inconclusive"), (40, 0, "pass")):
+        spec = write_spec(tmp_path, dict(doc, horizon=horizon))
+        out = tmp_path / f"h{horizon}"
+        assert run_cli(["simulate", "--spec", spec, "--out", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == status
+    assert summary["verdicts"]["sot_converged"] is True
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(p.name for p in REPO_SPECS.glob("*.json"))
+)
+def test_simulate_zero_psd_slack_ends_in_one_line(tmp_path, capsys, spec):
+    # with no slack, rounding can push an eigenvalue of the limit or a
+    # product norm just above 1; either way the run ends in one stderr
+    # line, never a traceback
+    argv = ["simulate", "--spec", str(REPO_SPECS / spec), "--tol-psd", "0",
+            "--out", str(tmp_path)]
+    capsys.readouterr()
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
+    if spec == "schur_dim16.json":
+        assert code == 64
+        assert "not a positive contraction" in err
 
 
 BAD_TOLERANCES = [
@@ -270,10 +302,16 @@ def test_nonexample_smallest_run(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["nonexample", "--nmax", "2", "--out", str(out)])
     assert code == 0
-    sequence = json.loads((out / "sequence.json").read_text())
-    assert len(sequence) == 3
-    givens = json.loads((out / "givens.json").read_text())
-    assert len(givens) == 2
+    for name, header, count in (
+        ("sequence.csv", ["m", "n", "j", "cos", "sin"], 3),
+        ("givens.csv", ["m", "window", "angle", "u1", "u2", "v1", "v2"], 2),
+    ):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        assert len(rows) == 1 + count
+    assert not (out / "sequence.json").exists()
+    assert not (out / "givens.json").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "pass"
     assert all(summary["verdicts"].values())
@@ -351,6 +389,19 @@ def test_verify_refuses_dims_over_the_cache_ceiling(tmp_path, capsys):
         argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
         err = assert_one_line_usage_error(argv, capsys)
         assert "exceeds the ceiling of 134217728 cached operator entries" in err
+    assert not out.exists()
+
+
+def test_verify_refuses_dims_the_corpus_cannot_build(tmp_path, capsys):
+    # near_one_accumulating stages dim - 1 peels, 2 steps apart, in steps
+    # 40..360 of its corpus horizon 400: at most 160 peels
+    assert KIND_HORIZONS["near_one_accumulating"] == 400
+    assert _near_one_max_dim(400) == 161
+    out = tmp_path / "out"
+    for dims in ("162", "2,579"):
+        argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
+        err = assert_one_line_usage_error(argv, capsys)
+        assert f"--dims value {dims.split(',')[-1]} exceeds 161" in err
     assert not out.exists()
 
 

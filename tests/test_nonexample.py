@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import tracemalloc
 
@@ -24,9 +23,9 @@ from contraction_lab.nonexample import (
     flat_index,
     reconstruction_error,
     row_col,
-    write_givens_json,
+    write_givens_csv,
     write_net_csv,
-    write_sequence_json,
+    write_sequence_csv,
     write_step_distances_csv,
 )
 from contraction_lab.products import _NET_MARGIN
@@ -35,10 +34,10 @@ from orbit_oracle import (
     dense_greedy_net,
     dense_orbit,
     dense_step_distances,
-    givens_to_json,
+    reference_givens_csv,
+    reference_sequence_csv,
     rotation,
     scalar_greedy_net,
-    sequence_to_json,
     step_plane,
     step_rotation,
     ulps,
@@ -296,30 +295,35 @@ def test_orbit_steps_are_proper_rotations(n_max):
 # Exports
 
 
-def test_sequence_to_json_sparse_entries(tmp_path):
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_sequence_csv_rows(tmp_path):
     seq = build_nonexample(4)
-    write_sequence_json(seq, tmp_path / "sequence.json")
-    docs = json.loads((tmp_path / "sequence.json").read_text())
-    assert len(docs) == seq.count
-    entry = docs[4]  # m = 5 is row 3, column 2
-    assert (entry["m"], entry["n"], entry["j"]) == (5, 3, 2)
-    assert set(entry["coords"]) == {"3", "4"}
-    assert entry["coords"]["3"] == pytest.approx(math.cos(math.pi / 6))
-    assert entry["coords"]["4"] == pytest.approx(math.sin(math.pi / 6))
-    # row heads carry a single coordinate
-    assert docs[0]["coords"] == {"1": 1.0}
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
+    rows = _read_csv(tmp_path / "sequence.csv")
+    assert rows[0] == ["m", "n", "j", "cos", "sin"]
+    assert len(rows) == 1 + seq.count
+    m, n, j, cos, sin = rows[5]  # m = 5 is row 3, column 2
+    assert (m, n, j) == ("5", "3", "2")
+    assert float(cos) == pytest.approx(math.cos(math.pi / 6))
+    assert float(sin) == pytest.approx(math.sin(math.pi / 6))
+    # row heads are basis vectors: their exact zero is written as 0
+    assert rows[1] == ["1", "1", "1", "1", "0"]
 
 
-def test_givens_to_json_shape(tmp_path):
+def test_givens_csv_shape(tmp_path):
     seq = build_nonexample(3)
-    write_givens_json(givens_factorization(seq), tmp_path / "givens.json")
-    docs = json.loads((tmp_path / "givens.json").read_text())
-    assert len(docs) == seq.count - 1
-    for m, doc in enumerate(docs, start=1):
-        assert set(doc) == {"m", "angle", "identity", "plane"}
-        assert doc["m"] == m
-        assert doc["identity"] is False
-        assert len(doc["plane"]["support"]) == 2
+    steps = givens_factorization(seq)
+    write_givens_csv(steps, tmp_path / "givens.csv")
+    rows = _read_csv(tmp_path / "givens.csv")
+    assert rows[0] == ["m", "window", "angle", "u1", "u2", "v1", "v2"]
+    assert len(rows) == seq.count
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, seq.count))
+    # windows are the 1-based rows of the points each step leaves
+    assert [int(row[1]) for row in rows[1:]] == seq.rows[:-1].tolist()
 
 
 def test_write_net_csv_layout(tmp_path):
@@ -349,20 +353,18 @@ def test_givens_supports_are_small():
             assert np.all(np.delete(dense, window) == 0.0)
 
 
-def test_givens_json_planes_decode_to_dense_plane(tmp_path):
+def test_givens_csv_planes_decode_to_dense_plane(tmp_path):
     seq = build_nonexample(12)
     steps = givens_factorization(seq)
-    write_givens_json(steps, tmp_path / "givens.json")
-    docs = json.loads((tmp_path / "givens.json").read_text())
-    for k, doc in enumerate(docs):
-        assert doc["angle"] == steps.angle[k]
-        plane = doc["plane"]
-        assert set(plane) == {"support", "u", "v"}
+    write_givens_csv(steps, tmp_path / "givens.csv")
+    for k, row in enumerate(_read_csv(tmp_path / "givens.csv")[1:]):
+        _, window, angle, *plane = row
+        assert float(angle) == steps.angle[k]
         u = np.zeros(seq.ambient_dim)
         v = np.zeros(seq.ambient_dim)
-        index = np.asarray(plane["support"]) - 1
-        u[index] = plane["u"]
-        v[index] = plane["v"]
+        index = [int(window) - 1, int(window)]
+        u[index] = [float(x) for x in plane[:2]]
+        v[index] = [float(x) for x in plane[2:]]
         dense_u, dense_v = step_plane(steps, k, seq.ambient_dim)
         assert np.array_equal(u, dense_u)
         assert np.array_equal(v, dense_v)
@@ -554,18 +556,32 @@ def test_reconstruction_error_matches_dense_walk():
 
 
 @pytest.mark.parametrize("n_max", [2, 12, 30])
-def test_json_writers_match_json_dumps(tmp_path, n_max):
-    # rows 9 and 10 exercise string key order: "10" sorts before "9"
+def test_orbit_writers_match_csv_writer(tmp_path, n_max):
     seq = build_nonexample(n_max)
     steps = givens_factorization(seq)
-    write_sequence_json(seq, tmp_path / "sequence.json")
-    write_givens_json(steps, tmp_path / "givens.json")
-    for name, doc in (
-        ("sequence.json", sequence_to_json(seq)),
-        ("givens.json", givens_to_json(steps)),
-    ):
-        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert (tmp_path / name).read_text() == expected
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
+    write_givens_csv(steps, tmp_path / "givens.csv")
+    reference_sequence_csv(seq, tmp_path / "sequence_reference.csv")
+    reference_givens_csv(steps, tmp_path / "givens_reference.csv")
+    for name in ("sequence", "givens"):
+        fast = (tmp_path / f"{name}.csv").read_bytes()
+        assert fast == (tmp_path / f"{name}_reference.csv").read_bytes()
+
+
+def test_orbit_csvs_read_back_exactly(tmp_path):
+    seq = build_nonexample(30)
+    steps = givens_factorization(seq)
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
+    write_givens_csv(steps, tmp_path / "givens.csv")
+    points = np.array(_read_csv(tmp_path / "sequence.csv")[1:], dtype=float)
+    assert np.array_equal(points[:, 1], seq.rows)
+    assert np.array_equal(points[:, 3], seq.cos)
+    assert np.array_equal(points[:, 4], seq.sin)
+    planes = np.array(_read_csv(tmp_path / "givens.csv")[1:], dtype=float)
+    assert np.array_equal(planes[:, 1] - 1, steps.frame)
+    assert np.array_equal(planes[:, 2], steps.angle)
+    assert np.array_equal(planes[:, 3:5], steps.u)
+    assert np.array_equal(planes[:, 5:7], steps.v)
 
 
 def test_sequence_writer_handles_zero_coordinates(tmp_path):
@@ -576,9 +592,11 @@ def test_sequence_writer_handles_zero_coordinates(tmp_path):
         cos=np.array([0.0, 0.0, 0.6]),
         sin=np.array([0.8, 0.0, 0.8]),
     )
-    write_sequence_json(seq, tmp_path / "sequence.json")
-    expected = json.dumps(sequence_to_json(seq), indent=2, sort_keys=True)
-    assert (tmp_path / "sequence.json").read_text() == expected + "\n"
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
+    reference_sequence_csv(seq, tmp_path / "reference.csv")
+    fast = (tmp_path / "sequence.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    assert fast.splitlines()[1:3] == [b"1,1,1,0,0.80000000000000004", b"2,2,1,0,0"]
 
 
 def test_step_distances_writer_matches_csv_writer(tmp_path):

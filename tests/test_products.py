@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -373,6 +374,19 @@ def test_tiny_threshold_fails_summary():
     assert summary["threshold"] == DEFAULT.convergence
     assert summary["final"]["sot_err_max"] == pytest.approx(0.1875)
     assert summary["verdicts"]["sot_converged"] is False
+    # not converged by the horizon is no theorem broken: it may only
+    # need more steps
+    assert summary["status"] == "inconclusive"
+
+
+def test_false_theorem_verdict_fails_summary():
+    chain = telescoping_chain(60)
+    trace = iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
+    projection = check_projection_convergence(chain, trace)
+    assert trace_summary(trace, projection_trace=projection)["status"] == "pass"
+    broken = dataclasses.replace(projection, ranks_nonincreasing=False)
+    summary = trace_summary(trace, projection_trace=broken)
+    assert summary["verdicts"]["ranks_nonincreasing"] is False
     assert summary["status"] == "fail"
 
 
@@ -770,7 +784,7 @@ def test_write_trace_csv_matches_csv_writer(
     tmp_path, monkeypatch, horizon, block_rows
 ):
     if block_rows is not None:
-        monkeypatch.setattr(products, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(products, "_ROW_BLOCK", block_rows)
     ids = ["a,b", 'say "hi"', "", "line\nbreak", "plain"]
     probes = np.array(
         [[1.0, 0.0, 0.6, 0.3, -1.0], [0.0, 1.0, 0.8, -2.0, 1e-300]]
