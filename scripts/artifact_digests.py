@@ -21,10 +21,14 @@ covers the whole orbit, so the net cannot dominate the row count), 0
 for every other command.  The two ``dim16`` specs are the only ones
 above dim 10, where the default ``tol_psd = 1e-10 * dim`` exceeds
 ``tol_eig``, so the band ``(1 + tol_eig, 1 + tol_psd]`` that the
-fixed-space rule must cover is not empty.  ``nonexample ties`` runs at
-epsilon 1.0, where chords of rows divisible by 3 lie exactly epsilon
-apart, and ``nonexample wide`` above ``sqrt(2)``, where the net measures
-every member.
+fixed-space rule must cover is not empty.  ``gap schur_random`` is the
+only ``gap`` run on a Schur chain, whose generator takes ``T_n^{1/2}``
+from the same one-slot ``decomposition_at`` handover that the search's
+fixed-space rank and the rate table's ``n0`` scan read; it ends in an
+empirical certificate.  ``nonexample ties`` runs at epsilon 1.0, where
+chords of rows divisible by 3 lie exactly epsilon apart, and
+``nonexample wide`` above ``sqrt(2)``, where the net measures every
+member.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ COMMANDS = (
     ("gap near_one", ["gap", "--spec", "near_one.json"]),
     ("simulate schur_dim16", ["simulate", "--spec", "schur_dim16.json"]),
     ("gap gap_dim16", ["gap", "--spec", "gap_dim16.json"]),
+    ("gap schur_random", ["gap", "--spec", "schur_random.json"]),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),

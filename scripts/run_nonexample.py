@@ -35,7 +35,7 @@ def main() -> None:
     print(f"cross-row deviation from the same formula:  "
           f"{distances.max_cross_deviation:.3e}")
 
-    vanishing = verify_vanishing_conditions(seq, k_max=3)
+    vanishing = verify_vanishing_conditions(seq)
     print(f"vanishing conditions ok: {vanishing.all_ok} "
           f"(norm deviation {vanishing.max_norm_deviation:.1e})")
 

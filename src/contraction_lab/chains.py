@@ -340,10 +340,10 @@ def _conjugated_chain(
 ) -> ContractionChain:
     table = _curve_table(curves, horizon)
     limits = [float(c.limit) for c in curves]
-    analytic = Operator(frame @ np.diag(limits) @ frame.T)
+    analytic = Operator((frame * limits) @ frame.T)
 
     def factory(n: int) -> Operator:
-        return Operator(frame @ np.diag(table[:, n - 1]) @ frame.T)
+        return Operator((frame * table[:, n - 1]) @ frame.T)
 
     return ContractionChain(
         dim,

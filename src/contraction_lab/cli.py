@@ -19,6 +19,7 @@ timestamp- or path-dependent is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -198,8 +199,7 @@ def cmd_simulate(args, parser) -> int:
         fixed_spaces=True,
     )
     proj_trace = check_projection_convergence(chain, trace)
-    ab = consecutive_difference_report(trace)
-    summary = trace_summary(trace, projection_trace=proj_trace, ab_report=ab)
+    summary = trace_summary(trace, projection_trace=proj_trace)
     out = _out_dir(args)
     write_trace_csv(trace, out / "trace.csv")
     _json_dump(summary, out / "summary.json")
@@ -252,7 +252,7 @@ def cmd_nonexample(args, parser) -> int:
         )
     seq = build_nonexample(args.nmax)
     distances = verify_step_distances(seq)
-    vanishing = verify_vanishing_conditions(seq, k_max=3)
+    vanishing = verify_vanishing_conditions(seq)
     net = verify_not_totally_bounded(seq, args.epsilon)
     steps = givens_factorization(seq)
     recon_err = reconstruction_error(seq, steps)
@@ -314,6 +314,32 @@ def _tally(verdicts) -> dict:
     return counts
 
 
+_CHAIN_PROPERTIES = (
+    "chain_ordering",
+    "ab_interleaving",
+    "adjoint_convergence",
+    "operator_norm_convergence",
+)
+
+
+def _chain_verdicts(chain: ContractionChain, args) -> tuple:
+    """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
+    order."""
+    ordering = is_decreasing(chain, tol_psd=args.tol_psd)
+    trace = iterate_products(
+        chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+    )
+    trusted = trace.limit.trustworthy
+    adj_err = float(trace.adj_err[-1].max())
+    opnorm_err = float(trace.opnorm_err[-1])
+    return (
+        ordering,
+        consecutive_difference_report(trace).all_ok,
+        adj_err < DEFAULT.convergence if trusted else None,
+        opnorm_err < DEFAULT.convergence if trusted else None,
+    )
+
+
 def cmd_verify(args, parser) -> int:
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
@@ -344,35 +370,15 @@ def cmd_verify(args, parser) -> int:
 
     chains = corpus_chains(dims, args.seeds)
     if args.include_faulty_fixture:
-        chains.append(_faulty_chain())
-
-    chain_verdicts: dict[str, list] = {
-        "chain_ordering": [],
-        "ab_interleaving": [],
-        "adjoint_convergence": [],
-        "operator_norm_convergence": [],
+        chains = itertools.chain(chains, [_faulty_chain()])
+    # map holds each chain only while its verdicts are taken, so a
+    # finished chain and its operator cache are garbage before the next
+    # chain is built
+    rows = list(map(lambda chain: _chain_verdicts(chain, args), chains))
+    properties = {
+        name: _tally(column)
+        for name, column in zip(_CHAIN_PROPERTIES, zip(*rows))
     }
-    for chain in chains:
-        chain_verdicts["chain_ordering"].append(
-            is_decreasing(chain, tol_psd=args.tol_psd)
-        )
-        trace = iterate_products(
-            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
-        )
-        report = consecutive_difference_report(trace)
-        chain_verdicts["ab_interleaving"].append(report.all_ok)
-        trusted = trace.limit.trustworthy
-        chain_verdicts["adjoint_convergence"].append(
-            float(trace.adj_err[-1].max()) < DEFAULT.convergence
-            if trusted
-            else None
-        )
-        chain_verdicts["operator_norm_convergence"].append(
-            float(trace.opnorm_err[-1]) < DEFAULT.convergence
-            if trusted
-            else None
-        )
-    properties = {name: _tally(v) for name, v in chain_verdicts.items()}
 
     equivalence = (
         check_fixed_vector_equivalence(op, xi, tol_psd=args.tol_psd)
@@ -401,7 +407,7 @@ def cmd_verify(args, parser) -> int:
         "corpus": {
             "dims": list(dims),
             "seeds": args.seeds,
-            "chains": len(chains),
+            "chains": len(rows),
             "faulty_fixture": bool(args.include_faulty_fixture),
         },
         "properties": properties,

@@ -12,6 +12,8 @@ pass 5e-8).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .chains import (
@@ -93,51 +95,40 @@ def mixed_curves(dim: int, seed: int) -> list[Curve]:
 
 def corpus_chains(
     dims=CORPUS_DIMS, seed_count: int = CORPUS_SEED_COUNT
-) -> list[ContractionChain]:
+) -> Iterator[ContractionChain]:
     """One chain per generator kind x dimension x seed, at the
-    calibrated horizons."""
-    chains: list[ContractionChain] = []
+    calibrated horizons, built only when the next one is asked for and
+    not kept afterwards."""
     for dim in dims:
         for seed in range(seed_count):
-            chains.append(
-                diagonal_chain(
-                    mixed_curves(dim, seed),
-                    dim=dim,
-                    horizon=KIND_HORIZONS["diagonal"],
-                    seed=seed,
-                )
+            yield diagonal_chain(
+                mixed_curves(dim, seed),
+                dim=dim,
+                horizon=KIND_HORIZONS["diagonal"],
+                seed=seed,
             )
-            chains.append(
-                conjugated_diagonal_chain(
-                    mixed_curves(dim, seed),
-                    dim,
-                    KIND_HORIZONS["conjugated_diagonal"],
-                    seed=seed,
-                )
+            yield conjugated_diagonal_chain(
+                mixed_curves(dim, seed),
+                dim,
+                KIND_HORIZONS["conjugated_diagonal"],
+                seed=seed,
             )
-            chains.append(
-                random_schur_chain(
-                    dim,
-                    seed,
-                    KIND_HORIZONS["schur_decrement"],
-                    fixed_rank=seed % (dim // 2 + 1),
-                )
+            yield random_schur_chain(
+                dim,
+                seed,
+                KIND_HORIZONS["schur_decrement"],
+                fixed_rank=seed % (dim // 2 + 1),
             )
-            chains.append(
-                gap_engineered_chain(
-                    dim,
-                    _GAP_DELTAS[seed % len(_GAP_DELTAS)],
-                    seed % (dim + 1),
-                    seed,
-                    KIND_HORIZONS["gap_engineered"],
-                )
+            yield gap_engineered_chain(
+                dim,
+                _GAP_DELTAS[seed % len(_GAP_DELTAS)],
+                seed % (dim + 1),
+                seed,
+                KIND_HORIZONS["gap_engineered"],
             )
-            chains.append(
-                near_one_accumulating_chain(
-                    dim, seed, KIND_HORIZONS["near_one_accumulating"]
-                )
+            yield near_one_accumulating_chain(
+                dim, seed, KIND_HORIZONS["near_one_accumulating"]
             )
-    return chains
 
 
 def random_contraction(

@@ -28,9 +28,10 @@ from .errors import PreconditionError, RankDescentError
 from .operators import (
     Operator,
     Projection,
-    contraction_decompose,
+    _fixed_space,
+    _operand_fixed_space,
+    _projection_onto,
     fixed_point_projection,
-    fixed_space_rank,
     hermitian_eigenvalues,
     loewner_leq,
 )
@@ -204,9 +205,8 @@ def certificate_search(
     violations: list[GapViolation] = []
 
     def rank_at(n: int) -> int:
-        return fixed_point_projection(
-            chain.operator_at(n), tol_eig=tol_eig, tol_psd=tol_psd
-        ).rank
+        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
+        return space.shape[1]
 
     def scope_for(delta: float) -> str:
         guarantee = chain.gap_guarantee
@@ -289,16 +289,12 @@ def rank_strict_descent_check(
     strictly smaller.  Returns that comparison; ``False`` means the
     numerics contradict a theorem.  One ``eigh`` per operator serves its
     positivity check, its gap test and its fixed-space rank."""
-    decomps = []
-    for name, op in (("upper", t_upper), ("lower", t_lower)):
-        decomp, ok = contraction_decompose(op, tol_psd=tol_psd)
-        if not ok:
-            raise PreconditionError(
-                f"{name} operator is not a positive contraction "
-                f"(witness eigenvalue {ok.witness})"
-            )
-        decomps.append(decomp)
-    upper, lower = decomps
+    upper, upper_space = _operand_fixed_space(
+        "upper", t_upper, tol_eig, tol_psd
+    )
+    lower, lower_space = _operand_fixed_space(
+        "lower", t_lower, tol_eig, tol_psd
+    )
     if not loewner_leq(t_lower, t_upper, tol_psd=tol_psd):
         raise PreconditionError(
             "operators are not ordered: lower <= upper fails"
@@ -313,9 +309,7 @@ def rank_strict_descent_check(
             f"lower operator violates no gap at delta {delta}: "
             "the descent lemma does not apply"
         )
-    rank_upper = fixed_space_rank(upper, tol_eig=tol_eig)
-    rank_lower = fixed_space_rank(lower, tol_eig=tol_eig)
-    return rank_lower < rank_upper
+    return lower_space.shape[1] < upper_space.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,13 +393,14 @@ def rate_bound_check(
     fixed_part = proj.matrix @ xi
     xi_perp = xi - fixed_part
 
+    def step_projection(n: int) -> Projection:
+        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
+        return _projection_onto(space)
+
     if n0 is None:
         n0 = certificate.n_start
         for n in range(1, last + 1):
-            step_proj = fixed_point_projection(
-                chain.operator_at(n), tol_eig=tol_eig, tol_psd=tol_psd
-            )
-            if np.linalg.norm(step_proj.matrix @ xi_perp) <= epsilon:
+            if np.linalg.norm(step_projection(n).matrix @ xi_perp) <= epsilon:
                 n0 = max(certificate.n_start, n)
                 break
         else:
@@ -423,10 +418,8 @@ def rate_bound_check(
             f"n0 {n0} lies beyond the last checkable step {last}"
         )
 
-    proj_n0 = fixed_point_projection(
-        chain.operator_at(n0), tol_eig=tol_eig, tol_psd=tol_psd
-    )
-    eta = xi_perp - proj_n0.matrix @ xi_perp
+    # a scan that stopped at n0 reads T_n0 from the chain's handover
+    eta = xi_perp - step_projection(n0).matrix @ xi_perp
     carried = xi_perp.astype(eta.dtype, copy=True)
     for n in range(1, n0 + 1):
         op = chain.operator_at(n).entries

@@ -60,6 +60,7 @@ _SUPPORT_TOL = 1e-12
 _NORM_TOL = 1e-12
 _RANK_TOL = 1e-9  # singular values of U - I at or below this count as 0
 _BLAS_DOT_BLOCK = 16  # see _pair_dot
+_TAIL_K_MAX = 3  # verify_vanishing_conditions bounds k-step tails, k <= this
 
 
 def flat_index(n: int, j: int) -> int:
@@ -292,12 +293,7 @@ class VanishingReport:
         return self.coordinates_ok and self.norms_ok and self.tails_ok
 
 
-def verify_vanishing_conditions(
-    seq: NonexampleSequence, k_max: int
-) -> VanishingReport:
-    if k_max < 1:
-        raise PreconditionError(f"k_max must be >= 1, got {k_max}")
-
+def verify_vanishing_conditions(seq: NonexampleSequence) -> VanishingReport:
     # every stored coordinate (1-based c) of every point m, and whether
     # m lies at or past flat_index(c + 1, 1), where c must read 0
     m = np.arange(1, seq.count + 1)
@@ -330,7 +326,7 @@ def verify_vanishing_conditions(
             ),
             bound=k * step + _DIST_TOL,
         )
-        for k in range(1, k_max + 1)
+        for k in range(1, _TAIL_K_MAX + 1)
     )
 
     return VanishingReport(

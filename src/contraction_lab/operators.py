@@ -11,10 +11,12 @@ Numerical conventions
   are unambiguous.
 * An eigenvalue ``lambda`` of a positive contraction counts as 1 iff
   ``lambda >= 1 - tol_eig``; the positivity check already bounds it by
-  ``1 + tol_psd``.  This one rule picks out the fixed space in
-  :func:`fixed_point_projection`, :func:`fixed_space_rank` and
-  :func:`check_projection_monotone`, so "rank of the fixed space" always
-  means the same thing everywhere.
+  ``1 + tol_psd``.  One reader, ``_fixed_space``, applies that check and
+  this rule to an eigendecomposition.  :func:`fixed_point_projection`,
+  :func:`check_projection_monotone`, the rank and step projections of
+  :mod:`contraction_lab.gaps` and the per-step fixed spaces of
+  :mod:`contraction_lab.products` all read the fixed space through it,
+  so "rank of the fixed space" always means the same thing everywhere.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
 * Real symmetric input stays real (``float64``); anything with an
@@ -47,8 +49,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "fixed_point_projection",
     "is_positive_contraction",
-    "contraction_decompose",
-    "fixed_space_rank",
     "loewner_leq",
     "loewner_margin",
     "check_fixed_vector_equivalence",
@@ -163,43 +163,43 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     return _eigvalsh(op.entries)
 
 
-def _fixed_mask(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
-    """Eigenvalues that count as 1: at least ``1 - tol_eig``; the
-    positivity check every caller passed bounds them by ``1 + tol_psd``."""
-    return eigenvalues >= 1.0 - tol_eig
+def _fixed_space(
+    decomp: SpectralDecomposition, tol_eig: float, tol_psd: float | None
+) -> np.ndarray:
+    """The fixed space of a decomposed positive contraction as the
+    columns of a new ``dim x rank`` array.
 
-
-def _projection_onto(space: np.ndarray | Witnessed) -> Projection:
-    """Projection onto orthonormal columns, such as a basis from
-    :func:`_fixed_space`; the failed check :func:`_fixed_space` returns
-    for a non-contraction raises the error of
-    :func:`fixed_point_projection`."""
-    if isinstance(space, Witnessed):
+    Checks ``0 <= T <= I`` up to ``tol_psd`` (``DEFAULT.psd(dim)`` when
+    None) and raises :class:`PreconditionError` naming the offending
+    eigenvalue, then keeps the eigenvectors whose eigenvalues count as 1
+    under the clustering rule.
+    """
+    tol = DEFAULT.psd(decomp.dim) if tol_psd is None else tol_psd
+    check = _contraction_witness(decomp.eigenvalues, tol)
+    if not check:
         raise PreconditionError(
-            f"not a positive contraction: offending eigenvalue {space.witness}"
+            f"not a positive contraction: offending eigenvalue {check.witness}"
         )
+    return decomp.eigenvectors[:, decomp.eigenvalues >= 1.0 - tol_eig]
+
+
+def _operand_fixed_space(
+    name: str, op: Operator, tol_eig: float, tol_psd: float | None
+) -> tuple[SpectralDecomposition, np.ndarray]:
+    """One ``eigh`` of an operand and its fixed space; a failed
+    positivity check names the operand."""
+    decomp = spectral_decompose(op)
+    try:
+        return decomp, _fixed_space(decomp, tol_eig, tol_psd)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{name} operand is {exc}") from None
+
+
+def _projection_onto(space: np.ndarray) -> Projection:
+    """Projection onto orthonormal columns, such as a basis from
+    :func:`_fixed_space`."""
     # with no columns the product is the zero matrix of the basis dtype
     return Projection(Operator(space @ space.conj().T), space.shape[1])
-
-
-def _cluster_projection(
-    decomp: SpectralDecomposition, tol_eig: float
-) -> Projection:
-    """Projection onto the eigenvectors whose eigenvalues count as 1."""
-    mask = _fixed_mask(decomp.eigenvalues, tol_eig)
-    return _projection_onto(decomp.eigenvectors[:, mask])
-
-
-def _fixed_space(
-    decomp: SpectralDecomposition, tol_eig: float, tol_psd: float
-) -> np.ndarray | Witnessed:
-    """The fixed space of a decomposed operator as the columns of a new
-    ``dim x rank`` array, or the failed check when the operator is not
-    a positive contraction."""
-    check = _contraction_witness(decomp.eigenvalues, tol_psd)
-    if not check:
-        return check
-    return decomp.eigenvectors[:, _fixed_mask(decomp.eigenvalues, tol_eig)]
 
 
 def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
@@ -222,28 +222,6 @@ def is_positive_contraction(
     return _contraction_witness(_eigvalsh(op.entries), tol)
 
 
-def contraction_decompose(
-    op: Operator, *, tol_psd: float | None = None
-) -> tuple[SpectralDecomposition, Witnessed]:
-    """One ``eigh`` of ``op`` and the ``0 <= T <= I`` verdict read off its
-    eigenvalues, witnessed as in :func:`is_positive_contraction`.
-
-    Callers that need the positivity check and a spectral answer about
-    the same operator (fixed space, gap) take both from this one solve.
-    """
-    decomp = spectral_decompose(op)
-    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
-    return decomp, _contraction_witness(decomp.eigenvalues, tol)
-
-
-def fixed_space_rank(
-    decomp: SpectralDecomposition, *, tol_eig: float = DEFAULT.eig
-) -> int:
-    """Fixed-space rank of a decomposed positive contraction under the
-    clustering rule: the rank of :func:`fixed_point_projection`."""
-    return int(_fixed_mask(decomp.eigenvalues, tol_eig).sum())
-
-
 def fixed_point_projection(
     op: Operator,
     *,
@@ -257,8 +235,9 @@ def fixed_point_projection(
     contractions.  One ``eigh`` serves both the positivity check and the
     projection.
     """
-    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
-    return _projection_onto(_fixed_space(spectral_decompose(op), tol_eig, tol))
+    return _projection_onto(
+        _fixed_space(spectral_decompose(op), tol_eig, tol_psd)
+    )
 
 
 def loewner_leq(
@@ -383,22 +362,13 @@ def check_projection_monotone(
     ordering holds) are enforced; this function answers the projection
     comparison only.
     """
-    decomps = []
-    for name, op in (("lower", t_lower), ("upper", t_upper)):
-        decomp, check = contraction_decompose(op, tol_psd=tol_psd)
-        if not check:
-            raise PreconditionError(
-                f"{name} operand is not a positive contraction: "
-                f"offending eigenvalue {check.witness}"
-            )
-        decomps.append(decomp)
+    _, lower_space = _operand_fixed_space("lower", t_lower, tol_eig, tol_psd)
+    _, upper_space = _operand_fixed_space("upper", t_upper, tol_eig, tol_psd)
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
         raise PreconditionError(
             f"operands are not ordered: min eig of difference {ordering.witness}"
         )
-    p_lower, p_upper = (
-        _cluster_projection(decomp, tol_eig) for decomp in decomps
-    )
+    p_lower = _projection_onto(lower_space)
+    p_upper = _projection_onto(upper_space)
     return bool(loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd))
-

@@ -32,7 +32,6 @@ from .errors import InvariantError, PreconditionError
 from .operators import (
     Operator,
     Projection,
-    Witnessed,
     _fixed_space,
     _projection_onto,
     loewner_margin,
@@ -188,8 +187,8 @@ class ConvergenceTrace:
     ``fixed_spaces`` is None unless the run was asked for the per-step
     fixed spaces.  Then it holds, for ``n = 1..horizon``, the orthonormal
     ``dim x rank_n`` basis of ``T_n``'s fixed space under the same two
-    tolerances; if some ``T_n`` is not a positive contraction, its failed
-    check ends the tuple instead.
+    tolerances; if some ``T_n`` is not a positive contraction, the
+    :class:`PreconditionError` its read raised ends the tuple instead.
     """
 
     chain_kind: str
@@ -209,7 +208,7 @@ class ConvergenceTrace:
     projection: Projection
     tol_eig: float
     tol_psd: float
-    fixed_spaces: tuple[np.ndarray | Witnessed, ...] | None = None
+    fixed_spaces: tuple[np.ndarray | PreconditionError, ...] | None = None
 
     @property
     def probe_count(self) -> int:
@@ -223,22 +222,25 @@ def _block_steps(dim: int) -> int:
 
 def _fixed_space_walk(
     chain: ContractionChain, horizon: int, tol_eig: float, tol_psd: float
-) -> tuple[np.ndarray | Witnessed, ...]:
+) -> tuple[np.ndarray | PreconditionError, ...]:
     """Fixed-space bases of ``T_1 .. T_horizon``, each read off the
     chain's one ``eigh`` of that step.
 
     Asked in step order, ``decomposition_at(n)`` hands a Schur chain's
     ``eigh`` of ``T_n`` from its generator to this walk.  A step that is
-    not a positive contraction ends the walk with its failed check; the
-    error is raised by :func:`check_projection_convergence`, where a
+    not a positive contraction ends the walk with the error its read
+    raised; :func:`check_projection_convergence` raises it, where a
     per-step :func:`~contraction_lab.operators.fixed_point_projection`
     would raise it.
     """
-    spaces: list[np.ndarray | Witnessed] = []
+    spaces: list[np.ndarray | PreconditionError] = []
     for n in range(1, horizon + 1):
-        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
-        spaces.append(space)
-        if isinstance(space, Witnessed):
+        try:
+            spaces.append(
+                _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
+            )
+        except PreconditionError as exc:
+            spaces.append(exc)
             break
     return tuple(spaces)
 
@@ -545,7 +547,9 @@ def check_projection_convergence(
     errors = np.empty((h, trace.probe_count))
     p_probes = proj.matrix @ mat
     for n, space in enumerate(trace.fixed_spaces, 1):
-        step = _projection_onto(space)  # raises at a failed check
+        if isinstance(space, PreconditionError):
+            raise space
+        step = _projection_onto(space)
         ranks[n - 1] = step.rank
         errors[n - 1] = np.linalg.norm(step.matrix @ mat - p_probes, axis=0)
     return ProjectionTrace(
@@ -735,7 +739,6 @@ def trace_summary(
     trace: ConvergenceTrace,
     *,
     projection_trace: ProjectionTrace | None = None,
-    ab_report: ABChainReport | None = None,
 ) -> dict:
     """Final values plus verdicts, ready for JSON.
 
@@ -747,8 +750,7 @@ def trace_summary(
     a false or inconclusive convergence verdict makes it
     ``"inconclusive"``.
     """
-    if ab_report is None:
-        ab_report = consecutive_difference_report(trace)
+    ab_report = consecutive_difference_report(trace)
     final = {
         "sot_err_max": float(trace.sot_err[-1].max()),
         "adj_err_max": float(trace.adj_err[-1].max()),

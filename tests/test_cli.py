@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 import math
 import runpy
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +380,31 @@ def test_verify_small_corpus(tmp_path):
     for name, counts in verdicts["properties"].items():
         assert counts["fail"] == 0, name
         assert counts["total"] > 0
+
+
+def test_verify_drops_each_chain_before_building_the_next(
+    tmp_path, monkeypatch
+):
+    # a finished chain and its operator cache are garbage by the time
+    # the next chain is built, so verify's memory does not grow with
+    # --seeds
+    corpus_chains = cli.corpus_chains
+    built = []
+    alive = []
+
+    def tracked(dims, seed_count):
+        for chain in corpus_chains(dims, seed_count):
+            built.append(weakref.ref(chain))
+            yield chain
+            del chain
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+
+    monkeypatch.setattr(cli, "corpus_chains", tracked)
+    argv = ["verify", "--seeds", "2", "--dims", "2,3", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    assert len(built) == 20
+    assert alive == [0] * 20
 
 
 def test_verify_refuses_dims_over_the_cache_ceiling(tmp_path, capsys):

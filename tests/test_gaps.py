@@ -221,11 +221,11 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     # message shows which check runs first
     cases = [
         (diagonal([1.5, 0.5]), diagonal([1.2, 0.95]), 1.5,
-         r"^upper operator is not a positive contraction "
-         r"\(witness eigenvalue 1\.5\)$"),
+         r"^upper operand is not a positive contraction: "
+         r"offending eigenvalue 1\.5$"),
         (diagonal([1.0, 0.5]), diagonal([-0.5, 0.95]), 1.5,
-         r"^lower operator is not a positive contraction "
-         r"\(witness eigenvalue -0\.5\)$"),
+         r"^lower operand is not a positive contraction: "
+         r"offending eigenvalue -0\.5$"),
         (diagonal([0.5, 0.5]), diagonal([0.95, 0.95]), 1.5,
          r"^operators are not ordered: lower <= upper fails$"),
         (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]), 1.5,
@@ -236,6 +236,19 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     for upper, lower, delta, message in cases:
         with pytest.raises(PreconditionError, match=message):
             rank_strict_descent_check(upper, lower, delta)
+
+
+def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
+    chain = gap_engineered_chain(8, 0.1, 2, 5, 60)
+    eigensolve_counts.update(eigh=0, eigvalsh=0)
+    cert = certificate_search(chain)
+    assert isinstance(cert, GapCertificate)
+    report = rate_bound_check(chain, cert)
+    assert report.n0 == 1
+    # the search's rank of T_1, the n0 scan and T_n0's projection share
+    # one eigh; the other is the limit's.  The eigvalsh calls are the gap
+    # tests: the grid at T_1, then the scan over T_2 .. T_60
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 62}
 
 
 def test_rank_strict_descent_on_seeded_triples():

@@ -182,8 +182,9 @@ def test_step_distance_views_match_arrays():
 
 def test_vanishing_conditions():
     seq = build_nonexample(10)
-    report = verify_vanishing_conditions(seq, k_max=3)
+    report = verify_vanishing_conditions(seq)
     assert report.all_ok
+    assert [tail.k for tail in report.tail_bounds] == [1, 2, 3]
     assert report.max_norm_deviation <= 1e-15
     assert report.norms_nonincreasing
     for decay in report.coordinate_decays:
@@ -193,11 +194,6 @@ def test_vanishing_conditions():
     for tail in report.tail_bounds:
         assert tail.ok
         assert tail.tail_max <= tail.bound
-
-
-def test_vanishing_conditions_rejects_bad_k():
-    with pytest.raises(PreconditionError):
-        verify_vanishing_conditions(build_nonexample(3), k_max=0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from contraction_lab import (
 )
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import random_contraction
-from contraction_lab.operators import fixed_space_rank
+from contraction_lab.operators import _fixed_space
 
 SQRT2 = 1.4142135623730951
 
@@ -366,7 +366,7 @@ def test_clustering_rules_boundary_table(value, fixed, in_window):
             fixed_point_projection(op, tol_psd=WIDE_PSD)
         return
     proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
-    assert proj.rank == fixed_space_rank(decomp) == int(fixed)
+    assert proj.rank == _fixed_space(decomp, TOL, WIDE_PSD).shape[1] == fixed
     expected = np.diag([1.0, 0.0]) if fixed else np.zeros((2, 2))
     assert np.allclose(proj.matrix, expected, atol=1e-12)
 
@@ -378,7 +378,8 @@ def test_eigenvalue_between_tolerances_is_fixed():
     op = diagonal([1.0 + 1.5e-9] + [0.5] * 15)
     assert is_positive_contraction(op)
     assert fixed_point_projection(op).rank == 1
-    assert fixed_space_rank(spectral_decompose(op)) == 1
+    # the reader's default slack is the same dim-scaled one
+    assert _fixed_space(spectral_decompose(op), TOL, None).shape[1] == 1
     assert has_gap_at(op, DELTA)
 
 
@@ -400,7 +401,8 @@ def test_clustering_rules_match_scalar_loop(values):
         w for w in decomp.eigenvalues if 1.0 - DELTA + TOL < w < 1.0 - TOL
     ]
     proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
-    assert proj.rank == fixed_space_rank(decomp) == len(fixed)
+    assert proj.rank == _fixed_space(decomp, TOL, WIDE_PSD).shape[1]
+    assert proj.rank == len(fixed)
     assert has_gap_at(op, DELTA) == (not inside)
     if inside:
         # the reported violation is the largest eigenvalue in the window
@@ -413,11 +415,13 @@ def test_clustering_rules_match_scalar_loop(values):
 def test_clustering_rules_empty_fixed_space():
     real = diagonal([0.5, 0.25])
     proj = fixed_point_projection(real)
-    assert proj.rank == fixed_space_rank(spectral_decompose(real)) == 0
+    space = _fixed_space(spectral_decompose(real), TOL, None)
+    assert proj.rank == space.shape[1] == 0
     assert proj.matrix.dtype == np.float64
     assert np.array_equal(proj.matrix, np.zeros((2, 2)))
     cplx = Operator(np.array([[0.5, 0.1j], [-0.1j, 0.25]]))
     proj = fixed_point_projection(cplx)
-    assert proj.rank == fixed_space_rank(spectral_decompose(cplx)) == 0
+    space = _fixed_space(spectral_decompose(cplx), TOL, None)
+    assert proj.rank == space.shape[1] == 0
     assert proj.matrix.dtype == np.complex128
     assert np.array_equal(proj.matrix, np.zeros((2, 2)))
