@@ -25,8 +25,10 @@ fixed-space rule must cover is not empty.  ``gap schur_random`` is the
 only ``gap`` run on a Schur chain, whose generator takes ``T_n^{1/2}``
 from the same one-slot ``decomposition_at`` handover that the search's
 fixed-space rank and the rate table's ``n0`` scan read; it ends in an
-empirical certificate.  ``nonexample ties`` runs at epsilon 1.0, where
-chords of rows divisible by 3 lie exactly epsilon apart, and
+empirical certificate.  ``simulate conjugated_mixed`` is the only run
+whose artifacts depend on a ``geometric`` curve's values; its chain
+carries one curve of every tag.  ``nonexample ties`` runs at epsilon
+1.0, where chords of rows divisible by 3 lie exactly epsilon apart, and
 ``nonexample wide`` above ``sqrt(2)``, where the net measures every
 member.
 """
@@ -56,6 +58,10 @@ COMMANDS = (
     ("simulate schur_dim16", ["simulate", "--spec", "schur_dim16.json"]),
     ("gap gap_dim16", ["gap", "--spec", "gap_dim16.json"]),
     ("gap schur_random", ["gap", "--spec", "schur_random.json"]),
+    (
+        "simulate conjugated_mixed",
+        ["simulate", "--spec", "conjugated_mixed.json"],
+    ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),

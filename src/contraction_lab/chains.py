@@ -11,6 +11,7 @@ be rebuilt bit-for-bit from a JSON document.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -90,38 +91,18 @@ class Curve:
     tag: str
     params: tuple[float, ...] = ()
 
-    def value(self, n: int) -> float:
-        if self.tag == "const":
-            return self.params[0]
-        if self.tag == "harmonic_to":
-            c = self.params[0]
-            return c + (1.0 - c) / n
-        if self.tag == "affine_harmonic":
-            a, b = self.params
-            return a + b / n
-        if self.tag == "geometric":
-            return self.params[0] ** n
-        if self.tag == "peel":
-            stage, level, decay = self.params
-            if n < stage:
-                return 1.0
-            return level * decay ** (n - stage)
-        raise ValueError(f"unknown curve tag {self.tag!r}")
+    def __post_init__(self):
+        if self.tag not in _TAGS:
+            raise ValueError(f"unknown curve tag {self.tag!r}")
+
+    def values(self, horizon: int) -> np.ndarray:
+        """The curve at the steps ``n = 1..horizon``."""
+        steps = np.arange(1, horizon + 1, dtype=float)
+        return _TAGS[self.tag].values(*self.params, steps)
 
     @property
     def limit(self) -> float:
-        if self.tag == "const":
-            return self.params[0]
-        if self.tag == "harmonic_to":
-            return self.params[0]
-        if self.tag == "affine_harmonic":
-            return self.params[0]
-        if self.tag == "geometric":
-            return 1.0 if self.params[0] == 1.0 else 0.0
-        if self.tag == "peel":
-            _, level, decay = self.params
-            return level if decay == 1.0 else 0.0
-        raise ValueError(f"unknown curve tag {self.tag!r}")
+        return _TAGS[self.tag].limit(*self.params)
 
     def to_spec(self) -> list:
         return [self.tag, *self.params]
@@ -134,37 +115,17 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
-def const(level: float) -> Curve:
-    return Curve("const", (_check_unit("const level", level),))
-
-
-def harmonic_to(target: float) -> Curve:
-    """``target + (1 - target)/n``: starts at 1, decays to ``target``."""
-    return Curve("harmonic_to", (_check_unit("harmonic target", target),))
-
-
-def affine_harmonic(offset: float, slope: float) -> Curve:
-    """``offset + slope/n`` with both parts nonnegative and peak <= 1
-    (a NaN part fails the test)."""
+def _affine_rule(offset, slope) -> tuple[float, float]:
     offset, slope = float(offset), float(slope)
     if not (offset >= 0.0 and slope >= 0.0 and offset + slope <= 1.0 + 1e-12):
         raise ValueError(
             f"affine_harmonic needs offset, slope >= 0 and peak <= 1, "
             f"got {offset} + {slope}"
         )
-    return Curve("affine_harmonic", (offset, slope))
+    return offset, slope
 
 
-def geometric(ratio: float) -> Curve:
-    return Curve("geometric", (_check_unit("geometric ratio", ratio),))
-
-
-def peel(stage: int, level: float, decay: float) -> Curve:
-    """Hold at 1 before ``stage``, then drop to ``level`` and decay.
-
-    The one-step drop followed by a geometric slide is what lets a
-    coordinate leave the 1-cluster *into* a prescribed band below 1.
-    """
+def _peel_rule(stage, level, decay) -> tuple[float, float, float]:
     if not float(stage).is_integer():
         raise ValueError(f"peel stage must be a whole number, got {stage}")
     stage = int(stage)
@@ -174,16 +135,98 @@ def peel(stage: int, level: float, decay: float) -> Curve:
     decay = float(decay)
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"peel decay must lie in (0, 1], got {decay}")
-    return Curve("peel", (float(stage), level, decay))
+    return float(stage), level, decay
 
 
-_CURVE_BUILDERS = {
-    "const": (const, 1),
-    "harmonic_to": (harmonic_to, 1),
-    "affine_harmonic": (affine_harmonic, 2),
-    "geometric": (geometric, 1),
-    "peel": (peel, 3),
+def _pow(base: float, exponents: np.ndarray) -> np.ndarray:
+    # libm's pow, which Python's scalar ``**`` calls; ``np.power`` rounds
+    # differently on some builds (SIMD loops)
+    return np.array([math.pow(base, e) for e in exponents.tolist()])
+
+
+def _peel_values(stage, level, decay, steps: np.ndarray) -> np.ndarray:
+    # 1 before the stage; the power only from the stage on, where its
+    # exponent is nonnegative and cannot overflow
+    values = np.ones(steps.size)
+    due = steps >= stage
+    values[due] = level * _pow(decay, steps[due] - stage)
+    return values
+
+
+class _Tag(NamedTuple):
+    # parameter names; rule that checks the parameters and returns them
+    # normalized; values at the float steps 1..h; closed-form limit
+    names: tuple[str, ...]
+    rule: Callable[..., tuple[float, ...]]
+    values: Callable[..., np.ndarray]
+    limit: Callable[..., float]
+
+
+_TAGS = {
+    "const": _Tag(
+        ("c",),
+        lambda c: (_check_unit("const level", c),),
+        lambda c, steps: np.full(steps.size, c, dtype=float),
+        lambda c: c,
+    ),
+    "harmonic_to": _Tag(
+        ("c",),
+        lambda c: (_check_unit("harmonic target", c),),
+        lambda c, steps: c + (1.0 - c) / steps,
+        lambda c: c,
+    ),
+    "affine_harmonic": _Tag(
+        ("a", "b"),
+        _affine_rule,
+        lambda a, b, steps: a + b / steps,
+        lambda a, b: a,
+    ),
+    "geometric": _Tag(
+        ("r",),
+        lambda r: (_check_unit("geometric ratio", r),),
+        lambda r, steps: _pow(r, steps),
+        lambda r: 1.0 if r == 1.0 else 0.0,
+    ),
+    "peel": _Tag(
+        ("stage", "level", "decay"),
+        _peel_rule,
+        _peel_values,
+        lambda stage, level, decay: level if decay == 1.0 else 0.0,
+    ),
 }
+
+
+def _curve(tag: str, *params) -> Curve:
+    """A curve whose parameters have passed its tag's rule."""
+    return Curve(tag, _TAGS[tag].rule(*params))
+
+
+def const(level: float) -> Curve:
+    return _curve("const", level)
+
+
+def harmonic_to(target: float) -> Curve:
+    """``target + (1 - target)/n``: starts at 1, decays to ``target``."""
+    return _curve("harmonic_to", target)
+
+
+def affine_harmonic(offset: float, slope: float) -> Curve:
+    """``offset + slope/n`` with both parts nonnegative and peak <= 1
+    (a NaN part fails the test)."""
+    return _curve("affine_harmonic", offset, slope)
+
+
+def geometric(ratio: float) -> Curve:
+    return _curve("geometric", ratio)
+
+
+def peel(stage: int, level: float, decay: float) -> Curve:
+    """Hold at 1 before ``stage``, then drop to ``level`` and decay.
+
+    The one-step drop followed by a geometric slide is what lets a
+    coordinate leave the 1-cluster *into* a prescribed band below 1.
+    """
+    return _curve("peel", stage, level, decay)
 
 
 class ContractionChain:
@@ -266,15 +309,13 @@ class ContractionChain:
 def _curve_table(
     curves: Sequence[Curve], horizon: int
 ) -> np.ndarray:
-    """Sample all curves on 1..horizon and validate range and monotonicity."""
-    dim = len(curves)
-    table = np.empty((dim, horizon))
-    for k, curve in enumerate(curves):
-        for n in range(1, horizon + 1):
-            table[k, n - 1] = curve.value(n)
+    """Sample all curves on 1..horizon.  The first curve that leaves
+    ``[0, 1]`` or, failing that, increases is refused at its first
+    faulty step."""
+    table = np.empty((len(curves), horizon))
     slack = 1e-12
-    for k in range(dim):
-        row = table[k]
+    for k, curve in enumerate(curves):
+        row = table[k] = curve.values(horizon)
         bad_range = np.where((row < -slack) | (row > 1.0 + slack))[0]
         if bad_range.size:
             n = int(bad_range[0]) + 1
@@ -652,11 +693,11 @@ def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
         violations.append(f"curve {index}: expected [tag, params...]")
         return None
     tag, *params = entry
-    builder = _CURVE_BUILDERS.get(tag) if isinstance(tag, str) else None
-    if builder is None:
+    spec_tag = _TAGS.get(tag) if isinstance(tag, str) else None
+    if spec_tag is None:
         violations.append(f"curve {index}: unknown tag {tag!r}")
         return None
-    fn, arity = builder
+    arity = len(spec_tag.names)
     if len(params) != arity:
         violations.append(
             f"curve {index}: tag {tag!r} takes {arity} parameter(s), "
@@ -668,7 +709,7 @@ def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
             violations.append(f"curve {index}: {p!r} is not a finite number")
             return None
     try:
-        return fn(*params)
+        return _curve(tag, *params)
     except (OverflowError, ValueError) as exc:
         violations.append(f"curve {index}: {exc}")
         return None

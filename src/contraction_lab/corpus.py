@@ -147,12 +147,13 @@ def random_contraction(
     return Operator(entries), eigs, frame
 
 
-def equivalence_corpus(count: int = 1000) -> list[tuple[Operator, np.ndarray]]:
+def equivalence_corpus(
+    count: int = 1000,
+) -> Iterator[tuple[Operator, np.ndarray]]:
     """(T, xi) pairs: alternately a generic random probe and an exact
     eigenvector of T, so both O(1) residuals and machine-zero residuals
-    are exercised."""
+    are exercised.  Each pair is drawn when asked for and not kept."""
     rng = stream_rng(_SEED_EQUIV, _STREAM_EQUIV)
-    pairs = []
     for i in range(count):
         dim = _EQUIV_DIMS[i % len(_EQUIV_DIMS)]
         op, _, frame = random_contraction(dim, rng)
@@ -160,19 +161,20 @@ def equivalence_corpus(count: int = 1000) -> list[tuple[Operator, np.ndarray]]:
             xi = rng.standard_normal(dim)
         else:
             xi = frame[:, rng.integers(0, dim)].copy()
-        pairs.append((op, xi))
-    return pairs
+        yield op, xi
 
 
-def monotone_pair_corpus(count: int = 500) -> list[tuple[Operator, Operator]]:
-    """(upper, lower) pairs with lower = sqrt(T)(I - D)sqrt(T) <= upper.
+def monotone_pair_corpus(
+    count: int = 500,
+) -> Iterator[tuple[Operator, Operator]]:
+    """(upper, lower) pairs with lower = sqrt(T)(I - D)sqrt(T) <= upper,
+    each drawn when asked for and not kept.
 
     Flavors rotate through: D = 0 (equal pair), D supported on the
     non-fixed block (fixed space preserved exactly), and D touching the
     whole space (fixed space generically destroyed).
     """
     rng = stream_rng(_SEED_MONOTONE, _STREAM_MONOTONE)
-    pairs = []
     for i in range(count):
         dim = _EQUIV_DIMS[i % len(_EQUIV_DIMS)]
         fixed_rank = int(rng.integers(0, dim + 1))
@@ -210,18 +212,17 @@ def monotone_pair_corpus(count: int = 500) -> list[tuple[Operator, Operator]]:
             decrement = (ev * weights) @ ev.T
         decrement = scale * decrement
         lower_entries = root @ (np.eye(dim) - decrement) @ root
-        pairs.append((Operator(upper_entries), Operator(lower_entries)))
-    return pairs
+        yield Operator(upper_entries), Operator(lower_entries)
 
 
 def descent_triple_corpus(
     count: int = 60,
-) -> list[tuple[Operator, Operator, float]]:
+) -> Iterator[tuple[Operator, Operator, float]]:
     """(upper, lower, delta) triples meeting the strict-descent lemma's
     hypotheses: upper has a gap at delta, lower sits below upper and
-    puts an eigenvalue inside (1 - delta, 1)."""
+    puts an eigenvalue inside (1 - delta, 1).  Each triple is drawn when
+    asked for and not kept."""
     rng = stream_rng(_SEED_DESCENT, _STREAM_DESCENT)
-    triples = []
     for i in range(count):
         dim = _EQUIV_DIMS[i % len(_EQUIV_DIMS)]
         delta = _GAP_DELTAS[i % len(_GAP_DELTAS)]
@@ -233,11 +234,8 @@ def descent_triple_corpus(
         drop = int(rng.integers(0, fixed_rank))
         lower_eigs[drop] = 1.0 - delta / 2.0
         lower_eigs[fixed_rank:] *= 0.98
-        triples.append(
-            (
-                Operator((frame * upper_eigs) @ frame.T),
-                Operator((frame * lower_eigs) @ frame.T),
-                delta,
-            )
+        yield (
+            Operator((frame * upper_eigs) @ frame.T),
+            Operator((frame * lower_eigs) @ frame.T),
+            delta,
         )
-    return triples

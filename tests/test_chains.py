@@ -71,30 +71,73 @@ def test_random_orthogonal_is_orthogonal_and_deterministic():
 
 
 def test_curve_values_and_limits():
-    assert const(0.5).value(17) == 0.5
+    assert const(0.5).values(17)[16] == 0.5
     assert const(0.5).limit == 0.5
 
     h = harmonic_to(0.5)
-    assert h.value(1) == 1.0
-    assert h.value(2) == pytest.approx(0.75)
+    assert h.values(2)[0] == 1.0
+    assert h.values(2)[1] == pytest.approx(0.75)
     assert h.limit == 0.5
 
     a = affine_harmonic(0.3, 0.4)
-    assert a.value(1) == pytest.approx(0.7)
-    assert a.value(2) == pytest.approx(0.5)
+    assert a.values(2) == pytest.approx([0.7, 0.5])
     assert a.limit == 0.3
 
     g = geometric(0.5)
-    assert g.value(3) == pytest.approx(0.125)
+    assert g.values(3)[2] == pytest.approx(0.125)
     assert g.limit == 0.0
     assert geometric(1.0).limit == 1.0
 
     p = peel(5, 0.8, 0.9)
-    assert p.value(4) == 1.0
-    assert p.value(5) == pytest.approx(0.8)
-    assert p.value(7) == pytest.approx(0.8 * 0.81)
+    assert p.values(7) == pytest.approx([1.0] * 4 + [0.8, 0.72, 0.8 * 0.81])
     assert p.limit == 0.0
     assert peel(5, 0.8, 1.0).limit == 0.8
+    assert peel(900, 0.5, 0.9).values(3).tolist() == [1.0] * 3
+    # the power is taken from the stage on only: before it, a negative
+    # exponent on this decay would overflow
+    assert peel(700, 0.5, 1e-300).values(800)[:699].tolist() == [1.0] * 699
+
+
+def _scalar_curve(tag: str, params: tuple, n: int) -> float:
+    """One curve value the way a scalar loop computes it, with Python's
+    ``**`` and ``/`` on floats."""
+    if tag == "const":
+        return params[0]
+    if tag == "harmonic_to":
+        return params[0] + (1.0 - params[0]) / n
+    if tag == "affine_harmonic":
+        return params[0] + params[1] / n
+    if tag == "geometric":
+        return params[0] ** n
+    stage, level, decay = params
+    return 1.0 if n < stage else level * decay ** (n - stage)
+
+
+def _draw_curve(tag: str, rng: np.random.Generator) -> Curve:
+    if tag == "affine_harmonic":
+        offset = float(rng.uniform())
+        return affine_harmonic(offset, (1.0 - offset) * float(rng.uniform()))
+    if tag == "peel":
+        return peel(
+            int(rng.integers(1, 900)),
+            float(rng.uniform()),
+            float(rng.uniform(0.05, 1.0)),
+        )
+    return getattr(chains, tag)(float(rng.uniform()))
+
+
+@pytest.mark.parametrize("tag", sorted(chains._TAGS))
+def test_curve_values_are_bitwise_the_scalar_formula(tag):
+    # geometric and peel must raise through libm's pow, as ``**`` does;
+    # an ``np.power`` loop rounds some of these draws differently
+    rng = stream_rng(31, 7)
+    curves = [_draw_curve(tag, rng) for _ in range(50)]
+    if tag == "geometric":
+        curves.append(geometric(0.7))
+    for curve in curves:
+        assert curve.tag == tag
+        scalar = [_scalar_curve(tag, curve.params, n) for n in range(1, 801)]
+        assert np.array_equal(curve.values(800), scalar), curve
 
 
 def test_curve_validation():
@@ -109,9 +152,7 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         peel(3, 0.5, 0.0)
     with pytest.raises(ValueError, match="unknown curve tag"):
-        Curve("wiggle").value(1)
-    with pytest.raises(ValueError, match="unknown curve tag"):
-        Curve("wiggle").limit
+        Curve("wiggle")
     assert const(0.5).to_spec() == ["const", 0.5]
     assert peel(5, 0.8, 0.9).to_spec() == ["peel", 5.0, 0.8, 0.9]
 
@@ -135,8 +176,9 @@ def test_diagonal_chain_is_exactly_diagonal():
     curves = [const(1.0), harmonic_to(0.3), geometric(0.7), peel(4, 0.6, 0.9)]
     horizon = 12
     chain = diagonal_chain(curves, horizon=horizon)
+    table = [c.values(horizon) for c in curves]
     for n in range(1, horizon + 1):
-        values = [c.value(n) for c in curves]
+        values = [row[n - 1] for row in table]
         assert np.array_equal(chain.operator_at(n).entries, np.diag(values))
     limits = [c.limit for c in curves]
     assert np.array_equal(
@@ -157,8 +199,13 @@ def test_diagonal_chain_rejects_bad_curves():
     rising = Curve("affine_harmonic", (0.5, -0.1))
     with pytest.raises(ChainGenerationError, match="increases at n=1"):
         diagonal_chain([rising], horizon=10)
+    outside = Curve("affine_harmonic", (0.0, 1.5))
     with pytest.raises(ChainGenerationError, match=r"leaves \[0, 1\] at n=1"):
-        diagonal_chain([Curve("affine_harmonic", (0.0, 1.5))], horizon=10)
+        diagonal_chain([outside], horizon=10)
+    # the first faulty curve is named, though a later one fails the range
+    # check, which comes first within a curve
+    with pytest.raises(ChainGenerationError, match="curve 0 increases"):
+        diagonal_chain([rising, outside], horizon=10)
     with pytest.raises(ChainGenerationError, match="curves for dimension"):
         diagonal_chain([const(1.0)], dim=2, horizon=10)
 
@@ -489,6 +536,19 @@ def test_readme_kind_table_matches_kinds():
         kind: set(entry.keys) | ({"seed"} if entry.seeded else set())
         for kind, entry in chains._KINDS.items()
     }
+
+
+def test_readme_curve_tags_match_tags():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    paragraph = re.search(
+        r"^Curve tags(.*?)\n\n", readme.read_text(), re.MULTILINE | re.DOTALL
+    ).group(1)
+    forms = re.findall(r'`\["(\w+)",([^]]*)\]`', paragraph)
+    documented = {
+        tag: tuple(p.strip() for p in params.split(","))
+        for tag, params in forms
+    }
+    assert documented == {tag: e.names for tag, e in chains._TAGS.items()}
 
 
 def test_curve_constructors_refuse_nan_and_fractional_stage():

@@ -55,6 +55,7 @@ def test_artifact_digests_one_line_per_command():
         "simulate schur_dim16": 0,
         "gap gap_dim16": 0,
         "gap schur_random": 0,
+        "simulate conjugated_mixed": 0,
         "verify": 0,
         "verify faulty": 1,
         "nonexample": 0,
