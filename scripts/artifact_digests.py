@@ -17,8 +17,11 @@ check that a change keeps every artifact byte-identical::
 Expected exit codes: 3 for ``gap near_one`` (the stress chain exhausts
 the grid), 1 for ``verify faulty`` (the injected chain is not
 decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
-covers the whole orbit, so the net cannot dominate the row count), 0
-for every other command.  The two ``dim16`` specs are the only ones
+covers the whole orbit, so the net cannot dominate the row count), 64
+for ``simulate schur_random tol0`` (at ``--tol-psd 0`` the rounded top
+eigenvalue of ``T_1``, 1 + 2^-52, fails the positivity check, and the
+run stops there with no artifact, before any product), 0 for every
+other command.  The two ``dim16`` specs are the only ones
 above dim 10, where the default ``tol_psd = 1e-10 * dim`` exceeds
 ``tol_eig``, so the band ``(1 + tol_eig, 1 + tol_psd]`` that the
 fixed-space rule must cover is not empty.  ``gap schur_random`` is the
@@ -61,6 +64,10 @@ COMMANDS = (
     (
         "simulate conjugated_mixed",
         ["simulate", "--spec", "conjugated_mixed.json"],
+    ),
+    (
+        "simulate schur_random tol0",
+        ["simulate", "--spec", "schur_random.json", "--tol-psd", "0"],
     ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),

@@ -8,8 +8,9 @@ Exit codes are a stable contract:
         converged by the horizon, or no rate table within an empirical
         certificate's horizon)
     3   no gap certificate at this grid resolution
-    64  usage error (a bad option or spec, or a chain whose limit is not
-        a positive contraction under the given tolerances)
+    64  usage error, in one stderr line (a bad option or spec, a chain
+        with a step or limit that is not a positive contraction under
+        the given tolerances, or an eigensolver failure)
 
 All outputs are byte-stable for a fixed (config, seed): floats print
 with 17 significant digits, JSON keys are sorted, and nothing
@@ -45,7 +46,6 @@ from .corpus import (
     monotone_pair_corpus,
 )
 from .errors import (
-    ChainGenerationError,
     ChainSpecError,
     ContractionLabError,
     InvariantError,
@@ -76,7 +76,6 @@ from .operators import (
     diagonal,
 )
 from .products import (
-    check_projection_convergence,
     consecutive_difference_report,
     is_decreasing,
     iterate_products,
@@ -198,8 +197,7 @@ def cmd_simulate(args, parser) -> int:
         tol_psd=args.tol_psd,
         fixed_spaces=True,
     )
-    proj_trace = check_projection_convergence(chain, trace)
-    summary = trace_summary(trace, projection_trace=proj_trace)
+    summary = trace_summary(trace)
     out = _out_dir(args)
     write_trace_csv(trace, out / "trace.csv")
     _json_dump(summary, out / "summary.json")
@@ -216,15 +214,9 @@ def cmd_gap(args, parser) -> int:
             grid = tuple(float(x) for x in args.grid.split(","))
         except ValueError:
             parser.error(f"--grid must be a comma list of floats: {args.grid!r}")
-    try:
-        result = certificate_search(
-            chain, horizon, grid, tol_eig=args.tol_eig, tol_psd=args.tol_psd
-        )
-    except ContractionLabError as exc:
-        if isinstance(exc, InvariantError):
-            print(f"invariant violated during search: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        parser.error(str(exc))
+    result = certificate_search(
+        chain, horizon, grid, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+    )
     out = _out_dir(args)
     if isinstance(result, GapCertificate):
         _json_dump(result.to_json_dict(), out / "certificate.json")
@@ -523,13 +515,11 @@ def main(argv=None) -> NoReturn:
             code = cmd_nonexample(args, parser)
         else:
             code = cmd_verify(args, parser)
-    except ChainSpecError as exc:
-        parser.error("; ".join(exc.violations))
-    except (ChainGenerationError, PreconditionError) as exc:
-        parser.error(str(exc))
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         code = EXIT_FAIL
+    except ContractionLabError as exc:
+        parser.error(str(exc))
     sys.exit(code)
 
 

@@ -14,7 +14,7 @@ Numerical conventions
   ``1 + tol_psd``.  One reader, ``_fixed_space``, applies that check and
   this rule to an eigendecomposition.  :func:`fixed_point_projection`,
   :func:`check_projection_monotone`, the rank and step projections of
-  :mod:`contraction_lab.gaps` and the per-step fixed spaces of
+  :mod:`contraction_lab.gaps` and the per-step fixed-space ranks of
   :mod:`contraction_lab.products` all read the fixed space through it,
   so "rank of the fixed space" always means the same thing everywhere.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it

@@ -42,14 +42,12 @@ __all__ = [
     "LimitInfo",
     "ConvergenceTrace",
     "ABChainReport",
-    "ProjectionTrace",
     "EpsilonNet",
     "limit_operator",
     "default_probes",
     "iterate_products",
     "is_decreasing",
     "consecutive_difference_report",
-    "check_projection_convergence",
     "orbit_epsilon_net",
     "write_trace_csv",
     "trace_summary",
@@ -184,11 +182,11 @@ class ConvergenceTrace:
     ``||S_n|| <= 1``; the summary verdict reuses it.  ``tol_eig`` is the
     clustering tolerance that picked out ``projection``.
 
-    ``fixed_spaces`` is None unless the run was asked for the per-step
-    fixed spaces.  Then it holds, for ``n = 1..horizon``, the orthonormal
-    ``dim x rank_n`` basis of ``T_n``'s fixed space under the same two
-    tolerances; if some ``T_n`` is not a positive contraction, the
-    :class:`PreconditionError` its read raised ends the tuple instead.
+    ``ranks`` is None unless the run was asked for the per-step fixed
+    spaces.  Then it holds the rank of ``T_n``'s fixed space under the
+    same two tolerances for ``n = 1..horizon``: the staircase that, for a
+    decreasing chain, can only step down and never ends below
+    ``projection.rank``.
     """
 
     chain_kind: str
@@ -208,7 +206,7 @@ class ConvergenceTrace:
     projection: Projection
     tol_eig: float
     tol_psd: float
-    fixed_spaces: tuple[np.ndarray | PreconditionError, ...] | None = None
+    ranks: np.ndarray | None = None
 
     @property
     def probe_count(self) -> int:
@@ -218,31 +216,6 @@ class ConvergenceTrace:
 def _block_steps(dim: int) -> int:
     """Consecutive steps stacked per block in dimension ``dim``."""
     return max(1, _BLOCK_BYTES // (16 * dim * dim))
-
-
-def _fixed_space_walk(
-    chain: ContractionChain, horizon: int, tol_eig: float, tol_psd: float
-) -> tuple[np.ndarray | PreconditionError, ...]:
-    """Fixed-space bases of ``T_1 .. T_horizon``, each read off the
-    chain's one ``eigh`` of that step.
-
-    Asked in step order, ``decomposition_at(n)`` hands a Schur chain's
-    ``eigh`` of ``T_n`` from its generator to this walk.  A step that is
-    not a positive contraction ends the walk with the error its read
-    raised; :func:`check_projection_convergence` raises it, where a
-    per-step :func:`~contraction_lab.operators.fixed_point_projection`
-    would raise it.
-    """
-    spaces: list[np.ndarray | PreconditionError] = []
-    for n in range(1, horizon + 1):
-        try:
-            spaces.append(
-                _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
-            )
-        except PreconditionError as exc:
-            spaces.append(exc)
-            break
-    return tuple(spaces)
 
 
 def iterate_products(
@@ -268,11 +241,14 @@ def iterate_products(
     ``matmul``, axis reductions and spectral norms give the same bits as
     one call per step.
 
-    With ``fixed_spaces`` the trace also records each step's fixed space
-    for :func:`check_projection_convergence`.  They are taken before the
-    limit, in the walk that materializes the chain, so each ``T_n`` is
-    diagonalized once; an empirical limit (``T_horizon``) reuses the
-    last step's ``eigh`` when the run goes to the chain's horizon.
+    With ``fixed_spaces`` the trace also records each step's fixed-space
+    rank.  The ranks are read before the limit, in the step-order walk
+    that materializes the chain, so each ``T_n`` is diagonalized once (a
+    Schur chain's generator hands its ``eigh`` of ``T_n`` to the read),
+    and an empirical limit (``T_horizon``) reuses the last step's
+    ``eigh`` when the run goes to the chain's horizon.  A step that is
+    not a positive contraction raises :class:`PreconditionError` there,
+    before any product is taken.
     """
     h = chain.horizon if horizon is None else horizon
     if h > chain.horizon:
@@ -284,9 +260,14 @@ def iterate_products(
     dim = chain.dim
     tol = DEFAULT.psd(dim) if tol_psd is None else tol_psd
 
-    spaces = None
+    ranks = None
     if fixed_spaces:
-        spaces = _fixed_space_walk(chain, h, tol_eig, tol)
+        ranks = np.array(
+            [
+                _fixed_space(chain.decomposition_at(n), tol_eig, tol).shape[1]
+                for n in range(1, h + 1)
+            ]
+        )
     info = limit_operator(chain)
     if info.provenance == "empirical":
         # the empirical limit is T_horizon, the chain's own step
@@ -414,7 +395,7 @@ def iterate_products(
         projection=proj,
         tol_eig=tol_eig,
         tol_psd=tol,
-        fixed_spaces=spaces,
+        ranks=ranks,
     )
 
 
@@ -500,65 +481,6 @@ def consecutive_difference_report(trace: ConvergenceTrace) -> ABChainReport:
         a_below_b=worst_ab <= tol,
         b_next_below_a=worst_ba <= tol,
         identity_ok=worst_id <= tol_identity,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionTrace:
-    """Per-step fixed-space projections compared against the limit's."""
-
-    ranks: np.ndarray
-    probe_errors: np.ndarray
-    probe_ids: tuple[str, ...]
-    limit_rank: int
-    ranks_nonincreasing: bool
-    final_rank_dominates: bool
-
-
-def check_projection_convergence(
-    chain: ContractionChain, trace: ConvergenceTrace
-) -> ProjectionTrace:
-    """Track ``||(P_n - P) xi||`` per probe and the rank staircase.
-
-    ``trace`` is what :func:`iterate_products` returned for ``chain``
-    with ``fixed_spaces=True``: its per-step fixed spaces, its validated
-    probes and ids and its limit projection are used as they are, so
-    both records of a run describe the same probes against the same
-    limit, and no step is diagonalized again.  ``P_n`` is built from
-    the recorded basis exactly as ``fixed_point_projection(T_n)`` builds
-    it.  For a decreasing chain the ranks can only step down and can
-    never end below the limit's rank; both facts are reported as
-    verdicts.
-    """
-    if (trace.chain_kind, trace.dim) != (chain.kind, chain.dim):
-        raise PreconditionError(
-            f"trace of a {trace.chain_kind} chain in dimension {trace.dim} "
-            f"does not match a {chain.kind} chain in dimension {chain.dim}"
-        )
-    if trace.fixed_spaces is None:
-        raise PreconditionError(
-            "trace has no per-step fixed spaces: run iterate_products "
-            "with fixed_spaces=True"
-        )
-    h = trace.horizon
-    mat = trace.probes
-    proj = trace.projection
-    ranks = np.empty(h, dtype=int)
-    errors = np.empty((h, trace.probe_count))
-    p_probes = proj.matrix @ mat
-    for n, space in enumerate(trace.fixed_spaces, 1):
-        if isinstance(space, PreconditionError):
-            raise space
-        step = _projection_onto(space)
-        ranks[n - 1] = step.rank
-        errors[n - 1] = np.linalg.norm(step.matrix @ mat - p_probes, axis=0)
-    return ProjectionTrace(
-        ranks=ranks,
-        probe_errors=errors,
-        probe_ids=trace.probe_ids,
-        limit_rank=proj.rank,
-        ranks_nonincreasing=bool(np.all(np.diff(ranks) <= 0)),
-        final_rank_dominates=bool(ranks[-1] >= proj.rank),
     )
 
 
@@ -735,11 +657,7 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
         )
 
 
-def trace_summary(
-    trace: ConvergenceTrace,
-    *,
-    projection_trace: ProjectionTrace | None = None,
-) -> dict:
+def trace_summary(trace: ConvergenceTrace) -> dict:
     """Final values plus verdicts, ready for JSON.
 
     An error has converged when its final value is below
@@ -748,7 +666,8 @@ def trace_summary(
     and its Cauchy gap is too large to trust.  ``status`` is ``"fail"``
     only when a theorem-backed verdict (``_THEOREM_VERDICTS``) is false;
     a false or inconclusive convergence verdict makes it
-    ``"inconclusive"``.
+    ``"inconclusive"``.  A trace with ``ranks`` adds the two rank
+    verdicts and ``rank_trajectory``.
     """
     ab_report = consecutive_difference_report(trace)
     final = {
@@ -779,9 +698,13 @@ def trace_summary(
         "wot_converged": convergence_verdict(final["wot_err_max"]),
         "opnorm_converged": convergence_verdict(final["opnorm_err"]),
     }
-    if projection_trace is not None:
-        verdicts["ranks_nonincreasing"] = projection_trace.ranks_nonincreasing
-        verdicts["final_rank_dominates"] = projection_trace.final_rank_dominates
+    ranks = trace.ranks
+    if ranks is not None:
+        # a decreasing chain's fixed spaces shrink towards the limit's
+        verdicts["ranks_nonincreasing"] = bool(np.all(np.diff(ranks) <= 0))
+        verdicts["final_rank_dominates"] = bool(
+            ranks[-1] >= trace.projection.rank
+        )
 
     # a product that has not converged by the horizon may only need more
     # steps, so only a theorem-backed verdict can fail the run
@@ -804,6 +727,6 @@ def trace_summary(
         "verdicts": verdicts,
         "status": status,
     }
-    if projection_trace is not None:
-        summary["rank_trajectory"] = [int(r) for r in projection_trace.ranks]
+    if ranks is not None:
+        summary["rank_trajectory"] = ranks.tolist()
     return summary

@@ -14,6 +14,7 @@ from contraction_lab import (
     ContractionChain,
     InvariantError,
     Operator,
+    PreconditionError,
     build_chain,
     cli,
     parse_chain_spec,
@@ -148,23 +149,48 @@ def test_simulate_short_horizon_is_inconclusive(tmp_path):
     assert summary["verdicts"]["sot_converged"] is True
 
 
+# bundled specs with a step whose eigenvalues round to just outside
+# [0, 1], so a zero --tol-psd refuses them
+ZERO_PSD_REFUSED = {
+    "conjugated_mixed.json",
+    "gap_dim16.json",
+    "gap_engineered.json",
+    "schur_dim16.json",
+    "schur_random.json",
+}
+
+
 @pytest.mark.parametrize(
     "spec", sorted(p.name for p in REPO_SPECS.glob("*.json"))
 )
 def test_simulate_zero_psd_slack_ends_in_one_line(tmp_path, capsys, spec):
-    # with no slack, rounding can push an eigenvalue of the limit or a
-    # product norm just above 1; either way the run ends in one stderr
-    # line, never a traceback
+    # with no slack, rounding can push an eigenvalue of a step or of the
+    # limit just above 1; the run refuses that step before any product,
+    # so rounding is a usage error (64), never a broken theorem (1)
     argv = ["simulate", "--spec", str(REPO_SPECS / spec), "--tol-psd", "0",
             "--out", str(tmp_path)]
     capsys.readouterr()
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert code in (0, 64)
     assert len(err.splitlines()) == (0 if code == 0 else 1)
-    if spec == "schur_dim16.json":
+    if spec in ZERO_PSD_REFUSED:
         assert code == 64
         assert "not a positive contraction" in err
+        assert not (tmp_path / "summary.json").exists()
+
+
+def test_eigensolver_failure_ends_in_one_line(tmp_path, capsys, monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    spec = write_spec(tmp_path, TELESCOPING)
+    argv = ["simulate", "--spec", spec, "--out", str(tmp_path / "out")]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert "eigensolver failed: Eigenvalues did not converge" in err
+    assert not (tmp_path / "out").exists()
 
 
 BAD_TOLERANCES = [
@@ -211,6 +237,28 @@ def test_generator_error_is_a_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # gap
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (InvariantError("rank did not drop"), 1,
+         "invariant violated: rank did not drop"),
+        (PreconditionError("grid must descend"), 64,
+         "contraction-lab: error: grid must descend"),
+    ],
+)
+def test_gap_search_errors_end_in_one_line(
+    tmp_path, capsys, monkeypatch, error, code, line
+):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "certificate_search", failing)
+    spec = write_spec(tmp_path, GAP_ENGINEERED)
+    capsys.readouterr()
+    assert run_cli(["gap", "--spec", spec, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_gap_certificate_and_rate_table(tmp_path):

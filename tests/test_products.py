@@ -12,7 +12,6 @@ from contraction_lab import (
     InvariantError,
     Operator,
     PreconditionError,
-    check_projection_convergence,
     conjugated_diagonal_chain,
     consecutive_difference_report,
     const,
@@ -382,11 +381,17 @@ def test_tiny_threshold_fails_summary():
 def test_false_theorem_verdict_fails_summary():
     chain = telescoping_chain(60)
     trace = iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
-    projection = check_projection_convergence(chain, trace)
-    assert trace_summary(trace, projection_trace=projection)["status"] == "pass"
-    broken = dataclasses.replace(projection, ranks_nonincreasing=False)
-    summary = trace_summary(trace, projection_trace=broken)
+    assert trace_summary(trace)["status"] == "pass"
+    rising = trace.ranks.copy()
+    rising[-1] = 2
+    summary = trace_summary(dataclasses.replace(trace, ranks=rising))
     assert summary["verdicts"]["ranks_nonincreasing"] is False
+    assert summary["verdicts"]["final_rank_dominates"] is True
+    assert summary["status"] == "fail"
+    below = np.zeros_like(trace.ranks)
+    summary = trace_summary(dataclasses.replace(trace, ranks=below))
+    assert summary["verdicts"]["ranks_nonincreasing"] is True
+    assert summary["verdicts"]["final_rank_dominates"] is False
     assert summary["status"] == "fail"
 
 
@@ -449,16 +454,15 @@ def test_wot_bounded_by_sot():
 
 def test_projection_convergence_staircase():
     chain = telescoping_chain(10)
-    ptrace = check_projection_convergence(
-        chain, iterate_products(chain, fixed_spaces=True)
-    )
-    assert list(ptrace.ranks) == [2] + [1] * 9
-    assert ptrace.limit_rank == 1
-    assert ptrace.ranks_nonincreasing
-    assert ptrace.final_rank_dominates
-    e2 = ptrace.probe_ids.index("e2")
-    assert ptrace.probe_errors[0, e2] == pytest.approx(1.0)
-    assert ptrace.probe_errors[-1, e2] == pytest.approx(0.0, abs=1e-12)
+    trace = iterate_products(chain, fixed_spaces=True)
+    assert trace.ranks.tolist() == [2] + [1] * 9
+    assert trace.projection.rank == 1
+    summary = trace_summary(trace)
+    assert summary["rank_trajectory"] == [2] + [1] * 9
+    assert summary["verdicts"]["ranks_nonincreasing"] is True
+    assert summary["verdicts"]["final_rank_dominates"] is True
+    assert iterate_products(chain).ranks is None
+    assert "rank_trajectory" not in trace_summary(iterate_products(chain))
     with pytest.raises(PreconditionError):
         iterate_products(chain, horizon=11)
 
@@ -473,26 +477,20 @@ def test_projection_convergence_uses_the_trace_probes():
     _, seed0 = default_probes(3, trace.projection, seed=0)
     assert np.array_equal(trace.probes, seed7)
     assert not np.array_equal(trace.probes, seed0)
-    ptrace = check_projection_convergence(chain, trace)
-    assert ptrace.probe_ids == trace.probe_ids
-    assert ptrace.ranks.shape == (9,)
-    p_probes = trace.projection.matrix @ trace.probes
+    assert trace.ranks.shape == (9,)
     for n in range(1, 10):
         step = fixed_point_projection(chain.operator_at(n))
-        expected = np.linalg.norm(step.matrix @ trace.probes - p_probes, axis=0)
-        assert np.array_equal(ptrace.probe_errors[n - 1], expected)
+        assert trace.ranks[n - 1] == step.rank
 
     custom = iterate_products(
         chain, probes=np.eye(3)[:, :2], probe_ids=["x", "y"], fixed_spaces=True
     )
-    assert check_projection_convergence(chain, custom).probe_ids == ("x", "y")
-    # bad probes are rejected before any projection trace can use them
+    assert custom.probe_ids == ("x", "y")
+    assert np.array_equal(custom.ranks[:9], trace.ranks)
     with pytest.raises(PreconditionError, match="zero probe"):
-        iterate_products(chain, probes=np.zeros((3, 1)))
+        iterate_products(chain, probes=np.zeros((3, 1)), fixed_spaces=True)
     with pytest.raises(PreconditionError, match="dimension"):
-        iterate_products(chain, probes=np.eye(2))
-    with pytest.raises(PreconditionError, match="does not match"):
-        check_projection_convergence(telescoping_chain(10), trace)
+        iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
 
 
 def complex_drift_chain(horizon=15):
@@ -528,46 +526,52 @@ def test_projection_trace_matches_per_step_projections(make_chain, horizon):
     trace = iterate_products(make_chain(), horizon=horizon, fixed_spaces=True)
     # a fresh chain, so no step's decomposition is shared with the run
     fresh = make_chain()
-    ptrace = check_projection_convergence(fresh, trace)
-    p_probes = trace.projection.matrix @ trace.probes
-    ranks, errors = [], []
-    for n in range(1, trace.horizon + 1):
-        step = fixed_point_projection(fresh.operator_at(n))
-        ranks.append(step.rank)
-        errors.append(
-            np.linalg.norm(step.matrix @ trace.probes - p_probes, axis=0)
-        )
-    assert np.array_equal(ptrace.ranks, ranks)
-    assert np.array_equal(ptrace.probe_errors, np.array(errors))
+    ranks = [
+        fixed_point_projection(fresh.operator_at(n)).rank
+        for n in range(1, trace.horizon + 1)
+    ]
+    assert np.array_equal(trace.ranks, ranks)
     limit = fixed_point_projection(limit_operator(fresh).operator)
     assert np.array_equal(trace.projection.matrix, limit.matrix)
-    assert trace.projection.rank == limit.rank == ptrace.limit_rank
-    if trace.probes.dtype == complex:
-        assert trace.fixed_spaces[0].dtype == complex
+    assert trace.projection.rank == limit.rank
 
 
-def test_projection_trace_needs_the_fixed_spaces():
-    chain = telescoping_chain(10)
-    with pytest.raises(PreconditionError, match="fixed_spaces=True"):
-        check_projection_convergence(chain, iterate_products(chain))
+def negative_step_chain(expanding_step=None):
+    """Step 3 has eigenvalue -0.5; step ``expanding_step``, if given, has
+    eigenvalue 1.5, so the products leave the unit ball from there."""
 
-
-def test_non_contraction_step_fails_where_its_projection_would():
-    # step 3 has eigenvalue -0.5: the products stay bounded, so the run
-    # records its trace and the projection check rejects the step
     def factory(n):
+        if n == expanding_step:
+            return diagonal([1.5, 0.5])
         return diagonal([1.0, -0.5 if n == 3 else 0.5])
 
-    chain = ContractionChain(
+    return ContractionChain(
         2, "negative_step", 6, factory, analytic_limit=diagonal([1.0, 0.5])
     )
+
+
+def test_non_contraction_step_fails_where_its_projection_would(monkeypatch):
+    chain = negative_step_chain()
     with pytest.raises(PreconditionError) as expected:
         fixed_point_projection(chain.operator_at(3))
-    trace = iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
-    assert len(trace.fixed_spaces) == 3
+    # the walk stops at step 3, before the limit and any product
+    monkeypatch.setattr(products, "limit_operator", None)
     with pytest.raises(PreconditionError) as raised:
-        check_projection_convergence(chain, trace)
+        iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
     assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == (
+        "not a positive contraction: offending eigenvalue -0.5"
+    )
+
+
+def test_non_contraction_step_fails_before_a_later_expanding_step():
+    # step 5 expands, so the products break ||S_n|| <= 1 from there; the
+    # step-3 precondition is what the run reports
+    chain = negative_step_chain(expanding_step=5)
+    with pytest.raises(InvariantError, match="product norm exceeded 1"):
+        iterate_products(chain, probes=np.eye(2))
+    with pytest.raises(PreconditionError) as raised:
+        iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
     assert str(raised.value) == (
         "not a positive contraction: offending eigenvalue -0.5"
     )
@@ -593,9 +597,7 @@ def test_schur_run_diagonalizes_each_step_once(
     h = 12
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
     eigensolve_counts.update(eigh=0, eigvalsh=0)
-    trace = iterate_products(chain, fixed_spaces=fixed_spaces)
-    if fixed_spaces:
-        check_projection_convergence(chain, trace)
+    iterate_products(chain, fixed_spaces=fixed_spaces)
     # h - 1 sampler bases and one eigh per step T_1 .. T_h, which serves
     # the square root, the step's fixed space and the empirical limit; the
     # trace-only run decomposes the same steps

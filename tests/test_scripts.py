@@ -56,6 +56,7 @@ def test_artifact_digests_one_line_per_command():
         "gap gap_dim16": 0,
         "gap schur_random": 0,
         "simulate conjugated_mixed": 0,
+        "simulate schur_random tol0": 64,
         "verify": 0,
         "verify faulty": 1,
         "nonexample": 0,
