@@ -20,11 +20,15 @@ decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
 covers the whole orbit, so the net cannot dominate the row count), 64
 for ``simulate schur_random tol0`` (at ``--tol-psd 0`` the rounded top
 eigenvalue of ``T_1``, 1 + 2^-52, fails the positivity check, and the
-run stops there with no artifact, before any product), 0 for every
-other command.  The two ``dim16`` specs are the only ones
-above dim 10, where the default ``tol_psd = 1e-10 * dim`` exceeds
-``tol_eig``, so the band ``(1 + tol_eig, 1 + tol_psd]`` that the
-fixed-space rule must cover is not empty.  ``gap schur_random`` is the
+run stops there with no artifact, before any product), 2 for ``verify
+tol0`` (at ``--tol-psd 0`` the corpus's conjugated chains from dim 4 up
+have a step above 1 by rounding and count as inconclusive, as do the
+operator-corpus items that fail a precondition and the comparisons that
+fail by less than the default slack), 0 for every other command.  The
+two ``dim16`` specs are the only ones above dim 10, where the default
+``tol_psd = 1e-10 * dim`` exceeds ``tol_eig``, so the band
+``(1 + tol_eig, 1 + tol_psd]`` that the fixed-space rule must cover is
+not empty.  ``gap schur_random`` is the
 only ``gap`` run on a Schur chain, whose generator takes ``T_n^{1/2}``
 from the same one-slot ``decomposition_at`` handover that the search's
 fixed-space rank and the rate table's ``n0`` scan read; it ends in an
@@ -71,6 +75,7 @@ COMMANDS = (
     ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
+    ("verify tol0", ["verify", "--seeds", "1", "--tol-psd", "0"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),
     (
         "nonexample ties",

@@ -11,10 +11,11 @@ be rebuilt bit-for-bit from a JSON document.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .errors import ChainGenerationError, ChainSpecError, PreconditionError
 from .operators import (
     Operator,
     SpectralDecomposition,
+    _contraction_witness,
+    _eigvalsh,
+    _hermitized,
+    _stored_operator,
     is_positive_contraction,
     spectral_decompose,
 )
@@ -49,9 +54,18 @@ __all__ = [
     "build_chain",
 ]
 
-# A chain caches up to dim * dim * horizon operator entries; a spec above
+# A chain stores up to dim * dim * horizon operator entries; a spec above
 # this many (1 GiB of float64) is refused before anything is allocated.
 CACHE_CEILING = 2**27
+
+# A chain builds and stores its steps in blocks of consecutive steps
+# whose complex dim x dim matrices fit in this many bytes, and the
+# per-step work over a chain (its order check, the product engine's
+# metrics) goes a block at a time: one numpy or LAPACK call per block
+# instead of per step where matrices are tiny and call overhead
+# dominates, and one step per block from dim 64 up.  A 1 MiB budget was
+# no faster on ``verify`` and cost 3 MB of resident memory.
+_BLOCK_BYTES = 64 * 1024
 
 # spawn-key namespaces so independent draws never share a stream
 _STREAM_CONJUGATION = 1
@@ -229,17 +243,100 @@ def peel(stage: int, level: float, decay: float) -> Curve:
     return _curve("peel", stage, level, decay)
 
 
+def _block_steps(dim: int) -> int:
+    """Consecutive steps per block in dimension ``dim``."""
+    return max(1, _BLOCK_BYTES // (16 * dim * dim))
+
+
+class _Steps:
+    """Builds consecutive steps as hermitized ``(k, dim, dim)`` stacks.
+
+    ``stack(first, stop)`` returns steps ``first .. first + k - 1`` for
+    some ``1 <= k <= stop - first + 1``; every step of a stack has one
+    shape and dtype.  A chain asks its builder for a new block with
+    ``open`` and then for each further step with ``fill``; a builder
+    whose ``open`` returns the whole stack has nothing left to fill.
+    """
+
+    def stack(self, first: int, stop: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def open(
+        self, chain: "ContractionChain", first: int, stop: int
+    ) -> np.ndarray:
+        block = self.stack(first, stop)
+        if block.shape[1:] != (chain.dim, chain.dim):
+            raise ChainGenerationError(
+                f"step {first} has dim {block.shape[-1]}, chain has dim "
+                f"{chain.dim}"
+            )
+        return block
+
+    def fill(
+        self,
+        chain: "ContractionChain",
+        block: np.ndarray,
+        block_first: int,
+        step: int,
+    ) -> int:
+        """Build step ``step`` of ``block``, whose first step is
+        ``block_first``, and return the last step built so far: the
+        block's last when ``open`` built it whole."""
+        return block_first + len(block) - 1
+
+
+class _PerStep(_Steps):
+    """A ``Callable[[int], Operator]`` as a builder: a stack holds its
+    steps up to the first whose shape or dtype differs, which is kept
+    for the next stack, since a stack holds one dtype."""
+
+    def __init__(self, factory: Callable[[int], Operator]):
+        self._factory = factory
+        self._ahead: tuple[int, np.ndarray] | None = None
+
+    def stack(self, first: int, stop: int) -> np.ndarray:
+        entries: list[np.ndarray] = []
+        for n in range(first, stop + 1):
+            ahead, self._ahead = self._ahead, None
+            if ahead and ahead[0] == n:
+                m = ahead[1]
+            else:
+                m = self._factory(n).entries
+            if entries and (
+                m.shape != entries[0].shape or m.dtype != entries[0].dtype
+            ):
+                self._ahead = (n, m)
+                break
+            entries.append(m)
+        return np.stack(entries)
+
+
+def _as_steps(factory: Callable[[int], Operator]) -> _Steps:
+    """A builder for a per-step factory; a builder is its own."""
+    return factory if isinstance(factory, _Steps) else _PerStep(factory)
+
+
 class ContractionChain:
     """Lazy, memoized view of a decreasing chain of positive contractions.
 
     ``operator_at(n)`` is 1-based and defined for ``1 <= n <= horizon``.
-    Materialization is cached behind a lock so recursively defined chains
-    (Schur decrements) stay consistent under concurrent access.  Every
-    curve-built kind materializes ``F diag(values_n) F^T`` for a fixed
-    orthogonal frame ``F`` (the identity for diagonal chains).
+    Steps are built in step order and stored in blocks: read-only
+    ``(block, dim, dim)`` stacks of consecutive steps, each of one dtype,
+    of at most ``_block_steps(dim)`` steps.  ``step_blocks`` hands those
+    stacks out as they are, and ``operator_at(n)`` is an
+    :class:`Operator` over the stored step, so no step is held twice.
+    Every curve-built kind builds a whole block ``F diag(values_n) F^T``
+    for a fixed orthogonal frame ``F`` (the identity for diagonal chains)
+    at once; a per-step ``factory``, a ``Callable[[int], Operator]`` such
+    as tests and ``verify``'s faulty fixture pass, is stacked a block at
+    a time.  A Schur chain keeps ``T_1`` in a block of its own and fills
+    the others one step at a time, since each step needs the
+    decomposition of the step before.  The store is
+    built behind a lock, so recursively defined chains stay consistent
+    under concurrent access.
 
-    The cache holds the operators only, not their eigenvectors, which
-    would store another ``dim x dim`` matrix for every cached step.
+    The store holds the operators only, not their eigenvectors, which
+    would store another ``dim x dim`` matrix for every step.
     ``decomposition_at(n)`` keeps the one ``eigh`` it computed last in a
     one-slot handover under the same lock, so two consumers of the same
     step share one solve when they ask in turn: the Schur generator
@@ -266,29 +363,69 @@ class ContractionChain:
         self.seed = seed
         self.analytic_limit = analytic_limit
         self.gap_guarantee = gap_guarantee
-        self._factory = factory
-        self._cache: dict[int, Operator] = {}
+        self._steps = _as_steps(factory)
+        # the blocks in step order, the first step of each, and the last
+        # step built (a Schur chain's newest block may be partly built)
+        self._blocks: list[np.ndarray] = []
+        self._firsts: list[int] = []
+        self._built = 0
         self._handover: tuple[int, SpectralDecomposition] | None = None
         self._lock = threading.RLock()
 
-    def operator_at(self, n: int) -> Operator:
+    def _build(self, n: int) -> None:
+        """Build every step up to ``n``; the caller holds the lock."""
+        while self._built < n:
+            step = self._built + 1
+            if not self._blocks or step >= self._firsts[-1] + len(
+                self._blocks[-1]
+            ):
+                stop = min(self.horizon, step + _block_steps(self.dim) - 1)
+                self._blocks.append(self._steps.open(self, step, stop))
+                self._firsts.append(step)
+            self._built = self._steps.fill(
+                self, self._blocks[-1], self._firsts[-1], step
+            )
+
+    def _block_of(self, n: int) -> tuple[int, np.ndarray]:
+        """The first step and the block that hold step ``n``, built up to
+        ``n``; the caller holds the lock."""
         if not 1 <= n <= self.horizon:
             raise PreconditionError(
                 f"step {n} outside materialized range 1..{self.horizon}"
             )
+        self._build(n)
+        k = bisect.bisect_right(self._firsts, n) - 1
+        return self._firsts[k], self._blocks[k]
+
+    def operator_at(self, n: int) -> Operator:
         with self._lock:
-            op = self._cache.get(n)
-            if op is None:
-                op = self._factory(n)
-                self._cache[n] = op
-            return op
+            first, block = self._block_of(n)
+            entries = block[n - first]
+        entries.setflags(write=False)
+        return _stored_operator(entries)
+
+    def step_blocks(self, horizon: int | None = None) -> Iterator[np.ndarray]:
+        """Steps ``1 .. horizon`` (default: the chain's) as read-only
+        stacks of consecutive steps in step order, one per stored block,
+        each built when it is reached."""
+        h = self.horizon if horizon is None else horizon
+        n = 1
+        while n <= h:
+            with self._lock:
+                first, block = self._block_of(n)
+                last = min(first + len(block) - 1, h)
+                self._build(last)
+                stack = block[n - first : last - first + 1]
+            stack.setflags(write=False)
+            yield stack
+            n = last + 1
 
     def decomposition_at(self, n: int) -> SpectralDecomposition:
         """``eigh`` of ``T_n``, taken from the handover slot when the last
         decomposition computed was this step's, else computed and left
         there.  Its arrays are read-only, since every taker shares them."""
         with self._lock:
-            # materializing T_n may itself decompose T_{n-1} (Schur)
+            # building T_n may itself decompose T_{n-1} (Schur)
             op = self.operator_at(n)
             held = self._handover
             if held is not None and held[0] == n:
@@ -379,22 +516,32 @@ def _conjugated_chain(
     seed: int | None,
     gap_guarantee: float | None = None,
 ) -> ContractionChain:
-    table = _curve_table(curves, horizon)
     limits = [float(c.limit) for c in curves]
     analytic = Operator((frame * limits) @ frame.T)
-
-    def factory(n: int) -> Operator:
-        return Operator((frame * table[:, n - 1]) @ frame.T)
-
     return ContractionChain(
         dim,
         kind,
         horizon,
-        factory,
+        _CurveSteps(_curve_table(curves, horizon), frame),
         analytic_limit=analytic,
         seed=seed,
         gap_guarantee=gap_guarantee,
     )
+
+
+class _CurveSteps(_Steps):
+    """Steps ``F diag(table[:, n - 1]) F^T`` of a sampled curve table,
+    a whole stack in one matrix product; each is exactly what
+    ``Operator((F * table[:, n - 1]) @ F.T)`` holds."""
+
+    def __init__(self, table: np.ndarray, frame: np.ndarray):
+        self._table = table
+        self._frame = frame
+
+    def stack(self, first: int, stop: int) -> np.ndarray:
+        values = self._table[:, first - 1 : stop].T
+        frame = self._frame
+        return _hermitized((frame * values[:, None, :]) @ frame.T)
 
 
 def conjugated_diagonal_chain(
@@ -448,9 +595,10 @@ def schur_decrement_chain(
     any ``0 <= D_n <= I``, so the ordering holds by construction.  The
     sampler must be a pure function of the step index; samplers that
     emit anything but a positive contraction are rejected at the step
-    where it happens.  No analytic limit is attached.  ``T_n^{1/2}``
-    comes from the chain's ``decomposition_at(n)``, so a caller that
-    decomposes ``T_n`` in step order shares that solve.
+    they would build.  The decrements of a block are drawn together and
+    checked in one stacked ``eigvalsh``.  No analytic limit is attached.
+    ``T_n^{1/2}`` comes from the chain's ``decomposition_at(n)``, so a
+    caller that decomposes ``T_n`` in step order shares that solve.
     """
     check = is_positive_contraction(first)
     if not check:
@@ -458,42 +606,101 @@ def schur_decrement_chain(
             f"starting operator is not a positive contraction: "
             f"eigenvalue {check.witness}"
         )
-    dim = first.dim
-    materialized = [first]
-    lock = threading.RLock()
-
-    def factory(n: int) -> Operator:
-        with lock:
-            while len(materialized) < n:
-                step = len(materialized)  # producing T_{step+1} from T_step
-                dec = decrement_sampler(step)
-                if dec.dim != dim:
-                    raise ChainGenerationError(
-                        f"decrement at step {step} has dim {dec.dim}, "
-                        f"chain has dim {dim}"
-                    )
-                dec_ok = is_positive_contraction(dec)
-                if not dec_ok:
-                    raise ChainGenerationError(
-                        f"decrement at step {step} is not a positive "
-                        f"contraction: eigenvalue {dec_ok.witness}"
-                    )
-                # ``chain`` is bound below, before any step is built
-                root = _psd_sqrt(chain.decomposition_at(step))
-                eye = np.eye(dim, dtype=root.dtype)
-                nxt = Operator(root @ (eye - dec.entries) @ root)
-                materialized.append(nxt)
-            return materialized[n - 1]
-
-    chain = ContractionChain(
-        dim,
+    return ContractionChain(
+        first.dim,
         "schur_decrement",
         horizon,
-        factory,
+        _SchurSteps(first, _as_steps(decrement_sampler)),
         analytic_limit=None,
         seed=seed,
     )
-    return chain
+
+
+class _SchurSteps(_Steps):
+    """The Schur recurrence, one step at a time into blocks whose
+    decrements are drawn, and checked, a block at a time.  ``T_1`` has
+    a block of its own, so it is never cast to its successors' dtype."""
+
+    def __init__(self, first: Operator, decrements: _Steps):
+        self._first: np.ndarray | None = first.entries
+        self._decrements = decrements
+        # the newest block's decrements, from step _dec_first on, their
+        # eigenvalues, and its dtype
+        self._dec_first = 0
+        self._decs = self._dec_eigs = None
+        self._dtype = first.entries.dtype
+
+    def open(self, chain, first, stop):
+        if first == 1:
+            block, self._first = self._first[None].copy(), None
+            return block
+        # decrement k makes T_{k+1}
+        self._dec_first = first - 1
+        self._decs = self._decrements.stack(first - 1, stop - 1)
+        self._dec_eigs = _eigvalsh(self._decs)
+        self._dtype = np.result_type(self._dtype, self._decs)
+        return np.empty((len(self._decs), chain.dim, chain.dim), self._dtype)
+
+    def fill(self, chain, block, block_first, step):
+        if step == 1:  # T_1's block came whole
+            return 1
+        dim = chain.dim
+        k = step - 1
+        dec = self._decs[k - self._dec_first]
+        if dec.shape != (dim, dim):
+            raise ChainGenerationError(
+                f"decrement at step {k} has dim {dec.shape[0]}, "
+                f"chain has dim {dim}"
+            )
+        check = _contraction_witness(
+            self._dec_eigs[k - self._dec_first], DEFAULT.psd(dim)
+        )
+        if not check:
+            raise ChainGenerationError(
+                f"decrement at step {k} is not a positive "
+                f"contraction: eigenvalue {check.witness}"
+            )
+        root = _psd_sqrt(chain.decomposition_at(k))
+        eye = np.eye(dim, dtype=root.dtype)
+        _hermitized(root @ (eye - dec) @ root, out=block[step - block_first])
+        return step
+
+
+class _HalvingSampler(_Steps):
+    """See :func:`halving_decrement_sampler`."""
+
+    def __init__(self, dim: int, seed: int, fixed_rank: int, frame):
+        self._dim = dim
+        self._seed = seed
+        self._fixed_rank = fixed_rank
+        self._frame = frame
+
+    def __call__(self, n: int) -> Operator:
+        entries = self.stack(n, n)[0]
+        entries.setflags(write=False)
+        return _stored_operator(entries)
+
+    def stack(self, first: int, stop: int) -> np.ndarray:
+        dim, fixed = self._dim, self._fixed_rank
+        steps = range(first, stop + 1)
+        free = dim - fixed
+        blocks = np.zeros((len(steps), dim, dim))
+        if free > 0:
+            # each step keeps its own stream; one eigh for the stack
+            gauss = np.empty((len(steps), free, free))
+            weights = np.empty((len(steps), free))
+            for i, n in enumerate(steps):
+                rng = stream_rng(self._seed, _STREAM_SCHUR_STEP, n)
+                gauss[i] = rng.standard_normal((free, free))
+                weights[i] = rng.uniform(0.0, 1.0, size=free)
+            _, basis = np.linalg.eigh((gauss + gauss.swapaxes(1, 2)) / 2.0)
+            blocks[:, fixed:, fixed:] = (
+                basis * weights[:, None, :]
+            ) @ basis.swapaxes(1, 2)
+        # 2^-n exactly, as Python's 0.5**n
+        scales = np.ldexp(1.0, -np.arange(first, stop + 1))
+        frame = self._frame
+        return _hermitized(scales[:, None, None] * (frame @ blocks @ frame.T))
 
 
 def halving_decrement_sampler(
@@ -507,24 +714,13 @@ def halving_decrement_sampler(
 
     With ``fixed_rank > 0`` the decrements vanish on the leading
     ``fixed_rank`` coordinates of ``frame``, so that subspace stays fixed
-    along the whole chain.
+    along the whole chain.  ``sampler(n)`` is step ``n``'s decrement; a
+    Schur chain draws a block of steps at once, each from its own
+    stream, with one stacked ``eigh``.
     """
     if frame is None:
         frame = np.eye(dim)
-
-    def sampler(n: int) -> Operator:
-        rng = stream_rng(seed, _STREAM_SCHUR_STEP, n)
-        free = dim - fixed_rank
-        block = np.zeros((dim, dim))
-        if free > 0:
-            gauss = rng.standard_normal((free, free))
-            _, basis = np.linalg.eigh((gauss + gauss.T) / 2.0)
-            weights = rng.uniform(0.0, 1.0, size=free)
-            block[fixed_rank:, fixed_rank:] = (basis * weights) @ basis.T
-        scaled = (0.5**n) * (frame @ block @ frame.T)
-        return Operator(scaled)
-
-    return sampler
+    return _HalvingSampler(dim, seed, fixed_rank, frame)
 
 
 def random_schur_chain(

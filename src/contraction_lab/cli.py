@@ -5,8 +5,10 @@ Exit codes are a stable contract:
     0   all verdicts pass
     1   a verdict failed (for ``simulate``, a theorem-backed one)
     2   inconclusive (empirical limit not trusted, products not yet
-        converged by the horizon, or no rate table within an empirical
-        certificate's horizon)
+        converged by the horizon, no rate table within an empirical
+        certificate's horizon, or, for ``verify``, a corpus chain or
+        item that is not a positive contraction under the given
+        tolerances)
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option or spec, a chain
         with a step or limit that is not a positive contraction under
@@ -314,13 +316,44 @@ _CHAIN_PROPERTIES = (
 )
 
 
+def _unless_refused(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, or None when its precondition fails
+    under the given tolerances: the theorem it checks says nothing
+    there."""
+    try:
+        return check(*args, **kwargs)
+    except PreconditionError:
+        return None
+
+
+def _verdict(check, dim: int, tol_psd: float | None, *operands, **kwargs):
+    """``check(*operands, tol_psd=tol_psd, **kwargs)``, or None when it
+    fails under a ``tol_psd`` below the default slack of ``dim`` but
+    holds under that default: the default slack is there to absorb the
+    rounding of the computation, so such a failure is rounding as much
+    as it is a counterexample."""
+    verdict = check(*operands, tol_psd=tol_psd, **kwargs)
+    if (
+        verdict is False
+        and tol_psd is not None
+        and tol_psd < DEFAULT.psd(dim)
+        and check(*operands, **kwargs)
+    ):
+        return None
+    return verdict
+
+
 def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
-    order."""
-    ordering = is_decreasing(chain, tol_psd=args.tol_psd)
-    trace = iterate_products(
-        chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
-    )
+    order; all inconclusive when a step or the limit is not a positive
+    contraction under the given tolerances."""
+    try:
+        ordering = _verdict(is_decreasing, chain.dim, args.tol_psd, chain)
+        trace = iterate_products(
+            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        )
+    except PreconditionError:
+        return (None,) * len(_CHAIN_PROPERTIES)
     trusted = trace.limit.trustworthy
     adj_err = float(trace.adj_err[-1].max())
     opnorm_err = float(trace.opnorm_err[-1])
@@ -364,7 +397,7 @@ def cmd_verify(args, parser) -> int:
     if args.include_faulty_fixture:
         chains = itertools.chain(chains, [_faulty_chain()])
     # map holds each chain only while its verdicts are taken, so a
-    # finished chain and its operator cache are garbage before the next
+    # finished chain and its stored steps are garbage before the next
     # chain is built
     rows = list(map(lambda chain: _chain_verdicts(chain, args), chains))
     properties = {
@@ -373,21 +406,36 @@ def cmd_verify(args, parser) -> int:
     }
 
     equivalence = (
-        check_fixed_vector_equivalence(op, xi, tol_psd=args.tol_psd)
+        _unless_refused(
+            check_fixed_vector_equivalence, op, xi, tol_psd=args.tol_psd
+        )
         for op, xi in equivalence_corpus(200 * args.seeds)
     )
     properties["fixed_vector_equivalence"] = _tally(
-        None if r.ambiguous else r.agree for r in equivalence
+        None if r is None or r.ambiguous else r.agree for r in equivalence
     )
     properties["projection_monotonicity"] = _tally(
-        check_projection_monotone(
-            lower, upper, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        _unless_refused(
+            _verdict,
+            check_projection_monotone,
+            lower.dim,
+            args.tol_psd,
+            lower,
+            upper,
+            tol_eig=args.tol_eig,
         )
         for upper, lower in monotone_pair_corpus(100 * args.seeds)
     )
     properties["rank_strict_descent"] = _tally(
-        rank_strict_descent_check(
-            upper, lower, delta, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        _unless_refused(
+            _verdict,
+            rank_strict_descent_check,
+            upper.dim,
+            args.tol_psd,
+            upper,
+            lower,
+            delta,
+            tol_eig=args.tol_eig,
         )
         for upper, lower, delta in descent_triple_corpus(12 * args.seeds)
     )

@@ -68,24 +68,43 @@ class Operator:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] == 0:
             raise ValueError("empty matrices are not supported")
-        dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-        # One new array: M* cast to the operator dtype, then M added and
-        # the sum halved in place.  This is ``(M + M*) / 2`` computed in
-        # that dtype, bit for bit: ``* 0.5`` rounds as ``/ 2.0`` does.
-        h = np.empty(m.shape, dtype=dtype)
-        np.copyto(h, m.T, casting="unsafe")
-        if not np.isfinite(h).all():
-            raise ValueError("operator entries must be finite")
-        if dtype is np.complex128:
-            np.conjugate(h, out=h)
-        np.add(m, h, out=h, dtype=dtype, casting="unsafe")
-        h *= 0.5
+        h = _hermitized(m)
         h.setflags(write=False)
         object.__setattr__(self, "entries", h)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _hermitized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(M + M*) / 2`` of a square matrix, or of each matrix of a
+    ``(k, dim, dim)`` stack, in ``complex128`` if ``M`` is complex and
+    ``float64`` otherwise; written to ``out`` (of that dtype) when given.
+
+    One new array: M* cast to that dtype, then M added and the sum
+    halved in place.  This is ``(M + M*) / 2`` computed in that dtype,
+    bit for bit: ``* 0.5`` rounds as ``/ 2.0`` does.  Raises
+    ``ValueError`` on an entry that is not finite.
+    """
+    dtype = np.complex128 if np.iscomplexobj(m) else np.float64
+    h = np.empty(m.shape, dtype=dtype) if out is None else out
+    np.copyto(h, m.swapaxes(-1, -2), casting="unsafe")
+    if not np.isfinite(h).all():
+        raise ValueError("operator entries must be finite")
+    if dtype is np.complex128:
+        np.conjugate(h, out=h)
+    np.add(m, h, out=h, dtype=dtype, casting="unsafe")
+    h *= 0.5
+    return h
+
+
+def _stored_operator(entries: np.ndarray) -> Operator:
+    """An :class:`Operator` over entries that are already hermitized and
+    read-only, such as a chain's stored step, taken without a copy."""
+    op = object.__new__(Operator)
+    object.__setattr__(op, "entries", entries)
+    return op
 
 
 def identity(dim: int) -> Operator:

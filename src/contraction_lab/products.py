@@ -32,6 +32,8 @@ from .errors import InvariantError, PreconditionError
 from .operators import (
     Operator,
     Projection,
+    _contraction_witness,
+    _eigvalsh,
     _fixed_space,
     _projection_onto,
     loewner_margin,
@@ -54,14 +56,6 @@ __all__ = [
 ]
 
 _STREAM_PROBES = 11
-
-# Per-step work over a chain is stacked in blocks of consecutive steps
-# whose complex dim x dim matrices fit in this many bytes: one numpy or
-# LAPACK call per block instead of per step where matrices are tiny and
-# call overhead dominates, and one step per block from dim 64 up.  A
-# 1 MiB budget was no faster on ``verify`` and cost 3 MB of resident
-# memory.
-_BLOCK_BYTES = 64 * 1024
 
 # Row-at-a-time Python work over long arrays (every CSV artifact, and
 # the orbit's reconstruction walk) goes a block of this many rows at a
@@ -213,11 +207,6 @@ class ConvergenceTrace:
         return len(self.probe_ids)
 
 
-def _block_steps(dim: int) -> int:
-    """Consecutive steps stacked per block in dimension ``dim``."""
-    return max(1, _BLOCK_BYTES // (16 * dim * dim))
-
-
 def iterate_products(
     chain: ContractionChain,
     probes: np.ndarray | None = None,
@@ -236,10 +225,11 @@ def iterate_products(
     :class:`InvariantError`; convergence quality is recorded, not
     judged.
 
-    The product advances one step at a time, and the per-step metrics are
-    taken over stacked blocks of steps (see ``_BLOCK_BYTES``); stacked
-    ``matmul``, axis reductions and spectral norms give the same bits as
-    one call per step.
+    The product advances one step at a time over the chain's stored
+    blocks (``ContractionChain.step_blocks``), and the per-step metrics
+    are taken a block of products at a time; stacked ``matmul``, axis
+    reductions and spectral norms give the same bits as one call per
+    step.
 
     With ``fixed_spaces`` the trace also records each step's fixed-space
     rank.  The ranks are read before the limit, in the step-order walk
@@ -343,23 +333,16 @@ def iterate_products(
         snorm[steps] = np.linalg.norm(products, 2, axis=(1, 2))
         return applied[-1]
 
-    block = min(_block_steps(dim), h)
-    stack = np.empty((block, dim, dim), dtype=p_mat.dtype)
     product = np.eye(dim, dtype=p_mat.dtype)
     done = 0
     behind = None
-    for n in range(1, h + 1):
-        product = chain.operator_at(n).entries @ product
-        if product.dtype != stack.dtype:
-            # a complex step after real ones: a stack holds one dtype
-            if n - 1 > done:
-                behind = record(stack[: n - 1 - done], done, behind)
-                done = n - 1
-            stack = np.empty(stack.shape, dtype=product.dtype)
-        stack[n - 1 - done] = product
-        if n - done == block or n == h:
-            behind = record(stack[: n - done], done, behind)
-            done = n
+    for steps in chain.step_blocks(h):
+        # a block holds one dtype, so its products share one too
+        stack = np.empty(steps.shape, np.result_type(steps, product))
+        for step, out in zip(steps, stack):
+            product = np.matmul(step, product, out=out)
+        behind = record(stack, done, behind)
+        done += len(steps)
 
     for name, arr in (
         ("sot_err", sot), ("adj_err", adj), ("wot_err", wot),
@@ -406,19 +389,38 @@ def is_decreasing(
     the chain's horizon, up to PSD slack.
 
     Every consecutive pair is checked, so by transitivity ``T_m <= T_n``
-    for all ``m > n``; the pairs are decided in stacked blocks of steps,
-    one ``eigvalsh`` call per block.
+    for all ``m > n``; the pairs are decided over the chain's stored
+    blocks, one ``eigvalsh`` of the differences per block.  The same
+    pass checks that every step is a positive contraction, with one
+    more stacked ``eigvalsh`` per block, and raises
+    :class:`PreconditionError` at the first step that is not: the order
+    of such a chain is outside what the theorems speak of.
     """
     tol = DEFAULT.psd(chain.dim) if tol_psd is None else tol_psd
-    block = _block_steps(chain.dim)
-    for first in range(1, chain.horizon, block):
-        last = min(first + block, chain.horizon)
-        stack = np.stack(
-            [chain.operator_at(n).entries for n in range(first, last + 1)]
-        )
-        if not np.all(loewner_margin(stack[:-1], stack[1:]) >= -tol):
-            return False
-    return True
+    decreasing = True
+    done = 0
+    before = None  # the step before the block
+    for steps in chain.step_blocks():
+        eigenvalues = _eigvalsh(steps)
+        refused = (eigenvalues[:, 0] < -tol) | (eigenvalues[:, -1] > 1.0 + tol)
+        if refused.any():
+            k = int(np.argmax(refused))
+            check = _contraction_witness(eigenvalues[k], tol)
+            raise PreconditionError(
+                f"step {done + k + 1} is not a positive contraction: "
+                f"offending eigenvalue {check.witness}"
+            )
+        if decreasing:
+            if before is None:
+                upper, lower = steps[:-1], steps[1:]
+            else:
+                upper = np.concatenate((before[None], steps[:-1]))
+                lower = steps
+            if len(lower) and not np.all(loewner_margin(upper, lower) >= -tol):
+                decreasing = False
+        before = steps[-1]
+        done += len(steps)
+    return decreasing
 
 
 @dataclass(frozen=True)

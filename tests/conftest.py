@@ -12,16 +12,33 @@ settings.register_profile(
 settings.load_profile("lab")
 
 
+class EigensolveCounts(dict):
+    """Matrices solved by ``np.linalg.eigh`` and ``np.linalg.eigvalsh``,
+    keyed by solver: a stacked call on ``k`` matrices counts ``k``, as
+    many as ``k`` calls on one.  ``calls`` counts the calls themselves."""
+
+    def __init__(self):
+        super().__init__(eigh=0, eigvalsh=0)
+        self.calls = dict(self)
+
+    def reset(self):
+        for name in self:
+            self[name] = self.calls[name] = 0
+
+
 @pytest.fixture
 def eigensolve_counts(monkeypatch):
-    """Count calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
-    counts = {"eigh": 0, "eigvalsh": 0}
+    """Count the matrices that ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh`` solve, and their calls."""
+    counts = EigensolveCounts()
     for name in counts:
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _solver=solver, **kwargs):
-            counts[_name] += 1
-            return _solver(*args, **kwargs)
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            shape = np.shape(a)
+            counts[_name] += int(np.prod(shape[:-2], dtype=np.int64))
+            counts.calls[_name] += 1
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts

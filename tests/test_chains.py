@@ -406,6 +406,214 @@ def test_chain_is_decreasing_positive(make):
 
 
 # ---------------------------------------------------------------------------
+# Block store: stacked steps against the per-step formulas
+
+
+def per_step_curve_entries(chain, n):
+    """Step ``n`` of a curve-built chain by the per-step formula."""
+    frame, table = chain._steps._frame, chain._steps._table
+    return Operator((frame * table[:, n - 1]) @ frame.T).entries
+
+
+def per_step_decrement(dim, seed, fixed_rank, frame, n):
+    """The halving sampler's step ``n``, one step per call."""
+    rng = stream_rng(seed, chains._STREAM_SCHUR_STEP, n)
+    free = dim - fixed_rank
+    block = np.zeros((dim, dim))
+    if free > 0:
+        gauss = rng.standard_normal((free, free))
+        _, basis = np.linalg.eigh((gauss + gauss.T) / 2.0)
+        weights = rng.uniform(0.0, 1.0, size=free)
+        block[fixed_rank:, fixed_rank:] = (basis * weights) @ basis.T
+    return Operator((0.5**n) * (frame @ block @ frame.T))
+
+
+def per_step_schur_entries(dim, seed, horizon, fixed_rank):
+    """``random_schur_chain``'s steps by the recurrence, one step and one
+    sampler call at a time."""
+    rng = stream_rng(seed, chains._STREAM_SCHUR_INIT)
+    frame = random_orthogonal(dim, rng)
+    eigs = np.concatenate(
+        [np.ones(fixed_rank), rng.uniform(0.1, 0.9, size=dim - fixed_rank)]
+    )
+    steps = [Operator(frame @ np.diag(eigs) @ frame.T)]
+    for k in range(1, horizon):
+        dec = per_step_decrement(dim, seed, fixed_rank, frame, k)
+        root = chains._psd_sqrt(spectral_decompose(steps[-1]))
+        eye = np.eye(dim, dtype=root.dtype)
+        steps.append(Operator(root @ (eye - dec.entries) @ root))
+    return [op.entries for op in steps]
+
+
+def assert_stacks_hold(chain, expected):
+    """The chain's blocks and its ``operator_at`` hold exactly
+    ``expected[n - 1]`` at step ``n``, in its dtype, with no copy."""
+    blocks = list(chain.step_blocks())
+    assert sum(len(b) for b in blocks) == chain.horizon
+    assert all(len(b) <= chains._block_steps(chain.dim) for b in blocks)
+    assert all(not b.flags.writeable for b in blocks)
+    held = [(block, step) for block in blocks for step in block]
+    for n, ((block, got), want) in enumerate(zip(held, expected), start=1):
+        assert got.dtype == want.dtype, n
+        assert np.array_equal(got, want), n
+        op = chain.operator_at(n).entries
+        assert not op.flags.writeable
+        assert np.shares_memory(op, block)
+
+
+# horizons end mid-block: 1024, 455, 16 and 1 steps per block
+BLOCK_SHAPES = [(2, 1030), (3, 460), (16, 100), (64, 200)]
+
+
+@pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d, h: diagonal_chain(
+            [harmonic_to(0.2 + 0.6 * k / d) for k in range(d)], d, h
+        ),
+        lambda d, h: conjugated_diagonal_chain(
+            [geometric(0.95)] + [const(1.0)] * (d - 1), d, h, seed=3
+        ),
+        lambda d, h: gap_engineered_chain(d, 0.1, d // 2, seed=2, horizon=h),
+        lambda d, h: near_one_accumulating_chain(d, seed=1, horizon=h),
+    ],
+    ids=["diagonal", "conjugated_diagonal", "gap_engineered", "near_one"],
+)
+def test_curve_blocks_equal_the_per_step_formula(make, dim, horizon):
+    chain = make(dim, horizon)
+    expected = [
+        per_step_curve_entries(chain, n) for n in range(1, horizon + 1)
+    ]
+    assert_stacks_hold(chain, expected)
+
+
+@pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)
+@pytest.mark.parametrize("full_rank", [False, True])
+def test_schur_blocks_equal_the_per_step_recurrence(dim, horizon, full_rank):
+    fixed_rank = dim if full_rank else 0
+    chain = random_schur_chain(dim, 5, horizon, fixed_rank=fixed_rank)
+    assert_stacks_hold(
+        chain, per_step_schur_entries(dim, 5, horizon, fixed_rank)
+    )
+
+
+def test_halving_sampler_blocks_equal_its_steps():
+    frame = random_orthogonal(5, stream_rng(1, 9))
+    sampler = halving_decrement_sampler(5, 8, fixed_rank=2, frame=frame)
+    stack = sampler.stack(3, 9)
+    for n, entries in zip(range(3, 10), stack):
+        expected = per_step_decrement(5, 8, 2, frame, n).entries
+        assert np.array_equal(entries, expected)
+        assert np.array_equal(sampler(n).entries, expected)
+
+
+def test_factory_blocks_split_where_the_dtype_changes():
+    # four real steps, then complex ones: a block holds one dtype, so the
+    # first block ends after step 4 and no step is cast
+    rng = stream_rng(5, 0)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    unitary, _ = np.linalg.qr(z)
+
+    def factory(n):
+        values = np.array([1.0, 0.5 + 0.4 / n, 0.8**n])
+        if n <= 4:
+            return Operator(np.diag(values))
+        return Operator((unitary * values) @ unitary.conj().T)
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factory(n)
+
+    chain = chains.ContractionChain(3, "real_then_complex", 9, counted)
+    blocks = list(chain.step_blocks())
+    assert [(len(b), b.dtype) for b in blocks] == [
+        (4, np.float64), (5, np.complex128),
+    ]
+    assert sorted(calls) == list(range(1, 10))  # the factory runs once a step
+    for n, step in enumerate(np.concatenate(blocks[1:]), start=5):
+        assert np.array_equal(step, factory(n).entries)
+    for n in range(1, 10):
+        assert np.array_equal(
+            chain.operator_at(n).entries, factory(n).entries
+        )
+        assert chain.operator_at(n).entries.dtype == factory(n).entries.dtype
+
+
+def test_schur_chain_turning_complex_keeps_each_step_dtype():
+    # a real T_1 with complex decrements: T_1 gets a block of its own, so
+    # it is not cast, and every later step is complex
+    unitary, _ = np.linalg.qr(
+        np.array([[1.0, 1j], [2.0, -1j]]), mode="complete"
+    )
+
+    def sampler(n):
+        return Operator((unitary * [0.5, 0.25]) @ unitary.conj().T)
+
+    first = diagonal([0.9, 0.6])
+    chain = schur_decrement_chain(first, sampler, horizon=6)
+    blocks = list(chain.step_blocks())
+    assert [(len(b), b.dtype) for b in blocks] == [
+        (1, np.float64), (5, np.complex128),
+    ]
+    expected = [first]
+    for k in range(1, 6):
+        root = chains._psd_sqrt(spectral_decompose(expected[-1]))
+        eye = np.eye(2, dtype=root.dtype)
+        expected.append(
+            Operator(root @ (eye - sampler(k).entries) @ root)
+        )
+    for n, op in enumerate(expected, start=1):
+        got = chain.operator_at(n).entries
+        assert got.dtype == op.entries.dtype
+        assert np.array_equal(got, op.entries)
+
+
+def test_factory_step_of_the_wrong_dim_is_refused():
+    chain = chains.ContractionChain(
+        2, "mismatched", 5, lambda n: identity(3 if n == 4 else 2)
+    )
+    assert chain.operator_at(3).dim == 2
+    with pytest.raises(ChainGenerationError, match="step 4 has dim 3"):
+        chain.operator_at(4)
+
+
+@pytest.mark.parametrize("bad", [2.0, -0.5])
+def test_bad_decrement_mid_block_raises_when_its_step_is_built(bad):
+    # at dim 2, T_2 .. T_20 share one block, whose decrements are drawn
+    # and checked at once; the bad one at step 5 only stops T_6
+    def sampler(n):
+        return diagonal([bad if n == 5 else 0.5, 0.25])
+
+    chain = schur_decrement_chain(identity(2), sampler, horizon=20)
+    assert chain.operator_at(5).dim == 2
+    assert [len(b) for b in chain.step_blocks(5)] == [1, 4]
+    with pytest.raises(
+        ChainGenerationError,
+        match=rf"^decrement at step 5 is not a positive contraction: "
+        rf"eigenvalue {bad}$",
+    ):
+        chain.operator_at(6)
+    with pytest.raises(ChainGenerationError, match="decrement at step 5"):
+        list(chain.step_blocks())
+
+
+def test_decrement_of_the_wrong_dim_mid_block_raises_at_its_step():
+    chain = schur_decrement_chain(
+        identity(2),
+        lambda n: identity(3) if n == 5 else diagonal([0.5, 0.25]),
+        horizon=20,
+    )
+    assert chain.operator_at(5).dim == 2
+    with pytest.raises(
+        ChainGenerationError, match="decrement at step 5 has dim 3"
+    ):
+        chain.operator_at(6)
+
+
+# ---------------------------------------------------------------------------
 # Specs
 
 

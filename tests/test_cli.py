@@ -116,6 +116,9 @@ def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
     # generator's square root, the step's fixed space and the empirical
     # limit; one eigvalsh for T_1 and one for each decrement
     assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h}
+    # dim 6 stores T_2 .. T_12 in one block: its Gaussians and its
+    # decrements are each solved in one stacked call
+    assert eigensolve_counts.calls == {"eigh": h + 1, "eigvalsh": 2}
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rank_trajectory"] == [2] * h
 
@@ -433,7 +436,7 @@ def test_verify_small_corpus(tmp_path):
 def test_verify_drops_each_chain_before_building_the_next(
     tmp_path, monkeypatch
 ):
-    # a finished chain and its operator cache are garbage by the time
+    # a finished chain and its stored steps are garbage by the time
     # the next chain is built, so verify's memory does not grow with
     # --seeds
     corpus_chains = cli.corpus_chains
@@ -538,6 +541,38 @@ def test_verify_ordering_checks_every_step(tmp_path, monkeypatch):
     ]
     assert ordering["fail"] == 1
     assert ordering["pass"] == ordering["total"] - 1
+
+
+@pytest.mark.parametrize(
+    "dims, refused", [([], 3), (["--dims", "2"], 0)]
+)
+def test_verify_zero_psd_slack_is_inconclusive(
+    tmp_path, capsys, dims, refused
+):
+    # at --tol-psd 0 the conjugated chains of dims 4, 8 and 16 have a top
+    # eigenvalue 1 + O(2^-52), operator-corpus items fail their
+    # positivity preconditions, and Schur chains are ordered only up to
+    # rounding: inconclusive, where verify exited 1 ("product norm
+    # exceeded 1") and, with --dims 2, 64 (an item's precondition)
+    out = tmp_path / "out"
+    argv = ["verify", "--seeds", "1", "--tol-psd", "0", "--out", str(out)]
+    assert run_cli(argv + dims) == 2
+    assert capsys.readouterr().err == ""
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    properties = verdicts["properties"]
+    assert verdicts["status"] == "inconclusive"
+    assert all(counts["fail"] == 0 for counts in properties.values())
+    # a refused chain gets four inconclusive verdicts
+    assert properties["ab_interleaving"]["inconclusive"] == refused
+    assert properties["chain_ordering"]["inconclusive"] > refused
+    for name in ("fixed_vector_equivalence", "projection_monotonicity",
+                 "rank_strict_descent"):
+        assert properties[name]["inconclusive"] > 0, name
+    # a chain that rises by more than the default slack still fails
+    faulty = argv + ["--dims", "2", "--include-faulty-fixture"]
+    assert run_cli(faulty) == 1
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts["properties"]["chain_ordering"]["fail"] == 1
 
 
 def test_verify_usage_errors(tmp_path, capsys):

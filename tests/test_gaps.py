@@ -240,7 +240,7 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
 
 def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     chain = gap_engineered_chain(8, 0.1, 2, 5, 60)
-    eigensolve_counts.update(eigh=0, eigvalsh=0)
+    eigensolve_counts.reset()
     cert = certificate_search(chain)
     assert isinstance(cert, GapCertificate)
     report = rate_bound_check(chain, cert)

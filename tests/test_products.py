@@ -29,7 +29,7 @@ from contraction_lab import (
     trace_summary,
     write_trace_csv,
 )
-from contraction_lab import products
+from contraction_lab import chains, products
 from contraction_lab.chains import stream_rng
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
 from orbit_oracle import dense_orbit, scalar_greedy_net
@@ -116,13 +116,14 @@ def test_iterate_products_rejects_expanding_factory():
 
 
 def blocks_of(monkeypatch, steps, dim):
-    """Make the engine stack ``steps`` steps per block in dimension ``dim``."""
-    monkeypatch.setattr(products, "_BLOCK_BYTES", steps * 16 * dim * dim)
-    assert products._block_steps(dim) == steps
+    """Make chains store ``steps`` steps per block in dimension ``dim``;
+    the engine and the order check go a stored block at a time."""
+    monkeypatch.setattr(chains, "_BLOCK_BYTES", steps * 16 * dim * dim)
+    assert chains._block_steps(dim) == steps
 
 
 def test_block_length_follows_dimension():
-    assert [products._block_steps(d) for d in (2, 4, 16, 64, 128)] == [
+    assert [chains._block_steps(d) for d in (2, 4, 16, 64, 128)] == [
         1024, 256, 16, 1, 1,
     ]
 
@@ -311,6 +312,35 @@ def test_is_decreasing_sees_a_rise_at_every_block_position(monkeypatch):
     for rise_at in range(2, 13):
         assert not is_decreasing(rise_and_recover_chain(rise_at, horizon=12))
     assert is_decreasing(telescoping_chain(12))
+
+
+@pytest.mark.parametrize("steps", [None, 2])
+def test_is_decreasing_refuses_a_step_that_is_no_positive_contraction(
+    monkeypatch, steps
+):
+    # step 3 has eigenvalue -0.5: inside the one default block, the first
+    # step of the second block of 2; it is refused, not ordered
+    if steps is not None:
+        blocks_of(monkeypatch, steps, 2)
+    with pytest.raises(PreconditionError) as raised:
+        is_decreasing(negative_step_chain())
+    assert str(raised.value) == (
+        "step 3 is not a positive contraction: offending eigenvalue -0.5"
+    )
+    # the refusal wins over an order broken in an earlier block
+    def rise_then_negative(n):
+        return diagonal([1.0, {2: 0.9, 5: -0.5}.get(n, 0.5)])
+
+    rising = ContractionChain(2, "rise_then_negative", 6, rise_then_negative)
+    with pytest.raises(PreconditionError, match="step 5 is not"):
+        is_decreasing(rising)
+    # the slack widens the positivity check as it widens the order's
+    above_one = ContractionChain(
+        2, "above_one", 3, lambda n: diagonal([1.0 + 1e-8, 0.5])
+    )
+    with pytest.raises(PreconditionError, match="step 1 is not"):
+        is_decreasing(above_one)
+    assert is_decreasing(above_one, tol_psd=1e-6)
 
 
 def test_is_decreasing_honours_psd_slack():
@@ -596,12 +626,31 @@ def test_schur_run_diagonalizes_each_step_once(
 ):
     h = 12
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
-    eigensolve_counts.update(eigh=0, eigvalsh=0)
+    eigensolve_counts.reset()
     iterate_products(chain, fixed_spaces=fixed_spaces)
     # h - 1 sampler bases and one eigh per step T_1 .. T_h, which serves
     # the square root, the step's fixed space and the empirical limit; the
     # trace-only run decomposes the same steps
     assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
+    # T_2 .. T_h are one block: one stacked eigh of its h - 1 Gaussians,
+    # one stacked eigvalsh of its h - 1 decrements
+    assert eigensolve_counts.calls == {"eigh": h + 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("steps, blocks", [(5, 3), (6, 2), (12, 1)])
+def test_schur_sampler_solves_once_per_block(
+    monkeypatch, eigensolve_counts, steps, blocks
+):
+    # T_1 has a block of its own; blocks of 5 steps from T_2 on draw
+    # decrements 1..5, 6..10 and 11: one stacked eigh and one stacked
+    # eigvalsh each
+    blocks_of(monkeypatch, steps, 6)
+    h = 12
+    chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
+    eigensolve_counts.reset()
+    iterate_products(chain)
+    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
+    assert eigensolve_counts.calls == {"eigh": h + blocks, "eigvalsh": blocks}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ def test_artifact_digests_one_line_per_command():
         "simulate schur_random tol0": 64,
         "verify": 0,
         "verify faulty": 1,
+        "verify tol0": 2,
         "nonexample": 0,
         "nonexample ties": 0,
         "nonexample wide": 1,
