@@ -287,25 +287,17 @@ class _Steps:
 
 class _PerStep(_Steps):
     """A ``Callable[[int], Operator]`` as a builder: a stack holds its
-    steps up to the first whose shape or dtype differs, which is kept
-    for the next stack, since a stack holds one dtype."""
+    steps up to the first whose shape or dtype differs, which starts the
+    next stack, since a stack holds one dtype."""
 
     def __init__(self, factory: Callable[[int], Operator]):
         self._factory = factory
-        self._ahead: tuple[int, np.ndarray] | None = None
 
     def stack(self, first: int, stop: int) -> np.ndarray:
-        entries: list[np.ndarray] = []
-        for n in range(first, stop + 1):
-            ahead, self._ahead = self._ahead, None
-            if ahead and ahead[0] == n:
-                m = ahead[1]
-            else:
-                m = self._factory(n).entries
-            if entries and (
-                m.shape != entries[0].shape or m.dtype != entries[0].dtype
-            ):
-                self._ahead = (n, m)
+        entries = [self._factory(first).entries]
+        for n in range(first + 1, stop + 1):
+            m = self._factory(n).entries
+            if m.shape != entries[0].shape or m.dtype != entries[0].dtype:
                 break
             entries.append(m)
         return np.stack(entries)
