@@ -24,7 +24,11 @@ run stops there with no artifact, before any product), 2 for ``verify
 tol0`` (at ``--tol-psd 0`` the corpus's conjugated chains from dim 4 up
 have a step above 1 by rounding and count as inconclusive, as do the
 operator-corpus items that fail a precondition and the comparisons that
-fail by less than the default slack), 0 for every other command.  The
+fail by less than the default slack), 2 for ``verify tol1e-14`` (every
+step of the conjugated chains of dims 8 and 16 passes its positivity
+check at ``--tol-psd 1e-14``, but their products' rounding reaches
+``1 + 4.3e-14``, which the default slack accepts, so those two chains
+count as inconclusive), 0 for every other command.  The
 two ``dim16`` specs are the only ones above dim 10, where the default
 ``tol_psd = 1e-10 * dim`` exceeds ``tol_eig``, so the band
 ``(1 + tol_eig, 1 + tol_psd]`` that the fixed-space rule must cover is
@@ -76,6 +80,7 @@ COMMANDS = (
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("verify tol0", ["verify", "--seeds", "1", "--tol-psd", "0"]),
+    ("verify tol1e-14", ["verify", "--seeds", "1", "--tol-psd", "1e-14"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),
     (
         "nonexample ties",

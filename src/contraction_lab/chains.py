@@ -249,62 +249,28 @@ def _block_steps(dim: int) -> int:
 
 
 class _Steps:
-    """Builds consecutive steps as hermitized ``(k, dim, dim)`` stacks.
+    """A step source: ``stack(first, stop, chain)`` returns steps
+    ``first .. first + k - 1``, ``1 <= k <= stop - first + 1``, as a
+    hermitized ``(k, dim, dim)`` stack of one dtype.  A recursive source
+    reads earlier steps from ``chain``, the chain being built, and keeps
+    no reference to it; the chain lays the steps out in blocks."""
 
-    ``stack(first, stop)`` returns steps ``first .. first + k - 1`` for
-    some ``1 <= k <= stop - first + 1``; every step of a stack has one
-    shape and dtype.  A chain asks its builder for a new block with
-    ``open`` and then for each further step with ``fill``; a builder
-    whose ``open`` returns the whole stack has nothing left to fill.
-    """
-
-    def stack(self, first: int, stop: int) -> np.ndarray:
+    def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
         raise NotImplementedError
-
-    def open(
-        self, chain: "ContractionChain", first: int, stop: int
-    ) -> np.ndarray:
-        block = self.stack(first, stop)
-        if block.shape[1:] != (chain.dim, chain.dim):
-            raise ChainGenerationError(
-                f"step {first} has dim {block.shape[-1]}, chain has dim "
-                f"{chain.dim}"
-            )
-        return block
-
-    def fill(
-        self,
-        chain: "ContractionChain",
-        block: np.ndarray,
-        block_first: int,
-        step: int,
-    ) -> int:
-        """Build step ``step`` of ``block``, whose first step is
-        ``block_first``, and return the last step built so far: the
-        block's last when ``open`` built it whole."""
-        return block_first + len(block) - 1
 
 
 class _PerStep(_Steps):
-    """A ``Callable[[int], Operator]`` as a builder: a stack holds its
-    steps up to the first whose shape or dtype differs, which starts the
-    next stack, since a stack holds one dtype."""
+    """A ``Callable[[int], Operator]`` as a source: one step per call."""
 
     def __init__(self, factory: Callable[[int], Operator]):
         self._factory = factory
 
-    def stack(self, first: int, stop: int) -> np.ndarray:
-        entries = [self._factory(first).entries]
-        for n in range(first + 1, stop + 1):
-            m = self._factory(n).entries
-            if m.shape != entries[0].shape or m.dtype != entries[0].dtype:
-                break
-            entries.append(m)
-        return np.stack(entries)
+    def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
+        return self._factory(first).entries[None]
 
 
 def _as_steps(factory: Callable[[int], Operator]) -> _Steps:
-    """A builder for a per-step factory; a builder is its own."""
+    """A source for a per-step factory; a source is its own."""
     return factory if isinstance(factory, _Steps) else _PerStep(factory)
 
 
@@ -317,15 +283,15 @@ class ContractionChain:
     of at most ``_block_steps(dim)`` steps.  ``step_blocks`` hands those
     stacks out as they are, and ``operator_at(n)`` is an
     :class:`Operator` over the stored step, so no step is held twice.
-    Every curve-built kind builds a whole block ``F diag(values_n) F^T``
-    for a fixed orthogonal frame ``F`` (the identity for diagonal chains)
-    at once; a per-step ``factory``, a ``Callable[[int], Operator]`` such
-    as tests and ``verify``'s faulty fixture pass, is stacked a block at
-    a time.  A Schur chain keeps ``T_1`` in a block of its own and fills
-    the others one step at a time, since each step needs the
-    decomposition of the step before.  The store is
-    built behind a lock, so recursively defined chains stay consistent
-    under concurrent access.
+    The chain alone lays its blocks out: it asks its source for the steps
+    that come next, keeps a stack that fills a block as it is, copies a
+    shorter one into the open block, and starts a new block at a step of
+    another dtype.  Curve-built kinds hand out a whole block
+    ``F diag(values_n) F^T`` for a fixed orthogonal frame ``F`` at once;
+    a per-step ``factory`` (a ``Callable[[int], Operator]``) and the
+    Schur recurrence hand out one step per call.  The store is built
+    behind a lock, so recursively defined chains stay consistent under
+    concurrent access.
 
     The store holds the operators only, not their eigenvectors, which
     would store another ``dim x dim`` matrix for every step.
@@ -357,7 +323,7 @@ class ContractionChain:
         self.gap_guarantee = gap_guarantee
         self._steps = _as_steps(factory)
         # the blocks in step order, the first step of each, and the last
-        # step built (a Schur chain's newest block may be partly built)
+        # step built (the newest block may be partly built)
         self._blocks: list[np.ndarray] = []
         self._firsts: list[int] = []
         self._built = 0
@@ -366,17 +332,33 @@ class ContractionChain:
 
     def _build(self, n: int) -> None:
         """Build every step up to ``n``; the caller holds the lock."""
+        dim = self.dim
         while self._built < n:
             step = self._built + 1
-            if not self._blocks or step >= self._firsts[-1] + len(
-                self._blocks[-1]
-            ):
-                stop = min(self.horizon, step + _block_steps(self.dim) - 1)
-                self._blocks.append(self._steps.open(self, step, stop))
+            size = min(self.horizon - step + 1, _block_steps(dim))
+            start, block = step, None
+            if self._blocks and step < self._firsts[-1] + len(self._blocks[-1]):
+                start, block = self._firsts[-1], self._blocks[-1]  # open
+            end = start + (size if block is None else len(block)) - 1
+            got = self._steps.stack(step, end, self)
+            if got.shape[1:] != (dim, dim):
+                raise ChainGenerationError(
+                    f"step {step} has dim {got.shape[-1]}, chain has dim "
+                    f"{dim}"
+                )
+            if block is not None and got.dtype != block.dtype:
+                # a block holds one dtype: close it at the steps built
+                self._blocks[-1] = block[: step - start]
+                block = None
+            if block is None:
+                start, block = step, got
+                if len(got) < size:
+                    block = np.empty((size, dim, dim), got.dtype)
+                self._blocks.append(block)
                 self._firsts.append(step)
-            self._built = self._steps.fill(
-                self, self._blocks[-1], self._firsts[-1], step
-            )
+            if block is not got:
+                block[step - start : step - start + len(got)] = got
+            self._built = step + len(got) - 1
 
     def _block_of(self, n: int) -> tuple[int, np.ndarray]:
         """The first step and the block that hold step ``n``, built up to
@@ -401,12 +383,18 @@ class ContractionChain:
         stacks of consecutive steps in step order, one per stored block,
         each built when it is reached."""
         h = self.horizon if horizon is None else horizon
+        if not 1 <= h <= self.horizon:
+            raise PreconditionError(
+                f"horizon {h} outside materialized range 1..{self.horizon}"
+            )
         n = 1
         while n <= h:
             with self._lock:
                 first, block = self._block_of(n)
+                self._build(min(first + len(block) - 1, h))
+                # a step of another dtype may have closed the block early
+                first, block = self._block_of(n)
                 last = min(first + len(block) - 1, h)
-                self._build(last)
                 stack = block[n - first : last - first + 1]
             stack.setflags(write=False)
             yield stack
@@ -530,7 +518,7 @@ class _CurveSteps(_Steps):
         self._table = table
         self._frame = frame
 
-    def stack(self, first: int, stop: int) -> np.ndarray:
+    def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
         values = self._table[:, first - 1 : stop].T
         frame = self._frame
         return _hermitized((frame * values[:, None, :]) @ frame.T)
@@ -587,8 +575,10 @@ def schur_decrement_chain(
     any ``0 <= D_n <= I``, so the ordering holds by construction.  The
     sampler must be a pure function of the step index; samplers that
     emit anything but a positive contraction are rejected at the step
-    they would build.  The decrements of a block are drawn together and
-    checked in one stacked ``eigvalsh``.  No analytic limit is attached.
+    they would build.  The decrements a sampler hands out together (a
+    block of them from :func:`halving_decrement_sampler`, one from any
+    other) are checked in one stacked ``eigvalsh``.  No analytic limit
+    is attached.
     ``T_n^{1/2}`` comes from the chain's ``decomposition_at(n)``, so a
     caller that decomposes ``T_n`` in step order shares that solve.
     """
@@ -609,44 +599,34 @@ def schur_decrement_chain(
 
 
 class _SchurSteps(_Steps):
-    """The Schur recurrence, one step at a time into blocks whose
-    decrements are drawn, and checked, a block at a time.  ``T_1`` has
-    a block of its own, so it is never cast to its successors' dtype."""
+    """The Schur recurrence, one step per call.  The decrements are
+    drawn, and checked, a block at a time: from the one that makes the
+    step asked for up to the one that makes ``stop``."""
 
     def __init__(self, first: Operator, decrements: _Steps):
-        self._first: np.ndarray | None = first.entries
+        self._first = first.entries
         self._decrements = decrements
-        # the newest block's decrements, from step _dec_first on, their
-        # eigenvalues, and its dtype
+        # the decrements drawn last (from step _dec_first) and eigenvalues
         self._dec_first = 0
-        self._decs = self._dec_eigs = None
-        self._dtype = first.entries.dtype
+        self._decs = self._dec_eigs = np.empty((0, 0, 0))
 
-    def open(self, chain, first, stop):
+    def stack(self, first, stop, chain):
         if first == 1:
-            block, self._first = self._first[None].copy(), None
-            return block
-        # decrement k makes T_{k+1}
-        self._dec_first = first - 1
-        self._decs = self._decrements.stack(first - 1, stop - 1)
-        self._dec_eigs = _eigvalsh(self._decs)
-        self._dtype = np.result_type(self._dtype, self._decs)
-        return np.empty((len(self._decs), chain.dim, chain.dim), self._dtype)
-
-    def fill(self, chain, block, block_first, step):
-        if step == 1:  # T_1's block came whole
-            return 1
+            return self._first[None]
         dim = chain.dim
-        k = step - 1
-        dec = self._decs[k - self._dec_first]
+        k = first - 1  # decrement k makes T_{k+1}
+        if not 0 <= k - self._dec_first < len(self._decs):
+            self._dec_first = k
+            self._decs = self._decrements.stack(k, stop - 1)
+            self._dec_eigs = _eigvalsh(self._decs)
+        i = k - self._dec_first
+        dec = self._decs[i]
         if dec.shape != (dim, dim):
             raise ChainGenerationError(
                 f"decrement at step {k} has dim {dec.shape[0]}, "
                 f"chain has dim {dim}"
             )
-        check = _contraction_witness(
-            self._dec_eigs[k - self._dec_first], DEFAULT.psd(dim)
-        )
+        check = _contraction_witness(self._dec_eigs[i], DEFAULT.psd(dim))
         if not check:
             raise ChainGenerationError(
                 f"decrement at step {k} is not a positive "
@@ -654,8 +634,7 @@ class _SchurSteps(_Steps):
             )
         root = _psd_sqrt(chain.decomposition_at(k))
         eye = np.eye(dim, dtype=root.dtype)
-        _hermitized(root @ (eye - dec) @ root, out=block[step - block_first])
-        return step
+        return _hermitized((root @ (eye - dec) @ root)[None])
 
 
 class _HalvingSampler(_Steps):
@@ -672,7 +651,7 @@ class _HalvingSampler(_Steps):
         entries.setflags(write=False)
         return _stored_operator(entries)
 
-    def stack(self, first: int, stop: int) -> np.ndarray:
+    def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
         dim, fixed = self._dim, self._fixed_rank
         steps = range(first, stop + 1)
         free = dim - fixed

@@ -346,13 +346,21 @@ def _verdict(check, dim: int, tol_psd: float | None, *operands, **kwargs):
 def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
     order; all inconclusive when a step or the limit is not a positive
-    contraction under the given tolerances."""
+    contraction under the given tolerances, or when the products break
+    an invariant under a ``tol_psd`` below the default slack of the
+    chain's dim but not under that default (``_verdict``'s rule)."""
     try:
         ordering = _verdict(is_decreasing, chain.dim, args.tol_psd, chain)
         trace = iterate_products(
             chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
         )
     except PreconditionError:
+        return (None,) * len(_CHAIN_PROPERTIES)
+    except InvariantError:
+        if args.tol_psd is None or args.tol_psd >= DEFAULT.psd(chain.dim):
+            raise
+        # raises the default slack's own InvariantError if it fails too
+        iterate_products(chain, tol_eig=args.tol_eig)
         return (None,) * len(_CHAIN_PROPERTIES)
     trusted = trace.limit.trustworthy
     adj_err = float(trace.adj_err[-1].max())

@@ -193,6 +193,11 @@ def certificate_search(
     the search resumes from the violating step with the largest smaller
     grid delta that holds there.  Certificate when a scan reaches the
     horizon clean; failure report when the grid runs out.
+
+    One forward pass: each step after ``T_1`` is one :func:`has_gap_at`
+    (``eigvalsh``).  ``T_1`` and each step that fails it are decomposed
+    once (``decomposition_at``), which gives the offending eigenvalue,
+    the next grid delta and the rank; it decides at a window edge.
     """
     grid = _validate_grid(delta_grid)
     h = chain.horizon if horizon is None else horizon
@@ -203,77 +208,51 @@ def certificate_search(
 
     trajectory: list[RankStep] = []
     violations: list[GapViolation] = []
-
-    def rank_at(n: int) -> int:
-        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
-        return space.shape[1]
-
-    def scope_for(delta: float) -> str:
-        guarantee = chain.gap_guarantee
-        if guarantee is not None and delta <= guarantee + tol_eig:
-            return "analytic"
-        return "empirical"
-
-    # stage 0: largest grid delta that holds at the first operator
-    first = chain.operator_at(1)
-    delta_cur = None
-    for d in grid:
-        if has_gap_at(first, d, tol_eig=tol_eig):
-            delta_cur = d
-            break
-    if delta_cur is None:
-        offender = _violating_eigenvalue(
-            hermitian_eigenvalues(first), grid[-1], tol_eig
-        )
-        violations.append(GapViolation(1, grid[-1], float(offender)))
-        return GapSearchFailure(grid, (), tuple(violations), h)
-
-    n_cur = 1
-    trajectory.append(RankStep(1, rank_at(1), delta_cur))
-
-    while True:
-        hit = None
-        for n in range(n_cur + 1, h + 1):
-            eigenvalues = hermitian_eigenvalues(chain.operator_at(n))
-            offender = _violating_eigenvalue(eigenvalues, delta_cur, tol_eig)
-            if offender is not None:
-                hit = (n, float(offender))
-                break
-        if hit is None:
-            return GapCertificate(
-                delta=delta_cur,
-                n_start=n_cur,
-                rank_trajectory=tuple(trajectory),
-                scope=scope_for(delta_cur),
-                horizon=h,
-            )
-
-        n_viol, eigenvalue = hit
-        violations.append(GapViolation(n_viol, delta_cur, eigenvalue))
-        rank_new = rank_at(n_viol)
-        rank_prev = trajectory[-1].rank
-        if rank_new >= rank_prev:
-            raise RankDescentError(
-                f"gap violated at step {n_viol} (delta {delta_cur}, "
-                f"eigenvalue {eigenvalue}) but fixed-space rank went "
-                f"{rank_prev} -> {rank_new}: strict descent is a theorem, "
-                "suspect the generator or the tolerances"
-            )
-
-        delta_next = None
+    delta = 1.0  # above every grid value, so T_1 may take any
+    for n in range(1, h + 1):
+        if n > 1 and has_gap_at(chain.operator_at(n), delta, tol_eig=tol_eig):
+            continue
+        decomp = chain.decomposition_at(n)
+        eigenvalues = decomp.eigenvalues
+        rank = None
+        if n > 1:
+            offender = _violating_eigenvalue(eigenvalues, delta, tol_eig)
+            if offender is None:
+                continue  # has_gap_at disagreed at a window edge
+            violations.append(GapViolation(n, delta, float(offender)))
+            rank = _fixed_space(decomp, tol_eig, tol_psd).shape[1]
+            if rank >= trajectory[-1].rank:
+                raise RankDescentError(
+                    f"gap violated at step {n} (delta {delta}, "
+                    f"eigenvalue {float(offender)}) but fixed-space rank "
+                    f"went {trajectory[-1].rank} -> {rank}: strict descent "
+                    "is a theorem, suspect the generator or the tolerances"
+                )
+        # the largest grid delta below the current one that holds here
         for d in grid:
-            if d < delta_cur and has_gap_at(
-                chain.operator_at(n_viol), d, tol_eig=tol_eig
-            ):
-                delta_next = d
+            if d < delta and _violating_eigenvalue(eigenvalues, d, tol_eig) is None:
                 break
-        if delta_next is None:
+        else:
+            if n == 1:
+                offender = _violating_eigenvalue(eigenvalues, grid[-1], tol_eig)
+                violations.append(GapViolation(1, grid[-1], float(offender)))
             return GapSearchFailure(
                 grid, tuple(trajectory), tuple(violations), h
             )
-        n_cur = n_viol
-        delta_cur = delta_next
-        trajectory.append(RankStep(n_cur, rank_new, delta_cur))
+        if rank is None:
+            rank = _fixed_space(decomp, tol_eig, tol_psd).shape[1]
+        delta = d
+        trajectory.append(RankStep(n, rank, delta))
+
+    guarantee = chain.gap_guarantee
+    analytic = guarantee is not None and delta <= guarantee + tol_eig
+    return GapCertificate(
+        delta=delta,
+        n_start=trajectory[-1].n,
+        rank_trajectory=tuple(trajectory),
+        scope="analytic" if analytic else "empirical",
+        horizon=h,
+    )
 
 
 def rank_strict_descent_check(
@@ -370,8 +349,10 @@ def rate_bound_check(
     step joined with the first step whose fixed projection nearly kills
     the probe (``<= epsilon``).
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
+    if j_max is not None and j_max < 0:
+        raise PreconditionError(f"j_max must be >= 0, got {j_max}")
     last = chain.horizon
     if certificate.scope == "empirical":
         # checked only up to its horizon, so the table must stop there too

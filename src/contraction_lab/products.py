@@ -247,6 +247,8 @@ def iterate_products(
         )
     if h < 1:
         raise PreconditionError(f"horizon must be >= 1, got {h}")
+    if probes is None and probe_ids is not None:
+        raise PreconditionError("probe_ids given without probes")
     dim = chain.dim
     tol = DEFAULT.psd(dim) if tol_psd is None else tol_psd
 
@@ -278,7 +280,9 @@ def iterate_products(
             raise PreconditionError(
                 f"probes live in dimension {mat.shape[0]}, chain in {dim}"
             )
-        ids = probe_ids or [f"p{k}" for k in range(mat.shape[1])]
+        ids = probe_ids
+        if ids is None:
+            ids = [f"p{k}" for k in range(mat.shape[1])]
     probe_norms = np.linalg.norm(mat, axis=0)
     if np.any(probe_norms == 0.0):
         raise PreconditionError("zero probe vector")

@@ -1,7 +1,9 @@
+import gc
 import math
 import re
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -508,21 +510,92 @@ def test_halving_sampler_blocks_equal_its_steps():
         assert np.array_equal(sampler(n).entries, expected)
 
 
+class OneStepPerCall(chains._Steps):
+    """A source that hands out one step of another source per call."""
+
+    def __init__(self, source):
+        self._source = source
+
+    def stack(self, first, stop, chain=None):
+        return self._source.stack(first, first, chain)
+
+
+@pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)
+def test_one_step_and_whole_block_sources_lay_out_the_same(dim, horizon):
+    whole = gap_engineered_chain(dim, 0.1, dim // 2, seed=2, horizon=horizon)
+    single = chains.ContractionChain(
+        dim, "one_step", horizon, OneStepPerCall(whole._steps)
+    )
+    got, want = list(single.step_blocks()), list(whole.step_blocks())
+    assert [len(b) for b in got] == [len(b) for b in want]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_schur_chain(3, seed=1, horizon=10, fixed_rank=1),
+        lambda: gap_engineered_chain(3, 0.2, 1, seed=1, horizon=10),
+        lambda: chains.ContractionChain(
+            2, "factory", 10, lambda n: diagonal([1.0, 0.5])
+        ),
+    ],
+    ids=["schur_decrement", "gap_engineered", "factory"],
+)
+def test_built_chain_is_freed_without_the_cycle_collector(make):
+    # no source refers back to its chain, so dropping the last reference
+    # frees the chain and its stored steps at once
+    gc.disable()
+    try:
+        chain = make()
+        list(chain.step_blocks())
+        chain.decomposition_at(chain.horizon)
+        ref = weakref.ref(chain)
+        del chain
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_step_blocks_refuses_a_horizon_past_the_chain_before_any_block():
+    calls = []
+
+    def factory(n):
+        calls.append(n)
+        return diagonal([1.0, 0.5])
+
+    chain = chains.ContractionChain(2, "short", 5, factory)
+    blocks = chain.step_blocks(6)
+    with pytest.raises(
+        PreconditionError, match=r"^horizon 6 outside materialized range 1\.\.5$"
+    ):
+        next(blocks)
+    assert calls == []
+
+
 def test_factory_blocks_split_where_the_dtype_changes():
     # four real steps, then complex ones: a block holds one dtype, so the
-    # first block ends after step 4 and no step is cast
+    # first block ends after step 4 and no step is cast; the factory is
+    # called once per step, and only up to the step read
     rng = stream_rng(5, 0)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     unitary, _ = np.linalg.qr(z)
+    calls = []
 
     def factory(n):
+        calls.append(n)
         values = np.array([1.0, 0.5 + 0.4 / n, 0.8**n])
         if n <= 4:
             return Operator(np.diag(values))
         return Operator((unitary * values) @ unitary.conj().T)
 
     chain = chains.ContractionChain(3, "real_then_complex", 9, factory)
+    assert chain.operator_at(3).dim == 3
+    assert calls == [1, 2, 3]
     blocks = list(chain.step_blocks())
+    assert calls == list(range(1, 10))
     assert [(len(b), b.dtype) for b in blocks] == [
         (4, np.float64), (5, np.complex128),
     ]
@@ -536,8 +609,8 @@ def test_factory_blocks_split_where_the_dtype_changes():
 
 
 def test_schur_chain_turning_complex_keeps_each_step_dtype():
-    # a real T_1 with complex decrements: T_1 gets a block of its own, so
-    # it is not cast, and every later step is complex
+    # a real T_1 with complex decrements: T_2 is complex and starts a new
+    # block, so T_1 is not cast, and every later step is complex
     unitary, _ = np.linalg.qr(
         np.array([[1.0, 1j], [2.0, -1j]]), mode="complete"
     )
@@ -575,14 +648,14 @@ def test_factory_step_of_the_wrong_dim_is_refused():
 
 @pytest.mark.parametrize("bad", [2.0, -0.5])
 def test_bad_decrement_mid_block_raises_when_its_step_is_built(bad):
-    # at dim 2, T_2 .. T_20 share one block, whose decrements are drawn
-    # and checked at once; the bad one at step 5 only stops T_6
+    # at dim 2, T_1 .. T_20 share one block; the bad decrement at step 5
+    # only stops T_6
     def sampler(n):
         return diagonal([bad if n == 5 else 0.5, 0.25])
 
     chain = schur_decrement_chain(identity(2), sampler, horizon=20)
     assert chain.operator_at(5).dim == 2
-    assert [len(b) for b in chain.step_blocks(5)] == [1, 4]
+    assert [len(b) for b in chain.step_blocks(5)] == [5]
     with pytest.raises(
         ChainGenerationError,
         match=rf"^decrement at step 5 is not a positive contraction: "

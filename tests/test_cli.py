@@ -575,6 +575,32 @@ def test_verify_zero_psd_slack_is_inconclusive(
     assert verdicts["properties"]["chain_ordering"]["fail"] == 1
 
 
+def test_verify_tiny_psd_slack_product_rounding_is_inconclusive(
+    tmp_path, capsys, monkeypatch
+):
+    # at --tol-psd 1e-14 every step of the conjugated chains of dims 8
+    # and 16 passes its positivity check, but their products' rounding
+    # reaches 1 + 4.3e-14; at the default slack the run passes, so the
+    # two chains are inconclusive, where verify exited 1 ("product norm
+    # exceeded 1") and wrote nothing
+    out = tmp_path / "out"
+    argv = ["verify", "--seeds", "1", "--tol-psd", "1e-14", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ""
+    properties = json.loads((out / "verdicts.json").read_text())["properties"]
+    assert all(counts["fail"] == 0 for counts in properties.values())
+    for name in ("chain_ordering", "ab_interleaving", "adjoint_convergence",
+                 "operator_norm_convergence"):
+        assert properties[name]["inconclusive"] == 2, name
+    # an invariant the default slack breaks too is still a failure
+    def broken(*args, **kwargs):
+        raise InvariantError("product norm exceeded 1: max 2.0")
+
+    monkeypatch.setattr(cli, "iterate_products", broken)
+    assert run_cli(argv) == 1
+    assert "product norm exceeded 1: max 2.0" in capsys.readouterr().err
+
+
 def test_verify_usage_errors(tmp_path, capsys):
     assert run_cli(["verify", "--seeds", "0"]) == 64
     assert run_cli(["verify", "--dims", "2,x"]) == 64

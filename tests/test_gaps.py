@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +30,13 @@ from contraction_lab import (
     rank_strict_descent_check,
     rate_bound_check,
 )
+from contraction_lab import build_chain, gaps, parse_chain_spec
 from contraction_lab.chains import ContractionChain, stream_rng
 from contraction_lab.corpus import descent_triple_corpus
 from contraction_lab.gaps import RATE_CSV_HEADER, write_rate_csv
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def geometric_tail_chain(horizon=60):
@@ -245,10 +251,36 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     assert isinstance(cert, GapCertificate)
     report = rate_bound_check(chain, cert)
     assert report.n0 == 1
-    # the search's rank of T_1, the n0 scan and T_n0's projection share
-    # one eigh; the other is the limit's.  The eigvalsh calls are the gap
-    # tests: the grid at T_1, then the scan over T_2 .. T_60
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 62}
+    # the search's grid and rank at T_1, the n0 scan and T_n0's
+    # projection share one eigh; the other is the limit's.  The eigvalsh
+    # calls are the scan's gap tests over T_2 .. T_60
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 59}
+
+
+def test_gap_search_decomposes_first_and_violating_steps_once(
+    eigensolve_counts,
+):
+    spec = json.loads((SPECS / "near_one.json").read_text())
+    chain = build_chain(parse_chain_spec(spec))
+    eigensolve_counts.reset()
+    result = certificate_search(chain)
+    assert isinstance(result, GapSearchFailure)
+    assert len(result.violations) >= 2
+    # one eigh at T_1 and one at each violating step; one eigvalsh gap
+    # test at every step the scan reaches after T_1
+    assert eigensolve_counts["eigh"] == 1 + len(result.violations)
+    assert eigensolve_counts["eigvalsh"] == result.violations[-1].n - 1
+
+
+def test_gap_search_edge_disagreement_records_no_violation(monkeypatch):
+    # has_gap_at says every step after T_1 violates its window; the
+    # decomposition of each finds none, and it decides
+    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=40)
+    reference = certificate_search(chain)
+    assert isinstance(reference, GapCertificate)
+    assert len(reference.rank_trajectory) == 1
+    monkeypatch.setattr(gaps, "has_gap_at", lambda *a, **k: False)
+    assert certificate_search(chain) == reference
 
 
 def test_rank_strict_descent_on_seeded_triples():
@@ -303,6 +335,12 @@ def test_rate_bound_default_n0_and_validation():
     assert report.bound_holds
     with pytest.raises(PreconditionError, match="epsilon"):
         rate_bound_check(chain, cert, probe, epsilon=-1.0)
+    with pytest.raises(
+        PreconditionError, match=r"^epsilon must be >= 0, got nan$"
+    ):
+        rate_bound_check(chain, cert, probe, epsilon=math.nan)
+    with pytest.raises(PreconditionError, match=r"^j_max must be >= 0, got -1$"):
+        rate_bound_check(chain, cert, probe, j_max=-1)
     with pytest.raises(PreconditionError, match="zero probe"):
         rate_bound_check(chain, cert, np.zeros(6))
     with pytest.raises(PreconditionError, match="dimension"):

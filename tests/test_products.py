@@ -104,6 +104,16 @@ def test_iterate_products_preconditions():
         iterate_products(chain, probes=np.eye(2), probe_ids=["only_one"])
 
 
+def test_iterate_products_refuses_probe_ids_without_probes():
+    chain = telescoping_chain(10)
+    with pytest.raises(
+        PreconditionError, match=r"^probe_ids given without probes$"
+    ):
+        iterate_products(chain, probe_ids=["x", "y"])
+    with pytest.raises(PreconditionError, match="probe_ids length"):
+        iterate_products(chain, probes=np.eye(2), probe_ids=[])
+
+
 def test_iterate_products_rejects_expanding_factory():
     def factory(n):
         return Operator(np.diag([1.1, 0.5]))
@@ -632,7 +642,7 @@ def test_schur_run_diagonalizes_each_step_once(
     # the square root, the step's fixed space and the empirical limit; the
     # trace-only run decomposes the same steps
     assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
-    # T_2 .. T_h are one block: one stacked eigh of its h - 1 Gaussians,
+    # T_1 .. T_h are one block: one stacked eigh of its h - 1 Gaussians,
     # one stacked eigvalsh of its h - 1 decrements
     assert eigensolve_counts.calls == {"eigh": h + 1, "eigvalsh": 1}
 
@@ -641,8 +651,8 @@ def test_schur_run_diagonalizes_each_step_once(
 def test_schur_sampler_solves_once_per_block(
     monkeypatch, eigensolve_counts, steps, blocks
 ):
-    # T_1 has a block of its own; blocks of 5 steps from T_2 on draw
-    # decrements 1..5, 6..10 and 11: one stacked eigh and one stacked
+    # blocks of 5 steps T_1 .. T_5, T_6 .. T_10 and T_11 .. T_12 draw
+    # decrements 1..4, 5..9 and 10..11: one stacked eigh and one stacked
     # eigvalsh each
     blocks_of(monkeypatch, steps, 6)
     h = 12

@@ -60,6 +60,7 @@ def test_artifact_digests_one_line_per_command():
         "verify": 0,
         "verify faulty": 1,
         "verify tol0": 2,
+        "verify tol1e-14": 2,
         "nonexample": 0,
         "nonexample ties": 0,
         "nonexample wide": 1,
