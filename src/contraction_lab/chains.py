@@ -378,15 +378,21 @@ class ContractionChain:
         entries.setflags(write=False)
         return _stored_operator(entries)
 
-    def step_blocks(self, horizon: int | None = None) -> Iterator[np.ndarray]:
-        """Steps ``1 .. horizon`` (default: the chain's) as read-only
-        stacks of consecutive steps in step order, one per stored block,
-        each built when it is reached."""
+    def run_horizon(self, horizon: int | None = None) -> int:
+        """The last step of a run (default: the chain's), refused outside
+        ``1 .. self.horizon`` before any run reads a step."""
         h = self.horizon if horizon is None else horizon
         if not 1 <= h <= self.horizon:
             raise PreconditionError(
                 f"horizon {h} outside materialized range 1..{self.horizon}"
             )
+        return h
+
+    def step_blocks(self, horizon: int | None = None) -> Iterator[np.ndarray]:
+        """Steps ``1 ..`` :meth:`run_horizon` as read-only stacks of
+        consecutive steps in step order, one per stored block, each built
+        when it is reached."""
+        h = self.run_horizon(horizon)
         n = 1
         while n <= h:
             with self._lock:

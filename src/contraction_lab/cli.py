@@ -30,18 +30,11 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .chains import (
-    CACHE_CEILING,
-    ContractionChain,
-    _near_one_max_dim,
-    build_chain,
-    parse_chain_spec,
-)
+from .chains import ContractionChain, build_chain, parse_chain_spec
 from .config import DEFAULT, DELTA_GRID, SEED_ENV_VAR
 from .corpus import (
     CORPUS_DIMS,
     CORPUS_SEED_COUNT,
-    KIND_HORIZONS,
     corpus_chains,
     descent_triple_corpus,
     equivalence_corpus,
@@ -170,17 +163,6 @@ def _load_chain(args, parser: argparse.ArgumentParser) -> ContractionChain:
     return build_chain(parse_chain_spec(raw))
 
 
-def _run_horizon(args, chain: ContractionChain, parser) -> int:
-    if args.horizon is None:
-        return chain.horizon
-    if not 1 <= args.horizon <= chain.horizon:
-        parser.error(
-            f"--horizon {args.horizon} outside the chain's materialized "
-            f"range 1..{chain.horizon}"
-        )
-    return args.horizon
-
-
 def _status_exit(status: str) -> int:
     return {
         "pass": EXIT_PASS,
@@ -191,10 +173,9 @@ def _status_exit(status: str) -> int:
 
 def cmd_simulate(args, parser) -> int:
     chain = _load_chain(args, parser)
-    horizon = _run_horizon(args, chain, parser)
     trace = iterate_products(
         chain,
-        horizon=horizon,
+        horizon=args.horizon,
         tol_eig=args.tol_eig,
         tol_psd=args.tol_psd,
         fixed_spaces=True,
@@ -208,7 +189,6 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_gap(args, parser) -> int:
     chain = _load_chain(args, parser)
-    horizon = _run_horizon(args, chain, parser)
     if args.grid is None:
         grid = DELTA_GRID
     else:
@@ -217,7 +197,8 @@ def cmd_gap(args, parser) -> int:
         except ValueError:
             parser.error(f"--grid must be a comma list of floats: {args.grid!r}")
     result = certificate_search(
-        chain, horizon, grid, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        chain, args.horizon, grid, tol_eig=args.tol_eig,
+        tol_psd=args.tol_psd,
     )
     out = _out_dir(args)
     if isinstance(result, GapCertificate):
@@ -328,17 +309,19 @@ def _unless_refused(check, *args, **kwargs):
 
 def _verdict(check, dim: int, tol_psd: float | None, *operands, **kwargs):
     """``check(*operands, tol_psd=tol_psd, **kwargs)``, or None when it
-    fails under a ``tol_psd`` below the default slack of ``dim`` but
-    holds under that default: the default slack is there to absorb the
-    rounding of the computation, so such a failure is rounding as much
-    as it is a counterexample."""
-    verdict = check(*operands, tol_psd=tol_psd, **kwargs)
-    if (
-        verdict is False
-        and tol_psd is not None
-        and tol_psd < DEFAULT.psd(dim)
-        and check(*operands, **kwargs)
-    ):
+    fails (returns False or raises :class:`InvariantError`) under a
+    ``tol_psd`` below the default slack of ``dim`` but holds under that
+    default: the default slack is there to absorb the rounding of the
+    computation, so such a failure is rounding as much as it is a
+    counterexample.  A failure under the default stands."""
+    below = tol_psd is not None and tol_psd < DEFAULT.psd(dim)
+    try:
+        verdict = check(*operands, tol_psd=tol_psd, **kwargs)
+    except InvariantError:
+        if not below:
+            raise
+        verdict = False
+    if verdict is False and below and check(*operands, **kwargs):
         return None
     return verdict
 
@@ -347,20 +330,17 @@ def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
     order; all inconclusive when a step or the limit is not a positive
     contraction under the given tolerances, or when the products break
-    an invariant under a ``tol_psd`` below the default slack of the
-    chain's dim but not under that default (``_verdict``'s rule)."""
+    an invariant only under a ``tol_psd`` below the default slack
+    (``_verdict``'s rule)."""
     try:
         ordering = _verdict(is_decreasing, chain.dim, args.tol_psd, chain)
-        trace = iterate_products(
-            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+        trace = _verdict(
+            iterate_products, chain.dim, args.tol_psd, chain,
+            tol_eig=args.tol_eig,
         )
     except PreconditionError:
-        return (None,) * len(_CHAIN_PROPERTIES)
-    except InvariantError:
-        if args.tol_psd is None or args.tol_psd >= DEFAULT.psd(chain.dim):
-            raise
-        # raises the default slack's own InvariantError if it fails too
-        iterate_products(chain, tol_eig=args.tol_eig)
+        trace = None
+    if trace is None:
         return (None,) * len(_CHAIN_PROPERTIES)
     trusted = trace.limit.trustworthy
     adj_err = float(trace.adj_err[-1].max())
@@ -383,24 +363,8 @@ def cmd_verify(args, parser) -> int:
             dims = tuple(int(x) for x in args.dims.split(","))
         except ValueError:
             parser.error(f"--dims must be a comma list of integers: {args.dims!r}")
-        if not dims or any(d < 2 for d in dims):
-            parser.error("--dims values must all be >= 2")
-        horizon = max(KIND_HORIZONS.values())
-        too_big = [d for d in dims if d * d * horizon > CACHE_CEILING]
-        if too_big:
-            parser.error(
-                f"--dims value {too_big[0]} exceeds the ceiling of "
-                f"{CACHE_CEILING} cached operator entries at horizon {horizon}"
-            )
-        largest = _near_one_max_dim(KIND_HORIZONS["near_one_accumulating"])
-        unbuildable = [d for d in dims if d > largest]
-        if unbuildable:
-            parser.error(
-                f"--dims value {unbuildable[0]} exceeds {largest}, the "
-                "largest dimension the corpus's near_one_accumulating "
-                "chains can be built in"
-            )
 
+    # corpus_chains refuses a dim it cannot build before building a chain
     chains = corpus_chains(dims, args.seeds)
     if args.include_faulty_fixture:
         chains = itertools.chain(chains, [_faulty_chain()])
@@ -434,16 +398,16 @@ def cmd_verify(args, parser) -> int:
         )
         for upper, lower in monotone_pair_corpus(100 * args.seeds)
     )
+    # tol_psd moves only this check's preconditions, which raise, so
+    # its verdict needs no rerun at the default slack
     properties["rank_strict_descent"] = _tally(
         _unless_refused(
-            _verdict,
             rank_strict_descent_check,
-            upper.dim,
-            args.tol_psd,
             upper,
             lower,
             delta,
             tol_eig=args.tol_eig,
+            tol_psd=args.tol_psd,
         )
         for upper, lower, delta in descent_triple_corpus(12 * args.seeds)
     )

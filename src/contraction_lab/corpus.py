@@ -19,6 +19,7 @@ import numpy as np
 from .chains import (
     ContractionChain,
     Curve,
+    _near_one_max_dim,
     affine_harmonic,
     conjugated_diagonal_chain,
     const,
@@ -31,6 +32,7 @@ from .chains import (
     random_schur_chain,
     stream_rng,
 )
+from .errors import PreconditionError
 from .operators import Operator
 
 __all__ = [
@@ -98,7 +100,15 @@ def corpus_chains(
 ) -> Iterator[ContractionChain]:
     """One chain per generator kind x dimension x seed, at the
     calibrated horizons, built only when the next one is asked for and
-    not kept afterwards."""
+    not kept afterwards.  A dim outside ``2..161``, where the
+    ``near_one_accumulating`` chains fit their peels, is refused first."""
+    largest = _near_one_max_dim(KIND_HORIZONS["near_one_accumulating"])
+    for dim in dims:
+        if not 2 <= dim <= largest:
+            raise PreconditionError(
+                f"corpus dim {dim} outside 2..{largest}, the dims its "
+                "near_one_accumulating chains can be built in"
+            )
     for dim in dims:
         for seed in range(seed_count):
             yield diagonal_chain(

@@ -35,7 +35,7 @@ from .operators import (
     hermitian_eigenvalues,
     loewner_leq,
 )
-from .products import _write_rows, limit_operator
+from .products import _given_probes, _write_rows, limit_operator
 
 __all__ = [
     "RankStep",
@@ -197,14 +197,12 @@ def certificate_search(
     One forward pass: each step after ``T_1`` is one :func:`has_gap_at`
     (``eigvalsh``).  ``T_1`` and each step that fails it are decomposed
     once (``decomposition_at``), which gives the offending eigenvalue,
-    the next grid delta and the rank; it decides at a window edge.
+    the next grid delta and the rank; it decides at a window edge.  The
+    horizon and the grid are checked first; a step that is not a
+    positive contraction is refused by name where its rank is read.
     """
+    h = chain.run_horizon(horizon)
     grid = _validate_grid(delta_grid)
-    h = chain.horizon if horizon is None else horizon
-    if not 1 <= h <= chain.horizon:
-        raise PreconditionError(
-            f"horizon {h} outside materialized range 1..{chain.horizon}"
-        )
 
     trajectory: list[RankStep] = []
     violations: list[GapViolation] = []
@@ -220,7 +218,7 @@ def certificate_search(
             if offender is None:
                 continue  # has_gap_at disagreed at a window edge
             violations.append(GapViolation(n, delta, float(offender)))
-            rank = _fixed_space(decomp, tol_eig, tol_psd).shape[1]
+            rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
             if rank >= trajectory[-1].rank:
                 raise RankDescentError(
                     f"gap violated at step {n} (delta {delta}, "
@@ -240,7 +238,7 @@ def certificate_search(
                 grid, tuple(trajectory), tuple(violations), h
             )
         if rank is None:
-            rank = _fixed_space(decomp, tol_eig, tol_psd).shape[1]
+            rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
         delta = d
         trajectory.append(RankStep(n, rank, delta))
 
@@ -266,8 +264,10 @@ def rank_strict_descent_check(
     """Under ``t_lower <= t_upper``, gap at the upper operator and gap
     violated at the lower one, the lower fixed-space rank must be
     strictly smaller.  Returns that comparison; ``False`` means the
-    numerics contradict a theorem.  One ``eigh`` per operator serves its
-    positivity check, its gap test and its fixed-space rank."""
+    numerics contradict a theorem.  ``delta`` is checked before any
+    solve; then one ``eigh`` per operator serves its positivity check,
+    its gap test and its fixed-space rank."""
+    _check_delta(delta)
     upper, upper_space = _operand_fixed_space(
         "upper", t_upper, tol_eig, tol_psd
     )
@@ -278,7 +278,6 @@ def rank_strict_descent_check(
         raise PreconditionError(
             "operators are not ordered: lower <= upper fails"
         )
-    _check_delta(delta)
     if _violating_eigenvalue(upper.eigenvalues, delta, tol_eig) is not None:
         raise PreconditionError(
             f"upper operator has no spectral gap at delta {delta}"
@@ -347,12 +346,18 @@ def rate_bound_check(
     seeded unit vector orthogonal to the limit fixed space is used (the
     chain's seed, or 0).  ``n0`` defaults to the certificate's starting
     step joined with the first step whose fixed projection nearly kills
-    the probe (``<= epsilon``).
+    the probe (``<= epsilon``).  The arguments, a given probe among them
+    (``_given_probes``), are checked before any step is read.
     """
     if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
     if j_max is not None and j_max < 0:
         raise PreconditionError(f"j_max must be >= 0, got {j_max}")
+    if n0 is not None and n0 < 1:
+        raise PreconditionError(f"n0 must be >= 1, got {n0}")
+    if probe is not None:
+        _, given = _given_probes(np.reshape(probe, -1), chain.dim)
+        probe = given[:, 0]
     last = chain.horizon
     if certificate.scope == "empirical":
         # checked only up to its horizon, so the table must stop there too
@@ -361,22 +366,15 @@ def rate_bound_check(
     proj = fixed_point_projection(
         info.operator, tol_eig=tol_eig, tol_psd=tol_psd
     )
-    if probe is None:
-        probe = _seeded_perp_probe(chain, proj)
-    xi = np.asarray(probe).reshape(-1)
-    if xi.shape[0] != chain.dim:
-        raise PreconditionError(
-            f"probe lives in dimension {xi.shape[0]}, chain in {chain.dim}"
-        )
-    norm = np.linalg.norm(xi)
-    if norm == 0.0:
-        raise PreconditionError("zero probe vector")
+    xi = _seeded_perp_probe(chain, proj) if probe is None else probe
     fixed_part = proj.matrix @ xi
     xi_perp = xi - fixed_part
 
     def step_projection(n: int) -> Projection:
-        space = _fixed_space(chain.decomposition_at(n), tol_eig, tol_psd)
-        return _projection_onto(space)
+        decomp = chain.decomposition_at(n)
+        return _projection_onto(
+            _fixed_space(decomp, tol_eig, tol_psd, f"step {n}")
+        )
 
     if n0 is None:
         n0 = certificate.n_start
@@ -389,8 +387,6 @@ def rate_bound_check(
                 f"no step up to n={last} brings the probe within "
                 f"{epsilon} of the gap regime; raise epsilon"
             )
-    elif n0 < 1:
-        raise PreconditionError(f"n0 must be >= 1, got {n0}")
 
     limit_j = last - n0
     jm = limit_j if j_max is None else min(j_max, limit_j)

@@ -17,6 +17,8 @@ Numerical conventions
   :mod:`contraction_lab.gaps` and the per-step fixed-space ranks of
   :mod:`contraction_lab.products` all read the fixed space through it,
   so "rank of the fixed space" always means the same thing everywhere.
+  One formatter, ``_not_a_contraction``, words every refusal of the
+  positivity check, naming the step or operand refused.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
 * Real symmetric input stays real (``float64``); anything with an
@@ -77,10 +79,10 @@ class Operator:
         return self.entries.shape[0]
 
 
-def _hermitized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _hermitized(m: np.ndarray) -> np.ndarray:
     """``(M + M*) / 2`` of a square matrix, or of each matrix of a
     ``(k, dim, dim)`` stack, in ``complex128`` if ``M`` is complex and
-    ``float64`` otherwise; written to ``out`` (of that dtype) when given.
+    ``float64`` otherwise.
 
     One new array: M* cast to that dtype, then M added and the sum
     halved in place.  This is ``(M + M*) / 2`` computed in that dtype,
@@ -88,7 +90,7 @@ def _hermitized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``ValueError`` on an entry that is not finite.
     """
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
-    h = np.empty(m.shape, dtype=dtype) if out is None else out
+    h = np.empty(m.shape, dtype=dtype)
     np.copyto(h, m.swapaxes(-1, -2), casting="unsafe")
     if not np.isfinite(h).all():
         raise ValueError("operator entries must be finite")
@@ -182,23 +184,35 @@ def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     return _eigvalsh(op.entries)
 
 
+def _not_a_contraction(
+    witness: float, subject: str | None = None
+) -> PreconditionError:
+    """The one wording of a refused positive contraction, naming
+    ``subject`` (a step, an operand) when there is one."""
+    named = "" if subject is None else f"{subject} is "
+    return PreconditionError(
+        f"{named}not a positive contraction: offending eigenvalue {witness}"
+    )
+
+
 def _fixed_space(
-    decomp: SpectralDecomposition, tol_eig: float, tol_psd: float | None
+    decomp: SpectralDecomposition,
+    tol_eig: float,
+    tol_psd: float | None,
+    subject: str | None = None,
 ) -> np.ndarray:
     """The fixed space of a decomposed positive contraction as the
     columns of a new ``dim x rank`` array.
 
     Checks ``0 <= T <= I`` up to ``tol_psd`` (``DEFAULT.psd(dim)`` when
-    None) and raises :class:`PreconditionError` naming the offending
-    eigenvalue, then keeps the eigenvectors whose eigenvalues count as 1
-    under the clustering rule.
+    None) and raises :func:`_not_a_contraction`'s refusal of ``subject``
+    (a step, an operand) otherwise, then keeps the eigenvectors whose
+    eigenvalues count as 1 under the clustering rule.
     """
     tol = DEFAULT.psd(decomp.dim) if tol_psd is None else tol_psd
     check = _contraction_witness(decomp.eigenvalues, tol)
     if not check:
-        raise PreconditionError(
-            f"not a positive contraction: offending eigenvalue {check.witness}"
-        )
+        raise _not_a_contraction(check.witness, subject)
     return decomp.eigenvectors[:, decomp.eigenvalues >= 1.0 - tol_eig]
 
 
@@ -206,12 +220,9 @@ def _operand_fixed_space(
     name: str, op: Operator, tol_eig: float, tol_psd: float | None
 ) -> tuple[SpectralDecomposition, np.ndarray]:
     """One ``eigh`` of an operand and its fixed space; a failed
-    positivity check names the operand."""
+    positivity check names the ``name`` operand."""
     decomp = spectral_decompose(op)
-    try:
-        return decomp, _fixed_space(decomp, tol_eig, tol_psd)
-    except PreconditionError as exc:
-        raise PreconditionError(f"{name} operand is {exc}") from None
+    return decomp, _fixed_space(decomp, tol_eig, tol_psd, f"{name} operand")
 
 
 def _projection_onto(space: np.ndarray) -> Projection:
@@ -333,20 +344,19 @@ def check_fixed_vector_equivalence(
     """Evaluate the three fixed-vector conditions with relative residuals,
     each thresholded at ``DEFAULT.fix``.
 
-    The zero vector satisfies all three trivially.  Rejects operators
-    that are not positive contractions, since the equivalence is only a
-    theorem for those.
+    The zero vector satisfies all three trivially.  Rejects a vector of
+    another shape, then, with one ``eigvalsh``, operators that are not
+    positive contractions, since the equivalence is only a theorem for
+    those.
     """
-    check = is_positive_contraction(op, tol_psd=tol_psd)
-    if not check:
-        raise PreconditionError(
-            f"not a positive contraction: offending eigenvalue {check.witness}"
-        )
     xi = np.asarray(vector)
     if xi.shape != (op.dim,):
         raise DimensionMismatchError(
             f"vector of shape {xi.shape} does not match dim {op.dim}"
         )
+    check = is_positive_contraction(op, tol_psd=tol_psd)
+    if not check:
+        raise _not_a_contraction(check.witness)
     tol_fix = DEFAULT.fix
     norm_xi = float(np.linalg.norm(xi))
     if norm_xi == 0.0:

@@ -35,6 +35,7 @@ from .operators import (
     _contraction_witness,
     _eigvalsh,
     _fixed_space,
+    _not_a_contraction,
     _projection_onto,
     loewner_margin,
     spectral_decompose,
@@ -166,6 +167,37 @@ def default_probes(
     return ids, matrix
 
 
+def _given_probes(
+    probes, dim: int, probe_ids: list[str] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Caller-given probes as their ids (default ``p0, p1, ...``) and a
+    ``(dim, count)`` matrix, a vector being one column.  Refuses probes
+    of another shape or dimension, a non-finite entry, a zero column and
+    ids that do not match the columns, before any step is read."""
+    mat = np.asarray(probes)
+    if mat.ndim == 1:
+        mat = mat[:, None]
+    if mat.ndim != 2:
+        raise PreconditionError(
+            f"probes must be a vector or a (dim, count) array, got shape "
+            f"{mat.shape}"
+        )
+    if mat.shape[0] != dim:
+        raise PreconditionError(
+            f"probes live in dimension {mat.shape[0]}, chain in {dim}"
+        )
+    if not np.isfinite(mat).all():
+        raise PreconditionError("non-finite probe vector")
+    if np.any(np.linalg.norm(mat, axis=0) == 0.0):
+        raise PreconditionError("zero probe vector")
+    ids = probe_ids
+    if ids is None:
+        ids = [f"p{k}" for k in range(mat.shape[1])]
+    if len(ids) != mat.shape[1]:
+        raise PreconditionError("probe_ids length does not match probes")
+    return ids, mat
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
     """Per-step, per-probe convergence record of a product run.
@@ -219,11 +251,12 @@ def iterate_products(
 ) -> ConvergenceTrace:
     """Run the product ``S_n = T_n S_{n-1}`` and record the trace.
 
-    Probes default to :func:`default_probes`, seeded by the chain's seed
-    (or 0).  Structural facts that hold by theorem (``||S_n|| <= 1``,
-    ``b`` nonincreasing, finiteness) are enforced here and raise
-    :class:`InvariantError`; convergence quality is recorded, not
-    judged.
+    The horizon and given probes (:func:`_given_probes`) are checked
+    before any step is read.  Probes default to :func:`default_probes`,
+    seeded by the chain's seed (or 0).  Structural facts that hold by
+    theorem (``||S_n|| <= 1``, ``b`` nonincreasing, finiteness) are
+    enforced here and raise :class:`InvariantError`; convergence quality
+    is recorded, not judged.
 
     The product advances one step at a time over the chain's stored
     blocks (``ContractionChain.step_blocks``), and the per-step metrics
@@ -237,29 +270,23 @@ def iterate_products(
     Schur chain's generator hands its ``eigh`` of ``T_n`` to the read),
     and an empirical limit (``T_horizon``) reuses the last step's
     ``eigh`` when the run goes to the chain's horizon.  A step that is
-    not a positive contraction raises :class:`PreconditionError` there,
-    before any product is taken.
+    not a positive contraction raises :class:`PreconditionError` naming
+    the step there, before any product is taken.
     """
-    h = chain.horizon if horizon is None else horizon
-    if h > chain.horizon:
-        raise PreconditionError(
-            f"requested horizon {h} exceeds chain horizon {chain.horizon}"
-        )
-    if h < 1:
-        raise PreconditionError(f"horizon must be >= 1, got {h}")
-    if probes is None and probe_ids is not None:
-        raise PreconditionError("probe_ids given without probes")
+    h = chain.run_horizon(horizon)
     dim = chain.dim
+    given = None if probes is None else _given_probes(probes, dim, probe_ids)
+    if given is None and probe_ids is not None:
+        raise PreconditionError("probe_ids given without probes")
     tol = DEFAULT.psd(dim) if tol_psd is None else tol_psd
 
     ranks = None
     if fixed_spaces:
-        ranks = np.array(
-            [
-                _fixed_space(chain.decomposition_at(n), tol_eig, tol).shape[1]
-                for n in range(1, h + 1)
-            ]
+        spaces = (
+            _fixed_space(chain.decomposition_at(n), tol_eig, tol, f"step {n}")
+            for n in range(1, h + 1)
         )
+        ranks = np.array([space.shape[1] for space in spaces])
     info = limit_operator(chain)
     if info.provenance == "empirical":
         # the empirical limit is T_horizon, the chain's own step
@@ -268,26 +295,10 @@ def iterate_products(
         limit_decomp = spectral_decompose(info.operator)
     proj = _projection_onto(_fixed_space(limit_decomp, tol_eig, tol))
 
-    if probes is None:
-        ids, mat = default_probes(
-            dim, proj, 0 if chain.seed is None else chain.seed
-        )
-    else:
-        mat = np.asarray(probes)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-        if mat.shape[0] != dim:
-            raise PreconditionError(
-                f"probes live in dimension {mat.shape[0]}, chain in {dim}"
-            )
-        ids = probe_ids
-        if ids is None:
-            ids = [f"p{k}" for k in range(mat.shape[1])]
+    ids, mat = given or default_probes(
+        dim, proj, 0 if chain.seed is None else chain.seed
+    )
     probe_norms = np.linalg.norm(mat, axis=0)
-    if np.any(probe_norms == 0.0):
-        raise PreconditionError("zero probe vector")
-    if len(ids) != mat.shape[1]:
-        raise PreconditionError("probe_ids length does not match probes")
 
     count = mat.shape[1]
     p_mat = proj.matrix
@@ -410,10 +421,7 @@ def is_decreasing(
         if refused.any():
             k = int(np.argmax(refused))
             check = _contraction_witness(eigenvalues[k], tol)
-            raise PreconditionError(
-                f"step {done + k + 1} is not a positive contraction: "
-                f"offending eigenvalue {check.witness}"
-            )
+            raise _not_a_contraction(check.witness, f"step {done + k + 1}")
         if decreasing:
             if before is None:
                 upper, lower = steps[:-1], steps[1:]

@@ -17,6 +17,7 @@ from contraction_lab import (
     PreconditionError,
     build_chain,
     cli,
+    corpus,
     parse_chain_spec,
 )
 from contraction_lab.chains import CACHE_CEILING, _near_one_max_dim
@@ -125,7 +126,9 @@ def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
 
 def test_simulate_usage_errors(tmp_path, capsys):
     spec = write_spec(tmp_path, TELESCOPING)
-    assert run_cli(["simulate", "--spec", spec, "--horizon", "99"]) == 64
+    argv = ["simulate", "--spec", spec, "--horizon", "99"]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert "horizon 99 outside materialized range 1..50" in err
     assert run_cli(["simulate", "--spec", str(tmp_path / "missing.json")]) == 64
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
@@ -180,7 +183,7 @@ def test_simulate_zero_psd_slack_ends_in_one_line(tmp_path, capsys, spec):
     assert len(err.splitlines()) == (0 if code == 0 else 1)
     if spec in ZERO_PSD_REFUSED:
         assert code == 64
-        assert "not a positive contraction" in err
+        assert "step 1 is not a positive contraction" in err
         assert not (tmp_path / "summary.json").exists()
 
 
@@ -472,28 +475,32 @@ def test_operator_corpora_drop_each_item_before_drawing_the_next(corpus):
     assert first() is None
 
 
-def test_verify_refuses_dims_over_the_cache_ceiling(tmp_path, capsys):
-    # refused before the corpus is built, so nothing is allocated
-    horizon = max(KIND_HORIZONS.values())
-    assert 579**2 * horizon <= CACHE_CEILING < 580**2 * horizon
-    out = tmp_path / "out"
-    for dims in ("580", f"2,{2**20}"):
-        argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
-        err = assert_one_line_usage_error(argv, capsys)
-        assert "exceeds the ceiling of 134217728 cached operator entries" in err
-    assert not out.exists()
-
-
-def test_verify_refuses_dims_the_corpus_cannot_build(tmp_path, capsys):
+def test_verify_refuses_dims_the_corpus_cannot_build(
+    tmp_path, capsys, monkeypatch
+):
     # near_one_accumulating stages dim - 1 peels, 2 steps apart, in steps
     # 40..360 of its corpus horizon 400: at most 160 peels
     assert KIND_HORIZONS["near_one_accumulating"] == 400
     assert _near_one_max_dim(400) == 161
+    built = []
+    for name in ("diagonal_chain", "conjugated_diagonal_chain",
+                 "random_schur_chain", "gap_engineered_chain",
+                 "near_one_accumulating_chain"):
+        generator = getattr(corpus, name)
+
+        def counted(*args, _generator=generator, **kwargs):
+            built.append(args)
+            return _generator(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, name, counted)
     out = tmp_path / "out"
-    for dims in ("162", "2,579"):
+    # every dim is checked before the first chain, dim 2's included
+    for dims in ("162", "580", "2,579", f"2,{2**20}"):
         argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
         err = assert_one_line_usage_error(argv, capsys)
-        assert f"--dims value {dims.split(',')[-1]} exceeds 161" in err
+        bad = dims.split(",")[-1]
+        assert f"corpus dim {bad} outside 2..161" in err
+    assert built == []
     assert not out.exists()
 
 

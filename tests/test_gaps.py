@@ -28,6 +28,7 @@ from contraction_lab import (
     near_one_accumulating_chain,
     peel,
     rank_strict_descent_check,
+    random_schur_chain,
     rate_bound_check,
 )
 from contraction_lab import build_chain, gaps, parse_chain_spec
@@ -224,24 +225,29 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     assert eigensolve_counts == {"eigh": 2, "eigvalsh": 1}
 
     # each failing input also fails every later precondition, so the
-    # message shows which check runs first
+    # message shows which check runs first; delta comes before any solve
+    upper, lower = diagonal([1.5, 0.95]), diagonal([-0.5, 1.0])
+    eigensolve_counts.reset()
+    with pytest.raises(
+        PreconditionError, match=r"^delta must lie in \(0, 1\), got 1\.5$"
+    ):
+        rank_strict_descent_check(upper, lower, 1.5)
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
     cases = [
-        (diagonal([1.5, 0.5]), diagonal([1.2, 0.95]), 1.5,
+        (upper, lower,
          r"^upper operand is not a positive contraction: "
          r"offending eigenvalue 1\.5$"),
-        (diagonal([1.0, 0.5]), diagonal([-0.5, 0.95]), 1.5,
+        (diagonal([1.0, 0.95]), lower,
          r"^lower operand is not a positive contraction: "
          r"offending eigenvalue -0\.5$"),
-        (diagonal([0.5, 0.5]), diagonal([0.95, 0.95]), 1.5,
+        (diagonal([1.0, 0.95]), diagonal([0.5, 1.0]),
          r"^operators are not ordered: lower <= upper fails$"),
-        (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]), 1.5,
-         r"^delta must lie in \(0, 1\), got 1\.5$"),
-        (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]), 0.1,
+        (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]),
          r"^upper operator has no spectral gap at delta 0\.1$"),
     ]
-    for upper, lower, delta, message in cases:
+    for upper, lower, message in cases:
         with pytest.raises(PreconditionError, match=message):
-            rank_strict_descent_check(upper, lower, delta)
+            rank_strict_descent_check(upper, lower, 0.1)
 
 
 def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
@@ -347,6 +353,26 @@ def test_rate_bound_default_n0_and_validation():
         rate_bound_check(chain, cert, np.ones(4))
     with pytest.raises(PreconditionError, match="n0"):
         rate_bound_check(chain, cert, probe, n0=0)
+
+
+def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
+    certified = GapCertificate(0.1, 1, (), "empirical", 40)
+    chain = random_schur_chain(4, 1, 40, fixed_rank=1)
+    eigensolve_counts.reset()
+    with pytest.raises(
+        PreconditionError, match=r"^probes live in dimension 3, chain in 4$"
+    ):
+        rate_bound_check(chain, certified, np.ones(3))
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    cert = certificate_search(chain)
+    eigensolve_counts.reset()
+    # an inf entry is bad input, refused before the n0 scan
+    with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
+        rate_bound_check(chain, cert, np.array([1.0, np.inf, 0, 0, 0, 0]))
+    with pytest.raises(PreconditionError, match=r"^n0 must be >= 1, got 0$"):
+        rate_bound_check(chain, cert, n0=0)
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
 
 
 def test_rate_bound_default_probe_is_seeded_and_orthogonal():

@@ -249,9 +249,19 @@ def test_fixed_vector_equivalence_ambiguous_band():
     assert rep.band == (1e-9, 1e-7)
 
 
-def test_fixed_vector_equivalence_rejects_non_contraction():
-    with pytest.raises(PreconditionError):
+def test_fixed_vector_equivalence_rejects_non_contraction(eigensolve_counts):
+    with pytest.raises(
+        PreconditionError,
+        match=r"^not a positive contraction: offending eigenvalue 2\.0$",
+    ):
         check_fixed_vector_equivalence(diagonal([2.0, 0.5]), np.ones(2))
+    # a vector of another shape is refused before the positivity solve
+    eigensolve_counts.reset()
+    with pytest.raises(
+        DimensionMismatchError, match=r"^vector of shape \(3,\) does not"
+    ):
+        check_fixed_vector_equivalence(diagonal([2.0, 0.5]), np.ones(3))
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
 
 
 @given(seed=seeds(), dim=small_dims())

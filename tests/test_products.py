@@ -92,16 +92,36 @@ def test_identity_chain_trace_is_exactly_zero():
 
 def test_iterate_products_preconditions():
     chain = telescoping_chain(10)
-    with pytest.raises(PreconditionError, match="exceeds chain horizon"):
-        iterate_products(chain, horizon=11)
-    with pytest.raises(PreconditionError, match="horizon"):
-        iterate_products(chain, horizon=0)
+    for horizon in (11, 0):
+        with pytest.raises(
+            PreconditionError,
+            match=rf"^horizon {horizon} outside materialized range 1\.\.10$",
+        ):
+            iterate_products(chain, horizon=horizon)
     with pytest.raises(PreconditionError, match="dimension"):
         iterate_products(chain, probes=np.eye(3))
+    for probes in (np.float64(1.0), np.ones((2, 2, 1))):
+        with pytest.raises(PreconditionError, match=r"^probes must be a "):
+            iterate_products(chain, probes=probes)
     with pytest.raises(PreconditionError, match="zero probe"):
         iterate_products(chain, probes=np.zeros((2, 1)))
     with pytest.raises(PreconditionError, match="probe_ids"):
         iterate_products(chain, probes=np.eye(2), probe_ids=["only_one"])
+
+
+def test_bad_input_is_refused_before_any_solve(eigensolve_counts):
+    chain = random_schur_chain(4, 1, 40)
+    eigensolve_counts.reset()
+    with pytest.raises(
+        PreconditionError, match=r"^probes live in dimension 3, chain in 4$"
+    ):
+        iterate_products(chain, probes=np.eye(3), fixed_spaces=True)
+    with pytest.raises(PreconditionError, match="outside materialized range"):
+        iterate_products(chain, horizon=41, fixed_spaces=True)
+    # a non-finite probe is bad input, not a broken theorem
+    with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
+        iterate_products(telescoping_chain(20), probes=np.array([np.nan, 1.0]))
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
 
 
 def test_iterate_products_refuses_probe_ids_without_probes():
@@ -598,9 +618,10 @@ def test_non_contraction_step_fails_where_its_projection_would(monkeypatch):
     monkeypatch.setattr(products, "limit_operator", None)
     with pytest.raises(PreconditionError) as raised:
         iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
-    assert str(raised.value) == str(expected.value)
+    # the same refusal, naming the step
+    assert str(raised.value) == f"step 3 is {expected.value}"
     assert str(raised.value) == (
-        "not a positive contraction: offending eigenvalue -0.5"
+        "step 3 is not a positive contraction: offending eigenvalue -0.5"
     )
 
 
@@ -613,7 +634,7 @@ def test_non_contraction_step_fails_before_a_later_expanding_step():
     with pytest.raises(PreconditionError) as raised:
         iterate_products(chain, probes=np.eye(2), fixed_spaces=True)
     assert str(raised.value) == (
-        "not a positive contraction: offending eigenvalue -0.5"
+        "step 3 is not a positive contraction: offending eigenvalue -0.5"
     )
 
 
