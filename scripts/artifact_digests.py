@@ -20,15 +20,19 @@ decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
 covers the whole orbit, so the net cannot dominate the row count), 64
 for ``simulate schur_random tol0`` (at ``--tol-psd 0`` the rounded top
 eigenvalue of ``T_1``, 1 + 2^-52, fails the positivity check, and the
-run stops there with no artifact, before any product), 2 for ``verify
-tol0`` (at ``--tol-psd 0`` the corpus's conjugated chains from dim 4 up
-have a step above 1 by rounding and count as inconclusive, as do the
-operator-corpus items that fail a precondition and the comparisons that
-fail by less than the default slack), 2 for ``verify tol1e-14`` (every
-step of the conjugated chains of dims 8 and 16 passes its positivity
-check at ``--tol-psd 1e-14``, but their products' rounding reaches
-``1 + 4.3e-14``, which the default slack accepts, so those two chains
-count as inconclusive), 0 for every other command.  The
+run stops there with no artifact, before any product), 2 for
+``simulate schur_dim16 tol1e-12`` (every step passes its positivity
+check at ``--tol-psd 1e-12``, but the products' rounding reaches
+``1 + 3.4e-12``, which only the default slack absorbs, so
+``product_norm_bounded`` is null and the run writes its artifacts), 2
+for ``verify tol0`` (at ``--tol-psd 0`` the corpus's conjugated chains
+from dim 4 up have a step above 1 by rounding and count as inconclusive,
+as do the operator-corpus items that fail a precondition and the
+comparisons that fail by less than the default slack), 2 for ``verify
+tol1e-14`` (every step of the conjugated chains of dims 8 and 16 passes
+its positivity check at ``--tol-psd 1e-14``, but their products'
+rounding reaches ``1 + 4.3e-14``, which the default slack accepts, so
+those two chains count as inconclusive), 0 for every other command.  The
 two ``dim16`` specs are the only ones above dim 10, where the default
 ``tol_psd = 1e-10 * dim`` exceeds ``tol_eig``, so the band
 ``(1 + tol_eig, 1 + tol_psd]`` that the fixed-space rule must cover is
@@ -76,6 +80,10 @@ COMMANDS = (
     (
         "simulate schur_random tol0",
         ["simulate", "--spec", "schur_random.json", "--tol-psd", "0"],
+    ),
+    (
+        "simulate schur_dim16 tol1e-12",
+        ["simulate", "--spec", "schur_dim16.json", "--tol-psd", "1e-12"],
     ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),

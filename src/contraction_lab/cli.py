@@ -6,13 +6,14 @@ Exit codes are a stable contract:
     1   a verdict failed (for ``simulate``, a theorem-backed one)
     2   inconclusive (empirical limit not trusted, products not yet
         converged by the horizon, no rate table within an empirical
-        certificate's horizon, or, for ``verify``, a corpus chain or
-        item that is not a positive contraction under the given
-        tolerances)
+        certificate's horizon, a PSD-slack verdict that only the default
+        slack absorbs under a lower ``--tol-psd``, or, for ``verify``, a
+        corpus chain or item that is not a positive contraction under the
+        given tolerances)
     3   no gap certificate at this grid resolution
-    64  usage error, in one stderr line (a bad option or spec, a chain
-        with a step or limit that is not a positive contraction under
-        the given tolerances, or an eigensolver failure)
+    64  usage error, in one stderr line (a bad option, spec or grid, a
+        chain with a step or limit that is not a positive contraction
+        under the given tolerances, or an eigensolver failure)
 
 All outputs are byte-stable for a fixed (config, seed): floats print
 with 17 significant digits, JSON keys are sorted, and nothing
@@ -66,6 +67,7 @@ from .nonexample import (
     write_step_distances_csv,
 )
 from .operators import (
+    _slack_verdict,
     check_fixed_vector_equivalence,
     check_projection_monotone,
     diagonal,
@@ -307,41 +309,28 @@ def _unless_refused(check, *args, **kwargs):
         return None
 
 
-def _verdict(check, dim: int, tol_psd: float | None, *operands, **kwargs):
-    """``check(*operands, tol_psd=tol_psd, **kwargs)``, or None when it
-    fails (returns False or raises :class:`InvariantError`) under a
-    ``tol_psd`` below the default slack of ``dim`` but holds under that
-    default: the default slack is there to absorb the rounding of the
-    computation, so such a failure is rounding as much as it is a
-    counterexample.  A failure under the default stands."""
-    below = tol_psd is not None and tol_psd < DEFAULT.psd(dim)
-    try:
-        verdict = check(*operands, tol_psd=tol_psd, **kwargs)
-    except InvariantError:
-        if not below:
-            raise
-        verdict = False
-    if verdict is False and below and check(*operands, **kwargs):
-        return None
-    return verdict
-
-
 def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
-    order; all inconclusive when a step or the limit is not a positive
-    contraction under the given tolerances, or when the products break
-    an invariant only under a ``tol_psd`` below the default slack
-    (``_verdict``'s rule)."""
+    order, with the order and the product norm judged by
+    ``_slack_verdict``.  All inconclusive when a step or the limit is not
+    a positive contraction under the given tolerances, or when the norm
+    is inconclusive; a norm that fails raises :class:`InvariantError`."""
     try:
-        ordering = _verdict(is_decreasing, chain.dim, args.tol_psd, chain)
-        trace = _verdict(
-            iterate_products, chain.dim, args.tol_psd, chain,
-            tol_eig=args.tol_eig,
+        order = is_decreasing(chain, tol_psd=args.tol_psd)
+        trace = iterate_products(
+            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
         )
     except PreconditionError:
-        trace = None
-    if trace is None:
         return (None,) * len(_CHAIN_PROPERTIES)
+    largest = float(trace.product_norm.max())
+    bounded = _slack_verdict(1.0 - largest, chain.dim, args.tol_psd)
+    if bounded is False:
+        raise InvariantError(f"product norm exceeded 1: max {largest}")
+    if bounded is None:
+        return (None,) * len(_CHAIN_PROPERTIES)
+    ordering = order.ok
+    if order.witness is not None:
+        ordering = _slack_verdict(order.witness, chain.dim, args.tol_psd)
     trusted = trace.limit.trustworthy
     adj_err = float(trace.adj_err[-1].max())
     opnorm_err = float(trace.opnorm_err[-1])
@@ -386,20 +375,19 @@ def cmd_verify(args, parser) -> int:
     properties["fixed_vector_equivalence"] = _tally(
         None if r is None or r.ambiguous else r.agree for r in equivalence
     )
-    properties["projection_monotonicity"] = _tally(
-        _unless_refused(
-            _verdict,
-            check_projection_monotone,
-            lower.dim,
-            args.tol_psd,
-            lower,
-            upper,
-            tol_eig=args.tol_eig,
-        )
+    monotone = (
+        (lower.dim, _unless_refused(
+            check_projection_monotone, lower, upper,
+            tol_eig=args.tol_eig, tol_psd=args.tol_psd,
+        ))
         for upper, lower in monotone_pair_corpus(100 * args.seeds)
     )
-    # tol_psd moves only this check's preconditions, which raise, so
-    # its verdict needs no rerun at the default slack
+    properties["projection_monotonicity"] = _tally(
+        None if r is None else _slack_verdict(r.witness, dim, args.tol_psd)
+        for dim, r in monotone
+    )
+    # tol_psd moves only this check's preconditions, which raise; its
+    # verdict, a rank comparison, has no margin for the slack rule
     properties["rank_strict_descent"] = _tally(
         _unless_refused(
             rank_strict_descent_check,

@@ -28,7 +28,9 @@ from .errors import PreconditionError, RankDescentError
 from .operators import (
     Operator,
     Projection,
+    _contraction_witness,
     _fixed_space,
+    _not_a_contraction,
     _operand_fixed_space,
     _projection_onto,
     fixed_point_projection,
@@ -149,28 +151,45 @@ def _violating_eigenvalue(
     return eigenvalues[inside].max() if inside.any() else None
 
 
-def _check_delta(delta: float) -> None:
+def _check_delta(delta: float, tol_eig: float) -> None:
+    """Refuse a ``delta`` outside ``(0, 1)``, or one whose gap window is
+    empty (``delta <= 2 tol_eig``), where any operator would have the
+    gap."""
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
+    if delta <= 2.0 * tol_eig:
+        raise PreconditionError(
+            f"delta {delta} leaves the gap window empty at tol_eig "
+            f"{tol_eig}: it must exceed 2 * tol_eig"
+        )
 
 
 def has_gap_at(
-    op: Operator, delta: float, *, tol_eig: float = DEFAULT.eig
+    op: Operator, delta: float, *, tol_eig: float = DEFAULT.eig,
+    tol_psd: float | None = None,
 ) -> bool:
     """True iff no eigenvalue of ``op`` lies in the open interval
-    ``(1 - delta + tol_eig, 1 - tol_eig)``."""
-    _check_delta(delta)
+    ``(1 - delta + tol_eig, 1 - tol_eig)``.  After :func:`_check_delta`,
+    one ``eigvalsh`` serves the window and the positivity check up to
+    ``tol_psd`` (``DEFAULT.psd(dim)`` when None), which refuses an ``op``
+    that is not a positive contraction."""
+    _check_delta(delta, tol_eig)
     eigenvalues = hermitian_eigenvalues(op)
+    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    check = _contraction_witness(eigenvalues, tol)
+    if not check:
+        raise _not_a_contraction(check.witness)
     return _violating_eigenvalue(eigenvalues, delta, tol_eig) is None
 
 
-def _validate_grid(delta_grid) -> tuple[float, ...]:
+def _validate_grid(delta_grid, tol_eig: float) -> tuple[float, ...]:
     grid = tuple(float(d) for d in delta_grid)
     if not grid:
         raise PreconditionError("delta grid is empty")
     for d in grid:
         if not 0.0 < d < 1.0:
             raise PreconditionError(f"grid value {d} outside (0, 1)")
+        _check_delta(d, tol_eig)
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise PreconditionError("delta grid must be strictly descending")
     return grid
@@ -198,27 +217,33 @@ def certificate_search(
     (``eigvalsh``).  ``T_1`` and each step that fails it are decomposed
     once (``decomposition_at``), which gives the offending eigenvalue,
     the next grid delta and the rank; it decides at a window edge.  The
-    horizon and the grid are checked first; a step that is not a
-    positive contraction is refused by name where its rank is read.
+    horizon and the grid are checked first.  Every step read is checked
+    to be a positive contraction under ``tol_psd``, and refused by name
+    when it is not.
     """
     h = chain.run_horizon(horizon)
-    grid = _validate_grid(delta_grid)
+    grid = _validate_grid(delta_grid, tol_eig)
 
     trajectory: list[RankStep] = []
     violations: list[GapViolation] = []
     delta = 1.0  # above every grid value, so T_1 may take any
     for n in range(1, h + 1):
-        if n > 1 and has_gap_at(chain.operator_at(n), delta, tol_eig=tol_eig):
-            continue
+        if n > 1:
+            step = chain.operator_at(n)
+            try:
+                gap = has_gap_at(step, delta, tol_eig=tol_eig, tol_psd=tol_psd)
+            except PreconditionError as exc:
+                raise PreconditionError(f"step {n} is {exc}") from exc
+            if gap:
+                continue
         decomp = chain.decomposition_at(n)
         eigenvalues = decomp.eigenvalues
-        rank = None
+        rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
         if n > 1:
             offender = _violating_eigenvalue(eigenvalues, delta, tol_eig)
             if offender is None:
                 continue  # has_gap_at disagreed at a window edge
             violations.append(GapViolation(n, delta, float(offender)))
-            rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
             if rank >= trajectory[-1].rank:
                 raise RankDescentError(
                     f"gap violated at step {n} (delta {delta}, "
@@ -237,8 +262,6 @@ def certificate_search(
             return GapSearchFailure(
                 grid, tuple(trajectory), tuple(violations), h
             )
-        if rank is None:
-            rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
         delta = d
         trajectory.append(RankStep(n, rank, delta))
 
@@ -265,9 +288,9 @@ def rank_strict_descent_check(
     violated at the lower one, the lower fixed-space rank must be
     strictly smaller.  Returns that comparison; ``False`` means the
     numerics contradict a theorem.  ``delta`` is checked before any
-    solve; then one ``eigh`` per operator serves its positivity check,
-    its gap test and its fixed-space rank."""
-    _check_delta(delta)
+    solve (:func:`_check_delta`); then one ``eigh`` per operator serves
+    its positivity check, its gap test and its fixed-space rank."""
+    _check_delta(delta, tol_eig)
     upper, upper_space = _operand_fixed_space(
         "upper", t_upper, tol_eig, tol_psd
     )

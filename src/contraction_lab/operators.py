@@ -241,6 +241,18 @@ def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
     return Witnessed(True, None)
 
 
+def _slack_verdict(
+    margin: float, dim: int, tol_psd: float | None
+) -> bool | None:
+    """True when ``margin >= -tol_psd`` (``DEFAULT.psd(dim)`` when None).
+    None when only the larger default slack of ``dim`` covers ``margin``:
+    it absorbs rounding, so such a failure proves nothing.  Else False."""
+    default = DEFAULT.psd(dim)
+    if margin >= -(default if tol_psd is None else tol_psd):
+        return True
+    return None if margin >= -default else False
+
+
 def is_positive_contraction(
     op: Operator, *, tol_psd: float | None = None
 ) -> Witnessed:
@@ -384,12 +396,12 @@ def check_projection_monotone(
     *,
     tol_eig: float = DEFAULT.eig,
     tol_psd: float | None = None,
-) -> bool:
+) -> Witnessed:
     """Whether the fixed spaces satisfy ``P' <= P`` for ``T' <= T``.
 
     Preconditions (both operators are positive contractions and the
     ordering holds) are enforced; this function answers the projection
-    comparison only.
+    comparison only, witnessed by the least eigenvalue of ``P - P'``.
     """
     _, lower_space = _operand_fixed_space("lower", t_lower, tol_eig, tol_psd)
     _, upper_space = _operand_fixed_space("upper", t_upper, tol_eig, tol_psd)
@@ -400,4 +412,4 @@ def check_projection_monotone(
         )
     p_lower = _projection_onto(lower_space)
     p_upper = _projection_onto(upper_space)
-    return bool(loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd))
+    return loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd)

@@ -32,11 +32,13 @@ from .errors import InvariantError, PreconditionError
 from .operators import (
     Operator,
     Projection,
+    Witnessed,
     _contraction_witness,
     _eigvalsh,
     _fixed_space,
     _not_a_contraction,
     _projection_onto,
+    _slack_verdict,
     loewner_margin,
     spectral_decompose,
 )
@@ -204,9 +206,9 @@ class ConvergenceTrace:
 
     Arrays are indexed ``[n - 1, probe]`` for ``n = 1..horizon``; the
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
-    look one step ahead.  ``tol_psd`` is the slack the engine allowed on
-    ``||S_n|| <= 1``; the summary verdict reuses it.  ``tol_eig`` is the
-    clustering tolerance that picked out ``projection``.
+    look one step ahead.  ``tol_psd`` is the run's positivity slack;
+    :func:`trace_summary` judges ``product_norm <= 1`` by it.  ``tol_eig``
+    is the clustering tolerance that picked out ``projection``.
 
     ``ranks`` is None unless the run was asked for the per-step fixed
     spaces.  Then it holds the rank of ``T_n``'s fixed space under the
@@ -253,10 +255,10 @@ def iterate_products(
 
     The horizon and given probes (:func:`_given_probes`) are checked
     before any step is read.  Probes default to :func:`default_probes`,
-    seeded by the chain's seed (or 0).  Structural facts that hold by
-    theorem (``||S_n|| <= 1``, ``b`` nonincreasing, finiteness) are
-    enforced here and raise :class:`InvariantError`; convergence quality
-    is recorded, not judged.
+    seeded by the chain's seed (or 0).  Theorems that no slack decides
+    (``b`` nonincreasing, finiteness) are enforced here and raise
+    :class:`InvariantError`; ``||S_n||`` and convergence quality are
+    recorded, not judged.
 
     The product advances one step at a time over the chain's stored
     blocks (``ContractionChain.step_blocks``), and the per-step metrics
@@ -366,10 +368,6 @@ def iterate_products(
     ):
         if not np.all(np.isfinite(arr)):
             raise InvariantError(f"non-finite values in trace field {name}")
-    if np.any(snorm > 1.0 + tol):
-        raise InvariantError(
-            f"product norm exceeded 1: max {float(snorm.max())}"
-        )
     if h > 1:
         growth = np.diff(b, axis=0) / np.maximum(probe_norms**2, 1.0)
         if np.any(growth > DEFAULT.chain(dim)):
@@ -399,9 +397,10 @@ def iterate_products(
 
 def is_decreasing(
     chain: ContractionChain, *, tol_psd: float | None = None
-) -> bool:
+) -> Witnessed:
     """Whether ``T_{n+1} <= T_n`` in the Loewner order at every step up to
-    the chain's horizon, up to PSD slack.
+    the chain's horizon, up to PSD slack.  The witness is the smallest
+    eigenvalue of any ``T_n - T_{n+1}`` (None at horizon 1).
 
     Every consecutive pair is checked, so by transitivity ``T_m <= T_n``
     for all ``m > n``; the pairs are decided over the chain's stored
@@ -412,7 +411,7 @@ def is_decreasing(
     of such a chain is outside what the theorems speak of.
     """
     tol = DEFAULT.psd(chain.dim) if tol_psd is None else tol_psd
-    decreasing = True
+    least = math.inf
     done = 0
     before = None  # the step before the block
     for steps in chain.step_blocks():
@@ -422,17 +421,16 @@ def is_decreasing(
             k = int(np.argmax(refused))
             check = _contraction_witness(eigenvalues[k], tol)
             raise _not_a_contraction(check.witness, f"step {done + k + 1}")
-        if decreasing:
-            if before is None:
-                upper, lower = steps[:-1], steps[1:]
-            else:
-                upper = np.concatenate((before[None], steps[:-1]))
-                lower = steps
-            if len(lower) and not np.all(loewner_margin(upper, lower) >= -tol):
-                decreasing = False
+        if before is None:
+            upper, lower = steps[:-1], steps[1:]
+        else:
+            upper = np.concatenate((before[None], steps[:-1]))
+            lower = steps
+        if len(lower):
+            least = min(least, float(loewner_margin(upper, lower).min()))
         before = steps[-1]
         done += len(steps)
-    return decreasing
+    return Witnessed(least >= -tol, None if least == math.inf else least)
 
 
 @dataclass(frozen=True)
@@ -680,8 +678,9 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     and its Cauchy gap is too large to trust.  ``status`` is ``"fail"``
     only when a theorem-backed verdict (``_THEOREM_VERDICTS``) is false;
     a false or inconclusive convergence verdict makes it
-    ``"inconclusive"``.  A trace with ``ranks`` adds the two rank
-    verdicts and ``rank_trajectory``.
+    ``"inconclusive"``.  ``product_norm_bounded`` is ``_slack_verdict``'s
+    judgement of ``1 - max ||S_n||``, None (inconclusive) included.  A
+    trace with ``ranks`` adds the two rank verdicts and ``rank_trajectory``.
     """
     ab_report = consecutive_difference_report(trace)
     final = {
@@ -702,8 +701,8 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
         return bool(value < threshold)
 
     verdicts = {
-        "product_norm_bounded": bool(
-            trace.product_norm.max() <= 1.0 + trace.tol_psd
+        "product_norm_bounded": _slack_verdict(
+            1.0 - float(trace.product_norm.max()), trace.dim, trace.tol_psd
         ),
         "ab_chain": ab_report.all_ok,
         "consec_identity": ab_report.identity_ok,

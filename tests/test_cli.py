@@ -187,6 +187,34 @@ def test_simulate_zero_psd_slack_ends_in_one_line(tmp_path, capsys, spec):
         assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "spec, tol_psd",
+    [
+        ("conjugated_mixed.json", "1e-14"),
+        ("gap_dim16.json", "1e-14"),
+        ("gap_engineered.json", "1e-14"),
+        ("schur_random.json", "1e-13"),
+        ("schur_dim16.json", "1e-12"),
+    ],
+)
+def test_simulate_tiny_psd_slack_product_rounding_is_inconclusive(
+    tmp_path, capsys, spec, tol_psd
+):
+    # every step passes its positivity check at this slack, but the
+    # products' rounding takes ||S_n|| past 1 + tol_psd and not past the
+    # default slack: inconclusive with artifacts, where simulate exited 1
+    # ("product norm exceeded 1") and wrote nothing
+    argv = ["simulate", "--spec", str(REPO_SPECS / spec), "--tol-psd",
+            tol_psd, "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["verdicts"]["product_norm_bounded"] is None
+    assert summary["status"] == "inconclusive"
+    assert (tmp_path / "trace.csv").exists()
+
+
 def test_eigensolver_failure_ends_in_one_line(tmp_path, capsys, monkeypatch):
     def failing(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -348,6 +376,38 @@ def test_gap_grid_usage_errors(tmp_path, capsys):
     argv = ["gap", "--spec", spec, "--out", str(tmp_path)]
     assert_rejects_bad_tolerances(argv, capsys)
     assert not (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, tol_psd, step, eigenvalue",
+    [
+        ("schur_random.json", "1e-14", 39, "1.0000000000000107"),
+        ("gap_dim16.json", "1e-15", 46, "1.0000000000000013"),
+    ],
+)
+def test_gap_refuses_a_scanned_step_outside_the_slack(
+    tmp_path, capsys, spec, tol_psd, step, eigenvalue
+):
+    # the step's gap test reads its eigenvalues, so it checks them against
+    # --tol-psd too; gap certified these chains with such a step
+    argv = ["gap", "--spec", str(REPO_SPECS / spec), "--tol-psd", tol_psd,
+            "--out", str(tmp_path)]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert err == (
+        f"contraction-lab: error: step {step} is not a positive contraction: "
+        f"offending eigenvalue {eigenvalue}\n"
+    )
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_gap_refuses_an_empty_gap_window(tmp_path, capsys):
+    # at --tol-eig 0.01 the grid value 0.02 leaves the window empty; gap
+    # certified the near_one stress chain at delta 0.02 there
+    argv = ["gap", "--spec", str(REPO_SPECS / "near_one.json"),
+            "--tol-eig", "0.01", "--out", str(tmp_path)]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert "delta 0.02 leaves the gap window empty at tol_eig 0.01" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +666,38 @@ def test_verify_tiny_psd_slack_product_rounding_is_inconclusive(
     monkeypatch.setattr(cli, "iterate_products", broken)
     assert run_cli(argv) == 1
     assert "product norm exceeded 1: max 2.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol_psd", ["1e-14", "0"])
+def test_verify_runs_each_check_once(tmp_path, monkeypatch, tol_psd):
+    # below the default slack each verdict is judged from the witness its
+    # check computed; verify reran failing checks at the default slack
+    seen = {}
+
+    def recording(name, check):
+        def wrapped(first, *args, **kwargs):
+            seen.setdefault(name, []).append(first)
+            return check(first, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    for name in ("is_decreasing", "iterate_products",
+                 "check_projection_monotone"):
+        recording(name, getattr(cli, name))
+    out = tmp_path / "out"
+    argv = ["verify", "--seeds", "1", "--tol-psd", tol_psd, "--out", str(out)]
+    assert run_cli(argv) == 2
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    # each call holds its chain or operand, so a repeat shows as a
+    # repeated object
+    for name, firsts in seen.items():
+        assert len({id(first) for first in firsts}) == len(firsts), name
+    assert len(seen["is_decreasing"]) == verdicts["corpus"]["chains"]
+    assert {id(c) for c in seen["iterate_products"]} <= {
+        id(c) for c in seen["is_decreasing"]
+    }
+    pairs = verdicts["properties"]["projection_monotonicity"]["total"]
+    assert len(seen["check_projection_monotone"]) == pairs
 
 
 def test_verify_usage_errors(tmp_path, capsys):

@@ -74,6 +74,46 @@ def test_has_gap_at_boundary_semantics():
         has_gap_at(identity(2), 1.0)
 
 
+def test_empty_gap_window_is_refused(eigensolve_counts):
+    # the window (1 - delta + tol_eig, 1 - tol_eig) is empty for
+    # delta <= 2 tol_eig, where every operator would have the gap
+    op = diagonal([1.0, 0.99])
+    assert not has_gap_at(op, 0.02, tol_eig=0.009)
+    chain = geometric_tail_chain(10)
+    eigensolve_counts.reset()
+    for delta in (0.02, 0.01):
+        message = (
+            rf"^delta {delta} leaves the gap window empty at tol_eig 0\.01: "
+            r"it must exceed 2 \* tol_eig$"
+        )
+        with pytest.raises(PreconditionError, match=message):
+            has_gap_at(op, delta, tol_eig=0.01)
+        with pytest.raises(PreconditionError, match=message):
+            rank_strict_descent_check(identity(2), op, delta, tol_eig=0.01)
+        with pytest.raises(PreconditionError, match=message):
+            certificate_search(chain, delta_grid=(0.5, delta), tol_eig=0.01)
+    # each is refused before any solve
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+
+
+def test_gap_scan_refuses_a_step_outside_the_slack():
+    # T_3 rises above 1 by 1e-12: within the default slack, outside 1e-13;
+    # the scan decides T_3 by its gap test alone
+    def factory(n):
+        return diagonal([1.0 + (1e-12 if n == 3 else 0.0), 0.5])
+
+    chain = ContractionChain(2, "bump_above_one", 6, factory)
+    assert isinstance(certificate_search(chain), GapCertificate)
+    with pytest.raises(PreconditionError) as raised:
+        certificate_search(chain, tol_psd=1e-13)
+    assert str(raised.value) == (
+        "step 3 is not a positive contraction: offending eigenvalue "
+        f"{1.0 + 1e-12}"
+    )
+    with pytest.raises(PreconditionError, match="^not a positive"):
+        has_gap_at(chain.operator_at(3), 0.1, tol_psd=1e-13)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=3_000),
     d_small=st.sampled_from([0.005, 0.01, 0.05]),

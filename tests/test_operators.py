@@ -26,7 +26,7 @@ from contraction_lab import (
 )
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import random_contraction
-from contraction_lab.operators import _fixed_space
+from contraction_lab.operators import _fixed_space, _slack_verdict
 
 SQRT2 = 1.4142135623730951
 
@@ -173,6 +173,31 @@ def test_loewner_leq_oracle():
         loewner_leq(lo, identity(3))
 
 
+# the default PSD slack at dim 4, the table's dimension
+PSD4 = DEFAULT.psd(4)
+
+# (margin, tol_psd, verdict): True within tol_psd (the default when
+# None), None where only a larger default covers the margin
+SLACK_TABLE = [
+    (1.0, None, True),
+    (0.0, 0.0, True),
+    (-PSD4, None, True),
+    (-2 * PSD4, None, False),
+    (-1e-14, 1e-14, True),
+    (-2e-14, 1e-14, None),
+    (-PSD4, 1e-14, None),
+    (-PSD4, 0.0, None),
+    (-2 * PSD4, 0.0, False),
+    (-2 * PSD4, 2 * PSD4, True),
+    (-3 * PSD4, 2 * PSD4, False),
+]
+
+
+@pytest.mark.parametrize("margin, tol_psd, verdict", SLACK_TABLE)
+def test_slack_verdict_boundary_table(margin, tol_psd, verdict):
+    assert _slack_verdict(margin, 4, tol_psd) is verdict
+
+
 def test_fixed_point_projection():
     p = fixed_point_projection(diagonal([1.0, 1.0, 0.3]))
     assert p.rank == 2
@@ -284,7 +309,9 @@ def test_fixed_vector_equivalence_random_eigenvectors(seed, dim):
 def test_projection_monotone_diagonal_pair():
     upper = diagonal([1.0, 1.0, 0.6])
     lower = diagonal([1.0, 0.5, 0.3])
-    assert check_projection_monotone(lower, upper)
+    check = check_projection_monotone(lower, upper)
+    # P - P' = diag(0, 1, 0)
+    assert check and check.witness == 0.0
 
 
 def test_projection_monotone_preconditions():
@@ -370,11 +397,13 @@ def test_clustering_rules_boundary_table(value, fixed, in_window):
     # eigh of a diagonal matrix returns its entries exactly, so the rules
     # see the boundary values unrounded
     assert np.array_equal(decomp.eigenvalues, [0.25, value])
-    assert has_gap_at(op, DELTA) == (not in_window)
     if fixed is None:
         with pytest.raises(PreconditionError, match="not a positive"):
             fixed_point_projection(op, tol_psd=WIDE_PSD)
+        with pytest.raises(PreconditionError, match="not a positive"):
+            has_gap_at(op, DELTA, tol_psd=WIDE_PSD)
         return
+    assert has_gap_at(op, DELTA, tol_psd=WIDE_PSD) == (not in_window)
     proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
     assert proj.rank == _fixed_space(decomp, TOL, WIDE_PSD).shape[1] == fixed
     expected = np.diag([1.0, 0.0]) if fixed else np.zeros((2, 2))
@@ -413,11 +442,13 @@ def test_clustering_rules_match_scalar_loop(values):
     proj = fixed_point_projection(op, tol_psd=WIDE_PSD)
     assert proj.rank == _fixed_space(decomp, TOL, WIDE_PSD).shape[1]
     assert proj.rank == len(fixed)
-    assert has_gap_at(op, DELTA) == (not inside)
+    assert has_gap_at(op, DELTA, tol_psd=WIDE_PSD) == (not inside)
     if inside:
         # the reported violation is the largest eigenvalue in the window
         chain = ContractionChain(op.dim, "table", 1, lambda n: op)
-        failure = certificate_search(chain, delta_grid=(DELTA,))
+        failure = certificate_search(
+            chain, delta_grid=(DELTA,), tol_psd=WIDE_PSD
+        )
         assert isinstance(failure, GapSearchFailure)
         assert failure.violations[0].eigenvalue == max(inside)
 

@@ -141,8 +141,13 @@ def test_iterate_products_rejects_expanding_factory():
     chain = ContractionChain(
         2, "broken", 3, factory, analytic_limit=diagonal([1.0, 0.5])
     )
-    with pytest.raises(InvariantError, match="norm"):
+    # ||S_n|| = 1.1^n is recorded and judged by the summary; a probe
+    # that the steps stretch trips b_n's invariant too
+    with pytest.raises(InvariantError, match="b_n increased"):
         iterate_products(chain, probes=np.eye(2))
+    summary = trace_summary(iterate_products(chain, probes=np.eye(2)[:, 1]))
+    assert summary["verdicts"]["product_norm_bounded"] is False
+    assert summary["status"] == "fail"
 
 
 def blocks_of(monkeypatch, steps, dim):
@@ -161,7 +166,8 @@ def test_block_length_follows_dimension():
 @pytest.mark.parametrize("steps", [None, 1, 3])
 def test_norm_invariant_trips_inside_a_block(monkeypatch, steps):
     # ||S_n|| first exceeds 1 at n = 5: inside the one default block, the
-    # middle of the second block of 3
+    # middle of the second block of 3; the probe e2 is not stretched, so
+    # only the norm verdict sees it
     def factory(n):
         return Operator(np.diag([1.1 if n >= 5 else 1.0, 0.5]))
 
@@ -170,8 +176,11 @@ def test_norm_invariant_trips_inside_a_block(monkeypatch, steps):
     )
     if steps is not None:
         blocks_of(monkeypatch, steps, 2)
-    with pytest.raises(InvariantError, match="norm"):
-        iterate_products(chain, probes=np.eye(2))
+    trace = iterate_products(chain, probes=np.eye(2)[:, 1])
+    assert np.flatnonzero(trace.product_norm > 1.0).tolist() == [4, 5, 6, 7]
+    summary = trace_summary(trace)
+    assert summary["verdicts"]["product_norm_bounded"] is False
+    assert summary["status"] == "fail"
     assert iterate_products(chain, probes=np.eye(2), horizon=4).horizon == 4
 
 
@@ -330,7 +339,9 @@ def rise_and_recover_chain(rise_at=3, horizon=200):
 
 def test_is_decreasing_checks_every_step():
     assert is_decreasing(telescoping_chain(200))
-    assert is_decreasing(diagonal_chain([const(1.0)], horizon=1))
+    # one step, no pair: nothing witnesses the order
+    single = is_decreasing(diagonal_chain([const(1.0)], horizon=1))
+    assert single and single.witness is None
     chain = rise_and_recover_chain()
     second = [chain.operator_at(n).entries[1, 1] for n in range(1, 6)]
     assert second[2] > second[1] and second[4] < second[0]
@@ -340,8 +351,17 @@ def test_is_decreasing_checks_every_step():
 def test_is_decreasing_sees_a_rise_at_every_block_position(monkeypatch):
     blocks_of(monkeypatch, 3, 2)
     for rise_at in range(2, 13):
-        assert not is_decreasing(rise_and_recover_chain(rise_at, horizon=12))
+        order = is_decreasing(rise_and_recover_chain(rise_at, horizon=12))
+        # T_{rise_at} exceeds T_{rise_at - 1} by 0.01 - 0.001
+        assert not order and order.witness == pytest.approx(-0.009)
     assert is_decreasing(telescoping_chain(12))
+
+    # the witness is the least margin of every pair, past the first rise
+    def two_rises(n):
+        return diagonal([1.0, 0.5 + {3: 0.01, 9: 0.02}.get(n, 0.0)])
+
+    order = is_decreasing(ContractionChain(2, "two_rises", 12, two_rises))
+    assert not order and order.witness == pytest.approx(-0.02)
 
 
 @pytest.mark.parametrize("steps", [None, 2])
@@ -378,7 +398,8 @@ def test_is_decreasing_honours_psd_slack():
         return Operator(np.diag([1.0, 0.5 + (1e-8 if n == 2 else 0.0)]))
 
     chain = ContractionChain(2, "flat_with_bump", 4, factory)
-    assert not is_decreasing(chain)
+    order = is_decreasing(chain)
+    assert not order and order.witness == pytest.approx(-1e-8, abs=1e-15)
     assert is_decreasing(chain, tol_psd=1e-6)
 
 
@@ -422,8 +443,9 @@ def test_summary_norm_verdict_uses_engine_tolerance():
     assert trace.product_norm.max() == pytest.approx(1.0 + 1e-7, abs=1e-12)
     summary = trace_summary(trace)
     assert summary["verdicts"]["product_norm_bounded"] is True
-    with pytest.raises(InvariantError, match="norm"):
-        iterate_products(chain, probes=np.eye(2))
+    summary = trace_summary(iterate_products(chain, probes=np.eye(2)))
+    assert summary["verdicts"]["product_norm_bounded"] is False
+    assert summary["status"] == "fail"
 
 
 def test_tiny_threshold_fails_summary():
@@ -626,10 +648,10 @@ def test_non_contraction_step_fails_where_its_projection_would(monkeypatch):
 
 
 def test_non_contraction_step_fails_before_a_later_expanding_step():
-    # step 5 expands, so the products break ||S_n|| <= 1 from there; the
-    # step-3 precondition is what the run reports
+    # step 5 expands e1, so b_n grows from there; the step-3
+    # precondition is what the run reports
     chain = negative_step_chain(expanding_step=5)
-    with pytest.raises(InvariantError, match="product norm exceeded 1"):
+    with pytest.raises(InvariantError, match="b_n increased"):
         iterate_products(chain, probes=np.eye(2))
     with pytest.raises(PreconditionError) as raised:
         iterate_products(chain, probes=np.eye(2), fixed_spaces=True)

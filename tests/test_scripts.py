@@ -57,6 +57,7 @@ def test_artifact_digests_one_line_per_command():
         "gap schur_random": 0,
         "simulate conjugated_mixed": 0,
         "simulate schur_random tol0": 64,
+        "simulate schur_dim16 tol1e-12": 2,
         "verify": 0,
         "verify faulty": 1,
         "verify tol0": 2,
