@@ -45,7 +45,11 @@ whose artifacts depend on a ``geometric`` curve's values; its chain
 carries one curve of every tag.  ``nonexample ties`` runs at epsilon
 1.0, where chords of rows divisible by 3 lie exactly epsilon apart, and
 ``nonexample wide`` above ``sqrt(2)``, where the net measures every
-member.
+member.  ``gap gap_dim16 horizon40 tol1e-15`` searches only to step 40,
+which passes ``--tol-psd 1e-15`` where step 46 does not: its certificate
+is analytic, yet its rate table stops at step 40 (41 lines).  ``gap
+near_one grid1e-4`` certifies ``delta`` 1e-4 only from step 360 on a
+finer grid, so it pins a rate table whose ``n0`` scan starts late.
 """
 
 from __future__ import annotations
@@ -84,6 +88,16 @@ COMMANDS = (
     (
         "simulate schur_dim16 tol1e-12",
         ["simulate", "--spec", "schur_dim16.json", "--tol-psd", "1e-12"],
+    ),
+    (
+        "gap gap_dim16 horizon40 tol1e-15",
+        ["gap", "--spec", "gap_dim16.json", "--horizon", "40",
+         "--tol-psd", "1e-15"],
+    ),
+    (
+        "gap near_one grid1e-4",
+        ["gap", "--spec", "near_one.json", "--grid",
+         "0.5,0.2,0.1,0.05,0.02,0.01,0.005,0.001,0.0001"],
     ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),

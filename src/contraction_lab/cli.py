@@ -5,11 +5,11 @@ Exit codes are a stable contract:
     0   all verdicts pass
     1   a verdict failed (for ``simulate``, a theorem-backed one)
     2   inconclusive (empirical limit not trusted, products not yet
-        converged by the horizon, no rate table within an empirical
-        certificate's horizon, a PSD-slack verdict that only the default
-        slack absorbs under a lower ``--tol-psd``, or, for ``verify``, a
-        corpus chain or item that is not a positive contraction under the
-        given tolerances)
+        converged by the horizon, no rate table within the searched
+        horizon, a PSD-slack verdict that only the default slack
+        absorbs under a lower ``--tol-psd``, or, for ``verify``, a
+        corpus chain or item that is not a positive contraction under
+        the given tolerances)
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option, spec or grid, a
         chain with a step or limit that is not a positive contraction
@@ -73,7 +73,6 @@ from .operators import (
     diagonal,
 )
 from .products import (
-    consecutive_difference_report,
     is_decreasing,
     iterate_products,
     trace_summary,
@@ -311,10 +310,10 @@ def _unless_refused(check, *args, **kwargs):
 
 def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     """``verify``'s verdicts on one chain, in ``_CHAIN_PROPERTIES``
-    order, with the order and the product norm judged by
-    ``_slack_verdict``.  All inconclusive when a step or the limit is not
-    a positive contraction under the given tolerances, or when the norm
-    is inconclusive; a norm that fails raises :class:`InvariantError`."""
+    order: the order by ``_slack_verdict``, the rest from
+    ``trace_summary``.  All inconclusive (None) when a step or the limit
+    is not a positive contraction under the given tolerances, or when
+    the norm is; a norm that fails raises :class:`InvariantError`."""
     try:
         order = is_decreasing(chain, tol_psd=args.tol_psd)
         trace = iterate_products(
@@ -322,23 +321,19 @@ def _chain_verdicts(chain: ContractionChain, args) -> tuple:
         )
     except PreconditionError:
         return (None,) * len(_CHAIN_PROPERTIES)
-    largest = float(trace.product_norm.max())
-    bounded = _slack_verdict(1.0 - largest, chain.dim, args.tol_psd)
+    verdicts = trace_summary(trace)["verdicts"]
+    bounded = verdicts["product_norm_bounded"]
     if bounded is False:
+        largest = float(trace.product_norm.max())
         raise InvariantError(f"product norm exceeded 1: max {largest}")
     if bounded is None:
         return (None,) * len(_CHAIN_PROPERTIES)
     ordering = order.ok
     if order.witness is not None:
         ordering = _slack_verdict(order.witness, chain.dim, args.tol_psd)
-    trusted = trace.limit.trustworthy
-    adj_err = float(trace.adj_err[-1].max())
-    opnorm_err = float(trace.opnorm_err[-1])
-    return (
-        ordering,
-        consecutive_difference_report(trace).all_ok,
-        adj_err < DEFAULT.convergence if trusted else None,
-        opnorm_err < DEFAULT.convergence if trusted else None,
+    return (ordering,) + tuple(
+        None if verdicts[name] == "inconclusive" else verdicts[name]
+        for name in ("ab_chain", "adj_converged", "opnorm_converged")
     )
 
 

@@ -31,8 +31,10 @@ from .operators import (
     _contraction_witness,
     _fixed_space,
     _not_a_contraction,
+    _not_ordered,
     _operand_fixed_space,
     _projection_onto,
+    _psd_slack,
     fixed_point_projection,
     hermitian_eigenvalues,
     loewner_leq,
@@ -77,8 +79,8 @@ class GapCertificate:
     step ``n_start`` on.
 
     ``scope`` is ``"analytic"`` when generator metadata guarantees the
-    gap for all ``n``, else ``"empirical"``: verified only up to
-    ``horizon`` and never silently extrapolated.
+    gap for all ``n``, else ``"empirical"``.  Either way only steps up
+    to ``horizon`` were checked, and the rate table reads no further.
     """
 
     delta: float
@@ -175,8 +177,7 @@ def has_gap_at(
     that is not a positive contraction."""
     _check_delta(delta, tol_eig)
     eigenvalues = hermitian_eigenvalues(op)
-    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
-    check = _contraction_witness(eigenvalues, tol)
+    check = _contraction_witness(eigenvalues, _psd_slack(op.dim, tol_psd))
     if not check:
         raise _not_a_contraction(check.witness)
     return _violating_eigenvalue(eigenvalues, delta, tol_eig) is None
@@ -297,10 +298,9 @@ def rank_strict_descent_check(
     lower, lower_space = _operand_fixed_space(
         "lower", t_lower, tol_eig, tol_psd
     )
-    if not loewner_leq(t_lower, t_upper, tol_psd=tol_psd):
-        raise PreconditionError(
-            "operators are not ordered: lower <= upper fails"
-        )
+    ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
+    if not ordering:
+        raise _not_ordered(ordering.witness)
     if _violating_eigenvalue(upper.eigenvalues, delta, tol_eig) is not None:
         raise PreconditionError(
             f"upper operator has no spectral gap at delta {delta}"
@@ -367,10 +367,13 @@ def rate_bound_check(
     on the orthogonal part (the fixed part is carried unchanged by every
     step, so it contributes nothing to the decay).  Without a probe, a
     seeded unit vector orthogonal to the limit fixed space is used (the
-    chain's seed, or 0).  ``n0`` defaults to the certificate's starting
-    step joined with the first step whose fixed projection nearly kills
-    the probe (``<= epsilon``).  The arguments, a given probe among them
-    (``_given_probes``), are checked before any step is read.
+    chain's seed, or 0).  The table and its ``n0`` scan read only the
+    steps the search checked, up to ``certificate.horizon`` (an empirical
+    limit is still the chain's ``T_horizon``).  ``n0`` defaults to the
+    first step from ``N`` on whose fixed projection leaves at most
+    ``epsilon`` of the probe; fixed spaces shrink, so no earlier step
+    can.  The arguments, a given probe among them (``_given_probes``),
+    are checked before any step is read.
     """
     if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
@@ -381,10 +384,7 @@ def rate_bound_check(
     if probe is not None:
         _, given = _given_probes(np.reshape(probe, -1), chain.dim)
         probe = given[:, 0]
-    last = chain.horizon
-    if certificate.scope == "empirical":
-        # checked only up to its horizon, so the table must stop there too
-        last = min(last, certificate.horizon)
+    last = chain.run_horizon(certificate.horizon)
     info = limit_operator(chain)
     proj = fixed_point_projection(
         info.operator, tol_eig=tol_eig, tol_psd=tol_psd
@@ -400,10 +400,8 @@ def rate_bound_check(
         )
 
     if n0 is None:
-        n0 = certificate.n_start
-        for n in range(1, last + 1):
-            if np.linalg.norm(step_projection(n).matrix @ xi_perp) <= epsilon:
-                n0 = max(certificate.n_start, n)
+        for n0 in range(certificate.n_start, last + 1):
+            if np.linalg.norm(step_projection(n0).matrix @ xi_perp) <= epsilon:
                 break
         else:
             raise PreconditionError(

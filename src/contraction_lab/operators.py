@@ -18,7 +18,8 @@ Numerical conventions
   :mod:`contraction_lab.products` all read the fixed space through it,
   so "rank of the fixed space" always means the same thing everywhere.
   One formatter, ``_not_a_contraction``, words every refusal of the
-  positivity check, naming the step or operand refused.
+  positivity check, naming the step or operand refused, and
+  ``_not_ordered`` every refusal of an operand pair that is not ordered.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
 * Real symmetric input stays real (``float64``); anything with an
@@ -195,6 +196,13 @@ def _not_a_contraction(
     )
 
 
+def _not_ordered(witness: float) -> PreconditionError:
+    """The one wording of a refused order ``lower <= upper``."""
+    return PreconditionError(
+        f"operands are not ordered: min eig of upper - lower {witness}"
+    )
+
+
 def _fixed_space(
     decomp: SpectralDecomposition,
     tol_eig: float,
@@ -209,7 +217,7 @@ def _fixed_space(
     (a step, an operand) otherwise, then keeps the eigenvectors whose
     eigenvalues count as 1 under the clustering rule.
     """
-    tol = DEFAULT.psd(decomp.dim) if tol_psd is None else tol_psd
+    tol = _psd_slack(decomp.dim, tol_psd)
     check = _contraction_witness(decomp.eigenvalues, tol)
     if not check:
         raise _not_a_contraction(check.witness, subject)
@@ -241,16 +249,20 @@ def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
     return Witnessed(True, None)
 
 
+def _psd_slack(dim: int, tol_psd: float | None) -> float:
+    """``tol_psd``, or the default slack ``DEFAULT.psd(dim)`` when None."""
+    return DEFAULT.psd(dim) if tol_psd is None else tol_psd
+
+
 def _slack_verdict(
     margin: float, dim: int, tol_psd: float | None
 ) -> bool | None:
     """True when ``margin >= -tol_psd`` (``DEFAULT.psd(dim)`` when None).
     None when only the larger default slack of ``dim`` covers ``margin``:
     it absorbs rounding, so such a failure proves nothing.  Else False."""
-    default = DEFAULT.psd(dim)
-    if margin >= -(default if tol_psd is None else tol_psd):
+    if margin >= -_psd_slack(dim, tol_psd):
         return True
-    return None if margin >= -default else False
+    return None if margin >= -DEFAULT.psd(dim) else False
 
 
 def is_positive_contraction(
@@ -260,7 +272,7 @@ def is_positive_contraction(
 
     On failure the witness is the offending eigenvalue.
     """
-    tol = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    tol = _psd_slack(op.dim, tol_psd)
     return _contraction_witness(_eigvalsh(op.entries), tol)
 
 
@@ -293,9 +305,8 @@ def loewner_leq(
         raise DimensionMismatchError(
             f"cannot compare operators of dims {a.dim} and {b.dim}"
         )
-    tol = DEFAULT.psd(a.dim) if tol_psd is None else tol_psd
     smallest = float(loewner_margin(b.entries, a.entries))
-    return Witnessed(smallest >= -tol, smallest)
+    return Witnessed(smallest >= -_psd_slack(a.dim, tol_psd), smallest)
 
 
 def loewner_margin(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -407,9 +418,7 @@ def check_projection_monotone(
     _, upper_space = _operand_fixed_space("upper", t_upper, tol_eig, tol_psd)
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
-        raise PreconditionError(
-            f"operands are not ordered: min eig of difference {ordering.witness}"
-        )
+        raise _not_ordered(ordering.witness)
     p_lower = _projection_onto(lower_space)
     p_upper = _projection_onto(upper_space)
     return loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd)

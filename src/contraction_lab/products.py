@@ -38,6 +38,7 @@ from .operators import (
     _fixed_space,
     _not_a_contraction,
     _projection_onto,
+    _psd_slack,
     _slack_verdict,
     loewner_margin,
     spectral_decompose,
@@ -280,7 +281,7 @@ def iterate_products(
     given = None if probes is None else _given_probes(probes, dim, probe_ids)
     if given is None and probe_ids is not None:
         raise PreconditionError("probe_ids given without probes")
-    tol = DEFAULT.psd(dim) if tol_psd is None else tol_psd
+    tol = _psd_slack(dim, tol_psd)
 
     ranks = None
     if fixed_spaces:
@@ -337,10 +338,9 @@ def iterate_products(
         )
         wot[steps] = np.abs(np.sum(partners.conj() * deviation, axis=1))
         b[steps] = np.real(np.sum(applied.conj() * applied, axis=1))
+        applied_from = applied
         if behind is not None:
             applied_from = np.concatenate((behind[None], applied))
-        else:
-            applied_from = applied
         ahead, back = applied_from[1:], applied_from[:-1]
         # a and consec are indexed by the earlier step of each pair
         pairs = slice(steps.stop - 1 - len(ahead), steps.stop - 1)
@@ -410,7 +410,7 @@ def is_decreasing(
     :class:`PreconditionError` at the first step that is not: the order
     of such a chain is outside what the theorems speak of.
     """
-    tol = DEFAULT.psd(chain.dim) if tol_psd is None else tol_psd
+    tol = _psd_slack(chain.dim, tol_psd)
     least = math.inf
     done = 0
     before = None  # the step before the block
@@ -696,9 +696,7 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     threshold = DEFAULT.convergence
 
     def convergence_verdict(value: float):
-        if not conclusive:
-            return "inconclusive"
-        return bool(value < threshold)
+        return bool(value < threshold) if conclusive else "inconclusive"
 
     verdicts = {
         "product_norm_bounded": _slack_verdict(

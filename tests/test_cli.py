@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from contraction_lab import (
+    DEFAULT,
     ContractionChain,
     InvariantError,
     Operator,
@@ -18,7 +20,9 @@ from contraction_lab import (
     build_chain,
     cli,
     corpus,
+    limit_operator,
     parse_chain_spec,
+    random_schur_chain,
 )
 from contraction_lab.chains import CACHE_CEILING, _near_one_max_dim
 from contraction_lab.cli import NMAX_CEILING, main
@@ -346,6 +350,22 @@ def test_gap_rate_table_stays_within_certified_horizon(
         assert f"n={horizon}" in err
     else:
         assert (out / "failure.json").exists()
+
+
+def test_gap_rate_table_stops_at_the_searched_horizon(tmp_path):
+    # gap_dim16's certificate is analytic, but only steps 1..40 were
+    # checked against --tol-psd 1e-15, and step 46 fails it: the table
+    # stops at step 40, where it ran on to the chain's step 210
+    out = tmp_path / "out"
+    argv = ["gap", "--spec", str(REPO_SPECS / "gap_dim16.json"),
+            "--horizon", "40", "--tol-psd", "1e-15", "--out", str(out)]
+    assert run_cli(argv) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert (cert["scope"], cert["N"]) == ("analytic", 1)
+    with open(out / "rate_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 41  # header + j = 0..39
+    assert rows[-1][0] == "39"
 
 
 def test_gap_custom_grid(tmp_path):
@@ -698,6 +718,16 @@ def test_verify_runs_each_check_once(tmp_path, monkeypatch, tol_psd):
     }
     pairs = verdicts["properties"]["projection_monotonicity"]["total"]
     assert len(seen["check_projection_monotone"]) == pairs
+
+
+def test_verify_maps_an_untrusted_limit_to_inconclusive():
+    # at horizon 8 the Schur chain's empirical limit is not trusted, so
+    # both convergence verdicts are inconclusive (None), not failed; the
+    # order and the a/b interleaving hold at any horizon
+    chain = random_schur_chain(4, 1, 8, fixed_rank=1)
+    assert not limit_operator(chain).trustworthy
+    args = argparse.Namespace(tol_eig=DEFAULT.eig, tol_psd=None)
+    assert cli._chain_verdicts(chain, args) == (True, True, None, None)
 
 
 def test_verify_usage_errors(tmp_path, capsys):

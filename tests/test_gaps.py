@@ -281,7 +281,8 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
          r"^lower operand is not a positive contraction: "
          r"offending eigenvalue -0\.5$"),
         (diagonal([1.0, 0.95]), diagonal([0.5, 1.0]),
-         r"^operators are not ordered: lower <= upper fails$"),
+         r"^operands are not ordered: min eig of upper - lower "
+         r"-0\.050000000000000044$"),
         (diagonal([1.0, 0.95]), diagonal([1.0, 0.5]),
          r"^upper operator has no spectral gap at delta 0\.1$"),
     ]
@@ -446,13 +447,56 @@ def test_rate_bound_stops_at_empirical_certificate_horizon():
     assert int(clipped.j[-1]) == 19
     with pytest.raises(PreconditionError, match="beyond"):
         rate_bound_check(chain, cert, probe, n0=25)
-    # an analytic certificate is not bounded by the search horizon
+    # an analytic certificate stops at the searched horizon too: the
+    # steps past it were never checked
     engineered = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
     analytic = certificate_search(engineered, horizon=20)
     assert analytic.scope == "analytic"
     probe = np.random.default_rng(0).standard_normal(6)
     report = rate_bound_check(engineered, analytic, probe, n0=1)
-    assert int(report.j[-1]) == 79
+    assert int(report.j[-1]) == 19
+
+
+def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
+    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    cert = certificate_search(chain, horizon=20)
+    assert cert.scope == "analytic" and cert.horizon == 20
+    read = []
+    for name in ("operator_at", "decomposition_at"):
+        def recorded(n, _method=getattr(chain, name)):
+            read.append(n)
+            return _method(n)
+
+        monkeypatch.setattr(chain, name, recorded)
+    report = rate_bound_check(chain, cert)
+    assert report.n0 + int(report.j[-1]) == 20
+    # the n0 scan starts at the certificate's step
+    assert read[0] == cert.N
+    assert max(read) == 20
+    # a certificate past the chain's horizon is refused before any read
+    read.clear()
+    with pytest.raises(
+        PreconditionError, match=r"^horizon 81 outside materialized range"
+    ):
+        rate_bound_check(chain, GapCertificate(0.1, 1, (), "analytic", 81))
+    assert read == []
+
+
+def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
+    # on a fine grid near_one is certified only from step 360; the n0
+    # scan starts there, on the search's last eigh (the handover), so the
+    # table's one eigh is the limit's.  A scan from step 1 made 361.
+    spec = json.loads((SPECS / "near_one.json").read_text())
+    chain = build_chain(parse_chain_spec(spec))
+    grid = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.0001)
+    cert = certificate_search(chain, delta_grid=grid)
+    assert isinstance(cert, GapCertificate)
+    assert (cert.delta, cert.N, cert.horizon) == (0.0001, 360, 400)
+    eigensolve_counts.reset()
+    report = rate_bound_check(chain, cert)
+    assert report.n0 == 360
+    assert len(report.j) == 41
+    assert eigensolve_counts == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_write_rate_csv_layout(tmp_path):

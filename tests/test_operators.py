@@ -341,7 +341,7 @@ def test_projection_monotone_one_eigh_per_operand(eigensolve_counts):
         check_projection_monotone(diagonal([1.0, 0.5]), diagonal([-0.5, 1.0]))
     with pytest.raises(
         PreconditionError,
-        match=r"^operands are not ordered: min eig of difference -0\.5$",
+        match=r"^operands are not ordered: min eig of upper - lower -0\.5$",
     ):
         check_projection_monotone(identity(2), diagonal([0.5, 0.5]))
 
