@@ -50,6 +50,11 @@ which passes ``--tol-psd 1e-15`` where step 46 does not: its certificate
 is analytic, yet its rate table stops at step 40 (41 lines).  ``gap
 near_one grid1e-4`` certifies ``delta`` 1e-4 only from step 360 on a
 finer grid, so it pins a rate table whose ``n0`` scan starts late.
+``simulate schur_random horizon20`` exits 2: its empirical limit is
+the run's last step ``T_20``, whose Cauchy gap ``||T_20 - T_10||``
+(6.6e-4) is too large to trust, so the convergence verdicts are
+inconclusive.  ``gap schur_random horizon20`` exits 0: its empirical
+limit and rate table read only the 20 steps that the search checked.
 """
 
 from __future__ import annotations
@@ -98,6 +103,14 @@ COMMANDS = (
         "gap near_one grid1e-4",
         ["gap", "--spec", "near_one.json", "--grid",
          "0.5,0.2,0.1,0.05,0.02,0.01,0.005,0.001,0.0001"],
+    ),
+    (
+        "simulate schur_random horizon20",
+        ["simulate", "--spec", "schur_random.json", "--horizon", "20"],
+    ),
+    (
+        "gap schur_random horizon20",
+        ["gap", "--spec", "schur_random.json", "--horizon", "20"],
     ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),

@@ -188,8 +188,6 @@ def _validate_grid(delta_grid, tol_eig: float) -> tuple[float, ...]:
     if not grid:
         raise PreconditionError("delta grid is empty")
     for d in grid:
-        if not 0.0 < d < 1.0:
-            raise PreconditionError(f"grid value {d} outside (0, 1)")
         _check_delta(d, tol_eig)
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise PreconditionError("delta grid must be strictly descending")
@@ -355,7 +353,6 @@ def rate_bound_check(
     certificate: GapCertificate,
     probe: np.ndarray | None = None,
     epsilon: float = 1e-8,
-    n0: int | None = None,
     *,
     j_max: int | None = None,
     tol_eig: float = DEFAULT.eig,
@@ -367,25 +364,24 @@ def rate_bound_check(
     on the orthogonal part (the fixed part is carried unchanged by every
     step, so it contributes nothing to the decay).  Without a probe, a
     seeded unit vector orthogonal to the limit fixed space is used (the
-    chain's seed, or 0).  The table and its ``n0`` scan read only the
-    steps the search checked, up to ``certificate.horizon`` (an empirical
-    limit is still the chain's ``T_horizon``).  ``n0`` defaults to the
+    chain's seed, or 0).  The limit, the table and its ``n0`` scan read
+    only the steps the search checked, up to ``certificate.horizon``: an
+    empirical limit is that step (:func:`limit_operator`).  ``n0`` is the
     first step from ``N`` on whose fixed projection leaves at most
-    ``epsilon`` of the probe; fixed spaces shrink, so no earlier step
-    can.  The arguments, a given probe among them (``_given_probes``),
-    are checked before any step is read.
+    ``epsilon`` of the probe, so both hypotheses of the bound hold there;
+    fixed spaces shrink, so no earlier step can.  The products are one
+    forward pass from ``T_1``.  The arguments, a given probe among them
+    (``_given_probes``), are checked before any step is read.
     """
     if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
     if j_max is not None and j_max < 0:
         raise PreconditionError(f"j_max must be >= 0, got {j_max}")
-    if n0 is not None and n0 < 1:
-        raise PreconditionError(f"n0 must be >= 1, got {n0}")
     if probe is not None:
         _, given = _given_probes(np.reshape(probe, -1), chain.dim)
         probe = given[:, 0]
     last = chain.run_horizon(certificate.horizon)
-    info = limit_operator(chain)
+    info = limit_operator(chain, last)
     proj = fixed_point_projection(
         info.operator, tol_eig=tol_eig, tol_psd=tol_psd
     )
@@ -399,38 +395,29 @@ def rate_bound_check(
             _fixed_space(decomp, tol_eig, tol_psd, f"step {n}")
         )
 
-    if n0 is None:
-        for n0 in range(certificate.n_start, last + 1):
-            if np.linalg.norm(step_projection(n0).matrix @ xi_perp) <= epsilon:
-                break
-        else:
-            raise PreconditionError(
-                f"no step up to n={last} brings the probe within "
-                f"{epsilon} of the gap regime; raise epsilon"
-            )
-
-    limit_j = last - n0
-    jm = limit_j if j_max is None else min(j_max, limit_j)
-    if jm < 0:
+    for n0 in range(certificate.n_start, last + 1):
+        if np.linalg.norm(step_projection(n0).matrix @ xi_perp) <= epsilon:
+            break
+    else:
         raise PreconditionError(
-            f"n0 {n0} lies beyond the last checkable step {last}"
+            f"no step up to n={last} brings the probe within "
+            f"{epsilon} of the gap regime; raise epsilon"
         )
+    jm = last - n0 if j_max is None else min(j_max, last - n0)
 
     # a scan that stopped at n0 reads T_n0 from the chain's handover
     eta = xi_perp - step_projection(n0).matrix @ xi_perp
     carried = xi_perp.astype(eta.dtype, copy=True)
-    for n in range(1, n0 + 1):
+    lhs = np.empty(jm + 1)
+    for n in range(1, n0 + jm + 1):
         op = chain.operator_at(n).entries
         carried = op @ carried
-        eta = op @ eta
+        if n <= n0:
+            eta = op @ eta
+        if n >= n0:
+            lhs[n - n0] = np.linalg.norm(carried)
     eta_norm = float(np.linalg.norm(eta))
-
     js = np.arange(jm + 1)
-    lhs = np.empty(jm + 1)
-    for j in range(jm + 1):
-        lhs[j] = np.linalg.norm(carried)
-        if j < jm:
-            carried = chain.operator_at(n0 + j + 1).entries @ carried
     rhs = epsilon + (1.0 - certificate.delta) ** js * eta_norm
 
     floor = max(1e-250, 1e-13 * lhs[0]) if lhs[0] > 0 else 1e-250

@@ -108,9 +108,10 @@ class LimitInfo:
     """The chain limit together with how much to trust it.
 
     ``provenance`` is ``"analytic"`` when the generator knows its limit in
-    closed form; otherwise the limit is the last materialized operator and
-    ``cauchy_gap`` records ``||T_horizon - T_{horizon/2}||`` as a sanity
-    measure.  Empirical limits with a large gap should downgrade verdicts
+    closed form; otherwise the limit is the run's last step ``T_h`` and
+    ``cauchy_gap`` records ``||T_h - T_{h//2}||`` as a sanity measure
+    (None at ``h == 1``, where there is no earlier step to compare).
+    Empirical limits with a large or missing gap should downgrade verdicts
     to inconclusive rather than failing them.
     """
 
@@ -127,14 +128,20 @@ class LimitInfo:
         )
 
 
-def limit_operator(chain: ContractionChain) -> LimitInfo:
-    """Analytic limit when the generator provides one, else empirical."""
+def limit_operator(
+    chain: ContractionChain, horizon: int | None = None
+) -> LimitInfo:
+    """Analytic limit when the generator provides one, else empirical:
+    ``T_h`` for the run's last step ``h = chain.run_horizon(horizon)``,
+    so no step past the run is read."""
+    h = chain.run_horizon(horizon)
     if chain.analytic_limit is not None:
         return LimitInfo(chain.analytic_limit, "analytic", None)
-    h = chain.horizon
     last = chain.operator_at(h)
-    mid = chain.operator_at(max(1, h // 2))
-    gap = float(np.linalg.norm(last.entries - mid.entries, 2))
+    gap = None
+    if h > 1:
+        mid = chain.operator_at(h // 2)
+        gap = float(np.linalg.norm(last.entries - mid.entries, 2))
     return LimitInfo(last, "empirical", gap)
 
 
@@ -271,10 +278,11 @@ def iterate_products(
     rank.  The ranks are read before the limit, in the step-order walk
     that materializes the chain, so each ``T_n`` is diagonalized once (a
     Schur chain's generator hands its ``eigh`` of ``T_n`` to the read),
-    and an empirical limit (``T_horizon``) reuses the last step's
-    ``eigh`` when the run goes to the chain's horizon.  A step that is
-    not a positive contraction raises :class:`PreconditionError` naming
-    the step there, before any product is taken.
+    and an empirical limit, the run's last step ``T_h``
+    (:func:`limit_operator`), reuses that step's ``eigh``; no step past
+    ``h`` is read.  A step that is not a positive contraction raises
+    :class:`PreconditionError` naming the step there, before any product
+    is taken.
     """
     h = chain.run_horizon(horizon)
     dim = chain.dim
@@ -290,10 +298,10 @@ def iterate_products(
             for n in range(1, h + 1)
         )
         ranks = np.array([space.shape[1] for space in spaces])
-    info = limit_operator(chain)
+    info = limit_operator(chain, h)
     if info.provenance == "empirical":
-        # the empirical limit is T_horizon, the chain's own step
-        limit_decomp = chain.decomposition_at(chain.horizon)
+        # the empirical limit is T_h, the run's own last step
+        limit_decomp = chain.decomposition_at(h)
     else:
         limit_decomp = spectral_decompose(info.operator)
     proj = _projection_onto(_fixed_space(limit_decomp, tol_eig, tol))

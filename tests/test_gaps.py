@@ -24,6 +24,7 @@ from contraction_lab import (
     geometric,
     has_gap_at,
     identity,
+    iterate_products,
     limit_operator,
     near_one_accumulating_chain,
     peel,
@@ -214,7 +215,9 @@ def test_certificate_search_grid_validation():
     chain = geometric_tail_chain(10)
     with pytest.raises(PreconditionError, match="empty"):
         certificate_search(chain, delta_grid=())
-    with pytest.raises(PreconditionError, match="outside"):
+    with pytest.raises(
+        PreconditionError, match=r"^delta must lie in \(0, 1\), got 1.5$"
+    ):
         certificate_search(chain, delta_grid=(1.5, 0.1))
     with pytest.raises(PreconditionError, match="descending"):
         certificate_search(chain, delta_grid=(0.1, 0.2))
@@ -343,7 +346,7 @@ def test_rate_bound_geometric_tail_closed_form():
     chain = geometric_tail_chain(60)
     cert = certificate_search(chain)
     report = rate_bound_check(
-        chain, cert, np.array([0.0, 1.0]), epsilon=0.0, n0=1, j_max=50
+        chain, cert, np.array([0.0, 1.0]), epsilon=0.0, j_max=50
     )
     assert report.n0 == 1
     assert report.eta_prime_norm == pytest.approx(0.9, rel=1e-12)
@@ -364,7 +367,8 @@ def test_rate_bound_geometric_tail_closed_form():
 def test_rate_bound_fixed_probe_degenerates_cleanly():
     chain = geometric_tail_chain(30)
     cert = certificate_search(chain)
-    report = rate_bound_check(chain, cert, np.array([1.0, 0.0]), n0=1)
+    report = rate_bound_check(chain, cert, np.array([1.0, 0.0]))
+    assert report.n0 == 1
     assert np.all(report.lhs <= 1e-12)  # no orthogonal component at all
     assert report.fixed_component_norm == pytest.approx(1.0)
     assert report.bound_holds
@@ -392,8 +396,6 @@ def test_rate_bound_default_n0_and_validation():
         rate_bound_check(chain, cert, np.zeros(6))
     with pytest.raises(PreconditionError, match="dimension"):
         rate_bound_check(chain, cert, np.ones(4))
-    with pytest.raises(PreconditionError, match="n0"):
-        rate_bound_check(chain, cert, probe, n0=0)
 
 
 def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
@@ -411,8 +413,6 @@ def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
     # an inf entry is bad input, refused before the n0 scan
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         rate_bound_check(chain, cert, np.array([1.0, np.inf, 0, 0, 0, 0]))
-    with pytest.raises(PreconditionError, match=r"^n0 must be >= 1, got 0$"):
-        rate_bound_check(chain, cert, n0=0)
     assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
 
 
@@ -445,22 +445,20 @@ def test_rate_bound_stops_at_empirical_certificate_horizon():
     assert report.n0 + int(report.j[-1]) == 20
     clipped = rate_bound_check(chain, cert, probe, epsilon=0.0, j_max=50)
     assert int(clipped.j[-1]) == 19
-    with pytest.raises(PreconditionError, match="beyond"):
-        rate_bound_check(chain, cert, probe, n0=25)
     # an analytic certificate stops at the searched horizon too: the
     # steps past it were never checked
     engineered = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
     analytic = certificate_search(engineered, horizon=20)
     assert analytic.scope == "analytic"
     probe = np.random.default_rng(0).standard_normal(6)
-    report = rate_bound_check(engineered, analytic, probe, n0=1)
+    report = rate_bound_check(engineered, analytic, probe)
+    assert report.n0 == 1
     assert int(report.j[-1]) == 19
 
 
-def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
-    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
-    cert = certificate_search(chain, horizon=20)
-    assert cert.scope == "analytic" and cert.horizon == 20
+def record_reads(monkeypatch, chain):
+    """Wrap the chain's step reads; the list gets each step read, and
+    the last step of each stack that ``step_blocks`` hands out."""
     read = []
     for name in ("operator_at", "decomposition_at"):
         def recorded(n, _method=getattr(chain, name)):
@@ -468,18 +466,62 @@ def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
             return _method(n)
 
         monkeypatch.setattr(chain, name, recorded)
+
+    def blocks(horizon=None, _method=chain.step_blocks):
+        done = 0
+        for stack in _method(horizon):
+            done += len(stack)
+            read.append(done)
+            yield stack
+
+    monkeypatch.setattr(chain, "step_blocks", blocks)
+    return read
+
+
+def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
+    analytic = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    # an empirical limit, which is the run's last step
+    empirical = random_schur_chain(6, seed=1, horizon=80, fixed_rank=2)
+    for chain in (analytic, empirical):
+        cert = certificate_search(chain, horizon=20)
+        assert isinstance(cert, GapCertificate) and cert.horizon == 20
+        read = record_reads(monkeypatch, chain)
+        report = rate_bound_check(chain, cert)
+        assert report.n0 + int(report.j[-1]) == 20
+        assert max(read) == 20
+        if chain is analytic:
+            # the n0 scan starts at the certificate's step
+            assert read[0] == cert.N
+        # a product run to step 9 reads no step past it either
+        for fixed_spaces in (False, True):
+            read.clear()
+            trace = iterate_products(
+                chain, horizon=9, fixed_spaces=fixed_spaces
+            )
+            assert trace.horizon == 9
+            assert max(read) == 9
+        # a certificate past the chain's horizon is refused before any read
+        read.clear()
+        with pytest.raises(
+            PreconditionError, match=r"^horizon 81 outside materialized range"
+        ):
+            rate_bound_check(chain, GapCertificate(0.1, 1, (), "analytic", 81))
+        assert read == []
+
+
+def test_rate_bound_on_a_short_search_builds_only_its_steps(eigensolve_counts):
+    # the empirical limit of a search to 20 is T_20: the table's two eigh
+    # are the limit's projection and T_n0's, and no step past 20 is built.
+    # When the limit was the chain's T_160 the table made 189.
+    spec = json.loads((SPECS / "schur_random.json").read_text())
+    chain = build_chain(parse_chain_spec(spec))
+    cert = certificate_search(chain, horizon=20)
+    assert isinstance(cert, GapCertificate) and cert.scope == "empirical"
+    eigensolve_counts.reset()
     report = rate_bound_check(chain, cert)
     assert report.n0 + int(report.j[-1]) == 20
-    # the n0 scan starts at the certificate's step
-    assert read[0] == cert.N
-    assert max(read) == 20
-    # a certificate past the chain's horizon is refused before any read
-    read.clear()
-    with pytest.raises(
-        PreconditionError, match=r"^horizon 81 outside materialized range"
-    ):
-        rate_bound_check(chain, GapCertificate(0.1, 1, (), "analytic", 81))
-    assert read == []
+    assert eigensolve_counts["eigh"] == 2
+    assert chain._built == 20
 
 
 def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
@@ -503,8 +545,9 @@ def test_write_rate_csv_layout(tmp_path):
     chain = geometric_tail_chain(30)
     cert = certificate_search(chain)
     report = rate_bound_check(
-        chain, cert, np.array([0.0, 1.0]), epsilon=0.0, n0=1, j_max=10
+        chain, cert, np.array([0.0, 1.0]), epsilon=0.0, j_max=10
     )
+    assert report.n0 == 1
     path = tmp_path / "rate.csv"
     write_rate_csv(report, path)
     with open(path, newline="") as fh:

@@ -422,6 +422,16 @@ def test_limit_operator_analytic_and_empirical():
     assert not drifting.trustworthy
 
 
+def test_empirical_limit_at_horizon_one_is_not_trusted():
+    # T_1 has no earlier step to be compared with, so it has no Cauchy gap
+    info = limit_operator(random_schur_chain(4, 2, horizon=1))
+    assert info.provenance == "empirical"
+    assert info.cauchy_gap is None
+    assert not info.trustworthy
+    info = limit_operator(random_schur_chain(4, 2, horizon=5), 1)
+    assert info.cauchy_gap is None and not info.trustworthy
+
+
 def test_untrusted_limit_yields_inconclusive_summary():
     trace = iterate_products(drift_chain(), probes=np.eye(2))
     summary = trace_summary(trace)
@@ -613,7 +623,10 @@ def test_projection_trace_matches_per_step_projections(make_chain, horizon):
         for n in range(1, trace.horizon + 1)
     ]
     assert np.array_equal(trace.ranks, ranks)
-    limit = fixed_point_projection(limit_operator(fresh).operator)
+    # the run's limit: an empirical one is the run's last step
+    limit = fixed_point_projection(
+        limit_operator(fresh, trace.horizon).operator
+    )
     assert np.array_equal(trace.projection.matrix, limit.matrix)
     assert trace.projection.rank == limit.rank
 

@@ -60,6 +60,8 @@ def test_artifact_digests_one_line_per_command():
         "simulate schur_dim16 tol1e-12": 2,
         "gap gap_dim16 horizon40 tol1e-15": 0,
         "gap near_one grid1e-4": 0,
+        "simulate schur_random horizon20": 2,
+        "gap schur_random horizon20": 0,
         "verify": 0,
         "verify faulty": 1,
         "verify tol0": 2,
