@@ -55,6 +55,10 @@ the run's last step ``T_20``, whose Cauchy gap ``||T_20 - T_10||``
 (6.6e-4) is too large to trust, so the convergence verdicts are
 inconclusive.  ``gap schur_random horizon20`` exits 0: its empirical
 limit and rate table read only the 20 steps that the search checked.
+``gap gap_dim64`` exits 0; its 800 steps of dim 64 (26 MB as float64)
+are more than a chain keeps, so its store holds one step at a time, and
+its rate table takes ``lhs`` from the search's own pass and reads only
+step 1 (``n0``) again.
 """
 
 from __future__ import annotations
@@ -112,6 +116,7 @@ COMMANDS = (
         "gap schur_random horizon20",
         ["gap", "--spec", "schur_random.json", "--horizon", "20"],
     ),
+    ("gap gap_dim64", ["gap", "--spec", "gap_dim64.json"]),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("verify tol0", ["verify", "--seeds", "1", "--tol-psd", "0"]),

@@ -67,6 +67,19 @@ CACHE_CEILING = 2**27
 # no faster on ``verify`` and cost 3 MB of resident memory.
 _BLOCK_BYTES = 64 * 1024
 
+# A curve-built chain keeps only the block it read last, and rebuilds an
+# evicted block from its curve table when it is read again, once its
+# whole store (dim * dim * horizon float64 entries) exceeds this many
+# bytes.  Measured with one BLAS thread, `gap` peaks at 140 MiB keeping
+# a 100 MiB store (dim 128, horizon 800) and at 40 MiB evicting it; at
+# the budget (dim 64, horizon 512) it peaks at 54 MiB kept and 38 MiB
+# evicting.  Below the budget every step is kept, because a chain read
+# twice (an order check, then its products, as in verify and simulate)
+# pays a rebuild on its second pass when it evicts: up to 8% of that
+# chain time at dims 16-64 (in-process, best of 3).  Every chain of
+# verify and of the test suite (at most 6.25 MiB) stays whole.
+_STORE_BYTES = 16 * 2**20
+
 # spawn-key namespaces so independent draws never share a stream
 _STREAM_CONJUGATION = 1
 _STREAM_SCHUR_INIT = 2
@@ -253,7 +266,14 @@ class _Steps:
     ``first .. first + k - 1``, ``1 <= k <= stop - first + 1``, as a
     hermitized ``(k, dim, dim)`` stack of one dtype.  A recursive source
     reads earlier steps from ``chain``, the chain being built, and keeps
-    no reference to it; the chain lays the steps out in blocks."""
+    no reference to it; the chain lays the steps out in blocks.
+
+    A ``whole`` source returns every step asked for, each a function of
+    its index alone, so the chain may drop a block and ask for it again;
+    it is asked for whole blocks.  Any other is asked for steps up to the
+    run's last step at most, and may work ahead to there."""
+
+    whole = False
 
     def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
         raise NotImplementedError
@@ -289,9 +309,18 @@ class ContractionChain:
     another dtype.  Curve-built kinds hand out a whole block
     ``F diag(values_n) F^T`` for a fixed orthogonal frame ``F`` at once;
     a per-step ``factory`` (a ``Callable[[int], Operator]``) and the
-    Schur recurrence hand out one step per call.  The store is built
-    behind a lock, so recursively defined chains stay consistent under
-    concurrent access.
+    Schur recurrence hand out one step per call, and the Schur recurrence
+    draws its decrements ahead no further than the last step of the
+    latest run (:meth:`run_horizon`).  The store is built behind a lock,
+    so recursively defined chains stay consistent under concurrent
+    access.
+
+    A curve-built chain whose store, ``dim * dim * horizon * 8`` bytes,
+    exceeds ``_STORE_BYTES`` (16 MiB) keeps only the block it read last:
+    an older block is dropped and, when read again, rebuilt from the
+    curve table under the lock, bit for bit as first built.  Every other
+    chain keeps every step it built: the Schur recurrence and an
+    empirical limit read earlier steps, and a factory need not be pure.
 
     The store holds the operators only, not their eigenvectors, which
     would store another ``dim x dim`` matrix for every step.
@@ -322,13 +351,29 @@ class ContractionChain:
         self.analytic_limit = analytic_limit
         self.gap_guarantee = gap_guarantee
         self._steps = _as_steps(factory)
-        # the blocks in step order, the first step of each, and the last
-        # step built (the newest block may be partly built)
-        self._blocks: list[np.ndarray] = []
+        self._evicts = (
+            self._steps.whole and dim * dim * horizon * 8 > _STORE_BYTES
+        )
+        # the blocks in step order (None where evicted), the first step
+        # of each, the index of the block read last, the last step built
+        # (the newest block may be partly built) and the latest run's
+        # last step
+        self._blocks: list[np.ndarray | None] = []
         self._firsts: list[int] = []
+        self._held = 0
         self._built = 0
+        self._reach = horizon
         self._handover: tuple[int, SpectralDecomposition] | None = None
         self._lock = threading.RLock()
+
+    def _hold(self, k: int, block: np.ndarray) -> np.ndarray:
+        """Store ``block`` as block ``k``, dropping the block held before
+        when the store evicts; the caller holds the lock."""
+        if self._evicts and self._held != k:
+            self._blocks[self._held] = None
+        self._blocks[k] = block
+        self._held = k
+        return block
 
     def _build(self, n: int) -> None:
         """Build every step up to ``n``; the caller holds the lock."""
@@ -337,9 +382,13 @@ class ContractionChain:
             step = self._built + 1
             size = min(self.horizon - step + 1, _block_steps(dim))
             start, block = step, None
-            if self._blocks and step < self._firsts[-1] + len(self._blocks[-1]):
-                start, block = self._firsts[-1], self._blocks[-1]  # open
+            # an evicted block came from a whole source, so it is full
+            last = self._blocks[-1] if self._blocks else None
+            if last is not None and step < self._firsts[-1] + len(last):
+                start, block = self._firsts[-1], last  # open
             end = start + (size if block is None else len(block)) - 1
+            if not self._steps.whole:
+                end = min(end, max(n, self._reach))
             got = self._steps.stack(step, end, self)
             if got.shape[1:] != (dim, dim):
                 raise ChainGenerationError(
@@ -354,38 +403,51 @@ class ContractionChain:
                 start, block = step, got
                 if len(got) < size:
                     block = np.empty((size, dim, dim), got.dtype)
-                self._blocks.append(block)
+                self._blocks.append(None)
                 self._firsts.append(step)
+                self._hold(len(self._blocks) - 1, block)
             if block is not got:
                 block[step - start : step - start + len(got)] = got
             self._built = step + len(got) - 1
 
     def _block_of(self, n: int) -> tuple[int, np.ndarray]:
         """The first step and the block that hold step ``n``, built up to
-        ``n``; the caller holds the lock."""
+        ``n`` and rebuilt if it was evicted; the caller holds the lock."""
         if not 1 <= n <= self.horizon:
             raise PreconditionError(
                 f"step {n} outside materialized range 1..{self.horizon}"
             )
         self._build(n)
         k = bisect.bisect_right(self._firsts, n) - 1
-        return self._firsts[k], self._blocks[k]
+        first, block = self._firsts[k], self._blocks[k]
+        if block is None:
+            # a whole source's block is the stack of its whole range
+            stop = min(first + _block_steps(self.dim), self.horizon + 1) - 1
+            block = self._hold(k, self._steps.stack(first, stop, self))
+        return first, block
 
-    def operator_at(self, n: int) -> Operator:
+    def _entries(self, n: int) -> np.ndarray:
+        """Step ``n``'s stored entries, read-only."""
         with self._lock:
             first, block = self._block_of(n)
             entries = block[n - first]
         entries.setflags(write=False)
-        return _stored_operator(entries)
+        return entries
+
+    def operator_at(self, n: int) -> Operator:
+        return _stored_operator(self._entries(n))
 
     def run_horizon(self, horizon: int | None = None) -> int:
         """The last step of a run (default: the chain's), refused outside
-        ``1 .. self.horizon`` before any run reads a step."""
+        ``1 .. self.horizon`` before any run reads a step.  A one-step
+        source works ahead no further than it."""
         h = self.horizon if horizon is None else horizon
         if not 1 <= h <= self.horizon:
             raise PreconditionError(
                 f"horizon {h} outside materialized range 1..{self.horizon}"
             )
+        with self._lock:
+            self._reach = h
         return h
 
     def step_blocks(self, horizon: int | None = None) -> Iterator[np.ndarray]:
@@ -412,7 +474,7 @@ class ContractionChain:
         there.  Its arrays are read-only, since every taker shares them."""
         with self._lock:
             # building T_n may itself decompose T_{n-1} (Schur)
-            op = self.operator_at(n)
+            op = _stored_operator(self._entries(n))
             held = self._handover
             if held is not None and held[0] == n:
                 return held[1]
@@ -520,6 +582,8 @@ class _CurveSteps(_Steps):
     a whole stack in one matrix product; each is exactly what
     ``Operator((F * table[:, n - 1]) @ F.T)`` holds."""
 
+    whole = True
+
     def __init__(self, table: np.ndarray, frame: np.ndarray):
         self._table = table
         self._frame = frame
@@ -607,7 +671,8 @@ def schur_decrement_chain(
 class _SchurSteps(_Steps):
     """The Schur recurrence, one step per call.  The decrements are
     drawn, and checked, a block at a time: from the one that makes the
-    step asked for up to the one that makes ``stop``."""
+    step asked for up to the one that makes ``stop``, which the chain
+    caps at the run's last step."""
 
     def __init__(self, first: Operator, decrements: _Steps):
         self._first = first.entries

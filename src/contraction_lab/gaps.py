@@ -18,7 +18,8 @@ both sides per ``j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,19 @@ class RankStep:
         return {"n": self.n, "rank": self.rank, "delta_k": self.delta_k}
 
 
+class _CarriedProbe(NamedTuple):
+    """The rate table's default probe as the search carried it: the
+    limit and tolerances it was split at, the limit's fixed projection,
+    the probe's part ``xi_perp`` off it, and ``||S_n xi_perp||`` at
+    ``norms[n - 1]`` for every step the search read."""
+
+    limit: Operator
+    tols: tuple[float, float | None]
+    projection: Projection
+    probe: np.ndarray
+    norms: np.ndarray
+
+
 @dataclass(frozen=True)
 class GapCertificate:
     """Witness that the chain's spectra avoid ``(1 - delta, 1)`` from
@@ -88,6 +102,9 @@ class GapCertificate:
     rank_trajectory: tuple[RankStep, ...]
     scope: str
     horizon: int
+    _carried: _CarriedProbe | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def N(self) -> int:  # noqa: N802  (certificate field name)
@@ -212,23 +229,36 @@ def certificate_search(
     grid delta that holds there.  Certificate when a scan reaches the
     horizon clean; failure report when the grid runs out.
 
-    One forward pass: each step after ``T_1`` is one :func:`has_gap_at`
-    (``eigvalsh``).  ``T_1`` and each step that fails it are decomposed
-    once (``decomposition_at``), which gives the offending eigenvalue,
-    the next grid delta and the rank; it decides at a window edge.  The
+    One forward pass, which reads each step once (``operator_at``):
+    each step after ``T_1`` is one :func:`has_gap_at` (``eigvalsh``).
+    ``T_1`` and each step that fails it are decomposed once
+    (``decomposition_at``), which gives the offending eigenvalue, the
+    next grid delta and the rank; it decides at a window edge.  The
     horizon and the grid are checked first.  Every step read is checked
     to be a positive contraction under ``tol_psd``, and refused by name
     when it is not.
+
+    When the generator gives the limit and guarantees a gap, the same
+    pass carries the rate table's default probe: ``xi_perp``, split
+    against the limit's fixed projection, is multiplied by each step read
+    and ``||S_n xi_perp||`` recorded, so that :func:`rate_bound_check`
+    takes its ``lhs`` column from the certificate and reads only steps
+    ``1 .. n0`` again.
     """
     h = chain.run_horizon(horizon)
     grid = _validate_grid(delta_grid, tol_eig)
+    carried = _carry_default_probe(chain, h, tol_eig, tol_psd)
+    vector = None if carried is None else carried.probe
 
     trajectory: list[RankStep] = []
     violations: list[GapViolation] = []
     delta = 1.0  # above every grid value, so T_1 may take any
     for n in range(1, h + 1):
+        step = chain.operator_at(n)
+        if carried is not None:
+            vector = step.entries @ vector
+            carried.norms[n - 1] = np.linalg.norm(vector)
         if n > 1:
-            step = chain.operator_at(n)
             try:
                 gap = has_gap_at(step, delta, tol_eig=tol_eig, tol_psd=tol_psd)
             except PreconditionError as exc:
@@ -272,6 +302,30 @@ def certificate_search(
         rank_trajectory=tuple(trajectory),
         scope="analytic" if analytic else "empirical",
         horizon=h,
+        _carried=carried,
+    )
+
+
+def _carry_default_probe(
+    chain: ContractionChain, h: int, tol_eig: float, tol_psd: float | None
+) -> _CarriedProbe | None:
+    """The rate table's default probe split against the chain's analytic
+    limit, with room for ``h`` norms, when its generator also guarantees
+    a gap, so that a certificate and a table are expected to follow.
+    None otherwise: an empirical limit is known only at the end, and the
+    split's ``eigh`` would be wasted on a search that ends without a
+    certificate.  None too for a limit that the projection refuses (the
+    table refuses it in its turn)."""
+    limit = chain.analytic_limit
+    if limit is None or chain.gap_guarantee is None:
+        return None
+    try:
+        proj = fixed_point_projection(limit, tol_eig=tol_eig, tol_psd=tol_psd)
+    except PreconditionError:
+        return None
+    xi = _seeded_perp_probe(chain, proj)
+    return _CarriedProbe(
+        limit, (tol_eig, tol_psd), proj, xi - proj.matrix @ xi, np.empty(h)
     )
 
 
@@ -369,9 +423,18 @@ def rate_bound_check(
     empirical limit is that step (:func:`limit_operator`).  ``n0`` is the
     first step from ``N`` on whose fixed projection leaves at most
     ``epsilon`` of the probe, so both hypotheses of the bound hold there;
-    fixed spaces shrink, so no earlier step can.  The products are one
-    forward pass from ``T_1``.  The arguments, a given probe among them
-    (``_given_probes``), are checked before any step is read.
+    fixed spaces shrink, so no earlier step can.  The arguments, a given
+    probe among them (``_given_probes``), are checked before any step is
+    read.
+
+    The ``lhs`` column comes from the certificate when its search
+    carried this table's default probe (:func:`certificate_search`, on
+    a chain whose generator gives the limit and guarantees a gap) at the
+    same tolerances, together with the limit's projection: then only
+    steps ``1 .. n0`` are read again, for ``eta'``.  Otherwise the table
+    makes its own forward pass from ``T_1``, with the same matvecs in the
+    same order: for any other chain, a given probe, other tolerances, or
+    a carried probe that differs in any bit from its own.
     """
     if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
@@ -382,9 +445,19 @@ def rate_bound_check(
         probe = given[:, 0]
     last = chain.run_horizon(certificate.horizon)
     info = limit_operator(chain, last)
-    proj = fixed_point_projection(
-        info.operator, tol_eig=tol_eig, tol_psd=tol_psd
-    )
+    carried = certificate._carried
+    if carried is not None and (
+        probe is not None
+        or carried.limit is not info.operator
+        or carried.tols != (tol_eig, tol_psd)
+    ):
+        carried = None
+    if carried is not None:
+        proj = carried.projection
+    else:
+        proj = fixed_point_projection(
+            info.operator, tol_eig=tol_eig, tol_psd=tol_psd
+        )
     xi = _seeded_perp_probe(chain, proj) if probe is None else probe
     fixed_part = proj.matrix @ xi
     xi_perp = xi - fixed_part
@@ -407,15 +480,21 @@ def rate_bound_check(
 
     # a scan that stopped at n0 reads T_n0 from the chain's handover
     eta = xi_perp - step_projection(n0).matrix @ xi_perp
-    carried = xi_perp.astype(eta.dtype, copy=True)
-    lhs = np.empty(jm + 1)
-    for n in range(1, n0 + jm + 1):
+    vector = xi_perp.astype(eta.dtype, copy=True)
+    own = carried is None or not _same_bits(carried.probe, vector)
+    if own:
+        lhs, stop = np.empty(jm + 1), n0 + jm
+    else:
+        # the search carried S_n xi_perp; replay steps 1 .. n0 for eta
+        lhs, stop = carried.norms[n0 - 1 : n0 + jm].copy(), n0
+    for n in range(1, stop + 1):
         op = chain.operator_at(n).entries
-        carried = op @ carried
+        if own:
+            vector = op @ vector
+            if n >= n0:
+                lhs[n - n0] = np.linalg.norm(vector)
         if n <= n0:
             eta = op @ eta
-        if n >= n0:
-            lhs[n - n0] = np.linalg.norm(carried)
     eta_norm = float(np.linalg.norm(eta))
     js = np.arange(jm + 1)
     rhs = epsilon + (1.0 - certificate.delta) ** js * eta_norm
@@ -438,6 +517,12 @@ def rate_bound_check(
         fixed_component_norm=float(np.linalg.norm(fixed_part)),
         tol_rate=DEFAULT.rate,
         fitted_slope=slope,
+    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
     )
 
 

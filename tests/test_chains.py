@@ -490,6 +490,66 @@ def test_curve_blocks_equal_the_per_step_formula(make, dim, horizon):
     assert_stacks_hold(chain, expected)
 
 
+def test_evicting_store_rebuilds_each_step_bit_for_bit(monkeypatch):
+    # 16 steps per block at dim 16: a chain over the store budget keeps
+    # the block it read last and rebuilds the others as first built; a
+    # chain under it, and a Schur chain, keep every block
+    kept = gap_engineered_chain(16, 0.1, 8, seed=2, horizon=100)
+    monkeypatch.setattr(chains, "_STORE_BYTES", 0)
+    chain = gap_engineered_chain(16, 0.1, 8, seed=2, horizon=100)
+    schur = random_schur_chain(3, 5, 1030)
+    for whole in (kept, schur):
+        list(whole.step_blocks())
+        assert all(b is not None for b in whole._blocks)
+    first = [chain.operator_at(n).entries for n in range(1, 101)]
+    assert len(chain._blocks) == 7
+    assert [b is not None for b in chain._blocks] == [False] * 6 + [True]
+    order = list(range(100, 0, -1))
+    order += list(np.random.default_rng(0).permutation(100) + 1)
+    for n in order:
+        got = chain.operator_at(n).entries
+        assert not got.flags.writeable
+        assert np.array_equal(got, first[n - 1])
+        assert np.array_equal(got, kept.operator_at(n).entries)
+        assert sum(b is not None for b in chain._blocks) == 1
+    # step 1 was rebuilt, not kept
+    assert not np.shares_memory(chain.operator_at(1).entries, first[0])
+    for got, want in zip(chain.step_blocks(), kept.step_blocks()):
+        assert np.array_equal(got, want)
+
+
+def test_threads_reading_an_evicting_chain_get_identical_steps(monkeypatch):
+    horizon = 300  # 64 steps per block at dim 8
+    reference = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
+    expected = [reference.operator_at(n).entries for n in range(1, 301)]
+    monkeypatch.setattr(chains, "_STORE_BYTES", 0)
+    chain = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
+    steps = list(range(1, horizon + 1))
+    rng = np.random.default_rng(1)
+    orders = [steps, steps[::-1]]
+    orders += [list(rng.permutation(horizon) + 1) for _ in range(2)]
+    wrong = []
+
+    def walk(order):
+        for n in order:
+            if not np.array_equal(chain.operator_at(n).entries, expected[n - 1]):
+                wrong.append(n)
+
+    threads = [threading.Thread(target=walk, args=(o,)) for o in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert sum(b is not None for b in chain._blocks) == 1
+
+
 @pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)
 @pytest.mark.parametrize("full_rank", [False, True])
 def test_schur_blocks_equal_the_per_step_recurrence(dim, horizon, full_rank):

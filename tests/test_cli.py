@@ -18,6 +18,7 @@ from contraction_lab import (
     Operator,
     PreconditionError,
     build_chain,
+    chains,
     cli,
     corpus,
     limit_operator,
@@ -918,6 +919,54 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     assert run_cli(["simulate", "--spec", spec, "--out", str(out2)]) == 0
     for name in ("trace.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_evicting_store_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
+    # every curve-built chain evicts at a budget of 0 and none at 2^62;
+    # gap, simulate and verify write the same bytes either way
+    curve_specs = [
+        path for path in sorted(REPO_SPECS.glob("*.json"))
+        if json.loads(path.read_text())["kind"] != "schur_decrement"
+    ]
+    runs = [
+        [command, "--spec", str(path)]
+        for path in curve_specs for command in ("gap", "simulate")
+    ]
+    runs.append(["verify", "--seeds", "1"])
+
+    def outputs(budget):
+        monkeypatch.setattr(chains, "_STORE_BYTES", budget)
+        results = []
+        for k, argv in enumerate(runs):
+            out = tmp_path / str(budget) / str(k)
+            code = run_cli(argv + ["--out", str(out)])
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            results.append((code, files))
+        return results
+
+    assert len(curve_specs) == 6
+    assert outputs(0) == outputs(2**62)
+
+
+def test_short_run_on_a_schur_chain_draws_only_its_decrements(
+    tmp_path, eigensolve_counts
+):
+    # simulate --horizon 20 reads T_1 .. T_20: their 20 eigh (the limit
+    # T_20 reuses the last) and one stacked eigh for decrements 1 .. 19.
+    # Drawing to the store block's end made 132, 112 of them decrements.
+    spec = str(REPO_SPECS / "schur_random.json")
+    argv = ["simulate", "--spec", spec, "--out"]
+    assert run_cli(argv + [str(tmp_path / "short"), "--horizon", "20"]) == 2
+    assert (eigensolve_counts["eigh"], eigensolve_counts.calls["eigh"]) == (
+        39, 21
+    )
+    # a full run still draws each block's decrements in one stacked eigh:
+    # 160 steps' eigh and 159 decrements in two calls
+    eigensolve_counts.reset()
+    assert run_cli(argv + [str(tmp_path / "full")]) == 0
+    assert (eigensolve_counts["eigh"], eigensolve_counts.calls["eigh"]) == (
+        319, 162
+    )
 
 
 def test_bundled_specs_build():

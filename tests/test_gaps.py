@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -488,10 +489,16 @@ def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
         read = record_reads(monkeypatch, chain)
         report = rate_bound_check(chain, cert)
         assert report.n0 + int(report.j[-1]) == 20
-        assert max(read) == 20
         if chain is analytic:
-            # the n0 scan starts at the certificate's step
+            # the n0 scan starts at the certificate's step, and the search
+            # carried the lhs column, so only steps 1 .. n0 are read again
             assert read[0] == cert.N
+            assert max(read) == report.n0 == 1
+        else:
+            # an empirical limit is the search's last step: the table
+            # makes its own pass, up to that step
+            assert cert._carried is None
+            assert max(read) == 20
         # a product run to step 9 reads no step past it either
         for fixed_spaces in (False, True):
             read.clear()
@@ -507,6 +514,71 @@ def test_rate_bound_reads_no_step_past_the_searched_horizon(monkeypatch):
         ):
             rate_bound_check(chain, GapCertificate(0.1, 1, (), "analytic", 81))
         assert read == []
+
+
+def assert_same_report(got, want):
+    for name in ("n0", "eta_prime_norm", "fixed_component_norm",
+                 "fitted_slope"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("j", "lhs", "rhs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_rate_bound_makes_its_own_pass_unless_the_probe_was_carried(
+    monkeypatch,
+):
+    # the table's own pass, from a certificate that carries nothing, is
+    # what every report must equal bit for bit
+    chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
+    cert = certificate_search(chain, horizon=40)
+    assert cert._carried is not None
+    bare = dataclasses.replace(cert, _carried=None)
+    assert bare == cert
+    probe = np.random.default_rng(0).standard_normal(6)
+    shifted = cert._carried.probe.copy()
+    shifted[0] = np.nextafter(shifted[0], np.inf)
+    cases = [
+        # the carried probe: steps 1 .. n0 only
+        (cert, None, 1),
+        # a given probe, a search at another tolerance, and a carried
+        # probe one bit away from the table's own: the table's own pass
+        (cert, probe, 40),
+        (certificate_search(chain, horizon=40, tol_eig=1e-8), None, 40),
+        (
+            dataclasses.replace(
+                cert, _carried=cert._carried._replace(probe=shifted)
+            ),
+            None,
+            40,
+        ),
+    ]
+    for certificate, given, reach in cases:
+        want = rate_bound_check(chain, bare, given)
+        read = record_reads(monkeypatch, chain)
+        assert_same_report(rate_bound_check(chain, certificate, given), want)
+        assert max(read) == reach
+        monkeypatch.undo()
+
+
+def test_certificate_search_reads_each_step_once(monkeypatch):
+    # the carried probe's matvec reads the step the gap test reads, and a
+    # decomposition reads no step through operator_at; staged_peel_chain
+    # violates its gap three times, gap_engineered_chain carries a probe
+    staged = staged_peel_chain()
+    for chain in (staged, gap_engineered_chain(6, 0.1, 2, 5, 80)):
+        reads = []
+
+        def counted(n, _method=chain.operator_at):
+            reads.append(n)
+            return _method(n)
+
+        monkeypatch.setattr(chain, "operator_at", counted)
+        cert = certificate_search(chain)
+        assert isinstance(cert, GapCertificate)
+        assert (len(cert.rank_trajectory), cert._carried is None) == (
+            (4, True) if chain is staged else (1, False)
+        )
+        assert reads == list(range(1, chain.horizon + 1))
 
 
 def test_rate_bound_on_a_short_search_builds_only_its_steps(eigensolve_counts):

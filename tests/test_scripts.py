@@ -62,6 +62,7 @@ def test_artifact_digests_one_line_per_command():
         "gap near_one grid1e-4": 0,
         "simulate schur_random horizon20": 2,
         "gap schur_random horizon20": 0,
+        "gap gap_dim64": 0,
         "verify": 0,
         "verify faulty": 1,
         "verify tol0": 2,
