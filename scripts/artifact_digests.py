@@ -32,7 +32,10 @@ comparisons that fail by less than the default slack), 2 for ``verify
 tol1e-14`` (every step of the conjugated chains of dims 8 and 16 passes
 its positivity check at ``--tol-psd 1e-14``, but their products'
 rounding reaches ``1 + 4.3e-14``, which the default slack accepts, so
-those two chains count as inconclusive), 0 for every other command.  The
+those two chains count as inconclusive), 2 for ``verify eig1e-2`` (at
+``--tol-eig 0.01`` one projection comparison fails only because an
+eigenvalue in ``[0.99, 1 - 1e-9)`` counts as 1, so it is inconclusive),
+0 for every other command.  The
 two ``dim16`` specs are the only ones above dim 10, where the default
 ``tol_psd = 1e-10 * dim`` exceeds ``tol_eig``, so the band
 ``(1 + tol_eig, 1 + tol_psd]`` that the fixed-space rule must cover is
@@ -49,16 +52,19 @@ member.  ``gap gap_dim16 horizon40 tol1e-15`` searches only to step 40,
 which passes ``--tol-psd 1e-15`` where step 46 does not: its certificate
 is analytic, yet its rate table stops at step 40 (41 lines).  ``gap
 near_one grid1e-4`` certifies ``delta`` 1e-4 only from step 360 on a
-finer grid, so it pins a rate table whose ``n0`` scan starts late.
+finer grid, so it pins a rate table whose ``n0`` scan starts late; its
+chain gives the limit but guarantees no gap, and its table rides the
+search's pass, reading steps 1 .. 360 again for ``eta'``.
 ``simulate schur_random horizon20`` exits 2: its empirical limit is
 the run's last step ``T_20``, whose Cauchy gap ``||T_20 - T_10||``
 (6.6e-4) is too large to trust, so the convergence verdicts are
 inconclusive.  ``gap schur_random horizon20`` exits 0: its empirical
 limit and rate table read only the 20 steps that the search checked.
 ``gap gap_dim64`` exits 0; its 800 steps of dim 64 (26 MB as float64)
-are more than a chain keeps, so its store holds one step at a time, and
-its rate table takes ``lhs`` from the search's own pass and reads only
-step 1 (``n0``) again.
+are more than a chain keeps, so its store holds one block at a time.
+Its search carries the rate table's probe, as on every chain whose
+generator gives the limit, so the table takes ``lhs`` from the search's
+pass and reads only step 1 (``n0``) again.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ COMMANDS = (
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("verify tol0", ["verify", "--seeds", "1", "--tol-psd", "0"]),
     ("verify tol1e-14", ["verify", "--seeds", "1", "--tol-psd", "1e-14"]),
+    ("verify eig1e-2", ["verify", "--seeds", "1", "--tol-eig", "0.01"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),
     (
         "nonexample ties",

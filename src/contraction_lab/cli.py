@@ -9,7 +9,9 @@ Exit codes are a stable contract:
         horizon, a PSD-slack verdict that only the default slack
         absorbs under a lower ``--tol-psd``, or, for ``verify``, a
         corpus chain or item that is not a positive contraction under
-        the given tolerances)
+        the given tolerances, or a projection comparison that fails
+        where an operand eigenvalue counts as 1 only under a
+        ``--tol-eig`` coarser than the default)
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option, spec or grid, a
         chain with a step or limit that is not a positive contraction

@@ -238,12 +238,13 @@ def certificate_search(
     to be a positive contraction under ``tol_psd``, and refused by name
     when it is not.
 
-    When the generator gives the limit and guarantees a gap, the same
-    pass carries the rate table's default probe: ``xi_perp``, split
-    against the limit's fixed projection, is multiplied by each step read
-    and ``||S_n xi_perp||`` recorded, so that :func:`rate_bound_check`
-    takes its ``lhs`` column from the certificate and reads only steps
-    ``1 .. n0`` again.
+    When the generator gives the limit, the same pass carries the rate
+    table's default probe: ``xi_perp``, split against the limit's fixed
+    projection, is multiplied by each step read and ``||S_n xi_perp||``
+    recorded, so that :func:`rate_bound_check` takes its ``lhs`` column
+    from the certificate and reads only steps ``1 .. n0`` again.  The
+    split costs one ``eigh`` of the limit, spent for nothing on a search
+    that ends without a certificate.
     """
     h = chain.run_horizon(horizon)
     grid = _validate_grid(delta_grid, tol_eig)
@@ -310,14 +311,11 @@ def _carry_default_probe(
     chain: ContractionChain, h: int, tol_eig: float, tol_psd: float | None
 ) -> _CarriedProbe | None:
     """The rate table's default probe split against the chain's analytic
-    limit, with room for ``h`` norms, when its generator also guarantees
-    a gap, so that a certificate and a table are expected to follow.
-    None otherwise: an empirical limit is known only at the end, and the
-    split's ``eigh`` would be wasted on a search that ends without a
-    certificate.  None too for a limit that the projection refuses (the
-    table refuses it in its turn)."""
+    limit, with room for ``h`` norms.  None for an empirical limit, which
+    is known only at the end, and for a limit that the projection refuses
+    (the table refuses it in its turn)."""
     limit = chain.analytic_limit
-    if limit is None or chain.gap_guarantee is None:
+    if limit is None:
         return None
     try:
         proj = fixed_point_projection(limit, tol_eig=tol_eig, tol_psd=tol_psd)
@@ -427,14 +425,14 @@ def rate_bound_check(
     probe among them (``_given_probes``), are checked before any step is
     read.
 
-    The ``lhs`` column comes from the certificate when its search
-    carried this table's default probe (:func:`certificate_search`, on
-    a chain whose generator gives the limit and guarantees a gap) at the
-    same tolerances, together with the limit's projection: then only
-    steps ``1 .. n0`` are read again, for ``eta'``.  Otherwise the table
-    makes its own forward pass from ``T_1``, with the same matvecs in the
-    same order: for any other chain, a given probe, other tolerances, or
-    a carried probe that differs in any bit from its own.
+    ``lhs`` is a slice of a column of ``||S_n xi_perp||``: the one that
+    :func:`certificate_search` carried, together with the limit's
+    projection, when it carried this table's default probe (on a chain
+    whose generator gives the limit) at the same tolerances and bit for
+    bit; otherwise one the table fills over steps ``1 .. n0 + j_max``,
+    with the same matvecs in the same order (an empirical limit, a given
+    probe, other tolerances).  Then one replay of steps ``1 .. n0``
+    gives ``eta'``.
     """
     if not epsilon >= 0.0:  # NaN too
         raise PreconditionError(f"epsilon must be >= 0, got {epsilon}")
@@ -462,14 +460,11 @@ def rate_bound_check(
     fixed_part = proj.matrix @ xi
     xi_perp = xi - fixed_part
 
-    def step_projection(n: int) -> Projection:
-        decomp = chain.decomposition_at(n)
-        return _projection_onto(
-            _fixed_space(decomp, tol_eig, tol_psd, f"step {n}")
-        )
-
     for n0 in range(certificate.n_start, last + 1):
-        if np.linalg.norm(step_projection(n0).matrix @ xi_perp) <= epsilon:
+        decomp = chain.decomposition_at(n0)
+        space = _fixed_space(decomp, tol_eig, tol_psd, f"step {n0}")
+        settled = _projection_onto(space).matrix @ xi_perp
+        if np.linalg.norm(settled) <= epsilon:
             break
     else:
         raise PreconditionError(
@@ -478,23 +473,18 @@ def rate_bound_check(
         )
     jm = last - n0 if j_max is None else min(j_max, last - n0)
 
-    # a scan that stopped at n0 reads T_n0 from the chain's handover
-    eta = xi_perp - step_projection(n0).matrix @ xi_perp
+    eta = xi_perp - settled
     vector = xi_perp.astype(eta.dtype, copy=True)
-    own = carried is None or not _same_bits(carried.probe, vector)
-    if own:
-        lhs, stop = np.empty(jm + 1), n0 + jm
+    if carried is None or not _same_bits(carried.probe, vector):
+        norms = np.empty(n0 + jm)
+        for n in range(1, n0 + jm + 1):
+            vector = chain.operator_at(n).entries @ vector
+            norms[n - 1] = np.linalg.norm(vector)
     else:
-        # the search carried S_n xi_perp; replay steps 1 .. n0 for eta
-        lhs, stop = carried.norms[n0 - 1 : n0 + jm].copy(), n0
-    for n in range(1, stop + 1):
-        op = chain.operator_at(n).entries
-        if own:
-            vector = op @ vector
-            if n >= n0:
-                lhs[n - n0] = np.linalg.norm(vector)
-        if n <= n0:
-            eta = op @ eta
+        norms = carried.norms
+    lhs = norms[n0 - 1 : n0 + jm].copy()
+    for n in range(1, n0 + 1):
+        eta = chain.operator_at(n).entries @ eta
     eta_norm = float(np.linalg.norm(eta))
     js = np.arange(jm + 1)
     rhs = epsilon + (1.0 - certificate.delta) ** js * eta_norm

@@ -22,6 +22,9 @@ Numerical conventions
   ``_not_ordered`` every refusal of an operand pair that is not ordered.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
+  An eigenvalue in ``[1 - tol_eig, 1 - DEFAULT.eig)`` counts as 1 only
+  under a coarse ``tol_eig``; :func:`check_projection_monotone` refuses a
+  comparison that fails with one in an operand.
 * Real symmetric input stays real (``float64``); anything with an
   imaginary part is handled as ``complex128``.
 """
@@ -413,12 +416,34 @@ def check_projection_monotone(
     Preconditions (both operators are positive contractions and the
     ordering holds) are enforced; this function answers the projection
     comparison only, witnessed by the least eigenvalue of ``P - P'``.
+
+    A comparison that fails is refused, by a :class:`PreconditionError`,
+    when an operand has an eigenvalue in ``[1 - tol_eig, 1 - DEFAULT.eig)``,
+    read from the operands' own solves: only a ``tol_eig`` coarser than
+    the default counts it as 1, and the theorem says nothing about the
+    eigenspace of an eigenvalue below 1.  A comparison that holds is
+    returned as it is.
     """
-    _, lower_space = _operand_fixed_space("lower", t_lower, tol_eig, tol_psd)
-    _, upper_space = _operand_fixed_space("upper", t_upper, tol_eig, tol_psd)
+    lower, lower_space = _operand_fixed_space(
+        "lower", t_lower, tol_eig, tol_psd
+    )
+    upper, upper_space = _operand_fixed_space(
+        "upper", t_upper, tol_eig, tol_psd
+    )
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
         raise _not_ordered(ordering.witness)
     p_lower = _projection_onto(lower_space)
     p_upper = _projection_onto(upper_space)
-    return loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd)
+    check = loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd)
+    if not check:
+        for name, decomp in (("lower", lower), ("upper", upper)):
+            w = decomp.eigenvalues
+            band = w[(w >= 1.0 - tol_eig) & (w < 1.0 - DEFAULT.eig)]
+            if band.size:
+                raise PreconditionError(
+                    f"{name} operand eigenvalue {band.max()} counts as 1 "
+                    f"only at tol_eig {tol_eig}: the projection comparison "
+                    f"(min eig of P - P' {check.witness}) proves nothing"
+                )
+    return check

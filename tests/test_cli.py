@@ -721,6 +721,25 @@ def test_verify_runs_each_check_once(tmp_path, monkeypatch, tol_psd):
     assert len(seen["check_projection_monotone"]) == pairs
 
 
+@pytest.mark.parametrize("tol_eig, refused", [("0.01", 1), ("0.1", 21)])
+def test_verify_coarse_tol_eig_monotonicity_is_inconclusive(
+    tmp_path, capsys, tol_eig, refused
+):
+    # a coarse --tol-eig counts eigenvalues in [1 - tol_eig, 1 - 1e-9) as
+    # 1; the projection comparisons it makes fail are inconclusive, where
+    # verify exited 1 with 1 and 21 of 100 pairs failed
+    out = tmp_path / "out"
+    argv = ["verify", "--seeds", "1", "--tol-eig", tol_eig, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ""
+    properties = json.loads((out / "verdicts.json").read_text())["properties"]
+    assert all(counts["fail"] == 0 for counts in properties.values())
+    assert properties["projection_monotonicity"] == {
+        "fail": 0, "inconclusive": refused, "pass": 100 - refused,
+        "total": 100,
+    }
+
+
 def test_verify_maps_an_untrusted_limit_to_inconclusive():
     # at horizon 8 the Schur chain's empirical limit is not trusted, so
     # both convergence verdicts are inconclusive (None), not failed; the

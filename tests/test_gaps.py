@@ -33,8 +33,9 @@ from contraction_lab import (
     random_schur_chain,
     rate_bound_check,
 )
-from contraction_lab import build_chain, gaps, parse_chain_spec
+from contraction_lab import build_chain, chains, gaps, parse_chain_spec
 from contraction_lab.chains import ContractionChain, stream_rng
+from contraction_lab.config import DELTA_GRID
 from contraction_lab.corpus import descent_triple_corpus
 from contraction_lab.gaps import RATE_CSV_HEADER, write_rate_csv
 
@@ -317,9 +318,10 @@ def test_gap_search_decomposes_first_and_violating_steps_once(
     result = certificate_search(chain)
     assert isinstance(result, GapSearchFailure)
     assert len(result.violations) >= 2
-    # one eigh at T_1 and one at each violating step; one eigvalsh gap
-    # test at every step the scan reaches after T_1
-    assert eigensolve_counts["eigh"] == 1 + len(result.violations)
+    # one eigh to split the carried probe against the analytic limit,
+    # one at T_1 and one at each violating step; one eigvalsh gap test at
+    # every step the scan reaches after T_1
+    assert eigensolve_counts["eigh"] == 2 + len(result.violations)
     assert eigensolve_counts["eigvalsh"] == result.violations[-1].n - 1
 
 
@@ -563,7 +565,8 @@ def test_rate_bound_makes_its_own_pass_unless_the_probe_was_carried(
 def test_certificate_search_reads_each_step_once(monkeypatch):
     # the carried probe's matvec reads the step the gap test reads, and a
     # decomposition reads no step through operator_at; staged_peel_chain
-    # violates its gap three times, gap_engineered_chain carries a probe
+    # violates its gap three times, and both chains give their limit, so
+    # both carry a probe
     staged = staged_peel_chain()
     for chain in (staged, gap_engineered_chain(6, 0.1, 2, 5, 80)):
         reads = []
@@ -575,9 +578,8 @@ def test_certificate_search_reads_each_step_once(monkeypatch):
         monkeypatch.setattr(chain, "operator_at", counted)
         cert = certificate_search(chain)
         assert isinstance(cert, GapCertificate)
-        assert (len(cert.rank_trajectory), cert._carried is None) == (
-            (4, True) if chain is staged else (1, False)
-        )
+        assert cert._carried is not None
+        assert len(cert.rank_trajectory) == (4 if chain is staged else 1)
         assert reads == list(range(1, chain.horizon + 1))
 
 
@@ -596,21 +598,60 @@ def test_rate_bound_on_a_short_search_builds_only_its_steps(eigensolve_counts):
     assert chain._built == 20
 
 
+FINE_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.0001)
+
+
 def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
     # on a fine grid near_one is certified only from step 360; the n0
-    # scan starts there, on the search's last eigh (the handover), so the
-    # table's one eigh is the limit's.  A scan from step 1 made 361.
+    # scan starts there, on the search's last eigh (the handover), and the
+    # limit's eigh was the search's, which carried the probe, so the table
+    # makes none.  A scan from step 1 made 361.
     spec = json.loads((SPECS / "near_one.json").read_text())
     chain = build_chain(parse_chain_spec(spec))
-    grid = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.0001)
-    cert = certificate_search(chain, delta_grid=grid)
+    cert = certificate_search(chain, delta_grid=FINE_GRID)
     assert isinstance(cert, GapCertificate)
     assert (cert.delta, cert.N, cert.horizon) == (0.0001, 360, 400)
     eigensolve_counts.reset()
     report = rate_bound_check(chain, cert)
     assert report.n0 == 360
     assert len(report.j) == 41
-    assert eigensolve_counts == {"eigh": 1, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize(
+    "name, grid, n0",
+    [("near_one.json", FINE_GRID, 360),
+     ("conjugated_mixed.json", DELTA_GRID, 20)],
+)
+def test_rate_table_on_an_evicting_chain_reads_only_to_n0(
+    monkeypatch, name, grid, n0
+):
+    # both chains give their limit but guarantee no gap; the search
+    # carries the probe, so a store that keeps one block rebuilds only
+    # steps 1 .. n0 for the table, where the table's own pass read every
+    # step again (400 and 200)
+    spec = parse_chain_spec(json.loads((SPECS / name).read_text()))
+    reports = []
+    for budget in (0, 2**62):
+        monkeypatch.setattr(chains, "_STORE_BYTES", budget)
+        chain = build_chain(spec)
+        reads = []
+
+        def counted(n, _method=chain.operator_at):
+            reads.append(n)
+            return _method(n)
+
+        monkeypatch.setattr(chain, "operator_at", counted)
+        cert = certificate_search(chain, delta_grid=grid)
+        assert isinstance(cert, GapCertificate)
+        assert reads == list(range(1, chain.horizon + 1))
+        reads.clear()
+        reports.append(rate_bound_check(chain, cert))
+        assert reports[-1].n0 == n0
+        assert reads == list(range(1, n0 + 1))
+        kept = sum(block is not None for block in chain._blocks)
+        assert (kept == 1) == (budget == 0)
+    assert_same_report(*reports)
 
 
 def test_write_rate_csv_layout(tmp_path):

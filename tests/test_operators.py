@@ -346,6 +346,37 @@ def test_projection_monotone_one_eigh_per_operand(eigensolve_counts):
         check_projection_monotone(identity(2), diagonal([0.5, 0.5]))
 
 
+def test_projection_monotone_refuses_a_failure_only_a_coarse_tol_eig_made(
+    eigensolve_counts,
+):
+    # lower = 0.995 v v^T <= upper = diag(1, 0.995, 0.5) with v tilted
+    # towards e3: at tol_eig 0.01 both 0.995 count as 1, and span(v) is
+    # not inside span(e1, e2), but the theorem is about eigenvalue 1 only
+    tilt = math.sqrt(0.004)
+    v = np.array([math.sqrt(1.0 - tilt**2), 0.0, tilt])
+    upper = diagonal([1.0, 0.995, 0.5])
+    lower = Operator(0.995 * np.outer(v, v))
+    assert check_projection_monotone(lower, upper)
+    eigensolve_counts.reset()
+    with pytest.raises(
+        PreconditionError,
+        match=r"^lower operand eigenvalue 0\.99\d* counts as 1 only at "
+        r"tol_eig 0\.01: the projection comparison \(min eig of P - P' "
+        r"-0\.\d+(e-\d+)?\) proves nothing$",
+    ):
+        check_projection_monotone(lower, upper, tol_eig=0.01)
+    # the refusal reads the eigenvalues the check computed
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2}
+    # a failure with no eigenvalue in [1 - tol_eig, 1 - DEFAULT.eig) is
+    # still a failure: e3 is fixed by lower and not by upper, which only a
+    # wide tol_psd lets pass as ordered
+    check = check_projection_monotone(
+        diagonal([0.0, 0.0, 1.0]), diagonal([1.0, 1.0, 0.999]),
+        tol_eig=1e-4, tol_psd=0.01,
+    )
+    assert not check and check.witness == -1.0
+
+
 @given(seed=seeds(), dim=small_dims())
 def test_projection_monotone_random_shrink(seed, dim):
     rng = stream_rng(seed, 42)

@@ -67,6 +67,7 @@ def test_artifact_digests_one_line_per_command():
         "verify faulty": 1,
         "verify tol0": 2,
         "verify tol1e-14": 2,
+        "verify eig1e-2": 2,
         "nonexample": 0,
         "nonexample ties": 0,
         "nonexample wide": 1,
