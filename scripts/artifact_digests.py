@@ -64,7 +64,15 @@ limit and rate table read only the 20 steps that the search checked.
 are more than a chain keeps, so its store holds one block at a time.
 Its search carries the rate table's probe, as on every chain whose
 generator gives the limit, so the table takes ``lhs`` from the search's
-pass and reads only step 1 (``n0``) again.
+pass and reads only step 1 (``n0``) again.  ``simulate schur_random
+eig0``, ``verify eig0`` and ``verify eig5e-1`` exit 2: a ``--tol-eig``
+finer (0) or coarser (0.5) than the default moves which eigenvalues
+near 1 count as 1, and a verdict on a fixed space that fails with such
+an eigenvalue in the solve it read is inconclusive (at 0 rounding
+leaves fixed eigenvalues just below 1, so the Schur chain's ranks rise
+and 30 of 100 projection comparisons fail; at 0.5 the limits'
+projections count eigenvalues down to 0.5, so 11 of 20 chains'
+adjoint and operator-norm convergence fail).
 """
 
 from __future__ import annotations
@@ -123,11 +131,17 @@ COMMANDS = (
         ["gap", "--spec", "schur_random.json", "--horizon", "20"],
     ),
     ("gap gap_dim64", ["gap", "--spec", "gap_dim64.json"]),
+    (
+        "simulate schur_random eig0",
+        ["simulate", "--spec", "schur_random.json", "--tol-eig", "0"],
+    ),
     ("verify", ["verify", "--seeds", "1"]),
     ("verify faulty", ["verify", "--seeds", "1", "--include-faulty-fixture"]),
     ("verify tol0", ["verify", "--seeds", "1", "--tol-psd", "0"]),
     ("verify tol1e-14", ["verify", "--seeds", "1", "--tol-psd", "1e-14"]),
     ("verify eig1e-2", ["verify", "--seeds", "1", "--tol-eig", "0.01"]),
+    ("verify eig0", ["verify", "--seeds", "1", "--tol-eig", "0"]),
+    ("verify eig5e-1", ["verify", "--seeds", "1", "--tol-eig", "0.5"]),
     ("nonexample", ["nonexample", "--nmax", "30"]),
     (
         "nonexample ties",

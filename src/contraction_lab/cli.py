@@ -7,11 +7,11 @@ Exit codes are a stable contract:
     2   inconclusive (empirical limit not trusted, products not yet
         converged by the horizon, no rate table within the searched
         horizon, a PSD-slack verdict that only the default slack
-        absorbs under a lower ``--tol-psd``, or, for ``verify``, a
-        corpus chain or item that is not a positive contraction under
-        the given tolerances, or a projection comparison that fails
-        where an operand eigenvalue counts as 1 only under a
-        ``--tol-eig`` coarser than the default)
+        absorbs under a lower ``--tol-psd``, a verdict on a fixed space
+        that fails where an eigenvalue counts as 1 under only one of
+        ``--tol-eig`` and the default, or, for ``verify``, a corpus
+        chain or item that is not a positive contraction under the
+        given tolerances)
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option, spec or grid, a
         chain with a step or limit that is not a positive contraction

@@ -30,15 +30,15 @@ from .operators import (
     Operator,
     Projection,
     _contraction_witness,
+    _fixed_projection,
     _fixed_space,
     _not_a_contraction,
     _not_ordered,
-    _operand_fixed_space,
-    _projection_onto,
     _psd_slack,
     fixed_point_projection,
     hermitian_eigenvalues,
     loewner_leq,
+    spectral_decompose,
 )
 from .products import _given_probes, _write_rows, limit_operator
 
@@ -342,12 +342,10 @@ def rank_strict_descent_check(
     solve (:func:`_check_delta`); then one ``eigh`` per operator serves
     its positivity check, its gap test and its fixed-space rank."""
     _check_delta(delta, tol_eig)
-    upper, upper_space = _operand_fixed_space(
-        "upper", t_upper, tol_eig, tol_psd
-    )
-    lower, lower_space = _operand_fixed_space(
-        "lower", t_lower, tol_eig, tol_psd
-    )
+    upper = spectral_decompose(t_upper)
+    upper_space = _fixed_space(upper, tol_eig, tol_psd, "upper operand")
+    lower = spectral_decompose(t_lower)
+    lower_space = _fixed_space(lower, tol_eig, tol_psd, "lower operand")
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
         raise _not_ordered(ordering.witness)
@@ -462,8 +460,8 @@ def rate_bound_check(
 
     for n0 in range(certificate.n_start, last + 1):
         decomp = chain.decomposition_at(n0)
-        space = _fixed_space(decomp, tol_eig, tol_psd, f"step {n0}")
-        settled = _projection_onto(space).matrix @ xi_perp
+        step = _fixed_projection(decomp, tol_eig, tol_psd, f"step {n0}")
+        settled = step.matrix @ xi_perp
         if np.linalg.norm(settled) <= epsilon:
             break
     else:

@@ -34,7 +34,6 @@ from .products import (
 
 __all__ = [
     "flat_index",
-    "row_col",
     "NonexampleSequence",
     "StepDistanceReport",
     "CoordinateDecay",
@@ -66,11 +65,6 @@ _TAIL_K_MAX = 3  # verify_vanishing_conditions bounds k-step tails, k <= this
 def flat_index(n: int, j: int) -> int:
     """Triangular enumeration: row n occupies (n-1)n/2 + 1 .. n(n+1)/2."""
     return j + (n - 1) * n // 2
-
-
-def row_col(m: int) -> tuple[int, int]:
-    n = (math.isqrt(8 * m - 7) + 1) // 2
-    return n, m - (n - 1) * n // 2
 
 
 @dataclass(frozen=True, eq=False)

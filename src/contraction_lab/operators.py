@@ -22,9 +22,12 @@ Numerical conventions
   ``_not_ordered`` every refusal of an operand pair that is not ordered.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
-  An eigenvalue in ``[1 - tol_eig, 1 - DEFAULT.eig)`` counts as 1 only
-  under a coarse ``tol_eig``; :func:`check_projection_monotone` refuses a
-  comparison that fails with one in an operand.
+  ``_eig_band`` reads from the same solve the largest eigenvalue that
+  ``tol_eig`` and ``DEFAULT.eig`` cluster differently, and the one
+  builder of projections, ``_fixed_projection``, keeps it as the band
+  witness: as with ``_slack_verdict`` for ``tol_psd``, a verdict on a
+  fixed space that fails with one is inconclusive, and one that holds
+  stands.
 * Real symmetric input stays real (``float64``); anything with an
   imaginary part is handled as ``complex128``.
 """
@@ -138,14 +141,13 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """An orthogonal projection together with its rank."""
+    """An orthogonal projection together with its rank, and the band
+    witness :func:`_eig_band` read from the eigenvalues it was built
+    from (None when it found none)."""
 
     operator: Operator
     rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
+    band: float | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -227,20 +229,25 @@ def _fixed_space(
     return decomp.eigenvectors[:, decomp.eigenvalues >= 1.0 - tol_eig]
 
 
-def _operand_fixed_space(
-    name: str, op: Operator, tol_eig: float, tol_psd: float | None
-) -> tuple[SpectralDecomposition, np.ndarray]:
-    """One ``eigh`` of an operand and its fixed space; a failed
-    positivity check names the ``name`` operand."""
-    decomp = spectral_decompose(op)
-    return decomp, _fixed_space(decomp, tol_eig, tol_psd, f"{name} operand")
+def _eig_band(eigenvalues: np.ndarray, tol_eig: float) -> float | None:
+    """The largest eigenvalue in ``[1 - tol_eig, 1 - DEFAULT.eig)`` under
+    a coarser ``tol_eig``, in ``[1 - DEFAULT.eig, 1 - tol_eig)`` under a
+    finer one: one that the two cluster differently.  None if none."""
+    low, high = sorted((1.0 - tol_eig, 1.0 - DEFAULT.eig))
+    band = eigenvalues[(eigenvalues >= low) & (eigenvalues < high)]
+    return float(band.max()) if band.size else None
 
 
-def _projection_onto(space: np.ndarray) -> Projection:
-    """Projection onto orthonormal columns, such as a basis from
-    :func:`_fixed_space`."""
+def _fixed_projection(
+    decomp: SpectralDecomposition, tol_eig: float, tol_psd: float | None,
+    subject: str | None = None,
+) -> Projection:
+    """The projection onto :func:`_fixed_space`'s basis (which refuses
+    ``subject``) with :func:`_eig_band`'s witness as its ``band``."""
+    space = _fixed_space(decomp, tol_eig, tol_psd, subject)
     # with no columns the product is the zero matrix of the basis dtype
-    return Projection(Operator(space @ space.conj().T), space.shape[1])
+    op = Operator(space @ space.conj().T)
+    return Projection(op, space.shape[1], _eig_band(decomp.eigenvalues, tol_eig))
 
 
 def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
@@ -292,9 +299,7 @@ def fixed_point_projection(
     contractions.  One ``eigh`` serves both the positivity check and the
     projection.
     """
-    return _projection_onto(
-        _fixed_space(spectral_decompose(op), tol_eig, tol_psd)
-    )
+    return _fixed_projection(spectral_decompose(op), tol_eig, tol_psd)
 
 
 def loewner_leq(
@@ -418,32 +423,32 @@ def check_projection_monotone(
     comparison only, witnessed by the least eigenvalue of ``P - P'``.
 
     A comparison that fails is refused, by a :class:`PreconditionError`,
-    when an operand has an eigenvalue in ``[1 - tol_eig, 1 - DEFAULT.eig)``,
-    read from the operands' own solves: only a ``tol_eig`` coarser than
-    the default counts it as 1, and the theorem says nothing about the
-    eigenspace of an eigenvalue below 1.  A comparison that holds is
-    returned as it is.
+    when an operand's projection, lower first, has a band witness read
+    from its own solve: only a ``tol_eig`` coarser than the default
+    counts that eigenvalue as 1, or only a finer one does not, and the
+    theorem says nothing about what rounding or a coarse clustering
+    decides.  A comparison that holds is returned as it is.
     """
-    lower, lower_space = _operand_fixed_space(
-        "lower", t_lower, tol_eig, tol_psd
+    p_lower = _fixed_projection(
+        spectral_decompose(t_lower), tol_eig, tol_psd, "lower operand"
     )
-    upper, upper_space = _operand_fixed_space(
-        "upper", t_upper, tol_eig, tol_psd
+    p_upper = _fixed_projection(
+        spectral_decompose(t_upper), tol_eig, tol_psd, "upper operand"
     )
     ordering = loewner_leq(t_lower, t_upper, tol_psd=tol_psd)
     if not ordering:
         raise _not_ordered(ordering.witness)
-    p_lower = _projection_onto(lower_space)
-    p_upper = _projection_onto(upper_space)
     check = loewner_leq(p_lower.operator, p_upper.operator, tol_psd=tol_psd)
-    if not check:
-        for name, decomp in (("lower", lower), ("upper", upper)):
-            w = decomp.eigenvalues
-            band = w[(w >= 1.0 - tol_eig) & (w < 1.0 - DEFAULT.eig)]
-            if band.size:
-                raise PreconditionError(
-                    f"{name} operand eigenvalue {band.max()} counts as 1 "
-                    f"only at tol_eig {tol_eig}: the projection comparison "
-                    f"(min eig of P - P' {check.witness}) proves nothing"
-                )
+    for name, proj in (("lower", p_lower), ("upper", p_upper)):
+        if not check and proj.band is not None:
+            counted = (
+                f"counts as 1 only at tol_eig {tol_eig}"
+                if tol_eig > DEFAULT.eig
+                else f"counts as 1 only at the default tol_eig, not at {tol_eig}"
+            )
+            raise PreconditionError(
+                f"{name} operand eigenvalue {proj.band} {counted}: the "
+                f"projection comparison (min eig of P - P' {check.witness}) "
+                "proves nothing"
+            )
     return check

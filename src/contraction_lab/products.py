@@ -34,10 +34,11 @@ from .operators import (
     Projection,
     Witnessed,
     _contraction_witness,
+    _eig_band,
     _eigvalsh,
+    _fixed_projection,
     _fixed_space,
     _not_a_contraction,
-    _projection_onto,
     _psd_slack,
     _slack_verdict,
     loewner_margin,
@@ -222,7 +223,8 @@ class ConvergenceTrace:
     spaces.  Then it holds the rank of ``T_n``'s fixed space under the
     same two tolerances for ``n = 1..horizon``: the staircase that, for a
     decreasing chain, can only step down and never ends below
-    ``projection.rank``.
+    ``projection.rank``; ``rank_band`` is then the first step's band
+    witness (``operators._eig_band``) that the walk met, if any.
     """
 
     chain_kind: str
@@ -243,6 +245,7 @@ class ConvergenceTrace:
     tol_eig: float
     tol_psd: float
     ranks: np.ndarray | None = None
+    rank_band: float | None = None
 
     @property
     def probe_count(self) -> int:
@@ -291,20 +294,22 @@ def iterate_products(
         raise PreconditionError("probe_ids given without probes")
     tol = _psd_slack(dim, tol_psd)
 
-    ranks = None
+    ranks = rank_band = None
     if fixed_spaces:
-        spaces = (
-            _fixed_space(chain.decomposition_at(n), tol_eig, tol, f"step {n}")
-            for n in range(1, h + 1)
-        )
-        ranks = np.array([space.shape[1] for space in spaces])
+        ranks = np.empty(h, dtype=int)
+        for n in range(1, h + 1):
+            decomp = chain.decomposition_at(n)
+            space = _fixed_space(decomp, tol_eig, tol, f"step {n}")
+            ranks[n - 1] = space.shape[1]
+            if rank_band is None:
+                rank_band = _eig_band(decomp.eigenvalues, tol_eig)
     info = limit_operator(chain, h)
     if info.provenance == "empirical":
         # the empirical limit is T_h, the run's own last step
         limit_decomp = chain.decomposition_at(h)
     else:
         limit_decomp = spectral_decompose(info.operator)
-    proj = _projection_onto(_fixed_space(limit_decomp, tol_eig, tol))
+    proj = _fixed_projection(limit_decomp, tol_eig, tol)
 
     ids, mat = given or default_probes(
         dim, proj, 0 if chain.seed is None else chain.seed
@@ -400,6 +405,7 @@ def iterate_products(
         tol_eig=tol_eig,
         tol_psd=tol,
         ranks=ranks,
+        rank_band=rank_band,
     )
 
 
@@ -683,7 +689,9 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     An error has converged when its final value is below
     ``DEFAULT.convergence``.  Convergence verdicts become
     ``"inconclusive"`` rather than booleans when the limit is empirical
-    and its Cauchy gap is too large to trust.  ``status`` is ``"fail"``
+    and its Cauchy gap is too large to trust, or when they fail against
+    a projection with a band witness; a rank verdict that fails with a
+    ``rank_band`` is None (inconclusive).  ``status`` is ``"fail"``
     only when a theorem-backed verdict (``_THEOREM_VERDICTS``) is false;
     a false or inconclusive convergence verdict makes it
     ``"inconclusive"``.  ``product_norm_bounded`` is ``_slack_verdict``'s
@@ -704,7 +712,10 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     threshold = DEFAULT.convergence
 
     def convergence_verdict(value: float):
-        return bool(value < threshold) if conclusive else "inconclusive"
+        converged = bool(value < threshold)
+        if conclusive and (converged or trace.projection.band is None):
+            return converged
+        return "inconclusive"
 
     verdicts = {
         "product_norm_bounded": _slack_verdict(
@@ -720,9 +731,12 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     ranks = trace.ranks
     if ranks is not None:
         # a decreasing chain's fixed spaces shrink towards the limit's
-        verdicts["ranks_nonincreasing"] = bool(np.all(np.diff(ranks) <= 0))
-        verdicts["final_rank_dominates"] = bool(
-            ranks[-1] >= trace.projection.rank
+        on_failure = False if trace.rank_band is None else None
+        verdicts["ranks_nonincreasing"] = (
+            bool(np.all(np.diff(ranks) <= 0)) or on_failure
+        )
+        verdicts["final_rank_dominates"] = (
+            bool(ranks[-1] >= trace.projection.rank) or on_failure
         )
 
     # a product that has not converged by the horizon may only need more

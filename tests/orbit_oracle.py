@@ -1,10 +1,10 @@
 """Dense references for the sparse orbit code in ``nonexample``.
 
-The orbit, its Givens arithmetic and its greedy net as they were first
-written, on dense ``(count, n_max + 1)`` vectors: slow and O(n_max^3) in
-memory, but with nothing to get wrong about supports.  Also the
-CSV files the artifact writers must reproduce byte for byte, written a
-row at a time by ``csv.writer``.
+The orbit, its row/column index, its Givens arithmetic and its greedy
+net as they were first written, on dense ``(count, n_max + 1)``
+vectors: slow and O(n_max^3) in memory, but with nothing to get wrong
+about supports.  Also the CSV files the artifact writers must reproduce
+byte for byte, written a row at a time by ``csv.writer``.
 """
 
 import csv
@@ -25,6 +25,13 @@ def dense_orbit(n_max):
             vectors[m, n] = math.sin((j - 1) * theta)
             m += 1
     return vectors
+
+
+def row_col(m):
+    """Row ``n`` and column ``j`` of point ``m``, inverting
+    ``nonexample.flat_index``."""
+    n = (math.isqrt(8 * m - 7) + 1) // 2
+    return n, m - (n - 1) * n // 2
 
 
 def dense_step_distances(vectors):

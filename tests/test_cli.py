@@ -740,6 +740,80 @@ def test_verify_coarse_tol_eig_monotonicity_is_inconclusive(
     }
 
 
+@pytest.mark.parametrize(
+    "options, refused",
+    [
+        (["--tol-eig", "0.5"],
+         {"adjoint_convergence": 11, "operator_norm_convergence": 11}),
+        (["--tol-eig", "0"],
+         {"projection_monotonicity": 30, "adjoint_convergence": 2,
+          "operator_norm_convergence": 2}),
+        (["--tol-eig", "1e-15"], {"projection_monotonicity": 3}),
+        (["--dims", "2", "--tol-eig", "1"],
+         {"adjoint_convergence": 5, "operator_norm_convergence": 5}),
+    ],
+    ids=["eig5e-1", "eig0", "eig1e-15", "dims2-eig1"],
+)
+def test_verify_band_failures_are_inconclusive(
+    tmp_path, capsys, options, refused
+):
+    # a --tol-eig coarser or finer than the default moves which
+    # eigenvalues near 1 count as 1; a verdict on a fixed space that
+    # fails with such an eigenvalue is inconclusive, where verify exited
+    # 1 with these counts failed
+    out = tmp_path / "out"
+    argv = ["verify", "--seeds", "1", *options, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ""
+    properties = json.loads((out / "verdicts.json").read_text())["properties"]
+    assert all(counts["fail"] == 0 for counts in properties.values())
+    for name, count in refused.items():
+        assert properties[name]["inconclusive"] == count, name
+
+
+# bundled specs where rounding leaves a step's fixed eigenvalue just below
+# 1, so at this --tol-eig the ranks rise somewhere along the chain
+FINE_TOL_EIG_RANKS_RISE = {
+    "0": (
+        "conjugated_mixed.json",
+        "gap_dim16.json",
+        "gap_dim64.json",
+        "gap_engineered.json",
+        "schur_dim16.json",
+        "schur_random.json",
+    ),
+    "1e-15": (
+        "gap_dim16.json",
+        "gap_dim64.json",
+        "schur_dim16.json",
+        "schur_random.json",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, tol_eig",
+    [
+        (spec, tol_eig)
+        for tol_eig, specs in FINE_TOL_EIG_RANKS_RISE.items()
+        for spec in specs
+    ],
+)
+def test_simulate_fine_tol_eig_rank_rise_is_inconclusive(
+    tmp_path, capsys, spec, tol_eig
+):
+    # the default tol_eig counts those eigenvalues as 1, so the rank
+    # verdict is null and the run inconclusive, where simulate exited 1
+    argv = ["simulate", "--spec", str(REPO_SPECS / spec), "--tol-eig",
+            tol_eig, "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["verdicts"]["ranks_nonincreasing"] is None
+    assert summary["status"] == "inconclusive"
+
+
 def test_verify_maps_an_untrusted_limit_to_inconclusive():
     # at horizon 8 the Schur chain's empirical limit is not trusted, so
     # both convergence verdicts are inconclusive (None), not failed; the

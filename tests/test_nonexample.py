@@ -22,7 +22,6 @@ from contraction_lab.nonexample import (
     _step_pairs,
     flat_index,
     reconstruction_error,
-    row_col,
     write_givens_csv,
     write_net_csv,
     write_sequence_csv,
@@ -37,6 +36,7 @@ from orbit_oracle import (
     reference_givens_csv,
     reference_sequence_csv,
     rotation,
+    row_col,
     scalar_greedy_net,
     step_plane,
     step_rotation,

@@ -377,6 +377,54 @@ def test_projection_monotone_refuses_a_failure_only_a_coarse_tol_eig_made(
     assert not check and check.witness == -1.0
 
 
+def test_projection_monotone_refuses_a_failure_only_a_fine_tol_eig_made(
+    eigensolve_counts,
+):
+    # lower = diag(1, 0.5) <= upper = diag(1 - 1e-12, 0.6) within the
+    # default slack: at tol_eig 0 upper's top eigenvalue is not 1, so P'
+    # = e1 e1^T is not below P = 0, but only rounding tells 1 - 1e-12
+    # from 1, and the default tol_eig counts it as 1
+    lower = diagonal([1.0, 0.5])
+    upper = diagonal([1.0 - 1e-12, 0.6])
+    assert check_projection_monotone(lower, upper)
+    eigensolve_counts.reset()
+    with pytest.raises(
+        PreconditionError,
+        match=r"^upper operand eigenvalue 0\.999999999999 counts as 1 only at "
+        r"the default tol_eig, not at 0\.0: the projection comparison \(min "
+        r"eig of P - P' -1\.0\) proves nothing$",
+    ):
+        check_projection_monotone(lower, upper, tol_eig=0.0)
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2}
+    # with a band eigenvalue in both operands the lower one is named first
+    lower = diagonal([1.0, 1.0 - 1e-12, 0.0])
+    upper = diagonal([1.0 - 1e-12, 1.0 - 1e-12, 0.5])
+    with pytest.raises(PreconditionError, match=r"^lower operand eigenvalue"):
+        check_projection_monotone(lower, upper, tol_eig=0.0)
+
+
+def test_eig_band_is_the_eigenvalues_the_two_tolerances_cluster_apart():
+    from contraction_lab.operators import _eig_band
+
+    w = np.array([0.2, 0.6, 0.99, 1.0 - 1e-12, 1.0 - 1e-13, 1.0])
+    assert _eig_band(w, DEFAULT.eig) is None
+    # coarser: [1 - tol_eig, 1 - DEFAULT.eig)
+    assert _eig_band(w, 0.5) == 0.99
+    assert _eig_band(w, 0.8) == 0.99
+    assert _eig_band(w, 1e-3) is None
+    # finer: [1 - DEFAULT.eig, 1 - tol_eig)
+    assert _eig_band(w, 0.0) == 1.0 - 1e-13
+    assert _eig_band(w, 5e-13) == 1.0 - 1e-12
+    assert _eig_band(w[:3], 0.0) is None
+    # an eigenvalue of 0 is in the band of tol_eig 1, and is its witness
+    assert _eig_band(np.array([0.0, 1.0]), 1.0) == 0.0
+    # a projection carries the band of the solve it was built from
+    op = diagonal([1.0, 0.6])
+    assert fixed_point_projection(op).band is None
+    assert fixed_point_projection(op, tol_eig=0.5).band == 0.6
+    assert fixed_point_projection(diagonal([1.0 - 1e-12]), tol_eig=0.0).band
+
+
 @given(seed=seeds(), dim=small_dims())
 def test_projection_monotone_random_shrink(seed, dim):
     rng = stream_rng(seed, 42)

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from contraction_lab import (
     InvariantError,
     Operator,
     PreconditionError,
+    build_chain,
     conjugated_diagonal_chain,
     consecutive_difference_report,
     const,
@@ -24,6 +27,7 @@ from contraction_lab import (
     iterate_products,
     limit_operator,
     orbit_epsilon_net,
+    parse_chain_spec,
     random_schur_chain,
     spectral_decompose,
     trace_summary,
@@ -485,6 +489,39 @@ def test_false_theorem_verdict_fails_summary():
     assert summary["verdicts"]["ranks_nonincreasing"] is True
     assert summary["verdicts"]["final_rank_dominates"] is False
     assert summary["status"] == "fail"
+
+
+def test_convergence_failure_with_a_coarse_band_is_inconclusive():
+    # at tol_eig 0.5 the limit diag(1, 0.7) has projection I, which S_n =
+    # diag(1, 0.7^n) does not converge to; only the clustering counted
+    # 0.7 as 1, so the four convergence verdicts are inconclusive
+    chain = diagonal_chain([const(1.0), const(0.7)], horizon=60)
+    trace = iterate_products(chain, tol_eig=0.5, fixed_spaces=True)
+    verdicts = trace_summary(trace)["verdicts"]
+    for name in ("sot", "adj", "wot", "opnorm"):
+        assert verdicts[f"{name}_converged"] == "inconclusive", name
+    assert trace.projection.rank == 2 and trace.projection.band == 0.7
+    # a verdict that holds stands: every step has rank 2 under tol_eig 0.5
+    assert trace.rank_band == 0.7
+    assert verdicts["ranks_nonincreasing"] is True
+    assert verdicts["final_rank_dominates"] is True
+    # at the default tol_eig the same run converges, with no band
+    trace = iterate_products(chain, fixed_spaces=True)
+    assert trace.projection.band is None and trace.rank_band is None
+    assert trace_summary(trace)["status"] == "pass"
+
+
+def test_rank_failure_with_a_fine_band_is_inconclusive():
+    # at tol_eig 0 rounding leaves some steps' fixed eigenvalue just below
+    # 1, so the ranks go up and down; the default tol_eig counts those as
+    # 1, so ranks_nonincreasing is null (inconclusive), not false
+    spec = Path(__file__).resolve().parents[1] / "specs" / "schur_random.json"
+    chain = build_chain(parse_chain_spec(json.loads(spec.read_text())))
+    trace = iterate_products(chain, tol_eig=0.0, fixed_spaces=True)
+    summary = trace_summary(trace)
+    assert summary["verdicts"]["ranks_nonincreasing"] is None
+    assert summary["status"] == "inconclusive"
+    assert 1.0 - DEFAULT.eig <= trace.rank_band < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,14 @@ def test_artifact_digests_one_line_per_command():
         "simulate schur_random horizon20": 2,
         "gap schur_random horizon20": 0,
         "gap gap_dim64": 0,
+        "simulate schur_random eig0": 2,
         "verify": 0,
         "verify faulty": 1,
         "verify tol0": 2,
         "verify tol1e-14": 2,
         "verify eig1e-2": 2,
+        "verify eig0": 2,
+        "verify eig5e-1": 2,
         "nonexample": 0,
         "nonexample ties": 0,
         "nonexample wide": 1,
