@@ -60,11 +60,16 @@ the run's last step ``T_20``, whose Cauchy gap ``||T_20 - T_10||``
 (6.6e-4) is too large to trust, so the convergence verdicts are
 inconclusive.  ``gap schur_random horizon20`` exits 0: its empirical
 limit and rate table read only the 20 steps that the search checked.
-``gap gap_dim64`` exits 0; its 800 steps of dim 64 (26 MB as float64)
-are more than a chain keeps, so its store holds one block at a time.
+``gap gap_dim64`` exits 0 on 800 steps of dim 64 (26 MB as float64),
+of which its chain, as every curve-built one, holds one block at a time.
 Its search carries the rate table's probe, as on every chain whose
 generator gives the limit, so the table takes ``lhs`` from the search's
-pass and reads only step 1 (``n0``) again.  ``simulate schur_random
+pass and reads only step 1 (``n0``) again.  ``gap gap_dim64 eig0``
+exits 2: at ``--tol-eig 0`` the rounded fixed eigenvalue
+0.9999999999999997 of ``T_1`` lies in every grid delta's window, so the
+grid runs out at step 1, and a failure that read an eigenvalue which
+only the default counts as 1 is inconclusive (``failure.json`` names it
+as ``band``).  ``simulate schur_random
 eig0``, ``verify eig0`` and ``verify eig5e-1`` exit 2: a ``--tol-eig``
 finer (0) or coarser (0.5) than the default moves which eigenvalues
 near 1 count as 1, and a verdict on a fixed space that fails with such
@@ -131,6 +136,10 @@ COMMANDS = (
         ["gap", "--spec", "schur_random.json", "--horizon", "20"],
     ),
     ("gap gap_dim64", ["gap", "--spec", "gap_dim64.json"]),
+    (
+        "gap gap_dim64 eig0",
+        ["gap", "--spec", "gap_dim64.json", "--tol-eig", "0"],
+    ),
     (
         "simulate schur_random eig0",
         ["simulate", "--spec", "schur_random.json", "--tol-eig", "0"],

@@ -54,8 +54,9 @@ __all__ = [
     "build_chain",
 ]
 
-# A chain stores up to dim * dim * horizon operator entries; a spec above
-# this many (1 GiB of float64) is refused before anything is allocated.
+# A Schur chain stores all dim * dim * horizon of its operator entries (a
+# curve-built one holds a block); a spec above this many (1 GiB of
+# float64) is refused before anything is allocated.
 CACHE_CEILING = 2**27
 
 # A chain builds and stores its steps in blocks of consecutive steps
@@ -66,19 +67,6 @@ CACHE_CEILING = 2**27
 # dominates, and one step per block from dim 64 up.  A 1 MiB budget was
 # no faster on ``verify`` and cost 3 MB of resident memory.
 _BLOCK_BYTES = 64 * 1024
-
-# A curve-built chain keeps only the block it read last, and rebuilds an
-# evicted block from its curve table when it is read again, once its
-# whole store (dim * dim * horizon float64 entries) exceeds this many
-# bytes.  Measured with one BLAS thread, `gap` peaks at 140 MiB keeping
-# a 100 MiB store (dim 128, horizon 800) and at 40 MiB evicting it; at
-# the budget (dim 64, horizon 512) it peaks at 54 MiB kept and 38 MiB
-# evicting.  Below the budget every step is kept, because a chain read
-# twice (an order check, then its products, as in verify and simulate)
-# pays a rebuild on its second pass when it evicts: up to 8% of that
-# chain time at dims 16-64 (in-process, best of 3).  Every chain of
-# verify and of the test suite (at most 6.25 MiB) stays whole.
-_STORE_BYTES = 16 * 2**20
 
 # spawn-key namespaces so independent draws never share a stream
 _STREAM_CONJUGATION = 1
@@ -269,9 +257,10 @@ class _Steps:
     no reference to it; the chain lays the steps out in blocks.
 
     A ``whole`` source returns every step asked for, each a function of
-    its index alone, so the chain may drop a block and ask for it again;
-    it is asked for whole blocks.  Any other is asked for steps up to the
-    run's last step at most, and may work ahead to there."""
+    its index alone, so the chain holds only the block it read last and
+    asks again for any other; it is asked for whole blocks.  Any other
+    is asked for steps up to the run's last step at most, and may work
+    ahead to there."""
 
     whole = False
 
@@ -298,29 +287,26 @@ class ContractionChain:
     """Lazy, memoized view of a decreasing chain of positive contractions.
 
     ``operator_at(n)`` is 1-based and defined for ``1 <= n <= horizon``.
-    Steps are built in step order and stored in blocks: read-only
-    ``(block, dim, dim)`` stacks of consecutive steps, each of one dtype,
-    of at most ``_block_steps(dim)`` steps.  ``step_blocks`` hands those
-    stacks out as they are, and ``operator_at(n)`` is an
-    :class:`Operator` over the stored step, so no step is held twice.
-    The chain alone lays its blocks out: it asks its source for the steps
-    that come next, keeps a stack that fills a block as it is, copies a
-    shorter one into the open block, and starts a new block at a step of
-    another dtype.  Curve-built kinds hand out a whole block
-    ``F diag(values_n) F^T`` for a fixed orthogonal frame ``F`` at once;
-    a per-step ``factory`` (a ``Callable[[int], Operator]``) and the
-    Schur recurrence hand out one step per call, and the Schur recurrence
-    draws its decrements ahead no further than the last step of the
-    latest run (:meth:`run_horizon`).  The store is built behind a lock,
-    so recursively defined chains stay consistent under concurrent
-    access.
+    Steps come in blocks: read-only ``(block, dim, dim)`` stacks of
+    consecutive steps, each of one dtype, of at most ``_block_steps(dim)``
+    steps.  ``step_blocks`` hands those stacks out as they are, and
+    ``operator_at(n)`` is an :class:`Operator` over the step in its
+    block, so no step is held twice.
 
-    A curve-built chain whose store, ``dim * dim * horizon * 8`` bytes,
-    exceeds ``_STORE_BYTES`` (16 MiB) keeps only the block it read last:
-    an older block is dropped and, when read again, rebuilt from the
-    curve table under the lock, bit for bit as first built.  Every other
-    chain keeps every step it built: the Schur recurrence and an
-    empirical limit read earlier steps, and a factory need not be pure.
+    A curve-built chain holds only the block it read last, whatever its
+    size: its source hands out a whole block ``F diag(values_n) F^T`` for
+    a fixed orthogonal frame ``F`` at once, and the chain computes the
+    block of any step it is asked for from the curve table, bit for bit
+    the same each time.  Every other chain records every step it built,
+    in step order: the Schur recurrence reads earlier steps, and a
+    per-step ``factory`` (a ``Callable[[int], Operator]``) need not be
+    pure.  Both hand out one step per call; the chain alone lays the
+    record out: it keeps a stack that fills a block as it is, copies a
+    shorter one into the open block, and starts a new block at a step of
+    another dtype.  The Schur recurrence draws its decrements ahead no
+    further than the last step of the latest run (:meth:`run_horizon`).
+    Blocks are built behind a lock, so recursively defined chains stay
+    consistent under concurrent access.
 
     The store holds the operators only, not their eigenvectors, which
     would store another ``dim x dim`` matrix for every step.
@@ -351,29 +337,18 @@ class ContractionChain:
         self.analytic_limit = analytic_limit
         self.gap_guarantee = gap_guarantee
         self._steps = _as_steps(factory)
-        self._evicts = (
-            self._steps.whole and dim * dim * horizon * 8 > _STORE_BYTES
-        )
-        # the blocks in step order (None where evicted), the first step
-        # of each, the index of the block read last, the last step built
-        # (the newest block may be partly built) and the latest run's
-        # last step
-        self._blocks: list[np.ndarray | None] = []
+        # the recorded blocks in step order, the first step of each, the
+        # last step built (the newest block may be partly built) and the
+        # latest run's last step; a whole source records nothing, counts
+        # as built to the horizon, and its first step and block read last
+        # are held
+        self._blocks: list[np.ndarray] = []
         self._firsts: list[int] = []
-        self._held = 0
-        self._built = 0
+        self._built = horizon if self._steps.whole else 0
         self._reach = horizon
+        self._held: tuple[int, np.ndarray] | None = None
         self._handover: tuple[int, SpectralDecomposition] | None = None
         self._lock = threading.RLock()
-
-    def _hold(self, k: int, block: np.ndarray) -> np.ndarray:
-        """Store ``block`` as block ``k``, dropping the block held before
-        when the store evicts; the caller holds the lock."""
-        if self._evicts and self._held != k:
-            self._blocks[self._held] = None
-        self._blocks[k] = block
-        self._held = k
-        return block
 
     def _build(self, n: int) -> None:
         """Build every step up to ``n``; the caller holds the lock."""
@@ -382,13 +357,11 @@ class ContractionChain:
             step = self._built + 1
             size = min(self.horizon - step + 1, _block_steps(dim))
             start, block = step, None
-            # an evicted block came from a whole source, so it is full
             last = self._blocks[-1] if self._blocks else None
             if last is not None and step < self._firsts[-1] + len(last):
                 start, block = self._firsts[-1], last  # open
             end = start + (size if block is None else len(block)) - 1
-            if not self._steps.whole:
-                end = min(end, max(n, self._reach))
+            end = min(end, max(n, self._reach))
             got = self._steps.stack(step, end, self)
             if got.shape[1:] != (dim, dim):
                 raise ChainGenerationError(
@@ -403,28 +376,30 @@ class ContractionChain:
                 start, block = step, got
                 if len(got) < size:
                     block = np.empty((size, dim, dim), got.dtype)
-                self._blocks.append(None)
+                self._blocks.append(block)
                 self._firsts.append(step)
-                self._hold(len(self._blocks) - 1, block)
             if block is not got:
                 block[step - start : step - start + len(got)] = got
             self._built = step + len(got) - 1
 
     def _block_of(self, n: int) -> tuple[int, np.ndarray]:
-        """The first step and the block that hold step ``n``, built up to
-        ``n`` and rebuilt if it was evicted; the caller holds the lock."""
+        """The first step and the block that hold step ``n``: a whole
+        source's computed unless it is the one held, any other's built up
+        to ``n``; the caller holds the lock."""
         if not 1 <= n <= self.horizon:
             raise PreconditionError(
                 f"step {n} outside materialized range 1..{self.horizon}"
             )
+        if self._steps.whole:
+            size = _block_steps(self.dim)
+            first = n - (n - 1) % size
+            if self._held is None or self._held[0] != first:
+                stop = min(first + size - 1, self.horizon)
+                self._held = (first, self._steps.stack(first, stop, self))
+            return self._held
         self._build(n)
         k = bisect.bisect_right(self._firsts, n) - 1
-        first, block = self._firsts[k], self._blocks[k]
-        if block is None:
-            # a whole source's block is the stack of its whole range
-            stop = min(first + _block_steps(self.dim), self.horizon + 1) - 1
-            block = self._hold(k, self._steps.stack(first, stop, self))
-        return first, block
+        return self._firsts[k], self._blocks[k]
 
     def _entries(self, n: int) -> np.ndarray:
         """Step ``n``'s stored entries, read-only."""

@@ -8,10 +8,10 @@ Exit codes are a stable contract:
         converged by the horizon, no rate table within the searched
         horizon, a PSD-slack verdict that only the default slack
         absorbs under a lower ``--tol-psd``, a verdict on a fixed space
-        that fails where an eigenvalue counts as 1 under only one of
-        ``--tol-eig`` and the default, or, for ``verify``, a corpus
-        chain or item that is not a positive contraction under the
-        given tolerances)
+        or a gap search that runs out of grid, where an eigenvalue
+        counts as 1 under only one of ``--tol-eig`` and the default,
+        or, for ``verify``, a corpus chain or item that is not a
+        positive contraction under the given tolerances)
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option, spec or grid, a
         chain with a step or limit that is not a positive contraction
@@ -220,6 +220,13 @@ def cmd_gap(args, parser) -> int:
         write_rate_csv(report, out / "rate_table.csv")
         return EXIT_PASS if report.bound_holds else EXIT_FAIL
     _json_dump(result.to_json_dict(), out / "failure.json")
+    if result.band is not None:
+        print(
+            f"gap search inconclusive: eigenvalue {result.band} counts as "
+            f"1 under only one of tol_eig {args.tol_eig} and the default",
+            file=sys.stderr,
+        )
+        return EXIT_INCONCLUSIVE
     return EXIT_NO_CERTIFICATE
 
 

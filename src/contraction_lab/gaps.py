@@ -30,6 +30,7 @@ from .operators import (
     Operator,
     Projection,
     _contraction_witness,
+    _eig_band,
     _fixed_projection,
     _fixed_space,
     _not_a_contraction,
@@ -139,16 +140,20 @@ class GapSearchFailure:
     """Grid exhausted without a certificate.
 
     Not proof that no gap exists: the chain may have one below the
-    finest grid value, or beyond the horizon.
+    finest grid value, or beyond the horizon.  ``band`` is the first band
+    witness (``operators._eig_band``) the search read: an eigenvalue that
+    ``tol_eig`` and the default cluster differently, so the failure may
+    rest on rounding or a coarse clustering alone.
     """
 
     grid: tuple[float, ...]
     rank_trajectory: tuple[RankStep, ...]
     violations: tuple[GapViolation, ...]
     horizon: int
+    band: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "status": "no_certificate",
             "grid": list(self.grid),
             "rank_trajectory": [
@@ -157,6 +162,9 @@ class GapSearchFailure:
             "violations": [v.to_json_dict() for v in self.violations],
             "horizon": self.horizon,
         }
+        if self.band is not None:
+            doc["band"] = self.band
+        return doc
 
 
 def _violating_eigenvalue(
@@ -233,8 +241,9 @@ def certificate_search(
     each step after ``T_1`` is one :func:`has_gap_at` (``eigvalsh``).
     ``T_1`` and each step that fails it are decomposed once
     (``decomposition_at``), which gives the offending eigenvalue, the
-    next grid delta and the rank; it decides at a window edge.  The
-    horizon and the grid are checked first.  Every step read is checked
+    next grid delta and the rank; it decides at a window edge.  A failure
+    keeps the first band witness read from those solves.  The horizon
+    and the grid are checked first.  Every step read is checked
     to be a positive contraction under ``tol_psd``, and refused by name
     when it is not.
 
@@ -253,6 +262,7 @@ def certificate_search(
 
     trajectory: list[RankStep] = []
     violations: list[GapViolation] = []
+    band = None
     delta = 1.0  # above every grid value, so T_1 may take any
     for n in range(1, h + 1):
         step = chain.operator_at(n)
@@ -268,6 +278,8 @@ def certificate_search(
                 continue
         decomp = chain.decomposition_at(n)
         eigenvalues = decomp.eigenvalues
+        if band is None:
+            band = _eig_band(eigenvalues, tol_eig)
         rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
         if n > 1:
             offender = _violating_eigenvalue(eigenvalues, delta, tol_eig)
@@ -290,7 +302,7 @@ def certificate_search(
                 offender = _violating_eigenvalue(eigenvalues, grid[-1], tol_eig)
                 violations.append(GapViolation(1, grid[-1], float(offender)))
             return GapSearchFailure(
-                grid, tuple(trajectory), tuple(violations), h
+                grid, tuple(trajectory), tuple(violations), h, band
             )
         delta = d
         trajectory.append(RankStep(n, rank, delta))

@@ -271,8 +271,8 @@ def iterate_products(
     :class:`InvariantError`; ``||S_n||`` and convergence quality are
     recorded, not judged.
 
-    The product advances one step at a time over the chain's stored
-    blocks (``ContractionChain.step_blocks``), and the per-step metrics
+    The product advances one step at a time over the chain's blocks
+    (``ContractionChain.step_blocks``), and the per-step metrics
     are taken a block of products at a time; stacked ``matmul``, axis
     reductions and spectral norms give the same bits as one call per
     step.

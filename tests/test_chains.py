@@ -449,18 +449,21 @@ def per_step_schur_entries(dim, seed, horizon, fixed_rank):
 
 def assert_stacks_hold(chain, expected):
     """The chain's blocks and its ``operator_at`` hold exactly
-    ``expected[n - 1]`` at step ``n``, in its dtype, with no copy."""
-    blocks = list(chain.step_blocks())
-    assert sum(len(b) for b in blocks) == chain.horizon
-    assert all(len(b) <= chains._block_steps(chain.dim) for b in blocks)
-    assert all(not b.flags.writeable for b in blocks)
-    held = [(block, step) for block in blocks for step in block]
-    for n, ((block, got), want) in enumerate(zip(held, expected), start=1):
-        assert got.dtype == want.dtype, n
-        assert np.array_equal(got, want), n
-        op = chain.operator_at(n).entries
-        assert not op.flags.writeable
-        assert np.shares_memory(op, block)
+    ``expected[n - 1]`` at step ``n``, in its dtype, with no copy: step
+    ``n`` is read while its block is the one being handed out."""
+    n = 0
+    for block in chain.step_blocks():
+        assert 1 <= len(block) <= chains._block_steps(chain.dim)
+        assert not block.flags.writeable
+        for got in block:
+            n += 1
+            want = expected[n - 1]
+            assert got.dtype == want.dtype, n
+            assert np.array_equal(got, want), n
+            op = chain.operator_at(n).entries
+            assert not op.flags.writeable
+            assert np.shares_memory(op, block), n
+    assert n == chain.horizon == len(expected)
 
 
 # horizons end mid-block: 1024, 455, 16 and 1 steps per block
@@ -490,40 +493,47 @@ def test_curve_blocks_equal_the_per_step_formula(make, dim, horizon):
     assert_stacks_hold(chain, expected)
 
 
-def test_evicting_store_rebuilds_each_step_bit_for_bit(monkeypatch):
-    # 16 steps per block at dim 16: a chain over the store budget keeps
-    # the block it read last and rebuilds the others as first built; a
-    # chain under it, and a Schur chain, keep every block
-    kept = gap_engineered_chain(16, 0.1, 8, seed=2, horizon=100)
-    monkeypatch.setattr(chains, "_STORE_BYTES", 0)
+def test_evicting_store_rebuilds_each_step_bit_for_bit():
+    # 16 steps per block at dim 16: a curve-built chain holds the block it
+    # read last and computes any other from its table, as first built; a
+    # Schur chain keeps every block
     chain = gap_engineered_chain(16, 0.1, 8, seed=2, horizon=100)
     schur = random_schur_chain(3, 5, 1030)
-    for whole in (kept, schur):
-        list(whole.step_blocks())
-        assert all(b is not None for b in whole._blocks)
-    first = [chain.operator_at(n).entries for n in range(1, 101)]
-    assert len(chain._blocks) == 7
-    assert [b is not None for b in chain._blocks] == [False] * 6 + [True]
+    list(schur.step_blocks())
+    assert [len(b) for b in schur._blocks] == [455, 455, 120]
+    first = chain.operator_at(1).entries
     order = list(range(100, 0, -1))
     order += list(np.random.default_rng(0).permutation(100) + 1)
     for n in order:
         got = chain.operator_at(n).entries
         assert not got.flags.writeable
-        assert np.array_equal(got, first[n - 1])
-        assert np.array_equal(got, kept.operator_at(n).entries)
-        assert sum(b is not None for b in chain._blocks) == 1
-    # step 1 was rebuilt, not kept
-    assert not np.shares_memory(chain.operator_at(1).entries, first[0])
-    for got, want in zip(chain.step_blocks(), kept.step_blocks()):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, per_step_curve_entries(chain, n)), n
+        assert chain._held[0] <= n < chain._held[0] + 16
+        assert chain._blocks == []
+    # step 1 was computed again, not kept
+    assert not np.shares_memory(chain.operator_at(1).entries, first)
 
 
-def test_threads_reading_an_evicting_chain_get_identical_steps(monkeypatch):
+def test_curve_chain_holds_one_block_after_any_reads():
+    # 7 blocks of 16 steps at dim 16: a full pass and random reads leave
+    # only the block read last, where keeping them all held 7
+    chain = gap_engineered_chain(16, 0.1, 8, seed=2, horizon=100)
+    assert sum(1 for _ in chain.step_blocks()) == 7
+    assert chain._blocks == []
+    assert chain._held[0] == 97 and len(chain._held[1]) == 4
+    for n in np.random.default_rng(3).integers(1, 101, size=50).tolist():
+        chain.operator_at(n)
+        first, block = chain._held
+        assert first <= n < first + len(block) and len(block) <= 16
+        assert chain._blocks == []
+
+
+def test_threads_reading_an_evicting_chain_get_identical_steps():
     horizon = 300  # 64 steps per block at dim 8
-    reference = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
-    expected = [reference.operator_at(n).entries for n in range(1, 301)]
-    monkeypatch.setattr(chains, "_STORE_BYTES", 0)
     chain = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
+    expected = [
+        per_step_curve_entries(chain, n) for n in range(1, horizon + 1)
+    ]
     steps = list(range(1, horizon + 1))
     rng = np.random.default_rng(1)
     orders = [steps, steps[::-1]]
@@ -547,7 +557,7 @@ def test_threads_reading_an_evicting_chain_get_identical_steps(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert sum(b is not None for b in chain._blocks) == 1
+    assert chain._blocks == []
 
 
 @pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)

@@ -814,6 +814,35 @@ def test_simulate_fine_tol_eig_rank_rise_is_inconclusive(
     assert summary["status"] == "inconclusive"
 
 
+@pytest.mark.parametrize("tol_eig", ["0", "1e-15", "1e-12", None])
+def test_gap_fine_tol_eig_failure_with_a_band_is_inconclusive(
+    tmp_path, capsys, tol_eig
+):
+    # the specs whose ranks rise at a fine --tol-eig run out of grid on
+    # an eigenvalue that only the default counts as 1: exit 2 with one
+    # stderr line, where gap exited 3; near_one fails on its peels alone
+    rise = FINE_TOL_EIG_RANKS_RISE.get(tol_eig, ())
+    extra = [] if tol_eig is None else ["--tol-eig", tol_eig]
+    for path in sorted(REPO_SPECS.glob("*.json")):
+        out = tmp_path / path.stem
+        argv = ["gap", "--spec", str(path), "--out", str(out), *extra]
+        capsys.readouterr()
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        if path.name in rise:
+            assert code == 2, path.name
+            assert len(err.splitlines()) == 1
+            assert err.startswith("gap search inconclusive: eigenvalue ")
+            failure = json.loads((out / "failure.json").read_text())
+            assert f"eigenvalue {failure['band']} " in err
+        else:
+            want = 3 if path.stem == "near_one" else 0
+            assert (code, err) == (want, ""), path.name
+            if code == 3:
+                failure = json.loads((out / "failure.json").read_text())
+                assert "band" not in failure
+
+
 def test_verify_maps_an_untrusted_limit_to_inconclusive():
     # at horizon 8 the Schur chain's empirical limit is not trusted, so
     # both convergence verdicts are inconclusive (None), not failed; the
@@ -1015,8 +1044,9 @@ def test_simulate_runs_are_byte_identical(tmp_path):
 
 
 def test_evicting_store_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
-    # every curve-built chain evicts at a budget of 0 and none at 2^62;
-    # gap, simulate and verify write the same bytes either way
+    # a curve-built chain holds the one block it read last, so at one
+    # step per block every step read again is computed again; gap,
+    # simulate and verify write the same bytes at either block size
     curve_specs = [
         path for path in sorted(REPO_SPECS.glob("*.json"))
         if json.loads(path.read_text())["kind"] != "schur_decrement"
@@ -1027,18 +1057,18 @@ def test_evicting_store_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
     ]
     runs.append(["verify", "--seeds", "1"])
 
-    def outputs(budget):
-        monkeypatch.setattr(chains, "_STORE_BYTES", budget)
+    def outputs(block_bytes):
+        monkeypatch.setattr(chains, "_BLOCK_BYTES", block_bytes)
         results = []
         for k, argv in enumerate(runs):
-            out = tmp_path / str(budget) / str(k)
+            out = tmp_path / str(block_bytes) / str(k)
             code = run_cli(argv + ["--out", str(out)])
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             results.append((code, files))
         return results
 
     assert len(curve_specs) == 6
-    assert outputs(0) == outputs(2**62)
+    assert outputs(chains._BLOCK_BYTES) == outputs(1)
 
 
 def test_short_run_on_a_schur_chain_draws_only_its_decrements(

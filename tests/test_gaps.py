@@ -190,6 +190,28 @@ def test_search_failure_when_spectrum_sits_in_finest_band():
     }
 
 
+def test_search_failure_keeps_the_first_band_witness():
+    # at tol_eig 0 rounding leaves T_1's fixed eigenvalue just below 1,
+    # inside every grid delta's window, so the grid runs out at step 1;
+    # only the default counts it as 1, and the failure names it as band
+    spec = json.loads((SPECS / "gap_dim64.json").read_text())
+    chain = build_chain(parse_chain_spec(spec))
+    result = certificate_search(chain, tol_eig=0.0)
+    assert isinstance(result, GapSearchFailure)
+    assert result.band == 0.9999999999999997
+    assert [(v.n, v.eigenvalue) for v in result.violations] == [
+        (1, 0.9999999999999997)
+    ]
+    assert result.to_json_dict()["band"] == result.band
+    # at the default tol_eig no eigenvalue is clustered differently; a
+    # coarser one counts 0.99995 as 1, which the default does not
+    curves = [const(1.0), const(0.99995), const(0.9995)]
+    chain = diagonal_chain(curves, horizon=10)
+    assert certificate_search(chain).band is None
+    result = certificate_search(chain, tol_eig=1e-4)
+    assert isinstance(result, GapSearchFailure) and result.band == 0.99995
+
+
 def test_search_failure_on_near_one_stress_chain():
     chain = near_one_accumulating_chain(8, seed=2, horizon=400)
     result = certificate_search(chain)
@@ -627,31 +649,28 @@ def test_rate_table_on_an_evicting_chain_reads_only_to_n0(
     monkeypatch, name, grid, n0
 ):
     # both chains give their limit but guarantee no gap; the search
-    # carries the probe, so a store that keeps one block rebuilds only
-    # steps 1 .. n0 for the table, where the table's own pass read every
-    # step again (400 and 200)
+    # carries the probe, so a curve-built chain, which holds one block,
+    # computes only steps 1 .. n0 for the table, where the table's own
+    # pass read every step again (400 and 200)
     spec = parse_chain_spec(json.loads((SPECS / name).read_text()))
-    reports = []
-    for budget in (0, 2**62):
-        monkeypatch.setattr(chains, "_STORE_BYTES", budget)
-        chain = build_chain(spec)
-        reads = []
+    chain = build_chain(spec)
+    reads = []
 
-        def counted(n, _method=chain.operator_at):
-            reads.append(n)
-            return _method(n)
+    def counted(n, _method=chain.operator_at):
+        reads.append(n)
+        return _method(n)
 
-        monkeypatch.setattr(chain, "operator_at", counted)
-        cert = certificate_search(chain, delta_grid=grid)
-        assert isinstance(cert, GapCertificate)
-        assert reads == list(range(1, chain.horizon + 1))
-        reads.clear()
-        reports.append(rate_bound_check(chain, cert))
-        assert reports[-1].n0 == n0
-        assert reads == list(range(1, n0 + 1))
-        kept = sum(block is not None for block in chain._blocks)
-        assert (kept == 1) == (budget == 0)
-    assert_same_report(*reports)
+    monkeypatch.setattr(chain, "operator_at", counted)
+    cert = certificate_search(chain, delta_grid=grid)
+    assert isinstance(cert, GapCertificate) and cert._carried is not None
+    assert reads == list(range(1, chain.horizon + 1))
+    reads.clear()
+    report = rate_bound_check(chain, cert)
+    assert report.n0 == n0
+    assert reads == list(range(1, n0 + 1))
+    assert chain._blocks == []
+    own = rate_bound_check(chain, dataclasses.replace(cert, _carried=None))
+    assert_same_report(report, own)
 
 
 def test_write_rate_csv_layout(tmp_path):
