@@ -69,7 +69,12 @@ exits 2: at ``--tol-eig 0`` the rounded fixed eigenvalue
 0.9999999999999997 of ``T_1`` lies in every grid delta's window, so the
 grid runs out at step 1, and a failure that read an eigenvalue which
 only the default counts as 1 is inconclusive (``failure.json`` names it
-as ``band``).  ``simulate schur_random
+as ``band``); it makes no gap test after ``T_1``.  Each ``gap`` run's
+gap tests after ``T_1`` are certified by two Cholesky factorizations,
+except where ``has_gap_at`` falls back to its ``eigvalsh``: at every
+step of ``gap gap_dim16 horizon40 tol1e-15`` (a slack of 1e-15 leaves
+the factorizations no room) and at the 7 violating steps of ``gap
+near_one`` and ``gap near_one grid1e-4``.  ``simulate schur_random
 eig0``, ``verify eig0`` and ``verify eig5e-1`` exit 2: a ``--tol-eig``
 finer (0) or coarser (0.5) than the default moves which eigenvalues
 near 1 count as 1, and a verdict on a fixed space that fails with such

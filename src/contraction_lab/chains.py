@@ -54,9 +54,15 @@ __all__ = [
     "build_chain",
 ]
 
-# A Schur chain stores all dim * dim * horizon of its operator entries (a
-# curve-built one holds a block); a spec above this many (1 GiB of
-# float64) is refused before anything is allocated.
+# A spec whose run would hold more than this many entries (1 GiB of
+# float64) is refused before anything is allocated.  A Schur chain stores
+# dim * dim * horizon operator entries.  A curve-built chain holds its
+# dim x horizon curve table and one block; a run over it adds the six
+# horizon x (dim + 5) trace arrays of iterate_products, their summaries
+# and a few dim x dim matrices.  That is counted as
+# 16 * (dim + 5) * (dim + horizon): simulate peaked 10.4 and 11.2 times
+# (dim + 5) * (dim + horizon) float64 above its imports at dim 8,
+# horizon 100000 and at dim 64, horizon 10000.
 CACHE_CEILING = 2**27
 
 # A chain builds and stores its steps in blocks of consecutive steps
@@ -997,11 +1003,13 @@ class ChainSpec:
 
 
 class _Kind(NamedTuple):
-    # builder, keys taken besides the shared ones, seed needed, least dim
+    # builder, keys taken besides the shared ones, seed needed, least
+    # dim, and whether the chain stores every step (else curve-built)
     build: Callable[[ChainSpec], ContractionChain]
     keys: tuple[str, ...] = ()
     seeded: bool = True
     min_dim: int = 1
+    stores_steps: bool = False
 
 
 _KINDS = {
@@ -1015,6 +1023,7 @@ _KINDS = {
             s.dim, s.seed, s.horizon, fixed_rank=s.fixed_rank, top=s.top
         ),
         ("fixed_rank", "top"),
+        stores_steps=True,
     ),
     "conjugated_diagonal": _Kind(
         lambda s: conjugated_diagonal_chain(
@@ -1071,12 +1080,19 @@ def parse_chain_spec(data: dict) -> ChainSpec:
         if dim and len(raw) != dim:
             violations.append(f"{len(raw)} curves for dimension {dim}")
 
-    if "dim" in fields and "horizon" in fields:
-        entries = fields["dim"] ** 2 * fields["horizon"]
-        if entries > CACHE_CEILING:
+    if spec_kind is not None and "dim" in fields and "horizon" in fields:
+        dim, horizon = fields["dim"], fields["horizon"]
+        if spec_kind.stores_steps:
+            rule, held = "dim * dim * horizon", dim * dim * horizon
+            what = "cached operator entries"
+        else:
+            rule = "16 * (dim + 5) * (dim + horizon)"
+            held = 16 * (dim + 5) * (dim + horizon)
+            what = "entries a run holds"
+        if held > CACHE_CEILING:
             violations.append(
-                f"dim * dim * horizon = {entries} exceeds the ceiling of "
-                f"{CACHE_CEILING} cached operator entries"
+                f"{rule} = {held} exceeds the ceiling of {CACHE_CEILING} "
+                f"{what}"
             )
     if spec_kind is not None:
         if fields.get("dim", spec_kind.min_dim) < spec_kind.min_dim:

@@ -18,6 +18,7 @@ both sides per ``j``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,6 +61,9 @@ RATE_CSV_HEADER = ("j", "lhs", "rhs", "slack")
 
 # spawn-key namespace of the default rate-bound probe
 _STREAM_RATE_PROBE = 17
+
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -167,13 +171,19 @@ class GapSearchFailure:
         return doc
 
 
+def _window(delta: float, tol_eig: float) -> tuple[float, float]:
+    """The ends ``1 - delta + tol_eig`` and ``1 - tol_eig`` of the open
+    gap window."""
+    return 1.0 - delta + tol_eig, 1.0 - tol_eig
+
+
 def _violating_eigenvalue(
     eigenvalues: np.ndarray, delta: float, tol_eig: float
 ) -> float | None:
     """Largest eigenvalue strictly inside ``(1 - delta, 1)``, eigenvalues
     within ``tol_eig`` of either endpoint counted as outside: the gap
     window is ``1 - delta + tol_eig < lambda < 1 - tol_eig``."""
-    low, high = 1.0 - delta + tol_eig, 1.0 - tol_eig
+    low, high = _window(delta, tol_eig)
     inside = (eigenvalues > low) & (eigenvalues < high)
     return eigenvalues[inside].max() if inside.any() else None
 
@@ -196,16 +206,104 @@ def has_gap_at(
     tol_psd: float | None = None,
 ) -> bool:
     """True iff no eigenvalue of ``op`` lies in the open interval
-    ``(1 - delta + tol_eig, 1 - tol_eig)``.  After :func:`_check_delta`,
-    one ``eigvalsh`` serves the window and the positivity check up to
-    ``tol_psd`` (``DEFAULT.psd(dim)`` when None), which refuses an ``op``
-    that is not a positive contraction."""
+    ``(1 - delta + tol_eig, 1 - tol_eig)``, checked after
+    :func:`_check_delta`.  Two Cholesky factorizations
+    (:func:`_gap_certified`) first try to prove that the ``eigvalsh``
+    rule passes; when they cannot, one ``eigvalsh`` decides the window and
+    the positivity check up to ``tol_psd`` (``DEFAULT.psd(dim)`` when
+    None), and refuses an ``op`` that is not a positive contraction.  So
+    the verdict is the ``eigvalsh`` rule's, and every refusal and witness
+    comes from that solve."""
     _check_delta(delta, tol_eig)
+    slack = _psd_slack(op.dim, tol_psd)
+    if _gap_certified(op.entries, *_window(delta, tol_eig), slack):
+        return True
     eigenvalues = hermitian_eigenvalues(op)
-    check = _contraction_witness(eigenvalues, _psd_slack(op.dim, tol_psd))
+    check = _contraction_witness(eigenvalues, slack)
     if not check:
         raise _not_a_contraction(check.witness)
     return _violating_eigenvalue(eigenvalues, delta, tol_eig) is None
+
+
+def _gap_certified(
+    entries: np.ndarray, low: float, high: float, slack: float
+) -> bool:
+    """True when two Cholesky factorizations prove that ``eigvalsh`` of
+    the Hermitian ``entries`` ``T`` finds no eigenvalue in ``(low, high)``
+    and all of them in ``[-slack, 1 + slack]``; False proves nothing.
+
+    With ``s = slack``, ``W = (T - low)(T - high)`` and
+    ``C = (T + s)(1 + s - T)`` have eigenvalues ``w(l) = (l - low)(l -
+    high)`` and ``c(l) = (l + s)(1 + s - l)`` for each eigenvalue ``l`` of
+    ``T``.  Let ``rho`` bound ``eigvalsh``'s error and ``g = high - low``.
+    Inside ``(low - rho, high + rho)`` ``w < rho (g + rho)``, so ``W >=
+    rho (g + rho) I`` keeps every ``l`` out of it and every computed one
+    out of the window; outside ``[rho - s, 1 + s - rho]`` ``c < rho (1 +
+    2s)``, so ``C >= rho (1 + 2s) I`` keeps every computed one in ``[-s,
+    1 + s]``.  Each test factors its matrix shifted down by ``eta_W`` or
+    ``eta_C``, that bound plus ``eps``, which bounds the rounding of
+    forming and factoring it (below): success proves ``W >= (eta_W - eps)
+    I`` and ``C >= (eta_C - eps) I``.
+
+    The constants, with ``u = 2**-53``, ``n = dim``, ``F = ||T||_F^2``,
+    ``gamma_k = k u / (1 - k u)`` and ``k = n`` for real ``T``, ``3n`` for
+    complex (a complex product's parts are real inner products of length
+    ``2n``, and ``sqrt(2) gamma_2n <= gamma_3n``; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.6):
+
+    * ``T @ T`` is within ``gamma_k |T||T|`` entrywise, in any summation
+      order (Higham section 3.5), and forming ``M = +-T @ T + alpha T +
+      (beta - eta) I`` adds at most ``gamma_6 (|T||T| + |alpha||T| +
+      (|beta| + eta) I)``.  That bound is symmetric, so it also holds for
+      the Hermitian matrix ``A`` that the factorization reads from one
+      triangle.  With ``eta < |beta|`` (checked first), ``||A - (M_exact
+      - eta I)||_2`` is at most ``gamma_(k+6) sigma``, ``sigma = F +
+      |alpha| sqrt(n F) + 2 n |beta|``: ``|| |T||T| ||_F <= F``.
+    * A factorization that runs to completion gives ``R* R = A + dA``,
+      ``|dA| <= gamma_(k+1) |R*||R|`` (Higham, Theorem 10.5).  Cauchy-
+      Schwarz on ``R``'s columns gives ``||dA||_2 <= gamma_(k+1) /
+      (1 - gamma_(k+1)) trace(A)``, and ``trace(A) <= (1 + gamma_(k+6))
+      sigma``, since the diagonal of ``|T||T|`` sums to ``F`` and that of
+      ``|T|`` to at most ``sqrt(n F)``.
+    * ``eps = 2 (k + 7) u sigma`` exceeds both terms together by more
+      than the rounding of ``F``, ``sigma``, ``rho`` and the shifts.
+    * ``rho = 4 n^2 u ||T||_F``.  LAPACK bounds the error of its
+      symmetric eigenvalues by ``p(n) u ||T||_2``, ``p(n)`` a modestly
+      growing function of ``n`` (LAPACK Users' Guide, 3rd ed., section
+      4.7); this takes ``p(n) = 4 n^2`` and ``||T||_F >= ||T||_2``.
+
+    The factorizations are skipped when a shift leaves no room at the
+    eigenvalue 1 that fixed spaces hold (``eta_W >= w(1)`` or ``eta_C >=
+    c(1)``): always at ``tol_eig`` 0 or ``tol_psd`` 0, and for windows or
+    slacks within a few ``eps`` of rounding.
+    """
+    n = entries.shape[0]
+    k = n if entries.dtype == np.float64 else 3 * n
+    frob2 = float(np.vdot(entries, entries).real)
+    rho = 4.0 * n * n * _UNIT_ROUNDOFF * math.sqrt(frob2)
+    spread = math.sqrt(n * frob2)
+
+    def eps(alpha: float, beta: float) -> float:
+        sigma = frob2 + abs(alpha) * spread + 2.0 * n * abs(beta)
+        return 2.0 * (k + 7) * _UNIT_ROUNDOFF * sigma
+
+    w_const, c_const = low * high, slack * (1.0 + slack)
+    w_shift = eps(low + high, w_const) + rho * (max(high - low, 0.0) + rho)
+    c_shift = eps(1.0, c_const) + rho * (1.0 + 2.0 * slack)
+    if not (w_shift < (1.0 - low) * (1.0 - high) and c_shift < c_const):
+        return False
+    pair = np.empty((2, n, n), entries.dtype)
+    np.matmul(entries, entries, out=pair[0])
+    np.subtract(entries, pair[0], out=pair[1])
+    pair[0] -= (low + high) * entries
+    diagonals = pair.reshape(2, n * n)[:, :: n + 1]
+    diagonals[0] += w_const - w_shift
+    diagonals[1] += c_const - c_shift
+    try:
+        np.linalg.cholesky(pair)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _validate_grid(delta_grid, tol_eig: float) -> tuple[float, ...]:
@@ -238,7 +336,8 @@ def certificate_search(
     horizon clean; failure report when the grid runs out.
 
     One forward pass, which reads each step once (``operator_at``):
-    each step after ``T_1`` is one :func:`has_gap_at` (``eigvalsh``).
+    each step after ``T_1`` is one :func:`has_gap_at`, two Cholesky
+    factorizations that certify it or else one ``eigvalsh`` that decides.
     ``T_1`` and each step that fails it are decomposed once
     (``decomposition_at``), which gives the offending eigenvalue, the
     next grid delta and the rank; it decides at a window edge.  A failure

@@ -42,6 +42,7 @@ from contraction_lab import (
     stream_rng,
 )
 from contraction_lab import chains
+from contraction_lab.chains import CACHE_CEILING
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +779,34 @@ def test_parse_chain_spec_collects_all_violations():
     assert "unknown key 'zzz'" in text
     assert "unknown kind" in text
     assert "dim" in text and "horizon" in text
+
+
+def test_spec_ceiling_counts_what_a_run_of_each_kind_holds():
+    # a curve-built chain holds its curve table and one block, and a run
+    # over it trace arrays of dim + 5 probes: 16 (dim + 5)(dim + horizon)
+    # entries are checked; a Schur chain stores dim * dim * horizon
+    big = {
+        "kind": "gap_engineered", "dim": 128, "horizon": 8200, "seed": 5,
+        "delta": 0.1, "fixed_rank": 8,
+    }
+    chain = build_chain(parse_chain_spec(big))
+    assert chain.operator_at(8200).entries.shape == (128, 128)
+    schur = {"kind": "schur_decrement", "dim": 128, "horizon": 8200, "seed": 5}
+    with pytest.raises(ChainSpecError) as exc:
+        parse_chain_spec(schur)
+    assert exc.value.violations == [
+        f"dim * dim * horizon = {128 * 128 * 8200} exceeds the ceiling of "
+        f"{CACHE_CEILING} cached operator entries"
+    ]
+    parse_chain_spec(dict(schur, horizon=8192))
+    last = CACHE_CEILING // (16 * 133) - 128
+    parse_chain_spec(dict(big, horizon=last))
+    with pytest.raises(ChainSpecError) as exc:
+        parse_chain_spec(dict(big, horizon=last + 1))
+    assert exc.value.violations == [
+        f"16 * (dim + 5) * (dim + horizon) = {16 * 133 * (last + 129)} "
+        f"exceeds the ceiling of {CACHE_CEILING} entries a run holds"
+    ]
 
 
 def test_parse_chain_spec_kind_specific_rules():

@@ -121,10 +121,14 @@ def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
     # h - 1 sampler bases plus one eigh of each T_n, shared by the
     # generator's square root, the step's fixed space and the empirical
     # limit; one eigvalsh for T_1 and one for each decrement
-    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h}
+    assert eigensolve_counts == {
+        "eigh": 2 * h - 1, "eigvalsh": h, "cholesky": 0,
+    }
     # dim 6 stores T_2 .. T_12 in one block: its Gaussians and its
     # decrements are each solved in one stacked call
-    assert eigensolve_counts.calls == {"eigh": h + 1, "eigvalsh": 2}
+    assert eigensolve_counts.calls == {
+        "eigh": h + 1, "eigvalsh": 2, "cholesky": 0,
+    }
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rank_trajectory"] == [2] * h
 
@@ -994,8 +998,8 @@ def one_curve(*curve):
         ("simulate", one_curve(["const"], 0.5), [], None,
          "curve 0: unknown tag ['const']"),
         ("simulate", dict(one_curve("const", 0.5), horizon=2**40), [], None,
-         f"dim * dim * horizon = {2**40} exceeds the ceiling of "
-         f"{CACHE_CEILING} cached operator entries"),
+         f"16 * (dim + 5) * (dim + horizon) = {96 * (2**40 + 1)} exceeds the "
+         f"ceiling of {CACHE_CEILING} entries a run holds"),
         ("gap", dict(SCHUR, dim=2**20), [], None,
          f"dim * dim * horizon = {2**40 * 10} exceeds the ceiling"),
     ],

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -96,7 +97,7 @@ def test_empty_gap_window_is_refused(eigensolve_counts):
         with pytest.raises(PreconditionError, match=message):
             certificate_search(chain, delta_grid=(0.5, delta), tol_eig=0.01)
     # each is refused before any solve
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
 
 def test_gap_scan_refuses_a_step_outside_the_slack():
@@ -129,6 +130,90 @@ def test_has_gap_monotone_in_delta(seed, d_small, d_large):
     op = diagonal(vals)
     if has_gap_at(op, d_large):
         assert has_gap_at(op, d_small)
+
+
+def eigvalsh_gap_rule(op, delta, *, tol_eig, tol_psd):
+    """``has_gap_at``'s rule as one ``eigvalsh`` alone decides it: the
+    positivity check up to the slack, then the open gap window."""
+    eigenvalues = np.linalg.eigvalsh(op.entries)
+    slack = DEFAULT.psd(op.dim) if tol_psd is None else tol_psd
+    for witness in (eigenvalues[0], eigenvalues[-1]):
+        if not -slack <= witness <= 1.0 + slack:
+            raise PreconditionError(
+                "not a positive contraction: offending eigenvalue "
+                f"{float(witness)}"
+            )
+    low, high = 1.0 - delta + tol_eig, 1.0 - tol_eig
+    return not ((eigenvalues > low) & (eigenvalues < high)).any()
+
+
+def gap_outcome(rule, *args, **kwargs):
+    try:
+        return rule(*args, **kwargs)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 2, 16, 128])
+def test_has_gap_at_agrees_with_the_eigvalsh_rule(
+    dim, complex_, eigensolve_counts
+):
+    # Q diag(l) Q* with one eigenvalue at, a few ulps from, or about the
+    # filter's eigvalsh error bound rho from each edge the rule reads;
+    # the rest sit at 1 and below the window.  The Cholesky filter either
+    # certifies a step the rule passes, or declines and the rule decides
+    rng = np.random.default_rng(dim)
+    draw = rng.standard_normal((dim, dim))
+    if complex_:
+        draw = draw + 1j * rng.standard_normal((dim, dim))
+    frame = np.linalg.qr(draw)[0]
+    fixed = (dim - 1) // 2
+    rest = np.concatenate(
+        (np.ones(fixed), np.linspace(0.0, 0.45, dim - 1 - fixed))
+    )
+    u = np.finfo(float).eps / 2
+    rho = 4.0 * dim * dim * u * math.sqrt(dim)
+    offsets = [0.0, 2 * u, -2 * u, 8 * u, -8 * u]
+    offsets += [rho, -rho, 4 * rho, -4 * rho]
+    for tol_eig, tol_psd, delta in itertools.product(
+        (DEFAULT.eig, 0.0), (None, 0.0, 1e-14), (0.1, 0.5)
+    ):
+        tols = {"tol_eig": tol_eig, "tol_psd": tol_psd}
+        slack = DEFAULT.psd(dim) if tol_psd is None else tol_psd
+        low, high = 1.0 - delta + tol_eig, 1.0 - tol_eig
+        for edge in (low, high, -slack, 1.0 + slack, 0.0, 1.0):
+            for offset in offsets:
+                values = np.concatenate(([edge + offset], rest))
+                op = Operator((frame * values) @ frame.conj().T)
+                eigensolve_counts.reset()
+                verdict = gap_outcome(has_gap_at, op, delta, **tols)
+                solved = dict(eigensolve_counts)
+                assert verdict == gap_outcome(
+                    eigvalsh_gap_rule, op, delta, **tols
+                )
+                assert solved["eigh"] == 0
+                if solved["eigvalsh"] == 0:  # certified
+                    assert verdict is True and solved["cholesky"] == 2
+                else:
+                    assert solved["eigvalsh"] == 1
+                    assert solved["cholesky"] in (0, 2)
+                # a fixed or null eigenvalue, a few ulps off, is certified
+                # at the default tolerances
+                if (
+                    tol_eig == DEFAULT.eig and tol_psd is None
+                    and edge in (0.0, 1.0) and abs(offset) < rho
+                ):
+                    assert solved["eigvalsh"] == 0
+                # the filter declines where a shift leaves no room at the
+                # eigenvalue 1: at tol_eig 0, at tol_psd 0, and at 1e-14
+                # from dim 16 up (below, the rounding bound is under 1e-14)
+                if tol_eig == 0.0 or tol_psd == 0.0 or (
+                    tol_psd == 1e-14 and dim >= 16
+                ):
+                    assert solved == {
+                        "eigh": 0, "eigvalsh": 1, "cholesky": 0,
+                    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +374,7 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     )
     # positivity, gap test and rank from one eigh per operator, plus the
     # one eigvalsh of the Loewner comparison
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 1}
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 1, "cholesky": 0}
 
     # each failing input also fails every later precondition, so the
     # message shows which check runs first; delta comes before any solve
@@ -299,7 +384,7 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
         PreconditionError, match=r"^delta must lie in \(0, 1\), got 1\.5$"
     ):
         rank_strict_descent_check(upper, lower, 1.5)
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
     cases = [
         (upper, lower,
          r"^upper operand is not a positive contraction: "
@@ -326,9 +411,13 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     report = rate_bound_check(chain, cert)
     assert report.n0 == 1
     # the search's grid and rank at T_1, the n0 scan and T_n0's
-    # projection share one eigh; the other is the limit's.  The eigvalsh
-    # calls are the scan's gap tests over T_2 .. T_60
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 59}
+    # projection share one eigh; the other is the limit's.  The scan's
+    # gap tests over T_2 .. T_60 are each certified by one stacked
+    # Cholesky call on two matrices, so no eigvalsh runs
+    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 118}
+    assert eigensolve_counts.calls == {
+        "eigh": 2, "eigvalsh": 0, "cholesky": 59,
+    }
 
 
 def test_gap_search_decomposes_first_and_violating_steps_once(
@@ -341,10 +430,18 @@ def test_gap_search_decomposes_first_and_violating_steps_once(
     assert isinstance(result, GapSearchFailure)
     assert len(result.violations) >= 2
     # one eigh to split the carried probe against the analytic limit,
-    # one at T_1 and one at each violating step; one eigvalsh gap test at
-    # every step the scan reaches after T_1
-    assert eigensolve_counts["eigh"] == 2 + len(result.violations)
-    assert eigensolve_counts["eigvalsh"] == result.violations[-1].n - 1
+    # one at T_1 and one at each violating step.  Every step the scan
+    # reaches after T_1 gets one stacked Cholesky call on two matrices;
+    # it certifies every step but the violating ones, each of which one
+    # eigvalsh decides
+    scanned = result.violations[-1].n - 1
+    assert result.violations[0].n > 1
+    assert eigensolve_counts == {
+        "eigh": 2 + len(result.violations),
+        "eigvalsh": len(result.violations),
+        "cholesky": 2 * scanned,
+    }
+    assert eigensolve_counts.calls["cholesky"] == scanned
 
 
 def test_gap_search_edge_disagreement_records_no_violation(monkeypatch):
@@ -431,14 +528,14 @@ def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
         PreconditionError, match=r"^probes live in dimension 3, chain in 4$"
     ):
         rate_bound_check(chain, certified, np.ones(3))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
     chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
     cert = certificate_search(chain)
     eigensolve_counts.reset()
     # an inf entry is bad input, refused before the n0 scan
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         rate_bound_check(chain, cert, np.array([1.0, np.inf, 0, 0, 0, 0]))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
 
 def test_rate_bound_default_probe_is_seeded_and_orthogonal():
@@ -637,7 +734,7 @@ def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
     report = rate_bound_check(chain, cert)
     assert report.n0 == 360
     assert len(report.j) == 41
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
 
 @pytest.mark.parametrize(

@@ -125,7 +125,7 @@ def test_bad_input_is_refused_before_any_solve(eigensolve_counts):
     # a non-finite probe is bad input, not a broken theorem
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         iterate_products(telescoping_chain(20), probes=np.array([np.nan, 1.0]))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
 
 def test_iterate_products_refuses_probe_ids_without_probes():
@@ -734,10 +734,14 @@ def test_schur_run_diagonalizes_each_step_once(
     # h - 1 sampler bases and one eigh per step T_1 .. T_h, which serves
     # the square root, the step's fixed space and the empirical limit; the
     # trace-only run decomposes the same steps
-    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
+    assert eigensolve_counts == {
+        "eigh": 2 * h - 1, "eigvalsh": h - 1, "cholesky": 0,
+    }
     # T_1 .. T_h are one block: one stacked eigh of its h - 1 Gaussians,
     # one stacked eigvalsh of its h - 1 decrements
-    assert eigensolve_counts.calls == {"eigh": h + 1, "eigvalsh": 1}
+    assert eigensolve_counts.calls == {
+        "eigh": h + 1, "eigvalsh": 1, "cholesky": 0,
+    }
 
 
 @pytest.mark.parametrize("steps, blocks", [(5, 3), (6, 2), (12, 1)])
@@ -752,8 +756,12 @@ def test_schur_sampler_solves_once_per_block(
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
     eigensolve_counts.reset()
     iterate_products(chain)
-    assert eigensolve_counts == {"eigh": 2 * h - 1, "eigvalsh": h - 1}
-    assert eigensolve_counts.calls == {"eigh": h + blocks, "eigvalsh": blocks}
+    assert eigensolve_counts == {
+        "eigh": 2 * h - 1, "eigvalsh": h - 1, "cholesky": 0,
+    }
+    assert eigensolve_counts.calls == {
+        "eigh": h + blocks, "eigvalsh": blocks, "cholesky": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
