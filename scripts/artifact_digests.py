@@ -21,9 +21,9 @@ covers the whole orbit, so the net cannot dominate the row count), 64
 for ``simulate schur_random tol0`` (at ``--tol-psd 0`` the rounded top
 eigenvalue of ``T_1``, 1 + 2^-52, fails the positivity check, and the
 run stops there with no artifact, before any product), 2 for
-``simulate schur_dim16 tol1e-12`` (every step passes its positivity
-check at ``--tol-psd 1e-12``, but the products' rounding reaches
-``1 + 3.4e-12``, which only the default slack absorbs, so
+``simulate schur_dim16 tol1e-13`` (every step passes its positivity
+check at ``--tol-psd 1e-13``, but the products' rounding reaches
+``1 + 8.5e-13``, which only the default slack absorbs, so
 ``product_norm_bounded`` is null and the run writes its artifacts), 2
 for ``verify tol0`` (at ``--tol-psd 0`` the corpus's conjugated chains
 from dim 4 up have a step above 1 by rounding and count as inconclusive,
@@ -57,7 +57,7 @@ chain gives the limit but guarantees no gap, and its table rides the
 search's pass, reading steps 1 .. 360 again for ``eta'``.
 ``simulate schur_random horizon20`` exits 2: its empirical limit is
 the run's last step ``T_20``, whose Cauchy gap ``||T_20 - T_10||``
-(6.6e-4) is too large to trust, so the convergence verdicts are
+(4.8e-4) is too large to trust, so the convergence verdicts are
 inconclusive.  ``gap schur_random horizon20`` exits 0: its empirical
 limit and rate table read only the 20 steps that the search checked.
 ``gap gap_dim64`` exits 0 on 800 steps of dim 64 (26 MB as float64),
@@ -81,7 +81,7 @@ near 1 count as 1, and a verdict on a fixed space that fails with such
 an eigenvalue in the solve it read is inconclusive (at 0 rounding
 leaves fixed eigenvalues just below 1, so the Schur chain's ranks rise
 and 30 of 100 projection comparisons fail; at 0.5 the limits'
-projections count eigenvalues down to 0.5, so 11 of 20 chains'
+projections count eigenvalues down to 0.5, so 12 of 20 chains'
 adjoint and operator-norm convergence fail).
 """
 
@@ -119,8 +119,8 @@ COMMANDS = (
         ["simulate", "--spec", "schur_random.json", "--tol-psd", "0"],
     ),
     (
-        "simulate schur_dim16 tol1e-12",
-        ["simulate", "--spec", "schur_dim16.json", "--tol-psd", "1e-12"],
+        "simulate schur_dim16 tol1e-13",
+        ["simulate", "--spec", "schur_dim16.json", "--tol-psd", "1e-13"],
     ),
     (
         "gap gap_dim16 horizon40 tol1e-15",

@@ -25,6 +25,7 @@ from .operators import (
     Operator,
     SpectralDecomposition,
     _contraction_witness,
+    _contractions_certified,
     _eigvalsh,
     _hermitized,
     _stored_operator,
@@ -60,7 +61,7 @@ __all__ = [
 # dim x horizon curve table and one block; a run over it adds the six
 # horizon x (dim + 5) trace arrays of iterate_products, their summaries
 # and a few dim x dim matrices.  That is counted as
-# 16 * (dim + 5) * (dim + horizon): simulate peaked 10.4 and 11.2 times
+# 16 * (dim + 5) * (dim + horizon): simulate peaked 8.5 and 9.1 times
 # (dim + 5) * (dim + horizon) float64 above its imports at dim 8,
 # horizon 100000 and at dim 64, horizon 10000.
 CACHE_CEILING = 2**27
@@ -628,8 +629,10 @@ def schur_decrement_chain(
     emit anything but a positive contraction are rejected at the step
     they would build.  The decrements a sampler hands out together (a
     block of them from :func:`halving_decrement_sampler`, one from any
-    other) are checked in one stacked ``eigvalsh``.  No analytic limit
-    is attached.
+    other) are proved positive contractions by one stacked Cholesky
+    factorization of their entries; where it cannot prove it, one
+    stacked ``eigvalsh`` checks them and words any refusal.  No analytic
+    limit is attached.
     ``T_n^{1/2}`` comes from the chain's ``decomposition_at(n)``, so a
     caller that decomposes ``T_n`` in step order shares that solve.
     """
@@ -653,14 +656,19 @@ class _SchurSteps(_Steps):
     """The Schur recurrence, one step per call.  The decrements are
     drawn, and checked, a block at a time: from the one that makes the
     step asked for up to the one that makes ``stop``, which the chain
-    caps at the run's last step."""
+    caps at the run's last step.  One stacked Cholesky factorization
+    (:func:`operators._contractions_certified`) proves them positive
+    contractions; when it cannot, one stacked ``eigvalsh`` decides, and
+    each step is refused with its own eigenvalue when it is built."""
 
     def __init__(self, first: Operator, decrements: _Steps):
         self._first = first.entries
         self._decrements = decrements
-        # the decrements drawn last (from step _dec_first) and eigenvalues
+        # the decrements drawn last (from step _dec_first) and their
+        # eigenvalues, None when the certificate passed them all
         self._dec_first = 0
-        self._decs = self._dec_eigs = np.empty((0, 0, 0))
+        self._decs = np.empty((0, 0, 0))
+        self._dec_eigs = None
 
     def stack(self, first, stop, chain):
         if first == 1:
@@ -670,7 +678,9 @@ class _SchurSteps(_Steps):
         if not 0 <= k - self._dec_first < len(self._decs):
             self._dec_first = k
             self._decs = self._decrements.stack(k, stop - 1)
-            self._dec_eigs = _eigvalsh(self._decs)
+            self._dec_eigs = None
+            if not _contractions_certified(self._decs, DEFAULT.psd(dim)):
+                self._dec_eigs = _eigvalsh(self._decs)
         i = k - self._dec_first
         dec = self._decs[i]
         if dec.shape != (dim, dim):
@@ -678,12 +688,13 @@ class _SchurSteps(_Steps):
                 f"decrement at step {k} has dim {dec.shape[0]}, "
                 f"chain has dim {dim}"
             )
-        check = _contraction_witness(self._dec_eigs[i], DEFAULT.psd(dim))
-        if not check:
-            raise ChainGenerationError(
-                f"decrement at step {k} is not a positive "
-                f"contraction: eigenvalue {check.witness}"
-            )
+        if self._dec_eigs is not None:
+            check = _contraction_witness(self._dec_eigs[i], DEFAULT.psd(dim))
+            if not check:
+                raise ChainGenerationError(
+                    f"decrement at step {k} is not a positive "
+                    f"contraction: eigenvalue {check.witness}"
+                )
         root = _psd_sqrt(chain.decomposition_at(k))
         eye = np.eye(dim, dtype=root.dtype)
         return _hermitized((root @ (eye - dec) @ root)[None])
@@ -704,26 +715,24 @@ class _HalvingSampler(_Steps):
         return _stored_operator(entries)
 
     def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
-        dim, fixed = self._dim, self._fixed_rank
+        fixed = self._fixed_rank
         steps = range(first, stop + 1)
-        free = dim - fixed
-        blocks = np.zeros((len(steps), dim, dim))
-        if free > 0:
-            # each step keeps its own stream; one eigh for the stack
-            gauss = np.empty((len(steps), free, free))
-            weights = np.empty((len(steps), free))
-            for i, n in enumerate(steps):
-                rng = stream_rng(self._seed, _STREAM_SCHUR_STEP, n)
-                gauss[i] = rng.standard_normal((free, free))
-                weights[i] = rng.uniform(0.0, 1.0, size=free)
-            _, basis = np.linalg.eigh((gauss + gauss.swapaxes(1, 2)) / 2.0)
-            blocks[:, fixed:, fixed:] = (
-                basis * weights[:, None, :]
-            ) @ basis.swapaxes(1, 2)
+        free = self._dim - fixed
+        # each step keeps its own stream; one QR for the stack
+        gauss = np.empty((len(steps), free, free))
+        weights = np.empty((len(steps), free))
+        for i, n in enumerate(steps):
+            rng = stream_rng(self._seed, _STREAM_SCHUR_STEP, n)
+            gauss[i] = rng.standard_normal((free, free))
+            weights[i] = rng.uniform(0.0, 1.0, size=free)
         # 2^-n exactly, as Python's 0.5**n
-        scales = np.ldexp(1.0, -np.arange(first, stop + 1))
-        frame = self._frame
-        return _hermitized(scales[:, None, None] * (frame @ blocks @ frame.T))
+        weights *= np.ldexp(1.0, -np.arange(first, stop + 1))[:, None]
+        # Q is Haar up to the signs of its columns, which B diag(w) B^T
+        # does not see
+        basis = self._frame[:, fixed:] @ np.linalg.qr(gauss)[0]
+        return _hermitized(
+            (basis * weights[:, None, :]) @ basis.swapaxes(1, 2)
+        )
 
 
 def halving_decrement_sampler(
@@ -735,11 +744,16 @@ def halving_decrement_sampler(
 ) -> Callable[[int], Operator]:
     """Random PSD contractions scaled by ``2^-n``.
 
-    With ``fixed_rank > 0`` the decrements vanish on the leading
-    ``fixed_rank`` coordinates of ``frame``, so that subspace stays fixed
-    along the whole chain.  ``sampler(n)`` is step ``n``'s decrement; a
-    Schur chain draws a block of steps at once, each from its own
-    stream, with one stacked ``eigh``.
+    Step ``n``'s decrement is ``B diag(w) B^T``, drawn from step ``n``'s
+    own stream: ``w`` holds ``uniform(0, 1)`` weights times ``2^-n``, and
+    ``B`` is the last ``dim - fixed_rank`` columns of ``frame`` times the
+    ``Q`` of a Gaussian matrix's QR factorization, a Haar-random basis up
+    to the signs of its columns, which ``B diag(w) B^T`` does not see.
+    So with ``fixed_rank > 0`` the decrements vanish on the leading
+    ``fixed_rank`` coordinates of ``frame``, and that subspace stays
+    fixed along the whole chain.  ``sampler(n)`` is step ``n``'s
+    decrement; a Schur chain draws a block of steps at once, with one
+    stacked ``qr``.
     """
     if frame is None:
         frame = np.eye(dim)

@@ -18,7 +18,6 @@ both sides per ``j``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,6 +36,7 @@ from .operators import (
     _not_a_contraction,
     _not_ordered,
     _psd_slack,
+    _rounding_bounds,
     fixed_point_projection,
     hermitian_eigenvalues,
     loewner_leq,
@@ -61,9 +61,6 @@ RATE_CSV_HEADER = ("j", "lhs", "rhs", "slack")
 
 # spawn-key namespace of the default rate-bound probe
 _STREAM_RATE_PROBE = 17
-
-# unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -238,39 +235,12 @@ def _gap_certified(
     ``T``.  Let ``rho`` bound ``eigvalsh``'s error and ``g = high - low``.
     Inside ``(low - rho, high + rho)`` ``w < rho (g + rho)``, so ``W >=
     rho (g + rho) I`` keeps every ``l`` out of it and every computed one
-    out of the window; outside ``[rho - s, 1 + s - rho]`` ``c < rho (1 +
-    2s)``, so ``C >= rho (1 + 2s) I`` keeps every computed one in ``[-s,
-    1 + s]``.  Each test factors its matrix shifted down by ``eta_W`` or
-    ``eta_C``, that bound plus ``eps``, which bounds the rounding of
-    forming and factoring it (below): success proves ``W >= (eta_W - eps)
-    I`` and ``C >= (eta_C - eps) I``.
-
-    The constants, with ``u = 2**-53``, ``n = dim``, ``F = ||T||_F^2``,
-    ``gamma_k = k u / (1 - k u)`` and ``k = n`` for real ``T``, ``3n`` for
-    complex (a complex product's parts are real inner products of length
-    ``2n``, and ``sqrt(2) gamma_2n <= gamma_3n``; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., section 3.6):
-
-    * ``T @ T`` is within ``gamma_k |T||T|`` entrywise, in any summation
-      order (Higham section 3.5), and forming ``M = +-T @ T + alpha T +
-      (beta - eta) I`` adds at most ``gamma_6 (|T||T| + |alpha||T| +
-      (|beta| + eta) I)``.  That bound is symmetric, so it also holds for
-      the Hermitian matrix ``A`` that the factorization reads from one
-      triangle.  With ``eta < |beta|`` (checked first), ``||A - (M_exact
-      - eta I)||_2`` is at most ``gamma_(k+6) sigma``, ``sigma = F +
-      |alpha| sqrt(n F) + 2 n |beta|``: ``|| |T||T| ||_F <= F``.
-    * A factorization that runs to completion gives ``R* R = A + dA``,
-      ``|dA| <= gamma_(k+1) |R*||R|`` (Higham, Theorem 10.5).  Cauchy-
-      Schwarz on ``R``'s columns gives ``||dA||_2 <= gamma_(k+1) /
-      (1 - gamma_(k+1)) trace(A)``, and ``trace(A) <= (1 + gamma_(k+6))
-      sigma``, since the diagonal of ``|T||T|`` sums to ``F`` and that of
-      ``|T|`` to at most ``sqrt(n F)``.
-    * ``eps = 2 (k + 7) u sigma`` exceeds both terms together by more
-      than the rounding of ``F``, ``sigma``, ``rho`` and the shifts.
-    * ``rho = 4 n^2 u ||T||_F``.  LAPACK bounds the error of its
-      symmetric eigenvalues by ``p(n) u ||T||_2``, ``p(n)`` a modestly
-      growing function of ``n`` (LAPACK Users' Guide, 3rd ed., section
-      4.7); this takes ``p(n) = 4 n^2`` and ``||T||_F >= ||T||_2``.
+    out of the window; ``C`` is the contraction test of
+    :func:`operators._contractions_certified`.  Each test factors its
+    matrix shifted down by ``eta_W = eps + rho (g + rho)`` or ``eta_C``,
+    with ``rho``, ``eps`` (which bounds the rounding of forming and
+    factoring it) and ``eta_C`` from :func:`operators._rounding_bounds`:
+    success proves ``W >= (eta_W - eps) I`` and ``C >= (eta_C - eps) I``.
 
     The factorizations are skipped when a shift leaves no room at the
     eigenvalue 1 that fixed spaces hold (``eta_W >= w(1)`` or ``eta_C >=
@@ -278,18 +248,9 @@ def _gap_certified(
     slacks within a few ``eps`` of rounding.
     """
     n = entries.shape[0]
-    k = n if entries.dtype == np.float64 else 3 * n
-    frob2 = float(np.vdot(entries, entries).real)
-    rho = 4.0 * n * n * _UNIT_ROUNDOFF * math.sqrt(frob2)
-    spread = math.sqrt(n * frob2)
-
-    def eps(alpha: float, beta: float) -> float:
-        sigma = frob2 + abs(alpha) * spread + 2.0 * n * abs(beta)
-        return 2.0 * (k + 7) * _UNIT_ROUNDOFF * sigma
-
+    rho, eps, c_shift = _rounding_bounds(entries, slack)
     w_const, c_const = low * high, slack * (1.0 + slack)
     w_shift = eps(low + high, w_const) + rho * (max(high - low, 0.0) + rho)
-    c_shift = eps(1.0, c_const) + rho * (1.0 + 2.0 * slack)
     if not (w_shift < (1.0 - low) * (1.0 - high) and c_shift < c_const):
         return False
     pair = np.empty((2, n, n), entries.dtype)

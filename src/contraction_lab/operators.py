@@ -264,6 +264,95 @@ def _psd_slack(dim: int, tol_psd: float | None) -> float:
     return DEFAULT.psd(dim) if tol_psd is None else tol_psd
 
 
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _rounding_bounds(entries: np.ndarray, slack: float):
+    """``(rho, eps, eta_C)`` of the Hermitian ``entries`` ``T``, or of each
+    matrix of a ``(k, n, n)`` stack (then arrays of length ``k``):
+
+    * ``rho`` bounds the error of each eigenvalue ``eigvalsh`` computes;
+    * ``eps(alpha, beta)`` bounds the rounding of forming ``M = +-T @ T +
+      alpha T + (beta - eta) I`` and of factoring it by Cholesky, for a
+      shift ``0 <= eta < |beta|``: success proves ``M_exact >= (eta -
+      eps) I``;
+    * ``eta_C = eps(1, s (1 + s)) + rho (1 + 2s)``, ``s = slack``, is the
+      shift of ``C = (T + s)(1 + s - T) = T - T @ T + s (1 + s) I``.  Its
+      eigenvalue ``c(l) = (l + s)(1 + s - l)`` of each eigenvalue ``l`` of
+      ``T`` is below ``rho (1 + 2s)`` outside ``[rho - s, 1 + s - rho]``,
+      so a factorization of ``C - eta_C I`` keeps every eigenvalue that
+      ``eigvalsh`` computes in ``[-s, 1 + s]``.
+
+    The constants, with ``u = 2**-53``, ``n = dim``, ``F = ||T||_F^2``,
+    ``gamma_k = k u / (1 - k u)`` and ``k = n`` for real ``T``, ``3n`` for
+    complex (a complex product's parts are real inner products of length
+    ``2n``, and ``sqrt(2) gamma_2n <= gamma_3n``; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.6):
+
+    * ``T @ T`` is within ``gamma_k |T||T|`` entrywise, in any summation
+      order (Higham section 3.5), and forming ``M`` adds at most
+      ``gamma_6 (|T||T| + |alpha||T| + (|beta| + eta) I)``.  That bound is
+      symmetric, so it also holds for the Hermitian matrix ``A`` that the
+      factorization reads from one triangle.  With ``eta < |beta|``,
+      ``||A - (M_exact - eta I)||_2`` is at most ``gamma_(k+6) sigma``,
+      ``sigma = F + |alpha| sqrt(n F) + 2 n |beta|``: ``|| |T||T| ||_F <=
+      F``.
+    * A factorization that runs to completion gives ``R* R = A + dA``,
+      ``|dA| <= gamma_(k+1) |R*||R|`` (Higham, Theorem 10.5).  Cauchy-
+      Schwarz on ``R``'s columns gives ``||dA||_2 <= gamma_(k+1) /
+      (1 - gamma_(k+1)) trace(A)``, and ``trace(A) <= (1 + gamma_(k+6))
+      sigma``, since the diagonal of ``|T||T|`` sums to ``F`` and that of
+      ``|T|`` to at most ``sqrt(n F)``.
+    * ``eps = 2 (k + 7) u sigma`` exceeds both terms together by more
+      than the rounding of ``F``, ``sigma``, ``rho`` and the shifts.
+    * ``rho = 4 n^2 u ||T||_F``.  LAPACK bounds the error of its
+      symmetric eigenvalues by ``p(n) u ||T||_2``, ``p(n)`` a modestly
+      growing function of ``n`` (LAPACK Users' Guide, 3rd ed., section
+      4.7); this takes ``p(n) = 4 n^2`` and ``||T||_F >= ||T||_2``.
+    """
+    n = entries.shape[-1]
+    k = n if entries.dtype == np.float64 else 3 * n
+    if entries.ndim == 2:  # Python floats: one matrix pays no array calls
+        frob2 = float(np.vdot(entries, entries).real)
+    else:  # a complex entry as its real and imaginary parts
+        parts = entries.reshape(len(entries), n * n).view(np.float64)
+        frob2 = np.einsum("ij,ij->i", parts, parts)
+    rho = 4.0 * n * n * _UNIT_ROUNDOFF * frob2**0.5
+    spread = (n * frob2) ** 0.5
+
+    def eps(alpha: float, beta: float):
+        sigma = frob2 + abs(alpha) * spread + 2.0 * n * abs(beta)
+        return 2.0 * (k + 7) * _UNIT_ROUNDOFF * sigma
+
+    c_shift = eps(1.0, slack * (1.0 + slack)) + rho * (1.0 + 2.0 * slack)
+    return rho, eps, c_shift
+
+
+def _contractions_certified(stack: np.ndarray, slack: float) -> bool:
+    """True when one stacked Cholesky factorization proves that
+    ``eigvalsh`` finds every eigenvalue of each Hermitian matrix of the
+    ``(k, n, n)`` ``stack`` in ``[-slack, 1 + slack]``, so that
+    :func:`_contraction_witness` passes it at ``slack``; False proves
+    nothing.  It factors ``C - eta_C I`` of each (:func:`_rounding_bounds`),
+    reading the entries alone, and declines without factoring when a
+    shift leaves no room at the eigenvalues 0 and 1 (``eta_C >= s (1 +
+    s)``, always at ``slack`` 0)."""
+    _, _, c_shift = _rounding_bounds(stack, slack)
+    c_const = slack * (1.0 + slack)
+    if not np.all(c_shift < c_const):
+        return False
+    n = stack.shape[-1]
+    c = np.matmul(stack, stack)
+    np.subtract(stack, c, out=c)
+    c.reshape(len(stack), n * n)[:, :: n + 1] += (c_const - c_shift)[:, None]
+    try:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _slack_verdict(
     margin: float, dim: int, tol_psd: float | None
 ) -> bool | None:

@@ -381,8 +381,9 @@ def iterate_products(
     ):
         if not np.all(np.isfinite(arr)):
             raise InvariantError(f"non-finite values in trace field {name}")
-    if h > 1:
-        growth = np.diff(b, axis=0) / np.maximum(probe_norms**2, 1.0)
+    scale = np.maximum(probe_norms**2, 1.0)
+    for first in range(0, h - 1, _ROW_BLOCK):
+        growth = np.diff(b[first : first + _ROW_BLOCK + 1], axis=0) / scale
         if np.any(growth > DEFAULT.chain(dim)):
             raise InvariantError("b_n increased along the product")
 
@@ -486,16 +487,21 @@ def consecutive_difference_report(trace: ConvergenceTrace) -> ABChainReport:
         return ABChainReport(
             tol, tol_identity, 0.0, 0.0, 0.0, 0.0, True, True, True, True
         )
-    a = trace.a
-    b_now = trace.b[:-1]
-    b_next = trace.b[1:]
-    worst_neg = float((-a).max())
-    worst_ab = float((a - b_now).max())
-    worst_ba = float((b_next - a).max())
-    identity_err = np.abs(
-        trace.consec_diff**2 - (b_next + b_now - 2.0 * a)
-    )
-    worst_id = float(identity_err.max())
+    # the largest of each violation, a block of _ROW_BLOCK steps at a time
+    worst = np.full(4, -np.inf)
+    for first in range(0, trace.horizon - 1, _ROW_BLOCK):
+        rows = slice(first, first + _ROW_BLOCK)
+        a, b_now, b_next = trace.a[rows], trace.b[:-1][rows], trace.b[1:][rows]
+        identity_err = np.abs(
+            trace.consec_diff[rows] ** 2 - (b_next + b_now - 2.0 * a)
+        )
+        np.maximum(
+            worst,
+            [(-a).max(), (a - b_now).max(), (b_next - a).max(),
+             identity_err.max()],
+            out=worst,
+        )
+    worst_neg, worst_ab, worst_ba, worst_id = worst.tolist()
     return ABChainReport(
         tol_chain=tol,
         tol_identity=tol_identity,
@@ -669,11 +675,14 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
             trace.sot_err, trace.adj_err, trace.consec_diff, trace.a,
             trace.b, trace.wot_err,
         )
-        _write_rows(
-            handle,
-            "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
-            columns(slice(0, h - 1), fields),
-        )
+        # the columns of about _ROW_BLOCK rows at a time
+        per = max(1, _ROW_BLOCK // max(count, 1))
+        for first in range(0, h - 1, per):
+            _write_rows(
+                handle,
+                "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+                columns(slice(first, min(first + per, h - 1)), fields),
+            )
         # a_n and consec_diff look one step ahead: blank on the final step
         fields = (trace.sot_err, trace.adj_err, trace.b, trace.wot_err)
         _write_rows(

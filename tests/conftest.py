@@ -14,12 +14,12 @@ settings.load_profile("lab")
 
 class EigensolveCounts(dict):
     """Matrices solved by ``np.linalg.eigh`` and ``np.linalg.eigvalsh``
-    and factored by ``np.linalg.cholesky``, keyed by solver: a stacked
-    call on ``k`` matrices counts ``k``, as many as ``k`` calls on one.
-    ``calls`` counts the calls themselves."""
+    and factored by ``np.linalg.cholesky`` and ``np.linalg.qr``, keyed by
+    solver: a stacked call on ``k`` matrices counts ``k``, as many as
+    ``k`` calls on one.  ``calls`` counts the calls themselves."""
 
     def __init__(self):
-        super().__init__(eigh=0, eigvalsh=0, cholesky=0)
+        super().__init__(eigh=0, eigvalsh=0, cholesky=0, qr=0)
         self.calls = dict(self)
 
     def reset(self):
@@ -29,8 +29,8 @@ class EigensolveCounts(dict):
 
 @pytest.fixture
 def eigensolve_counts(monkeypatch):
-    """Count the matrices that ``np.linalg.eigh``, ``np.linalg.eigvalsh``
-    and ``np.linalg.cholesky`` take, and their calls."""
+    """Count the matrices that ``np.linalg.eigh``, ``np.linalg.eigvalsh``,
+    ``np.linalg.cholesky`` and ``np.linalg.qr`` take, and their calls."""
     counts = EigensolveCounts()
     for name in counts:
         solver = getattr(np.linalg, name)

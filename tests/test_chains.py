@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contraction_lab import (
@@ -43,6 +43,7 @@ from contraction_lab import (
 )
 from contraction_lab import chains
 from contraction_lab.chains import CACHE_CEILING
+from contraction_lab.config import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +420,15 @@ def per_step_curve_entries(chain, n):
 
 
 def per_step_decrement(dim, seed, fixed_rank, frame, n):
-    """The halving sampler's step ``n``, one step per call."""
+    """The halving sampler's step ``n``, one step per call:
+    ``B diag(w 2^-n) B^T`` with ``B`` the free columns of ``frame`` times
+    the ``Q`` of a Gaussian matrix."""
     rng = stream_rng(seed, chains._STREAM_SCHUR_STEP, n)
     free = dim - fixed_rank
-    block = np.zeros((dim, dim))
-    if free > 0:
-        gauss = rng.standard_normal((free, free))
-        _, basis = np.linalg.eigh((gauss + gauss.T) / 2.0)
-        weights = rng.uniform(0.0, 1.0, size=free)
-        block[fixed_rank:, fixed_rank:] = (basis * weights) @ basis.T
-    return Operator((0.5**n) * (frame @ block @ frame.T))
+    gauss = rng.standard_normal((free, free))
+    weights = rng.uniform(0.0, 1.0, size=free) * 0.5**n
+    basis = frame[:, fixed_rank:] @ np.linalg.qr(gauss)[0]
+    return Operator((basis * weights) @ basis.T)
 
 
 def per_step_schur_entries(dim, seed, horizon, fixed_rank):
@@ -748,6 +748,180 @@ def test_decrement_of_the_wrong_dim_mid_block_raises_at_its_step():
         ChainGenerationError, match="decrement at step 5 has dim 3"
     ):
         chain.operator_at(6)
+
+
+# ---------------------------------------------------------------------------
+# Decrement certificate: a Cholesky proof of the eigvalsh rule
+
+CERTIFIED_DIMS = [1, 2, 8, 32]
+
+
+def conjugated_stack(values, is_complex, seed):
+    """``Q diag(values[i]) Q*`` for each row, each with its own random
+    unitary (orthogonal when real) ``Q``, hermitized."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for row in values:
+        dim = len(row)
+        gauss = rng.standard_normal((dim, dim))
+        if is_complex:
+            gauss = gauss + 1j * rng.standard_normal((dim, dim))
+        q = np.linalg.qr(gauss)[0]
+        members.append(Operator((q * row) @ q.conj().T).entries)
+    return np.stack(members)
+
+
+def eigvalsh_rule(stack, slack):
+    """The decrement check without the certificate: each member's
+    ``_contraction_witness`` from one stacked ``eigvalsh``."""
+    return [
+        chains._contraction_witness(eigs, slack)
+        for eigs in np.linalg.eigvalsh(stack)
+    ]
+
+
+@st.composite
+def edge_stacks(draw):
+    """A stack of 1-8 members, each with 1-3 eigenvalues at, or a few
+    ulps (of the edge, of 1, or the certificate's rounding bound ``rho``)
+    around, ``-s``, 0, 1 and ``1 + s``, and the rest anywhere in
+    ``[0, 1]``, with ``s`` the chain's slack, 1e-14 or 0."""
+    dim = draw(st.sampled_from(CERTIFIED_DIMS))
+    slack = draw(st.sampled_from([DEFAULT.psd(dim), 1e-14, 0.0]))
+    rho = 4.0 * dim * dim * 2.0**-53 * math.sqrt(dim)
+
+    def nudged(edge, j, unit):  # unit None: the edge's own ulp
+        return edge + j * (np.spacing(edge) if unit is None else unit)
+
+    near_edge = st.builds(
+        nudged,
+        st.sampled_from([-slack, 0.0, 1.0, 1.0 + slack]),
+        st.integers(-4, 4),
+        st.sampled_from([None, 2.0**-52, rho]),
+    )
+    edges = draw(
+        st.lists(
+            st.lists(near_edge, min_size=1, max_size=min(dim, 3)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, (len(edges), dim))
+    for row, values in zip(rows, edges):
+        row[: len(values)] = values
+    return conjugated_stack(rows, draw(st.booleans()), seed), slack
+
+
+@settings(max_examples=100)
+@given(case=edge_stacks())
+def test_decrement_certificate_implies_the_eigvalsh_rule(case):
+    # the stack as one block, and each member as a block of its own
+    stack, slack = case
+    rule = eigvalsh_rule(stack, slack)
+    certified = chains._contractions_certified(stack, slack)
+    if certified:
+        assert all(rule)
+    for member, check in zip(stack, rule):
+        if chains._contractions_certified(member[None], slack):
+            assert check
+    if slack == 0.0:  # no room at the eigenvalues 0 and 1
+        assert not certified
+
+
+@pytest.mark.parametrize("dim", CERTIFIED_DIMS)
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_decrement_certificate_passes_contractions_at_the_chain_slack(
+    dim, is_complex
+):
+    # a projection, eigenvalues a few ulps inside [0, 1] and ones spread
+    # across it are certified together; one member a slack's width above
+    # 1 makes the whole stack decline
+    slack = DEFAULT.psd(dim)
+    inside = np.full(dim, 4 * 2.0**-52)
+    inside[::2] = 1.0 - 4 * 2.0**-52
+    rows = [np.arange(dim) % 2, inside, np.linspace(0.0, 1.0, dim)]
+    stack = conjugated_stack(rows, is_complex, dim)
+    assert chains._contractions_certified(stack, slack)
+    rows.append(np.full(dim, 1.0 + 2 * slack))
+    stack = conjugated_stack(rows, is_complex, dim)
+    assert not chains._contractions_certified(stack, slack)
+
+
+class StackedDecrements(chains._Steps):
+    """A decrement source that hands out the steps asked for of one
+    fixed stack, so a Schur chain draws them as one block."""
+
+    def __init__(self, stack):
+        self._stack = stack
+
+    def stack(self, first, stop, chain=None):
+        return self._stack[first - 1 : stop]
+
+
+@given(
+    dim=st.sampled_from(CERTIFIED_DIMS),
+    bad=st.integers(0, 3),
+    offset=st.sampled_from([1.0, -1.0]),
+    excess=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    is_complex=st.booleans(),
+)
+def test_bad_decrement_in_a_drawn_block_gets_the_eigvalsh_message(
+    dim, bad, offset, excess, seed, is_complex
+):
+    # decrements 1 .. 3 make T_2 .. T_4, which share the first block up
+    # to dim 32; decrement `bad` (none at 0) has one eigenvalue `excess`
+    # units of 2^-40 beyond -s or 1 + s.  The block falls back to the
+    # stacked eigvalsh, whose witness the refusal names at that step
+    slack = DEFAULT.psd(dim)
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.0, 1.0, (3, dim))
+    edge = 1.0 + slack if offset > 0 else -slack
+    if bad:
+        rows[bad - 1, 0] = edge + offset * excess * 2.0**-40
+    stack = conjugated_stack(rows, is_complex, seed)
+    rule = eigvalsh_rule(stack, slack)
+    assert [not check for check in rule] == [k == bad for k in (1, 2, 3)]
+    chain = schur_decrement_chain(
+        identity(dim), StackedDecrements(stack), horizon=4
+    )
+    last = bad if bad else 4
+    assert chain.operator_at(last).dim == dim
+    if bad:
+        message = (
+            f"decrement at step {bad} is not a positive contraction: "
+            f"eigenvalue {rule[bad - 1].witness}"
+        )
+        with pytest.raises(ChainGenerationError, match=re.escape(message)):
+            chain.operator_at(bad + 1)
+
+
+def test_declined_block_is_checked_by_one_stacked_eigvalsh(eigensolve_counts):
+    # one member above 1 + s: the block's one Cholesky call declines, and
+    # one eigvalsh call on all three decrements decides each step
+    slack = DEFAULT.psd(8)
+    rows = np.full((3, 8), 0.5)
+    rows[1, 0] = 1.0 + 2 * slack
+    stack = conjugated_stack(rows, False, 3)
+    chain = schur_decrement_chain(
+        identity(8), StackedDecrements(stack), horizon=4
+    )
+    eigensolve_counts.reset()
+    assert chain.operator_at(2).dim == 8
+    assert eigensolve_counts.calls == {
+        "eigh": 1, "eigvalsh": 1, "cholesky": 1, "qr": 0,
+    }
+    assert eigensolve_counts == {
+        "eigh": 1, "eigvalsh": 3, "cholesky": 3, "qr": 0,
+    }
+    witness = eigvalsh_rule(stack, slack)[1].witness
+    with pytest.raises(
+        ChainGenerationError,
+        match=re.escape(f"decrement at step 2 is not a positive "
+                        f"contraction: eigenvalue {witness}"),
+    ):
+        chain.operator_at(3)
 
 
 # ---------------------------------------------------------------------------

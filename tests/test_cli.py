@@ -118,19 +118,39 @@ def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
     out = tmp_path / "out"
     # inconclusive: after 12 steps the empirical limit is not yet trusted
     assert run_cli(["simulate", "--spec", spec, "--out", str(out)]) == 2
-    # h - 1 sampler bases plus one eigh of each T_n, shared by the
-    # generator's square root, the step's fixed space and the empirical
-    # limit; one eigvalsh for T_1 and one for each decrement
+    # one eigh of each T_n, shared by the generator's square root, the
+    # step's fixed space and the empirical limit; one eigvalsh for T_1;
+    # one qr for the frame and one for each sampler basis, and one
+    # Cholesky factorization proving each decrement a contraction
     assert eigensolve_counts == {
-        "eigh": 2 * h - 1, "eigvalsh": h, "cholesky": 0,
+        "eigh": h, "eigvalsh": 1, "cholesky": h - 1, "qr": h,
     }
-    # dim 6 stores T_2 .. T_12 in one block: its Gaussians and its
-    # decrements are each solved in one stacked call
+    # dim 6 stores T_2 .. T_12 in one block: its Gaussians are factored
+    # and its decrements certified in one stacked call each
     assert eigensolve_counts.calls == {
-        "eigh": h + 1, "eigvalsh": 2, "cholesky": 0,
+        "eigh": h, "eigvalsh": 1, "cholesky": 1, "qr": 2,
     }
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rank_trajectory"] == [2] * h
+
+
+def test_simulate_at_dim_128_factors_each_decrement_once(
+    tmp_path, eigensolve_counts
+):
+    # the simulate-dense benchmark's chain at seed 3: one step per block.
+    # 80 eigh of T_1 .. T_80, T_1's eigvalsh, the frame's and 79 bases'
+    # qr, and one Cholesky factorization certifying each decrement; no
+    # decrement falls back to eigvalsh
+    spec = write_spec(
+        tmp_path,
+        {"kind": "schur_decrement", "dim": 128, "horizon": 80, "seed": 3,
+         "fixed_rank": 8, "top": 0.9},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--spec", spec, "--out", str(out)]) == 0
+    solved = {"eigh": 80, "eigvalsh": 1, "cholesky": 79, "qr": 80}
+    assert eigensolve_counts == solved
+    assert eigensolve_counts.calls == solved
 
 
 def test_simulate_usage_errors(tmp_path, capsys):
@@ -203,7 +223,7 @@ def test_simulate_zero_psd_slack_ends_in_one_line(tmp_path, capsys, spec):
         ("gap_dim16.json", "1e-14"),
         ("gap_engineered.json", "1e-14"),
         ("schur_random.json", "1e-13"),
-        ("schur_dim16.json", "1e-12"),
+        ("schur_dim16.json", "1e-13"),
     ],
 )
 def test_simulate_tiny_psd_slack_product_rounding_is_inconclusive(
@@ -406,7 +426,7 @@ def test_gap_grid_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, tol_psd, step, eigenvalue",
     [
-        ("schur_random.json", "1e-14", 39, "1.0000000000000107"),
+        ("schur_random.json", "5e-15", 59, "1.0000000000000056"),
         ("gap_dim16.json", "1e-15", 46, "1.0000000000000013"),
     ],
 )
@@ -748,7 +768,7 @@ def test_verify_coarse_tol_eig_monotonicity_is_inconclusive(
     "options, refused",
     [
         (["--tol-eig", "0.5"],
-         {"adjoint_convergence": 11, "operator_norm_convergence": 11}),
+         {"adjoint_convergence": 12, "operator_norm_convergence": 12}),
         (["--tol-eig", "0"],
          {"projection_monotonicity": 30, "adjoint_convergence": 2,
           "operator_norm_convergence": 2}),
@@ -1079,21 +1099,34 @@ def test_short_run_on_a_schur_chain_draws_only_its_decrements(
     tmp_path, eigensolve_counts
 ):
     # simulate --horizon 20 reads T_1 .. T_20: their 20 eigh (the limit
-    # T_20 reuses the last) and one stacked eigh for decrements 1 .. 19.
-    # Drawing to the store block's end made 132, 112 of them decrements.
+    # T_20 reuses the last), the frame's qr and one stacked qr for the
+    # bases of decrements 1 .. 19, which one stacked cholesky certifies.
+    # Drawing to the store block's end would factor 112 decrement bases.
     spec = str(REPO_SPECS / "schur_random.json")
     argv = ["simulate", "--spec", spec, "--out"]
     assert run_cli(argv + [str(tmp_path / "short"), "--horizon", "20"]) == 2
     assert (eigensolve_counts["eigh"], eigensolve_counts.calls["eigh"]) == (
-        39, 21
+        20, 20
     )
-    # a full run still draws each block's decrements in one stacked eigh:
-    # 160 steps' eigh and 159 decrements in two calls
+    assert (eigensolve_counts["qr"], eigensolve_counts.calls["qr"]) == (
+        20, 2
+    )
+    assert (
+        eigensolve_counts["cholesky"], eigensolve_counts.calls["cholesky"]
+    ) == (19, 1)
+    # a full run still draws each block's decrements in one stacked qr:
+    # the frame and 159 decrement bases in three calls
     eigensolve_counts.reset()
     assert run_cli(argv + [str(tmp_path / "full")]) == 0
     assert (eigensolve_counts["eigh"], eigensolve_counts.calls["eigh"]) == (
-        319, 162
+        160, 160
     )
+    assert (eigensolve_counts["qr"], eigensolve_counts.calls["qr"]) == (
+        160, 3
+    )
+    assert (
+        eigensolve_counts["cholesky"], eigensolve_counts.calls["cholesky"]
+    ) == (159, 2)
 
 
 def test_bundled_specs_build():

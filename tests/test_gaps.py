@@ -97,7 +97,9 @@ def test_empty_gap_window_is_refused(eigensolve_counts):
         with pytest.raises(PreconditionError, match=message):
             certificate_search(chain, delta_grid=(0.5, delta), tol_eig=0.01)
     # each is refused before any solve
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
 
 
 def test_gap_scan_refuses_a_step_outside_the_slack():
@@ -212,7 +214,7 @@ def test_has_gap_at_agrees_with_the_eigvalsh_rule(
                     tol_psd == 1e-14 and dim >= 16
                 ):
                     assert solved == {
-                        "eigh": 0, "eigvalsh": 1, "cholesky": 0,
+                        "eigh": 0, "eigvalsh": 1, "cholesky": 0, "qr": 0,
                     }
 
 
@@ -374,7 +376,9 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     )
     # positivity, gap test and rank from one eigh per operator, plus the
     # one eigvalsh of the Loewner comparison
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 1, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 2, "eigvalsh": 1, "cholesky": 0, "qr": 0,
+    }
 
     # each failing input also fails every later precondition, so the
     # message shows which check runs first; delta comes before any solve
@@ -384,7 +388,9 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
         PreconditionError, match=r"^delta must lie in \(0, 1\), got 1\.5$"
     ):
         rank_strict_descent_check(upper, lower, 1.5)
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
     cases = [
         (upper, lower,
          r"^upper operand is not a positive contraction: "
@@ -414,9 +420,11 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     # projection share one eigh; the other is the limit's.  The scan's
     # gap tests over T_2 .. T_60 are each certified by one stacked
     # Cholesky call on two matrices, so no eigvalsh runs
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 118}
+    assert eigensolve_counts == {
+        "eigh": 2, "eigvalsh": 0, "cholesky": 118, "qr": 0,
+    }
     assert eigensolve_counts.calls == {
-        "eigh": 2, "eigvalsh": 0, "cholesky": 59,
+        "eigh": 2, "eigvalsh": 0, "cholesky": 59, "qr": 0,
     }
 
 
@@ -440,6 +448,7 @@ def test_gap_search_decomposes_first_and_violating_steps_once(
         "eigh": 2 + len(result.violations),
         "eigvalsh": len(result.violations),
         "cholesky": 2 * scanned,
+        "qr": 0,
     }
     assert eigensolve_counts.calls["cholesky"] == scanned
 
@@ -528,14 +537,18 @@ def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
         PreconditionError, match=r"^probes live in dimension 3, chain in 4$"
     ):
         rate_bound_check(chain, certified, np.ones(3))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
     chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
     cert = certificate_search(chain)
     eigensolve_counts.reset()
     # an inf entry is bad input, refused before the n0 scan
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         rate_bound_check(chain, cert, np.array([1.0, np.inf, 0, 0, 0, 0]))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
 
 
 def test_rate_bound_default_probe_is_seeded_and_orthogonal():
@@ -734,7 +747,9 @@ def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
     report = rate_bound_check(chain, cert)
     assert report.n0 == 360
     assert len(report.j) == 41
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
 
 
 @pytest.mark.parametrize(

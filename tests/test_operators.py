@@ -286,7 +286,9 @@ def test_fixed_vector_equivalence_rejects_non_contraction(eigensolve_counts):
         DimensionMismatchError, match=r"^vector of shape \(3,\) does not"
     ):
         check_fixed_vector_equivalence(diagonal([2.0, 0.5]), np.ones(3))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
 
 
 @given(seed=seeds(), dim=small_dims())
@@ -325,7 +327,9 @@ def test_projection_monotone_one_eigh_per_operand(eigensolve_counts):
     upper = diagonal([1.0, 1.0, 0.6])
     assert check_projection_monotone(diagonal([1.0, 0.5, 0.3]), upper)
     # one eigh per operand, one eigvalsh per Loewner comparison
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+    }
     # precondition order: lower operand, upper operand, then the ordering
     with pytest.raises(
         PreconditionError,
@@ -366,7 +370,9 @@ def test_projection_monotone_refuses_a_failure_only_a_coarse_tol_eig_made(
     ):
         check_projection_monotone(lower, upper, tol_eig=0.01)
     # the refusal reads the eigenvalues the check computed
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+    }
     # a failure with no eigenvalue in [1 - tol_eig, 1 - DEFAULT.eig) is
     # still a failure: e3 is fixed by lower and not by upper, which only a
     # wide tol_psd lets pass as ordered
@@ -395,7 +401,9 @@ def test_projection_monotone_refuses_a_failure_only_a_fine_tol_eig_made(
         r"eig of P - P' -1\.0\) proves nothing$",
     ):
         check_projection_monotone(lower, upper, tol_eig=0.0)
-    assert eigensolve_counts == {"eigh": 2, "eigvalsh": 2, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+    }
     # with a band eigenvalue in both operands the lower one is named first
     lower = diagonal([1.0, 1.0 - 1e-12, 0.0])
     upper = diagonal([1.0 - 1e-12, 1.0 - 1e-12, 0.5])

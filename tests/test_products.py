@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from contraction_lab import (
     diagonal,
     diagonal_chain,
     fixed_point_projection,
+    gap_engineered_chain,
     geometric,
     harmonic_to,
     is_decreasing,
@@ -125,7 +127,9 @@ def test_bad_input_is_refused_before_any_solve(eigensolve_counts):
     # a non-finite probe is bad input, not a broken theorem
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         iterate_products(telescoping_chain(20), probes=np.array([np.nan, 1.0]))
-    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+    }
 
 
 def test_iterate_products_refuses_probe_ids_without_probes():
@@ -731,16 +735,17 @@ def test_schur_run_diagonalizes_each_step_once(
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
     eigensolve_counts.reset()
     iterate_products(chain, fixed_spaces=fixed_spaces)
-    # h - 1 sampler bases and one eigh per step T_1 .. T_h, which serves
-    # the square root, the step's fixed space and the empirical limit; the
-    # trace-only run decomposes the same steps
+    # one eigh per step T_1 .. T_h, which serves the square root, the
+    # step's fixed space and the empirical limit; the trace-only run
+    # decomposes the same steps.  The h - 1 sampler bases are QRs, and
+    # one Cholesky factorization each proves the decrements contractions
     assert eigensolve_counts == {
-        "eigh": 2 * h - 1, "eigvalsh": h - 1, "cholesky": 0,
+        "eigh": h, "eigvalsh": 0, "cholesky": h - 1, "qr": h - 1,
     }
-    # T_1 .. T_h are one block: one stacked eigh of its h - 1 Gaussians,
-    # one stacked eigvalsh of its h - 1 decrements
+    # T_1 .. T_h are one block: one stacked qr of its h - 1 Gaussians,
+    # one stacked cholesky of its h - 1 decrements
     assert eigensolve_counts.calls == {
-        "eigh": h + 1, "eigvalsh": 1, "cholesky": 0,
+        "eigh": h, "eigvalsh": 0, "cholesky": 1, "qr": 1,
     }
 
 
@@ -749,18 +754,18 @@ def test_schur_sampler_solves_once_per_block(
     monkeypatch, eigensolve_counts, steps, blocks
 ):
     # blocks of 5 steps T_1 .. T_5, T_6 .. T_10 and T_11 .. T_12 draw
-    # decrements 1..4, 5..9 and 10..11: one stacked eigh and one stacked
-    # eigvalsh each
+    # decrements 1..4, 5..9 and 10..11: one stacked qr and one stacked
+    # cholesky each
     blocks_of(monkeypatch, steps, 6)
     h = 12
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
     eigensolve_counts.reset()
     iterate_products(chain)
     assert eigensolve_counts == {
-        "eigh": 2 * h - 1, "eigvalsh": h - 1, "cholesky": 0,
+        "eigh": h, "eigvalsh": 0, "cholesky": h - 1, "qr": h - 1,
     }
     assert eigensolve_counts.calls == {
-        "eigh": h + blocks, "eigvalsh": blocks, "cholesky": 0,
+        "eigh": h, "eigvalsh": 0, "cholesky": blocks, "qr": blocks,
     }
 
 
@@ -979,3 +984,34 @@ def test_write_trace_csv_matches_csv_writer_on_a_dense_run(tmp_path):
     reference_trace_csv(trace, tmp_path / "reference.csv")
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_long_trace_passes_hold_no_full_length_temporary(tmp_path):
+    # the growth check of b, the a/b chain report and the trace writer
+    # go over a trace a block of rows at a time: the memory each takes
+    # above the trace does not grow with the horizon, where each made
+    # two to four temporaries as long as a trace field
+    probe = np.array([[0.6], [0.8]])
+    extra = {}
+    for horizon in (2_000, 20_000):
+        chain = gap_engineered_chain(2, 0.1, 1, seed=5, horizon=horizon)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            trace = iterate_products(chain, probe)
+            held, peak = tracemalloc.get_traced_memory()
+            peaks = [peak - held]
+            for run in (
+                lambda: consecutive_difference_report(trace),
+                lambda: write_trace_csv(trace, tmp_path / "trace.csv"),
+            ):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert held - start >= 6 * trace.b.nbytes
+        extra[horizon] = (np.array(peaks), trace.b.nbytes)
+    (short, field_short), (long, field_long) = extra.values()
+    assert np.all(long - short < (field_long - field_short) / 4), extra

@@ -57,7 +57,7 @@ def test_artifact_digests_one_line_per_command():
         "gap schur_random": 0,
         "simulate conjugated_mixed": 0,
         "simulate schur_random tol0": 64,
-        "simulate schur_dim16 tol1e-12": 2,
+        "simulate schur_dim16 tol1e-13": 2,
         "gap gap_dim16 horizon40 tol1e-15": 0,
         "gap near_one grid1e-4": 0,
         "simulate schur_random horizon20": 2,
