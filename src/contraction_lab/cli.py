@@ -333,8 +333,9 @@ def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     verdicts = trace_summary(trace)["verdicts"]
     bounded = verdicts["product_norm_bounded"]
     if bounded is False:
-        largest = float(trace.product_norm.max())
-        raise InvariantError(f"product norm exceeded 1: max {largest}")
+        raise InvariantError(
+            f"product norm exceeded 1: max {trace.product_norm}"
+        )
     if bounded is None:
         return (None,) * len(_CHAIN_PROPERTIES)
     ordering = order.ok

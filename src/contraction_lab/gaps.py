@@ -31,6 +31,7 @@ from .operators import (
     Projection,
     _contraction_witness,
     _eig_band,
+    _factored,
     _fixed_projection,
     _fixed_space,
     _not_a_contraction,
@@ -260,11 +261,7 @@ def _gap_certified(
     diagonals = pair.reshape(2, n * n)[:, :: n + 1]
     diagonals[0] += w_const - w_shift
     diagonals[1] += c_const - c_shift
-    try:
-        np.linalg.cholesky(pair)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _factored(pair)
 
 
 def _validate_grid(delta_grid, tol_eig: float) -> tuple[float, ...]:

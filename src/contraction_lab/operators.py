@@ -156,7 +156,9 @@ class Projection:
 
 @dataclass(frozen=True)
 class Witnessed:
-    """A boolean verdict plus the number that decided it."""
+    """A boolean verdict plus the number that decided it: None when no
+    solved number did, because a Cholesky certificate proved the verdict
+    (``products.is_decreasing``) or there was nothing to compare."""
 
     ok: bool
     witness: float | None = None
@@ -269,8 +271,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _rounding_bounds(entries: np.ndarray, slack: float):
-    """``(rho, eps, eta_C)`` of the Hermitian ``entries`` ``T``, or of each
-    matrix of a ``(k, n, n)`` stack (then arrays of length ``k``):
+    """``(rho, eps, eta_C)`` of the Hermitian ``entries`` ``T``, or of
+    every matrix of a ``(k, n, n)`` stack at once:
 
     * ``rho`` bounds the error of each eigenvalue ``eigvalsh`` computes;
     * ``eps(alpha, beta)`` bounds the rounding of forming ``M = +-T @ T +
@@ -283,6 +285,28 @@ def _rounding_bounds(entries: np.ndarray, slack: float):
       ``T`` is below ``rho (1 + 2s)`` outside ``[rho - s, 1 + s - rho]``,
       so a factorization of ``C - eta_C I`` keeps every eigenvalue that
       ``eigvalsh`` computes in ``[-s, 1 + s]``.
+
+    Two more certificates read the same constants of other matrices:
+
+    * Order (:func:`_decreasing_certified`): of the difference ``D = T_n -
+      T_{n+1}`` as computed, the matrix that ``eigvalsh`` reads,
+      ``eta_D = eps(1, s) + rho`` is the shift of ``D + s I``.  ``M = D +
+      (s - eta_D) I`` is the form above with ``alpha = 1``, ``beta = s``
+      and no quadratic term, which drops only nonnegative terms from both
+      parts of ``eps``.  So with ``eta_D < s`` a factorization proves ``D
+      >= (rho - s) I``, and every eigenvalue ``eigvalsh`` computes is at
+      least ``-s``.
+    * Norm (:func:`_norms_certified`): of a square ``S``, not Hermitian,
+      ``rho`` bounds the error of each singular value the SVD computes,
+      ``p(n) u ||S||_2`` (LAPACK Users' Guide, section 4.9), and ``eps(0,
+      beta)`` the rounding of forming and factoring ``beta I - S* S -
+      eta I``: ``S* S`` is within ``gamma_k |S*||S|`` entrywise, and the
+      Frobenius norm and the trace of ``|S*||S|`` are at most ``F``, as
+      for ``|T||T|``.  With ``beta = (1 + s - rho)^2`` and ``eta = eps(0,
+      beta)``, a factorization of ``c I - S* S``, ``c = beta - eta``,
+      proves ``||S||_2 <= 1 + s - rho``, so the SVD finds ``||S|| <= 1 +
+      s``.  It needs ``1 + s - rho > 0`` and ``0 < c < inf``; ``beta``
+      overflows past ``s`` about ``1.3e154``.
 
     The constants, with ``u = 2**-53``, ``n = dim``, ``F = ||T||_F^2``,
     ``gamma_k = k u / (1 - k u)`` and ``k = n`` for real ``T``, ``3n`` for
@@ -310,14 +334,18 @@ def _rounding_bounds(entries: np.ndarray, slack: float):
       symmetric eigenvalues by ``p(n) u ||T||_2``, ``p(n)`` a modestly
       growing function of ``n`` (LAPACK Users' Guide, 3rd ed., section
       4.7); this takes ``p(n) = 4 n^2`` and ``||T||_F >= ||T||_2``.
+
+    Every constant grows with ``F``, so for a stack ``F`` is the largest
+    of its matrices' and the constants bound each of them.  They are
+    Python floats, which overflow to ``inf`` without a warning.
     """
     n = entries.shape[-1]
     k = n if entries.dtype == np.float64 else 3 * n
-    if entries.ndim == 2:  # Python floats: one matrix pays no array calls
+    if entries.ndim == 2:
         frob2 = float(np.vdot(entries, entries).real)
     else:  # a complex entry as its real and imaginary parts
         parts = entries.reshape(len(entries), n * n).view(np.float64)
-        frob2 = np.einsum("ij,ij->i", parts, parts)
+        frob2 = float(np.einsum("ij,ij->i", parts, parts).max(initial=0.0))
     rho = 4.0 * n * n * _UNIT_ROUNDOFF * frob2**0.5
     spread = (n * frob2) ** 0.5
 
@@ -329,28 +357,100 @@ def _rounding_bounds(entries: np.ndarray, slack: float):
     return rho, eps, c_shift
 
 
+def _factored(stack: np.ndarray) -> bool:
+    """Whether one stacked Cholesky factorization of the Hermitian
+    matrices of ``stack`` runs to completion."""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _shifted_diagonals(stack: np.ndarray, shift: float) -> np.ndarray:
+    """``stack``, C-contiguous, with ``shift`` added to the diagonal of
+    each matrix in place (through a reshaped view, which only a
+    contiguous stack gives)."""
+    n = stack.shape[-1]
+    stack.reshape(len(stack), n * n)[:, :: n + 1] += shift
+    return stack
+
+
+def _contraction_factors(
+    stack: np.ndarray, slack: float
+) -> np.ndarray | None:
+    """``C - eta_C I`` of each Hermitian matrix of the ``(k, n, n)``
+    ``stack``, with the stack's ``eta_C`` (:func:`_rounding_bounds`), or
+    None when the shift leaves no room at the eigenvalues 0 and 1
+    (``eta_C >= s (1 + s)``, always at ``slack`` 0)."""
+    _, _, c_shift = _rounding_bounds(stack, slack)
+    c_const = slack * (1.0 + slack)
+    if not c_shift < c_const:
+        return None
+    c = np.matmul(stack, stack)
+    np.subtract(stack, c, out=c)
+    return _shifted_diagonals(c, c_const - c_shift)
+
+
 def _contractions_certified(stack: np.ndarray, slack: float) -> bool:
     """True when one stacked Cholesky factorization proves that
     ``eigvalsh`` finds every eigenvalue of each Hermitian matrix of the
     ``(k, n, n)`` ``stack`` in ``[-slack, 1 + slack]``, so that
     :func:`_contraction_witness` passes it at ``slack``; False proves
-    nothing.  It factors ``C - eta_C I`` of each (:func:`_rounding_bounds`),
-    reading the entries alone, and declines without factoring when a
-    shift leaves no room at the eigenvalues 0 and 1 (``eta_C >= s (1 +
-    s)``, always at ``slack`` 0)."""
-    _, _, c_shift = _rounding_bounds(stack, slack)
-    c_const = slack * (1.0 + slack)
-    if not np.all(c_shift < c_const):
+    nothing.  It factors :func:`_contraction_factors`, reading the
+    entries alone, and declines without factoring when there are
+    none."""
+    c = _contraction_factors(stack, slack)
+    return c is not None and _factored(c)
+
+
+def _decreasing_certified(
+    steps: np.ndarray, upper: np.ndarray, lower: np.ndarray, slack: float
+) -> bool:
+    """True when one stacked Cholesky factorization proves that
+    ``eigvalsh`` finds every eigenvalue of each step of the ``(k, n, n)``
+    ``steps`` in ``[-slack, 1 + slack]`` and the least eigenvalue of each
+    ``upper - lower``, as :func:`loewner_margin` computes it, at least
+    ``-slack``; False proves nothing.  It factors the steps'
+    :func:`_contraction_factors` and each ``D + (s - eta_D) I``, ``D =
+    upper - lower`` (:func:`_rounding_bounds`), and declines without
+    factoring when a shift leaves no room (``eta_D >= s`` or ``eta_C >=
+    s (1 + s)``, always at ``slack`` 0)."""
+    c = _contraction_factors(steps, slack)
+    if c is None:
         return False
-    n = stack.shape[-1]
-    c = np.matmul(stack, stack)
-    np.subtract(stack, c, out=c)
-    c.reshape(len(stack), n * n)[:, :: n + 1] += (c_const - c_shift)[:, None]
-    try:
-        np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
+    d = upper - lower
+    rho, eps, _ = _rounding_bounds(d, slack)
+    d_shift = eps(1.0, slack) + rho
+    if not d_shift < slack:
         return False
-    return True
+    _shifted_diagonals(d, slack - d_shift)
+    return _factored(np.concatenate((c, d)))
+
+
+def _norms_certified(stack: np.ndarray, tol: float) -> bool:
+    """True when one stacked Cholesky factorization proves that the SVD
+    finds ``||S||_2 <= 1 + tol`` for each square matrix ``S`` of the
+    ``(k, n, n)`` ``stack``, so that ``1 - ||S||`` passes
+    :func:`_slack_verdict` at ``tol``; False proves nothing.  It factors
+    ``c I - S* S`` of each, ``c = (1 + tol - rho)^2 - eps(0, (1 + tol -
+    rho)^2)`` with the stack's :func:`_rounding_bounds`, and declines
+    without factoring unless ``1 + tol - rho`` and ``c`` are positive and
+    ``c`` finite (``(1 + tol)^2`` overflows at ``tol`` 1e300)."""
+    rho, eps, _ = _rounding_bounds(stack, 0.0)  # its C shift is not read
+    reach = 1.0 + tol - rho
+    top = reach * reach
+    c = top - eps(0.0, top)
+    # a reach below 0 would square to a top that proves nothing
+    if not (reach > 0.0 and 0.0 < c < np.inf):
+        return False
+    # a contiguous copy: matmul loops over a strided stack far slower
+    adjoint = stack.swapaxes(1, 2).copy()
+    if np.iscomplexobj(adjoint):
+        np.conjugate(adjoint, out=adjoint)
+    gram = np.matmul(adjoint, stack)
+    np.negative(gram, out=gram)
+    return _factored(_shifted_diagonals(gram, c))
 
 
 def _slack_verdict(

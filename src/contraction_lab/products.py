@@ -34,10 +34,12 @@ from .operators import (
     Projection,
     Witnessed,
     _contraction_witness,
+    _decreasing_certified,
     _eig_band,
     _eigvalsh,
     _fixed_projection,
     _fixed_space,
+    _norms_certified,
     _not_a_contraction,
     _psd_slack,
     _slack_verdict,
@@ -216,8 +218,14 @@ class ConvergenceTrace:
     Arrays are indexed ``[n - 1, probe]`` for ``n = 1..horizon``; the
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
     look one step ahead.  ``tol_psd`` is the run's positivity slack;
-    :func:`trace_summary` judges ``product_norm <= 1`` by it.  ``tol_eig``
-    is the clustering tolerance that picked out ``projection``.
+    :func:`trace_summary` judges ``||S_n|| <= 1`` by it.  ``tol_eig`` is
+    the clustering tolerance that picked out ``projection``.
+
+    ``product_norm`` is the largest SVD norm ``||S_n||`` over the blocks
+    of products whose Cholesky certificate ``||S_n|| <= 1 + tol_psd``
+    declined (:func:`iterate_products`), and None when none declined: a
+    certified block's norms are inside the slack by proof, so only the
+    maximum over the others can decide the verdict.
 
     ``ranks`` is None unless the run was asked for the per-step fixed
     spaces.  Then it holds the rank of ``T_n``'s fixed space under the
@@ -239,7 +247,7 @@ class ConvergenceTrace:
     a: np.ndarray
     consec_diff: np.ndarray
     opnorm_err: np.ndarray
-    product_norm: np.ndarray
+    product_norm: float | None
     limit: LimitInfo
     projection: Projection
     tol_eig: float
@@ -275,7 +283,11 @@ def iterate_products(
     (``ContractionChain.step_blocks``), and the per-step metrics
     are taken a block of products at a time; stacked ``matmul``, axis
     reductions and spectral norms give the same bits as one call per
-    step.
+    step.  Each step takes one SVD, for ``opnorm_err``.  Each block's
+    ``||S_n|| <= 1 + tol_psd`` is proved by one stacked Cholesky
+    factorization (``operators._norms_certified``); only a block that it
+    declines takes the SVD norms ``||S_n||``, whose largest is
+    ``product_norm``.
 
     With ``fixed_spaces`` the trace also records each step's fixed-space
     rank.  The ranks are read before the limit, in the step-order walk
@@ -329,7 +341,8 @@ def iterate_products(
     a = np.empty((max(h - 1, 0), count))
     consec = np.empty((max(h - 1, 0), count))
     opnorm = np.empty(h)
-    snorm = np.empty(h)
+    # the largest SVD norm ||S_n|| of each block _norms_certified declines
+    declined_norms = []
 
     def record(
         products: np.ndarray, done: int, behind: np.ndarray | None
@@ -360,7 +373,9 @@ def iterate_products(
         a[pairs] = np.real(np.sum(ahead.conj() * back, axis=1))
         consec[pairs] = np.linalg.norm(ahead - back, axis=1)
         opnorm[steps] = np.linalg.norm(products - p_mat, 2, axis=(1, 2))
-        snorm[steps] = np.linalg.norm(products, 2, axis=(1, 2))
+        if not _norms_certified(products, tol):
+            norms = np.linalg.norm(products, 2, axis=(1, 2))
+            declined_norms.append(norms.max())
         return applied[-1]
 
     product = np.eye(dim, dtype=p_mat.dtype)
@@ -377,10 +392,11 @@ def iterate_products(
     for name, arr in (
         ("sot_err", sot), ("adj_err", adj), ("wot_err", wot),
         ("b", b), ("a", a), ("consec_diff", consec),
-        ("opnorm_err", opnorm), ("product_norm", snorm),
+        ("opnorm_err", opnorm), ("product_norm", declined_norms),
     ):
         if not np.all(np.isfinite(arr)):
             raise InvariantError(f"non-finite values in trace field {name}")
+    product_norm = float(max(declined_norms)) if declined_norms else None
     scale = np.maximum(probe_norms**2, 1.0)
     for first in range(0, h - 1, _ROW_BLOCK):
         growth = np.diff(b[first : first + _ROW_BLOCK + 1], axis=0) / scale
@@ -400,7 +416,7 @@ def iterate_products(
         a=a,
         consec_diff=consec,
         opnorm_err=opnorm,
-        product_norm=snorm,
+        product_norm=product_norm,
         limit=info,
         projection=proj,
         tol_eig=tol_eig,
@@ -415,34 +431,46 @@ def is_decreasing(
 ) -> Witnessed:
     """Whether ``T_{n+1} <= T_n`` in the Loewner order at every step up to
     the chain's horizon, up to PSD slack.  The witness is the smallest
-    eigenvalue of any ``T_n - T_{n+1}`` (None at horizon 1).
+    eigenvalue of any ``T_n - T_{n+1}`` in the blocks whose certificate
+    declined (None when there is none: at horizon 1, or when every pair
+    was certified).
 
     Every consecutive pair is checked, so by transitivity ``T_m <= T_n``
-    for all ``m > n``; the pairs are decided over the chain's stored
-    blocks, one ``eigvalsh`` of the differences per block.  The same
-    pass checks that every step is a positive contraction, with one
-    more stacked ``eigvalsh`` per block, and raises
-    :class:`PreconditionError` at the first step that is not: the order
-    of such a chain is outside what the theorems speak of.
+    for all ``m > n``, and every step is checked to be a positive
+    contraction: the order of a chain with a step that is not is outside
+    what the theorems speak of.  Both are decided over the chain's
+    stored blocks.  One stacked Cholesky factorization per block
+    (``operators._decreasing_certified``) proves both for the block's
+    steps and its pairs with the block before; a block that it declines
+    takes one stacked ``eigvalsh`` of its steps, raising
+    :class:`PreconditionError` at the first step that is not a positive
+    contraction, and one of its differences, whose least eigenvalue joins
+    the witness.  A certified block's eigenvalues are inside the slack by
+    proof, so the verdict is the one the solves would give.
     """
     tol = _psd_slack(chain.dim, tol_psd)
     least = math.inf
     done = 0
     before = None  # the step before the block
     for steps in chain.step_blocks():
-        eigenvalues = _eigvalsh(steps)
-        refused = (eigenvalues[:, 0] < -tol) | (eigenvalues[:, -1] > 1.0 + tol)
-        if refused.any():
-            k = int(np.argmax(refused))
-            check = _contraction_witness(eigenvalues[k], tol)
-            raise _not_a_contraction(check.witness, f"step {done + k + 1}")
         if before is None:
             upper, lower = steps[:-1], steps[1:]
         else:
             upper = np.concatenate((before[None], steps[:-1]))
             lower = steps
-        if len(lower):
-            least = min(least, float(loewner_margin(upper, lower).min()))
+        if not _decreasing_certified(steps, upper, lower, tol):
+            eigenvalues = _eigvalsh(steps)
+            refused = (eigenvalues[:, 0] < -tol) | (
+                eigenvalues[:, -1] > 1.0 + tol
+            )
+            if refused.any():
+                k = int(np.argmax(refused))
+                check = _contraction_witness(eigenvalues[k], tol)
+                raise _not_a_contraction(
+                    check.witness, f"step {done + k + 1}"
+                )
+            if len(lower):
+                least = min(least, float(loewner_margin(upper, lower).min()))
         before = steps[-1]
         done += len(steps)
     return Witnessed(least >= -tol, None if least == math.inf else least)
@@ -704,8 +732,10 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     only when a theorem-backed verdict (``_THEOREM_VERDICTS``) is false;
     a false or inconclusive convergence verdict makes it
     ``"inconclusive"``.  ``product_norm_bounded`` is ``_slack_verdict``'s
-    judgement of ``1 - max ||S_n||``, None (inconclusive) included.  A
-    trace with ``ranks`` adds the two rank verdicts and ``rank_trajectory``.
+    judgement of ``1 - product_norm``, None (inconclusive) included, and
+    True when ``product_norm`` is None: every product's norm was then
+    proved within ``tol_psd``.  A trace with ``ranks`` adds the two rank
+    verdicts and ``rank_trajectory``.
     """
     ab_report = consecutive_difference_report(trace)
     final = {
@@ -727,8 +757,11 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
         return "inconclusive"
 
     verdicts = {
-        "product_norm_bounded": _slack_verdict(
-            1.0 - float(trace.product_norm.max()), trace.dim, trace.tol_psd
+        "product_norm_bounded": (
+            True if trace.product_norm is None
+            else _slack_verdict(
+                1.0 - trace.product_norm, trace.dim, trace.tol_psd
+            )
         ),
         "ab_chain": ab_report.all_ok,
         "consec_identity": ab_report.identity_ok,

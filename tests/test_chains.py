@@ -910,10 +910,10 @@ def test_declined_block_is_checked_by_one_stacked_eigvalsh(eigensolve_counts):
     eigensolve_counts.reset()
     assert chain.operator_at(2).dim == 8
     assert eigensolve_counts.calls == {
-        "eigh": 1, "eigvalsh": 1, "cholesky": 1, "qr": 0,
+        "eigh": 1, "eigvalsh": 1, "cholesky": 1, "qr": 0, "svd": 0,
     }
     assert eigensolve_counts == {
-        "eigh": 1, "eigvalsh": 3, "cholesky": 3, "qr": 0,
+        "eigh": 1, "eigvalsh": 3, "cholesky": 3, "qr": 0, "svd": 0,
     }
     witness = eigvalsh_rule(stack, slack)[1].witness
     with pytest.raises(

@@ -5,6 +5,7 @@ import json
 import math
 import runpy
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -121,14 +122,18 @@ def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
     # one eigh of each T_n, shared by the generator's square root, the
     # step's fixed space and the empirical limit; one eigvalsh for T_1;
     # one qr for the frame and one for each sampler basis, and one
-    # Cholesky factorization proving each decrement a contraction
+    # Cholesky factorization proving each decrement a contraction; one
+    # SVD (opnorm_err) and one Cholesky factorization (the norm
+    # certificate) of each product S_n, and one SVD for the Cauchy gap
     assert eigensolve_counts == {
-        "eigh": h, "eigvalsh": 1, "cholesky": h - 1, "qr": h,
+        "eigh": h, "eigvalsh": 1, "cholesky": 2 * h - 1, "qr": h,
+        "svd": h + 1,
     }
     # dim 6 stores T_2 .. T_12 in one block: its Gaussians are factored
-    # and its decrements certified in one stacked call each
+    # and its decrements certified in one stacked call each, and its
+    # products are certified and measured in one stacked call each
     assert eigensolve_counts.calls == {
-        "eigh": h, "eigvalsh": 1, "cholesky": 1, "qr": 2,
+        "eigh": h, "eigvalsh": 1, "cholesky": 2, "qr": 2, "svd": 2,
     }
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rank_trajectory"] == [2] * h
@@ -139,8 +144,9 @@ def test_simulate_at_dim_128_factors_each_decrement_once(
 ):
     # the simulate-dense benchmark's chain at seed 3: one step per block.
     # 80 eigh of T_1 .. T_80, T_1's eigvalsh, the frame's and 79 bases'
-    # qr, and one Cholesky factorization certifying each decrement; no
-    # decrement falls back to eigvalsh
+    # qr, one Cholesky factorization certifying each decrement and one
+    # each product's norm, one SVD of each S_n - P and the Cauchy gap's;
+    # no decrement falls back to eigvalsh, and no product to its SVD norm
     spec = write_spec(
         tmp_path,
         {"kind": "schur_decrement", "dim": 128, "horizon": 80, "seed": 3,
@@ -148,7 +154,9 @@ def test_simulate_at_dim_128_factors_each_decrement_once(
     )
     out = tmp_path / "out"
     assert run_cli(["simulate", "--spec", spec, "--out", str(out)]) == 0
-    solved = {"eigh": 80, "eigvalsh": 1, "cholesky": 79, "qr": 80}
+    solved = {
+        "eigh": 80, "eigvalsh": 1, "cholesky": 159, "qr": 80, "svd": 81,
+    }
     assert eigensolve_counts == solved
     assert eigensolve_counts.calls == solved
 
@@ -713,6 +721,32 @@ def test_verify_tiny_psd_slack_product_rounding_is_inconclusive(
     assert "product norm exceeded 1: max 2.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--spec", str(REPO_SPECS / "schur_random.json")],
+        ["simulate", "--spec", str(REPO_SPECS / "conjugated_mixed.json")],
+        ["verify", "--seeds", "1"],
+        ["gap", "--spec", str(REPO_SPECS / "gap_engineered.json")],
+    ],
+    ids=["simulate-schur", "simulate-curves", "verify", "gap"],
+)
+def test_huge_psd_slack_keeps_the_default_artifacts(tmp_path, capsys, argv):
+    # at --tol-psd 1e300, (1 + tol)^2 overflows: the norm and order
+    # certificates decline with no overflow warning, the solves pass
+    # every check, and the artifacts are those of the default slack
+    outputs = []
+    for extra in ([], ["--tol-psd", "1e300"]):
+        out = tmp_path / str(len(outputs))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv + extra + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("tol_psd", ["1e-14", "0"])
 def test_verify_runs_each_check_once(tmp_path, monkeypatch, tol_psd):
     # below the default slack each verdict is judged from the witness its
@@ -1102,6 +1136,8 @@ def test_short_run_on_a_schur_chain_draws_only_its_decrements(
     # T_20 reuses the last), the frame's qr and one stacked qr for the
     # bases of decrements 1 .. 19, which one stacked cholesky certifies.
     # Drawing to the store block's end would factor 112 decrement bases.
+    # One more stacked cholesky certifies the norms of S_1 .. S_20, and
+    # one stacked SVD measures their opnorm_err; the Cauchy gap takes one
     spec = str(REPO_SPECS / "schur_random.json")
     argv = ["simulate", "--spec", spec, "--out"]
     assert run_cli(argv + [str(tmp_path / "short"), "--horizon", "20"]) == 2
@@ -1113,9 +1149,13 @@ def test_short_run_on_a_schur_chain_draws_only_its_decrements(
     )
     assert (
         eigensolve_counts["cholesky"], eigensolve_counts.calls["cholesky"]
-    ) == (19, 1)
+    ) == (39, 2)
+    assert (eigensolve_counts["svd"], eigensolve_counts.calls["svd"]) == (
+        21, 2
+    )
     # a full run still draws each block's decrements in one stacked qr:
-    # the frame and 159 decrement bases in three calls
+    # the frame and 159 decrement bases in three calls; its two blocks
+    # of products take one stacked cholesky and one stacked SVD each
     eigensolve_counts.reset()
     assert run_cli(argv + [str(tmp_path / "full")]) == 0
     assert (eigensolve_counts["eigh"], eigensolve_counts.calls["eigh"]) == (
@@ -1126,7 +1166,10 @@ def test_short_run_on_a_schur_chain_draws_only_its_decrements(
     )
     assert (
         eigensolve_counts["cholesky"], eigensolve_counts.calls["cholesky"]
-    ) == (159, 2)
+    ) == (319, 4)
+    assert (eigensolve_counts["svd"], eigensolve_counts.calls["svd"]) == (
+        161, 3
+    )
 
 
 def test_bundled_specs_build():

@@ -98,7 +98,7 @@ def test_empty_gap_window_is_refused(eigensolve_counts):
             certificate_search(chain, delta_grid=(0.5, delta), tol_eig=0.01)
     # each is refused before any solve
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
 
@@ -215,6 +215,7 @@ def test_has_gap_at_agrees_with_the_eigvalsh_rule(
                 ):
                     assert solved == {
                         "eigh": 0, "eigvalsh": 1, "cholesky": 0, "qr": 0,
+                        "svd": 0,
                     }
 
 
@@ -377,7 +378,7 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     # positivity, gap test and rank from one eigh per operator, plus the
     # one eigvalsh of the Loewner comparison
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 1, "cholesky": 0, "qr": 0,
+        "eigh": 2, "eigvalsh": 1, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
     # each failing input also fails every later precondition, so the
@@ -389,7 +390,7 @@ def test_rank_strict_descent_check_one_eigh_per_operator(eigensolve_counts):
     ):
         rank_strict_descent_check(upper, lower, 1.5)
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
     cases = [
         (upper, lower,
@@ -421,10 +422,10 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     # gap tests over T_2 .. T_60 are each certified by one stacked
     # Cholesky call on two matrices, so no eigvalsh runs
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 0, "cholesky": 118, "qr": 0,
+        "eigh": 2, "eigvalsh": 0, "cholesky": 118, "qr": 0, "svd": 0,
     }
     assert eigensolve_counts.calls == {
-        "eigh": 2, "eigvalsh": 0, "cholesky": 59, "qr": 0,
+        "eigh": 2, "eigvalsh": 0, "cholesky": 59, "qr": 0, "svd": 0,
     }
 
 
@@ -449,6 +450,7 @@ def test_gap_search_decomposes_first_and_violating_steps_once(
         "eigvalsh": len(result.violations),
         "cholesky": 2 * scanned,
         "qr": 0,
+        "svd": 0,
     }
     assert eigensolve_counts.calls["cholesky"] == scanned
 
@@ -538,7 +540,7 @@ def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
     ):
         rate_bound_check(chain, certified, np.ones(3))
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
     chain = gap_engineered_chain(6, 0.1, 2, seed=5, horizon=80)
     cert = certificate_search(chain)
@@ -547,7 +549,7 @@ def test_rate_bound_refuses_bad_arguments_before_any_solve(eigensolve_counts):
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         rate_bound_check(chain, cert, np.array([1.0, np.inf, 0, 0, 0, 0]))
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
 
@@ -748,7 +750,7 @@ def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):
     assert report.n0 == 360
     assert len(report.j) == 41
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
 

@@ -1,8 +1,10 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,7 +28,15 @@ from contraction_lab import (
 )
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import random_contraction
-from contraction_lab.operators import _fixed_space, _slack_verdict
+from contraction_lab.operators import (
+    _contraction_witness,
+    _decreasing_certified,
+    _fixed_space,
+    _norms_certified,
+    _rounding_bounds,
+    _slack_verdict,
+    loewner_margin,
+)
 
 SQRT2 = 1.4142135623730951
 
@@ -287,7 +297,7 @@ def test_fixed_vector_equivalence_rejects_non_contraction(eigensolve_counts):
     ):
         check_fixed_vector_equivalence(diagonal([2.0, 0.5]), np.ones(3))
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
 
@@ -328,7 +338,7 @@ def test_projection_monotone_one_eigh_per_operand(eigensolve_counts):
     assert check_projection_monotone(diagonal([1.0, 0.5, 0.3]), upper)
     # one eigh per operand, one eigvalsh per Loewner comparison
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0, "svd": 0,
     }
     # precondition order: lower operand, upper operand, then the ordering
     with pytest.raises(
@@ -371,7 +381,7 @@ def test_projection_monotone_refuses_a_failure_only_a_coarse_tol_eig_made(
         check_projection_monotone(lower, upper, tol_eig=0.01)
     # the refusal reads the eigenvalues the check computed
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0, "svd": 0,
     }
     # a failure with no eigenvalue in [1 - tol_eig, 1 - DEFAULT.eig) is
     # still a failure: e3 is fixed by lower and not by upper, which only a
@@ -402,7 +412,7 @@ def test_projection_monotone_refuses_a_failure_only_a_fine_tol_eig_made(
     ):
         check_projection_monotone(lower, upper, tol_eig=0.0)
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0,
+        "eigh": 2, "eigvalsh": 2, "cholesky": 0, "qr": 0, "svd": 0,
     }
     # with a band eigenvalue in both operands the lower one is named first
     lower = diagonal([1.0, 1.0 - 1e-12, 0.0])
@@ -553,3 +563,313 @@ def test_clustering_rules_empty_fixed_space():
     assert proj.rank == space.shape[1] == 0
     assert proj.matrix.dtype == np.complex128
     assert np.array_equal(proj.matrix, np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Norm and order certificates: Cholesky proofs of the SVD and eigvalsh rules
+
+CERTIFICATE_DIMS = [1, 2, 16, 128]
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def haar_frame(rng, dim, is_complex):
+    gauss = rng.standard_normal((dim, dim))
+    if is_complex:
+        gauss = gauss + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(gauss)[0]
+
+
+def exact_entries(matrix):
+    """Each entry of a small matrix as exact ``(real, imag)`` fractions."""
+    return [
+        [(Fraction(complex(z).real), Fraction(complex(z).imag)) for z in row]
+        for row in matrix
+    ]
+
+
+def exact_gram(matrix):
+    """``S* S`` of a small matrix, exactly, as ``(real, imag)`` pairs."""
+    s = exact_entries(matrix)
+    n = len(s)
+
+    def entry(i, j):
+        re = im = Fraction(0)
+        for k in range(n):
+            (a, b), (c, d) = s[k][i], s[k][j]
+            re += a * c + b * d  # conj(a + bi) (c + di)
+            im += a * d - b * c
+        return re, im
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def exact_psd(h):
+    """Whether a Hermitian matrix of dim 1 or 2, given as exact
+    ``(real, imag)`` pairs, is positive semidefinite."""
+    if len(h) == 1:
+        return h[0][0][0] >= 0
+    (a, _), (b_re, b_im) = h[0]
+    _, (d, _) = h[1]
+    return a >= 0 and d >= 0 and a * d >= b_re**2 + b_im**2
+
+
+def shifted(h, t, sign):
+    """``sign * (h - t I)`` of exact pairs."""
+    return [
+        [(sign * (re - (t if i == j else 0)), sign * im)
+         for j, (re, im) in enumerate(row)]
+        for i, row in enumerate(h)
+    ]
+
+
+def placed(edge, unit, j, rho):
+    """``edge`` moved by ``j`` of its own ulps or ``j`` times ``rho``."""
+    return edge + j * (np.spacing(edge) if unit == "ulp" else rho)
+
+
+def near_edge_moves():
+    # 0-4 ulps either side, or 1-4 rho either side
+    return st.one_of(
+        st.tuples(st.just("ulp"), st.integers(-4, 4)),
+        st.tuples(
+            st.just("rho"),
+            st.integers(1, 4).flatmap(lambda j: st.sampled_from([-j, j])),
+        ),
+    )
+
+
+@st.composite
+def edge_products(draw):
+    """A stack of 1-3 products ``S = U diag(sigma) V*`` at one dim, real
+    or complex, each with its top singular value placed by
+    :func:`near_edge_moves` around ``1 + tol`` (by ulps only at 1e300,
+    where ``rho`` is as huge as ``S``) and the rest below it, with ``tol``
+    the chain's slack, 1e-14, 0 or 1e300."""
+    dim = draw(st.sampled_from(CERTIFICATE_DIMS))
+    tol = draw(st.sampled_from([DEFAULT.psd(dim), 1e-14, 0.0, 1e300]))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        unit, j = draw(near_edge_moves())
+        if tol == 1e300:
+            unit = "ulp"
+        rest = rng.uniform(0.0, 1.0, dim - 1)
+        rho = 4.0 * dim * dim * UNIT_ROUNDOFF * math.sqrt(
+            (1.0 + tol) ** 2 + float(rest @ rest)
+        ) if unit == "rho" else 0.0
+        top = placed(1.0 + tol, unit, j, rho)
+        sigma = np.concatenate(([top], rest * top))
+        u = haar_frame(rng, dim, is_complex)
+        v = haar_frame(rng, dim, is_complex)
+        members.append((u * sigma) @ v.conj().T)
+    return np.stack(members), tol
+
+
+def svd_rule(stack, tol):
+    """``trace_summary``'s norm verdict without the certificate: each
+    member's SVD norm judged by ``_slack_verdict`` at ``tol``."""
+    dim = stack.shape[-1]
+    return [
+        _slack_verdict(1.0 - float(norm), dim, tol) is True
+        for norm in np.linalg.norm(stack, 2, axis=(1, 2))
+    ]
+
+
+@settings(max_examples=150)
+@given(case=edge_products())
+def test_norm_certificate_implies_the_svd_rule(case):
+    # the stack as one block, and each member as a block of its own
+    stack, tol = case
+    rule = svd_rule(stack, tol)
+    kept = stack.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at 1e300
+        certified = _norms_certified(stack, tol)
+        alone = [_norms_certified(member[None], tol) for member in stack]
+    assert np.array_equal(stack, kept)  # the products are only read
+    if certified:
+        assert all(rule)
+    for member, passes, proved in zip(stack, rule, alone):
+        if not proved:
+            continue
+        assert passes
+        if len(member) <= 2:
+            # what the factorization proves: ||S||_2 <= 1 + tol - rho
+            rho = _rounding_bounds(member, 0.0)[0]
+            reach = 1 + Fraction(tol) - Fraction(rho)
+            assert exact_psd(shifted(exact_gram(member), reach**2, -1))
+    if tol == 1e300:  # (1 + tol)^2 overflows
+        assert not certified and not any(alone)
+    if tol == 0.0:  # no room at a top singular value within ulps of 1;
+        # one 1-4 rho below 1 may be certified at the larger dims
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        near = norms >= 1.0 - 8 * UNIT_ROUNDOFF
+        assert not np.any(near & np.array(alone))
+        assert not (certified and near.any())
+
+
+@st.composite
+def edge_orders(draw):
+    """A block of 2-4 steps ``T_1, T_2, ..`` at one dim, real or
+    complex: the last has its eigenvalues in ``[0.25, 0.75]``, and each
+    difference ``T_n - T_{n+1}`` its least eigenvalue placed by
+    :func:`near_edge_moves` around ``-tol`` (by ulps only at 1e300) and
+    the rest in ``[0, 0.08]``, with ``tol`` as in :func:`edge_products`."""
+    dim = draw(st.sampled_from(CERTIFICATE_DIMS))
+    tol = draw(st.sampled_from([DEFAULT.psd(dim), 1e-14, 0.0, 1e300]))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = haar_frame(rng, dim, is_complex)
+    last = rng.uniform(0.25, 0.75, dim)
+    steps = [Operator((frame * last) @ frame.conj().T)]
+    for _ in range(draw(st.integers(1, 3))):
+        unit, j = draw(near_edge_moves())
+        if tol == 1e300:
+            unit = "ulp"
+        rest = rng.uniform(0.0, 0.08, dim - 1)
+        rho = 4.0 * dim * dim * UNIT_ROUNDOFF * math.sqrt(
+            tol * tol + float(rest @ rest)
+        ) if unit == "rho" else 0.0
+        values = np.concatenate(([placed(-tol, unit, j, rho)], rest))
+        frame = haar_frame(rng, dim, is_complex)
+        decrement = (frame * values) @ frame.conj().T
+        steps.insert(0, Operator(steps[0].entries + decrement))
+    return np.stack([step.entries for step in steps]), tol
+
+
+@settings(max_examples=150)
+@given(case=edge_orders())
+def test_order_certificate_implies_the_eigvalsh_rules(case):
+    steps, tol = case
+    upper, lower = steps[:-1], steps[1:]
+    contractions = [
+        bool(_contraction_witness(eigs, tol))
+        for eigs in np.linalg.eigvalsh(steps)
+    ]
+    margins = loewner_margin(upper, lower)
+    kept = steps.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at 1e300
+        certified = _decreasing_certified(steps, upper, lower, tol)
+        pairs = [
+            _decreasing_certified(steps[k : k + 2], upper[k : k + 1],
+                                  lower[k : k + 1], tol)
+            for k in range(len(upper))
+        ]
+    assert np.array_equal(steps, kept)  # the steps are only read
+    if certified:
+        assert all(contractions) and np.all(margins >= -tol)
+    for k, proved in enumerate(pairs):
+        if not proved:
+            continue
+        assert contractions[k] and contractions[k + 1]
+        assert margins[k] >= -tol
+        difference = upper[k] - lower[k]
+        if len(difference) <= 2:
+            # what the factorization proves: D >= (rho - tol) I
+            rho = _rounding_bounds(difference, tol)[0]
+            floor = Fraction(rho) - Fraction(tol)
+            assert exact_psd(shifted(exact_entries(difference), floor, 1))
+    if tol in (0.0, 1e300):  # no room at the eigenvalues 0 and 1
+        assert not certified and not any(pairs)
+
+
+@pytest.mark.parametrize("dim", CERTIFICATE_DIMS)
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_certificates_pass_a_decreasing_block_at_the_chain_slack(
+    dim, is_complex
+):
+    # steps with eigenvalues at 1 (a shared fixed space) and spread in
+    # [0, 1], decreasing by spread decrements: their products and their
+    # order are certified; one pair that rises by twice the slack, or one
+    # product scaled to norm 1 + 2 slack, makes the whole block decline
+    slack = DEFAULT.psd(dim)
+    rng = np.random.default_rng(dim)
+    frame = haar_frame(rng, dim, is_complex)
+    top = np.linspace(1.0, 0.5, dim)
+    values = [top * 0.9**n for n in range(4)]
+    for v in values:
+        v[0] = 1.0
+    steps = np.stack(
+        [Operator((frame * v) @ frame.conj().T).entries for v in values]
+    )
+    upper, lower = steps[:-1], steps[1:]
+    assert _decreasing_certified(steps, upper, lower, slack)
+    products_ = [steps[0]]
+    for step in steps[1:]:
+        products_.append(step @ products_[-1])
+    products_ = np.stack(products_)
+    assert _norms_certified(products_, slack)
+    risen = upper.copy()
+    risen[1] = lower[1] - 2 * slack * np.eye(dim)
+    assert not _decreasing_certified(steps, risen, lower, slack)
+    products_[2] *= 1.0 + 2 * slack
+    assert not _norms_certified(products_, slack)
+
+
+def exact_sqrt_above(value):
+    """The least float whose square is at least the exact ``value``."""
+    root = math.sqrt(float(value))
+    while Fraction(root) ** 2 < value:
+        root = np.nextafter(root, np.inf)
+    while Fraction(np.nextafter(root, 0.0)) ** 2 >= value:
+        root = np.nextafter(root, 0.0)
+    return float(root)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT.psd(2), 1e-14])
+def test_norm_certificate_holds_at_its_exact_bound(tol):
+    # S = [[p, q], [0, r]] with r a few ulps either side of the value that
+    # puts ||S||_2 exactly at the bound the factorization proves, 1 + tol
+    # - rho: a True must keep the exact S* S below (1 + tol - rho)^2
+    rng = np.random.default_rng(7)
+    outside = 0
+    for _ in range(200):
+        p, q = rng.uniform(0.3, 0.7), rng.uniform(-0.4, 0.4)
+        r = 1.0
+        for _ in range(2):  # rho moves with r by far less than an ulp
+            s = np.array([[[p, q], [0.0, r]]])
+            rho = _rounding_bounds(s, 0.0)[0]
+            t = (1 + Fraction(tol) - Fraction(rho)) ** 2
+            x, y = Fraction(p), Fraction(q)
+            r = exact_sqrt_above(t - y * y - x * x * y * y / (t - x * x))
+        for j in range(-2, 4):
+            member = np.array([[p, q], [0.0, r + j * np.spacing(r)]])
+            holds = exact_psd(shifted(exact_gram(member), t, -1))
+            outside += not holds
+            if _norms_certified(member[None], tol):
+                assert holds
+    assert outside > 200  # the cases straddle the bound
+
+
+@pytest.mark.parametrize("tol", [DEFAULT.psd(2), 1e-14])
+def test_order_certificate_holds_at_its_exact_bound(tol):
+    # D = [[a, b], [b, d]] with d a few units of 2^-53 either side of the
+    # value that puts D's least eigenvalue exactly at the bound the
+    # factorization proves, rho - tol; T_n = 0.5 I + D and T_{n+1} = 0.5 I
+    # give back D exactly.  A True must keep D - (rho - tol) I >= 0
+    rng = np.random.default_rng(11)
+    grain = 2.0**-53
+    lower = 0.5 * np.eye(2)
+    outside = 0
+    for _ in range(200):
+        a = round(rng.uniform(0.01, 0.08) / grain) * grain
+        b = rng.uniform(-0.04, 0.04)
+        d = 0.05
+        for _ in range(2):  # rho moves with d by far less than a grain
+            diff = np.array([[[a, b], [b, d]]])
+            rho = _rounding_bounds(diff, tol)[0]
+            t = Fraction(rho) - Fraction(tol)
+            exact = t + Fraction(b) ** 2 / (Fraction(a) - t)
+            d = math.ceil(exact / Fraction(grain)) * grain
+        for j in range(-2, 4):
+            difference = np.array([[a, b], [b, d + j * grain]])
+            upper = lower + difference
+            assert np.array_equal(upper - lower, difference)
+            holds = exact_psd(shifted(exact_entries(difference), t, 1))
+            outside += not holds
+            steps = np.stack((upper, lower))
+            if _decreasing_certified(steps, steps[:1], steps[1:], tol):
+                assert holds
+    assert outside > 200  # the cases straddle the bound

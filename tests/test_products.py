@@ -35,7 +35,7 @@ from contraction_lab import (
     trace_summary,
     write_trace_csv,
 )
-from contraction_lab import chains, products
+from contraction_lab import chains, operators, products
 from contraction_lab.chains import stream_rng
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
 from orbit_oracle import dense_orbit, scalar_greedy_net
@@ -86,7 +86,12 @@ def test_identity_chain_trace_is_exactly_zero():
     assert np.all(trace.sot_err == 0.0)
     assert np.all(trace.adj_err == 0.0)
     assert np.all(trace.opnorm_err == 0.0)
-    assert np.all(trace.product_norm == 1.0)
+    # ||S_n|| = 1 is certified inside the default slack; at slack 0 the
+    # certificate declines and the SVD finds it exactly
+    assert trace.product_norm is None
+    exact = iterate_products(chain, probes=np.eye(2), tol_psd=0.0)
+    assert exact.product_norm == 1.0
+    assert trace_summary(exact)["verdicts"]["product_norm_bounded"] is True
     summary = trace_summary(trace)
     assert summary["status"] == "pass"
     assert summary["final"]["sot_err_max"] == 0.0
@@ -128,7 +133,7 @@ def test_bad_input_is_refused_before_any_solve(eigensolve_counts):
     with pytest.raises(PreconditionError, match=r"^non-finite probe vector$"):
         iterate_products(telescoping_chain(20), probes=np.array([np.nan, 1.0]))
     assert eigensolve_counts == {
-        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0,
+        "eigh": 0, "eigvalsh": 0, "cholesky": 0, "qr": 0, "svd": 0,
     }
 
 
@@ -185,11 +190,17 @@ def test_norm_invariant_trips_inside_a_block(monkeypatch, steps):
     if steps is not None:
         blocks_of(monkeypatch, steps, 2)
     trace = iterate_products(chain, probes=np.eye(2)[:, 1])
-    assert np.flatnonzero(trace.product_norm > 1.0).tolist() == [4, 5, 6, 7]
+    # the certificate declines every block from step 5 on, whose largest
+    # SVD norm is ||S_8|| = 1.1^4
+    assert trace.product_norm == pytest.approx(1.1**4, rel=1e-15)
     summary = trace_summary(trace)
     assert summary["verdicts"]["product_norm_bounded"] is False
     assert summary["status"] == "fail"
-    assert iterate_products(chain, probes=np.eye(2), horizon=4).horizon == 4
+    assert iterate_products(
+        chain, probes=np.eye(2)[:, 1], horizon=5
+    ).product_norm == pytest.approx(1.1, rel=1e-15)
+    short = iterate_products(chain, probes=np.eye(2), horizon=4)
+    assert short.horizon == 4 and short.product_norm is None
 
 
 @pytest.mark.parametrize("steps", [None, 1, 3])
@@ -235,7 +246,8 @@ def test_overflowing_product_is_an_invariant_error(monkeypatch, steps):
 
 def per_step_trace(chain, trace):
     """The one-step-at-a-time loop the blocked engine replaced: every
-    per-step quantity from its own 2-D call."""
+    per-step quantity from its own 2-D call.  ``product_norm`` is each
+    step's SVD norm ``||S_n||``, and ``products`` each ``S_n``."""
     mat, p_mat, h = trace.probes, trace.projection.matrix, trace.horizon
     count = mat.shape[1]
     p_probes = p_mat @ mat
@@ -248,6 +260,7 @@ def per_step_trace(chain, trace):
     fields["consec_diff"] = np.empty((max(h - 1, 0), count))
     fields["opnorm_err"] = np.empty(h)
     fields["product_norm"] = np.empty(h)
+    fields["products"] = []
     product = np.eye(chain.dim, dtype=p_mat.dtype)
     prev_applied = None
     for n in range(1, h + 1):
@@ -271,6 +284,7 @@ def per_step_trace(chain, trace):
             )
         fields["opnorm_err"][n - 1] = np.linalg.norm(product - p_mat, 2)
         fields["product_norm"][n - 1] = np.linalg.norm(product, 2)
+        fields["products"].append(product)
         prev_applied = applied
     return fields
 
@@ -323,10 +337,26 @@ def test_blocked_engine_matches_per_step_loop(
     for probes in (None, np.eye(chain.dim)[:, 1]):
         trace = iterate_products(chain, probes=probes)
         expected = per_step_trace(chain, trace)
+        norms = expected.pop("product_norm")
+        products_ = expected.pop("products")
         for name, values in expected.items():
             got = getattr(trace, name)
             assert got.dtype == values.dtype, name
             assert np.array_equal(got, values), (name, kind, horizon, steps)
+        # product_norm is the loop's largest SVD norm over the blocks
+        # whose certificate declines; a certified block is within the slack
+        declined = []
+        first = 0
+        for block in chain.step_blocks(horizon):
+            rows = slice(first, first + len(block))
+            if operators._norms_certified(np.stack(products_[rows]),
+                                          trace.tol_psd):
+                assert np.all(norms[rows] <= 1.0 + trace.tol_psd)
+            else:
+                declined.append(norms[rows].max())
+            first += len(block)
+        assert first == horizon
+        assert trace.product_norm == (max(declined) if declined else None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +488,14 @@ def test_summary_norm_verdict_uses_engine_tolerance():
     )
     trace = iterate_products(chain, probes=np.eye(2), tol_psd=1e-6)
     assert trace.tol_psd == 1e-6
-    assert trace.product_norm.max() == pytest.approx(1.0 + 1e-7, abs=1e-12)
+    # certified inside the 1e-6 slack: no SVD norm is taken
+    assert trace.product_norm is None
     summary = trace_summary(trace)
     assert summary["verdicts"]["product_norm_bounded"] is True
-    summary = trace_summary(iterate_products(chain, probes=np.eye(2)))
+    # the default slack declines, and the SVD's norm decides
+    trace = iterate_products(chain, probes=np.eye(2))
+    assert trace.product_norm == pytest.approx(1.0 + 1e-7, abs=1e-12)
+    summary = trace_summary(trace)
     assert summary["verdicts"]["product_norm_bounded"] is False
     assert summary["status"] == "fail"
 
@@ -738,14 +772,18 @@ def test_schur_run_diagonalizes_each_step_once(
     # one eigh per step T_1 .. T_h, which serves the square root, the
     # step's fixed space and the empirical limit; the trace-only run
     # decomposes the same steps.  The h - 1 sampler bases are QRs, and
-    # one Cholesky factorization each proves the decrements contractions
+    # one Cholesky factorization each proves the decrements contractions.
+    # Each product S_n takes one SVD, for opnorm_err, and one Cholesky
+    # factorization certifies its norm; the limit's Cauchy gap one SVD
     assert eigensolve_counts == {
-        "eigh": h, "eigvalsh": 0, "cholesky": h - 1, "qr": h - 1,
+        "eigh": h, "eigvalsh": 0, "cholesky": 2 * h - 1, "qr": h - 1,
+        "svd": h + 1,
     }
     # T_1 .. T_h are one block: one stacked qr of its h - 1 Gaussians,
-    # one stacked cholesky of its h - 1 decrements
+    # one stacked cholesky of its h - 1 decrements, and one stacked SVD
+    # and one stacked cholesky of its h products
     assert eigensolve_counts.calls == {
-        "eigh": h, "eigvalsh": 0, "cholesky": 1, "qr": 1,
+        "eigh": h, "eigvalsh": 0, "cholesky": 2, "qr": 1, "svd": 2,
     }
 
 
@@ -755,17 +793,20 @@ def test_schur_sampler_solves_once_per_block(
 ):
     # blocks of 5 steps T_1 .. T_5, T_6 .. T_10 and T_11 .. T_12 draw
     # decrements 1..4, 5..9 and 10..11: one stacked qr and one stacked
-    # cholesky each
+    # cholesky each; each block of products takes one stacked SVD and
+    # one stacked cholesky, and the limit's Cauchy gap one SVD
     blocks_of(monkeypatch, steps, 6)
     h = 12
     chain = random_schur_chain(6, seed=3, horizon=h, fixed_rank=2)
     eigensolve_counts.reset()
     iterate_products(chain)
     assert eigensolve_counts == {
-        "eigh": h, "eigvalsh": 0, "cholesky": h - 1, "qr": h - 1,
+        "eigh": h, "eigvalsh": 0, "cholesky": 2 * h - 1, "qr": h - 1,
+        "svd": h + 1,
     }
     assert eigensolve_counts.calls == {
-        "eigh": h, "eigvalsh": 0, "cholesky": blocks, "qr": blocks,
+        "eigh": h, "eigvalsh": 0, "cholesky": 2 * blocks, "qr": blocks,
+        "svd": blocks + 1,
     }
 
 
