@@ -69,20 +69,23 @@ exits 2: at ``--tol-eig 0`` the rounded fixed eigenvalue
 0.9999999999999997 of ``T_1`` lies in every grid delta's window, so the
 grid runs out at step 1, and a failure that read an eigenvalue which
 only the default counts as 1 is inconclusive (``failure.json`` names it
-as ``band``); it makes no gap test after ``T_1``.  Each ``gap`` run's
-gap tests after ``T_1`` are certified by two Cholesky factorizations,
-except where ``has_gap_at`` falls back to its ``eigvalsh``: at every
-step of ``gap gap_dim16 horizon40 tol1e-15`` (a slack of 1e-15 leaves
-the factorizations no room) and at the 7 violating steps of ``gap
-near_one`` and ``gap near_one grid1e-4``.  ``simulate schur_random
-eig0``, ``verify eig0`` and ``verify eig5e-1`` exit 2: a ``--tol-eig``
-finer (0) or coarser (0.5) than the default moves which eigenvalues
-near 1 count as 1, and a verdict on a fixed space that fails with such
-an eigenvalue in the solve it read is inconclusive (at 0 rounding
-leaves fixed eigenvalues just below 1, so the Schur chain's ranks rise
-and 30 of 100 projection comparisons fail; at 0.5 the limits'
-projections count eigenvalues down to 0.5, so 12 of 20 chains'
-adjoint and operator-norm convergence fail).
+as ``band``); it makes no gap test after ``T_1``.  Each ``gap`` run
+decides the steps after ``T_1`` in windows that Cholesky factorizations
+and one small ``eigvalsh`` per window close with no gap test of their
+own, except where no window closes: at every step of ``gap gap_dim16
+horizon40 tol1e-15`` (a slack of 1e-15 leaves the windows no room, nor
+``has_gap_at``'s factorizations, so each step takes one ``eigvalsh``)
+and in the 6 windows of 32 steps that hold the 7 violating steps of
+``gap near_one`` and of ``gap near_one grid1e-4``, whose steps each
+take a gap test up to the failure or the end of the window.  ``simulate
+schur_random eig0``, ``verify eig0`` and ``verify eig5e-1`` exit 2: a
+``--tol-eig`` finer (0) or coarser (0.5) than the default moves which
+eigenvalues near 1 count as 1, and a verdict on a fixed space that fails
+with such an eigenvalue in the solve it read is inconclusive (at 0
+rounding leaves fixed eigenvalues just below 1, so the Schur chain's
+ranks rise and 30 of 100 projection comparisons fail; at 0.5 the limits'
+projections count eigenvalues down to 0.5, so 12 of 20 chains' adjoint
+and operator-norm convergence fail).
 """
 
 from __future__ import annotations

@@ -286,16 +286,31 @@ def _rounding_bounds(entries: np.ndarray, slack: float):
       so a factorization of ``C - eta_C I`` keeps every eigenvalue that
       ``eigvalsh`` computes in ``[-s, 1 + s]``.
 
-    Two more certificates read the same constants of other matrices:
+    Three more certificates read the same constants of other matrices:
 
-    * Order (:func:`_decreasing_certified`): of the difference ``D = T_n -
-      T_{n+1}`` as computed, the matrix that ``eigvalsh`` reads,
-      ``eta_D = eps(1, s) + rho`` is the shift of ``D + s I``.  ``M = D +
-      (s - eta_D) I`` is the form above with ``alpha = 1``, ``beta = s``
+    * Order (:func:`_order_bound`): of the difference ``D = T_n -
+      T_{n+1}`` as computed, the matrix that ``eigvalsh`` reads, ``M = D
+      + (s - eta) I`` is the form above with ``alpha = 1``, ``beta = s``
       and no quadratic term, which drops only nonnegative terms from both
-      parts of ``eps``.  So with ``eta_D < s`` a factorization proves ``D
-      >= (rho - s) I``, and every eigenvalue ``eigvalsh`` computes is at
-      least ``-s``.
+      parts of ``eps``; a factorization proves ``D >= (eta - s - eps(1,
+      s)) I``.  With ``eta = eta_D = eps(1, s) + rho < s`` that is ``D >=
+      (rho - s) I``, so every eigenvalue ``eigvalsh`` computes is at least
+      ``-s`` (:func:`_decreasing_certified`).  With ``eta = 0`` it bounds
+      the exact difference of the stored steps, ``D_x >= -(s + eps(1, s)
+      + 2 u ||D||_F) I``: the subtraction rounds each entry by at most
+      ``u`` of its own size, so ``||D - D_x||_2 <= ||D - D_x||_F <= u
+      ||D_x||_F <= u / (1 - u) ||D||_F``, which ``2 u ||D||_F = rho / (2
+      n^2)`` exceeds; the rounding of the sum is taken up by a factor ``1
+      + 4u`` (the scan of :func:`gaps.certificate_search`).
+    * Compression (``gaps._window_closes``): of an ``n x r`` basis ``V``
+      with ``||V* V - I||_2 <= e``, ``G = V* T V`` as computed is within
+      ``gamma_(2k) |V*||T||V|`` entrywise of the exact product (two
+      products, ``gamma_k + gamma_k (1 + gamma_k) <= gamma_(2k)``), and
+      ``|| |V*||T||V| ||_F <= ||V||_F^2 ||T||_F <= r (1 + e) ||T||_F``.
+      That bound is symmetric, so it holds for the Hermitian matrix that
+      ``eigvalsh`` reads from one triangle.  ``e`` itself is bounded from
+      ``V* V - I`` as computed: ``2 (||V* V - I||_F + r gamma_k)``
+      exceeds the true ``||V* V - I||_2`` while ``r gamma_k <= 1/4``.
     * Norm (:func:`_norms_certified`): of a square ``S``, not Hermitian,
       ``rho`` bounds the error of each singular value the SVD computes,
       ``p(n) u ||S||_2`` (LAPACK Users' Guide, section 4.9), and ``eps(0,
@@ -412,20 +427,52 @@ def _decreasing_certified(
     ``steps`` in ``[-slack, 1 + slack]`` and the least eigenvalue of each
     ``upper - lower``, as :func:`loewner_margin` computes it, at least
     ``-slack``; False proves nothing.  It factors the steps'
-    :func:`_contraction_factors` and each ``D + (s - eta_D) I``, ``D =
-    upper - lower`` (:func:`_rounding_bounds`), and declines without
-    factoring when a shift leaves no room (``eta_D >= s`` or ``eta_C >=
-    s (1 + s)``, always at ``slack`` 0)."""
+    :func:`_contraction_factors` together with :func:`_order_bound`'s
+    ``D + (s - eta_D) I``, and declines without factoring when a shift
+    leaves no room (``eta_D >= s`` or ``eta_C >= s (1 + s)``, always at
+    ``slack`` 0)."""
     c = _contraction_factors(steps, slack)
     if c is None:
         return False
-    d = upper - lower
+    return _order_bound(upper - lower, slack, solved=True, joint=c) is not None
+
+
+def _order_bound(
+    d: np.ndarray, slack: float, *, solved: bool,
+    joint: np.ndarray | None = None,
+) -> float | None:
+    """A lower bound that one stacked Cholesky factorization proves on
+    the least eigenvalue of each difference ``D = T_n - T_{n+1}`` of the
+    ``(k, n, n)`` stack ``d``, as computed and C-contiguous, which it
+    shifts in place; None when the factorization fails or the shift
+    leaves no room.  The matrices of ``joint``, if any, are factored in
+    the same call, and must factor too.
+
+    With ``solved``, the bound is on what ``eigvalsh`` computes of ``D``:
+    it factors ``D + (s - eta_D) I``, ``eta_D = eps(1, s) + rho``, and
+    returns ``-slack``, declining when ``eta_D >= s``.  Without, the
+    bound is on the exact difference of the two stored steps ``D`` was
+    rounded from: it factors ``D + s I`` and returns ``-(s + eps(1, s) +
+    2 u ||D||_F)``.  :func:`_rounding_bounds` derives both.
+    """
     rho, eps, _ = _rounding_bounds(d, slack)
-    d_shift = eps(1.0, slack) + rho
-    if not d_shift < slack:
-        return False
-    _shifted_diagonals(d, slack - d_shift)
-    return _factored(np.concatenate((c, d)))
+    reserve = eps(1.0, slack) + rho if solved else 0.0
+    if not reserve < slack < np.inf:
+        return None
+    _shifted_diagonals(d, slack - reserve)
+    if not _factored(d if joint is None else np.concatenate((joint, d))):
+        return None
+    if solved:
+        return -slack
+    n = d.shape[-1]
+    return -_rounded_up(slack + eps(1.0, slack) + rho / (2.0 * n * n))
+
+
+def _rounded_up(total: float) -> float:
+    """``total * (1 + 4u)``: at least the exact value of a nonnegative
+    sum of three terms or fewer that rounded to ``total``, or of one
+    correctly rounded sum (``math.fsum``)."""
+    return total * (1.0 + 4.0 * _UNIT_ROUNDOFF)
 
 
 def _norms_certified(stack: np.ndarray, tol: float) -> bool:

@@ -12,6 +12,17 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# random draws for the certificate soundness tests, which the
+# derandomized profile repeats run after run; a test that asks for more
+# examples than "lab" gives takes the larger of its count and the
+# loaded profile's (settings.default.max_examples at import)
+settings.register_profile(
+    "soundness",
+    max_examples=1000,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("lab")
 
 

@@ -813,7 +813,7 @@ def edge_stacks(draw):
     return conjugated_stack(rows, draw(st.booleans()), seed), slack
 
 
-@settings(max_examples=100)
+@settings(max_examples=max(100, settings.default.max_examples))
 @given(case=edge_stacks())
 def test_decrement_certificate_implies_the_eigvalsh_rule(case):
     # the stack as one block, and each member as a block of its own

@@ -3,11 +3,13 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contraction_lab import (
@@ -37,11 +39,38 @@ from contraction_lab import (
 from contraction_lab import build_chain, chains, gaps, parse_chain_spec
 from contraction_lab.chains import ContractionChain, stream_rng
 from contraction_lab.config import DELTA_GRID
-from contraction_lab.corpus import descent_triple_corpus
-from contraction_lab.gaps import RATE_CSV_HEADER, write_rate_csv
+from contraction_lab.corpus import (
+    CORPUS_DIMS,
+    corpus_chains,
+    descent_triple_corpus,
+)
+from contraction_lab.errors import ChainGenerationError
+from contraction_lab.gaps import (
+    RATE_CSV_HEADER,
+    GapViolation,
+    RankStep,
+    write_rate_csv,
+)
+from contraction_lab.operators import (
+    SpectralDecomposition,
+    _eig_band,
+    _fixed_space,
+    _order_bound,
+    _rounded_up,
+    spectral_decompose,
+)
+from test_operators import (
+    UNIT_ROUNDOFF,
+    exact_entries,
+    exact_gram,
+    exact_psd,
+    haar_frame,
+    shifted,
+)
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+FINE_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.0001)
 
 
 def geometric_tail_chain(horizon=60):
@@ -346,6 +375,413 @@ def test_certificate_search_respects_custom_grid():
 
 
 # ---------------------------------------------------------------------------
+# The scan's windows against one gap test per step
+
+
+def per_step_search(
+    chain, horizon=None, delta_grid=DELTA_GRID, *, tol_eig=DEFAULT.eig,
+    tol_psd=None,
+):
+    """The certificate search with one ``has_gap_at`` per step after
+    ``T_1``, in order: the rule whose results the windows of
+    ``certificate_search`` must give bit for bit."""
+    h = chain.run_horizon(horizon)
+    grid = gaps._validate_grid(delta_grid, tol_eig)
+    carried = gaps._carry_default_probe(chain, h, tol_eig, tol_psd)
+    vector = None if carried is None else carried.probe
+    trajectory, violations = [], []
+    band = None
+    delta = 1.0
+    for n in range(1, h + 1):
+        step = chain.operator_at(n)
+        if carried is not None:
+            vector = step.entries @ vector
+            carried.norms[n - 1] = np.linalg.norm(vector)
+        if n > 1:
+            try:
+                gap = has_gap_at(
+                    step, delta, tol_eig=tol_eig, tol_psd=tol_psd
+                )
+            except PreconditionError as exc:
+                raise PreconditionError(f"step {n} is {exc}") from exc
+            if gap:
+                continue
+        decomp = chain.decomposition_at(n)
+        eigenvalues = decomp.eigenvalues
+        if band is None:
+            band = _eig_band(eigenvalues, tol_eig)
+        rank = _fixed_space(decomp, tol_eig, tol_psd, f"step {n}").shape[1]
+        if n > 1:
+            offender = gaps._violating_eigenvalue(eigenvalues, delta, tol_eig)
+            if offender is None:
+                continue
+            violations.append(GapViolation(n, delta, float(offender)))
+            if rank >= trajectory[-1].rank:
+                raise RankDescentError(
+                    f"gap violated at step {n} (delta {delta}, "
+                    f"eigenvalue {float(offender)}) but fixed-space rank "
+                    f"went {trajectory[-1].rank} -> {rank}: strict descent "
+                    "is a theorem, suspect the generator or the tolerances"
+                )
+        for d in grid:
+            if d < delta and gaps._violating_eigenvalue(
+                eigenvalues, d, tol_eig
+            ) is None:
+                break
+        else:
+            if n == 1:
+                offender = gaps._violating_eigenvalue(
+                    eigenvalues, grid[-1], tol_eig
+                )
+                violations.append(GapViolation(1, grid[-1], float(offender)))
+            return GapSearchFailure(
+                grid, tuple(trajectory), tuple(violations), h, band
+            )
+        delta = d
+        trajectory.append(RankStep(n, rank, delta))
+    guarantee = chain.gap_guarantee
+    analytic = guarantee is not None and delta <= guarantee + tol_eig
+    return GapCertificate(
+        delta=delta,
+        n_start=trajectory[-1].n,
+        rank_trajectory=tuple(trajectory),
+        scope="analytic" if analytic else "empirical",
+        horizon=h,
+        _carried=carried,
+    )
+
+
+def search_outcome(search, chain, **kwargs):
+    """A search's result with its carried norms' bytes, or the type and
+    message of what it raised."""
+    try:
+        result = search(chain, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    carried = getattr(result, "_carried", None)
+    return result, None if carried is None else carried.norms.tobytes()
+
+
+SEARCH_SPECS = sorted(path.name for path in SPECS.glob("*.json"))
+CORPUS_COUNT = 5 * len(CORPUS_DIMS) * 2  # kinds x dims x seeds
+
+
+def search_chain(name):
+    """A bundled spec's chain by file name, or the ``i``-th of
+    ``corpus_chains(CORPUS_DIMS, 2)`` for ``corpus-i``."""
+    if name.startswith("corpus-"):
+        index = int(name.split("-")[1])
+        return next(itertools.islice(
+            corpus_chains(CORPUS_DIMS, 2), index, None
+        ))
+    return build_chain(parse_chain_spec(json.loads((SPECS / name).read_text())))
+
+
+# every tolerance pair on the default grid; on the fine grid the pairs
+# that open windows (the defaults) and two that leave none
+SEARCH_SETTINGS = [
+    (DELTA_GRID, tol_eig, tol_psd)
+    for tol_eig in (0.0, 1e-15, DEFAULT.eig, 1e-2)
+    for tol_psd in (0.0, 1e-15, None, 1e300)
+] + [(FINE_GRID, DEFAULT.eig, None), (FINE_GRID, 0.0, None),
+     (FINE_GRID, DEFAULT.eig, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    SEARCH_SPECS + [f"corpus-{i}" for i in range(CORPUS_COUNT)],
+)
+def test_windowed_search_agrees_with_one_gap_test_per_step(name):
+    # certificates, failures (violations, band, rank trajectory) and the
+    # carried norms bit for bit, or the same refusal
+    chain = search_chain(name)
+    for grid, tol_eig, tol_psd in SEARCH_SETTINGS:
+        tols = {"delta_grid": grid, "tol_eig": tol_eig, "tol_psd": tol_psd}
+        assert search_outcome(certificate_search, chain, **tols) == (
+            search_outcome(per_step_search, chain, **tols)
+        ), tols
+
+
+def test_corpus_count_is_the_corpus():
+    assert sum(1 for _ in corpus_chains(CORPUS_DIMS, 2)) == CORPUS_COUNT
+
+
+def test_search_returns_where_the_grid_runs_out_before_a_read_raises():
+    # T_5 leaves no grid delta, and building T_6 raises.  One gap test
+    # per step returns the failure at T_5 without reading T_6; the
+    # window that read ahead must return it too.  With the grid left
+    # open at T_5 (a finer last delta), the read's error is what both
+    # raise, and a step refused before it is refused first
+    def factory(n, top=0.9995, bad=None):
+        if n == 6:
+            raise ChainGenerationError("step 6 cannot be built")
+        values = [top if n >= 5 else 1.0, 0.5]
+        if n == bad:
+            values[1] = -0.5
+        return Operator(np.diag(values))
+
+    def chain(**kwargs):
+        return ContractionChain(
+            2, "raising", 8, lambda n: factory(n, **kwargs)
+        )
+
+    want = per_step_search(chain())
+    assert isinstance(want, GapSearchFailure)
+    assert [v.n for v in want.violations] == [5]
+    assert certificate_search(chain()) == want
+    cases = [
+        ({"top": 0.9}, {}),
+        ({"top": 0.9}, {"delta_grid": (0.5, 0.05)}),
+        ({"bad": 4}, {}),
+    ]
+    for built, tols in cases:
+        outcome = search_outcome(certificate_search, chain(**built), **tols)
+        assert outcome == search_outcome(
+            per_step_search, chain(**built), **tols
+        )
+        assert outcome[0] in (ChainGenerationError, PreconditionError)
+
+
+def test_search_counts_no_order_bound_it_was_not_given():
+    # dim 64 in one frame: 8 fixed eigenvalues and the rest decreasing,
+    # but at step 21 a fixed eigenvalue drops to 0.95, which anchors a
+    # segment at delta 0.05, and at step 23 a free eigenvalue rises to 1,
+    # past every order bound and into the fixed space, and drops to 0.97
+    # at step 40, inside the window.  Windows hold 16 steps, proved 4 at
+    # a time, so steps 2 .. 17 close, and the unproved stack of steps
+    # 22 .. 25 sits in the window of the anchor, which is decided step by
+    # step.  Step 40 violates the gap with no drop in rank, which the
+    # per-step rule refuses; a window whose rise took no bound for the
+    # steps after the anchor would close over it
+    dim = 64
+    frame = haar_frame(np.random.default_rng(3), dim, False)
+    base = np.random.default_rng(4).uniform(0.2, 0.8, dim - 8)
+
+    def factory(n):
+        values = np.concatenate((np.ones(8), base * (0.5 + 0.5 / n)))
+        if n >= 21:
+            values[7] = 0.95
+        if n >= 23:
+            values[8] = 1.0 if n < 40 else 0.97
+        return Operator((frame * values) @ frame.T)
+
+    closed = []
+
+    def spied(anchor, rise, drop, last):
+        closed.append(closes(anchor, rise, drop, last))
+        return closed[-1]
+
+    closes = gaps._window_closes
+    chain = ContractionChain(dim, "rising", 60, factory)
+    want = search_outcome(per_step_search, chain)
+    assert want[0] is RankDescentError and "step 40" in want[1]
+    gaps._window_closes = spied
+    try:
+        assert search_outcome(certificate_search, chain) == want
+    finally:
+        gaps._window_closes = closes
+    assert closed == [True, False, False]
+
+
+def exact_gap_rule_holds(entries, low, high, slack):
+    """Whether the exact eigenvalues of a stored Hermitian matrix of dim
+    1 or 2 lie outside ``(low, high)`` and in ``[-slack, 1 + slack]``:
+    Sylvester's criterion on ``(T - low)(T - high)``, ``T + slack I`` and
+    ``(1 + slack) I - T``, in fractions."""
+    t = exact_entries(entries)
+    square = exact_gram(entries)  # T* T = T^2
+    lo, hi = Fraction(low), Fraction(high)
+    w = [
+        [
+            (sq[0] - (lo + hi) * tv[0] + (lo * hi if i == j else 0),
+             sq[1] - (lo + hi) * tv[1])
+            for j, (sq, tv) in enumerate(zip(square_row, t_row))
+        ]
+        for i, (square_row, t_row) in enumerate(zip(square, t))
+    ]
+    s = Fraction(slack)
+    return (
+        exact_psd(w)
+        and exact_psd(shifted(t, -s, 1))
+        and exact_psd(shifted(t, 1 + s, -1))
+    )
+
+
+@st.composite
+def edge_windows(draw):
+    """An anchor ``T_a = Q diag(a) Q*`` and a window of 1-6 steps after
+    it in the same frame, at dim 1, 2, 8 or 32, real or complex.  ``a``
+    has ``r`` eigenvalues at 1 or placed at or above ``high`` and the
+    rest below ``low``, the largest placed at or below it; the window's
+    last step takes the least of ``a`` and values placed at ``high``,
+    ``low`` and ``-s`` (or 0), each at one eigenvalue or none.  Placed
+    means moved by 0-4 ulps, or 1-4 of the scan's ``R`` or ``sigma``.
+    The steps between interpolate,
+    and one eigenvalue of each rises or falls by up to ``sigma``:
+    decreasing only to within a few ``tau``.  The anchor's eigenvectors
+    may drift from orthonormal by up to 1e-6.  ``tol_eig`` and
+    ``tol_psd`` include 0 and 1e300."""
+    dim = draw(st.sampled_from([1, 2, 8, 32]))
+    is_complex = draw(st.booleans())
+    tol_eig = draw(st.sampled_from([DEFAULT.eig, DEFAULT.eig, 1e-6, 0.0]))
+    tol_psd = draw(st.sampled_from([None, None, None, 1e-13, 0.0, 1e300]))
+    delta = draw(st.sampled_from([0.1, 0.5]))
+    slack = DEFAULT.psd(dim) if tol_psd is None else tol_psd
+    low, high = gaps._window(delta, tol_eig)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = {"ulp": 0.0}
+    if slack < 1e100:
+        units["reach"] = 4 * dim * dim * UNIT_ROUNDOFF * math.sqrt(dim) * (
+            1 + slack
+        )
+        units["sigma"] = 16 * dim * UNIT_ROUNDOFF * (1 + slack)
+
+    def placed(edge, lowest=-4, highest=4):
+        unit = draw(st.sampled_from(sorted(units)))
+        j = draw(st.integers(lowest, highest))
+        return edge + j * (np.spacing(edge) if unit == "ulp" else units[unit])
+
+    # the anchor's own eigenvalues avoid the window, as the scan's do
+    r = draw(st.integers(0, dim))
+    a = np.concatenate((rng.uniform(0.0, low, dim - r), np.ones(r)))
+    if dim > r and draw(st.booleans()):
+        a[dim - r - 1] = placed(low, highest=-1)
+    if r and draw(st.booleans()):
+        a[dim - r] = placed(high, lowest=1)
+    a.sort()
+    b = a.copy()
+    if r and draw(st.booleans()):
+        b[dim - r] = min(a[dim - r], placed(high))
+    if dim > r and draw(st.booleans()):
+        b[dim - r - 1] = min(a[dim - r - 1], placed(low))
+    if dim > r + 1 and draw(st.booleans()):
+        b[0] = min(a[0], placed(draw(st.sampled_from([-slack, 0.0]))))
+    frame = haar_frame(rng, dim, is_complex)
+    length = draw(st.integers(1, 6))
+    values = []
+    for m in range(1, length + 1):
+        v = b + (a - b) * (length - m) / length
+        if m < length and "sigma" in units:
+            v[draw(st.integers(0, dim - 1))] += draw(
+                st.integers(-4, 4)
+            ) * units["sigma"] / 4
+        values.append(v)
+    anchor = Operator((frame * a) @ frame.conj().T)
+    steps = [Operator((frame * v) @ frame.conj().T).entries for v in values]
+    decomp = spectral_decompose(anchor)
+    drift = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    vectors = decomp.eigenvectors * (1.0 + drift * rng.uniform(-1, 1, dim))
+    decomp = SpectralDecomposition(decomp.eigenvalues, vectors)
+    return anchor, decomp, steps, delta, tol_eig, tol_psd
+
+
+def window_closes(anchor, before, steps):
+    """The scan's certificate for one window: one stacked order proof
+    against the step before and :func:`gaps._window_closes`."""
+    d = np.stack([
+        upper - lower for upper, lower in zip([before] + steps[:-1], steps)
+    ])
+    bound = _order_bound(d, anchor.sigma, solved=False)
+    if bound is None:
+        return False
+    taus = [-bound] * len(steps)
+    rise = _rounded_up(math.fsum(taus))
+    drop = _rounded_up(math.fsum(taus[1:]))
+    return gaps._window_closes(anchor, rise, drop, steps[-1])
+
+
+@settings(max_examples=max(100, settings.default.max_examples))
+@given(case=edge_windows())
+def test_window_certificate_implies_the_eigvalsh_rule(case):
+    anchor_op, decomp, steps, delta, tol_eig, tol_psd = case
+    dim = anchor_op.dim
+    slack = DEFAULT.psd(dim) if tol_psd is None else tol_psd
+    low, high = gaps._window(delta, tol_eig)
+    tols = {"tol_eig": tol_eig, "tol_psd": tol_psd}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at 1e300
+        if gaps._violating_eigenvalue(decomp.eigenvalues, delta, tol_eig):
+            anchor = None  # not an anchor: the scan decomposes no such step
+        else:
+            anchor = gaps._anchor_of(
+                decomp, anchor_op.entries, low, high, slack
+            )
+        # no room at the eigenvalues 1 and 0, or an overflowing bound
+        if tol_eig == 0.0 or tol_psd in (0.0, 1e300):
+            assert anchor is None
+        closed = anchor is not None and window_closes(
+            anchor, anchor_op.entries, steps
+        )
+        # the search on the chain T_a, the window's steps agrees with the
+        # per-step rule whatever the windows prove
+        chain = [anchor_op] + [Operator(entries) for entries in steps]
+
+        def built():
+            return ContractionChain(
+                dim, "window", len(chain), lambda n: chain[n - 1]
+            )
+
+        outcome = search_outcome(
+            certificate_search, built(), delta_grid=(delta,), **tols
+        )
+    assert outcome == search_outcome(
+        per_step_search, built(), delta_grid=(delta,), **tols
+    )
+    if not closed:
+        return
+    for entries in steps:
+        assert eigvalsh_gap_rule(Operator(entries), delta, **tols) is True
+        if dim <= 2:
+            assert exact_gap_rule_holds(entries, low, high, slack)
+
+
+def scalar_window(anchor_value, values, tol_eig=DEFAULT.eig, vectors=None):
+    """:func:`window_closes` on 1 x 1 steps at delta 0.5, with the
+    anchor's eigenvector given or exactly 1."""
+    anchor_op = Operator(np.array([[anchor_value]]))
+    decomp = SpectralDecomposition(
+        np.array([anchor_value]),
+        np.eye(1) if vectors is None else vectors,
+    )
+    low, high = gaps._window(0.5, tol_eig)
+    anchor = gaps._anchor_of(decomp, anchor_op.entries, low, high,
+                             DEFAULT.psd(1))
+    steps = [np.array([[v]]) for v in values]
+    return window_closes(anchor, anchor_op.entries, steps)
+
+
+def test_window_certificate_counts_every_order_bound():
+    # 1 x 1 steps that rise by 7 ulps each, which each order bound
+    # (sigma = 16 u and more) admits.  Below the window, 6 such rises
+    # carry the anchor's eigenvalue, 40 ulps under low, into it, which
+    # the rise summed from the anchor sees; above it, the first of 6
+    # steps ending 20 ulps over high lies inside, which the drop summed
+    # to the window's last step sees.  One step stays outside and closes
+    u = UNIT_ROUNDOFF
+    low, high = gaps._window(0.5, DEFAULT.eig)
+    for count, closes in ((6, False), (1, True)):
+        start = low - 40 * u
+        values = [start + 7 * u * m for m in range(1, count + 1)]
+        assert (values[-1] > low) is not closes
+        assert scalar_window(start, values) is closes
+        end = high + 20 * u + (30 * u if closes else 0.0)
+        values = [end - 7 * u * (count - m) for m in range(1, count + 1)]
+        assert (values[0] < high) is not closes
+        assert scalar_window(1.0, values) is closes
+
+
+def test_window_certificate_counts_the_basis_drift():
+    # at tol_eig 1e-4, the anchor's fixed eigenvector stretched by 1e-6
+    # stretches the compression of a last step 1e-7 below high by 2e-6,
+    # to above it; the basis term e |nu| takes it back.  A last step 9e-5
+    # above high closes with the same basis
+    high = gaps._window(0.5, 1e-4)[1]
+    stretched = np.array([[1.0 + 1e-6]])
+    assert not scalar_window(1.0, [high - 1e-7], 1e-4, stretched)
+    assert scalar_window(1.0, [high + 9e-5], 1e-4, stretched)
+
+
+# ---------------------------------------------------------------------------
 # Strict descent lemma checker
 
 
@@ -418,14 +854,17 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     report = rate_bound_check(chain, cert)
     assert report.n0 == 1
     # the search's grid and rank at T_1, the n0 scan and T_n0's
-    # projection share one eigh; the other is the limit's.  The scan's
-    # gap tests over T_2 .. T_60 are each certified by one stacked
-    # Cholesky call on two matrices, so no eigvalsh runs
+    # projection share one eigh; the other is the limit's.  T_2 .. T_60
+    # are two windows, of 32 and 27 steps: one stacked Cholesky call
+    # proves the order of each, and at its last step one factorization
+    # bounds the least eigenvalue and one eigvalsh of the 2 x 2
+    # compression on T_1's fixed space the top two, so no step gets a gap
+    # test of its own
     assert eigensolve_counts == {
-        "eigh": 2, "eigvalsh": 0, "cholesky": 118, "qr": 0, "svd": 0,
+        "eigh": 2, "eigvalsh": 2, "cholesky": 59 + 2, "qr": 0, "svd": 0,
     }
     assert eigensolve_counts.calls == {
-        "eigh": 2, "eigvalsh": 0, "cholesky": 59, "qr": 0, "svd": 0,
+        "eigh": 2, "eigvalsh": 2, "cholesky": 2 + 2, "qr": 0, "svd": 0,
     }
 
 
@@ -439,20 +878,24 @@ def test_gap_search_decomposes_first_and_violating_steps_once(
     assert isinstance(result, GapSearchFailure)
     assert len(result.violations) >= 2
     # one eigh to split the carried probe against the analytic limit,
-    # one at T_1 and one at each violating step.  Every step the scan
-    # reaches after T_1 gets one stacked Cholesky call on two matrices;
-    # it certifies every step but the violating ones, each of which one
-    # eigvalsh decides
-    scanned = result.violations[-1].n - 1
-    assert result.violations[0].n > 1
+    # one at T_1 and one at each violating step.  T_2 .. T_385 are read
+    # in 12 windows of 32 steps, each of whose order one stacked Cholesky
+    # call proves; each window test factors its last step and solves one
+    # compression, and 6 windows close.  The steps of the other 6 get
+    # one gap test each, up to the failure at step 360: 160 pass, and
+    # the 7 violating steps' two Cholesky factorizations decline and
+    # their eigvalsh decides
+    assert [v.n for v in result.violations] == [
+        77, 102, 138, 202, 265, 279, 360,
+    ]
     assert eigensolve_counts == {
-        "eigh": 2 + len(result.violations),
-        "eigvalsh": len(result.violations),
-        "cholesky": 2 * scanned,
-        "qr": 0,
-        "svd": 0,
+        "eigh": 2 + 7, "eigvalsh": 12 + 7,
+        "cholesky": 384 + 12 + 2 * (160 + 7), "qr": 0, "svd": 0,
     }
-    assert eigensolve_counts.calls["cholesky"] == scanned
+    assert eigensolve_counts.calls == {
+        "eigh": 9, "eigvalsh": 12 + 7, "cholesky": 12 + 12 + 160 + 7,
+        "qr": 0, "svd": 0,
+    }
 
 
 def test_gap_search_edge_disagreement_records_no_violation(monkeypatch):
@@ -462,6 +905,8 @@ def test_gap_search_edge_disagreement_records_no_violation(monkeypatch):
     reference = certificate_search(chain)
     assert isinstance(reference, GapCertificate)
     assert len(reference.rank_trajectory) == 1
+    # no window closes, so every step gets its gap test
+    monkeypatch.setattr(gaps, "_window_closes", lambda *a: False)
     monkeypatch.setattr(gaps, "has_gap_at", lambda *a, **k: False)
     assert certificate_search(chain) == reference
 
@@ -730,9 +1175,6 @@ def test_rate_bound_on_a_short_search_builds_only_its_steps(eigensolve_counts):
     assert report.n0 + int(report.j[-1]) == 20
     assert eigensolve_counts["eigh"] == 2
     assert chain._built == 20
-
-
-FINE_GRID = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 0.0001)
 
 
 def test_rate_bound_scans_n0_from_the_certificate_step(eigensolve_counts):

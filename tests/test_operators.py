@@ -676,7 +676,7 @@ def svd_rule(stack, tol):
     ]
 
 
-@settings(max_examples=150)
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(case=edge_products())
 def test_norm_certificate_implies_the_svd_rule(case):
     # the stack as one block, and each member as a block of its own
@@ -738,7 +738,7 @@ def edge_orders(draw):
     return np.stack([step.entries for step in steps]), tol
 
 
-@settings(max_examples=150)
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(case=edge_orders())
 def test_order_certificate_implies_the_eigvalsh_rules(case):
     steps, tol = case
