@@ -15,7 +15,9 @@ Exit codes are a stable contract:
     3   no gap certificate at this grid resolution
     64  usage error, in one stderr line (a bad option, spec or grid, a
         chain with a step or limit that is not a positive contraction
-        under the given tolerances, or an eigensolver failure)
+        under the given tolerances, an eigensolver failure, an ``--out``
+        that is not a directory and cannot be made into one, or an
+        output that cannot be written)
 
 All outputs are byte-stable for a fixed (config, seed): floats print
 with 17 significant digits, JSON keys are sorted, and nothing
@@ -25,6 +27,7 @@ timestamp- or path-dependent is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -145,10 +148,32 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(args) -> Path:
+def _out_refusal(text: str) -> str | None:
+    """Why ``--out text`` can be neither the output directory nor made
+    into it, or None.  Nothing is created: a refused run leaves no
+    directory behind."""
+    out = Path(text)
+    # the nearest existing path, which mkdir(parents=True) would build on
+    found = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not os.path.isdir(found):
+        if found == out:
+            return f"--out {text!r} is not a directory"
+        return f"--out {text!r} lies below {str(found)!r}, not a directory"
+    if not os.access(found, os.W_OK | os.X_OK):
+        return f"--out {text!r} cannot be written: {str(found)!r} is read-only"
+    return None
+
+
+@contextlib.contextmanager
+def _out_dir(args, parser: argparse.ArgumentParser):
+    """The output directory, made if missing; an ``OSError`` while it is
+    made or written leaves as a usage error, in one stderr line."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        parser.error(f"cannot write output to --out {args.out!r}: {exc}")
 
 
 def _load_chain(args, parser: argparse.ArgumentParser) -> ContractionChain:
@@ -184,9 +209,9 @@ def cmd_simulate(args, parser) -> int:
         fixed_spaces=True,
     )
     summary = trace_summary(trace)
-    out = _out_dir(args)
-    write_trace_csv(trace, out / "trace.csv")
-    _json_dump(summary, out / "summary.json")
+    with _out_dir(args, parser) as out:
+        write_trace_csv(trace, out / "trace.csv")
+        _json_dump(summary, out / "summary.json")
     return _status_exit(summary["status"])
 
 
@@ -203,23 +228,23 @@ def cmd_gap(args, parser) -> int:
         chain, args.horizon, grid, tol_eig=args.tol_eig,
         tol_psd=args.tol_psd,
     )
-    out = _out_dir(args)
-    if isinstance(result, GapCertificate):
-        _json_dump(result.to_json_dict(), out / "certificate.json")
-        try:
-            report = rate_bound_check(
-                chain,
-                result,
-                epsilon=args.epsilon,
-                tol_eig=args.tol_eig,
-                tol_psd=args.tol_psd,
-            )
-        except PreconditionError as exc:
-            print(f"rate bound inconclusive: {exc}", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        write_rate_csv(report, out / "rate_table.csv")
-        return EXIT_PASS if report.bound_holds else EXIT_FAIL
-    _json_dump(result.to_json_dict(), out / "failure.json")
+    with _out_dir(args, parser) as out:
+        if isinstance(result, GapCertificate):
+            _json_dump(result.to_json_dict(), out / "certificate.json")
+            try:
+                report = rate_bound_check(
+                    chain,
+                    result,
+                    epsilon=args.epsilon,
+                    tol_eig=args.tol_eig,
+                    tol_psd=args.tol_psd,
+                )
+            except PreconditionError as exc:
+                print(f"rate bound inconclusive: {exc}", file=sys.stderr)
+                return EXIT_INCONCLUSIVE
+            write_rate_csv(report, out / "rate_table.csv")
+            return EXIT_PASS if report.bound_holds else EXIT_FAIL
+        _json_dump(result.to_json_dict(), out / "failure.json")
     if result.band is not None:
         print(
             f"gap search inconclusive: eigenvalue {result.band} counts as "
@@ -264,12 +289,12 @@ def cmd_nonexample(args, parser) -> int:
         "status": "pass" if all(verdicts.values()) else "fail",
     }
 
-    out = _out_dir(args)
-    write_sequence_csv(seq, out / "sequence.csv")
-    write_givens_csv(steps, out / "givens.csv")
-    write_net_csv(net, out / "net_growth.csv")
-    write_step_distances_csv(distances, out / "step_distances.csv")
-    _json_dump(summary, out / "summary.json")
+    with _out_dir(args, parser) as out:
+        write_sequence_csv(seq, out / "sequence.csv")
+        write_givens_csv(steps, out / "givens.csv")
+        write_net_csv(net, out / "net_growth.csv")
+        write_step_distances_csv(distances, out / "step_distances.csv")
+        _json_dump(summary, out / "summary.json")
     return EXIT_PASS if summary["status"] == "pass" else EXIT_FAIL
 
 
@@ -325,8 +350,10 @@ def _chain_verdicts(chain: ContractionChain, args) -> tuple:
     the norm is; a norm that fails raises :class:`InvariantError`."""
     try:
         order = is_decreasing(chain, tol_psd=args.tol_psd)
+        # the verdicts read the convergence errors at the horizon only
         trace = iterate_products(
-            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd
+            chain, tol_eig=args.tol_eig, tol_psd=args.tol_psd,
+            per_step_errors=False,
         )
     except PreconditionError:
         return (None,) * len(_CHAIN_PROPERTIES)
@@ -418,7 +445,8 @@ def cmd_verify(args, parser) -> int:
         "properties": properties,
         "status": status,
     }
-    _json_dump(verdicts, _out_dir(args) / "verdicts.json")
+    with _out_dir(args, parser) as out:
+        _json_dump(verdicts, out / "verdicts.json")
     return _status_exit(status)
 
 
@@ -519,6 +547,10 @@ def main(argv=None) -> NoReturn:
     leaves as ``SystemExit`` with its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # before any work, so a bad --out costs no run
+    refusal = _out_refusal(args.out)
+    if refusal is not None:
+        parser.error(refusal)
     try:
         if args.command == "simulate":
             code = cmd_simulate(args, parser)

@@ -217,7 +217,13 @@ class ConvergenceTrace:
 
     Arrays are indexed ``[n - 1, probe]`` for ``n = 1..horizon``; the
     ``a`` and ``consec_diff`` arrays stop at ``horizon - 1`` because they
-    look one step ahead.  ``tol_psd`` is the run's positivity slack;
+    look one step ahead.  A final-row trace (``per_step_errors`` False)
+    holds ``b``, ``a`` and ``consec_diff`` for every step as well, but
+    ``sot_err``, ``adj_err``, ``wot_err`` and ``opnorm_err`` only for
+    ``n = horizon``, in their single row ``[0]``: the values of a
+    per-step trace's last row, bit for bit.  :func:`trace_summary` reads
+    both kinds alike; :func:`write_trace_csv` refuses a final-row
+    trace.  ``tol_psd`` is the run's positivity slack;
     :func:`trace_summary` judges ``||S_n|| <= 1`` by it.  ``tol_eig`` is
     the clustering tolerance that picked out ``projection``.
 
@@ -254,6 +260,7 @@ class ConvergenceTrace:
     tol_psd: float
     ranks: np.ndarray | None = None
     rank_band: float | None = None
+    per_step_errors: bool = True
 
     @property
     def probe_count(self) -> int:
@@ -269,6 +276,7 @@ def iterate_products(
     tol_eig: float = DEFAULT.eig,
     tol_psd: float | None = None,
     fixed_spaces: bool = False,
+    per_step_errors: bool = True,
 ) -> ConvergenceTrace:
     """Run the product ``S_n = T_n S_{n-1}`` and record the trace.
 
@@ -283,11 +291,21 @@ def iterate_products(
     (``ContractionChain.step_blocks``), and the per-step metrics
     are taken a block of products at a time; stacked ``matmul``, axis
     reductions and spectral norms give the same bits as one call per
-    step.  Each step takes one SVD, for ``opnorm_err``.  Each block's
-    ``||S_n|| <= 1 + tol_psd`` is proved by one stacked Cholesky
-    factorization (``operators._norms_certified``); only a block that it
-    declines takes the SVD norms ``||S_n||``, whose largest is
-    ``product_norm``.
+    step.  Each step of a per-step trace (the default) takes one SVD,
+    for ``opnorm_err``.  Each block's ``||S_n|| <= 1 + tol_psd`` is
+    proved by one stacked Cholesky factorization
+    (``operators._norms_certified``); only a block that it declines
+    takes the SVD norms ``||S_n||``, whose largest is ``product_norm``.
+
+    With ``per_step_errors`` False the trace is a final-row trace (see
+    :class:`ConvergenceTrace`): only step ``h`` gets ``sot_err``,
+    ``adj_err``, ``wot_err`` and ``opnorm_err``, from the same stacked
+    expressions on the last product alone, so the run takes one SVD
+    for ``opnorm_err`` instead of one per step and no adjoint probe
+    product before step ``h``.  Every step still gets ``b``, ``a`` and
+    ``consec_diff``, the finiteness and ``b`` checks and the norm
+    certificate, so every check and verdict reads what a per-step run
+    gives.
 
     With ``fixed_spaces`` the trace also records each step's fixed-space
     rank.  The ranks are read before the limit, in the step-order walk
@@ -334,15 +352,30 @@ def iterate_products(
     # each probe's weak-convergence partner is the next probe, cyclically
     partners = np.roll(mat, -1, axis=1)
 
-    sot = np.empty((h, count))
-    adj = np.empty((h, count))
-    wot = np.empty((h, count))
+    # the convergence errors of every step, or of step h alone
+    rows = h if per_step_errors else 1
+    sot = np.empty((rows, count))
+    adj = np.empty((rows, count))
+    wot = np.empty((rows, count))
+    opnorm = np.empty(rows)
     b = np.empty((h, count))
     a = np.empty((max(h - 1, 0), count))
     consec = np.empty((max(h - 1, 0), count))
-    opnorm = np.empty(h)
     # the largest SVD norm ||S_n|| of each block _norms_certified declines
     declined_norms = []
+
+    def errors(
+        products: np.ndarray, applied: np.ndarray, into: slice
+    ) -> None:
+        """The convergence errors of a stack of products, whose probes
+        applied are ``applied``, into rows ``into``."""
+        deviation = applied - p_probes
+        sot[into] = np.linalg.norm(deviation, axis=1)
+        adj[into] = np.linalg.norm(
+            products.conj().swapaxes(1, 2) @ mat - p_probes, axis=1
+        )
+        wot[into] = np.abs(np.sum(partners.conj() * deviation, axis=1))
+        opnorm[into] = np.linalg.norm(products - p_mat, 2, axis=(1, 2))
 
     def record(
         products: np.ndarray, done: int, behind: np.ndarray | None
@@ -357,12 +390,11 @@ def iterate_products(
             raise InvariantError(f"non-finite values in the product S_{n}")
         steps = slice(done, done + len(products))
         applied = products @ mat
-        deviation = applied - p_probes
-        sot[steps] = np.linalg.norm(deviation, axis=1)
-        adj[steps] = np.linalg.norm(
-            products.conj().swapaxes(1, 2) @ mat - p_probes, axis=1
-        )
-        wot[steps] = np.abs(np.sum(partners.conj() * deviation, axis=1))
+        if per_step_errors:
+            errors(products, applied, steps)
+        elif steps.stop == h:
+            # one-product stacks of the same expressions: row h's bits
+            errors(products[-1:], applied[-1:], slice(0, 1))
         b[steps] = np.real(np.sum(applied.conj() * applied, axis=1))
         applied_from = applied
         if behind is not None:
@@ -372,7 +404,6 @@ def iterate_products(
         pairs = slice(steps.stop - 1 - len(ahead), steps.stop - 1)
         a[pairs] = np.real(np.sum(ahead.conj() * back, axis=1))
         consec[pairs] = np.linalg.norm(ahead - back, axis=1)
-        opnorm[steps] = np.linalg.norm(products - p_mat, 2, axis=(1, 2))
         if not _norms_certified(products, tol):
             norms = np.linalg.norm(products, 2, axis=(1, 2))
             declined_norms.append(norms.max())
@@ -423,6 +454,7 @@ def iterate_products(
         tol_psd=tol,
         ranks=ranks,
         rank_band=rank_band,
+        per_step_errors=per_step_errors,
     )
 
 
@@ -684,8 +716,13 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 
     The bytes are those of ``csv.writer`` with each float formatted by
     ``format(x, ".17g")``: CRLF line ends, probe ids quoted where csv
-    quotes them.
+    quotes them.  A final-row trace has no rows before its last and is
+    refused with :class:`PreconditionError` before ``path`` is opened.
     """
+    if not trace.per_step_errors:
+        raise PreconditionError(
+            "a final-row trace has no per-step errors to write"
+        )
     h, count = trace.horizon, trace.probe_count
     ids = np.array([_csv_field(i) for i in trace.probe_ids], dtype=object)
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import gc
 import json
 import math
@@ -779,6 +780,25 @@ def test_verify_runs_each_check_once(tmp_path, monkeypatch, tol_psd):
     assert len(seen["check_projection_monotone"]) == pairs
 
 
+def test_verify_takes_one_svd_per_chain_and_cauchy_gap(
+    tmp_path, eigensolve_counts
+):
+    # verify judges convergence at the horizon only, so each of the 40
+    # chains takes one SVD, for its final opnorm_err, and each of the 8
+    # empirical limits one for its Cauchy gap, where one SVD per product
+    # step took 9,288 in 222 calls; every block of products is certified
+    # by Cholesky, so no product norm takes an SVD
+    assert run_cli(["verify", "--seeds", "2", "--out", str(tmp_path)]) == 0
+    assert eigensolve_counts == {
+        "eigh": 2001, "eigvalsh": 832, "cholesky": 29072, "qr": 1920,
+        "svd": 48,
+    }
+    assert eigensolve_counts.calls == {
+        "eigh": 2001, "eigvalsh": 832, "cholesky": 458, "qr": 678,
+        "svd": 48,
+    }
+
+
 @pytest.mark.parametrize("tol_eig, refused", [("0.01", 1), ("0.1", 21)])
 def test_verify_coarse_tol_eig_monotonicity_is_inconclusive(
     tmp_path, capsys, tol_eig, refused
@@ -921,6 +941,50 @@ def test_verify_usage_errors(tmp_path, capsys):
     err = assert_one_line_usage_error(argv + ["--seed", "5"], capsys)
     assert "unrecognized arguments: --seed 5" in err
     assert not (tmp_path / "verdicts.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# --out
+
+
+OUT_COMMANDS = {
+    "simulate": ["simulate", "--spec", str(REPO_SPECS / "telescoping.json")],
+    "gap": ["gap", "--spec", str(REPO_SPECS / "gap_engineered.json")],
+    "nonexample": ["nonexample", "--nmax", "5"],
+    "verify": ["verify", "--seeds", "1", "--dims", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_that_is_no_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def ran(args, parser):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", ran)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "sub", taken / "sub" / "deeper"):
+        argv = OUT_COMMANDS[command] + ["--out", str(out)]
+        err = assert_one_line_usage_error(argv, capsys)
+        assert "not a directory" in err
+    assert taken.read_text() == "kept"
+    assert sorted(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_output_that_cannot_be_written_is_one_usage_line(
+    tmp_path, capsys, monkeypatch, command
+):
+    def full(obj, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "_json_dump", full)
+    argv = OUT_COMMANDS[command] + ["--out", str(tmp_path / "out")]
+    err = assert_one_line_usage_error(argv, capsys)
+    assert "cannot write output" in err
+    assert "No space left on device" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from contraction_lab import (
     DEFAULT,
     ContractionChain,
+    ContractionLabError,
     InvariantError,
     Operator,
     PreconditionError,
@@ -37,6 +38,7 @@ from contraction_lab import (
 )
 from contraction_lab import chains, operators, products
 from contraction_lab.chains import stream_rng
+from contraction_lab.corpus import CORPUS_DIMS, corpus_chains
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
 from orbit_oracle import dense_orbit, scalar_greedy_net
 
@@ -357,6 +359,81 @@ def test_blocked_engine_matches_per_step_loop(
             first += len(block)
         assert first == horizon
         assert trace.product_norm == (max(declined) if declined else None)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so that
+    ``==`` compares floats bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _summary_or_error(chain, **kwargs):
+    try:
+        return _bits(trace_summary(iterate_products(chain, **kwargs)))
+    except ContractionLabError as exc:
+        return type(exc), str(exc)
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+# the tolerances of the digest script's verify lines, and the defaults
+@pytest.mark.parametrize(
+    "tolerances",
+    [{}, {"tol_psd": 0.0}, {"tol_psd": 1e-14}, {"tol_eig": 0.0},
+     {"tol_eig": 1e-2}, {"tol_eig": 0.5}],
+)
+def test_final_row_trace_summarizes_as_the_per_step_trace(tolerances):
+    # verify's corpus chains, and each bundled spec with the per-step
+    # fixed spaces that simulate reads: the summaries agree bit for bit,
+    # and where one mode raises the other raises the same error
+    runs = [(chain, False) for chain in corpus_chains(CORPUS_DIMS, 2)]
+    for path in sorted(SPECS.glob("*.json")):
+        spec = parse_chain_spec(json.loads(path.read_text()))
+        runs.append((build_chain(spec), True))
+    assert len(runs) == 48
+    raised = 0
+    for chain, fixed_spaces in runs:
+        per_step = _summary_or_error(
+            chain, fixed_spaces=fixed_spaces, **tolerances
+        )
+        final_row = _summary_or_error(
+            chain, fixed_spaces=fixed_spaces, per_step_errors=False,
+            **tolerances
+        )
+        assert final_row == per_step, (chain.kind, chain.dim, tolerances)
+        raised += isinstance(per_step, tuple)
+    # the low slacks refuse chains: at 0 the conjugated ones from dim 4
+    # up, at 1e-14 schur_dim16 at step 25
+    assert (raised > 0) == ("tol_psd" in tolerances)
+
+
+def test_final_row_trace_holds_the_last_row():
+    chain = random_schur_chain(5, seed=3, horizon=23, fixed_rank=2)
+    full = iterate_products(chain)
+    last = iterate_products(chain, per_step_errors=False)
+    assert full.per_step_errors and not last.per_step_errors
+    for name in ("sot_err", "adj_err", "wot_err", "opnorm_err"):
+        assert np.array_equal(getattr(last, name), getattr(full, name)[-1:])
+    for name in ("b", "a", "consec_diff"):
+        assert np.array_equal(getattr(last, name), getattr(full, name))
+    assert last.product_norm == full.product_norm
+
+
+def test_write_trace_csv_refuses_a_final_row_trace(tmp_path):
+    trace = iterate_products(telescoping_chain(5), per_step_errors=False)
+    path = tmp_path / "missing" / "trace.csv"
+    # refused before the file is opened, which would raise OSError here
+    with pytest.raises(PreconditionError) as exc:
+        write_trace_csv(trace, path)
+    assert len(str(exc.value).splitlines()) == 1
+    assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------------
