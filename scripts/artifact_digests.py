@@ -73,8 +73,8 @@ as ``band``); it makes no gap test after ``T_1``.  Each ``gap`` run
 decides the steps after ``T_1`` in windows that Cholesky factorizations
 and one small ``eigvalsh`` per window close with no gap test of their
 own, except where no window closes: at every step of ``gap gap_dim16
-horizon40 tol1e-15`` (a slack of 1e-15 leaves the windows no room, nor
-``has_gap_at``'s factorizations, so each step takes one ``eigvalsh``)
+horizon40 tol1e-15`` (a slack of 1e-15 leaves the windows no room, so
+each step takes one ``eigvalsh``)
 and in the 6 windows of 32 steps that hold the 7 violating steps of
 ``gap near_one`` and of ``gap near_one grid1e-4``, whose steps each
 take a gap test up to the failure or the end of the window.  ``simulate

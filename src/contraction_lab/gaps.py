@@ -211,64 +211,18 @@ def has_gap_at(
 ) -> bool:
     """True iff no eigenvalue of ``op`` lies in the open interval
     ``(1 - delta + tol_eig, 1 - tol_eig)``, checked after
-    :func:`_check_delta`.  Two Cholesky factorizations
-    (:func:`_gap_certified`) first try to prove that the ``eigvalsh``
-    rule passes; when they cannot, one ``eigvalsh`` decides the window and
-    the positivity check up to ``tol_psd`` (``DEFAULT.psd(dim)`` when
-    None), and refuses an ``op`` that is not a positive contraction.  So
-    the verdict is the ``eigvalsh`` rule's, and every refusal and witness
-    comes from that solve.  :func:`certificate_search` calls it only on
-    the steps that its windows do not prove to pass it."""
+    :func:`_check_delta`.  One ``eigvalsh`` decides the window and the
+    positivity check up to ``tol_psd`` (``DEFAULT.psd(dim)`` when None),
+    and refuses an ``op`` that is not a positive contraction, so every
+    verdict, refusal and witness comes from that solve.
+    :func:`certificate_search` calls it only on the steps that its
+    windows do not prove to pass it."""
     _check_delta(delta, tol_eig)
-    slack = _psd_slack(op.dim, tol_psd)
-    if _gap_certified(op.entries, *_window(delta, tol_eig), slack):
-        return True
     eigenvalues = hermitian_eigenvalues(op)
-    check = _contraction_witness(eigenvalues, slack)
+    check = _contraction_witness(eigenvalues, _psd_slack(op.dim, tol_psd))
     if not check:
         raise _not_a_contraction(check.witness)
     return _violating_eigenvalue(eigenvalues, delta, tol_eig) is None
-
-
-def _gap_certified(
-    entries: np.ndarray, low: float, high: float, slack: float
-) -> bool:
-    """True when two Cholesky factorizations prove that ``eigvalsh`` of
-    the Hermitian ``entries`` ``T`` finds no eigenvalue in ``(low, high)``
-    and all of them in ``[-slack, 1 + slack]``; False proves nothing.
-
-    With ``s = slack``, ``W = (T - low)(T - high)`` and
-    ``C = (T + s)(1 + s - T)`` have eigenvalues ``w(l) = (l - low)(l -
-    high)`` and ``c(l) = (l + s)(1 + s - l)`` for each eigenvalue ``l`` of
-    ``T``.  Let ``rho`` bound ``eigvalsh``'s error and ``g = high - low``.
-    Inside ``(low - rho, high + rho)`` ``w < rho (g + rho)``, so ``W >=
-    rho (g + rho) I`` keeps every ``l`` out of it and every computed one
-    out of the window; ``C`` is the contraction test of
-    :func:`operators._contractions_certified`.  Each test factors its
-    matrix shifted down by ``eta_W = eps + rho (g + rho)`` or ``eta_C``,
-    with ``rho``, ``eps`` (which bounds the rounding of forming and
-    factoring it) and ``eta_C`` from :func:`operators._rounding_bounds`:
-    success proves ``W >= (eta_W - eps) I`` and ``C >= (eta_C - eps) I``.
-
-    The factorizations are skipped when a shift leaves no room at the
-    eigenvalue 1 that fixed spaces hold (``eta_W >= w(1)`` or ``eta_C >=
-    c(1)``): always at ``tol_eig`` 0 or ``tol_psd`` 0, and for windows or
-    slacks within a few ``eps`` of rounding.
-    """
-    n = entries.shape[0]
-    rho, eps, c_shift = _rounding_bounds(entries, slack)
-    w_const, c_const = low * high, slack * (1.0 + slack)
-    w_shift = eps(low + high, w_const) + rho * (max(high - low, 0.0) + rho)
-    if not (w_shift < (1.0 - low) * (1.0 - high) and c_shift < c_const):
-        return False
-    pair = np.empty((2, n, n), entries.dtype)
-    np.matmul(entries, entries, out=pair[0])
-    np.subtract(entries, pair[0], out=pair[1])
-    pair[0] -= (low + high) * entries
-    diagonals = pair.reshape(2, n * n)[:, :: n + 1]
-    diagonals[0] += w_const - w_shift
-    diagonals[1] += c_const - c_shift
-    return _factored(pair)
 
 
 def _validate_grid(delta_grid, tol_eig: float) -> tuple[float, ...]:
@@ -313,12 +267,11 @@ def certificate_search(
     step, to every step of the window (:func:`_window_closes`).  A
     window closes only when that proves that :func:`has_gap_at` passes
     every step in it.  The steps of one that does not close are decided
-    in order by the per-step rule: one :func:`has_gap_at` (two Cholesky
-    factorizations that certify it, or else one ``eigvalsh`` that
-    decides) and, when it fails, the decomposition.  So every violation,
-    refusal, offending eigenvalue and band witness comes from those
-    solves.  When none of them fails, the rest of the segment is decided
-    by the per-step rule too, as is a segment whose anchor no window
+    in order by the per-step rule: one :func:`has_gap_at` (one
+    ``eigvalsh``) and, when it fails, the decomposition.  So every
+    violation, refusal, offending eigenvalue and band witness comes from
+    those solves.  When none of them fails, the rest of the segment is
+    decided by the per-step rule too, as is a segment whose anchor no window
     could close on (at ``tol_eig`` or ``tol_psd`` within rounding of 0,
     for example, before any factorization); an order that no
     factorization proves ends every window that holds or follows it in
@@ -573,7 +526,7 @@ def _anchor_of(
     reach = 4.0 * n * n * u * n**0.5 * (1.0 + slack)
     if not (2.0 * reach < 1.0 - high and 2.0 * reach < slack < np.inf):
         return None
-    rho = _rounding_bounds(entries, slack)[0]
+    rho = _rounding_bounds(entries)[0]
     eigenvalues = decomp.eigenvalues
     r = int(np.count_nonzero(eigenvalues >= high))
     under = float(eigenvalues[n - r - 1]) if r < n else None
@@ -653,7 +606,7 @@ def _window_closes(
         return False
     if math.fsum((anchor.top, anchor.rho, rise, reach, -1.0, -s)) > 0:
         return False
-    _, eps, _ = _rounding_bounds(last, s)
+    _, eps = _rounding_bounds(last)
     floor = eps(1.0, s)
     shift = (s - _rounded_up(floor + drop + reach)) * (
         1.0 - 2.0 * _UNIT_ROUNDOFF

@@ -270,23 +270,19 @@ def _psd_slack(dim: int, tol_psd: float | None) -> float:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _rounding_bounds(entries: np.ndarray, slack: float):
-    """``(rho, eps, eta_C)`` of the Hermitian ``entries`` ``T``, or of
-    every matrix of a ``(k, n, n)`` stack at once:
+def _rounding_bounds(entries: np.ndarray):
+    """``(rho, eps)`` of the Hermitian ``entries`` ``T``, or of every
+    matrix of a ``(k, n, n)`` stack at once:
 
     * ``rho`` bounds the error of each eigenvalue ``eigvalsh`` computes;
     * ``eps(alpha, beta)`` bounds the rounding of forming ``M = +-T @ T +
       alpha T + (beta - eta) I`` and of factoring it by Cholesky, for a
       shift ``0 <= eta < |beta|``: success proves ``M_exact >= (eta -
-      eps) I``;
-    * ``eta_C = eps(1, s (1 + s)) + rho (1 + 2s)``, ``s = slack``, is the
-      shift of ``C = (T + s)(1 + s - T) = T - T @ T + s (1 + s) I``.  Its
-      eigenvalue ``c(l) = (l + s)(1 + s - l)`` of each eigenvalue ``l`` of
-      ``T`` is below ``rho (1 + 2s)`` outside ``[rho - s, 1 + s - rho]``,
-      so a factorization of ``C - eta_C I`` keeps every eigenvalue that
-      ``eigvalsh`` computes in ``[-s, 1 + s]``.
+      eps) I``.
 
-    Three more certificates read the same constants of other matrices:
+    The contraction test (:func:`_contraction_factors`) reads them of
+    ``T`` itself; three more certificates read them of other matrices,
+    with ``s`` the slack each allows:
 
     * Order (:func:`_order_bound`): of the difference ``D = T_n -
       T_{n+1}`` as computed, the matrix that ``eigvalsh`` reads, ``M = D
@@ -368,8 +364,7 @@ def _rounding_bounds(entries: np.ndarray, slack: float):
         sigma = frob2 + abs(alpha) * spread + 2.0 * n * abs(beta)
         return 2.0 * (k + 7) * _UNIT_ROUNDOFF * sigma
 
-    c_shift = eps(1.0, slack * (1.0 + slack)) + rho * (1.0 + 2.0 * slack)
-    return rho, eps, c_shift
+    return rho, eps
 
 
 def _factored(stack: np.ndarray) -> bool:
@@ -394,12 +389,20 @@ def _shifted_diagonals(stack: np.ndarray, shift: float) -> np.ndarray:
 def _contraction_factors(
     stack: np.ndarray, slack: float
 ) -> np.ndarray | None:
-    """``C - eta_C I`` of each Hermitian matrix of the ``(k, n, n)``
-    ``stack``, with the stack's ``eta_C`` (:func:`_rounding_bounds`), or
-    None when the shift leaves no room at the eigenvalues 0 and 1
-    (``eta_C >= s (1 + s)``, always at ``slack`` 0)."""
-    _, _, c_shift = _rounding_bounds(stack, slack)
+    """``C - eta_C I`` of each Hermitian matrix ``T`` of the ``(k, n,
+    n)`` ``stack``, or None when the shift leaves no room at the
+    eigenvalues 0 and 1 (``eta_C >= s (1 + s)``, always at ``slack`` 0).
+
+    With ``s = slack``, ``C = (T + s)(1 + s - T) = T - T @ T + s (1 + s)
+    I`` and ``eta_C = eps(1, s (1 + s)) + rho (1 + 2s)``, from the
+    stack's :func:`_rounding_bounds`.  The eigenvalue ``c(l) = (l + s)(1
+    + s - l)`` of ``C`` at each eigenvalue ``l`` of ``T`` is below ``rho
+    (1 + 2s)`` outside ``[rho - s, 1 + s - rho]``, so a factorization of
+    ``C - eta_C I`` keeps every eigenvalue that ``eigvalsh`` computes in
+    ``[-s, 1 + s]``."""
+    rho, eps = _rounding_bounds(stack)
     c_const = slack * (1.0 + slack)
+    c_shift = eps(1.0, c_const) + rho * (1.0 + 2.0 * slack)
     if not c_shift < c_const:
         return None
     c = np.matmul(stack, stack)
@@ -455,7 +458,7 @@ def _order_bound(
     rounded from: it factors ``D + s I`` and returns ``-(s + eps(1, s) +
     2 u ||D||_F)``.  :func:`_rounding_bounds` derives both.
     """
-    rho, eps, _ = _rounding_bounds(d, slack)
+    rho, eps = _rounding_bounds(d)
     reserve = eps(1.0, slack) + rho if solved else 0.0
     if not reserve < slack < np.inf:
         return None
@@ -484,7 +487,7 @@ def _norms_certified(stack: np.ndarray, tol: float) -> bool:
     rho)^2)`` with the stack's :func:`_rounding_bounds`, and declines
     without factoring unless ``1 + tol - rho`` and ``c`` are positive and
     ``c`` finite (``(1 + tol)^2`` overflows at ``tol`` 1e300)."""
-    rho, eps, _ = _rounding_bounds(stack, 0.0)  # its C shift is not read
+    rho, eps = _rounding_bounds(stack)
     reach = 1.0 + tol - rho
     top = reach * reach
     c = top - eps(0.0, top)

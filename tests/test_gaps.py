@@ -191,9 +191,8 @@ def test_has_gap_at_agrees_with_the_eigvalsh_rule(
     dim, complex_, eigensolve_counts
 ):
     # Q diag(l) Q* with one eigenvalue at, a few ulps from, or about the
-    # filter's eigvalsh error bound rho from each edge the rule reads;
-    # the rest sit at 1 and below the window.  The Cholesky filter either
-    # certifies a step the rule passes, or declines and the rule decides
+    # eigvalsh error bound rho from each edge the rule reads; the rest
+    # sit at 1 and below the window.  Each call is one eigvalsh
     rng = np.random.default_rng(dim)
     draw = rng.standard_normal((dim, dim))
     if complex_:
@@ -219,33 +218,14 @@ def test_has_gap_at_agrees_with_the_eigvalsh_rule(
                 op = Operator((frame * values) @ frame.conj().T)
                 eigensolve_counts.reset()
                 verdict = gap_outcome(has_gap_at, op, delta, **tols)
-                solved = dict(eigensolve_counts)
+                assert eigensolve_counts == {
+                    "eigh": 0, "eigvalsh": 1, "cholesky": 0, "qr": 0,
+                    "svd": 0,
+                }
+                assert eigensolve_counts.calls == eigensolve_counts
                 assert verdict == gap_outcome(
                     eigvalsh_gap_rule, op, delta, **tols
                 )
-                assert solved["eigh"] == 0
-                if solved["eigvalsh"] == 0:  # certified
-                    assert verdict is True and solved["cholesky"] == 2
-                else:
-                    assert solved["eigvalsh"] == 1
-                    assert solved["cholesky"] in (0, 2)
-                # a fixed or null eigenvalue, a few ulps off, is certified
-                # at the default tolerances
-                if (
-                    tol_eig == DEFAULT.eig and tol_psd is None
-                    and edge in (0.0, 1.0) and abs(offset) < rho
-                ):
-                    assert solved["eigvalsh"] == 0
-                # the filter declines where a shift leaves no room at the
-                # eigenvalue 1: at tol_eig 0, at tol_psd 0, and at 1e-14
-                # from dim 16 up (below, the rounding bound is under 1e-14)
-                if tol_eig == 0.0 or tol_psd == 0.0 or (
-                    tol_psd == 1e-14 and dim >= 16
-                ):
-                    assert solved == {
-                        "eigh": 0, "eigvalsh": 1, "cholesky": 0, "qr": 0,
-                        "svd": 0,
-                    }
 
 
 # ---------------------------------------------------------------------------
@@ -868,34 +848,49 @@ def test_gap_run_diagonalizes_first_step_once(eigensolve_counts):
     }
 
 
+@pytest.mark.parametrize(
+    "name, violations, counts, calls",
+    [
+        # one eigh to split the carried probe against the analytic
+        # limit, one at T_1 and one at each violating step.  T_2 ..
+        # T_385 are read in 12 windows of 32 steps, each of whose order
+        # one stacked Cholesky call proves; each window test factors its
+        # last step and solves one compression, and 6 windows close.  The
+        # steps of the other 6 get one gap test, one eigvalsh, each up to
+        # the failure at step 360: 160 pass and 7 violate
+        (
+            "near_one", [77, 102, 138, 202, 265, 279, 360],
+            {"eigh": 9, "eigvalsh": 12 + 167, "cholesky": 384 + 12},
+            {"eigh": 9, "eigvalsh": 179, "cholesky": 12 + 12},
+        ),
+        # the limit's eigh and T_1's.  The first window, T_2 .. T_33,
+        # takes one stacked Cholesky call on its 32 order differences and
+        # one factorization and one compression for its window test; it
+        # does not close (a fixed eigenvalue falls below the gap window
+        # at step 2 with no violation), so each of the 199 steps after
+        # T_1 gets one gap test, one eigvalsh, and none violates
+        (
+            "conjugated_mixed", [],
+            {"eigh": 2, "eigvalsh": 199 + 1, "cholesky": 32 + 1},
+            {"eigh": 2, "eigvalsh": 200, "cholesky": 2},
+        ),
+    ],
+    ids=["near_one", "conjugated_mixed"],
+)
 def test_gap_search_decomposes_first_and_violating_steps_once(
-    eigensolve_counts,
+    name, violations, counts, calls, eigensolve_counts,
 ):
-    spec = json.loads((SPECS / "near_one.json").read_text())
+    spec = json.loads((SPECS / f"{name}.json").read_text())
     chain = build_chain(parse_chain_spec(spec))
     eigensolve_counts.reset()
     result = certificate_search(chain)
-    assert isinstance(result, GapSearchFailure)
-    assert len(result.violations) >= 2
-    # one eigh to split the carried probe against the analytic limit,
-    # one at T_1 and one at each violating step.  T_2 .. T_385 are read
-    # in 12 windows of 32 steps, each of whose order one stacked Cholesky
-    # call proves; each window test factors its last step and solves one
-    # compression, and 6 windows close.  The steps of the other 6 get
-    # one gap test each, up to the failure at step 360: 160 pass, and
-    # the 7 violating steps' two Cholesky factorizations decline and
-    # their eigvalsh decides
-    assert [v.n for v in result.violations] == [
-        77, 102, 138, 202, 265, 279, 360,
-    ]
-    assert eigensolve_counts == {
-        "eigh": 2 + 7, "eigvalsh": 12 + 7,
-        "cholesky": 384 + 12 + 2 * (160 + 7), "qr": 0, "svd": 0,
-    }
-    assert eigensolve_counts.calls == {
-        "eigh": 9, "eigvalsh": 12 + 7, "cholesky": 12 + 12 + 160 + 7,
-        "qr": 0, "svd": 0,
-    }
+    if violations:
+        assert isinstance(result, GapSearchFailure)
+        assert [v.n for v in result.violations] == violations
+    else:
+        assert isinstance(result, GapCertificate) and result.n_start == 1
+    assert eigensolve_counts == {**counts, "qr": 0, "svd": 0}
+    assert eigensolve_counts.calls == {**calls, "qr": 0, "svd": 0}
 
 
 def test_gap_search_edge_disagreement_records_no_violation(monkeypatch):

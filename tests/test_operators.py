@@ -696,7 +696,7 @@ def test_norm_certificate_implies_the_svd_rule(case):
         assert passes
         if len(member) <= 2:
             # what the factorization proves: ||S||_2 <= 1 + tol - rho
-            rho = _rounding_bounds(member, 0.0)[0]
+            rho = _rounding_bounds(member)[0]
             reach = 1 + Fraction(tol) - Fraction(rho)
             assert exact_psd(shifted(exact_gram(member), reach**2, -1))
     if tol == 1e300:  # (1 + tol)^2 overflows
@@ -768,7 +768,7 @@ def test_order_certificate_implies_the_eigvalsh_rules(case):
         difference = upper[k] - lower[k]
         if len(difference) <= 2:
             # what the factorization proves: D >= (rho - tol) I
-            rho = _rounding_bounds(difference, tol)[0]
+            rho = _rounding_bounds(difference)[0]
             floor = Fraction(rho) - Fraction(tol)
             assert exact_psd(shifted(exact_entries(difference), floor, 1))
     if tol in (0.0, 1e300):  # no room at the eigenvalues 0 and 1
@@ -830,7 +830,7 @@ def test_norm_certificate_holds_at_its_exact_bound(tol):
         r = 1.0
         for _ in range(2):  # rho moves with r by far less than an ulp
             s = np.array([[[p, q], [0.0, r]]])
-            rho = _rounding_bounds(s, 0.0)[0]
+            rho = _rounding_bounds(s)[0]
             t = (1 + Fraction(tol) - Fraction(rho)) ** 2
             x, y = Fraction(p), Fraction(q)
             r = exact_sqrt_above(t - y * y - x * x * y * y / (t - x * x))
@@ -859,7 +859,7 @@ def test_order_certificate_holds_at_its_exact_bound(tol):
         d = 0.05
         for _ in range(2):  # rho moves with d by far less than a grain
             diff = np.array([[[a, b], [b, d]]])
-            rho = _rounding_bounds(diff, tol)[0]
+            rho = _rounding_bounds(diff)[0]
             t = Fraction(rho) - Fraction(tol)
             exact = t + Fraction(b) ** 2 / (Fraction(a) - t)
             d = math.ceil(exact / Fraction(grain)) * grain
