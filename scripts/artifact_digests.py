@@ -20,7 +20,11 @@ decreasing) and for ``nonexample wide`` (at epsilon 1.5 one member
 covers the whole orbit, so the net cannot dominate the row count), 64
 for ``simulate schur_random tol0`` (at ``--tol-psd 0`` the rounded top
 eigenvalue of ``T_1``, 1 + 2^-52, fails the positivity check, and the
-run stops there with no artifact, before any product), 2 for
+run stops there with no artifact, before any product), 64 for
+``simulate schur top0.05`` (a Schur spec written inline, whose ``top``
+lies below the 0.1 that its free eigenvalues are drawn from: the spec
+check refuses it with no artifact, so its digest is that of an empty
+directory, as is ``tol0``'s), 2 for
 ``simulate schur_dim16 tol1e-13`` (every step passes its positivity
 check at ``--tol-psd 1e-13``, but the products' rounding reaches
 ``1 + 8.5e-13``, which only the default slack absorbs, so
@@ -48,9 +52,13 @@ whose artifacts depend on a ``geometric`` curve's values; its chain
 carries one curve of every tag.  ``nonexample ties`` runs at epsilon
 1.0, where chords of rows divisible by 3 lie exactly epsilon apart, and
 ``nonexample wide`` above ``sqrt(2)``, where the net measures every
-member.  ``gap gap_dim16 horizon40 tol1e-15`` searches only to step 40,
-which passes ``--tol-psd 1e-15`` where step 46 does not: its certificate
-is analytic, yet its rate table stops at step 40 (41 lines).  ``gap
+member.  The three ``nonexample`` lines digest ``givens.csv`` as
+``m,angle,v1,v2`` and ``step_distances.csv`` as ``m,row,kind,measured``:
+the plane's window and ``u`` are ``sequence.csv``'s, and the expected
+distance and deviation follow from ``row`` and ``measured``.  ``gap
+gap_dim16 horizon40 tol1e-15`` searches only to step 40, which passes
+``--tol-psd 1e-15`` where step 46 does not: its certificate is
+analytic, yet its rate table stops at step 40 (41 lines).  ``gap
 near_one grid1e-4`` certifies ``delta`` 1e-4 only from step 360 on a
 finer grid, so it pins a rate table whose ``n0`` scan starts late; its
 chain gives the limit but guarantees no gap, and its table rides the
@@ -91,6 +99,7 @@ and operator-norm convergence fail).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -120,6 +129,12 @@ COMMANDS = (
     (
         "simulate schur_random tol0",
         ["simulate", "--spec", "schur_random.json", "--tol-psd", "0"],
+    ),
+    (
+        "simulate schur top0.05",
+        ["simulate", "--spec", {"kind": "schur_decrement", "dim": 4,
+                                "horizon": 5, "fixed_rank": 1,
+                                "top": 0.05, "seed": 1}],
     ),
     (
         "simulate schur_dim16 tol1e-13",
@@ -171,6 +186,16 @@ COMMANDS = (
 )
 
 
+def spec_path(arg, inline: Path):
+    """A bundled spec's name as its path, and a spec written inline as
+    the path of ``inline``, where it is written; other arguments as
+    they are."""
+    if isinstance(arg, dict):
+        inline.write_text(json.dumps(arg))
+        return str(inline)
+    return str(SPECS / arg) if arg.endswith(".json") else arg
+
+
 def run_all(src: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update({var: "1" for var in BLAS_THREAD_VARS})
@@ -179,10 +204,7 @@ def run_all(src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         for k, (label, argv) in enumerate(COMMANDS):
             out = Path(tmp) / str(k)
-            argv = [
-                str(SPECS / arg) if arg.endswith(".json") else arg
-                for arg in argv
-            ]
+            argv = [spec_path(arg, Path(tmp) / f"{k}.json") for arg in argv]
             command = [sys.executable, "-m", "contraction_lab", *argv]
             code = subprocess.run(
                 command + ["--out", str(out)],

@@ -82,6 +82,9 @@ _STREAM_SCHUR_STEP = 3
 _STREAM_GAP = 4
 _STREAM_NEAR_ONE = 5
 
+# a Schur chain's free start eigenvalues are drawn from [this, top)
+_SCHUR_LEAST = 0.1
+
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for (seed, namespace, index...) tuples."""
@@ -771,20 +774,23 @@ def random_schur_chain(
     """Seeded Schur-decrement chain with a clean convergence profile.
 
     The start operator has ``fixed_rank`` eigenvalues exactly 1 and the
-    rest below ``top``; decrements act only off the fixed subspace, so
-    products converge geometrically to the projection onto it.
+    rest drawn from ``[0.1, top)``; decrements act only off the fixed
+    subspace, so products converge geometrically to the projection onto
+    it.
     """
     if not 0 <= fixed_rank <= dim:
         raise ChainGenerationError(
             f"fixed_rank {fixed_rank} out of range for dim {dim}"
         )
-    if not 0.0 < top < 1.0:
-        raise ChainGenerationError(f"top must lie in (0, 1), got {top}")
+    if not _SCHUR_LEAST <= top < 1.0:
+        raise ChainGenerationError(
+            f"top must lie in [{_SCHUR_LEAST}, 1), got {top}"
+        )
     rng = stream_rng(seed, _STREAM_SCHUR_INIT)
     frame = random_orthogonal(dim, rng)
     free = dim - fixed_rank
     eigs = np.concatenate(
-        [np.ones(fixed_rank), rng.uniform(0.1, top, size=free)]
+        [np.ones(fixed_rank), rng.uniform(_SCHUR_LEAST, top, size=free)]
     )
     first = Operator(frame @ np.diag(eigs) @ frame.T)
     sampler = halving_decrement_sampler(
@@ -921,6 +927,10 @@ def _in_open_unit(value, dim: int) -> bool:
     return isinstance(value, (int, float)) and 0.0 < value < 1.0
 
 
+def _schur_top(value, dim: int) -> bool:
+    return isinstance(value, (int, float)) and _SCHUR_LEAST <= value < 1.0
+
+
 def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
     if not isinstance(entry, (list, tuple)) or not entry:
         violations.append(f"curve {index}: expected [tag, params...]")
@@ -984,7 +994,9 @@ _KEYS = {
         lambda v, dim: _is_int(v) and 0 <= v <= dim,
         "fixed_rank must be an integer in [0, dim], got {!r}",
     ),
-    "top": _Key(0.9, _in_open_unit, "top must lie in (0, 1), got {!r}"),
+    "top": _Key(
+        0.9, _schur_top, f"top must lie in [{_SCHUR_LEAST}, 1), got {{!r}}"
+    ),
 }
 
 

@@ -94,8 +94,8 @@ EXIT_USAGE = 64
 # each, and the greedy net measures each row against the previous one, so
 # memory grows as nmax^2 and time about as nmax^2 at moderate epsilon (as
 # nmax^3 when epsilon is so small that every point joins the net).  On a
-# 2-core x86-64 machine with one BLAS thread, 1000 took 7.3-8.4 s and
-# 145 MB peak RSS at epsilon 0.5, writing 128 MB of artifacts, and 28 s
+# 2-core x86-64 machine with one BLAS thread, 1000 took 5.3-5.6 s and
+# 139 MB peak RSS at epsilon 0.5, writing 83 MB of artifacts, and 28 s
 # and 165 MB at 1e-6 (wall and RSS of the child process from os.wait4),
 # inside the 40 s and 230 MB that the dense orbit needed at 250.
 NMAX_CEILING = 1000

@@ -527,18 +527,18 @@ def write_sequence_csv(seq: NonexampleSequence, path) -> None:
 
 
 def write_givens_csv(steps: GivensFactorization, path) -> None:
-    """``givens.csv``: one row ``m,window,angle,u1,u2,v1,v2`` per step,
-    ``u1,u2`` and ``v1,v2`` being its plane on the 1-based coordinates
-    ``window`` and ``window + 1``."""
+    """``givens.csv``: one row ``m,angle,v1,v2`` per step.
+
+    Step ``m`` leaves point ``m``, so ``sequence.csv`` row ``m`` holds
+    the rest of its plane: the step acts on coordinates ``n`` and
+    ``n + 1`` (1-based), ``u`` is that point's ``cos,sin``, and ``v1,v2``
+    are ``v``'s entries there."""
     with open(path, "w", newline="") as handle:
-        handle.write("m,window,angle,u1,u2,v1,v2\r\n")
+        handle.write("m,angle,v1,v2\r\n")
         _write_rows(
             handle,
-            "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
-            (
-                np.arange(1, len(steps) + 1), steps.frame + 1, steps.angle,
-                *steps.u.T, *steps.v.T,
-            ),
+            "%d,%.17g,%.17g,%.17g\r\n",
+            (np.arange(1, len(steps) + 1), steps.angle, *steps.v.T),
         )
 
 
@@ -558,17 +558,20 @@ def write_net_csv(table: NetGrowthTable, path) -> None:
 
 
 def write_step_distances_csv(report: StepDistanceReport, path) -> None:
+    """``step_distances.csv``: one row ``m,row,kind,measured`` per step.
+
+    The expected distance ``2 sin(pi / (4 row))`` and the deviation
+    ``|measured - expected|`` follow from the row, as in
+    :func:`verify_step_distances`, so they are not written."""
     with open(path, "w", newline="") as handle:
-        handle.write("m,row,kind,measured,expected,deviation\r\n")
+        handle.write("m,row,kind,measured\r\n")
         _write_rows(
             handle,
-            "%d,%d,%s,%.17g,%.17g,%.17g\r\n",
+            "%d,%d,%s,%.17g\r\n",
             (
                 np.arange(1, report.rows.size + 1),
                 report.rows,
                 np.where(report.within, "within", "cross"),
                 report.measured,
-                report.expected,
-                report.deviations,
             ),
         )

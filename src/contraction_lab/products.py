@@ -633,7 +633,10 @@ def orbit_epsilon_net(
                 "starts must be a nondecreasing (count,) array"
             )
     sq = np.einsum("ij,ij->i", pts, pts)
-    reach = (epsilon * (1.0 + _NET_MARGIN)) ** 2
+    # squared as a float product: inf where ``** 2`` would raise
+    # OverflowError, and no warning where a numpy scalar would give one
+    reach = float(epsilon) * (1.0 + _NET_MARGIN)
+    reach *= reach
     members = np.empty(count, dtype=np.intp)
     member_starts = np.empty(count, dtype=np.intp)
     least_sq = np.empty(count)  # least squared norm among members[: k + 1]

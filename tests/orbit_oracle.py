@@ -112,20 +112,15 @@ def reference_sequence_csv(seq, path):
 
 
 def reference_givens_csv(steps, path):
-    """``givens.csv``: per step its ``m``, 1-based window, angle and
-    plane on the window."""
+    """``givens.csv``: per step its ``m``, angle and ``v`` on the
+    window; the window and ``u`` are ``sequence.csv`` row ``m``'s."""
     rows = [
-        (k + 1, frame + 1, angle, *u, *v)
-        for k, (frame, angle, u, v) in enumerate(
-            zip(
-                steps.frame.tolist(),
-                steps.angle.tolist(),
-                steps.u.tolist(),
-                steps.v.tolist(),
-            )
+        (k + 1, angle, *v)
+        for k, (angle, v) in enumerate(
+            zip(steps.angle.tolist(), steps.v.tolist())
         )
     ]
-    _write_csv(path, ("m", "window", "angle", "u1", "u2", "v1", "v2"), rows)
+    _write_csv(path, ("m", "angle", "v1", "v2"), rows)
 
 
 def scalar_greedy_net(points, epsilon):

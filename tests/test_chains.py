@@ -276,6 +276,27 @@ def test_random_schur_chain_keeps_fixed_subspace():
         random_schur_chain(4, seed=0, top=1.0)
 
 
+@pytest.mark.parametrize("fixed_rank", [1, 4])
+def test_schur_chain_refuses_top_below_its_least_draw(fixed_rank):
+    # the free start eigenvalues are drawn from [0.1, top): a top below
+    # 0.1 used to reach numpy's uniform and raise its ValueError, also
+    # with no free eigenvalue to draw
+    refusal = r"top must lie in \[0.1, 1\), got 0.05"
+    with pytest.raises(ChainGenerationError, match=refusal):
+        random_schur_chain(
+            4, seed=1, horizon=5, fixed_rank=fixed_rank, top=0.05
+        )
+    doc = {"kind": "schur_decrement", "dim": 4, "horizon": 5,
+           "fixed_rank": fixed_rank, "seed": 1}
+    with pytest.raises(ChainSpecError, match=refusal):
+        parse_chain_spec(dict(doc, top=0.05))
+    # 0.1 stays legal: every free eigenvalue is drawn as 0.1
+    chain = build_chain(parse_chain_spec(dict(doc, top=0.1)))
+    eigs = np.linalg.eigvalsh(chain.operator_at(1).entries)
+    expected = [0.1] * (4 - fixed_rank) + [1.0] * fixed_rank
+    assert np.allclose(eigs, expected, rtol=0.0, atol=1e-12)
+
+
 def test_decomposition_handover_under_concurrent_walks():
     # threads walking one Schur chain in different orders must each get
     # the eigh of the step they asked for, and the chain must come out

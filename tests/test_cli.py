@@ -1,17 +1,25 @@
 import argparse
+import contextlib
 import csv
 import errno
 import gc
+import io
 import json
 import math
+import os
 import runpy
+import shutil
 import sys
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given
+from hypothesis import strategies as st
 
 from contraction_lab import (
     DEFAULT,
@@ -474,7 +482,7 @@ def test_nonexample_smallest_run(tmp_path):
     assert code == 0
     for name, header, count in (
         ("sequence.csv", ["m", "n", "j", "cos", "sin"], 3),
-        ("givens.csv", ["m", "window", "angle", "u1", "u2", "v1", "v2"], 2),
+        ("givens.csv", ["m", "angle", "v1", "v2"], 2),
     ):
         with open(out / name, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -499,7 +507,7 @@ def test_nonexample_net_dominates(tmp_path):
     assert summary["verdicts"]["net_dominates_rows"] is True
     assert summary["cross_row_matches_formula"] is True
     dist_rows = (out / "step_distances.csv").read_text().splitlines()
-    assert dist_rows[0] == "m,row,kind,measured,expected,deviation"
+    assert dist_rows[0] == "m,row,kind,measured"
     assert len(dist_rows) == 1 + (12 * 13 // 2 - 1)
 
 
@@ -1120,12 +1128,18 @@ def one_curve(*curve):
          f"ceiling of {CACHE_CEILING} entries a run holds"),
         ("gap", dict(SCHUR, dim=2**20), [], None,
          f"dim * dim * horizon = {2**40 * 10} exceeds the ceiling"),
+        # free start eigenvalues are drawn from [0.1, top)
+        ("simulate", dict(SCHUR, fixed_rank=1, top=0.05), [], None,
+         "top must lie in [0.1, 1), got 0.05"),
+        ("gap", dict(SCHUR, fixed_rank=4, top=0.05), [], None,
+         "top must lie in [0.1, 1), got 0.05"),
     ],
     ids=[
         "dim-true", "horizon-true", "fixed_rank-true", "seed-true",
         "seed-negative", "seed-flag-negative", "seed-env-negative",
         "curve-nan", "curve-bool", "peel-fractional-stage",
         "curve-unhashable-tag", "horizon-over-ceiling", "dim-over-ceiling",
+        "top-below-least-draw", "top-below-least-draw-all-fixed",
     ],
 )
 def test_spec_edge_usage_errors(
@@ -1242,3 +1256,191 @@ def test_bundled_specs_build():
     for path in paths:
         chain = build_chain(parse_chain_spec(json.loads(path.read_text())))
         assert chain.horizon >= 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated commands
+
+CONTRACT_EXITS = {0, 1, 2, 3, 64}
+
+# edge values of the unit-interval parameters, then any value in it
+unit_floats = st.one_of(
+    st.sampled_from([0.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+curve_entries = st.one_of(
+    st.tuples(st.just("const"), unit_floats),
+    st.tuples(st.just("harmonic_to"), unit_floats),
+    unit_floats.flatmap(
+        lambda a: st.tuples(
+            st.just("affine_harmonic"), st.just(a), st.floats(0.0, 1.0 - a)
+        )
+    ),
+    st.tuples(st.just("geometric"), unit_floats),
+    st.tuples(
+        st.just("peel"),
+        st.integers(1, 45),
+        unit_floats,
+        st.floats(0.0, 1.0, exclude_min=True),
+    ),
+).map(list)
+
+# one key set to a value its rule refuses, or that the kind does not take
+BROKEN_KEYS = (
+    ("dim", 0), ("dim", True), ("horizon", 0), ("seed", -1),
+    ("seed", None), ("kind", "spiral"), ("curves", []),
+    ("curves", [["const", 1.5]]), ("fixed_rank", 17), ("top", 1.0),
+    ("top", 0.05), ("delta", 0.0), ("delta", 1.0),
+)
+
+
+@st.composite
+def chain_specs(draw):
+    """A spec of any kind at dims 1-16 and horizons 1-40; one in eight
+    has a key broken."""
+    kind = draw(st.sampled_from(sorted(chains._KINDS)))
+    dim = draw(st.integers(1, 16))
+    doc = {"kind": kind, "dim": dim, "horizon": draw(st.integers(1, 40))}
+    if kind != "diagonal":
+        doc["seed"] = draw(st.integers(0, 1000))
+    if kind in ("diagonal", "conjugated_diagonal"):
+        doc["curves"] = draw(
+            st.lists(curve_entries, min_size=dim, max_size=dim)
+        )
+    if kind in ("schur_decrement", "gap_engineered"):
+        doc["fixed_rank"] = draw(st.integers(0, dim))
+    if kind == "schur_decrement":
+        doc["top"] = draw(
+            st.one_of(
+                st.sampled_from([0.1, 0.9, 1.0 - 2.0**-53]),
+                st.floats(0.1, 1.0, exclude_max=True),
+            )
+        )
+    if kind == "gap_engineered":
+        doc["delta"] = draw(
+            st.one_of(
+                st.sampled_from([2.0**-1074, 0.1, 0.5, 1.0 - 2.0**-53]),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            )
+        )
+    if draw(st.integers(0, 7)) == 0:
+        key, value = draw(st.sampled_from(BROKEN_KEYS))
+        doc[key] = value
+    return doc
+
+
+# edge values of each option: valid ones, then ones it refuses
+TOLERANCE_EDGES = (
+    ("0", "1e-300", "1e-15", "1e-9", "0.01", "0.5", "1", "1e300"),
+    ("-1e-9", "nan", "inf"),
+)
+OPTION_EDGES = {
+    "--tol-eig": TOLERANCE_EDGES,
+    "--tol-psd": TOLERANCE_EDGES,
+    "--seed": (("0", "7"), ("-5", "x")),
+    "--grid": (
+        ("0.5,0.2,0.1", "0.1", "0.5,0.05", "1e-4", "0.9"),
+        ("0.1,0.5", "0", "1", "nan", "0.2,,0.1", "x"),
+    ),
+    # gap takes an --epsilon of 0, nonexample refuses it
+    "--epsilon": (
+        ("0", "1e-300", "1e-8", "0.5", "1", "1.5", "1e300"),
+        ("-1", "nan", "inf"),
+    ),
+    "--nmax": (
+        tuple(map(str, range(2, 13))),
+        ("1", "0", "-3", str(NMAX_CEILING + 1)),
+    ),
+}
+COMMAND_OPTIONS = {
+    "simulate": ("--horizon", "--tol-eig", "--tol-psd", "--seed"),
+    "gap": (
+        "--horizon", "--tol-eig", "--tol-psd", "--seed", "--grid",
+        "--epsilon",
+    ),
+    "nonexample": ("--nmax", "--epsilon"),
+}
+
+
+@st.composite
+def cli_commands(draw):
+    """``(command, spec document or None, options)`` for ``simulate``,
+    ``gap`` or ``nonexample``.  Each option is left out half the time
+    and otherwise takes a valid edge value; one command in eight has
+    one option set to a value it refuses."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    names = COMMAND_OPTIONS[command]
+    doc = None if command == "nonexample" else draw(chain_specs())
+    edges = dict(OPTION_EDGES)
+    if doc is not None:
+        # --horizon within the spec's, which a broken key holds as 0
+        # or True
+        last = max(1, int(doc["horizon"]))
+        edges["--horizon"] = (
+            ("1", str(draw(st.integers(1, last))), str(last)),
+            ("0", "-1", str(last + 1), "1000000"),
+        )
+    values = {}
+    for name in names:
+        valid, _ = edges[name]
+        value = draw(st.one_of(st.none(), st.sampled_from(valid)))
+        if value is not None:
+            values[name] = value
+    if draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(names))
+        values[name] = draw(st.sampled_from(edges[name][1]))
+    options = [f"{name}={value}" for name, value in values.items()]
+    return command, doc, options
+
+
+def _contract_run(argv, out):
+    """Exit code, stderr and artifacts of ``main(argv)`` run in process,
+    and the warnings it raised."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    files = (
+        {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        if out.exists() else None
+    )
+    code = 0 if exc.value.code is None else exc.value.code
+    return code, stderr.getvalue(), files, [str(w.message) for w in caught]
+
+
+@example(
+    case=(
+        "simulate",
+        {"kind": "schur_decrement", "dim": 4, "horizon": 5,
+         "fixed_rank": 1, "top": 0.05, "seed": 1},
+        [],
+    )
+)
+@example(case=("nonexample", None, ["--epsilon=1e300"]))
+@given(case=cli_commands())
+def test_exit_code_contract_under_generated_commands(case):
+    command, doc, options = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ):
+        os.environ.pop(SEED_ENV_VAR, None)
+        argv = [command]
+        if doc is not None:
+            argv += ["--spec", write_spec(Path(tmp), doc)]
+        out = Path(tmp) / "out"
+        argv += options + ["--out", str(out)]
+        first = _contract_run(argv, out)
+        code, err, files, caught = first
+        event(f"{command} exit {code}")
+        assert code in CONTRACT_EXITS, (code, err)
+        assert caught == []
+        assert "Traceback" not in err
+        if code == 64:
+            assert len(err.splitlines()) == 1, err
+            assert files is None
+        if files is not None:
+            shutil.rmtree(out)
+        assert _contract_run(argv, out) == first

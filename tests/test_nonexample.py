@@ -313,13 +313,16 @@ def test_sequence_csv_rows(tmp_path):
 def test_givens_csv_shape(tmp_path):
     seq = build_nonexample(3)
     steps = givens_factorization(seq)
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
     write_givens_csv(steps, tmp_path / "givens.csv")
     rows = _read_csv(tmp_path / "givens.csv")
-    assert rows[0] == ["m", "window", "angle", "u1", "u2", "v1", "v2"]
+    assert rows[0] == ["m", "angle", "v1", "v2"]
     assert len(rows) == seq.count
     assert [int(row[0]) for row in rows[1:]] == list(range(1, seq.count))
-    # windows are the 1-based rows of the points each step leaves
-    assert [int(row[1]) for row in rows[1:]] == seq.rows[:-1].tolist()
+    # step m's window is the 1-based row n of sequence.csv row m, the
+    # point it leaves
+    points = _read_csv(tmp_path / "sequence.csv")[1:-1]
+    assert [int(point[1]) - 1 for point in points] == steps.frame.tolist()
 
 
 def test_write_net_csv_layout(tmp_path):
@@ -350,17 +353,27 @@ def test_givens_supports_are_small():
 
 
 def test_givens_csv_planes_decode_to_dense_plane(tmp_path):
+    # step m's plane: u is sequence.csv row m's cos,sin on its
+    # coordinates n and n + 1, v is givens.csv row m's v1,v2 there
     seq = build_nonexample(12)
     steps = givens_factorization(seq)
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
     write_givens_csv(steps, tmp_path / "givens.csv")
-    for k, row in enumerate(_read_csv(tmp_path / "givens.csv")[1:]):
-        _, window, angle, *plane = row
+    for k, (point, row) in enumerate(
+        zip(
+            _read_csv(tmp_path / "sequence.csv")[1:],
+            _read_csv(tmp_path / "givens.csv")[1:],
+        )
+    ):
+        _, n, _, *on_window = point
+        m, angle, *plane = row
+        assert int(m) == k + 1
         assert float(angle) == steps.angle[k]
         u = np.zeros(seq.ambient_dim)
         v = np.zeros(seq.ambient_dim)
-        index = [int(window) - 1, int(window)]
-        u[index] = [float(x) for x in plane[:2]]
-        v[index] = [float(x) for x in plane[2:]]
+        index = [int(n) - 1, int(n)]
+        u[index] = [float(x) for x in on_window]
+        v[index] = [float(x) for x in plane]
         dense_u, dense_v = step_plane(steps, k, seq.ambient_dim)
         assert np.array_equal(u, dense_u)
         assert np.array_equal(v, dense_v)
@@ -463,6 +476,15 @@ def test_net_exact_chord_ties():
     assert any(r == s for r, s in ties) and any(r != s for r, s in ties)
     net = verify_not_totally_bounded(build_nonexample(18), 1.0).net
     assert net.member_indices == dense_greedy_net(dense, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [1.5e154, 1e300, np.finfo(float).max])
+def test_net_at_an_epsilon_whose_square_overflows(epsilon):
+    # the support rule's squared reach is inf here, so every member is
+    # measured; (epsilon * (1 + margin)) ** 2 raised OverflowError
+    dense = dense_orbit(12)
+    net = verify_not_totally_bounded(build_nonexample(12), epsilon).net
+    assert net.member_indices == dense_greedy_net(dense, epsilon) == (0,)
 
 
 @pytest.mark.parametrize("n_max", [12, 30])
@@ -574,10 +596,12 @@ def test_orbit_csvs_read_back_exactly(tmp_path):
     assert np.array_equal(points[:, 3], seq.cos)
     assert np.array_equal(points[:, 4], seq.sin)
     planes = np.array(_read_csv(tmp_path / "givens.csv")[1:], dtype=float)
-    assert np.array_equal(planes[:, 1] - 1, steps.frame)
-    assert np.array_equal(planes[:, 2], steps.angle)
-    assert np.array_equal(planes[:, 3:5], steps.u)
-    assert np.array_equal(planes[:, 5:7], steps.v)
+    assert np.array_equal(planes[:, 0], np.arange(1, len(steps) + 1))
+    assert np.array_equal(planes[:, 1], steps.angle)
+    assert np.array_equal(planes[:, 2:4], steps.v)
+    # the rest of each plane is read from the point the step leaves
+    assert np.array_equal(points[:-1, 1] - 1, steps.frame)
+    assert np.array_equal(points[:-1, 3:5], steps.u)
 
 
 def test_sequence_writer_handles_zero_coordinates(tmp_path):
@@ -600,15 +624,12 @@ def test_step_distances_writer_matches_csv_writer(tmp_path):
     write_step_distances_csv(report, tmp_path / "fast.csv")
     with open(tmp_path / "slow.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ("m", "row", "kind", "measured", "expected", "deviation")
-        )
-        for k, (row, inside, measured, expected) in enumerate(
+        writer.writerow(("m", "row", "kind", "measured"))
+        for k, (row, inside, measured) in enumerate(
             zip(
                 report.rows.tolist(),
                 report.within.tolist(),
                 report.measured.tolist(),
-                report.expected.tolist(),
             )
         ):
             writer.writerow(
@@ -617,9 +638,42 @@ def test_step_distances_writer_matches_csv_writer(tmp_path):
                     row,
                     "within" if inside else "cross",
                     format(measured, ".17g"),
-                    format(expected, ".17g"),
-                    format(abs(measured - expected), ".17g"),
                 ]
             )
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_max", [2, 12, 60])
+def test_dropped_orbit_cells_rebuild_from_the_written_files(tmp_path, n_max):
+    # the cells givens.csv and step_distances.csv no longer write, each
+    # rebuilt from the files and compared, as %.17g text, with the cell
+    # the full layout wrote: window,u1,u2 are sequence.csv row m's
+    # n,cos,sin, and expected and deviation follow from row and measured
+    # by verify_step_distances's expressions
+    seq = build_nonexample(n_max)
+    steps = givens_factorization(seq)
+    report = verify_step_distances(seq)
+    write_sequence_csv(seq, tmp_path / "sequence.csv")
+    write_givens_csv(steps, tmp_path / "givens.csv")
+    write_step_distances_csv(report, tmp_path / "step_distances.csv")
+    points = _read_csv(tmp_path / "sequence.csv")[1:]
+    planes = _read_csv(tmp_path / "givens.csv")[1:]
+    distances = _read_csv(tmp_path / "step_distances.csv")[1:]
+    assert len(planes) == len(distances) == len(points) - 1 == len(steps)
+    for k, (point, plane, distance) in enumerate(
+        zip(points, planes, distances)
+    ):
+        m, n, _, cos, sin = point
+        assert plane[0] == distance[0] == m
+        assert [n, cos, sin] == [
+            str(steps.frame[k] + 1),
+            format(steps.u[k, 0], ".17g"),
+            format(steps.u[k, 1], ".17g"),
+        ]
+        row, measured = int(distance[1]), float(distance[3])
+        expected = 2.0 * math.sin(seq.angle_of(row) / 2.0)
+        assert format(expected, ".17g") == format(report.expected[k], ".17g")
+        assert format(abs(measured - expected), ".17g") == format(
+            report.deviations[k], ".17g"
+        )

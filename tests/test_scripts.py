@@ -1,5 +1,6 @@
 """The exploratory scripts run end to end on small arguments."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -57,6 +58,7 @@ def test_artifact_digests_one_line_per_command():
         "gap schur_random": 0,
         "simulate conjugated_mixed": 0,
         "simulate schur_random tol0": 64,
+        "simulate schur top0.05": 64,
         "simulate schur_dim16 tol1e-13": 2,
         "gap gap_dim16 horizon40 tol1e-15": 0,
         "gap near_one grid1e-4": 0,
@@ -81,5 +83,16 @@ def test_artifact_digests_one_line_per_command():
         assert re.fullmatch(
             rf"{label}: exit {code} sha256:[0-9a-f]{{64}}", line
         ), line
-    # distinct outputs, so no command wrote into another's directory
-    assert len({line.split("sha256:")[1] for line in lines}) == len(lines)
+    # a refused run writes nothing, so it digests an empty directory;
+    # the others have distinct outputs, so no command wrote into
+    # another's directory
+    empty = hashlib.sha256().hexdigest()
+    written = []
+    for line, code in zip(lines, expected_exits.values()):
+        digest = line.split("sha256:")[1]
+        if code == 64:
+            assert digest == empty, line
+        else:
+            written.append(digest)
+    assert empty not in written
+    assert len(set(written)) == len(written)
