@@ -19,13 +19,13 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .certify import _contractions_certified
 from .config import DEFAULT, DEFAULT_HORIZON
 from .errors import ChainGenerationError, ChainSpecError, PreconditionError
 from .operators import (
     Operator,
     SpectralDecomposition,
     _contraction_witness,
-    _contractions_certified,
     _eigvalsh,
     _hermitized,
     _stored_operator,
@@ -660,7 +660,7 @@ class _SchurSteps(_Steps):
     drawn, and checked, a block at a time: from the one that makes the
     step asked for up to the one that makes ``stop``, which the chain
     caps at the run's last step.  One stacked Cholesky factorization
-    (:func:`operators._contractions_certified`) proves them positive
+    (:func:`certify._contractions_certified`) proves them positive
     contractions; when it cannot, one stacked ``eigvalsh`` decides, and
     each step is refused with its own eigenvalue when it is built."""
 

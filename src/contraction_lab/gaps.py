@@ -24,26 +24,26 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .certify import (
+    _Anchor,
+    _anchor_of,
+    _order_bound,
+    _rounded_up,
+    _window_closes,
+)
 from .chains import ContractionChain, stream_rng
 from .config import DEFAULT, DELTA_GRID
 from .errors import PreconditionError, RankDescentError
 from .operators import (
     Operator,
     Projection,
-    SpectralDecomposition,
-    _UNIT_ROUNDOFF,
     _contraction_witness,
     _eig_band,
-    _eigvalsh,
-    _factored,
     _fixed_projection,
     _fixed_space,
     _not_a_contraction,
     _not_ordered,
-    _order_bound,
     _psd_slack,
-    _rounded_up,
-    _rounding_bounds,
     fixed_point_projection,
     hermitian_eigenvalues,
     loewner_leq,
@@ -262,9 +262,9 @@ def certificate_search(
     consecutive steps, at most :data:`_WINDOW_STEPS` of them and at most
     :data:`_WINDOW_BYTES` of their entries: stacked Cholesky
     factorizations prove the order of each step against the one before
-    (:func:`operators._order_bound`), and Weyl's monotonicity theorem
+    (``certify._order_bound``), and Weyl's monotonicity theorem
     carries the anchor's eigenvalues, and bounds at the window's last
-    step, to every step of the window (:func:`_window_closes`).  A
+    step, to every step of the window (``certify._window_closes``).  A
     window closes only when that proves that :func:`has_gap_at` passes
     every step in it.  The steps of one that does not close are decided
     in order by the per-step rule: one :func:`has_gap_at` (one
@@ -480,161 +480,6 @@ class _Scan:
         if self.anchor is anchor:
             self.anchor = None
         return None
-
-
-class _Anchor(NamedTuple):
-    """A segment anchor as :func:`_window_closes` reads it.
-
-    ``low`` and ``high`` are the ends of the gap window of its delta and
-    ``slack`` the PSD slack ``s``; ``reach`` is ``R = 4 n^2 u sqrt(n) (1
-    + s)``, which bounds ``eigvalsh``'s error on any step with every
-    eigenvalue in ``[-s, 1 + s]`` (``operators._rounding_bounds``'
-    ``rho``, as ``||T||_F <= sqrt(n) (1 + s)``), and ``sigma = 16 n u (1 +
-    s)`` the shift of each order factorization.  ``under`` is the
-    anchor's largest eigenvalue below the window (None when there is
-    none), ``top`` its largest, and ``rho`` their ``eigh`` error.
-    ``basis`` holds, as rows, the adjoints of its eigenvectors whose
-    eigenvalues count as 1 (``>= high``; None when there is none), and
-    ``ortho`` bounds ``||V* V - I||_2`` of their columns ``V``."""
-
-    low: float
-    high: float
-    slack: float
-    reach: float
-    sigma: float
-    under: float | None
-    top: float
-    rho: float
-    basis: np.ndarray | None
-    ortho: float
-
-
-def _anchor_of(
-    decomp: SpectralDecomposition, entries: np.ndarray, low: float,
-    high: float, slack: float,
-) -> _Anchor | None:
-    """The anchor at a decomposed step whose eigenvalues avoid the gap
-    window ``(low, high)``, or None where no window could close on it:
-    where ``2 R`` leaves no room at the eigenvalue 1 that fixed spaces
-    hold (``2 R >= 1 - high``) or at 0 (``2 R >= s``), always at
-    ``tol_eig`` 0 or ``tol_psd`` 0 and where ``R`` overflows (at
-    ``tol_psd`` 1e300, say), where the anchor's own eigenvalues fail
-    :func:`_window_closes`' first two tests with no rise, or where its
-    basis is too far from orthonormal (``e >= 1/2``)."""
-    n = entries.shape[0]
-    u = _UNIT_ROUNDOFF
-    reach = 4.0 * n * n * u * n**0.5 * (1.0 + slack)
-    if not (2.0 * reach < 1.0 - high and 2.0 * reach < slack < np.inf):
-        return None
-    rho = _rounding_bounds(entries)[0]
-    eigenvalues = decomp.eigenvalues
-    r = int(np.count_nonzero(eigenvalues >= high))
-    under = float(eigenvalues[n - r - 1]) if r < n else None
-    top = float(eigenvalues[-1])
-    if under is not None and math.fsum((under, rho, reach, -low)) > 0:
-        return None
-    if math.fsum((top, rho, reach, -1.0, -slack)) > 0:
-        return None
-    basis, ortho = None, 0.0
-    if r:
-        basis = decomp.eigenvectors[:, n - r :].conj().T.copy()
-        k = n if basis.dtype == np.float64 else 3 * n
-        gram = basis @ basis.conj().T
-        gram.reshape(r * r)[:: r + 1] -= 1.0
-        drift = float(np.vdot(gram, gram).real) ** 0.5
-        ortho = 2.0 * (drift + r * _gamma(k))
-        if not (ortho < 0.5 and r * _gamma(k) <= 0.25):
-            return None
-    sigma = 16.0 * n * u * (1.0 + slack)
-    return _Anchor(
-        low, high, slack, reach, sigma, under, top, rho, basis, ortho
-    )
-
-
-def _gamma(k: int) -> float:
-    """Higham's ``gamma_k = k u / (1 - k u)``."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def _window_closes(
-    anchor: _Anchor, rise: float, drop: float, last: np.ndarray
-) -> bool:
-    """True when it is proved that ``eigvalsh`` finds every eigenvalue of
-    every step ``T_m`` of a window outside ``anchor``'s gap window
-    ``(low, high)`` and inside ``[-s, 1 + s]``, so that :func:`has_gap_at`
-    passes each; False proves nothing.
-
-    The window's order is proved: ``T_m <= T_a + rise I`` for the anchor
-    ``T_a`` and ``T_m >= T_b - drop I`` for its last step ``T_b``, whose
-    entries ``last`` are.  By Weyl's monotonicity theorem (Horn and
-    Johnson, *Matrix Analysis*, 2nd ed., Cor. 4.3.12), ``lambda_k(T_m)
-    <= lambda_k(T_a) + rise`` and ``lambda_k(T_m) >= lambda_k(T_b) -
-    drop`` for every ``k``.  With ``r`` the anchor's eigenvalues ``>=
-    high`` and ``R`` the ``eigvalsh`` error bound (:class:`_Anchor`), the
-    window closes when
-
-    * ``under + rho + rise + R <= low`` (the ``n - r`` lower eigenvalues)
-      and ``top + rho + rise + R <= 1 + s``, summed exactly
-      (``math.fsum``), so no solve is spent on a window these refuse;
-    * a Cholesky factorization of ``T_b + c I``, ``c = s - eps(1, s) -
-      drop - R`` (rounded down), proves ``lambda_min(T_b) >= -c - eps(1,
-      c) >= R + drop - s`` (``operators._rounding_bounds``);
-    * with ``r > 0``, the compression ``G = V* T_b V`` on the anchor's
-      top eigenvectors ``V`` has ``lambda_min(G) >= g = nu - rho_G - E``:
-      ``nu`` is the least eigenvalue ``eigvalsh`` computes, ``rho_G = 4
-      r^2 u sqrt(2) ||G||_F`` its error, as computed (the Hermitian
-      matrix it reads from one triangle has ``||.||_F <= sqrt(2)
-      ||G||_F``), and ``E = 2 gamma_(2k) r (1 + e) sqrt(n) (1 + s)``
-      twice the compression's rounding, the factor 2 for the rounding of
-      ``E`` itself (``operators._rounding_bounds``; ``||T_b||_F <= sqrt(n)
-      (1 + s)`` by the two tests above).  With ``V = Q P``, ``Q``
-      orthonormal and ``P* P = V* V``, Ostrowski's theorem (Horn and
-      Johnson, Thm. 4.5.9) gives ``lambda_min(Q* T_b Q) >= g / (1 + e)
-      >= g - e |nu|``, and Cauchy interlacing (Cor. 4.3.37) puts it
-      below the top ``r`` eigenvalues of ``T_b``; the test is ``g - e
-      |nu| >= high + drop + R``, summed exactly.
-
-    Then every ``T_m`` has its lower ``n - r`` eigenvalues at most ``low
-    - R``, its top ``r`` at least ``high + R`` and all of them in ``[R -
-    s, 1 + s - R]``, so ``||T_m||_F <= sqrt(n) (1 + s)`` and what
-    ``eigvalsh`` computes passes the rule.
-    """
-    s, reach = anchor.slack, anchor.reach
-    if anchor.under is not None and math.fsum(
-        (anchor.under, anchor.rho, rise, reach, -anchor.low)
-    ) > 0:
-        return False
-    if math.fsum((anchor.top, anchor.rho, rise, reach, -1.0, -s)) > 0:
-        return False
-    _, eps = _rounding_bounds(last)
-    floor = eps(1.0, s)
-    shift = (s - _rounded_up(floor + drop + reach)) * (
-        1.0 - 2.0 * _UNIT_ROUNDOFF
-    )
-    if not shift > 0.0:
-        return False
-    n = last.shape[0]
-    work = last.copy()  # C-contiguous
-    work.reshape(n * n)[:: n + 1] += shift
-    if not _factored(work):
-        return False
-    basis = anchor.basis
-    if basis is None:
-        return True
-    r = basis.shape[0]
-    k = n if np.result_type(basis, last) == np.float64 else 3 * n
-    g = basis @ (last @ basis.conj().T)
-    nu = float(_eigvalsh(g)[0])
-    rho_g = 4.0 * r * r * _UNIT_ROUNDOFF * (
-        2.0 * float(np.vdot(g, g).real)
-    ) ** 0.5
-    rounding = 2.0 * _gamma(2 * k) * r * (1.0 + anchor.ortho) * n**0.5 * (
-        1.0 + s
-    )
-    spread = _rounded_up(anchor.ortho * abs(nu))
-    return math.fsum(
-        (nu, -rho_g, -rounding, -spread, -drop, -reach, -anchor.high)
-    ) >= 0
 
 
 def _carry_default_probe(

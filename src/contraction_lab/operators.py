@@ -157,7 +157,8 @@ class Projection:
 @dataclass(frozen=True)
 class Witnessed:
     """A boolean verdict plus the number that decided it: None when no
-    solved number did, because a Cholesky certificate proved the verdict
+    solved number did, because a Cholesky certificate of
+    :mod:`contraction_lab.certify` proved the verdict
     (``products.is_decreasing``) or there was nothing to compare."""
 
     ok: bool
@@ -264,243 +265,6 @@ def _contraction_witness(eigenvalues: np.ndarray, tol: float) -> Witnessed:
 def _psd_slack(dim: int, tol_psd: float | None) -> float:
     """``tol_psd``, or the default slack ``DEFAULT.psd(dim)`` when None."""
     return DEFAULT.psd(dim) if tol_psd is None else tol_psd
-
-
-# unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _rounding_bounds(entries: np.ndarray):
-    """``(rho, eps)`` of the Hermitian ``entries`` ``T``, or of every
-    matrix of a ``(k, n, n)`` stack at once:
-
-    * ``rho`` bounds the error of each eigenvalue ``eigvalsh`` computes;
-    * ``eps(alpha, beta)`` bounds the rounding of forming ``M = +-T @ T +
-      alpha T + (beta - eta) I`` and of factoring it by Cholesky, for a
-      shift ``0 <= eta < |beta|``: success proves ``M_exact >= (eta -
-      eps) I``.
-
-    The contraction test (:func:`_contraction_factors`) reads them of
-    ``T`` itself; three more certificates read them of other matrices,
-    with ``s`` the slack each allows:
-
-    * Order (:func:`_order_bound`): of the difference ``D = T_n -
-      T_{n+1}`` as computed, the matrix that ``eigvalsh`` reads, ``M = D
-      + (s - eta) I`` is the form above with ``alpha = 1``, ``beta = s``
-      and no quadratic term, which drops only nonnegative terms from both
-      parts of ``eps``; a factorization proves ``D >= (eta - s - eps(1,
-      s)) I``.  With ``eta = eta_D = eps(1, s) + rho < s`` that is ``D >=
-      (rho - s) I``, so every eigenvalue ``eigvalsh`` computes is at least
-      ``-s`` (:func:`_decreasing_certified`).  With ``eta = 0`` it bounds
-      the exact difference of the stored steps, ``D_x >= -(s + eps(1, s)
-      + 2 u ||D||_F) I``: the subtraction rounds each entry by at most
-      ``u`` of its own size, so ``||D - D_x||_2 <= ||D - D_x||_F <= u
-      ||D_x||_F <= u / (1 - u) ||D||_F``, which ``2 u ||D||_F = rho / (2
-      n^2)`` exceeds; the rounding of the sum is taken up by a factor ``1
-      + 4u`` (the scan of :func:`gaps.certificate_search`).
-    * Compression (``gaps._window_closes``): of an ``n x r`` basis ``V``
-      with ``||V* V - I||_2 <= e``, ``G = V* T V`` as computed is within
-      ``gamma_(2k) |V*||T||V|`` entrywise of the exact product (two
-      products, ``gamma_k + gamma_k (1 + gamma_k) <= gamma_(2k)``), and
-      ``|| |V*||T||V| ||_F <= ||V||_F^2 ||T||_F <= r (1 + e) ||T||_F``.
-      That bound is symmetric, so it holds for the Hermitian matrix that
-      ``eigvalsh`` reads from one triangle.  ``e`` itself is bounded from
-      ``V* V - I`` as computed: ``2 (||V* V - I||_F + r gamma_k)``
-      exceeds the true ``||V* V - I||_2`` while ``r gamma_k <= 1/4``.
-    * Norm (:func:`_norms_certified`): of a square ``S``, not Hermitian,
-      ``rho`` bounds the error of each singular value the SVD computes,
-      ``p(n) u ||S||_2`` (LAPACK Users' Guide, section 4.9), and ``eps(0,
-      beta)`` the rounding of forming and factoring ``beta I - S* S -
-      eta I``: ``S* S`` is within ``gamma_k |S*||S|`` entrywise, and the
-      Frobenius norm and the trace of ``|S*||S|`` are at most ``F``, as
-      for ``|T||T|``.  With ``beta = (1 + s - rho)^2`` and ``eta = eps(0,
-      beta)``, a factorization of ``c I - S* S``, ``c = beta - eta``,
-      proves ``||S||_2 <= 1 + s - rho``, so the SVD finds ``||S|| <= 1 +
-      s``.  It needs ``1 + s - rho > 0`` and ``0 < c < inf``; ``beta``
-      overflows past ``s`` about ``1.3e154``.
-
-    The constants, with ``u = 2**-53``, ``n = dim``, ``F = ||T||_F^2``,
-    ``gamma_k = k u / (1 - k u)`` and ``k = n`` for real ``T``, ``3n`` for
-    complex (a complex product's parts are real inner products of length
-    ``2n``, and ``sqrt(2) gamma_2n <= gamma_3n``; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., section 3.6):
-
-    * ``T @ T`` is within ``gamma_k |T||T|`` entrywise, in any summation
-      order (Higham section 3.5), and forming ``M`` adds at most
-      ``gamma_6 (|T||T| + |alpha||T| + (|beta| + eta) I)``.  That bound is
-      symmetric, so it also holds for the Hermitian matrix ``A`` that the
-      factorization reads from one triangle.  With ``eta < |beta|``,
-      ``||A - (M_exact - eta I)||_2`` is at most ``gamma_(k+6) sigma``,
-      ``sigma = F + |alpha| sqrt(n F) + 2 n |beta|``: ``|| |T||T| ||_F <=
-      F``.
-    * A factorization that runs to completion gives ``R* R = A + dA``,
-      ``|dA| <= gamma_(k+1) |R*||R|`` (Higham, Theorem 10.5).  Cauchy-
-      Schwarz on ``R``'s columns gives ``||dA||_2 <= gamma_(k+1) /
-      (1 - gamma_(k+1)) trace(A)``, and ``trace(A) <= (1 + gamma_(k+6))
-      sigma``, since the diagonal of ``|T||T|`` sums to ``F`` and that of
-      ``|T|`` to at most ``sqrt(n F)``.
-    * ``eps = 2 (k + 7) u sigma`` exceeds both terms together by more
-      than the rounding of ``F``, ``sigma``, ``rho`` and the shifts.
-    * ``rho = 4 n^2 u ||T||_F``.  LAPACK bounds the error of its
-      symmetric eigenvalues by ``p(n) u ||T||_2``, ``p(n)`` a modestly
-      growing function of ``n`` (LAPACK Users' Guide, 3rd ed., section
-      4.7); this takes ``p(n) = 4 n^2`` and ``||T||_F >= ||T||_2``.
-
-    Every constant grows with ``F``, so for a stack ``F`` is the largest
-    of its matrices' and the constants bound each of them.  They are
-    Python floats, which overflow to ``inf`` without a warning.
-    """
-    n = entries.shape[-1]
-    k = n if entries.dtype == np.float64 else 3 * n
-    if entries.ndim == 2:
-        frob2 = float(np.vdot(entries, entries).real)
-    else:  # a complex entry as its real and imaginary parts
-        parts = entries.reshape(len(entries), n * n).view(np.float64)
-        frob2 = float(np.einsum("ij,ij->i", parts, parts).max(initial=0.0))
-    rho = 4.0 * n * n * _UNIT_ROUNDOFF * frob2**0.5
-    spread = (n * frob2) ** 0.5
-
-    def eps(alpha: float, beta: float):
-        sigma = frob2 + abs(alpha) * spread + 2.0 * n * abs(beta)
-        return 2.0 * (k + 7) * _UNIT_ROUNDOFF * sigma
-
-    return rho, eps
-
-
-def _factored(stack: np.ndarray) -> bool:
-    """Whether one stacked Cholesky factorization of the Hermitian
-    matrices of ``stack`` runs to completion."""
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _shifted_diagonals(stack: np.ndarray, shift: float) -> np.ndarray:
-    """``stack``, C-contiguous, with ``shift`` added to the diagonal of
-    each matrix in place (through a reshaped view, which only a
-    contiguous stack gives)."""
-    n = stack.shape[-1]
-    stack.reshape(len(stack), n * n)[:, :: n + 1] += shift
-    return stack
-
-
-def _contraction_factors(
-    stack: np.ndarray, slack: float
-) -> np.ndarray | None:
-    """``C - eta_C I`` of each Hermitian matrix ``T`` of the ``(k, n,
-    n)`` ``stack``, or None when the shift leaves no room at the
-    eigenvalues 0 and 1 (``eta_C >= s (1 + s)``, always at ``slack`` 0).
-
-    With ``s = slack``, ``C = (T + s)(1 + s - T) = T - T @ T + s (1 + s)
-    I`` and ``eta_C = eps(1, s (1 + s)) + rho (1 + 2s)``, from the
-    stack's :func:`_rounding_bounds`.  The eigenvalue ``c(l) = (l + s)(1
-    + s - l)`` of ``C`` at each eigenvalue ``l`` of ``T`` is below ``rho
-    (1 + 2s)`` outside ``[rho - s, 1 + s - rho]``, so a factorization of
-    ``C - eta_C I`` keeps every eigenvalue that ``eigvalsh`` computes in
-    ``[-s, 1 + s]``."""
-    rho, eps = _rounding_bounds(stack)
-    c_const = slack * (1.0 + slack)
-    c_shift = eps(1.0, c_const) + rho * (1.0 + 2.0 * slack)
-    if not c_shift < c_const:
-        return None
-    c = np.matmul(stack, stack)
-    np.subtract(stack, c, out=c)
-    return _shifted_diagonals(c, c_const - c_shift)
-
-
-def _contractions_certified(stack: np.ndarray, slack: float) -> bool:
-    """True when one stacked Cholesky factorization proves that
-    ``eigvalsh`` finds every eigenvalue of each Hermitian matrix of the
-    ``(k, n, n)`` ``stack`` in ``[-slack, 1 + slack]``, so that
-    :func:`_contraction_witness` passes it at ``slack``; False proves
-    nothing.  It factors :func:`_contraction_factors`, reading the
-    entries alone, and declines without factoring when there are
-    none."""
-    c = _contraction_factors(stack, slack)
-    return c is not None and _factored(c)
-
-
-def _decreasing_certified(
-    steps: np.ndarray, upper: np.ndarray, lower: np.ndarray, slack: float
-) -> bool:
-    """True when one stacked Cholesky factorization proves that
-    ``eigvalsh`` finds every eigenvalue of each step of the ``(k, n, n)``
-    ``steps`` in ``[-slack, 1 + slack]`` and the least eigenvalue of each
-    ``upper - lower``, as :func:`loewner_margin` computes it, at least
-    ``-slack``; False proves nothing.  It factors the steps'
-    :func:`_contraction_factors` together with :func:`_order_bound`'s
-    ``D + (s - eta_D) I``, and declines without factoring when a shift
-    leaves no room (``eta_D >= s`` or ``eta_C >= s (1 + s)``, always at
-    ``slack`` 0)."""
-    c = _contraction_factors(steps, slack)
-    if c is None:
-        return False
-    return _order_bound(upper - lower, slack, solved=True, joint=c) is not None
-
-
-def _order_bound(
-    d: np.ndarray, slack: float, *, solved: bool,
-    joint: np.ndarray | None = None,
-) -> float | None:
-    """A lower bound that one stacked Cholesky factorization proves on
-    the least eigenvalue of each difference ``D = T_n - T_{n+1}`` of the
-    ``(k, n, n)`` stack ``d``, as computed and C-contiguous, which it
-    shifts in place; None when the factorization fails or the shift
-    leaves no room.  The matrices of ``joint``, if any, are factored in
-    the same call, and must factor too.
-
-    With ``solved``, the bound is on what ``eigvalsh`` computes of ``D``:
-    it factors ``D + (s - eta_D) I``, ``eta_D = eps(1, s) + rho``, and
-    returns ``-slack``, declining when ``eta_D >= s``.  Without, the
-    bound is on the exact difference of the two stored steps ``D`` was
-    rounded from: it factors ``D + s I`` and returns ``-(s + eps(1, s) +
-    2 u ||D||_F)``.  :func:`_rounding_bounds` derives both.
-    """
-    rho, eps = _rounding_bounds(d)
-    reserve = eps(1.0, slack) + rho if solved else 0.0
-    if not reserve < slack < np.inf:
-        return None
-    _shifted_diagonals(d, slack - reserve)
-    if not _factored(d if joint is None else np.concatenate((joint, d))):
-        return None
-    if solved:
-        return -slack
-    n = d.shape[-1]
-    return -_rounded_up(slack + eps(1.0, slack) + rho / (2.0 * n * n))
-
-
-def _rounded_up(total: float) -> float:
-    """``total * (1 + 4u)``: at least the exact value of a nonnegative
-    sum of three terms or fewer that rounded to ``total``, or of one
-    correctly rounded sum (``math.fsum``)."""
-    return total * (1.0 + 4.0 * _UNIT_ROUNDOFF)
-
-
-def _norms_certified(stack: np.ndarray, tol: float) -> bool:
-    """True when one stacked Cholesky factorization proves that the SVD
-    finds ``||S||_2 <= 1 + tol`` for each square matrix ``S`` of the
-    ``(k, n, n)`` ``stack``, so that ``1 - ||S||`` passes
-    :func:`_slack_verdict` at ``tol``; False proves nothing.  It factors
-    ``c I - S* S`` of each, ``c = (1 + tol - rho)^2 - eps(0, (1 + tol -
-    rho)^2)`` with the stack's :func:`_rounding_bounds`, and declines
-    without factoring unless ``1 + tol - rho`` and ``c`` are positive and
-    ``c`` finite (``(1 + tol)^2`` overflows at ``tol`` 1e300)."""
-    rho, eps = _rounding_bounds(stack)
-    reach = 1.0 + tol - rho
-    top = reach * reach
-    c = top - eps(0.0, top)
-    # a reach below 0 would square to a top that proves nothing
-    if not (reach > 0.0 and 0.0 < c < np.inf):
-        return False
-    # a contiguous copy: matmul loops over a strided stack far slower
-    adjoint = stack.swapaxes(1, 2).copy()
-    if np.iscomplexobj(adjoint):
-        np.conjugate(adjoint, out=adjoint)
-    gram = np.matmul(adjoint, stack)
-    np.negative(gram, out=gram)
-    return _factored(_shifted_diagonals(gram, c))
 
 
 def _slack_verdict(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _decreasing_certified, _norms_certified
 from .chains import ContractionChain, stream_rng
 from .config import DEFAULT
 from .errors import InvariantError, PreconditionError
@@ -34,12 +35,10 @@ from .operators import (
     Projection,
     Witnessed,
     _contraction_witness,
-    _decreasing_certified,
     _eig_band,
     _eigvalsh,
     _fixed_projection,
     _fixed_space,
-    _norms_certified,
     _not_a_contraction,
     _psd_slack,
     _slack_verdict,
@@ -294,7 +293,7 @@ def iterate_products(
     step.  Each step of a per-step trace (the default) takes one SVD,
     for ``opnorm_err``.  Each block's ``||S_n|| <= 1 + tol_psd`` is
     proved by one stacked Cholesky factorization
-    (``operators._norms_certified``); only a block that it declines
+    (``certify._norms_certified``); only a block that it declines
     takes the SVD norms ``||S_n||``, whose largest is ``product_norm``.
 
     With ``per_step_errors`` False the trace is a final-row trace (see
@@ -472,7 +471,7 @@ def is_decreasing(
     contraction: the order of a chain with a step that is not is outside
     what the theorems speak of.  Both are decided over the chain's
     stored blocks.  One stacked Cholesky factorization per block
-    (``operators._decreasing_certified``) proves both for the block's
+    (``certify._decreasing_certified``) proves both for the block's
     steps and its pairs with the block before; a block that it declines
     takes one stacked ``eigvalsh`` of its steps, raising
     :class:`PreconditionError` at the first step that is not a positive

@@ -41,7 +41,7 @@ def test_package_list_is_the_module_lists():
     assert len(set(joined)) == len(joined)
 
 
-@pytest.mark.parametrize("name", [*EXPORTED, "corpus"])
+@pytest.mark.parametrize("name", [*EXPORTED, "corpus", "certify"])
 def test_module_lists_every_public_definition(name):
     module = importlib.import_module(f"contraction_lab.{name}")
     defined = {

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from contraction_lab import (
     rate_bound_check,
 )
 from contraction_lab import build_chain, chains, gaps, parse_chain_spec
+from contraction_lab.certify import _order_bound, _rounded_up
 from contraction_lab.chains import ContractionChain, stream_rng
 from contraction_lab.config import DELTA_GRID
 from contraction_lab.corpus import (
@@ -55,18 +55,9 @@ from contraction_lab.operators import (
     SpectralDecomposition,
     _eig_band,
     _fixed_space,
-    _order_bound,
-    _rounded_up,
     spectral_decompose,
 )
-from test_operators import (
-    UNIT_ROUNDOFF,
-    exact_entries,
-    exact_gram,
-    exact_psd,
-    haar_frame,
-    shifted,
-)
+from exact_oracle import UNIT_ROUNDOFF, exact_gap_rule_holds, haar_frame
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -561,30 +552,6 @@ def test_search_counts_no_order_bound_it_was_not_given():
     finally:
         gaps._window_closes = closes
     assert closed == [True, False, False]
-
-
-def exact_gap_rule_holds(entries, low, high, slack):
-    """Whether the exact eigenvalues of a stored Hermitian matrix of dim
-    1 or 2 lie outside ``(low, high)`` and in ``[-slack, 1 + slack]``:
-    Sylvester's criterion on ``(T - low)(T - high)``, ``T + slack I`` and
-    ``(1 + slack) I - T``, in fractions."""
-    t = exact_entries(entries)
-    square = exact_gram(entries)  # T* T = T^2
-    lo, hi = Fraction(low), Fraction(high)
-    w = [
-        [
-            (sq[0] - (lo + hi) * tv[0] + (lo * hi if i == j else 0),
-             sq[1] - (lo + hi) * tv[1])
-            for j, (sq, tv) in enumerate(zip(square_row, t_row))
-        ]
-        for i, (square_row, t_row) in enumerate(zip(square, t))
-    ]
-    s = Fraction(slack)
-    return (
-        exact_psd(w)
-        and exact_psd(shifted(t, -s, 1))
-        and exact_psd(shifted(t, 1 + s, -1))
-    )
 
 
 @st.composite

@@ -26,16 +26,27 @@ from contraction_lab import (
     loewner_leq,
     spectral_decompose,
 )
+from contraction_lab.certify import (
+    _decreasing_certified,
+    _norms_certified,
+    _rounding_bounds,
+)
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import random_contraction
 from contraction_lab.operators import (
     _contraction_witness,
-    _decreasing_certified,
     _fixed_space,
-    _norms_certified,
-    _rounding_bounds,
     _slack_verdict,
     loewner_margin,
+)
+from exact_oracle import (
+    UNIT_ROUNDOFF,
+    exact_entries,
+    exact_gram,
+    exact_psd,
+    exact_sqrt_above,
+    haar_frame,
+    shifted,
 )
 
 SQRT2 = 1.4142135623730951
@@ -569,59 +580,6 @@ def test_clustering_rules_empty_fixed_space():
 # Norm and order certificates: Cholesky proofs of the SVD and eigvalsh rules
 
 CERTIFICATE_DIMS = [1, 2, 16, 128]
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def haar_frame(rng, dim, is_complex):
-    gauss = rng.standard_normal((dim, dim))
-    if is_complex:
-        gauss = gauss + 1j * rng.standard_normal((dim, dim))
-    return np.linalg.qr(gauss)[0]
-
-
-def exact_entries(matrix):
-    """Each entry of a small matrix as exact ``(real, imag)`` fractions."""
-    return [
-        [(Fraction(complex(z).real), Fraction(complex(z).imag)) for z in row]
-        for row in matrix
-    ]
-
-
-def exact_gram(matrix):
-    """``S* S`` of a small matrix, exactly, as ``(real, imag)`` pairs."""
-    s = exact_entries(matrix)
-    n = len(s)
-
-    def entry(i, j):
-        re = im = Fraction(0)
-        for k in range(n):
-            (a, b), (c, d) = s[k][i], s[k][j]
-            re += a * c + b * d  # conj(a + bi) (c + di)
-            im += a * d - b * c
-        return re, im
-
-    return [[entry(i, j) for j in range(n)] for i in range(n)]
-
-
-def exact_psd(h):
-    """Whether a Hermitian matrix of dim 1 or 2, given as exact
-    ``(real, imag)`` pairs, is positive semidefinite."""
-    if len(h) == 1:
-        return h[0][0][0] >= 0
-    (a, _), (b_re, b_im) = h[0]
-    _, (d, _) = h[1]
-    return a >= 0 and d >= 0 and a * d >= b_re**2 + b_im**2
-
-
-def shifted(h, t, sign):
-    """``sign * (h - t I)`` of exact pairs."""
-    return [
-        [(sign * (re - (t if i == j else 0)), sign * im)
-         for j, (re, im) in enumerate(row)]
-        for i, row in enumerate(h)
-    ]
-
-
 def placed(edge, unit, j, rho):
     """``edge`` moved by ``j`` of its own ulps or ``j`` times ``rho``."""
     return edge + j * (np.spacing(edge) if unit == "ulp" else rho)
@@ -806,16 +764,6 @@ def test_certificates_pass_a_decreasing_block_at_the_chain_slack(
     assert not _decreasing_certified(steps, risen, lower, slack)
     products_[2] *= 1.0 + 2 * slack
     assert not _norms_certified(products_, slack)
-
-
-def exact_sqrt_above(value):
-    """The least float whose square is at least the exact ``value``."""
-    root = math.sqrt(float(value))
-    while Fraction(root) ** 2 < value:
-        root = np.nextafter(root, np.inf)
-    while Fraction(np.nextafter(root, 0.0)) ** 2 >= value:
-        root = np.nextafter(root, 0.0)
-    return float(root)
 
 
 @pytest.mark.parametrize("tol", [DEFAULT.psd(2), 1e-14])

@@ -36,7 +36,7 @@ from contraction_lab import (
     trace_summary,
     write_trace_csv,
 )
-from contraction_lab import chains, operators, products
+from contraction_lab import certify, chains, products
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import CORPUS_DIMS, corpus_chains
 from contraction_lab.products import TRACE_CSV_HEADER, default_probes
@@ -351,8 +351,8 @@ def test_blocked_engine_matches_per_step_loop(
         first = 0
         for block in chain.step_blocks(horizon):
             rows = slice(first, first + len(block))
-            if operators._norms_certified(np.stack(products_[rows]),
-                                          trace.tol_psd):
+            if certify._norms_certified(np.stack(products_[rows]),
+                                        trace.tol_psd):
                 assert np.all(norms[rows] <= 1.0 + trace.tol_psd)
             else:
                 declined.append(norms[rows].max())
