@@ -55,7 +55,13 @@ carries one curve of every tag.  ``nonexample ties`` runs at epsilon
 member.  The three ``nonexample`` lines digest ``givens.csv`` as
 ``m,angle,v1,v2`` and ``step_distances.csv`` as ``m,row,kind,measured``:
 the plane's window and ``u`` are ``sequence.csv``'s, and the expected
-distance and deviation follow from ``row`` and ``measured``.  ``gap
+distance and deviation follow from ``row`` and ``measured``.  Each
+``simulate`` line that writes artifacts digests ``trace.csv`` as
+``n,probe_id,sot_err,adj_err,consec_diff,a_n,b_n,wot_err`` and
+``opnorm.csv`` as ``n,opnorm_err``, one row per step, and each ``gap``
+line that writes ``rate_table.csv`` digests it as ``j,lhs,rhs``: a
+step's ``opnorm_err`` is the same on every probe row, and ``slack`` is
+``rhs - lhs``.  ``gap
 gap_dim16 horizon40 tol1e-15`` searches only to step 40, which passes
 ``--tol-psd 1e-15`` where step 46 does not: its certificate is
 analytic, yet its rate table stops at step 40 (41 lines).  ``gap

@@ -7,6 +7,7 @@ any discrepancy here is an engine bug, not an interesting phenomenon.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from contraction_lab import (
     harmonic_to,
     iterate_products,
     trace_summary,
+    write_opnorm_csv,
     write_trace_csv,
 )
 
@@ -23,7 +25,12 @@ from contraction_lab import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizon", type=int, default=50)
-    ap.add_argument("--trace-csv", default=None, help="optional output path")
+    ap.add_argument(
+        "--out",
+        default=None,
+        help="optional directory for trace.csv and opnorm.csv, as simulate "
+        "writes them",
+    )
     args = ap.parse_args()
 
     chain = diagonal_chain(
@@ -50,9 +57,12 @@ def main() -> None:
         f"(final sot_err {summary['final']['sot_err_max']:.2e} vs "
         f"threshold {summary['threshold']:.0e} at horizon {args.horizon})"
     )
-    if args.trace_csv:
-        write_trace_csv(trace, args.trace_csv)
-        print(f"trace written to {args.trace_csv}")
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(trace, out / "trace.csv")
+        write_opnorm_csv(trace, out / "opnorm.csv")
+        print(f"trace.csv and opnorm.csv written to {out}")
 
 
 if __name__ == "__main__":

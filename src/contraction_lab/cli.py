@@ -81,6 +81,7 @@ from .products import (
     is_decreasing,
     iterate_products,
     trace_summary,
+    write_opnorm_csv,
     write_trace_csv,
 )
 
@@ -211,6 +212,7 @@ def cmd_simulate(args, parser) -> int:
     summary = trace_summary(trace)
     with _out_dir(args, parser) as out:
         write_trace_csv(trace, out / "trace.csv")
+        write_opnorm_csv(trace, out / "opnorm.csv")
         _json_dump(summary, out / "summary.json")
     return _status_exit(summary["status"])
 

@@ -64,7 +64,7 @@ __all__ = [
     "write_rate_csv",
 ]
 
-RATE_CSV_HEADER = ("j", "lhs", "rhs", "slack")
+RATE_CSV_HEADER = ("j", "lhs", "rhs")
 
 # spawn-key namespace of the default rate-bound probe
 _STREAM_RATE_PROBE = 17
@@ -705,6 +705,6 @@ def write_rate_csv(report: RateBoundReport, path) -> None:
         handle.write(",".join(RATE_CSV_HEADER) + "\r\n")
         _write_rows(
             handle,
-            "%d,%.17g,%.17g,%.17g\r\n",
-            (report.j, report.lhs, report.rhs, report.slack),
+            "%d,%.17g,%.17g\r\n",
+            (report.j, report.lhs, report.rhs),
         )

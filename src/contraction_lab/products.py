@@ -58,6 +58,8 @@ __all__ = [
     "consecutive_difference_report",
     "orbit_epsilon_net",
     "write_trace_csv",
+    "write_opnorm_csv",
+    "OPNORM_CSV_HEADER",
     "trace_summary",
 ]
 
@@ -101,8 +103,9 @@ TRACE_CSV_HEADER = (
     "a_n",
     "b_n",
     "wot_err",
-    "opnorm_err",
 )
+
+OPNORM_CSV_HEADER = ("n", "opnorm_err")
 
 
 @dataclass(frozen=True)
@@ -221,10 +224,11 @@ class ConvergenceTrace:
     ``sot_err``, ``adj_err``, ``wot_err`` and ``opnorm_err`` only for
     ``n = horizon``, in their single row ``[0]``: the values of a
     per-step trace's last row, bit for bit.  :func:`trace_summary` reads
-    both kinds alike; :func:`write_trace_csv` refuses a final-row
-    trace.  ``tol_psd`` is the run's positivity slack;
-    :func:`trace_summary` judges ``||S_n|| <= 1`` by it.  ``tol_eig`` is
-    the clustering tolerance that picked out ``projection``.
+    both kinds alike; :func:`write_trace_csv` and
+    :func:`write_opnorm_csv` refuse a final-row trace.  ``tol_psd`` is
+    the run's positivity slack; :func:`trace_summary` judges ``||S_n||
+    <= 1`` by it.  ``tol_eig`` is the clustering tolerance that picked
+    out ``projection``.
 
     ``product_norm`` is the largest SVD norm ``||S_n||`` over the blocks
     of products whose Cholesky certificate ``||S_n|| <= 1 + tol_psd``
@@ -712,19 +716,24 @@ def _write_rows(handle, row_format: str, columns) -> None:
         )
 
 
+def _refuse_final_row(trace: ConvergenceTrace) -> None:
+    if not trace.per_step_errors:
+        raise PreconditionError(
+            "a final-row trace has no per-step errors to write"
+        )
+
+
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """One row per (step, probe); fields that look one step ahead are
-    blank on the final step.
+    blank on the final step.  ``opnorm_err``, one value per step, is
+    :func:`write_opnorm_csv`'s.
 
     The bytes are those of ``csv.writer`` with each float formatted by
     ``format(x, ".17g")``: CRLF line ends, probe ids quoted where csv
     quotes them.  A final-row trace has no rows before its last and is
     refused with :class:`PreconditionError` before ``path`` is opened.
     """
-    if not trace.per_step_errors:
-        raise PreconditionError(
-            "a final-row trace has no per-step errors to write"
-        )
+    _refuse_final_row(trace)
     h, count = trace.horizon, trace.probe_count
     ids = np.array([_csv_field(i) for i in trace.probe_ids], dtype=object)
 
@@ -733,7 +742,6 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
             np.repeat(np.arange(steps.start + 1, steps.stop + 1), count),
             np.tile(ids, steps.stop - steps.start),
             *(field[steps].ravel() for field in fields),
-            np.repeat(trace.opnorm_err[steps], count),
         )
 
     with open(path, "w", newline="") as handle:
@@ -747,16 +755,39 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
         for first in range(0, h - 1, per):
             _write_rows(
                 handle,
-                "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+                "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
                 columns(slice(first, min(first + per, h - 1)), fields),
             )
         # a_n and consec_diff look one step ahead: blank on the final step
         fields = (trace.sot_err, trace.adj_err, trace.b, trace.wot_err)
         _write_rows(
             handle,
-            "%d,%s,%.17g,%.17g,,,%.17g,%.17g,%.17g\r\n",
+            "%d,%s,%.17g,%.17g,,,%.17g,%.17g\r\n",
             columns(slice(h - 1, h), fields),
         )
+
+
+def write_opnorm_csv(trace: ConvergenceTrace, path) -> None:
+    """One row per step: ``n`` and ``opnorm_err = ||S_n - P||``, a
+    property of the product alone, so written once per step whatever
+    the probes.
+
+    The bytes are those of ``csv.writer`` with each float formatted by
+    ``format(x, ".17g")``, as :func:`write_trace_csv`'s, and a
+    final-row trace is refused in the same way.
+    """
+    _refuse_final_row(trace)
+    h = trace.horizon
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(OPNORM_CSV_HEADER) + "\r\n")
+        # one block's step numbers at a time: no temporary as long as
+        # the trace
+        for first in range(0, h, _ROW_BLOCK):
+            last = min(first + _ROW_BLOCK, h)
+            steps = np.arange(first + 1, last + 1)
+            _write_rows(
+                handle, "%d,%.17g\r\n", (steps, trace.opnorm_err[first:last])
+            )
 
 
 def trace_summary(trace: ConvergenceTrace) -> dict:

@@ -100,7 +100,9 @@ def test_simulate_identity_chain(tmp_path):
     assert summary["final"]["sot_err_max"] == 0.0
     assert summary["final"]["opnorm_err"] == 0.0
     header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == "n,probe_id,sot_err,adj_err,consec_diff,a_n,b_n,wot_err,opnorm_err"
+    assert header == "n,probe_id,sot_err,adj_err,consec_diff,a_n,b_n,wot_err"
+    rows = (out / "opnorm.csv").read_text().splitlines()
+    assert rows == ["n,opnorm_err", *(f"{n},0" for n in range(1, 6))]
 
 
 def test_simulate_telescoping_chain(tmp_path):
@@ -116,6 +118,7 @@ def test_simulate_telescoping_chain(tmp_path):
     assert summary["rank_trajectory"][:3] == [2, 1, 1]
     rows = (out / "trace.csv").read_text().splitlines()
     assert len(rows) == 1 + 50 * len(summary["probe_ids"])
+    assert len((out / "opnorm.csv").read_text().splitlines()) == 1 + 50
 
 
 def test_simulate_diagonalizes_each_step_once(tmp_path, eigensolve_counts):
@@ -353,9 +356,9 @@ def test_gap_certificate_and_rate_table(tmp_path):
     assert cert["rank_trajectory"] == [{"n": 1, "rank": 2, "delta_k": 0.1}]
     with open(out / "rate_table.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["j", "lhs", "rhs", "slack"]
+    assert rows[0] == ["j", "lhs", "rhs"]
     assert float(rows[1][1]) <= 1.0
-    assert all(float(r[3]) >= -1e-10 for r in rows[1:])
+    assert all(float(r[2]) - float(r[1]) >= -1e-10 for r in rows[1:])
 
 
 def test_gap_exhaustion_reports_failure(tmp_path):
@@ -1063,6 +1066,7 @@ def test_null_seed_is_injected_like_a_missing_one(tmp_path, monkeypatch):
             runs[source, name] = (
                 run_cli(argv),
                 (out / "trace.csv").read_bytes(),
+                (out / "opnorm.csv").read_bytes(),
                 (out / "summary.json").read_bytes(),
             )
         assert runs[source, "null"] == runs[source, "keyless"]
@@ -1175,7 +1179,7 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run_cli(["simulate", "--spec", spec, "--out", str(out1)]) == 0
     assert run_cli(["simulate", "--spec", spec, "--out", str(out2)]) == 0
-    for name in ("trace.csv", "summary.json"):
+    for name in ("trace.csv", "opnorm.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -35,7 +35,13 @@ from contraction_lab import (
     random_schur_chain,
     rate_bound_check,
 )
-from contraction_lab import build_chain, chains, gaps, parse_chain_spec
+from contraction_lab import (
+    build_chain,
+    chains,
+    gaps,
+    parse_chain_spec,
+    products,
+)
 from contraction_lab.certify import _order_bound, _rounded_up
 from contraction_lab.chains import ContractionChain, stream_rng
 from contraction_lab.config import DELTA_GRID
@@ -1205,4 +1211,37 @@ def test_write_rate_csv_layout(tmp_path):
     assert rows[0] == list(RATE_CSV_HEADER)
     assert len(rows) == 12  # header + j = 0..10
     assert float(rows[1][1]) == report.lhs[0]
-    assert float(rows[1][3]) == pytest.approx(report.rhs[0] - report.lhs[0])
+    assert float(rows[1][2]) == report.rhs[0]
+    assert all(len(row) == 3 for row in rows)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+def test_dropped_slack_cells_rebuild_from_the_rate_table(
+    tmp_path, monkeypatch, block_rows
+):
+    # the slack cell that the full layout wrote is, as text, the
+    # difference of the lhs and rhs that the table writes
+    if block_rows is not None:
+        monkeypatch.setattr(products, "_ROW_BLOCK", block_rows)
+    chain = gap_engineered_chain(4, 0.1, 1, seed=5, horizon=60)
+    report = rate_bound_check(chain, certificate_search(chain))
+    write_rate_csv(report, tmp_path / "rate.csv")
+    with open(tmp_path / "full.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow((*RATE_CSV_HEADER, "slack"))
+        for j, lhs, rhs, slack in zip(
+            report.j.tolist(), report.lhs.tolist(), report.rhs.tolist(),
+            report.slack.tolist(),
+        ):
+            writer.writerow(
+                [j, *(format(x, ".17g") for x in (lhs, rhs, slack))]
+            )
+    with open(tmp_path / "rate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "full.csv", newline="") as fh:
+        full = list(csv.reader(fh))
+    assert len(rows) == len(full) == 1 + report.j.size > 2
+    assert full[0] == [*rows[0], "slack"]
+    for old, (j, lhs, rhs) in zip(full[1:], rows[1:]):
+        assert old[:-1] == [j, lhs, rhs]
+        assert old[-1] == format(float(rhs) - float(lhs), ".17g")

@@ -34,12 +34,17 @@ from contraction_lab import (
     random_schur_chain,
     spectral_decompose,
     trace_summary,
+    write_opnorm_csv,
     write_trace_csv,
 )
 from contraction_lab import certify, chains, products
 from contraction_lab.chains import stream_rng
 from contraction_lab.corpus import CORPUS_DIMS, corpus_chains
-from contraction_lab.products import TRACE_CSV_HEADER, default_probes
+from contraction_lab.products import (
+    OPNORM_CSV_HEADER,
+    TRACE_CSV_HEADER,
+    default_probes,
+)
 from orbit_oracle import dense_orbit, scalar_greedy_net
 
 
@@ -428,12 +433,13 @@ def test_final_row_trace_holds_the_last_row():
 
 def test_write_trace_csv_refuses_a_final_row_trace(tmp_path):
     trace = iterate_products(telescoping_chain(5), per_step_errors=False)
-    path = tmp_path / "missing" / "trace.csv"
-    # refused before the file is opened, which would raise OSError here
-    with pytest.raises(PreconditionError) as exc:
-        write_trace_csv(trace, path)
-    assert len(str(exc.value).splitlines()) == 1
-    assert not path.parent.exists()
+    for write in (write_trace_csv, write_opnorm_csv):
+        path = tmp_path / "missing" / "trace.csv"
+        # refused before the file is opened, which would raise OSError here
+        with pytest.raises(PreconditionError) as exc:
+            write(trace, path)
+        assert len(str(exc.value).splitlines()) == 1
+        assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1038,12 +1044,18 @@ def test_write_trace_csv_layout(tmp_path):
     assert float(n3_e2[6]) == trace.b[2, 1]
 
 
-def reference_trace_csv(trace, path):
-    """The row-at-a-time ``csv.writer`` export, formatting each float
+# trace.csv's layout when it carried each step's opnorm_err on every
+# probe row of the step
+FULL_TRACE_HEADER = (*TRACE_CSV_HEADER, "opnorm_err")
+
+
+def reference_trace_csv(trace, path, header=TRACE_CSV_HEADER):
+    """The row-at-a-time ``csv.writer`` export of the columns ``header``
+    names, in :data:`FULL_TRACE_HEADER`'s order, formatting each float
     with ``format(x, ".17g")``."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(TRACE_CSV_HEADER)
+        writer.writerow(header)
         for n in range(1, trace.horizon + 1):
             ahead = n < trace.horizon
             for p, probe_id in enumerate(trace.probe_ids):
@@ -1059,8 +1071,22 @@ def reference_trace_csv(trace, path):
                         cell(trace.b),
                         cell(trace.wot_err),
                         format(float(trace.opnorm_err[n - 1]), ".17g"),
-                    ]
+                    ][: len(header)]
                 )
+
+
+def reference_opnorm_csv(trace, path):
+    """The row-at-a-time ``csv.writer`` export of ``opnorm.csv``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(OPNORM_CSV_HEADER)
+        for n, err in enumerate(trace.opnorm_err.tolist(), start=1):
+            writer.writerow([n, format(err, ".17g")])
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 4, 7])
@@ -1081,9 +1107,13 @@ def test_write_trace_csv_matches_csv_writer(
     reference_trace_csv(trace, tmp_path / "reference.csv")
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "reference.csv").read_bytes()
-    with open(tmp_path / "fast.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(tmp_path / "fast.csv")
     assert [row[1] for row in rows[1:]] == ids * horizon
+    write_opnorm_csv(trace, tmp_path / "opnorm.csv")
+    reference_opnorm_csv(trace, tmp_path / "reference_opnorm.csv")
+    fast = (tmp_path / "opnorm.csv").read_bytes()
+    assert fast == (tmp_path / "reference_opnorm.csv").read_bytes()
+    assert fast.count(b"\r\n") == 1 + horizon
 
 
 def test_write_trace_csv_without_probes_writes_the_header(tmp_path):
@@ -1095,6 +1125,22 @@ def test_write_trace_csv_without_probes_writes_the_header(tmp_path):
     assert fast == (",".join(TRACE_CSV_HEADER) + "\r\n").encode()
 
 
+def test_write_opnorm_csv_without_probes_writes_every_step(tmp_path):
+    # with no probes trace.csv holds only its header, and the norm
+    # errors, which need no probe, were written nowhere
+    trace = iterate_products(telescoping_chain(5), probes=np.zeros((2, 0)))
+    write_opnorm_csv(trace, tmp_path / "opnorm.csv")
+    rows = _read_csv(tmp_path / "opnorm.csv")
+    assert len(rows) == 1 + 5
+    assert rows == [
+        list(OPNORM_CSV_HEADER),
+        *(
+            [str(n), format(err, ".17g")]
+            for n, err in enumerate(trace.opnorm_err.tolist(), start=1)
+        ),
+    ]
+
+
 def test_write_trace_csv_matches_csv_writer_on_a_dense_run(tmp_path):
     chain = random_schur_chain(9, seed=8, horizon=30, fixed_rank=3)
     trace = iterate_products(chain)
@@ -1104,8 +1150,42 @@ def test_write_trace_csv_matches_csv_writer_on_a_dense_run(tmp_path):
     assert fast == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, block_rows",
+    [("schur", None), ("schur", 1), ("schur", 7), ("telescoping", None)],
+)
+def test_dropped_trace_cells_rebuild_from_the_written_files(
+    tmp_path, monkeypatch, name, block_rows
+):
+    # the opnorm_err cell that the full layout wrote on each probe row of
+    # step n is, as text, opnorm.csv's row n; every other cell is
+    # trace.csv's
+    if block_rows is not None:
+        monkeypatch.setattr(products, "_ROW_BLOCK", block_rows)
+    if name == "schur":
+        chain = random_schur_chain(9, seed=8, horizon=30, fixed_rank=3)
+    else:
+        chain = telescoping_chain()
+    trace = iterate_products(chain)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_opnorm_csv(trace, tmp_path / "opnorm.csv")
+    reference_trace_csv(trace, tmp_path / "full.csv", FULL_TRACE_HEADER)
+    full = _read_csv(tmp_path / "full.csv")
+    rows = _read_csv(tmp_path / "trace.csv")
+    norms = _read_csv(tmp_path / "opnorm.csv")
+    assert norms[0] == list(OPNORM_CSV_HEADER)
+    assert [row[0] for row in norms[1:]] == [
+        str(n) for n in range(1, trace.horizon + 1)
+    ]
+    assert len(full) == len(rows) == 1 + trace.horizon * trace.probe_count
+    assert full[0] == [*rows[0], "opnorm_err"]
+    for old, new in zip(full[1:], rows[1:]):
+        assert old[:-1] == new
+        assert old[-1] == norms[int(new[0])][1]
+
+
 def test_long_trace_passes_hold_no_full_length_temporary(tmp_path):
-    # the growth check of b, the a/b chain report and the trace writer
+    # the growth check of b, the a/b chain report and the trace writers
     # go over a trace a block of rows at a time: the memory each takes
     # above the trace does not grow with the horizon, where each made
     # two to four temporaries as long as a trace field
@@ -1122,6 +1202,7 @@ def test_long_trace_passes_hold_no_full_length_temporary(tmp_path):
             for run in (
                 lambda: consecutive_difference_report(trace),
                 lambda: write_trace_csv(trace, tmp_path / "trace.csv"),
+                lambda: write_opnorm_csv(trace, tmp_path / "opnorm.csv"),
             ):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]

@@ -21,20 +21,38 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_zero(argv, expected):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout
+
+
+def run_script(argv):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_telescoping_script_writes_what_simulate_writes(tmp_path):
+    out = tmp_path / "out"
+    result = run_script(
+        ["run_telescoping.py", "--horizon", "8", "--out", str(out)]
+    )
     assert result.returncode == 0, result.stderr
-    assert expected in result.stdout
+    assert sorted(p.name for p in out.iterdir()) == ["opnorm.csv", "trace.csv"]
+    trace = (out / "trace.csv").read_text().splitlines()
+    norms = (out / "opnorm.csv").read_text().splitlines()
+    assert trace[0] == "n,probe_id,sot_err,adj_err,consec_diff,a_n,b_n,wot_err"
+    assert norms[0] == "n,opnorm_err"
+    assert (len(trace), len(norms)) == (1 + 8 * 2, 1 + 8)
 
 
 def test_artifact_digests_one_line_per_command():
