@@ -39,7 +39,7 @@ rounding reaches ``1 + 4.3e-14``, which the default slack accepts, so
 those two chains count as inconclusive), 2 for ``verify eig1e-2`` (at
 ``--tol-eig 0.01`` one projection comparison fails only because an
 eigenvalue in ``[0.99, 1 - 1e-9)`` counts as 1, so it is inconclusive),
-0 for every other command.  The
+2 for ``simulate schur dim128`` (below), 0 for every other command.  The
 two ``dim16`` specs are the only ones above dim 10, where the default
 ``tol_psd = 1e-10 * dim`` exceeds ``tol_eig``, so the band
 ``(1 + tol_eig, 1 + tol_psd]`` that the fixed-space rule must cover is
@@ -83,7 +83,15 @@ exits 2: at ``--tol-eig 0`` the rounded fixed eigenvalue
 0.9999999999999997 of ``T_1`` lies in every grid delta's window, so the
 grid runs out at step 1, and a failure that read an eigenvalue which
 only the default counts as 1 is inconclusive (``failure.json`` names it
-as ``band``); it makes no gap test after ``T_1``.  Each ``gap`` run
+as ``band``); it makes no gap test after ``T_1``.  ``gap gap_engineered
+dim128`` and ``simulate schur dim128``, each on a spec written inline,
+are the only lines above dim 64, where the certificates factor each
+matrix bordered, at order 129.  The first closes three windows of up
+to 8 steps (1 MiB of entries) on 24 steps and exits 0.  The second runs
+10 steps of a Schur chain, whose decrements and products the
+certificates prove, and exits 2 as ``simulate schur_random horizon20``
+does: its empirical limit ``T_10`` has a Cauchy gap of 0.024, too large
+to trust.  Each ``gap`` run
 decides the steps after ``T_1`` in windows that Cholesky factorizations
 and one small ``eigvalsh`` per window close with no gap test of their
 own, except where no window closes: at every step of ``gap gap_dim16
@@ -165,6 +173,18 @@ COMMANDS = (
         ["gap", "--spec", "schur_random.json", "--horizon", "20"],
     ),
     ("gap gap_dim64", ["gap", "--spec", "gap_dim64.json"]),
+    (
+        "gap gap_engineered dim128",
+        ["gap", "--spec", {"kind": "gap_engineered", "dim": 128,
+                           "horizon": 24, "delta": 0.1, "fixed_rank": 8,
+                           "seed": 5}],
+    ),
+    (
+        "simulate schur dim128",
+        ["simulate", "--spec", {"kind": "schur_decrement", "dim": 128,
+                                "horizon": 10, "fixed_rank": 8,
+                                "top": 0.9, "seed": 1}],
+    ),
     (
         "gap gap_dim64 eig0",
         ["gap", "--spec", "gap_dim64.json", "--tol-eig", "0"],

@@ -28,6 +28,16 @@ Stability of Numerical Algorithms*, 2nd ed., section 3.6):
   gamma_(k+1)) trace(A)``, and ``trace(A) <= (1 + gamma_(k+6)) sigma``,
   since the diagonal of ``|T||T|`` sums to ``F`` and that of ``|T|`` to
   at most ``sqrt(n F)``.
+* :func:`_factored` factors some orders ``n`` bordered, as ``B = [[A,
+  0], [0, 1]]``, which is faster there.  Each entry of ``B``'s factor in
+  ``A``'s block reads only entries of ``A`` and of that block, so the
+  block is computed as a Cholesky factorization of ``A``, with some
+  order of its inner products.  While its pivots are positive, the
+  border's entries of the factor are computed from exact zeros and are
+  0, so the last pivot is exactly 1: ``B``'s factorization runs to
+  completion exactly when that one of ``A`` does.  Theorem 10.5 holds
+  for any order of the inner products, so its bound, and every constant
+  here, holds for ``A`` as stated.
 * ``eps = 2 (k + 7) u sigma`` exceeds both terms together by more than
   the rounding of ``F``, ``sigma``, ``rho`` and the shifts.
 * ``rho = 4 n^2 u ||T||_F``.  LAPACK bounds the error of its symmetric
@@ -99,7 +109,29 @@ def _rounding_bounds(entries: np.ndarray):
 
 def _factored(stack: np.ndarray) -> bool:
     """Whether one stacked Cholesky factorization of the Hermitian
-    matrices of ``stack`` runs to completion."""
+    matrices of ``stack`` runs to completion.  At orders ``n`` that are
+    multiples of 64 from 128 up, each matrix ``A`` is factored as ``[[A,
+    0], [0, 1]]``, which proves what a factorization of ``A`` proves
+    (module docstring)."""
+    n = stack.shape[-1]
+    # numpy's bundled OpenBLAS factors those orders slower than n + 1.
+    # One cholesky of order n against n + 1, one BLAS thread, 2-core
+    # x86-64 host, numpy 2.4.6 with scipy-openblas 0.3.31, fastest of 9
+    # interleaved rounds (15 from 320 up): real 128: 142 -> 93 us, 192:
+    # 294 -> 220, 256: 1122 -> 886, 320: 1676 -> 1504, 384: 3095 ->
+    # 2702, 512: 8799 -> 6340; complex 128: 252 -> 213.  Bordering loses
+    # at 96 (45 -> 50) and 160 (145 -> 155).  OpenBLAS's DYNAMIC_ARCH
+    # picks its kernels per CPU, so the rule is tuned to this BLAS; where
+    # it does not pay, it costs about 10 us a call.  `gap` and
+    # `simulate` at dim 128 factor one matrix a call.  On stacks of 2-8
+    # at order 128, a loop of calls drew fresh pages for the copy and
+    # the factor each time, and bordering cost 193-207 us a matrix
+    # against 159-165
+    if n >= 128 and n % 64 == 0:
+        wide = np.zeros((*stack.shape[:-2], n + 1, n + 1), stack.dtype)
+        wide[..., :n, :n] = stack
+        wide[..., n, n] = 1.0
+        stack = wide
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:

@@ -337,11 +337,15 @@ def certificate_search(
 
 
 # the steps a window of the certificate scan holds: at most
-# _WINDOW_BYTES of their entries, 4 steps at dim 128, and at most
+# _WINDOW_BYTES of their entries, 8 steps at dim 128, and at most
 # _WINDOW_STEPS of them.  On the dim-128 gap-certify chain, windows of
 # 1, 2 and 4 steps cut the search's CPU time by 0, 18% and 27% against
 # one gap test per step, and raised the run's peak RSS by 0, 0.15-0.3
-# and 0.3-0.5 MB.  At dims 4 to 16 a search step cost 8-11.5 us with
+# and 0.3-0.5 MB.  Windows of 4, 8 and 16 steps (512 KiB, 1 MiB and
+# 2 MiB) took a median of 0.321, 0.295 and 0.295 s of search CPU (10
+# interleaved rounds in process, bordered factorizations, 2-core host,
+# one BLAS thread), and the run peaked at 40.57, 40.66 and 41.80 MB
+# (medians of 5).  At dims 4 to 16 a search step cost 8-11.5 us with
 # windows of 32 steps, 7-11 us with 64 and 7-12 us unbounded, against
 # 22-27 us for one gap test per step; a search that fails inside a
 # window has read to its end.  The order is proved in stacks of at most
@@ -349,7 +353,7 @@ def certificate_search(
 # dim 128 raised the run's peak RSS by 0.63 MB, against 0.49 MB in
 # 128 KiB stacks, and one factorization per step costs 22-26 us per step
 # at dims 4 to 16, as much as one gap test
-_WINDOW_BYTES = 512 * 1024
+_WINDOW_BYTES = 1024 * 1024
 _WINDOW_STEPS = 32
 _ORDER_BYTES = 128 * 1024
 

@@ -94,17 +94,22 @@ def _hermitized(m: np.ndarray) -> np.ndarray:
     One new array: M* cast to that dtype, then M added and the sum
     halved in place.  This is ``(M + M*) / 2`` computed in that dtype,
     bit for bit: ``* 0.5`` rounds as ``/ 2.0`` does.  Raises
-    ``ValueError`` on an entry that is not finite.
+    ``ValueError`` on an entry of the result that is not finite, which
+    an entry of ``M`` that is not finite gives, as does a sum that
+    overflows (``M[i, j] + M[j, i]`` of two entries near the largest
+    float).
     """
     dtype = np.complex128 if np.iscomplexobj(m) else np.float64
     h = np.empty(m.shape, dtype=dtype)
     np.copyto(h, m.swapaxes(-1, -2), casting="unsafe")
-    if not np.isfinite(h).all():
-        raise ValueError("operator entries must be finite")
     if dtype is np.complex128:
         np.conjugate(h, out=h)
     np.add(m, h, out=h, dtype=dtype, casting="unsafe")
     h *= 0.5
+    if not np.isfinite(h).all():
+        raise ValueError(
+            "operator entries must be finite, as must (M + M*) / 2"
+        )
     return h
 
 

@@ -521,25 +521,25 @@ def test_search_returns_where_the_grid_runs_out_before_a_read_raises():
 
 def test_search_counts_no_order_bound_it_was_not_given():
     # dim 64 in one frame: 8 fixed eigenvalues and the rest decreasing,
-    # but at step 21 a fixed eigenvalue drops to 0.95, which anchors a
-    # segment at delta 0.05, and at step 23 a free eigenvalue rises to 1,
+    # but at step 37 a fixed eigenvalue drops to 0.95, which anchors a
+    # segment at delta 0.05, and at step 39 a free eigenvalue rises to 1,
     # past every order bound and into the fixed space, and drops to 0.97
-    # at step 40, inside the window.  Windows hold 16 steps, proved 4 at
-    # a time, so steps 2 .. 17 close, and the unproved stack of steps
-    # 22 .. 25 sits in the window of the anchor, which is decided step by
-    # step.  Step 40 violates the gap with no drop in rank, which the
-    # per-step rule refuses; a window whose rise took no bound for the
-    # steps after the anchor would close over it
+    # at step 72, inside the next window.  Windows hold 32 steps, proved
+    # 4 at a time, so steps 2 .. 33 close, and the unproved stack of
+    # steps 38 .. 41 sits in the window of the anchor, which is decided
+    # step by step.  Step 72 violates the gap with no drop in rank, which
+    # the per-step rule refuses; a window whose rise took no bound for
+    # the steps after the anchor would close over it
     dim = 64
     frame = haar_frame(np.random.default_rng(3), dim, False)
     base = np.random.default_rng(4).uniform(0.2, 0.8, dim - 8)
 
     def factory(n):
         values = np.concatenate((np.ones(8), base * (0.5 + 0.5 / n)))
-        if n >= 21:
+        if n >= 37:
             values[7] = 0.95
-        if n >= 23:
-            values[8] = 1.0 if n < 40 else 0.97
+        if n >= 39:
+            values[8] = 1.0 if n < 72 else 0.97
         return Operator((frame * values) @ frame.T)
 
     closed = []
@@ -549,9 +549,9 @@ def test_search_counts_no_order_bound_it_was_not_given():
         return closed[-1]
 
     closes = gaps._window_closes
-    chain = ContractionChain(dim, "rising", 60, factory)
+    chain = ContractionChain(dim, "rising", 92, factory)
     want = search_outcome(per_step_search, chain)
-    assert want[0] is RankDescentError and "step 40" in want[1]
+    assert want[0] is RankDescentError and "step 72" in want[1]
     gaps._window_closes = spied
     try:
         assert search_outcome(certificate_search, chain) == want

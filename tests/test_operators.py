@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,6 +28,7 @@ from contraction_lab import (
 )
 from contraction_lab.certify import (
     _decreasing_certified,
+    _factored,
     _norms_certified,
     _rounding_bounds,
 )
@@ -36,6 +37,7 @@ from contraction_lab.corpus import random_contraction
 from contraction_lab.operators import (
     _contraction_witness,
     _fixed_space,
+    _hermitized,
     _slack_verdict,
     loewner_margin,
 )
@@ -143,6 +145,30 @@ def test_operator_rejects_bad_input():
         Operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Operator(np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_hermitization_that_overflows_is_refused():
+    # finite entries whose (M + M*) / 2 overflows: 1.7e308 + 1.7e308 is
+    # inf before the halving, which is_positive_contraction once passed
+    # (its eigvalsh gave NaN) and fixed_point_projection took as rank 0
+    big = 1.7e308
+    with pytest.raises(ValueError, match="must be finite"):
+        Operator(np.diag([big, 0.5]))
+    with pytest.raises(ValueError, match="must be finite"):
+        Operator(np.array([[0.5, big], [big, 0.5]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        Operator(np.array([[0.5, big * 1j], [-big * 1j, 0.5]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        diagonal([big, 0.5])
+    stack = np.zeros((3, 2, 2))
+    stack[1] = [[0.5, big], [big, 0.5]]
+    with pytest.raises(ValueError, match="must be finite"):
+        _hermitized(stack)
+    # half the largest float sums to it, which stays finite
+    half = np.finfo(np.float64).max / 2
+    assert Operator(np.diag([half, 0.5])).entries[0, 0] == half
 
 
 def test_identity_and_diagonal():
@@ -764,6 +790,62 @@ def test_certificates_pass_a_decreasing_block_at_the_chain_slack(
     assert not _decreasing_certified(steps, risen, lower, slack)
     products_[2] *= 1.0 + 2 * slack
     assert not _norms_certified(products_, slack)
+
+
+@st.composite
+def bordered_stacks(draw):
+    """A stack of 1-3 Hermitian matrices ``Q diag(l) Q*`` of an order
+    that ``certify._factored`` borders (128, 192 or 256), real or
+    complex, and whether one of them is indefinite.  Each spectrum lies
+    in ``[m, 1]`` with ``m`` at its least, or one matrix has its least
+    eigenvalue at ``-m``; ``m`` (1e-6 or 1e-3) is far above the rounding
+    of forming and factoring the matrix, about ``n u`` (3e-14 at 256)."""
+    n = draw(st.sampled_from([128, 192, 256]))
+    is_complex = draw(st.booleans())
+    m = draw(st.sampled_from([1e-6, 1e-3]))
+    k = draw(st.integers(1, 3))
+    indefinite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = haar_frame(rng, n, is_complex)
+    members = []
+    for _ in range(k):
+        values = rng.uniform(m, 1.0, n)
+        values[rng.integers(n)] = m
+        members.append(values)
+    if indefinite:
+        members[draw(st.integers(0, k - 1))][rng.integers(n)] = -m
+    stack = np.stack(
+        [Operator((frame * values) @ frame.conj().T).entries
+         for values in members]
+    )
+    return stack, indefinite
+
+
+@settings(
+    suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow
+    ]
+)
+@given(case=bordered_stacks())
+def test_bordered_factorization_agrees_with_cholesky(case, eigensolve_counts):
+    # a bordered factorization decides as the unbordered one, which the
+    # spectra decide, and counts as one stacked call on the k matrices,
+    # so each solver count pinned elsewhere keeps its meaning
+    stack, indefinite = case
+    try:
+        np.linalg.cholesky(stack)
+        plain = True
+    except np.linalg.LinAlgError:
+        plain = False
+    assert plain is not indefinite
+    kept = stack.copy()
+    eigensolve_counts.reset()
+    assert _factored(stack) is plain
+    assert eigensolve_counts == {
+        "eigh": 0, "eigvalsh": 0, "cholesky": len(stack), "qr": 0, "svd": 0,
+    }
+    assert eigensolve_counts.calls["cholesky"] == 1
+    assert np.array_equal(stack, kept)  # the stack is only read
 
 
 @pytest.mark.parametrize("tol", [DEFAULT.psd(2), 1e-14])

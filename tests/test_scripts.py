@@ -83,6 +83,8 @@ def test_artifact_digests_one_line_per_command():
         "simulate schur_random horizon20": 2,
         "gap schur_random horizon20": 0,
         "gap gap_dim64": 0,
+        "gap gap_engineered dim128": 0,
+        "simulate schur dim128": 2,
         "gap gap_dim64 eig0": 2,
         "simulate schur_random eig0": 2,
         "verify": 0,
