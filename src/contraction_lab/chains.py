@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -338,8 +339,7 @@ class ContractionChain:
         seed: int | None = None,
         gap_guarantee: float | None = None,
     ):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _check(None, horizon=horizon)
         self.dim = dim
         self.kind = kind
         self.horizon = horizon
@@ -507,7 +507,6 @@ def diagonal_chain(
     dim: int | None = None,
     horizon: int = DEFAULT_HORIZON,
     *,
-    kind: str = "diagonal",
     seed: int | None = None,
 ) -> ContractionChain:
     """Chain of diagonal contractions, one eigenvalue curve per coordinate.
@@ -520,28 +519,15 @@ def diagonal_chain(
     sampled values.
     """
     curves = list(curves)
-    dim = _curve_dim(curves, dim)
+    dim = len(curves) if dim is None else dim
+    _check("diagonal", dim=dim, horizon=horizon, seed=seed, curves=curves)
     return _conjugated_chain(
-        curves,
-        dim,
-        horizon,
-        np.eye(dim),
-        kind=kind,
-        seed=seed,
+        curves, horizon, np.eye(dim), kind="diagonal", seed=seed
     )
-
-
-def _curve_dim(curves: Sequence[Curve], dim: int | None) -> int:
-    if dim is None:
-        dim = len(curves)
-    if len(curves) != dim:
-        raise ChainGenerationError(f"{len(curves)} curves for dimension {dim}")
-    return dim
 
 
 def _conjugated_chain(
     curves: Sequence[Curve],
-    dim: int,
     horizon: int,
     frame: np.ndarray,
     *,
@@ -549,16 +535,14 @@ def _conjugated_chain(
     seed: int | None,
     gap_guarantee: float | None = None,
 ) -> ContractionChain:
+    """The chain of ``curves`` conjugated by ``frame``, one curve per
+    coordinate, whose arguments have passed :func:`_check`."""
     limits = [float(c.limit) for c in curves]
     analytic = Operator((frame * limits) @ frame.T)
     return ContractionChain(
-        dim,
-        kind,
-        horizon,
+        len(frame), kind, horizon,
         _CurveSteps(_curve_table(curves, horizon), frame),
-        analytic_limit=analytic,
-        seed=seed,
-        gap_guarantee=gap_guarantee,
+        analytic_limit=analytic, seed=seed, gap_guarantee=gap_guarantee,
     )
 
 
@@ -593,16 +577,11 @@ def conjugated_diagonal_chain(
     matrices downstream.
     """
     curves = list(curves)
-    dim = _curve_dim(curves, dim)
+    dim = len(curves) if dim is None else dim
+    kind = "conjugated_diagonal"
+    _check(kind, dim=dim, horizon=horizon, seed=seed, curves=curves)
     frame = random_orthogonal(dim, stream_rng(seed, _STREAM_CONJUGATION))
-    return _conjugated_chain(
-        curves,
-        dim,
-        horizon,
-        frame,
-        kind="conjugated_diagonal",
-        seed=seed,
-    )
+    return _conjugated_chain(curves, horizon, frame, kind=kind, seed=seed)
 
 
 def _psd_sqrt(decomp: SpectralDecomposition) -> np.ndarray:
@@ -758,6 +737,7 @@ def halving_decrement_sampler(
     decrement; a Schur chain draws a block of steps at once, with one
     stacked ``qr``.
     """
+    _check("schur_decrement", dim=dim, seed=seed, fixed_rank=fixed_rank)
     if frame is None:
         frame = np.eye(dim)
     return _HalvingSampler(dim, seed, fixed_rank, frame)
@@ -778,14 +758,8 @@ def random_schur_chain(
     subspace, so products converge geometrically to the projection onto
     it.
     """
-    if not 0 <= fixed_rank <= dim:
-        raise ChainGenerationError(
-            f"fixed_rank {fixed_rank} out of range for dim {dim}"
-        )
-    if not _SCHUR_LEAST <= top < 1.0:
-        raise ChainGenerationError(
-            f"top must lie in [{_SCHUR_LEAST}, 1), got {top}"
-        )
+    _check("schur_decrement", dim=dim, horizon=horizon, seed=seed,
+           fixed_rank=fixed_rank, top=top)
     rng = stream_rng(seed, _STREAM_SCHUR_INIT)
     frame = random_orthogonal(dim, rng)
     free = dim - fixed_rank
@@ -812,12 +786,9 @@ def gap_engineered_chain(
     inside ``[0, 1 - delta]``.  The guarantee is recorded on the chain so
     certificate searches can report analytic scope.
     """
-    if not 0.0 < delta < 1.0:
-        raise ChainGenerationError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 <= fixed_rank <= dim:
-        raise ChainGenerationError(
-            f"fixed_rank {fixed_rank} out of range for dim {dim}"
-        )
+    kind = "gap_engineered"
+    _check(kind, dim=dim, horizon=horizon, seed=seed, delta=delta,
+           fixed_rank=fixed_rank)
     rng = stream_rng(seed, _STREAM_GAP)
     frame = random_orthogonal(dim, rng)
     free = dim - fixed_rank
@@ -827,13 +798,7 @@ def gap_engineered_chain(
         for c in targets
     ]
     return _conjugated_chain(
-        curves,
-        dim,
-        horizon,
-        frame,
-        kind="gap_engineered",
-        seed=seed,
-        gap_guarantee=delta,
+        curves, horizon, frame, kind=kind, seed=seed, gap_guarantee=delta
     )
 
 
@@ -849,9 +814,10 @@ def _peel_window(horizon: int) -> tuple[int, int]:
 
 
 def _near_one_max_dim(horizon: int) -> int:
-    """Largest ``dim`` whose ``dim - 1`` peels fit the window."""
+    """Largest ``dim`` whose ``dim - 1`` peels fit the window, 1 when
+    not one peel fits."""
     lo, hi = _peel_window(horizon)
-    return (hi - lo) // 2 + 1
+    return max(1, (hi - lo) // 2 + 1)
 
 
 def near_one_accumulating_chain(
@@ -873,16 +839,10 @@ def near_one_accumulating_chain(
     only just left the 1-cluster.  Products still converge fast because
     every peeled coordinate keeps decaying.
     """
-    if dim < 2:
-        raise ChainGenerationError(
-            f"need dim >= 2 to accumulate near 1, got {dim}"
-        )
+    kind = "near_one_accumulating"
+    _check(kind, dim=dim, horizon=horizon, seed=seed)
     peel_count = dim - 1
     lo, hi = _peel_window(horizon)
-    if dim > _near_one_max_dim(horizon):
-        raise ChainGenerationError(
-            f"horizon {horizon} too small to stage {peel_count} peels"
-        )
     rng = stream_rng(seed, _STREAM_NEAR_ONE)
 
     depths = list(_NEAR_ONE_LADDER[: peel_count - 1])
@@ -905,30 +865,17 @@ def near_one_accumulating_chain(
         peel(int(stage), 1.0 - depth, 0.9)
         for stage, depth in zip(stages, depths)
     ]
-    return diagonal_chain(
-        curves,
-        dim,
-        horizon,
-        kind="near_one_accumulating",
-        seed=seed,
-    )
+    return _conjugated_chain(curves, horizon, np.eye(dim), kind=kind, seed=seed)
 
 
 def _is_int(value) -> bool:
-    """The one integer rule: a JSON ``true`` or ``false`` is not one."""
-    return type(value) is int
+    """The one integer rule: a Python or numpy integer, but not a
+    ``bool`` (a JSON ``true`` or ``false``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _positive_int(value, dim: int) -> bool:
     return _is_int(value) and value >= 1
-
-
-def _in_open_unit(value, dim: int) -> bool:
-    return isinstance(value, (int, float)) and 0.0 < value < 1.0
-
-
-def _schur_top(value, dim: int) -> bool:
-    return isinstance(value, (int, float)) and _SCHUR_LEAST <= value < 1.0
 
 
 def _parse_curve(entry, index: int, violations: list[str]) -> Curve | None:
@@ -988,14 +935,20 @@ _KEYS = {
         lambda v, dim: isinstance(v, list) and len(v) > 0,
         "diagonal kinds need a nonempty 'curves' list",
     ),
-    "delta": _Key(None, _in_open_unit, "delta must lie in (0, 1), got {!r}"),
+    "delta": _Key(
+        None,
+        lambda v, dim: isinstance(v, numbers.Real) and 0.0 < v < 1.0,
+        "delta must lie in (0, 1), got {!r}",
+    ),
     "fixed_rank": _Key(
         0,
         lambda v, dim: _is_int(v) and 0 <= v <= dim,
         "fixed_rank must be an integer in [0, dim], got {!r}",
     ),
     "top": _Key(
-        0.9, _schur_top, f"top must lie in [{_SCHUR_LEAST}, 1), got {{!r}}"
+        0.9,
+        lambda v, dim: isinstance(v, numbers.Real) and _SCHUR_LEAST <= v < 1,
+        f"top must lie in [{_SCHUR_LEAST}, 1), got {{!r}}",
     ),
 }
 
@@ -1029,12 +982,13 @@ class ChainSpec:
 
 
 class _Kind(NamedTuple):
-    # builder, keys taken besides the shared ones, seed needed, least
-    # dim, and whether the chain stores every step (else curve-built)
+    # builder, keys taken besides the shared ones, seed needed, least and
+    # largest dim at a horizon, and whether the chain stores every step
+    # (else curve-built)
     build: Callable[[ChainSpec], ContractionChain]
     keys: tuple[str, ...] = ()
     seeded: bool = True
-    min_dim: int = 1
+    dims: Callable[[int], tuple[int, float]] = lambda horizon: (1, math.inf)
     stores_steps: bool = False
 
 
@@ -1065,14 +1019,58 @@ _KINDS = {
     ),
     "near_one_accumulating": _Kind(
         lambda s: near_one_accumulating_chain(s.dim, s.seed, s.horizon),
-        min_dim=2,
+        dims=lambda horizon: (2, _near_one_max_dim(horizon)),
     ),
 }
 
 
+def _refusals(kind: str | None, values: dict) -> tuple[list[str], dict]:
+    """Every rule that ``values``, given for some keys of ``_KEYS``,
+    break, and the values that pass their key's own rule.
+
+    A key's rule reads the dim if it passed, else 0.  A passed curve
+    list must hold one curve per passed dim.  A known ``kind`` adds its
+    dims at a passed horizon and, if seeded, refuses a None seed."""
+    refusals: list[str] = []
+    passed: dict = {}
+    for key, entry in _KEYS.items():
+        if key not in values:
+            continue
+        if entry.rule(values[key], passed.get("dim", 0)):
+            passed[key] = values[key]
+        else:
+            refusals.append(entry.message.format(values[key]))
+    dim, horizon = passed.get("dim"), passed.get("horizon")
+    curves = passed.get("curves")
+    if dim is not None and curves is not None and len(curves) != dim:
+        refusals.append(f"{len(curves)} curves for dimension {dim}")
+    spec_kind = _KINDS.get(kind)
+    if spec_kind is None:
+        return refusals, passed
+    if dim is not None and horizon is not None:
+        lo, hi = spec_kind.dims(horizon)
+        if not lo <= dim <= hi:
+            refusals.append(
+                f"{kind} at horizon {horizon} takes dim {lo}..{hi}, "
+                f"got {dim}"
+            )
+    if spec_kind.seeded and "seed" in values and values["seed"] is None:
+        refusals.append(f"kind {kind!r} requires a seed")
+    return refusals, passed
+
+
+def _check(kind: str | None, **values) -> None:
+    """Refuse a generator's arguments: one error names every rule of
+    :func:`_refusals` that they break."""
+    refusals, _ = _refusals(kind, values)
+    if refusals:
+        raise ChainGenerationError("; ".join(refusals))
+
+
 def parse_chain_spec(data: dict) -> ChainSpec:
     """Validate a decoded chain spec document, collecting every
-    violation."""
+    violation: of the key and kind tables, of each curve, and of the
+    ceiling on what a run holds."""
     if not isinstance(data, dict):
         raise ChainSpecError(["spec must be a JSON object"])
     violations = [
@@ -1089,25 +1087,20 @@ def parse_chain_spec(data: dict) -> ChainSpec:
 
     fields: dict = {}
     for key, entry in _KEYS.items():
-        if not (entry.shared or key in taken):
-            if key in data:
-                violations.append(f"kind {kind!r} does not take {key!r}")
-            continue
-        value = data.get(key, entry.default)
-        if entry.rule(value, fields.get("dim", 0)):
-            fields[key] = value
-        else:
-            violations.append(entry.message.format(value))
-    if fields.get("curves") is not None:
-        raw, dim = fields["curves"], fields.get("dim")
+        if entry.shared or key in taken:
+            fields[key] = data.get(key, entry.default)
+        elif key in data:
+            violations.append(f"kind {kind!r} does not take {key!r}")
+    refusals, passed = _refusals(kind if spec_kind else None, fields)
+    violations += refusals
+    if "curves" in passed:
         fields["curves"] = tuple(
-            _parse_curve(entry, i, violations) for i, entry in enumerate(raw)
+            _parse_curve(entry, i, violations)
+            for i, entry in enumerate(passed["curves"])
         )
-        if dim and len(raw) != dim:
-            violations.append(f"{len(raw)} curves for dimension {dim}")
 
-    if spec_kind is not None and "dim" in fields and "horizon" in fields:
-        dim, horizon = fields["dim"], fields["horizon"]
+    if spec_kind is not None and "dim" in passed and "horizon" in passed:
+        dim, horizon = passed["dim"], passed["horizon"]
         if spec_kind.stores_steps:
             rule, held = "dim * dim * horizon", dim * dim * horizon
             what = "cached operator entries"
@@ -1120,11 +1113,6 @@ def parse_chain_spec(data: dict) -> ChainSpec:
                 f"{rule} = {held} exceeds the ceiling of {CACHE_CEILING} "
                 f"{what}"
             )
-    if spec_kind is not None:
-        if fields.get("dim", spec_kind.min_dim) < spec_kind.min_dim:
-            violations.append(f"{kind} needs dim >= {spec_kind.min_dim}")
-        if spec_kind.seeded and data.get("seed") is None:
-            violations.append(f"kind {kind!r} requires a seed")
     if violations:
         raise ChainSpecError(violations)
     return ChainSpec(kind=kind, **fields)

@@ -60,6 +60,7 @@ from .gaps import (
     write_rate_csv,
 )
 from .nonexample import (
+    _RECON_TOL,
     build_nonexample,
     givens_factorization,
     reconstruction_error,
@@ -273,7 +274,7 @@ def cmd_nonexample(args, parser) -> int:
     verdicts = {
         "within_row_distances": distances.within_row_ok,
         "vanishing_conditions": vanishing.all_ok,
-        "givens_reconstruction": recon_err <= 1e-9,
+        "givens_reconstruction": recon_err <= _RECON_TOL,
         "givens_rank": rank_ok,
         "net_dominates_rows": net.dominates_row_count,
     }

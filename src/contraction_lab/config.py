@@ -1,11 +1,14 @@
 """Numerical tolerances and shared defaults.
 
-Every tolerance the package compares against is collected here.  The
+Most tolerances the package compares against are collected here.  The
 clustering tolerance ``eig`` and the PSD slack are defaults: functions
 take them as ``tol_eig`` and ``tol_psd``, which the CLI sets from
 ``--tol-eig`` and ``--tol-psd``.  The other entries are fixed constants
 of the checks that read them.  Entries suffixed ``_per_dim`` scale
-linearly with the matrix dimension.
+linearly with the matrix dimension.  Some fixed constants sit beside
+the one check that reads them instead: the step-difference identity's
+``1e-10`` in :mod:`contraction_lab.products`, and the ``_*_TOL``
+constants of :mod:`contraction_lab.nonexample`.
 """
 
 from __future__ import annotations

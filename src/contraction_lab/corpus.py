@@ -19,7 +19,7 @@ import numpy as np
 from .chains import (
     ContractionChain,
     Curve,
-    _near_one_max_dim,
+    _refusals,
     affine_harmonic,
     conjugated_diagonal_chain,
     const,
@@ -33,7 +33,7 @@ from .chains import (
     stream_rng,
 )
 from .errors import PreconditionError
-from .operators import Operator
+from .operators import Operator, _eigh
 
 __all__ = [
     "KIND_HORIZONS",
@@ -100,15 +100,14 @@ def corpus_chains(
 ) -> Iterator[ContractionChain]:
     """One chain per generator kind x dimension x seed, at the
     calibrated horizons, built only when the next one is asked for and
-    not kept afterwards.  A dim outside ``2..161``, where the
-    ``near_one_accumulating`` chains fit their peels, is refused first."""
-    largest = _near_one_max_dim(KIND_HORIZONS["near_one_accumulating"])
+    not kept afterwards.  A dim that some kind's rules refuse at its
+    horizon (outside ``2..161`` for ``near_one_accumulating``) is refused
+    first."""
     for dim in dims:
-        if not 2 <= dim <= largest:
-            raise PreconditionError(
-                f"corpus dim {dim} outside 2..{largest}, the dims its "
-                "near_one_accumulating chains can be built in"
-            )
+        for kind, horizon in KIND_HORIZONS.items():
+            refusals, _ = _refusals(kind, {"dim": dim, "horizon": horizon})
+            if refusals:
+                raise PreconditionError(f"corpus dim {dim}: {refusals[0]}")
     for dim in dims:
         for seed in range(seed_count):
             yield diagonal_chain(
@@ -205,7 +204,7 @@ def monotone_pair_corpus(
             scale = 0.05 + 0.45 * rng.uniform()
         raw = rng.standard_normal((dim, dim))
         sym = (raw + raw.T) / 2.0
-        ew, ev = np.linalg.eigh(sym)
+        ew, ev = _eigh(sym)
         weights = rng.uniform(size=dim)
         if flavor == 1 and fixed_rank > 0:
             # decrement in the frame's non-fixed block only
@@ -214,7 +213,7 @@ def monotone_pair_corpus(
             if sub > 0:
                 raw_b = rng.standard_normal((sub, sub))
                 sym_b = (raw_b + raw_b.T) / 2.0
-                ew_b, ev_b = np.linalg.eigh(sym_b)
+                ew_b, ev_b = _eigh(sym_b)
                 w_b = rng.uniform(size=sub)
                 block[fixed_rank:, fixed_rank:] = (ev_b * w_b) @ ev_b.T
             decrement = frame @ block @ frame.T

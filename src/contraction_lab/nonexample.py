@@ -58,6 +58,7 @@ _DIST_TOL = 1e-10
 _SUPPORT_TOL = 1e-12
 _NORM_TOL = 1e-12
 _RANK_TOL = 1e-9  # singular values of U - I at or below this count as 0
+_RECON_TOL = 1e-9  # the nonexample command's bound on reconstruction_error
 _BLAS_DOT_BLOCK = 16  # see _pair_dot
 _TAIL_K_MAX = 3  # verify_vanishing_conditions bounds k-step tails, k <= this
 

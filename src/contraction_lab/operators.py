@@ -18,8 +18,12 @@ Numerical conventions
   :mod:`contraction_lab.products` all read the fixed space through it,
   so "rank of the fixed space" always means the same thing everywhere.
   One formatter, ``_not_a_contraction``, words every refusal of the
-  positivity check, naming the step or operand refused, and
-  ``_not_ordered`` every refusal of an operand pair that is not ordered.
+  positivity check in this module, :mod:`contraction_lab.products` and
+  :mod:`contraction_lab.gaps`, naming the step or operand refused; the
+  Schur generator of :mod:`contraction_lab.chains` words its own
+  refusals of a starting operator or a decrement as a
+  ``ChainGenerationError``.  ``_not_ordered`` words every refusal of an
+  operand pair that is not ordered.
   The gap window of :mod:`contraction_lab.gaps` is the other rule: it
   holds the eigenvalues with ``1 - delta + tol_eig < lambda < 1 - tol_eig``.
   ``_eig_band`` reads from the same solve the largest eigenvalue that

@@ -543,10 +543,11 @@ class ABChainReport:
 def consecutive_difference_report(trace: ConvergenceTrace) -> ABChainReport:
     """Check ``0 <= a_n <= b_n``, ``b_{n+1} <= a_n`` and the step-difference
     identity on every step and probe of a trace: the inequalities up to
-    ``DEFAULT.chain(dim)``, the identity up to ``1e-10``."""
+    ``DEFAULT.chain(dim)``, the identity up to ``1e-10``.  Each worst
+    value is 0.0 where there is none: at horizon 1 or with no probe."""
     tol = DEFAULT.chain(trace.dim)
     tol_identity = 1e-10
-    if trace.horizon < 2:
+    if trace.a.size == 0:
         return ABChainReport(
             tol, tol_identity, 0.0, 0.0, 0.0, 0.0, True, True, True, True
         )
@@ -808,14 +809,14 @@ def trace_summary(trace: ConvergenceTrace) -> dict:
     verdicts and ``rank_trajectory``.
     """
     ab_report = consecutive_difference_report(trace)
+    # errors are >= 0: a maximum over no probe, or over consec_diff's no
+    # row at horizon 1, is 0.0
     final = {
-        "sot_err_max": float(trace.sot_err[-1].max()),
-        "adj_err_max": float(trace.adj_err[-1].max()),
-        "wot_err_max": float(trace.wot_err[-1].max()),
+        "sot_err_max": float(trace.sot_err[-1].max(initial=0.0)),
+        "adj_err_max": float(trace.adj_err[-1].max(initial=0.0)),
+        "wot_err_max": float(trace.wot_err[-1].max(initial=0.0)),
         "opnorm_err": float(trace.opnorm_err[-1]),
-        "consec_diff_max": (
-            float(trace.consec_diff[-1].max()) if trace.horizon > 1 else 0.0
-        ),
+        "consec_diff_max": float(trace.consec_diff[-1:].max(initial=0.0)),
     }
     conclusive = trace.limit.trustworthy
     threshold = DEFAULT.convergence

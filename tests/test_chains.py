@@ -1,5 +1,7 @@
 import gc
+import importlib
 import math
+import pkgutil
 import re
 import sys
 import threading
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contraction_lab import (
@@ -41,6 +43,7 @@ from contraction_lab import (
     spectral_decompose,
     stream_rng,
 )
+import contraction_lab
 from contraction_lab import chains
 from contraction_lab.chains import CACHE_CEILING
 from contraction_lab.config import DEFAULT
@@ -61,6 +64,25 @@ def test_stream_rng_deterministic_and_keyed():
 def test_stream_rng_rejects_none_seed():
     with pytest.raises(PreconditionError):
         stream_rng(None, 1)
+
+
+def test_stream_namespaces_are_distinct():
+    # two modules that picked the same spawn-key namespace would draw the
+    # same numbers from the same seed and silently correlate
+    found = {}
+    for info in pkgutil.iter_modules(contraction_lab.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"contraction_lab.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_STREAM_"):
+                found[f"{info.name}.{name}"] = value
+    assert {name.split(".")[0] for name in found} == {
+        "chains", "products", "gaps", "corpus",
+    }
+    assert len(found) == 11
+    assert all(type(value) is int for value in found.values())
+    assert len(set(found.values())) == len(found), found
 
 
 def test_random_orthogonal_is_orthogonal_and_deterministic():
@@ -388,7 +410,10 @@ def test_near_one_chain_shape():
 def test_near_one_chain_validation():
     with pytest.raises(ChainGenerationError):
         near_one_accumulating_chain(1, seed=0)
-    with pytest.raises(ChainGenerationError, match="too small"):
+    with pytest.raises(
+        ChainGenerationError,
+        match=r"^near_one_accumulating at horizon 50 takes dim 2\.\.3, got 8$",
+    ):
         near_one_accumulating_chain(8, seed=0, horizon=50)
 
 
@@ -1127,6 +1152,239 @@ def test_curve_constructors_refuse_nan_and_fractional_stage():
     with pytest.raises(ValueError, match="whole number"):
         peel(2.7, 0.5, 0.9)
     assert peel(5.0, 0.5, 0.9) == peel(5, 0.5, 0.9)
+
+
+def test_spec_check_reports_the_near_one_dims_with_every_other_violation():
+    # the largest dim whose peels fit horizon 100 is 26
+    doc = {"kind": "near_one_accumulating", "dim": 30, "horizon": 100,
+           "seed": 1, "foo": 0}
+    with pytest.raises(ChainSpecError) as exc:
+        parse_chain_spec(doc)
+    assert exc.value.violations == [
+        "unknown key 'foo'",
+        "near_one_accumulating at horizon 100 takes dim 2..26, got 30",
+    ]
+    fitting = {key: value for key, value in doc.items() if key != "foo"}
+    assert parse_chain_spec(dict(fitting, dim=26)).dim == 26
+    # horizon 45 leaves no room for dim 2's one peel, which the builder
+    # refused after the spec check had passed it
+    with pytest.raises(ChainSpecError) as exc:
+        parse_chain_spec(dict(fitting, dim=2, horizon=45))
+    assert exc.value.violations == [
+        "near_one_accumulating at horizon 45 takes dim 2..1, got 2"
+    ]
+    assert parse_chain_spec(dict(fitting, dim=2, horizon=46)).dim == 2
+
+
+def test_generator_names_every_rule_its_arguments_break():
+    with pytest.raises(ChainGenerationError) as exc:
+        random_schur_chain(-1, -2, True, fixed_rank=1.5, top=2)
+    assert str(exc.value) == (
+        "dim must be a positive integer, got -1; "
+        "horizon must be a positive integer, got True; "
+        "seed must be a nonnegative integer, got -2; "
+        "fixed_rank must be an integer in [0, dim], got 1.5; "
+        "top must lie in [0.1, 1), got 2"
+    )
+    with pytest.raises(ChainGenerationError) as exc:
+        conjugated_diagonal_chain([const(1.0)], 2, 10, seed=None)
+    assert str(exc.value) == (
+        "1 curves for dimension 2; kind 'conjugated_diagonal' requires a seed"
+    )
+    # numpy integers pass the integer rule; a bool does not
+    chain = gap_engineered_chain(
+        np.int64(4), np.float64(0.1), np.int32(1), np.uint8(3), np.int64(5)
+    )
+    assert chain.operator_at(5).dim == 4
+    with pytest.raises(ChainGenerationError, match="got False"):
+        gap_engineered_chain(4, 0.1, False, 3, 5)
+
+
+# Draws for the two entry points: each argument or key is a typical legal
+# value, except for a few drawn at and around the edges of their rules,
+# which include numpy ints, floats, bools and negatives
+
+
+def _edge_ints(values):
+    values = st.sampled_from(values)
+    return st.one_of(
+        values, values.map(np.int64), values.map(float), st.booleans()
+    )
+
+
+_EDGE_REALS = st.sampled_from(
+    [-0.1, 0.0, 1e-12, 0.05, 0.1, 0.5, 1.0 - 1e-12, 1.0, 1, 1.5, True,
+     math.nan, np.float32(0.5), np.float64(0.2), np.int64(0)]
+)
+_CURVES = st.sampled_from(
+    [const(1.0), harmonic_to(0.5), geometric(0.5), peel(3, 0.5, 0.9)]
+)
+
+
+@st.composite
+def _generator_calls(draw):
+    """(generator, args, kwargs) for one of the six public generators."""
+    edges = draw(st.sets(st.sampled_from(
+        ["dim", "horizon", "seed", "rank", "top", "delta", "curves"]
+    ), max_size=2))
+
+    def pick(key, typical, edge):
+        return draw(edge if key in edges else typical)
+
+    dim = pick("dim", st.integers(1, 6), _edge_ints((-1, 0, 1, 2, 8, 9)))
+    horizon = pick(
+        "horizon", st.integers(46, 60), _edge_ints((-1, 0, 1, 2, 45, 46))
+    )
+    seed = pick(
+        "seed", st.integers(0, 50),
+        st.one_of(st.none(), _edge_ints((-2, -1, 0))),
+    )
+    edge = int(dim) if isinstance(dim, (int, np.integer, float)) else 4
+    rank = pick(
+        "rank", st.integers(0, max(edge, 0)),
+        _edge_ints((-1, 0, edge - 1, edge, edge + 1)),
+    )
+    top = pick("top", st.floats(0.1, 0.99), _EDGE_REALS)
+    delta = pick("delta", st.floats(0.01, 0.99), _EDGE_REALS)
+    curves = pick(
+        "curves", st.lists(_CURVES, min_size=1, max_size=5),
+        st.lists(_CURVES, max_size=5),
+    )
+    count = len(curves)
+    curve_dim = pick(
+        "dim", st.sampled_from([None, count]),
+        _edge_ints((count - 1, count, count + 1)),
+    )
+    name = draw(st.sampled_from([
+        "diagonal_chain", "conjugated_diagonal_chain", "random_schur_chain",
+        "gap_engineered_chain", "near_one_accumulating_chain",
+        "halving_decrement_sampler",
+    ]))
+    args, kwargs = {
+        "diagonal_chain": ((curves, curve_dim, horizon), {"seed": seed}),
+        "conjugated_diagonal_chain": (
+            (curves, curve_dim, horizon), {"seed": seed}
+        ),
+        "random_schur_chain": (
+            (dim, seed, horizon), {"fixed_rank": rank, "top": top}
+        ),
+        "gap_engineered_chain": ((dim, delta, rank, seed, horizon), {}),
+        "near_one_accumulating_chain": ((dim, seed, horizon), {}),
+        "halving_decrement_sampler": ((dim, seed), {"fixed_rank": rank}),
+    }[name]
+    return getattr(chains, name), args, kwargs
+
+
+@st.composite
+def _spec_documents(draw):
+    """Spec documents of every kind, dims 1..200 and horizons 1..500."""
+    edges = draw(st.sets(st.sampled_from(
+        ["dim", "horizon", "seed", "fixed_rank", "top", "delta", "curves",
+         "extra"]
+    ), max_size=2))
+
+    def pick(key, typical, edge):
+        return draw(edge if key in edges else typical)
+
+    kind = draw(st.sampled_from(sorted(chains._KINDS)))
+    horizon = pick(
+        "horizon", st.integers(1, 500),
+        st.sampled_from([0, 1, 45, 46, 100, 400, True, 46.0]),
+    )
+    largest = chains._near_one_max_dim(horizon) if horizon is not True else 2
+    typical = st.integers(1, 200)
+    if kind == "near_one_accumulating":
+        typical = st.integers(2, max(2, min(200, largest)))
+    dim = pick(
+        "dim", typical,
+        st.sampled_from(
+            [0, 1, 2, largest - 1, largest, largest + 1, 201, True, 3.0]
+        ),
+    )
+    doc = {"kind": kind, "dim": dim, "horizon": horizon}
+    seed = pick(
+        "seed", st.integers(0, 2**40),
+        st.sampled_from([None, -1, 0, True, 1.5, "absent"]),
+    )
+    if seed != "absent":
+        doc["seed"] = seed
+    edge = dim if type(dim) is int else 4
+    if kind.endswith("diagonal"):
+        stage = st.sampled_from([0, 1, 2, horizon, 2**31])
+        legal = st.sampled_from([
+            ["const", 1.0], ["const", 1], ["harmonic_to", 0.5],
+            ["geometric", 0.0], ["affine_harmonic", 0.5, 0.5],
+            ["peel", 1, 0.5, 0.9],
+        ])
+        if "curves" in edges:
+            legal = st.one_of(
+                legal,
+                st.sampled_from(
+                    [["const", 1.5], ["affine_harmonic", 0.6, 0.5]]
+                ),
+                stage.map(lambda s: ["peel", s, 0.5, 0.9]),
+            )
+        count = pick(
+            "curves", st.just(edge), st.sampled_from([edge - 1, edge + 1])
+        )
+        pool = draw(st.lists(legal, min_size=1, max_size=3))
+        doc["curves"] = [pool[i % len(pool)] for i in range(max(0, count))]
+    if kind in ("schur_decrement", "gap_engineered") and draw(st.booleans()):
+        doc["fixed_rank"] = pick(
+            "fixed_rank", st.integers(0, max(edge, 0)),
+            st.sampled_from([-1, 0, edge - 1, edge, edge + 1, True, 1.0]),
+        )
+    if kind == "schur_decrement" and draw(st.booleans()):
+        doc["top"] = pick(
+            "top", st.floats(0.1, 0.999),
+            st.sampled_from([0.0999, 0.1, 0.999, 1.0, 1, True]),
+        )
+    if kind == "gap_engineered":
+        doc["delta"] = pick(
+            "delta", st.floats(0.001, 0.999),
+            st.sampled_from([0, 1e-9, 1.0 - 1e-9, 1.0, 1.5, True, None]),
+        )
+    if "extra" in edges:
+        doc["foo"] = 0
+    return doc
+
+
+def _read_two_steps(chain):
+    # the first two steps: a Schur chain past them is built step by step
+    for n in range(1, min(chain.horizon, 2) + 1):
+        assert is_positive_contraction(chain.operator_at(n))
+
+
+@example(case=("spec", {"kind": "near_one_accumulating", "dim": 2,
+                        "horizon": 45, "seed": 1}))
+@example(case=("call", (gap_engineered_chain, (4, 0.1, 1.5), {"seed": 1})))
+@example(case=("call", (random_schur_chain, (4, -2), {})))
+@example(case=("call", (halving_decrement_sampler, (4, 1),
+                        {"fixed_rank": 9})))
+@given(case=st.one_of(
+    st.tuples(st.just("spec"), _spec_documents()),
+    st.tuples(st.just("call"), _generator_calls()),
+))
+def test_chain_rules_agree_at_both_entry_points(case):
+    # every document the spec check accepts builds, and a generator either
+    # builds or raises ChainGenerationError: both read one rule table
+    entry, drawn = case
+    if entry == "spec":
+        try:
+            spec = parse_chain_spec(drawn)
+        except ChainSpecError:
+            return
+        _read_two_steps(build_chain(spec))
+        return
+    generator, args, kwargs = drawn
+    try:
+        made = generator(*args, **kwargs)
+    except ChainGenerationError:
+        return
+    if isinstance(made, chains.ContractionChain):
+        _read_two_steps(made)
+    else:
+        assert is_positive_contraction(made(1))
 
 
 # ---------------------------------------------------------------------------

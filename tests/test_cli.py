@@ -306,7 +306,8 @@ def test_simulate_accepts_zero_tolerances(tmp_path):
 
 
 def test_generator_error_is_a_usage_error(tmp_path, capsys):
-    # valid spec keys, but the generator cannot stage 7 peels in 50 steps
+    # the generator cannot stage 7 peels in 50 steps, which the spec
+    # check refuses from the same rule before any chain is built
     spec = write_spec(
         tmp_path,
         {"kind": "near_one_accumulating", "dim": 8, "horizon": 50, "seed": 1},
@@ -314,7 +315,7 @@ def test_generator_error_is_a_usage_error(tmp_path, capsys):
     assert run_cli(["simulate", "--spec", spec]) == 64
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "too small to stage 7 peels" in err
+    assert "near_one_accumulating at horizon 50 takes dim 2..3, got 8" in err
     assert "Traceback" not in err
 
 
@@ -624,7 +625,10 @@ def test_verify_refuses_dims_the_corpus_cannot_build(
         argv = ["verify", "--seeds", "1", "--dims", dims, "--out", str(out)]
         err = assert_one_line_usage_error(argv, capsys)
         bad = dims.split(",")[-1]
-        assert f"corpus dim {bad} outside 2..161" in err
+        assert (
+            f"corpus dim {bad}: near_one_accumulating at horizon 400 takes "
+            f"dim 2..161, got {bad}"
+        ) in err
     assert built == []
     assert not out.exists()
 

@@ -1141,6 +1141,29 @@ def test_write_opnorm_csv_without_probes_writes_every_step(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("horizon", [1, 5])
+def test_summary_of_a_trace_without_probes_reads_zero_probe_errors(horizon):
+    # each maximum over the empty probe set is 0.0, as consec_diff_max is
+    # at horizon 1; numpy's max of an empty array raised ValueError
+    trace = iterate_products(
+        telescoping_chain(horizon), probes=np.zeros((2, 0))
+    )
+    report = consecutive_difference_report(trace)
+    assert report.all_ok
+    assert (report.worst_a_negative, report.worst_a_above_b,
+            report.worst_b_next_above_a, report.worst_identity_error) == (
+        0.0, 0.0, 0.0, 0.0,
+    )
+    summary = trace_summary(trace)
+    assert summary["probe_ids"] == []
+    final = summary["final"]
+    assert [final[key] for key in (
+        "sot_err_max", "adj_err_max", "wot_err_max", "consec_diff_max"
+    )] == [0.0, 0.0, 0.0, 0.0]
+    assert final["opnorm_err"] == float(trace.opnorm_err[-1])
+    assert summary["verdicts"]["ab_chain"] is True
+
+
 def test_write_trace_csv_matches_csv_writer_on_a_dense_run(tmp_path):
     chain = random_schur_chain(9, seed=8, horizon=30, fixed_rank=3)
     trace = iterate_products(chain)
