@@ -718,29 +718,24 @@ class _HalvingSampler(_Steps):
 
 
 def halving_decrement_sampler(
-    dim: int,
-    seed: int,
-    *,
-    fixed_rank: int = 0,
-    frame: np.ndarray | None = None,
+    dim: int, seed: int, *, fixed_rank: int = 0
 ) -> Callable[[int], Operator]:
     """Random PSD contractions scaled by ``2^-n``.
 
     Step ``n``'s decrement is ``B diag(w) B^T``, drawn from step ``n``'s
     own stream: ``w`` holds ``uniform(0, 1)`` weights times ``2^-n``, and
-    ``B`` is the last ``dim - fixed_rank`` columns of ``frame`` times the
-    ``Q`` of a Gaussian matrix's QR factorization, a Haar-random basis up
-    to the signs of its columns, which ``B diag(w) B^T`` does not see.
-    So with ``fixed_rank > 0`` the decrements vanish on the leading
-    ``fixed_rank`` coordinates of ``frame``, and that subspace stays
-    fixed along the whole chain.  ``sampler(n)`` is step ``n``'s
-    decrement; a Schur chain draws a block of steps at once, with one
-    stacked ``qr``.
+    ``B`` is the last ``dim - fixed_rank`` columns of the identity times
+    the ``Q`` of a Gaussian matrix's QR factorization, a Haar-random
+    basis up to the signs of its columns, which ``B diag(w) B^T`` does
+    not see.  So with ``fixed_rank > 0`` the decrements vanish on the
+    leading ``fixed_rank`` coordinates, and that subspace stays fixed
+    along the whole chain (:func:`random_schur_chain` draws its
+    decrements this way in its own orthogonal frame).  ``sampler(n)``
+    is step ``n``'s decrement; a Schur chain draws a block of steps at
+    once, with one stacked ``qr``.
     """
     _check("schur_decrement", dim=dim, seed=seed, fixed_rank=fixed_rank)
-    if frame is None:
-        frame = np.eye(dim)
-    return _HalvingSampler(dim, seed, fixed_rank, frame)
+    return _HalvingSampler(dim, seed, fixed_rank, np.eye(dim))
 
 
 def random_schur_chain(
@@ -767,9 +762,7 @@ def random_schur_chain(
         [np.ones(fixed_rank), rng.uniform(_SCHUR_LEAST, top, size=free)]
     )
     first = Operator(frame @ np.diag(eigs) @ frame.T)
-    sampler = halving_decrement_sampler(
-        dim, seed, fixed_rank=fixed_rank, frame=frame
-    )
+    sampler = _HalvingSampler(dim, seed, fixed_rank, frame)
     return schur_decrement_chain(first, sampler, horizon, seed=seed)
 
 

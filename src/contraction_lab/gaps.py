@@ -49,7 +49,7 @@ from .operators import (
     loewner_leq,
     spectral_decompose,
 )
-from .products import _given_probes, _write_rows, limit_operator
+from .products import _given_probes, _write_csv, limit_operator
 
 __all__ = [
     "RankStep",
@@ -705,10 +705,4 @@ def _seeded_perp_probe(chain: ContractionChain, proj: Projection) -> np.ndarray:
 
 
 def write_rate_csv(report: RateBoundReport, path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(RATE_CSV_HEADER) + "\r\n")
-        _write_rows(
-            handle,
-            "%d,%.17g,%.17g\r\n",
-            (report.j, report.lhs, report.rhs),
-        )
+    _write_csv(path, RATE_CSV_HEADER, [(report.j, report.lhs, report.rhs)])

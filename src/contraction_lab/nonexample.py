@@ -28,7 +28,7 @@ from .errors import PreconditionError
 from .products import (
     _ROW_BLOCK,
     EpsilonNet,
-    _write_rows,
+    _write_csv,
     orbit_epsilon_net,
 )
 
@@ -518,13 +518,9 @@ def write_sequence_csv(seq: NonexampleSequence, path) -> None:
     """``sequence.csv``: one row ``m,n,j,cos,sin`` per point, ``cos``
     and ``sin`` being its coordinates ``n`` and ``n + 1`` (1-based)."""
     m = np.arange(1, seq.count + 1)
-    with open(path, "w", newline="") as handle:
-        handle.write("m,n,j,cos,sin\r\n")
-        _write_rows(
-            handle,
-            "%d,%d,%d,%.17g,%.17g\r\n",
-            (m, seq.rows, m - flat_index(seq.rows, 1) + 1, seq.cos, seq.sin),
-        )
+    _write_csv(path, ("m", "n", "j", "cos", "sin"), [
+        (m, seq.rows, m - flat_index(seq.rows, 1) + 1, seq.cos, seq.sin)
+    ])
 
 
 def write_givens_csv(steps: GivensFactorization, path) -> None:
@@ -534,28 +530,18 @@ def write_givens_csv(steps: GivensFactorization, path) -> None:
     the rest of its plane: the step acts on coordinates ``n`` and
     ``n + 1`` (1-based), ``u`` is that point's ``cos,sin``, and ``v1,v2``
     are ``v``'s entries there."""
-    with open(path, "w", newline="") as handle:
-        handle.write("m,angle,v1,v2\r\n")
-        _write_rows(
-            handle,
-            "%d,%.17g,%.17g,%.17g\r\n",
-            (np.arange(1, len(steps) + 1), steps.angle, *steps.v.T),
-        )
+    _write_csv(path, ("m", "angle", "v1", "v2"), [
+        (np.arange(1, len(steps) + 1), steps.angle, *steps.v.T)
+    ])
 
 
 def write_net_csv(table: NetGrowthTable, path) -> None:
     completed = np.array([row.rows_completed for row in table.rows])
-    with open(path, "w", newline="") as handle:
-        handle.write("N_max,epsilon,net_size\r\n")
-        _write_rows(
-            handle,
-            "%d,%.17g,%d\r\n",
-            (
-                completed,
-                np.full(completed.size, float(table.epsilon)),
-                np.array(table.sizes),
-            ),
-        )
+    _write_csv(path, ("N_max", "epsilon", "net_size"), [(
+        completed,
+        np.full(completed.size, float(table.epsilon)),
+        np.array(table.sizes),
+    )])
 
 
 def write_step_distances_csv(report: StepDistanceReport, path) -> None:
@@ -564,15 +550,9 @@ def write_step_distances_csv(report: StepDistanceReport, path) -> None:
     The expected distance ``2 sin(pi / (4 row))`` and the deviation
     ``|measured - expected|`` follow from the row, as in
     :func:`verify_step_distances`, so they are not written."""
-    with open(path, "w", newline="") as handle:
-        handle.write("m,row,kind,measured\r\n")
-        _write_rows(
-            handle,
-            "%d,%d,%s,%.17g\r\n",
-            (
-                np.arange(1, report.rows.size + 1),
-                report.rows,
-                np.where(report.within, "within", "cross"),
-                report.measured,
-            ),
-        )
+    _write_csv(path, ("m", "row", "kind", "measured"), [(
+        np.arange(1, report.rows.size + 1),
+        report.rows,
+        np.where(report.within, "within", "cross"),
+        report.measured,
+    )])

@@ -698,23 +698,38 @@ def _csv_field(text) -> str:
     return buffer.getvalue()[: -len(",\r\n")]
 
 
-def _write_rows(handle, row_format: str, columns) -> None:
-    """Write ``row_format % (column[i] for column in columns)`` for each
-    index ``i`` of the equal-length arrays ``columns``, one
-    ``%``-format per block of ``_ROW_BLOCK`` rows.
+# The cell format of a column by its dtype kind: integers, floats, and
+# text that _csv_field has already quoted.
+_CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s", "O": "%s"}
+
+
+def _write_csv(path, header, groups) -> None:
+    """Write ``header`` and then each group of ``groups``, a tuple of
+    equal-length column arrays (None for a column left blank), to
+    ``path``: one ``%``-format per block of ``_ROW_BLOCK`` rows, each
+    cell formatted by its column's dtype (``_CELL_FORMATS``).
 
     ``"%.17g" % x`` is ``format(x, ".17g")``, so the bytes are those of
-    ``csv.writer`` given the formatted floats when ``row_format`` ends in
-    CRLF and every string column is already quoted as csv quotes it.
+    ``csv.writer`` given the formatted floats: CRLF line ends, and every
+    text column already quoted as csv quotes it.
     """
-    for first in range(0, len(columns[0]), _ROW_BLOCK):
-        cells = [
-            column[first : first + _ROW_BLOCK].tolist() for column in columns
-        ]
-        handle.write(
-            row_format * len(cells[0])
-            % tuple(itertools.chain.from_iterable(zip(*cells)))
-        )
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for group in groups:
+            columns = [column for column in group if column is not None]
+            row_format = ",".join(
+                "" if column is None else _CELL_FORMATS[column.dtype.kind]
+                for column in group
+            ) + "\r\n"
+            for first in range(0, len(columns[0]), _ROW_BLOCK):
+                cells = [
+                    column[first : first + _ROW_BLOCK].tolist()
+                    for column in columns
+                ]
+                handle.write(
+                    row_format * len(cells[0])
+                    % tuple(itertools.chain.from_iterable(zip(*cells)))
+                )
 
 
 def _refuse_final_row(trace: ConvergenceTrace) -> None:
@@ -727,68 +742,49 @@ def _refuse_final_row(trace: ConvergenceTrace) -> None:
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """One row per (step, probe); fields that look one step ahead are
     blank on the final step.  ``opnorm_err``, one value per step, is
-    :func:`write_opnorm_csv`'s.
-
-    The bytes are those of ``csv.writer`` with each float formatted by
-    ``format(x, ".17g")``: CRLF line ends, probe ids quoted where csv
-    quotes them.  A final-row trace has no rows before its last and is
-    refused with :class:`PreconditionError` before ``path`` is opened.
+    :func:`write_opnorm_csv`'s.  Written by :func:`_write_csv`; a
+    final-row trace has no rows before its last and is refused with
+    :class:`PreconditionError` before ``path`` is opened.
     """
     _refuse_final_row(trace)
     h, count = trace.horizon, trace.probe_count
     ids = np.array([_csv_field(i) for i in trace.probe_ids], dtype=object)
 
-    def columns(steps: slice, fields) -> tuple[np.ndarray, ...]:
+    def rows(first: int, stop: int, ahead: tuple) -> tuple:
+        fields = (trace.sot_err, trace.adj_err, *ahead, trace.b, trace.wot_err)
         return (
-            np.repeat(np.arange(steps.start + 1, steps.stop + 1), count),
-            np.tile(ids, steps.stop - steps.start),
-            *(field[steps].ravel() for field in fields),
+            np.repeat(np.arange(first + 1, stop + 1), count),
+            np.tile(ids, stop - first),
+            *(None if f is None else f[first:stop].ravel() for f in fields),
         )
 
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(TRACE_CSV_HEADER) + "\r\n")
-        fields = (
-            trace.sot_err, trace.adj_err, trace.consec_diff, trace.a,
-            trace.b, trace.wot_err,
-        )
-        # the columns of about _ROW_BLOCK rows at a time
-        per = max(1, _ROW_BLOCK // max(count, 1))
-        for first in range(0, h - 1, per):
-            _write_rows(
-                handle,
-                "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
-                columns(slice(first, min(first + per, h - 1)), fields),
-            )
-        # a_n and consec_diff look one step ahead: blank on the final step
-        fields = (trace.sot_err, trace.adj_err, trace.b, trace.wot_err)
-        _write_rows(
-            handle,
-            "%d,%s,%.17g,%.17g,,,%.17g,%.17g\r\n",
-            columns(slice(h - 1, h), fields),
-        )
+    # about _ROW_BLOCK rows a group; consec_diff and a_n look one step
+    # ahead, so they are blank on the final step
+    per = max(1, _ROW_BLOCK // max(count, 1))
+    _write_csv(path, TRACE_CSV_HEADER, itertools.chain(
+        (
+            rows(first, min(first + per, h - 1), (trace.consec_diff, trace.a))
+            for first in range(0, h - 1, per)
+        ),
+        [rows(h - 1, h, (None, None))],
+    ))
 
 
 def write_opnorm_csv(trace: ConvergenceTrace, path) -> None:
     """One row per step: ``n`` and ``opnorm_err = ||S_n - P||``, a
     property of the product alone, so written once per step whatever
-    the probes.
-
-    The bytes are those of ``csv.writer`` with each float formatted by
-    ``format(x, ".17g")``, as :func:`write_trace_csv`'s, and a
-    final-row trace is refused in the same way.
+    the probes.  Written by :func:`_write_csv`, a block of steps at a
+    time; a final-row trace is refused as by :func:`write_trace_csv`.
     """
     _refuse_final_row(trace)
     h = trace.horizon
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(OPNORM_CSV_HEADER) + "\r\n")
-        # one block's step numbers at a time: no temporary as long as
-        # the trace
-        for first in range(0, h, _ROW_BLOCK):
-            last = min(first + _ROW_BLOCK, h)
-            steps = np.arange(first + 1, last + 1)
-            _write_rows(
-                handle, "%d,%.17g\r\n", (steps, trace.opnorm_err[first:last])
-            )
+    _write_csv(path, OPNORM_CSV_HEADER, (
+        (
+            np.arange(first + 1, min(first + _ROW_BLOCK, h) + 1),
+            trace.opnorm_err[first : first + _ROW_BLOCK],
+        )
+        for first in range(0, h, _ROW_BLOCK)
+    ))
 
 
 def trace_summary(trace: ConvergenceTrace) -> dict:

@@ -619,7 +619,7 @@ def test_schur_blocks_equal_the_per_step_recurrence(dim, horizon, full_rank):
 
 def test_halving_sampler_blocks_equal_its_steps():
     frame = random_orthogonal(5, stream_rng(1, 9))
-    sampler = halving_decrement_sampler(5, 8, fixed_rank=2, frame=frame)
+    sampler = chains._HalvingSampler(5, 8, 2, frame)
     stack = sampler.stack(3, 9)
     for n, entries in zip(range(3, 10), stack):
         expected = per_step_decrement(5, 8, 2, frame, n).entries

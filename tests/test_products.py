@@ -1,12 +1,14 @@
 import csv
 import dataclasses
+import io
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contraction_lab import (
@@ -1139,6 +1141,94 @@ def test_write_opnorm_csv_without_probes_writes_every_step(tmp_path):
             for n, err in enumerate(trace.opnorm_err.tolist(), start=1)
         ),
     ]
+
+
+_TEXT = st.text(alphabet='ab ,"\r\n', max_size=6)
+_CELL_VALUES = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "uint": st.integers(0, 2**64 - 1),
+    "float": st.one_of(
+        st.floats(),
+        st.sampled_from([
+            0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+            -2.2250738585072e-308, 1.7976931348623157e308, -1e-300,
+        ]),
+    ),
+    "object": _TEXT,
+    "str": _TEXT,
+}
+_CELL_DTYPES = {
+    "int": np.int64, "uint": np.uint64, "float": np.float64,
+    "object": object, "str": str,
+}
+
+
+@st.composite
+def _csv_groups(draw):
+    """The groups of a file of 1-5 columns, each column a ``(kind,
+    values)`` pair or ``(None, None)`` for a blank one.  Every group
+    holds an array column, and a file of one column holds numbers, since
+    ``csv.writer`` quotes a row's lone empty field."""
+    width = draw(st.integers(1, 5))
+    kinds = ("int", "uint", "float", "object", "str", None)
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(st.integers(0, 9))
+        group = [
+            draw(st.sampled_from(kinds if width > 1 else kinds[:3]))
+            for _ in range(width)
+        ]
+        if not any(group):
+            group[draw(st.integers(0, width - 1))] = "float"
+        groups.append([
+            (kind, None) if kind is None else (kind, draw(st.lists(
+                _CELL_VALUES[kind], min_size=rows, max_size=rows
+            )))
+            for kind in group
+        ])
+    return groups
+
+
+@example(block=2, groups=[
+    [("int", [-(2**63), 2**63 - 1, 0]), ("object", ["a,b", 'say "hi"', ""]),
+     (None, None), ("float", [np.nan, -0.0, 5e-324])],
+    [("uint", []), ("str", []), ("float", []), ("int", [])],
+    [("uint", [2**64 - 1]), ("str", ["line\r\nbreak"]),
+     ("float", [-np.inf]), (None, None)],
+])
+@given(block=st.integers(1, 7), groups=_csv_groups())
+def test_write_csv_cells_match_csv_writer(tmp_path_factory, block, groups):
+    # each cell is formatted by its column's dtype, a block of
+    # _ROW_BLOCK rows at a time, into the bytes of csv.writer given each
+    # float as format(x, ".17g") and each text unquoted
+    header = [f"c{i}" for i in range(len(groups[0]) if groups else 1)]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    arrays = []
+    for group in groups:
+        rows = next(len(values) for kind, values in group if kind)
+        arrays.append(tuple(
+            None if kind is None
+            else np.array(values, dtype=_CELL_DTYPES[kind])
+            if kind in ("int", "uint", "float")
+            else np.array(
+                [products._csv_field(text) for text in values],
+                dtype=_CELL_DTYPES[kind],
+            )
+            for kind, values in group
+        ))
+        writer.writerows(zip(*(
+            [""] * rows if kind is None
+            else [format(x, ".17g") for x in values] if kind == "float"
+            else values
+            for kind, values in group
+        )))
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    with mock.patch.object(products, "_ROW_BLOCK", block):
+        products._write_csv(path, header, iter(arrays))
+    with open(path, newline="") as handle:
+        assert handle.read() == expected.getvalue()
 
 
 @pytest.mark.parametrize("horizon", [1, 5])
