@@ -12,6 +12,7 @@ be rebuilt bit-for-bit from a JSON document.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 import threading
@@ -57,14 +58,16 @@ __all__ = [
 ]
 
 # A spec whose run would hold more than this many entries (1 GiB of
-# float64) is refused before anything is allocated.  A Schur chain stores
-# dim * dim * horizon operator entries.  A curve-built chain holds its
-# dim x horizon curve table and one block; a run over it adds the six
-# horizon x (dim + 5) trace arrays of iterate_products, their summaries
-# and a few dim x dim matrices.  That is counted as
-# 16 * (dim + 5) * (dim + horizon): simulate peaked 8.5 and 9.1 times
-# (dim + 5) * (dim + horizon) float64 above its imports at dim 8,
-# horizon 100000 and at dim 64, horizon 10000.
+# float64) is refused before anything is allocated.  A Schur chain is
+# counted at dim * dim * horizon entries, though it stores
+# dim (dim + 1) / 2 a step (each step's upper triangle, see _pack) and
+# holds one full block: the ceiling keeps a 2x margin on its store.  A
+# curve-built chain holds its dim x horizon curve table and one block;
+# a run over it adds the six horizon x (dim + 5) trace arrays of
+# iterate_products, their summaries and a few dim x dim matrices.  That
+# is counted as 16 * (dim + 5) * (dim + horizon): simulate peaked 8.5
+# and 9.1 times (dim + 5) * (dim + horizon) float64 above its imports at
+# dim 8, horizon 100000 and at dim 64, horizon 10000.
 CACHE_CEILING = 2**27
 
 # A chain builds and stores its steps in blocks of consecutive steps
@@ -260,18 +263,74 @@ def _block_steps(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * dim * dim))
 
 
+@functools.lru_cache(maxsize=16)
+def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a ``dim x dim`` matrix read flat: the indices of its upper
+    triangle, row by row (the packed layout); for each entry, the index
+    of the packed entry it reads (its own, or its mirror's below the
+    diagonal); and the mask of the strict lower triangle.  Read-only,
+    since every caller shares them."""
+    rows, cols = np.triu_indices(dim)
+    mirror = np.empty((dim, dim), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+    arrays = rows * dim + cols, mirror.ravel(), np.tri(dim, k=-1, dtype=bool)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _pack(stack: np.ndarray) -> np.ndarray:
+    """A hermitized ``(k, dim, dim)`` stack as the upper triangles of its
+    matrices, a ``(k, dim (dim + 1) / 2)`` array of its dtype, that
+    :func:`_unpack` gives back bit for bit.
+
+    A real ``(M + M*) / 2`` rounds the same sum into ``h_ij`` and
+    ``h_ji``, so it is symmetric bit for bit.  A complex one is the
+    conjugate of its upper triangle below the diagonal except, at
+    times, for the sign of a zero part, which the upper triangle does
+    not fix (its halving is a complex product, whose real part at
+    ``[i, j]`` is ``re * 0.5 - im * 0``): a complex stack that
+    :func:`_unpack` would not give back byte for byte is returned as it
+    is."""
+    k, dim = len(stack), stack.shape[-1]
+    upper, _, _ = _triangle(dim)
+    packed = np.take(stack.reshape(k, dim * dim), upper, axis=1)
+    if np.iscomplexobj(stack):
+        if _unpack(packed).tobytes() != stack.tobytes():
+            return stack
+    return packed
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """The full ``(k, dim, dim)`` stack that :func:`_pack` made
+    ``packed`` from: the upper triangles as stored, and below the
+    diagonal their conjugates, with a zero imaginary part ``+0.0``.  A
+    stack that was kept whole is returned as it is."""
+    if packed.ndim == 3:
+        return packed
+    k, size = packed.shape
+    dim = math.isqrt(8 * size + 1) // 2
+    _, mirror, lower = _triangle(dim)
+    full = np.take(packed, mirror, axis=1).reshape(k, dim, dim)
+    if np.iscomplexobj(full):
+        np.subtract(0.0, full.imag, out=full.imag, where=lower)
+    return full
+
+
 class _Steps:
     """A step source: ``stack(first, stop, chain)`` returns steps
     ``first .. first + k - 1``, ``1 <= k <= stop - first + 1``, as a
-    hermitized ``(k, dim, dim)`` stack of one dtype.  A recursive source
-    reads earlier steps from ``chain``, the chain being built, and keeps
-    no reference to it; the chain lays the steps out in blocks.
+    hermitized ``(k, dim, dim)`` stack of one dtype, each matrix as
+    ``operators._hermitized`` gives it (so :func:`_pack` keeps it
+    exactly).  A recursive source reads earlier steps from ``chain``,
+    the chain being built, and keeps no reference to it; the chain lays
+    the steps out in blocks.
 
     A ``whole`` source returns every step asked for, each a function of
-    its index alone, so the chain holds only the block it read last and
-    asks again for any other; it is asked for whole blocks.  Any other
-    is asked for steps up to the run's last step at most, and may work
-    ahead to there."""
+    its index alone, so the chain stores nothing, holds only the block
+    it read last and asks again for any other; it is asked for whole
+    blocks.  Any other is recorded, and is asked for steps up to the
+    run's last step at most, and may work ahead to there."""
 
     whole = False
 
@@ -280,13 +339,21 @@ class _Steps:
 
 
 class _PerStep(_Steps):
-    """A ``Callable[[int], Operator]`` as a source: one step per call."""
+    """A ``Callable[[int], Operator]`` as a source: one step per call.
+    A value that is not an :class:`Operator` is refused: its entries
+    need not be hermitized."""
 
     def __init__(self, factory: Callable[[int], Operator]):
         self._factory = factory
 
     def stack(self, first: int, stop: int, chain=None) -> np.ndarray:
-        return self._factory(first).entries[None]
+        op = self._factory(first)
+        if not isinstance(op, Operator):
+            raise ChainGenerationError(
+                f"step {first} is of type {type(op).__name__}, not an "
+                f"Operator"
+            )
+        return op.entries[None]
 
 
 def _as_steps(factory: Callable[[int], Operator]) -> _Steps:
@@ -298,26 +365,33 @@ class ContractionChain:
     """Lazy, memoized view of a decreasing chain of positive contractions.
 
     ``operator_at(n)`` is 1-based and defined for ``1 <= n <= horizon``.
-    Steps come in blocks: read-only ``(block, dim, dim)`` stacks of
-    consecutive steps, each of one dtype, of at most ``_block_steps(dim)``
-    steps.  ``step_blocks`` hands those stacks out as they are, and
-    ``operator_at(n)`` is an :class:`Operator` over the step in its
-    block, so no step is held twice.
+    Steps come in blocks of consecutive steps, each of one dtype, of at
+    most ``_block_steps(dim)`` steps.  The chain holds one block in
+    full, a read-only ``(block, dim, dim)`` stack: ``step_blocks`` hands
+    out slices of it, and ``operator_at(n)`` is an :class:`Operator`
+    over the step in it, so a step read while its block is handed out
+    shares the block's memory.
 
-    A curve-built chain holds only the block it read last, whatever its
-    size: its source hands out a whole block ``F diag(values_n) F^T`` for
-    a fixed orthogonal frame ``F`` at once, and the chain computes the
-    block of any step it is asked for from the curve table, bit for bit
-    the same each time.  Every other chain records every step it built,
-    in step order: the Schur recurrence reads earlier steps, and a
-    per-step ``factory`` (a ``Callable[[int], Operator]``) need not be
+    A curve-built chain stores nothing: its source hands out a whole
+    block ``F diag(values_n) F^T`` for a fixed orthogonal frame ``F`` at
+    once, and the chain computes the block of any step it is asked for
+    from the curve table, bit for bit the same each time, and holds the
+    one it computed last.  Every other chain records every step it
+    built, in step order: the Schur recurrence reads earlier steps, and
+    a per-step ``factory`` (a ``Callable[[int], Operator]``) need not be
     pure.  Both hand out one step per call; the chain alone lays the
-    record out: it keeps a stack that fills a block as it is, copies a
-    shorter one into the open block, and starts a new block at a step of
-    another dtype.  The Schur recurrence draws its decrements ahead no
-    further than the last step of the latest run (:meth:`run_horizon`).
-    Blocks are built behind a lock, so recursively defined chains stay
-    consistent under concurrent access.
+    record out.  It builds a block in full, the open block, copying a
+    stack that does not fill it in, and closes it when it is full or a
+    step of another dtype starts the next block.  A closed block is
+    stored as its steps' upper triangles (:func:`_pack`), since every
+    step is Hermitian: ``dim (dim + 1) / 2`` entries a step, which
+    :func:`_unpack` turns back into the full block bit for bit.  The
+    block held is the one built last or unpacked last; an open block
+    that is not yet full stays stored in full, so a read of an earlier
+    block before it fills holds two.  The Schur recurrence draws its
+    decrements ahead no further than the last step of the latest run
+    (:meth:`run_horizon`).  Blocks are built behind a lock, so
+    recursively defined chains stay consistent under concurrent access.
 
     The store holds the operators only, not their eigenvectors, which
     would store another ``dim x dim`` matrix for every step.
@@ -347,11 +421,12 @@ class ContractionChain:
         self.analytic_limit = analytic_limit
         self.gap_guarantee = gap_guarantee
         self._steps = _as_steps(factory)
-        # the recorded blocks in step order, the first step of each, the
-        # last step built (the newest block may be partly built) and the
-        # latest run's last step; a whole source records nothing, counts
-        # as built to the horizon, and its first step and block read last
-        # are held
+        # the recorded blocks in step order (each closed one packed, an
+        # open one in full), the first step of each, the last step built
+        # and the latest run's last step; a whole source records
+        # nothing and counts as built to the horizon.  Then the first
+        # step and the block held in full: a whole source's computed
+        # last, any other's built or unpacked last
         self._blocks: list[np.ndarray] = []
         self._firsts: list[int] = []
         self._built = horizon if self._steps.whole else 0
@@ -380,7 +455,7 @@ class ContractionChain:
                 )
             if block is not None and got.dtype != block.dtype:
                 # a block holds one dtype: close it at the steps built
-                self._blocks[-1] = block[: step - start]
+                self._blocks[-1] = _pack(block[: step - start])
                 block = None
             if block is None:
                 start, block = step, got
@@ -391,11 +466,16 @@ class ContractionChain:
             if block is not got:
                 block[step - start : step - start + len(got)] = got
             self._built = step + len(got) - 1
+            self._held = (start, block)
+            if self._built == start + len(block) - 1:
+                self._blocks[-1] = _pack(block)
 
     def _block_of(self, n: int) -> tuple[int, np.ndarray]:
-        """The first step and the block that hold step ``n``: a whole
-        source's computed unless it is the one held, any other's built up
-        to ``n``; the caller holds the lock."""
+        """The first step and the full block that hold step ``n``, made
+        the block held: a whole source's computed, any other's built up
+        to ``n`` and unpacked unless it is held or open; the caller
+        holds the lock.  The rows of an open block past the last step
+        built are not yet written."""
         if not 1 <= n <= self.horizon:
             raise PreconditionError(
                 f"step {n} outside materialized range 1..{self.horizon}"
@@ -409,10 +489,12 @@ class ContractionChain:
             return self._held
         self._build(n)
         k = bisect.bisect_right(self._firsts, n) - 1
-        return self._firsts[k], self._blocks[k]
+        if self._held is None or self._held[0] != self._firsts[k]:
+            self._held = (self._firsts[k], _unpack(self._blocks[k]))
+        return self._held
 
     def _entries(self, n: int) -> np.ndarray:
-        """Step ``n``'s stored entries, read-only."""
+        """Step ``n``'s entries in the block held, read-only."""
         with self._lock:
             first, block = self._block_of(n)
             entries = block[n - first]
@@ -437,8 +519,8 @@ class ContractionChain:
 
     def step_blocks(self, horizon: int | None = None) -> Iterator[np.ndarray]:
         """Steps ``1 ..`` :meth:`run_horizon` as read-only stacks of
-        consecutive steps in step order, one per stored block, each built
-        when it is reached."""
+        consecutive steps in step order, one per block, each built when
+        it is reached and a slice of the block held when handed out."""
         h = self.run_horizon(horizon)
         n = 1
         while n <= h:
@@ -458,11 +540,13 @@ class ContractionChain:
         decomposition computed was this step's, else computed and left
         there.  Its arrays are read-only, since every taker shares them."""
         with self._lock:
-            # building T_n may itself decompose T_{n-1} (Schur)
-            op = _stored_operator(self._entries(n))
+            # the slot first: a step decomposed is built, and the Schur
+            # generator's read of T_{n-1} then needs no block
             held = self._handover
             if held is not None and held[0] == n:
                 return held[1]
+            # building T_n may itself decompose T_{n-1} (Schur)
+            op = _stored_operator(self._entries(n))
             decomp = spectral_decompose(op)
             decomp.eigenvalues.setflags(write=False)
             decomp.eigenvectors.setflags(write=False)

@@ -47,6 +47,7 @@ import contraction_lab
 from contraction_lab import chains
 from contraction_lab.chains import CACHE_CEILING
 from contraction_lab.config import DEFAULT
+from contraction_lab.operators import _hermitized
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +576,10 @@ def test_curve_chain_holds_one_block_after_any_reads():
         assert chain._blocks == []
 
 
-def test_threads_reading_an_evicting_chain_get_identical_steps():
-    horizon = 300  # 64 steps per block at dim 8
-    chain = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
-    expected = [
-        per_step_curve_entries(chain, n) for n in range(1, horizon + 1)
-    ]
+def steps_misread_by_threads(chain, expected):
+    """The steps that four threads, reading ``chain`` forward, backward
+    and in two random orders, found to differ from ``expected``."""
+    horizon = chain.horizon
     steps = list(range(1, horizon + 1))
     rng = np.random.default_rng(1)
     orders = [steps, steps[::-1]]
@@ -603,8 +602,29 @@ def test_threads_reading_an_evicting_chain_get_identical_steps():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
+    return wrong
+
+
+def test_threads_reading_an_evicting_chain_get_identical_steps():
+    horizon = 300  # 64 steps per block at dim 8
+    chain = gap_engineered_chain(8, 0.1, 2, seed=4, horizon=horizon)
+    expected = [
+        per_step_curve_entries(chain, n) for n in range(1, horizon + 1)
+    ]
+    assert steps_misread_by_threads(chain, expected) == []
     assert chain._blocks == []
+
+
+def test_threads_reading_a_packed_chain_get_identical_steps():
+    # the threads build the chain and then unpack its blocks, each read
+    # swapping the one block held
+    horizon = 300  # 64 steps per block at dim 8
+    make = lambda: random_schur_chain(8, 4, horizon, fixed_rank=2)
+    expected = [step.copy() for block in make().step_blocks()
+                for step in block]
+    chain = make()
+    assert steps_misread_by_threads(chain, expected) == []
+    assert [b.shape for b in chain._blocks] == [(64, 36)] * 4 + [(44, 36)]
 
 
 @pytest.mark.parametrize("dim, horizon", BLOCK_SHAPES)
@@ -615,6 +635,122 @@ def test_schur_blocks_equal_the_per_step_recurrence(dim, horizon, full_rank):
     assert_stacks_hold(
         chain, per_step_schur_entries(dim, 5, horizon, fixed_rank)
     )
+
+
+# entries that meet the edges of the packed layout: signed zeros (whose
+# sum below the diagonal may be -0.0), subnormals (which halving may
+# round to a signed zero) and large finite values (whose sum stays finite)
+EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, -(2.0**-1022), 1e300,
+                -1e300, 1.0, -0.5]
+
+
+@st.composite
+def raw_stacks(draw):
+    """``(k, dim, dim)`` stacks, real or complex, whose entries mix drawn
+    finite floats with :data:`EDGE_ENTRIES`."""
+    dim = draw(st.one_of(st.integers(1, 24), st.sampled_from([64, 128])))
+    k = draw(st.integers(1, 4))
+    floats = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    pool = np.array(EDGE_ENTRIES + draw(st.lists(floats, max_size=6)))
+    edge_only = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.choice(pool[: len(EDGE_ENTRIES)] if edge_only else pool,
+                       size=(2, k, dim, dim))
+    if draw(st.booleans()):
+        return parts[0] + 1j * parts[1]
+    return parts[0]
+
+
+# a complex (M + M*) / 2 whose [1, 0] is not the conjugate of its [0, 1]
+# bit for bit: the halving's real part re * 0.5 - im * 0 is -0.0 - 0.0
+# below the diagonal and -0.0 + 0.0 above it
+SIGNED_ZERO_BELOW = np.array(
+    [[[1.0, complex(-0.0, 1.0)], [complex(-0.0, 2.0), 0.25]]]
+)
+
+
+@given(m=raw_stacks())
+@example(m=SIGNED_ZERO_BELOW)
+def test_packed_triangles_unpack_bit_for_bit(m):
+    # a stored step is (M + M*) / 2: a real one is kept as its upper
+    # triangles, as is a complex one unless they miss the sign of a zero
+    # below its diagonal, and either comes back byte for byte
+    h = _hermitized(m)
+    k, dim = len(h), h.shape[-1]
+    packed = chains._pack(h)
+    back = chains._unpack(packed)
+    assert back.dtype == h.dtype and back.shape == h.shape
+    assert back.tobytes() == h.tobytes()
+    # kept whole exactly when the strict lower triangle is not the
+    # conjugate of the upper one with a zero imaginary part +0.0
+    below = np.tri(dim, k=-1, dtype=bool)
+    lower, mirror = h[:, below], h.swapaxes(1, 2)[:, below]
+    imag = np.where(mirror.imag == 0, 0.0, -mirror.imag)
+    paired = (lower.real.tobytes() == mirror.real.tobytes()
+              and lower.imag.tobytes() == imag.tobytes())
+    assert paired or np.iscomplexobj(h)
+    if paired:
+        assert packed.shape == (k, dim * (dim + 1) // 2)
+        assert packed.dtype == h.dtype
+    else:
+        assert packed is h
+
+
+def test_complex_step_with_an_unpaired_signed_zero_is_kept_whole():
+    h = _hermitized(SIGNED_ZERO_BELOW)
+    assert np.signbit(h[0, 1, 0].real) and not np.signbit(h[0, 0, 1].real)
+    assert chains._pack(h) is h
+    # the same step with +0.0 real parts packs
+    assert chains._pack(_hermitized(SIGNED_ZERO_BELOW + 0.0)).shape == (1, 3)
+
+
+@pytest.mark.parametrize("dim, horizon", [(2, 1030), (16, 100), (64, 20),
+                                          (128, 5)])
+def test_recorded_store_holds_one_upper_triangle_a_step(dim, horizon):
+    # a Schur chain stores dim (dim + 1) / 2 entries a step, and holds one
+    # full block, the one built last
+    chain = random_schur_chain(dim, 5, horizon, fixed_rank=dim // 2)
+    list(chain.step_blocks())
+    packed = dim * (dim + 1) // 2
+    assert sum(b.nbytes for b in chain._blocks) == horizon * packed * 8
+    assert all(b.shape[1:] == (packed,) for b in chain._blocks)
+    first, held = chain._held
+    assert first == chain._firsts[-1]
+    assert held.shape == (horizon - first + 1, dim, dim)
+
+
+def test_factory_store_holds_one_upper_triangle_a_step():
+    rng = stream_rng(2, 0)
+    frame = random_orthogonal(3, rng)
+    chain = chains.ContractionChain(
+        3, "factory", 50,
+        lambda n: Operator((frame * [1.0, 0.5, 0.9**n]) @ frame.T),
+    )
+    list(chain.step_blocks())
+    assert sum(b.nbytes for b in chain._blocks) == 50 * 6 * 8
+
+
+def test_factory_value_that_is_not_an_operator_is_refused():
+    chain = chains.ContractionChain(2, "x", 3, lambda n: np.eye(2))
+    with pytest.raises(
+        ChainGenerationError,
+        match=r"^step 1 is of type ndarray, not an Operator$",
+    ):
+        chain.operator_at(1)
+
+
+def test_factory_lookalike_with_unhermitized_entries_is_refused():
+    # an object with an entries array is not an Operator: its entries need
+    # not be Hermitian, and a store of upper triangles would make them so
+    class Lookalike:
+        entries = np.array([[1.0, 0.3], [0.0, 0.5]])
+
+    chain = chains.ContractionChain(2, "lookalike", 3, lambda n: Lookalike())
+    with pytest.raises(
+        ChainGenerationError,
+        match=r"^step 1 is of type Lookalike, not an Operator$",
+    ):
+        list(chain.step_blocks())
 
 
 def test_halving_sampler_blocks_equal_its_steps():

@@ -11,6 +11,7 @@ import runpy
 import shutil
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -171,6 +172,27 @@ def test_simulate_at_dim_128_factors_each_decrement_once(
     }
     assert eigensolve_counts == solved
     assert eigensolve_counts.calls == solved
+
+
+def test_simulate_schur_run_peaks_below_its_full_steps(tmp_path):
+    # a Schur chain stores each step's upper triangle, 64 * 65 / 2
+    # entries at dim 64, and holds one full step: the whole run peaks
+    # below the 64 * 64 entries a step that storing full steps took
+    dim, horizon = 64, 300
+    spec = write_spec(
+        tmp_path,
+        {"kind": "schur_decrement", "dim": dim, "horizon": horizon,
+         "seed": 3, "fixed_rank": 4},
+    )
+    tracemalloc.start()
+    try:
+        code = run_cli(["simulate", "--spec", spec, "--out",
+                        str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dim * dim * horizon * 8
 
 
 def test_simulate_usage_errors(tmp_path, capsys):
